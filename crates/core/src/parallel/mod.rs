@@ -1,26 +1,32 @@
-//! Executed data-parallel training with a ZeRO-1 sharded optimizer.
+//! Executed `dp × tp × pp` training with a ZeRO-1 sharded optimizer.
 //!
-//! Where [`crate::pretrain::Trainer`] advances one replica,
-//! [`DataParallel`] runs **N worker replicas on OS threads**, each
-//! holding a full [`ParamStore`] copy and computing gradients on a
-//! disjoint micro-batch of the coordinator-sampled global batch. The
-//! replicas synchronize with a hand-rolled **ring allreduce** over
+//! Where [`crate::pretrain::Trainer`] advances one replica, this module
+//! runs **one worker thread per seat of a [`Topology`] grid**: data
+//! replicas synchronized by a hand-rolled **ring allreduce** over
 //! in-process channels — chunked reduce-scatter followed by allgather,
 //! exactly the schedule RCCL rings execute on Frontier, so the measured
 //! per-worker traffic lands on the paper's `2(N−1)/N · M` closed form
-//! ([`matgpt_frontier_sim::collectives::wire_bytes`]).
+//! ([`matgpt_frontier_sim::collectives::wire_bytes`]) — Megatron-style
+//! tensor shards, and 1F1B pipeline stages (see [`topology`]).
 //!
-//! Two synchronization modes:
+//! There is **one executor** (`executor.rs`): one threaded worker
+//! function, one coordinator step loop, one sequential reference.
+//! [`DataParallel`] and [`train_topology`] / [`reference_topology`] are
+//! thin entry points onto it; a [`ParallelConfig`] *is* a [`Topology`],
+//! and `ParallelConfig::replicated(n)` / `zero1(n)` name `{n,1,1}` grids.
 //!
-//! * **Replicated** ([`ParallelConfig::replicated`]) — classic DP:
-//!   reduce-scatter the gradients, average, allgather them back, every
-//!   worker applies the identical full optimizer step.
-//! * **ZeRO-1** ([`ParallelConfig::zero1`]) — each worker owns a
-//!   contiguous, tensor-aligned ~1/N shard of the flattened parameter
-//!   space, keeps Adam/LAMB moments **only for its shard**
-//!   ([`matgpt_optim::Optimizer::step_masked`]), and publishes updated parameters with
-//!   an allgather. Optimizer-state memory per worker drops ~N×, at the
-//!   same wire volume (reduce-scatter + allgather ≙ allreduce).
+//! Two optimizer modes on the dp ring, at any `{tp, pp}`:
+//!
+//! * **Replicated** — classic DP: reduce-scatter the gradients, average,
+//!   allgather them back, every replica applies the identical full
+//!   optimizer step.
+//! * **ZeRO-1** ([`Topology::with_zero1`]) — each dp rank owns a
+//!   contiguous, tensor-aligned ~1/N shard of its shard store's flat
+//!   parameter space ([`ShardPlan`]), keeps Adam/LAMB moments **only for
+//!   its shard** ([`matgpt_optim::Optimizer::step_masked`]), and
+//!   publishes updated parameters with an allgather. Optimizer-state
+//!   memory per worker drops ~N×, at the same wire volume
+//!   (reduce-scatter + allgather ≙ allreduce).
 //!
 //! # Determinism and equivalence
 //!
@@ -29,58 +35,51 @@
 //! reduction order. The ring fixes one: chunk `c` accumulates
 //! contributions in ring order starting from rank `c+1` (the rank that
 //! injects chunk `c` first). [`ring_fold`] is that order as a pure
-//! sequential function; [`DataParallel::train_reference`] is a
-//! single-replica executor that uses it, and defines the equivalence
-//! target. The guarantees, proven by `tests/parallelism.rs`:
+//! sequential function; the sequential reference uses it, and defines
+//! the equivalence target. The guarantees, proven by
+//! `tests/parallelism.rs`:
 //!
-//! * threaded DP×N (replicated **and** ZeRO-1) is **bit-identical** to
-//!   the sequential reference at the same N — thread scheduling never
-//!   leaks into the numerics;
-//! * DP×1 is **bit-identical** to [`crate::pretrain::Trainer`];
-//! * replicated and ZeRO-1 are **bit-identical to each other** at any N
-//!   (shard-aligned reduction buckets, whole-tensor LAMB trust ratios,
-//!   and a tensor-order global-norm fold make the masked update exact);
-//! * checkpoints are ordinary v2 MGPT images (ZeRO-1 shards are merged
-//!   back with [`OptimizerState::merge_shards`]), so
-//!   [`crate::pretrain::pretrain_resume`] composes with DP runs.
+//! * the threaded run on any grid (replicated **and** ZeRO-1) is
+//!   **bit-identical** to the sequential reference on the same grid —
+//!   thread scheduling never leaks into the numerics;
+//! * the `{1,1,1}` grid is **bit-identical** to
+//!   [`crate::pretrain::Trainer`], at any [`PretrainConfig::precision`];
+//! * replicated and ZeRO-1 are **bit-identical to each other** on any
+//!   grid (shard-aligned reduction buckets, whole-tensor LAMB trust
+//!   ratios, and a tensor-order global-norm fold make the masked update
+//!   exact);
+//! * checkpoints are ordinary v2 MGPT images of the *full* model (tp,
+//!   pp and ZeRO-1 shards of weights and moments are merged back), so
+//!   [`crate::pretrain::pretrain_resume`] composes with any grid's run.
 //!
 //! # Fault tolerance
 //!
-//! The [`resilience`] submodule executes training under injected worker
-//! failures: a seeded [`resilience::FaultPlan`] kills or stalls ranks at
-//! specific steps, the ring detects the loss through bounded-timeout
-//! collectives ([`CollectiveError`]) plus per-rank heartbeats, and
+//! The [`resilience`] submodule describes injected failures: a seeded
+//! [`resilience::FaultPlan`] kills or stalls grid seats at specific
+//! steps, every wire detects the loss through bounded-timeout receives
+//! ([`CollectiveError`]) plus per-seat heartbeats, and
 //! [`DataParallel::train_resilient`] recovers by rolling back to an
-//! in-memory v2 snapshot — optionally **elastically re-sharding** from N
-//! to N−1 survivors. See `PARALLELISM.md` for the state machine and the
-//! determinism contract.
+//! in-memory v2 snapshot — optionally **elastically shrinking** the dp
+//! axis to the surviving replicas. See `PARALLELISM.md` for the state
+//! machine and the determinism contract.
 
 pub mod collective;
+mod executor;
 pub mod resilience;
 pub mod topology;
 
-use crate::pretrain::{
-    build_model, build_optimizer, train_tokenizer, validation_loss_on, LossCurves, Pretrained,
-    ResumeError, SEC_CURSOR, SEC_CURVES, SEC_LABEL, SEC_OPT, SEC_STEP,
-};
+use crate::pretrain::{LossCurves, Pretrained, ResumeError};
 use crate::recipes::PretrainConfig;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use matgpt_corpus::{Batch, TokenDataset};
-use matgpt_frontier_sim::collectives::{wire_bytes, Collective as CollKind};
-use matgpt_model::GptModel;
-use matgpt_obs::{flight, pids, Histogram, Registry, Span};
-use matgpt_optim::{CosineSchedule, LrSchedule, OptimizerState};
-use matgpt_tensor::{checkpoint, ParamStore, Tape};
-use resilience::{FaultKind, FaultPlan, Heartbeats};
+use executor::{reference_grid, run_grid, GridRun, RunSpec};
+use matgpt_corpus::Batch;
+use resilience::{ResilienceConfig, ResilientOutcome};
 use std::ops::Range;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use collective::{
     ring_allgather_rank_bytes, ring_allreduce_rank_bytes, ring_allreduce_sum,
     ring_reduce_scatter_rank_bytes, Collective, CollectiveError, PipeDir, PipeLink, RingComm,
 };
-pub(crate) use collective::{Ring, DEFAULT_RING_TIMEOUT};
 /// Re-exported from `matgpt_tensor`, where the fold order now lives so
 /// the tape's sequential-reference TP ops share it.
 pub use matgpt_tensor::ring_fold;
@@ -89,61 +88,48 @@ pub use topology::{
     TopologyReport, WireAudit,
 };
 
-/// How many workers, and how they keep optimizer state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker replica count N (≥ 1). The global batch must divide by it.
-    pub workers: usize,
-    /// ZeRO-1: shard optimizer state across workers instead of
-    /// replicating it.
-    pub zero1: bool,
-}
-
-impl ParallelConfig {
-    /// Classic replicated data parallelism over `workers` replicas.
-    pub fn replicated(workers: usize) -> Self {
-        Self {
-            workers,
-            zero1: false,
-        }
-    }
-
-    /// Data parallelism with a ZeRO-1 sharded optimizer.
-    pub fn zero1(workers: usize) -> Self {
-        Self {
-            workers,
-            zero1: true,
-        }
-    }
-}
+/// How many workers, and how they keep optimizer state: the grid
+/// description itself. `ParallelConfig::replicated(n)` and
+/// `ParallelConfig::zero1(n)` are `{n,1,1}` [`Topology`] grids.
+pub type ParallelConfig = Topology;
 
 /// Per-run accounting the executor reports next to the trained model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ParallelReport {
-    /// Worker count the run used.
+    /// Worker threads the run finished on: the grid's world size
+    /// `dp·tp·pp` (N for a `{N,1,1}` data-parallel run). Per-worker
+    /// vectors below are indexed by [`Topology::seat`].
     pub workers: usize,
     /// Whether optimizer state was ZeRO-1 sharded.
     pub zero1: bool,
-    /// Optimizer steps executed by this run.
+    /// Optimizer steps this run committed. A resumed run counts from
+    /// its image's step; a recovered run counts the steps it re-executed
+    /// after a rollback again. The same steps are the denominator of
+    /// [`Self::measured_allreduce_bytes_per_step`], whatever the mode.
     pub steps_run: usize,
-    /// Flattened parameter count M (scalars).
+    /// Flattened parameter count M (scalars) of the full model.
     pub param_scalars: usize,
-    /// Owned scalars per worker (the ZeRO-1 shard sizes; sums to
-    /// `param_scalars`).
+    /// Scalars each worker owns on its dp ring (the ZeRO-1 shard sizes;
+    /// each `(s, r)` column's sum to that shard store's size, so on a
+    /// `{N,1,1}` grid they sum to `param_scalars`).
     pub shard_scalars: Vec<usize>,
-    /// Measured gradient-sync traffic: mean bytes sent per worker per
-    /// step (reduce-scatter + allgather, counted on the channels).
+    /// Measured dp-ring traffic: mean bytes sent per worker per
+    /// committed step (reduce-scatter + allgather, plus ZeRO-1's norm
+    /// allgather, counted on the channels).
     pub measured_allreduce_bytes_per_step: f64,
     /// The analytic `2(N−1)/N · 4M` per-rank allreduce volume the paper
-    /// profiles — the mean measured traffic must land on it exactly.
+    /// profiles, averaged over the grid's shard stores — the mean
+    /// measured gradient traffic must land on it exactly.
     pub formula_allreduce_bytes_per_step: f64,
     /// Σ over steps of the slowest worker's gradient-compute time — the
     /// bulk-synchronous critical path's compute term.
     pub critical_compute_ms: f64,
-    /// Total gradient-compute time per worker.
+    /// Total gradient-compute time per worker (per data replica under
+    /// the sequential reference).
     pub total_compute_ms: Vec<f64>,
     /// Synchronization cost: reduction/fold time (reference executor)
-    /// or time blocked on ring channels (threaded workers), per worker.
+    /// or time blocked on ring and link receives (threaded workers),
+    /// per worker.
     pub comm_ms: Vec<f64>,
     /// Per-step serial remainder (grad load, clip, optimizer update) on
     /// the critical path, summed over steps.
@@ -169,7 +155,7 @@ impl ParallelReport {
     }
 }
 
-/// What a data-parallel run returns.
+/// What a [`DataParallel`] run returns.
 pub struct ParallelOutcome {
     /// The trained bundle, identical in shape to [`fn@crate::pretrain::pretrain`]'s.
     pub pretrained: Pretrained,
@@ -307,7 +293,7 @@ impl ShardPlan {
     }
 
     /// For every tensor, the rank that owns it (the
-    /// [`OptimizerState::merge_shards`] argument).
+    /// [`matgpt_optim::OptimizerState::merge_shards`] argument).
     pub fn owners(&self) -> Vec<usize> {
         let n_tensors = self.offsets.len() - 1;
         (0..n_tensors)
@@ -336,8 +322,8 @@ fn fold_mean(losses: &[f32]) -> f32 {
     losses.iter().copied().fold(0.0f32, |a, b| a + b) / losses.len() as f32
 }
 
-/// Split the coordinator's global batch into per-rank micro-batches of
-/// `rows` rows each (contiguous row blocks, rank order).
+/// Split the coordinator's global batch into per-replica micro-batches
+/// of `rows` rows each (contiguous row blocks, rank order).
 fn split_batch(batch: &Batch, n: usize) -> Vec<Batch> {
     assert!(batch.batch.is_multiple_of(n), "batch divides over workers");
     let rows = batch.batch / n;
@@ -350,48 +336,6 @@ fn split_batch(batch: &Batch, n: usize) -> Vec<Batch> {
             seq: batch.seq,
         })
         .collect()
-}
-
-/// One replica's gradient computation for one micro-batch: zero grads,
-/// (optionally) round weights to the mixed-precision grid, forward,
-/// backward, restore masters. Returns the micro loss. Identical between
-/// threaded workers and the sequential reference.
-fn micro_grads(
-    cfg: &PretrainConfig,
-    model: &GptModel,
-    store: &mut ParamStore,
-    micro: &Batch,
-) -> f32 {
-    store.zero_grads();
-    let masters = if cfg.precision != matgpt_tensor::Precision::F32 {
-        let snap = matgpt_tensor::precision::snapshot_values(store);
-        matgpt_tensor::precision::round_store(store, cfg.precision);
-        Some(snap)
-    } else {
-        None
-    };
-    let mut tape = Tape::new();
-    let loss = {
-        let _s = Span::enter(pids::PARALLEL, "dp", "forward");
-        model.loss(
-            &mut tape,
-            store,
-            &micro.inputs,
-            &micro.targets,
-            micro.batch,
-            micro.seq,
-        )
-    };
-    let micro_loss = tape.value(loss).item();
-    {
-        let _s = Span::enter(pids::PARALLEL, "dp", "backward");
-        tape.backward(loss);
-        tape.accumulate_param_grads(store);
-    }
-    if let Some(snap) = masters {
-        matgpt_tensor::precision::restore_values(store, &snap);
-    }
-    micro_loss
 }
 
 /// Scale `buf[own]` by 1/n — the gradient-averaging step, applied by
@@ -407,274 +351,8 @@ fn scale_owned(buf: &mut [f32], own: &Range<usize>, n: usize) {
     }
 }
 
-/// Per-tensor squared gradient norms for the tensors in `tensors`,
-/// read from the flat gradient buffer. Uses the same per-element
-/// multiply-and-left-fold as [`matgpt_tensor::Tensor::sq_norm`], so the
-/// ZeRO-1 global-norm clip matches `ParamStore::clip_grad_norm` bitwise.
-fn owned_sq_norms(flat: &[f32], plan: &ShardPlan, tensors: &Range<usize>, out: &mut [f32]) {
-    for t in tensors.clone() {
-        let range = plan.offsets[t]..plan.offsets[t + 1];
-        out[t] = flat[range].iter().map(|v| v * v).sum::<f32>();
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Worker protocol.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-enum ToWorker {
-    Step {
-        step: usize,
-        micro: Batch,
-        lr: f32,
-        eval: bool,
-    },
-    /// Export optimizer state (a shard under ZeRO-1) for consolidation.
-    ExportOpt,
-    /// Rank 0 only: wrap its weights and the prepared sections into a
-    /// v2 checkpoint image.
-    Assemble(Vec<(String, Vec<u8>)>),
-    Finish,
-}
-
-#[derive(Debug)]
-enum FromWorker {
-    StepDone {
-        rank: usize,
-        micro_loss: f32,
-        val_loss: Option<f32>,
-        compute_ms: f64,
-        comm_ms: f64,
-        sent_bytes: u64,
-        opt_bytes: usize,
-    },
-    /// A collective failed under this rank: it reports the typed error
-    /// and exits — the coordinator decides who actually died.
-    StepFailed {
-        rank: usize,
-        err: CollectiveError,
-    },
-    Opt(usize, OptimizerState),
-    Image(Vec<u8>),
-}
-
-struct WorkerSeat {
-    rank: usize,
-    ring: Ring,
-    rx: Receiver<ToWorker>,
-    tx: Sender<FromWorker>,
-    /// Injected faults this worker consults at each step.
-    faults: Arc<FaultPlan>,
-    /// Liveness board the coordinator reads for failure detection.
-    beats: Arc<Heartbeats>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_main(
-    seat: WorkerSeat,
-    cfg: &PretrainConfig,
-    zero1: bool,
-    vocab: usize,
-    plan: &ShardPlan,
-    val_batches: &[Batch],
-    opt_restore: Option<&OptimizerState>,
-    weight_restore: Option<&ParamStore>,
-) -> Option<(GptModel, ParamStore)> {
-    let WorkerSeat {
-        rank,
-        mut ring,
-        rx,
-        tx,
-        faults,
-        beats,
-    } = seat;
-    let n = ring.n;
-    let (model, mut store) = build_model(cfg, vocab);
-    if let Some(weights) = weight_restore {
-        let restored = checkpoint::restore_into(&mut store, weights);
-        assert_eq!(restored, store.len(), "resume weights cover the model");
-    }
-    let mut opt = build_optimizer(cfg);
-    let mask = plan.owned_mask(rank);
-    if let Some(full) = opt_restore {
-        opt.import_state(if zero1 {
-            full.shard(&mask)
-        } else {
-            full.clone()
-        });
-    }
-
-    // Identify this thread everywhere observability looks: the flight
-    // ring (postmortems flag the victim by rank), and the global
-    // recorder's track names (critical-path attribution parses them).
-    flight::label_thread(format!("rank {rank}"), Some(rank as u64));
-    matgpt_obs::Recorder::global().set_track_name(
-        pids::PARALLEL,
-        matgpt_obs::thread_tid(),
-        format!("rank {rank}"),
-    );
-
-    let rank_label = rank.to_string();
-    let reg = Registry::global();
-    let labels = [("worker", rank_label.as_str())];
-    let bytes_total = reg.counter_with(
-        "parallel_allreduce_bytes_total",
-        &labels,
-        "gradient-sync bytes this worker sent on the ring",
-    );
-    let sync_wait = reg.histogram_with(
-        "parallel_step_sync_wait_ms",
-        &labels,
-        "per-step time blocked on ring receives",
-        &Histogram::LATENCY_MS_BOUNDS,
-    );
-    let steps_total = reg.counter_with(
-        "parallel_steps_total",
-        &labels,
-        "data-parallel steps this worker executed",
-    );
-
-    let n_tensors = plan.offsets.len() - 1;
-    // A vanished coordinator (failure teardown) ends the worker
-    // gracefully instead of poisoning the thread scope.
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ToWorker::Step {
-                step,
-                micro,
-                lr,
-                eval,
-            } => {
-                beats.beat(rank);
-                ring.step = step as u64;
-                let _step_span = Span::enter(pids::PARALLEL, "dp", "worker-step");
-                match faults.take(rank, step) {
-                    Some(FaultKind::Kill) => {
-                        // Die mid-step: the gradients are computed but
-                        // this rank's ring endpoints drop before its
-                        // first send — peers observe exactly what a
-                        // vanished node looks like.
-                        let _ = micro_grads(cfg, &model, &mut store, &micro);
-                        return None;
-                    }
-                    Some(FaultKind::Stall { ms }) => std::thread::sleep(Duration::from_millis(ms)),
-                    None => {}
-                }
-                let bytes_before = ring.sent_bytes;
-                let wait_before = ring.wait_ms;
-                let t0 = Instant::now();
-                let micro_loss = micro_grads(cfg, &model, &mut store, &micro);
-                beats.beat(rank);
-                let mut flat = store.flat_grads();
-
-                let synced = (|| -> Result<(), CollectiveError> {
-                    {
-                        let _s = Span::enter(pids::PARALLEL, "dp", "reduce-scatter");
-                        ring.reduce_scatter(&mut flat, &plan.flat)?;
-                    }
-                    beats.beat(rank);
-                    scale_owned(&mut flat, &plan.flat[rank], n);
-
-                    if zero1 {
-                        // Global-norm clip from allgathered per-tensor norms,
-                        // folded in tensor order like `ParamStore::grad_norm`.
-                        let mut norms = vec![0.0f32; n_tensors];
-                        owned_sq_norms(&flat, plan, &plan.tensors[rank], &mut norms);
-                        {
-                            let _s = Span::enter(pids::PARALLEL, "dp", "allgather-norms");
-                            ring.allgather(&mut norms, &plan.tensors)?;
-                        }
-                        let norm = norms.iter().sum::<f32>().sqrt();
-                        if norm > 1.0 {
-                            let s = 1.0 / norm;
-                            for x in &mut flat[plan.flat[rank].clone()] {
-                                *x *= s;
-                            }
-                        }
-                        store.load_flat_grads(&flat);
-                        {
-                            let _s = Span::enter(pids::PARALLEL, "dp", "optimizer");
-                            opt.step_masked(&mut store, lr, &mask);
-                        }
-                        beats.beat(rank);
-                        let mut vals = store.flat_values();
-                        {
-                            let _s = Span::enter(pids::PARALLEL, "dp", "allgather-params");
-                            ring.allgather(&mut vals, &plan.flat)?;
-                        }
-                        store.load_flat_values(&vals);
-                    } else {
-                        {
-                            let _s = Span::enter(pids::PARALLEL, "dp", "allgather-grads");
-                            ring.allgather(&mut flat, &plan.flat)?;
-                        }
-                        store.load_flat_grads(&flat);
-                        let _s = Span::enter(pids::PARALLEL, "dp", "optimizer");
-                        store.clip_grad_norm(1.0);
-                        opt.step(&mut store, lr);
-                    }
-                    Ok(())
-                })();
-                if let Err(err) = synced {
-                    // Report the typed failure (best-effort: the
-                    // coordinator may already be tearing down) and exit;
-                    // dropping the ring wakes any peer still blocked.
-                    let _ = tx.send(FromWorker::StepFailed { rank, err });
-                    return None;
-                }
-                // Compute = wall time not blocked on ring receives.
-                let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                beats.beat(rank);
-
-                // The training step proper ends here. Validation is
-                // rank-0 bookkeeping no peer waits on within this step,
-                // so it gets its own slice instead of padding the
-                // step's critical path.
-                drop(_step_span);
-                let val_loss = (eval && rank == 0).then(|| {
-                    let _s = Span::enter(pids::PARALLEL, "dp", "validation");
-                    validation_loss_on(&model, &store, val_batches)
-                });
-
-                let sent = ring.sent_bytes - bytes_before;
-                let waited = ring.wait_ms - wait_before;
-                bytes_total.add(sent);
-                sync_wait.observe(waited);
-                steps_total.inc();
-                let done = FromWorker::StepDone {
-                    rank,
-                    micro_loss,
-                    val_loss,
-                    compute_ms: (wall_ms - waited).max(0.0),
-                    comm_ms: waited,
-                    sent_bytes: sent,
-                    opt_bytes: opt.state_bytes(),
-                };
-                if tx.send(done).is_err() {
-                    break;
-                }
-            }
-            ToWorker::ExportOpt => {
-                if tx.send(FromWorker::Opt(rank, opt.export_state())).is_err() {
-                    break;
-                }
-            }
-            ToWorker::Assemble(sections) => {
-                let _s = Span::enter(pids::PARALLEL, "dp", "checkpoint");
-                let image = checkpoint::save_with_sections(&store, &sections).to_vec();
-                if tx.send(FromWorker::Image(image)).is_err() {
-                    break;
-                }
-            }
-            ToWorker::Finish => break,
-        }
-    }
-    (rank == 0).then_some((model, store))
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator.
+// Entry points.
 // ---------------------------------------------------------------------------
 
 /// The data-parallel training executor. See the module docs for the
@@ -719,466 +397,132 @@ fn worker_main(
 /// assert!(max_shard < replicated);
 /// ```
 pub struct DataParallel {
-    cfg: ParallelConfig,
+    topo: Topology,
 }
 
 impl DataParallel {
-    /// An executor for the given worker/sharding configuration.
+    /// An executor for the given grid. A `{workers,1,1}`
+    /// [`ParallelConfig`] is classic data parallelism; any other
+    /// [`Topology`] composes tensor and pipeline parallelism in.
     pub fn new(cfg: ParallelConfig) -> Self {
-        assert!(cfg.workers >= 1, "need at least one worker");
-        Self { cfg }
+        Self { topo: cfg }
     }
 
     /// Train `cfg` on `documents` across the configured workers.
+    /// Panics when the grid cannot host the model or batch
+    /// ([`train_topology`] is the non-panicking form).
     pub fn train(&self, documents: &[String], cfg: &PretrainConfig) -> ParallelOutcome {
-        self.run(documents, cfg, None, None)
-            .expect("fresh runs cannot fail to resume")
+        let run = run_grid(documents, cfg, self.topo, RunSpec::plain(true));
+        outcome(run.unwrap_or_else(|e| panic!("{e}")), cfg)
     }
 
     /// As [`DataParallel::train`], checkpointing every `every` steps
     /// (and at the final step). The images are ordinary v2 MGPT
-    /// checkpoints: [`crate::pretrain::pretrain_resume`] accepts them.
+    /// checkpoints of the full model:
+    /// [`crate::pretrain::pretrain_resume`] accepts them.
     pub fn train_with_checkpoints(
         &self,
         documents: &[String],
         cfg: &PretrainConfig,
         every: usize,
     ) -> ParallelOutcome {
-        self.run(documents, cfg, Some(every.max(1)), None)
-            .expect("fresh runs cannot fail to resume")
+        let spec = RunSpec {
+            image_every: Some(every.max(1)),
+            ..RunSpec::plain(true)
+        };
+        let run = run_grid(documents, cfg, self.topo, spec);
+        outcome(run.unwrap_or_else(|e| panic!("{e}")), cfg)
     }
 
-    /// Resume a checkpointed run (from [`DataParallel`] or a
-    /// single-worker [`crate::pretrain::Trainer`]) and finish it under
-    /// data parallelism.
+    /// Resume a checkpointed run (from any grid, or a single-worker
+    /// [`crate::pretrain::Trainer`]) and finish it on this grid.
     pub fn resume(
         &self,
         documents: &[String],
         cfg: &PretrainConfig,
         bytes: &[u8],
     ) -> Result<ParallelOutcome, ResumeError> {
-        self.run(documents, cfg, None, Some(bytes))
+        let spec = RunSpec {
+            resume: Some(bytes),
+            ..RunSpec::plain(true)
+        };
+        match run_grid(documents, cfg, self.topo, spec) {
+            Ok(run) => Ok(outcome(run, cfg)),
+            Err(TopologyError::Resume(e)) => Err(e),
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// The sequential reference executor: one replica, one thread,
-    /// micro-batch gradients combined with [`ring_fold`] — the
+    /// Train under injected faults, surviving them: bounded-timeout
+    /// detection on every wire, snapshot rollback, and
+    /// (policy-dependent) elastic shrink of the dp axis to the surviving
+    /// replicas. See the [`resilience`] docs for the contract and
+    /// `PARALLELISM.md` for the state machine.
+    ///
+    /// The returned outcome's `checkpoints` are the in-memory snapshots
+    /// `(step, v2 image)` the run consolidated; post-recovery segments
+    /// are bit-identical to [`DataParallel::resume`] runs from those
+    /// images on the post-recovery grid.
+    pub fn train_resilient(
+        &self,
+        documents: &[String],
+        cfg: &PretrainConfig,
+        res: ResilienceConfig,
+    ) -> ResilientOutcome {
+        let topo = Topology {
+            timeout: Duration::from_millis(res.collective_timeout_ms.max(1)),
+            ..self.topo
+        };
+        let spec = RunSpec {
+            image_every: Some(res.snapshot_every.max(1)),
+            resume: None,
+            val_each_eval: true,
+            res,
+            recover: true,
+        };
+        let mut run = run_grid(documents, cfg, topo, spec).unwrap_or_else(|e| panic!("{e}"));
+        let resilience = std::mem::take(&mut run.resilience);
+        ResilientOutcome {
+            outcome: outcome(run, cfg),
+            resilience,
+        }
+    }
+
+    /// The sequential reference executor at `{workers,1,1}`: one
+    /// thread, micro-batch gradients combined with [`ring_fold`] — the
     /// deterministic-reduction definition of "single-worker training on
     /// the concatenated batch" that the threaded executor must (and
     /// does) match bit-for-bit. Also the contention-free way to measure
     /// per-worker compute on machines with fewer cores than workers.
+    /// [`reference_topology`] is the same replay on any grid.
     pub fn train_reference(
         documents: &[String],
         cfg: &PretrainConfig,
         workers: usize,
     ) -> ParallelOutcome {
-        assert!(workers >= 1, "need at least one worker");
-        assert!(
-            cfg.batch_seqs.is_multiple_of(workers),
-            "global batch {} must divide across {workers} workers",
-            cfg.batch_seqs
-        );
-        let tokenizer = train_tokenizer(cfg.tokenizer, cfg.vocab, documents);
-        let vocab = tokenizer.vocab_size();
-        let (model, mut store) = build_model(cfg, vocab);
-        let mut dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
-        let val_batches = dataset.val_batches(2, cfg.seq);
-        let mut opt = build_optimizer(cfg);
-        let schedule = CosineSchedule::paper(cfg.lr, cfg.steps);
-        let plan = ShardPlan::new(&store.tensor_sizes(), workers);
-        let eval_every = (cfg.steps / 10).max(1);
+        let run = reference_grid(documents, cfg, Topology::replicated(workers), true)
+            .unwrap_or_else(|e| panic!("{e}"));
+        outcome(run, cfg)
+    }
+}
 
-        let mut train_curve = Vec::new();
-        let mut val_curve = Vec::new();
-        let mut critical_ms = 0.0f64;
-        let mut total_compute = vec![0.0f64; workers];
-        let mut fold_ms = 0.0f64;
-        let mut post_ms = 0.0f64;
-
-        for step in 0..cfg.steps {
-            let batch = dataset.sample_batch(cfg.batch_seqs, cfg.seq);
-            let micros = split_batch(&batch, workers);
-            let mut losses = Vec::with_capacity(workers);
-            let mut parts = Vec::with_capacity(workers);
-            let mut slowest = 0.0f64;
-            for (r, micro) in micros.iter().enumerate() {
-                let t0 = Instant::now();
-                losses.push(micro_grads(cfg, &model, &mut store, micro));
-                parts.push(store.flat_grads());
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                total_compute[r] += ms;
-                slowest = slowest.max(ms);
-            }
-            critical_ms += slowest;
-
-            let t1 = Instant::now();
-            let mut reduced = if workers == 1 {
-                parts.pop().expect("one part")
-            } else {
-                ring_fold(&parts, &plan.flat)
-            };
-            for r in 0..workers {
-                scale_owned(&mut reduced, &plan.flat[r], workers);
-            }
-            fold_ms += t1.elapsed().as_secs_f64() * 1e3;
-
-            let t2 = Instant::now();
-            store.load_flat_grads(&reduced);
-            let lr = schedule.lr(step);
-            store.clip_grad_norm(1.0);
-            opt.step(&mut store, lr);
-            post_ms += t2.elapsed().as_secs_f64() * 1e3;
-
-            if step.is_multiple_of(eval_every) || step + 1 == cfg.steps {
-                train_curve.push((step, fold_mean(&losses)));
-                val_curve.push((step, validation_loss_on(&model, &store, &val_batches)));
-            }
-        }
-
-        let formula = wire_bytes(CollKind::AllReduce, (plan.total * 4) as f64, workers);
-        let report = ParallelReport {
-            workers,
-            zero1: false,
-            steps_run: cfg.steps,
-            param_scalars: plan.total,
-            shard_scalars: plan.shard_scalars(),
-            measured_allreduce_bytes_per_step: formula,
-            formula_allreduce_bytes_per_step: formula,
-            critical_compute_ms: critical_ms,
-            total_compute_ms: total_compute,
-            comm_ms: vec![fold_ms],
-            post_ms,
-            opt_state_bytes: vec![opt.state_bytes()],
-        };
-        ParallelOutcome {
-            pretrained: Pretrained {
-                model,
-                store,
-                tokenizer,
-                curves: LossCurves {
-                    label: cfg.label(),
-                    train: train_curve,
-                    val: val_curve,
-                },
-                config: cfg.clone(),
+/// Project a finished grid run onto the [`ParallelOutcome`] shape.
+fn outcome(run: GridRun, cfg: &PretrainConfig) -> ParallelOutcome {
+    ParallelOutcome {
+        pretrained: Pretrained {
+            model: run.model,
+            store: run.store,
+            tokenizer: run.tokenizer,
+            curves: LossCurves {
+                label: cfg.label(),
+                train: run.train_curve,
+                val: run.val_curve,
             },
-            report,
-            checkpoints: Vec::new(),
-        }
+            config: cfg.clone(),
+        },
+        report: run.parallel,
+        checkpoints: run.images,
     }
-
-    fn run(
-        &self,
-        documents: &[String],
-        cfg: &PretrainConfig,
-        checkpoint_every: Option<usize>,
-        resume_from: Option<&[u8]>,
-    ) -> Result<ParallelOutcome, ResumeError> {
-        let n = self.cfg.workers;
-        let zero1 = self.cfg.zero1;
-        assert!(
-            cfg.batch_seqs.is_multiple_of(n),
-            "global batch {} must divide across {n} workers",
-            cfg.batch_seqs
-        );
-        let tokenizer = train_tokenizer(cfg.tokenizer, cfg.vocab, documents);
-        let vocab = tokenizer.vocab_size();
-        let mut dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
-
-        // Decode and validate a resume image coordinator-side (same
-        // checks as `Trainer::resume_with_tokenizer`).
-        let restore = match resume_from {
-            None => None,
-            Some(bytes) => Some(decode_resume(cfg, bytes)?),
-        };
-        let (start_step, mut train_curve, mut val_curve) = match &restore {
-            Some(r) => {
-                dataset.seek(r.cursor);
-                (r.step, r.train_curve.clone(), r.val_curve.clone())
-            }
-            None => (0, Vec::new(), Vec::new()),
-        };
-
-        // Probe replica: the tensor layout every worker will build.
-        let sizes = {
-            let (_, probe) = build_model(cfg, vocab);
-            probe.tensor_sizes()
-        };
-        let plan = Arc::new(ShardPlan::new(&sizes, n));
-        let val_batches = Arc::new(dataset.val_batches(2, cfg.seq));
-        let schedule = CosineSchedule::paper(cfg.lr, cfg.steps);
-        let eval_every = (cfg.steps / 10).max(1);
-
-        let rings = Ring::build(n, DEFAULT_RING_TIMEOUT);
-        let faults = Arc::new(FaultPlan::none());
-        let beats = Arc::new(Heartbeats::new(n));
-        let (tx_out, rx_out) = unbounded::<FromWorker>();
-        let mut cmd_txs: Vec<Sender<ToWorker>> = Vec::with_capacity(n);
-        let mut seats: Vec<WorkerSeat> = Vec::with_capacity(n);
-        for (rank, ring) in rings.into_iter().enumerate() {
-            let (tx_cmd, rx_cmd) = unbounded::<ToWorker>();
-            cmd_txs.push(tx_cmd);
-            seats.push(WorkerSeat {
-                rank,
-                ring,
-                rx: rx_cmd,
-                tx: tx_out.clone(),
-                faults: Arc::clone(&faults),
-                beats: Arc::clone(&beats),
-            });
-        }
-        drop(tx_out);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = seats
-                .into_iter()
-                .map(|seat| {
-                    let plan = Arc::clone(&plan);
-                    let val_batches = Arc::clone(&val_batches);
-                    let restore = restore.as_ref();
-                    scope.spawn(move || {
-                        worker_main(
-                            seat,
-                            cfg,
-                            zero1,
-                            vocab,
-                            &plan,
-                            &val_batches,
-                            restore.map(|r| &r.opt_state),
-                            restore.map(|r| &r.weights),
-                        )
-                    })
-                })
-                .collect();
-
-            let mut critical_ms = 0.0f64;
-            let mut total_compute = vec![0.0f64; n];
-            let mut comm = vec![0.0f64; n];
-            let mut opt_bytes = vec![0usize; n];
-            let mut bytes_accum = 0u64;
-            let mut checkpoints = Vec::new();
-            let mut steps_run = 0usize;
-
-            for step in start_step..cfg.steps {
-                let lr = schedule.lr(step);
-                let eval = step.is_multiple_of(eval_every) || step + 1 == cfg.steps;
-                let batch = dataset.sample_batch(cfg.batch_seqs, cfg.seq);
-                for (rank, micro) in split_batch(&batch, n).into_iter().enumerate() {
-                    cmd_txs[rank]
-                        .send(ToWorker::Step {
-                            step,
-                            micro,
-                            lr,
-                            eval,
-                        })
-                        .expect("worker alive");
-                }
-                let mut losses = vec![0.0f32; n];
-                let mut val = None;
-                let mut slowest = 0.0f64;
-                for _ in 0..n {
-                    match rx_out.recv().expect("worker alive") {
-                        FromWorker::StepDone {
-                            rank,
-                            micro_loss,
-                            val_loss,
-                            compute_ms,
-                            comm_ms,
-                            sent_bytes,
-                            opt_bytes: ob,
-                        } => {
-                            losses[rank] = micro_loss;
-                            val = val.or(val_loss);
-                            total_compute[rank] += compute_ms;
-                            comm[rank] += comm_ms;
-                            slowest = slowest.max(compute_ms);
-                            bytes_accum += sent_bytes;
-                            opt_bytes[rank] = ob;
-                        }
-                        FromWorker::StepFailed { rank, err } => {
-                            unreachable!("rank {rank} failed a fault-free run: {err}")
-                        }
-                        _ => unreachable!("only StepDone during a step"),
-                    }
-                }
-                critical_ms += slowest;
-                steps_run += 1;
-                if eval {
-                    train_curve.push((step, fold_mean(&losses)));
-                    val_curve.push((step, val.expect("rank 0 evaluated")));
-                }
-
-                let completed = step + 1;
-                let at_checkpoint = checkpoint_every
-                    .is_some_and(|every| completed.is_multiple_of(every) || completed == cfg.steps);
-                if at_checkpoint {
-                    let image = consolidate_checkpoint(
-                        &cmd_txs,
-                        &rx_out,
-                        &plan,
-                        zero1,
-                        cfg,
-                        completed,
-                        dataset.cursor(),
-                        &train_curve,
-                        &val_curve,
-                    );
-                    checkpoints.push((completed, image));
-                }
-            }
-
-            for tx in &cmd_txs {
-                tx.send(ToWorker::Finish).expect("worker alive");
-            }
-            let mut rank0 = None;
-            for h in handles {
-                if let Some(bundle) = h.join().expect("worker thread") {
-                    rank0 = Some(bundle);
-                }
-            }
-            let (model, store) = rank0.expect("rank 0 returns its replica");
-
-            let denom = (steps_run.max(1) * n) as f64;
-            let formula = wire_bytes(CollKind::AllReduce, (plan.total * 4) as f64, n);
-            let report = ParallelReport {
-                workers: n,
-                zero1,
-                steps_run,
-                param_scalars: plan.total,
-                shard_scalars: plan.shard_scalars(),
-                measured_allreduce_bytes_per_step: bytes_accum as f64 / denom,
-                formula_allreduce_bytes_per_step: formula,
-                critical_compute_ms: critical_ms,
-                total_compute_ms: total_compute,
-                comm_ms: comm,
-                post_ms: 0.0,
-                opt_state_bytes: opt_bytes,
-            };
-            Ok(ParallelOutcome {
-                pretrained: Pretrained {
-                    model,
-                    store,
-                    tokenizer,
-                    curves: LossCurves {
-                        label: cfg.label(),
-                        train: train_curve,
-                        val: val_curve,
-                    },
-                    config: cfg.clone(),
-                },
-                report,
-                checkpoints,
-            })
-        })
-    }
-}
-
-/// Ask every worker for its optimizer state, merge the shards, and have
-/// rank 0 wrap its weights plus the training-state sections into a v2
-/// checkpoint image — byte-compatible with [`crate::pretrain::Trainer`].
-#[allow(clippy::too_many_arguments)]
-fn consolidate_checkpoint(
-    cmd_txs: &[Sender<ToWorker>],
-    rx_out: &Receiver<FromWorker>,
-    plan: &ShardPlan,
-    zero1: bool,
-    cfg: &PretrainConfig,
-    completed: usize,
-    cursor: u128,
-    train_curve: &[(usize, f32)],
-    val_curve: &[(usize, f32)],
-) -> Vec<u8> {
-    let n = cmd_txs.len();
-    for tx in cmd_txs {
-        tx.send(ToWorker::ExportOpt).expect("worker alive");
-    }
-    let mut shards: Vec<Option<OptimizerState>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        match rx_out.recv().expect("worker alive") {
-            FromWorker::Opt(rank, state) => shards[rank] = Some(state),
-            _ => unreachable!("only Opt replies during consolidation"),
-        }
-    }
-    let shards: Vec<OptimizerState> = shards.into_iter().map(|s| s.expect("all ranks")).collect();
-    let merged = if zero1 {
-        OptimizerState::merge_shards(&shards, &plan.owners())
-            .expect("shards cover every parameter consistently")
-    } else {
-        shards.into_iter().next().expect("rank 0 state")
-    };
-    let sections = vec![
-        (SEC_LABEL.to_string(), cfg.label().into_bytes()),
-        (SEC_OPT.to_string(), merged.to_bytes()),
-        (
-            SEC_STEP.to_string(),
-            (completed as u64).to_le_bytes().to_vec(),
-        ),
-        (SEC_CURSOR.to_string(), cursor.to_le_bytes().to_vec()),
-        (
-            SEC_CURVES.to_string(),
-            crate::pretrain::encode_curves(train_curve, val_curve),
-        ),
-    ];
-    cmd_txs[0]
-        .send(ToWorker::Assemble(sections))
-        .expect("worker alive");
-    match rx_out.recv().expect("worker alive") {
-        FromWorker::Image(bytes) => bytes,
-        _ => unreachable!("only an Image reply after Assemble"),
-    }
-}
-
-/// Training state decoded from a v2 checkpoint for a DP resume.
-struct ResumeState {
-    weights: ParamStore,
-    opt_state: OptimizerState,
-    step: usize,
-    cursor: u128,
-    train_curve: Vec<(usize, f32)>,
-    val_curve: Vec<(usize, f32)>,
-}
-
-fn decode_resume(cfg: &PretrainConfig, bytes: &[u8]) -> Result<ResumeState, ResumeError> {
-    let ck = checkpoint::load_full(bytes).map_err(ResumeError::Checkpoint)?;
-    let label = ck
-        .section(SEC_LABEL)
-        .ok_or(ResumeError::MissingSection(SEC_LABEL))?;
-    let expected = cfg.label();
-    if label != expected.as_bytes() {
-        return Err(ResumeError::ConfigMismatch {
-            expected,
-            found: String::from_utf8_lossy(label).into_owned(),
-        });
-    }
-    let opt_state = OptimizerState::from_bytes(
-        ck.section(SEC_OPT)
-            .ok_or(ResumeError::MissingSection(SEC_OPT))?,
-    )
-    .ok_or(ResumeError::Corrupt(SEC_OPT))?;
-    let step = u64::from_le_bytes(
-        ck.section(SEC_STEP)
-            .ok_or(ResumeError::MissingSection(SEC_STEP))?
-            .try_into()
-            .map_err(|_| ResumeError::Corrupt(SEC_STEP))?,
-    ) as usize;
-    let cursor = u128::from_le_bytes(
-        ck.section(SEC_CURSOR)
-            .ok_or(ResumeError::MissingSection(SEC_CURSOR))?
-            .try_into()
-            .map_err(|_| ResumeError::Corrupt(SEC_CURSOR))?,
-    );
-    let (train_curve, val_curve) = crate::pretrain::decode_curves(
-        ck.section(SEC_CURVES)
-            .ok_or(ResumeError::MissingSection(SEC_CURVES))?,
-    )
-    .ok_or(ResumeError::Corrupt(SEC_CURVES))?;
-    Ok(ResumeState {
-        weights: ck.store,
-        opt_state,
-        step,
-        cursor,
-        train_curve,
-        val_curve,
-    })
 }
 
 #[cfg(test)]

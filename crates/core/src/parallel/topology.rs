@@ -1,65 +1,61 @@
-//! Composed `dp × tp × pp` training: the executed (not simulated)
-//! 3-D parallel topology of the paper's Sec. 4.
+//! The one grid description every training entry point runs on, and
+//! what a grid run reports about its own communication.
 //!
-//! One worker thread runs per grid coordinate `(d, s, r)` — data
-//! replica `d`, pipeline stage `s`, tensor rank `r` — and every wire
-//! between workers is a [`Collective`](super::Collective) ring or a
-//! [`PipeLink`], so the executor exercises the same fallible,
-//! byte-audited communication layer the data-parallel trainer uses:
+//! A [`Topology`] is the executed (not simulated) 3-D parallel layout
+//! of the paper's Sec. 4: one worker thread per grid seat `(d, s, r)` —
+//! data replica `d`, pipeline stage `s`, tensor rank `r` — with every
+//! wire between workers a [`Collective`](super::Collective) ring or a
+//! [`PipeLink`](super::PipeLink):
 //!
 //! * **TP** — each `(d, s)` pair owns a `tp`-rank ring; the four
 //!   Megatron sync points per layer (`f` after each norm on the way
 //!   back, `g` after each row-parallel matmul on the way forward) run
-//!   as real ring allreduces through a [`RingComm`] tape hook, in
-//!   ring-fold order so the result is bitwise reproducible.
-//! * **PP** — each `(d, r)` column owns `pp − 1` [`PipeLink`]s; the
-//!   per-step schedule is 1F1B (warm-up of `min(chunks, pp − 1 − s)`
-//!   forwards, then alternating forward/backward, then cool-down),
-//!   with boundary activations and gradients as p2p transfers.
-//! * **DP** — each `(s, r)` pair owns a `dp`-rank ring that
-//!   reduce-scatters + allgathers the shard-store gradient, exactly as
-//!   [`DataParallel`](super::DataParallel) does.
+//!   as real ring allreduces through a [`RingComm`](super::RingComm)
+//!   tape hook, in ring-fold order so the result is bitwise
+//!   reproducible.
+//! * **PP** — each `(d, r)` column owns `pp − 1` links; the per-step
+//!   schedule is 1F1B (warm-up of `min(chunks, pp − 1 − s)` forwards,
+//!   then alternating forward/backward, then cool-down), with boundary
+//!   activations and gradients as p2p transfers.
+//! * **DP** — each `(s, r)` pair owns a `dp`-rank ring over its shard
+//!   store's gradient: reduce-scatter + allgather when the optimizer is
+//!   replicated; under [`Topology::zero1`] reduce-scatter, a masked
+//!   optimizer step on the owned [`ShardPlan`](super::ShardPlan) run,
+//!   and an allgather of the updated parameters.
 //! * **Grad-norm** — global clipping needs one scalar across the whole
 //!   grid; each replica `d` owns a `pp·tp`-member ring that allgathers
 //!   per-tensor squared norms, folded in one canonical order (stages
 //!   ascending, tensors in registration order, sharded tensors summed
 //!   over tp ranks, replicated tensors counted once from rank 0).
 //!
-//! [`reference_topology`] replays the identical arithmetic on a single
-//! thread — one tape per micro-batch chunk spanning all stages and
-//! ranks ([`matgpt_model::tp::reference_loss`]), [`ring_fold`] in place
-//! of the threaded rings — so `train ≡ reference` is a bitwise test,
-//! not a tolerance test. Every worker also audits its wire bytes
-//! against closed forms and logs a per-collective message-size
-//! histogram for comparison against the simulator's Fig. 11 model.
+//! [`train_topology`] runs a grid on threads; [`reference_topology`]
+//! replays the identical arithmetic on a single thread, so
+//! `train ≡ reference` is a bitwise test, not a tolerance test. Both are
+//! thin wrappers over the one executor in `parallel/executor.rs`, as
+//! are the [`DataParallel`](super::DataParallel) entry points. Every
+//! worker also audits its wire bytes against closed forms and logs a
+//! per-collective message-size histogram for comparison against the
+//! simulator's Fig. 11 model.
 
-use super::collective::{
-    ring_allgather_rank_bytes, ring_allreduce_rank_bytes, ring_reduce_scatter_rank_bytes,
-    CollectiveError, PipeDir, PipeLink, Ring, RingComm,
-};
-use super::{fold_mean, scale_owned, split_batch, ShardPlan, DEFAULT_RING_TIMEOUT};
-use crate::pretrain::{build_model, build_optimizer, train_tokenizer, validation_loss_on};
+use super::collective::{CollectiveError, DEFAULT_RING_TIMEOUT};
+use super::executor::{reference_grid, run_grid, GridRun, RunSpec};
+use crate::pretrain::ResumeError;
 use crate::recipes::PretrainConfig;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use matgpt_corpus::{Batch, TokenDataset};
 use matgpt_frontier_sim::collectives::{wire_bytes, Collective as CollKind};
-use matgpt_model::tp::{
-    accumulate_staged_grads, consolidate_shards, reference_loss, shard_model, stage_ranges,
-    validate_plan, ShardModel, StageForward, StageInput, TpPlanError,
-};
+use matgpt_model::tp::TpPlanError;
 use matgpt_model::GptModel;
-use matgpt_optim::{CosineSchedule, LrSchedule};
-use matgpt_tensor::{ring_chunks, ring_fold, CommHook, ParamStore, Tape, TapeComm, Tensor, Var};
-use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
-use std::rc::Rc;
+use matgpt_tensor::ParamStore;
 use std::time::Duration;
 
-/// A `dp × tp × pp` device grid plus the micro-batch chunk count for
-/// the 1F1B pipeline schedule.
+/// A `dp × tp × pp` device grid, the micro-batch chunk count of its
+/// 1F1B pipeline schedule, and how its dp axis keeps optimizer state.
+///
+/// [`ParallelConfig`](super::ParallelConfig) is this type:
+/// `ParallelConfig::replicated(n)` and `ParallelConfig::zero1(n)` build
+/// `{n, 1, 1}` grids.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
-    /// Data-parallel replicas.
+    /// Data-parallel replicas. The global batch must divide by it.
     pub dp: usize,
     /// Tensor-parallel ranks per replica-stage.
     pub tp: usize,
@@ -72,10 +68,14 @@ pub struct Topology {
     /// Deadline on every ring/link receive — a lost or wedged worker
     /// surfaces as a typed [`CollectiveError`], never a hang.
     pub timeout: Duration,
+    /// ZeRO-1: shard optimizer state across the dp ring instead of
+    /// replicating it, at any `{tp, pp}`.
+    pub zero1: bool,
 }
 
 impl Topology {
-    /// A grid with `chunks = pp` and the default receive deadline.
+    /// A grid with `chunks = pp`, a replicated optimizer and the
+    /// default receive deadline.
     pub fn new(dp: usize, tp: usize, pp: usize) -> Self {
         assert!(
             dp >= 1 && tp >= 1 && pp >= 1,
@@ -87,7 +87,19 @@ impl Topology {
             pp,
             chunks: pp,
             timeout: DEFAULT_RING_TIMEOUT,
+            zero1: false,
         }
+    }
+
+    /// Classic replicated data parallelism over `workers` replicas.
+    pub fn replicated(workers: usize) -> Self {
+        Self::new(workers, 1, 1)
+    }
+
+    /// Data parallelism over `workers` replicas with a ZeRO-1 sharded
+    /// optimizer.
+    pub fn zero1(workers: usize) -> Self {
+        Self::new(workers, 1, 1).with_zero1()
     }
 
     /// Override the micro-batch chunk count.
@@ -97,14 +109,41 @@ impl Topology {
         self
     }
 
+    /// Shard optimizer state across the dp ring (ZeRO-1).
+    pub fn with_zero1(mut self) -> Self {
+        self.zero1 = true;
+        self
+    }
+
     /// Total worker count `dp · tp · pp`.
     pub fn world(&self) -> usize {
         self.dp * self.tp * self.pp
     }
 
-    /// Compact label for reports and CI logs, e.g. `dp2-tp2-pp1`.
+    /// Grid-lexicographic index of seat `(d, s, r)` — the worker "rank"
+    /// fault plans, heartbeats, postmortems and per-worker report
+    /// vectors use. On a `{dp,1,1}` grid it is the dp rank.
+    pub fn seat(&self, d: usize, s: usize, r: usize) -> usize {
+        (d * self.pp + s) * self.tp + r
+    }
+
+    /// Inverse of [`Topology::seat`]: `(d, s, r)` of a seat index.
+    pub fn coords(&self, seat: usize) -> (usize, usize, usize) {
+        (
+            seat / (self.pp * self.tp),
+            seat / self.tp % self.pp,
+            seat % self.tp,
+        )
+    }
+
+    /// Compact label for reports and CI logs, e.g. `dp2-tp2-pp1c1`
+    /// (`-zero1` appended when the optimizer is sharded).
     pub fn describe(&self) -> String {
-        format!("dp{}-tp{}-pp{}c{}", self.dp, self.tp, self.pp, self.chunks)
+        let zero1 = if self.zero1 { "-zero1" } else { "" };
+        format!(
+            "dp{}-tp{}-pp{}c{}{zero1}",
+            self.dp, self.tp, self.pp, self.chunks
+        )
     }
 }
 
@@ -134,20 +173,26 @@ pub enum TopologyError {
         /// Rows per replica.
         rows: usize,
     },
-    /// A collective failed mid-step on one worker; the step did not
-    /// commit anywhere (peers observe the loss and abort too).
+    /// A step failed and the run was not asked to recover; the step
+    /// did not commit anywhere (peers observe the loss and abort too).
+    /// Names the seat that never answered — with
+    /// [`CollectiveError::RankLost`] when it died, `Timeout` when it
+    /// stalled — or, when every seat answered, the first seat to report
+    /// a wire failure.
     Step {
         /// Training step that failed.
         step: usize,
-        /// Data replica of the reporting worker.
+        /// Data replica of the named seat.
         d: usize,
-        /// Pipeline stage of the reporting worker.
+        /// Pipeline stage of the named seat.
         stage: usize,
-        /// Tensor rank of the reporting worker.
+        /// Tensor rank of the named seat.
         tp_rank: usize,
         /// The underlying wire failure.
         err: CollectiveError,
     },
+    /// The resume image was rejected before any thread spawned.
+    Resume(ResumeError),
 }
 
 impl std::fmt::Display for TopologyError {
@@ -177,6 +222,7 @@ impl std::fmt::Display for TopologyError {
                 f,
                 "step {step} failed at (d={d}, stage={stage}, tp={tp_rank}): {err}"
             ),
+            TopologyError::Resume(e) => write!(f, "resume: {e}"),
         }
     }
 }
@@ -207,7 +253,8 @@ pub struct WireAudit {
     /// Bytes sent on the DP gradient ring.
     pub dp_bytes: u64,
     /// Closed form: per-rank reduce-scatter + allgather bytes over the
-    /// shard store's tensor-aligned chunk bounds.
+    /// shard store's tensor-aligned chunk bounds, plus under ZeRO-1 the
+    /// allgather of one squared norm per tensor.
     pub dp_expected: u64,
     /// Bytes sent on the grad-norm allgather ring.
     pub norm_bytes: u64,
@@ -252,12 +299,14 @@ pub struct MsgBin {
 pub struct TopologyReport {
     /// The grid that ran.
     pub topo: Topology,
-    /// Optimizer steps executed.
+    /// Optimizer steps this run committed — the same count as
+    /// [`ParallelReport::steps_run`](super::ParallelReport::steps_run).
     pub steps_run: usize,
     /// Full-model scalar count.
     pub param_scalars: usize,
-    /// Per-worker wire audit, `(d, s, r)` lexicographic. Empty for the
-    /// sequential reference (nothing crosses a wire there).
+    /// Per-worker wire audit, `(d, s, r)` lexicographic, covering the
+    /// steps the final worker pool ran. Empty for the sequential
+    /// reference (nothing crosses a wire there).
     pub wire: Vec<WireAudit>,
     /// Executed message-size histogram.
     pub msg_bins: Vec<MsgBin>,
@@ -303,682 +352,35 @@ pub struct TopologyOutcome {
     pub report: TopologyReport,
 }
 
-/// No-op tape hook for `tp == 1`: the sync ops degenerate to
-/// identity and push nothing onto the tape.
-struct NullComm;
-
-impl TapeComm for NullComm {
-    fn allreduce(&self, _buf: &mut [f32]) {}
-    fn take_error(&self) -> Option<String> {
-        None
-    }
-    fn group(&self) -> usize {
-        1
-    }
-}
-
-/// Canonical fold of the allgathered per-tensor squared norms into the
-/// global grad norm: stages ascending, tensors in registration order;
-/// a sharded tensor sums its `tp` partial norms in rank order, a
-/// replicated tensor is counted once, from rank 0. Both the threaded
-/// executor and the sequential reference fold in exactly this order,
-/// so the clip scale — and therefore every weight — matches bitwise.
-fn fold_grad_norm(
-    buf: &[f32],
-    counts: &[usize],
-    flags: &[Vec<bool>],
-    tp: usize,
-    bounds: &[Range<usize>],
-) -> f32 {
-    let mut total = 0.0f32;
-    for (s, &cnt) in counts.iter().enumerate() {
-        for i in 0..cnt {
-            if flags[s][i] {
-                for r in 0..tp {
-                    total += buf[bounds[s * tp + r].start + i];
-                }
-            } else {
-                total += buf[bounds[s * tp].start + i];
-            }
+impl TopologyOutcome {
+    fn from_run(run: GridRun) -> Self {
+        let final_val = run.val_curve.last().map_or(f32::NAN, |&(_, l)| l);
+        TopologyOutcome {
+            model: run.model,
+            store: run.store,
+            train_curve: run.train_curve,
+            final_val,
+            report: run.topology,
         }
     }
-    total.sqrt()
-}
-
-/// Per-tensor squared norms of a flat gradient buffer, in registration
-/// order — each entry computed exactly like `Tensor::sq_norm`.
-fn per_tensor_sq(flat: &[f32], sizes: &[usize]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(sizes.len());
-    let mut off = 0usize;
-    for &n in sizes {
-        out.push(flat[off..off + n].iter().map(|x| x * x).sum());
-        off += n;
-    }
-    out
-}
-
-/// Scale the flat gradient in place when the canonical norm exceeds
-/// the clip ceiling — same condition and scale as
-/// [`ParamStore::clip_grad_norm`] at `max_norm = 1.0`.
-fn clip_flat(flat: &mut [f32], norm: f32) {
-    if norm > 1.0 {
-        let s = 1.0 / norm;
-        for v in flat.iter_mut() {
-            *v *= s;
-        }
-    }
-}
-
-fn chunk_weight(rows_j: usize, rows: usize) -> f32 {
-    rows_j as f32 / rows as f32
-}
-
-/// Shared validation for both executors. Returns
-/// `(rows_per_replica, stage layer ranges)`.
-fn validate_topology(
-    cfg: &PretrainConfig,
-    model: &GptModel,
-    topo: &Topology,
-) -> Result<(usize, Vec<Range<usize>>), TopologyError> {
-    validate_plan(&model.cfg, topo.tp, topo.pp)?;
-    if !cfg.batch_seqs.is_multiple_of(topo.dp) {
-        return Err(TopologyError::Batch {
-            batch: cfg.batch_seqs,
-            dp: topo.dp,
-        });
-    }
-    let rows = cfg.batch_seqs / topo.dp;
-    if topo.chunks > rows {
-        return Err(TopologyError::Chunks {
-            chunks: topo.chunks,
-            rows,
-        });
-    }
-    if topo.tp > 1 && !build_optimizer(cfg).elementwise() {
-        return Err(TopologyError::Optimizer { tp: topo.tp });
-    }
-    Ok((rows, stage_ranges(model.cfg.layers, topo.pp)))
-}
-
-enum ToTopoWorker {
-    Step { step: usize, lr: f32, batch: Batch },
-    Finish,
-}
-
-enum FromTopoWorker {
-    Done {
-        d: usize,
-        loss: Option<f32>,
-    },
-    Failed {
-        d: usize,
-        stage: usize,
-        tp_rank: usize,
-        step: usize,
-        err: CollectiveError,
-    },
-}
-
-/// Everything one worker thread owns: its shard, its rings, its link
-/// endpoints, and its command/result channels.
-struct TopoSeat {
-    d: usize,
-    s: usize,
-    r: usize,
-    shard: ShardModel,
-    store: ParamStore,
-    tp_ring: Option<Ring>,
-    dp_ring: Option<Ring>,
-    norm_ring: Option<Ring>,
-    prev: Option<PipeLink>,
-    next: Option<PipeLink>,
-    cmd: Receiver<ToTopoWorker>,
-    out: Sender<FromTopoWorker>,
-}
-
-/// What a worker hands back after `Finish`: its shard (for
-/// consolidation), its message log, and its wire audit.
-struct TopoReturn {
-    shard: ShardModel,
-    store: ParamStore,
-    msg_log: Vec<(CollKind, u64, usize)>,
-    audit: WireAudit,
-}
-
-#[allow(clippy::too_many_lines)]
-fn topo_worker(
-    seat: TopoSeat,
-    cfg: &PretrainConfig,
-    topo: Topology,
-    counts: &[usize],
-    flags: &[Vec<bool>],
-    norm_bounds: &[Range<usize>],
-) -> Option<TopoReturn> {
-    let TopoSeat {
-        d,
-        s,
-        r,
-        shard,
-        mut store,
-        tp_ring,
-        mut dp_ring,
-        mut norm_ring,
-        mut prev,
-        mut next,
-        cmd,
-        out,
-    } = seat;
-    let (dp, tp, pp, chunks) = (topo.dp, topo.tp, topo.pp, topo.chunks);
-    let tp_comm: Option<Rc<RingComm>> = tp_ring.map(|ring| Rc::new(RingComm::new(ring)));
-    let hook = match &tp_comm {
-        Some(c) => CommHook::new(c.clone() as Rc<dyn TapeComm>),
-        None => CommHook::new(Rc::new(NullComm)),
-    };
-    let mut opt = build_optimizer(cfg);
-    let plan = ShardPlan::new(&store.tensor_sizes(), dp);
-    let sizes = store.tensor_sizes();
-    let rows = cfg.batch_seqs / dp;
-    let seq = cfg.seq;
-    let h = shard.cfg.hidden;
-    let row_bounds = ring_chunks(rows, chunks);
-    let member = s * tp + r;
-    let norm_total = norm_bounds.last().map_or(0, |b| b.end);
-    let mut msg_log: Vec<(CollKind, u64, usize)> = Vec::new();
-    let mut steps_run = 0u64;
-
-    // Per-step closed forms, multiplied by steps_run for the audit.
-    let layers_s = shard.layer_range.len();
-    let exp_tp_step: u64 = if tp > 1 {
-        row_bounds
-            .iter()
-            .map(|b| (4 * layers_s) as u64 * ring_allreduce_rank_bytes(b.len() * seq * h, tp, r))
-            .sum()
-    } else {
-        0
-    };
-    let exp_dp_step: u64 = if dp > 1 {
-        ring_reduce_scatter_rank_bytes(&plan.flat, d) + ring_allgather_rank_bytes(&plan.flat, d)
-    } else {
-        0
-    };
-    let exp_norm_step: u64 = if pp * tp > 1 {
-        ring_allgather_rank_bytes(norm_bounds, member)
-    } else {
-        0
-    };
-    let exp_pipe_step: u64 = {
-        let per_dir: u64 = row_bounds
-            .iter()
-            .map(|b| (4 * b.len() * seq * h) as u64)
-            .sum();
-        ((s + 1 < pp) as u64 + (s > 0) as u64) * per_dir
-    };
-
-    loop {
-        let Ok(msg) = cmd.recv() else { return None };
-        let (step, lr, batch) = match msg {
-            ToTopoWorker::Finish => break,
-            ToTopoWorker::Step { step, lr, batch } => (step, lr, batch),
-        };
-        if let Some(c) = &tp_comm {
-            c.set_step(step as u64);
-        }
-        if let Some(ring) = &mut dp_ring {
-            ring.step = step as u64;
-        }
-        if let Some(ring) = &mut norm_ring {
-            ring.step = step as u64;
-        }
-        if let Some(link) = &mut prev {
-            link.step = step as u64;
-        }
-        if let Some(link) = &mut next {
-            link.step = step as u64;
-        }
-
-        let mut step_body = || -> Result<Option<f32>, CollectiveError> {
-            store.zero_grads();
-            let mut loss_acc = 0.0f32;
-            let mut pending: VecDeque<(Tape, StageForward, Option<Var>)> = VecDeque::new();
-
-            // 1F1B: warm-up forwards, steady 1F1B pairs, cool-down
-            // backwards. Backwards drain the queue in FIFO chunk order.
-            let warmup = chunks.min(pp - 1 - s);
-            let mut sched: Vec<(bool, usize)> = Vec::with_capacity(2 * chunks);
-            for j in 0..warmup {
-                sched.push((true, j));
-            }
-            for j in warmup..chunks {
-                sched.push((true, j));
-                sched.push((false, j - warmup));
-            }
-            for j in (chunks - warmup)..chunks {
-                sched.push((false, j));
-            }
-
-            for (is_fwd, j) in sched {
-                let b = &row_bounds[j];
-                let rows_j = b.len();
-                if is_fwd {
-                    let mut tape = Tape::new();
-                    let input = if shard.first_stage {
-                        StageInput::Tokens(&batch.inputs[b.start * seq..b.end * seq])
-                    } else {
-                        let data = prev
-                            .as_mut()
-                            .expect("non-first stage has a prev link")
-                            .recv(j, PipeDir::Forward)?;
-                        StageInput::Activation(Tensor::from_vec(&[rows_j * seq, h], data))
-                    };
-                    let targets: Option<&[u32]> = shard
-                        .last_stage
-                        .then(|| &batch.targets[b.start * seq..b.end * seq]);
-                    let sf =
-                        shard.stage_forward(&mut tape, &store, input, targets, &hook, rows_j, seq);
-                    if let Some(c) = &tp_comm {
-                        if let Some(err) = c.take_failure() {
-                            return Err(err);
-                        }
-                    }
-                    let root = if shard.last_stage {
-                        let w = chunk_weight(rows_j, rows);
-                        loss_acc += w * tape.value(sf.out).item();
-                        Some(if chunks > 1 {
-                            tape.scale(sf.out, w)
-                        } else {
-                            sf.out
-                        })
-                    } else {
-                        let act = tape.value(sf.out).data().to_vec();
-                        msg_log.push((CollKind::P2p, (4 * act.len()) as u64, 2));
-                        next.as_mut()
-                            .expect("non-last stage has a next link")
-                            .send(act, j, PipeDir::Forward)?;
-                        None
-                    };
-                    pending.push_back((tape, sf, root));
-                } else {
-                    let (mut tape, sf, root) = pending.pop_front().expect("1F1B queue");
-                    match root {
-                        Some(v) => tape.backward(v),
-                        None => {
-                            let g = next
-                                .as_mut()
-                                .expect("non-last stage has a next link")
-                                .recv(j, PipeDir::Backward)?;
-                            let shape = tape.value(sf.out).shape().to_vec();
-                            tape.backward_from(sf.out, Tensor::from_vec(&shape, g));
-                        }
-                    }
-                    if let Some(c) = &tp_comm {
-                        if let Some(err) = c.take_failure() {
-                            return Err(err);
-                        }
-                    }
-                    if let Some(input) = sf.input {
-                        let g = tape
-                            .grad(input)
-                            .expect("boundary input grad")
-                            .data()
-                            .to_vec();
-                        msg_log.push((CollKind::P2p, (4 * g.len()) as u64, 2));
-                        prev.as_mut()
-                            .expect("non-first stage has a prev link")
-                            .send(g, j, PipeDir::Backward)?;
-                    }
-                    accumulate_staged_grads(&tape, &sf.staged, &mut store);
-                }
-            }
-
-            // DP gradient sync: reduce-scatter, scale the owned chunk
-            // by 1/dp, allgather — the same wire path DataParallel uses.
-            let mut flat = store.flat_grads();
-            if let Some(ring) = &mut dp_ring {
-                ring.reduce_scatter(&mut flat, &plan.flat)?;
-                scale_owned(&mut flat, &plan.flat[d], dp);
-                ring.allgather(&mut flat, &plan.flat)?;
-                if d == 0 {
-                    msg_log.push((CollKind::AllReduce, (4 * flat.len()) as u64, dp));
-                }
-            }
-
-            // Global grad norm: allgather per-tensor squared norms
-            // across the replica's pp·tp members, fold canonically.
-            let sq = per_tensor_sq(&flat, &sizes);
-            let norm = if pp * tp > 1 {
-                let mut buf = vec![0f32; norm_total];
-                buf[norm_bounds[member].clone()].copy_from_slice(&sq);
-                norm_ring
-                    .as_mut()
-                    .expect("multi-member grid has a norm ring")
-                    .allgather(&mut buf, norm_bounds)?;
-                if member == 0 {
-                    msg_log.push((CollKind::AllGather, (4 * norm_total) as u64, pp * tp));
-                }
-                fold_grad_norm(&buf, counts, flags, tp, norm_bounds)
-            } else {
-                sq.iter().sum::<f32>().sqrt()
-            };
-            clip_flat(&mut flat, norm);
-            store.load_flat_grads(&flat);
-            opt.step(&mut store, lr);
-            Ok((shard.last_stage && r == 0).then_some(loss_acc))
-        };
-
-        match step_body() {
-            Ok(loss) => {
-                steps_run += 1;
-                let _ = out.send(FromTopoWorker::Done { d, loss });
-            }
-            Err(err) => {
-                let _ = out.send(FromTopoWorker::Failed {
-                    d,
-                    stage: s,
-                    tp_rank: r,
-                    step,
-                    err,
-                });
-                return None;
-            }
-        }
-    }
-
-    // TP allreduces are logged group-level from rank 0 of each ring.
-    if r == 0 {
-        if let Some(c) = &tp_comm {
-            msg_log.extend(c.drain_log().into_iter().map(|(k, b)| (k, b, tp)));
-        }
-    }
-    let audit = WireAudit {
-        d,
-        stage: s,
-        tp_rank: r,
-        tp_bytes: tp_comm.as_ref().map_or(0, |c| c.sent_bytes()),
-        tp_expected: exp_tp_step * steps_run,
-        dp_bytes: dp_ring.as_ref().map_or(0, |g| g.sent_bytes),
-        dp_expected: exp_dp_step * steps_run,
-        norm_bytes: norm_ring.as_ref().map_or(0, |g| g.sent_bytes),
-        norm_expected: exp_norm_step * steps_run,
-        pipe_bytes: prev.as_ref().map_or(0, PipeLink::sent_bytes)
-            + next.as_ref().map_or(0, PipeLink::sent_bytes),
-        pipe_expected: exp_pipe_step * steps_run,
-    };
-    Some(TopoReturn {
-        shard,
-        store,
-        msg_log,
-        audit,
-    })
 }
 
 /// Train on an executed `dp × tp × pp` grid of worker threads, then
-/// consolidate replica 0's shards back into one full model.
+/// consolidate replica 0's shards back into one full model. Fault-free:
+/// a dead or silent worker ends the run with [`TopologyError::Step`].
 ///
 /// Bitwise contract: for any grid and chunk count this produces the
-/// same weights and losses as [`reference_topology`], and at
-/// `{1,1,1}×1` both match
-/// [`DataParallel::train_reference`](super::DataParallel::train_reference)
-/// — the TP sync ops and pipeline boundaries degenerate to the plain
-/// single-tape graph.
+/// same weights and losses as [`reference_topology`], ZeRO-1 or not; at
+/// `{N,1,1}` it is the run [`DataParallel::train`](super::DataParallel::train)
+/// performs (minus the per-eval-step validation), and at `{1,1,1}×1`
+/// the TP sync ops and pipeline boundaries degenerate to the plain
+/// single-tape graph of [`crate::pretrain::Trainer`].
 pub fn train_topology(
     documents: &[String],
     cfg: &PretrainConfig,
     topo: Topology,
 ) -> Result<TopologyOutcome, TopologyError> {
-    let (dp, tp, pp) = (topo.dp, topo.tp, topo.pp);
-    let world = topo.world();
-    let tokenizer = train_tokenizer(cfg.tokenizer, cfg.vocab, documents);
-    let vocab = tokenizer.vocab_size();
-    let (model, mut store) = build_model(cfg, vocab);
-    let (_rows, ranges) = validate_topology(cfg, &model, &topo)?;
-    let mut dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
-    let val_batches = dataset.val_batches(2, cfg.seq);
-    let schedule = CosineSchedule::paper(cfg.lr, cfg.steps);
-    let eval_every = (cfg.steps / 10).max(1);
-    let idx = |d: usize, s: usize, r: usize| (d * pp + s) * tp + r;
-
-    // Carve every worker's shard from the one probe store, so all
-    // replicas start from identical bits.
-    let mut shards: Vec<Option<(ShardModel, ParamStore)>> = (0..world).map(|_| None).collect();
-    for d in 0..dp {
-        for s in 0..pp {
-            for r in 0..tp {
-                shards[idx(d, s, r)] = Some(shard_model(
-                    &model,
-                    &store,
-                    tp,
-                    r,
-                    ranges[s].clone(),
-                    s == 0,
-                    s + 1 == pp,
-                ));
-            }
-        }
-    }
-
-    // Grad-norm fold layout: member (s, r) contributes one squared
-    // norm per tensor of stage s's shard store.
-    let counts: Vec<usize> = (0..pp)
-        .map(|s| shards[idx(0, s, 0)].as_ref().expect("shard").1.len())
-        .collect();
-    let flags: Vec<Vec<bool>> = (0..pp)
-        .map(|s| {
-            let (m, st) = shards[idx(0, s, 0)].as_ref().expect("shard");
-            m.sharded_flags(st)
-        })
-        .collect();
-    let mut norm_bounds: Vec<Range<usize>> = Vec::with_capacity(pp * tp);
-    let mut off = 0usize;
-    for &count in counts.iter().take(pp) {
-        for _r in 0..tp {
-            norm_bounds.push(off..off + count);
-            off += count;
-        }
-    }
-
-    // Wires.
-    let mut tp_rings: Vec<Option<Ring>> = (0..world).map(|_| None).collect();
-    if tp > 1 {
-        for d in 0..dp {
-            for s in 0..pp {
-                for (r, ring) in Ring::build(tp, topo.timeout).into_iter().enumerate() {
-                    tp_rings[idx(d, s, r)] = Some(ring);
-                }
-            }
-        }
-    }
-    let mut dp_rings: Vec<Option<Ring>> = (0..world).map(|_| None).collect();
-    if dp > 1 {
-        for s in 0..pp {
-            for r in 0..tp {
-                for (d, ring) in Ring::build(dp, topo.timeout).into_iter().enumerate() {
-                    dp_rings[idx(d, s, r)] = Some(ring);
-                }
-            }
-        }
-    }
-    let mut norm_rings: Vec<Option<Ring>> = (0..world).map(|_| None).collect();
-    if pp * tp > 1 {
-        for d in 0..dp {
-            for (m, ring) in Ring::build(pp * tp, topo.timeout).into_iter().enumerate() {
-                norm_rings[idx(d, m / tp, m % tp)] = Some(ring);
-            }
-        }
-    }
-    let mut prev_links: Vec<Option<PipeLink>> = (0..world).map(|_| None).collect();
-    let mut next_links: Vec<Option<PipeLink>> = (0..world).map(|_| None).collect();
-    for d in 0..dp {
-        for r in 0..tp {
-            for b in 0..pp.saturating_sub(1) {
-                let (earlier, later) = PipeLink::pair(topo.timeout);
-                next_links[idx(d, b, r)] = Some(earlier);
-                prev_links[idx(d, b + 1, r)] = Some(later);
-            }
-        }
-    }
-
-    let (out_tx, out_rx) = unbounded::<FromTopoWorker>();
-    let mut cmds: Vec<Sender<ToTopoWorker>> = Vec::with_capacity(world);
-    let mut seats: Vec<TopoSeat> = Vec::with_capacity(world);
-    for d in 0..dp {
-        for s in 0..pp {
-            for r in 0..tp {
-                let i = idx(d, s, r);
-                let (cmd_tx, cmd_rx) = unbounded::<ToTopoWorker>();
-                cmds.push(cmd_tx);
-                let (shard, st) = shards[i].take().expect("shard");
-                seats.push(TopoSeat {
-                    d,
-                    s,
-                    r,
-                    shard,
-                    store: st,
-                    tp_ring: tp_rings[i].take(),
-                    dp_ring: dp_rings[i].take(),
-                    norm_ring: norm_rings[i].take(),
-                    prev: prev_links[i].take(),
-                    next: next_links[i].take(),
-                    cmd: cmd_rx,
-                    out: out_tx.clone(),
-                });
-            }
-        }
-    }
-    drop(out_tx);
-
-    let mut train_curve: Vec<(usize, f32)> = Vec::new();
-    let counts_ref = &counts;
-    let flags_ref = &flags;
-    let bounds_ref = &norm_bounds;
-    let returns: Vec<Option<TopoReturn>> =
-        std::thread::scope(|scope| -> Result<Vec<Option<TopoReturn>>, TopologyError> {
-            let handles: Vec<_> = seats
-                .into_iter()
-                .map(|seat| {
-                    scope.spawn(move || {
-                        topo_worker(seat, cfg, topo, counts_ref, flags_ref, bounds_ref)
-                    })
-                })
-                .collect();
-
-            for step in 0..cfg.steps {
-                let batch = dataset.sample_batch(cfg.batch_seqs, cfg.seq);
-                let micros = split_batch(&batch, dp);
-                let lr = schedule.lr(step);
-                for d in 0..dp {
-                    for s in 0..pp {
-                        for r in 0..tp {
-                            let _ = cmds[idx(d, s, r)].send(ToTopoWorker::Step {
-                                step,
-                                lr,
-                                batch: micros[d].clone(),
-                            });
-                        }
-                    }
-                }
-                let mut losses = vec![0f32; dp];
-                let mut failed: Option<TopologyError> = None;
-                for _ in 0..world {
-                    match out_rx.recv() {
-                        Ok(FromTopoWorker::Done { d, loss }) => {
-                            if let Some(l) = loss {
-                                losses[d] = l;
-                            }
-                        }
-                        Ok(FromTopoWorker::Failed {
-                            d,
-                            stage,
-                            tp_rank,
-                            step,
-                            err,
-                        }) => {
-                            failed.get_or_insert(TopologyError::Step {
-                                step,
-                                d,
-                                stage,
-                                tp_rank,
-                                err,
-                            });
-                        }
-                        Err(_) => break,
-                    }
-                }
-                if let Some(e) = failed {
-                    for c in &cmds {
-                        let _ = c.send(ToTopoWorker::Finish);
-                    }
-                    for h in handles {
-                        let _ = h.join();
-                    }
-                    return Err(e);
-                }
-                if step.is_multiple_of(eval_every) || step + 1 == cfg.steps {
-                    train_curve.push((step, fold_mean(&losses)));
-                }
-            }
-            for c in &cmds {
-                let _ = c.send(ToTopoWorker::Finish);
-            }
-            Ok(handles
-                .into_iter()
-                .map(|h| h.join().expect("topology worker panicked"))
-                .collect())
-        })?;
-
-    let returns: Vec<TopoReturn> = returns
-        .into_iter()
-        .collect::<Option<Vec<_>>>()
-        .expect("workers returned after a clean run");
-
-    // Consolidate replica 0's grid; fold every worker's message log
-    // into histogram bins.
-    let stages_view: Vec<Vec<(&ShardModel, &ParamStore)>> = (0..pp)
-        .map(|s| {
-            (0..tp)
-                .map(|r| {
-                    let ret = &returns[idx(0, s, r)];
-                    (&ret.shard, &ret.store)
-                })
-                .collect()
-        })
-        .collect();
-    consolidate_shards(&model, &mut store, &stages_view);
-    drop(stages_view);
-
-    let mut bins: HashMap<(CollKind, u64, usize), u64> = HashMap::new();
-    let mut wire = Vec::with_capacity(world);
-    for ret in &returns {
-        for &(kind, bytes, group) in &ret.msg_log {
-            *bins.entry((kind, bytes, group)).or_insert(0) += 1;
-        }
-        wire.push(ret.audit);
-    }
-    let mut msg_bins: Vec<MsgBin> = bins
-        .into_iter()
-        .map(|((kind, bytes, group), calls)| MsgBin {
-            kind,
-            bytes,
-            group,
-            calls,
-        })
-        .collect();
-    msg_bins.sort_by_key(|b| (b.kind.name(), b.bytes, b.group));
-
-    let final_val = validation_loss_on(&model, &store, &val_batches);
-    let param_scalars = store.num_scalars();
-    Ok(TopologyOutcome {
-        model,
-        store,
-        train_curve,
-        final_val,
-        report: TopologyReport {
-            topo,
-            steps_run: cfg.steps,
-            param_scalars,
-            wire,
-            msg_bins,
-        },
-    })
+    run_grid(documents, cfg, topo, RunSpec::plain(false)).map(TopologyOutcome::from_run)
 }
 
 /// The sequential single-thread replay of [`train_topology`]: identical
@@ -989,180 +391,7 @@ pub fn reference_topology(
     cfg: &PretrainConfig,
     topo: Topology,
 ) -> Result<TopologyOutcome, TopologyError> {
-    let (dp, tp, pp, chunks) = (topo.dp, topo.tp, topo.pp, topo.chunks);
-    let tokenizer = train_tokenizer(cfg.tokenizer, cfg.vocab, documents);
-    let vocab = tokenizer.vocab_size();
-    let (model, mut store) = build_model(cfg, vocab);
-    let (rows, ranges) = validate_topology(cfg, &model, &topo)?;
-    let mut dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
-    let val_batches = dataset.val_batches(2, cfg.seq);
-    let schedule = CosineSchedule::paper(cfg.lr, cfg.steps);
-    let eval_every = (cfg.steps / 10).max(1);
-    let row_bounds = ring_chunks(rows, chunks);
-    let seq = cfg.seq;
-
-    // One (stage, rank) shard grid shared by all dp replicas, plus one
-    // optimizer per shard (threaded replicas hold bitwise-identical
-    // moments, so one copy stands for all dp of them).
-    let mut grid: Vec<Vec<(ShardModel, ParamStore)>> = (0..pp)
-        .map(|s| {
-            (0..tp)
-                .map(|r| {
-                    shard_model(
-                        &model,
-                        &store,
-                        tp,
-                        r,
-                        ranges[s].clone(),
-                        s == 0,
-                        s + 1 == pp,
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let mut opts: Vec<Vec<_>> = (0..pp)
-        .map(|_| (0..tp).map(|_| build_optimizer(cfg)).collect::<Vec<_>>())
-        .collect();
-    let plans: Vec<ShardPlan> = (0..pp)
-        .map(|s| ShardPlan::new(&grid[s][0].1.tensor_sizes(), dp))
-        .collect();
-    let counts: Vec<usize> = (0..pp).map(|s| grid[s][0].1.len()).collect();
-    let flags: Vec<Vec<bool>> = (0..pp)
-        .map(|s| grid[s][0].0.sharded_flags(&grid[s][0].1))
-        .collect();
-    let mut norm_bounds: Vec<Range<usize>> = Vec::with_capacity(pp * tp);
-    let mut off = 0usize;
-    for &count in counts.iter().take(pp) {
-        for _r in 0..tp {
-            norm_bounds.push(off..off + count);
-            off += count;
-        }
-    }
-    let norm_total = off;
-
-    let mut train_curve: Vec<(usize, f32)> = Vec::new();
-    for step in 0..cfg.steps {
-        let batch = dataset.sample_batch(cfg.batch_seqs, cfg.seq);
-        let micros = split_batch(&batch, dp);
-        let lr = schedule.lr(step);
-
-        // Per replica: accumulate chunk gradients into the shard grid,
-        // snapshot the flats, weight the chunk losses.
-        let mut parts: Vec<Vec<Vec<Vec<f32>>>> =
-            (0..pp).map(|_| vec![Vec::with_capacity(dp); tp]).collect();
-        let mut losses = Vec::with_capacity(dp);
-        for micro in &micros {
-            for row in grid.iter_mut() {
-                for (_m, st) in row.iter_mut() {
-                    st.zero_grads();
-                }
-            }
-            let mut loss_acc = 0.0f32;
-            for b in &row_bounds {
-                let rows_j = b.len();
-                let mut tape = Tape::new();
-                let (loss, staged) = {
-                    let view: Vec<Vec<(&ShardModel, &ParamStore)>> = grid
-                        .iter()
-                        .map(|row| row.iter().map(|(m, st)| (m, st)).collect())
-                        .collect();
-                    reference_loss(
-                        &view,
-                        &mut tape,
-                        &micro.inputs[b.start * seq..b.end * seq],
-                        &micro.targets[b.start * seq..b.end * seq],
-                        rows_j,
-                        seq,
-                    )
-                };
-                let w = chunk_weight(rows_j, rows);
-                loss_acc += w * tape.value(loss).item();
-                let root = if chunks > 1 {
-                    tape.scale(loss, w)
-                } else {
-                    loss
-                };
-                tape.backward(root);
-                for (s, row) in grid.iter_mut().enumerate() {
-                    for (r, (_m, st)) in row.iter_mut().enumerate() {
-                        accumulate_staged_grads(&tape, &staged[s][r], st);
-                    }
-                }
-            }
-            losses.push(loss_acc);
-            for (s, row) in grid.iter().enumerate() {
-                for (r, (_m, st)) in row.iter().enumerate() {
-                    parts[s][r].push(st.flat_grads());
-                }
-            }
-        }
-
-        // DP fold per shard (ring order), then the canonical grad-norm
-        // fold and clip, then one optimizer step per shard.
-        let mut reduced: Vec<Vec<Vec<f32>>> = Vec::with_capacity(pp);
-        for (s, row) in parts.into_iter().enumerate() {
-            let mut per_rank = Vec::with_capacity(tp);
-            for mut p in row {
-                let mut flat = if dp > 1 {
-                    ring_fold(&p, &plans[s].flat)
-                } else {
-                    p.pop().expect("one replica part")
-                };
-                if dp > 1 {
-                    for d in 0..dp {
-                        scale_owned(&mut flat, &plans[s].flat[d], dp);
-                    }
-                }
-                per_rank.push(flat);
-            }
-            reduced.push(per_rank);
-        }
-        let norm = {
-            let mut buf = vec![0f32; norm_total];
-            for s in 0..pp {
-                for r in 0..tp {
-                    let sq = per_tensor_sq(&reduced[s][r], &grid[s][r].1.tensor_sizes());
-                    buf[norm_bounds[s * tp + r].clone()].copy_from_slice(&sq);
-                }
-            }
-            fold_grad_norm(&buf, &counts, &flags, tp, &norm_bounds)
-        };
-        for s in 0..pp {
-            for r in 0..tp {
-                clip_flat(&mut reduced[s][r], norm);
-                grid[s][r].1.load_flat_grads(&reduced[s][r]);
-                opts[s][r].step(&mut grid[s][r].1, lr);
-            }
-        }
-
-        if step.is_multiple_of(eval_every) || step + 1 == cfg.steps {
-            train_curve.push((step, fold_mean(&losses)));
-        }
-    }
-
-    let stages_view: Vec<Vec<(&ShardModel, &ParamStore)>> = grid
-        .iter()
-        .map(|row| row.iter().map(|(m, st)| (m, st)).collect())
-        .collect();
-    consolidate_shards(&model, &mut store, &stages_view);
-    drop(stages_view);
-
-    let final_val = validation_loss_on(&model, &store, &val_batches);
-    let param_scalars = store.num_scalars();
-    Ok(TopologyOutcome {
-        model,
-        store,
-        train_curve,
-        final_val,
-        report: TopologyReport {
-            topo,
-            steps_run: cfg.steps,
-            param_scalars,
-            wire: Vec::new(),
-            msg_bins: Vec::new(),
-        },
-    })
+    reference_grid(documents, cfg, topo, false).map(TopologyOutcome::from_run)
 }
 
 #[cfg(test)]
@@ -1176,35 +405,24 @@ mod tests {
         assert_eq!(t.world(), 6);
         assert_eq!(t.describe(), "dp2-tp1-pp3c3");
         assert_eq!(Topology::new(1, 2, 1).with_chunks(4).chunks, 4);
+        assert_eq!(Topology::zero1(2).describe(), "dp2-tp1-pp1c1-zero1");
     }
 
     #[test]
-    fn fold_grad_norm_counts_replicated_once_and_shards_across_ranks() {
-        // Two stages, tp=2. Stage 0 has one sharded tensor, stage 1
-        // one replicated tensor.
-        let counts = vec![1usize, 1];
-        let flags = vec![vec![true], vec![false]];
-        let bounds = vec![0..1, 1..2, 2..3, 3..4];
-        // sharded partials 9 + 16 = 25; replicated 4 (rank-1 copy 4 is
-        // skipped); total 29.
-        let buf = vec![9.0, 16.0, 4.0, 4.0];
-        let got = fold_grad_norm(&buf, &counts, &flags, 2, &bounds);
-        assert_eq!(got, 29.0f32.sqrt());
-    }
-
-    #[test]
-    fn per_tensor_sq_matches_registration_layout() {
-        let flat = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(per_tensor_sq(&flat, &[1, 3]), vec![1.0, 4.0 + 9.0 + 16.0]);
-    }
-
-    #[test]
-    fn clip_flat_only_fires_above_one() {
-        let mut a = vec![2.0f32];
-        clip_flat(&mut a, 0.5);
-        assert_eq!(a, vec![2.0]);
-        clip_flat(&mut a, 2.0);
-        assert_eq!(a, vec![1.0]);
+    fn seats_are_grid_lexicographic_and_invert() {
+        let t = Topology::new(2, 2, 3);
+        let mut next = 0;
+        for d in 0..2 {
+            for s in 0..3 {
+                for r in 0..2 {
+                    assert_eq!(t.seat(d, s, r), next);
+                    assert_eq!(t.coords(next), (d, s, r));
+                    next += 1;
+                }
+            }
+        }
+        // on a pure dp grid the seat is the dp rank
+        assert_eq!(Topology::replicated(4).seat(3, 0, 0), 3);
     }
 
     #[test]

@@ -205,13 +205,12 @@ impl std::fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-// Section names inside the v2 checkpoint container (shared with
-// `crate::parallel`, whose checkpoints are the same format).
-pub(crate) const SEC_LABEL: &str = "label";
+// Section names inside the v2 checkpoint container.
+const SEC_LABEL: &str = "label";
 pub(crate) const SEC_OPT: &str = "opt_state";
-pub(crate) const SEC_STEP: &str = "lr_step";
-pub(crate) const SEC_CURSOR: &str = "data_cursor";
-pub(crate) const SEC_CURVES: &str = "curves";
+const SEC_STEP: &str = "lr_step";
+const SEC_CURSOR: &str = "data_cursor";
+const SEC_CURVES: &str = "curves";
 
 /// Build the (scaled-down) model and parameter store a pre-training
 /// config describes, seeded deterministically. Shared between
@@ -240,6 +239,144 @@ pub(crate) fn build_optimizer(cfg: &PretrainConfig) -> Box<dyn Optimizer> {
         OptChoice::Adam => Box::new(Adam::new(AdamConfig::paper_adam())),
         OptChoice::Lamb => Box::new(Lamb::new(AdamConfig::paper_lamb())),
     }
+}
+
+/// Everything a run builds before its first step. Every executor —
+/// [`Trainer`], the grid executor of [`crate::parallel`] and its
+/// sequential reference — starts from this one prologue, so they agree
+/// on the tokenizer, the initial weights, the data stream, the
+/// validation batches, the LR schedule and the eval cadence.
+pub(crate) struct RunSetup {
+    pub tokenizer: Box<dyn Tokenizer>,
+    pub model: GptModel,
+    pub store: ParamStore,
+    pub dataset: TokenDataset,
+    pub val_batches: Vec<Batch>,
+    pub schedule: CosineSchedule,
+}
+
+impl RunSetup {
+    /// Build the prologue, training a tokenizer on `documents` unless
+    /// the caller provides one.
+    pub(crate) fn new(
+        documents: &[String],
+        cfg: &PretrainConfig,
+        tokenizer: Option<Box<dyn Tokenizer>>,
+    ) -> Self {
+        let tokenizer =
+            tokenizer.unwrap_or_else(|| train_tokenizer(cfg.tokenizer, cfg.vocab, documents));
+        let (model, store) = build_model(cfg, tokenizer.vocab_size());
+        let dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
+        let val_batches = dataset.val_batches(2, cfg.seq);
+        Self {
+            tokenizer,
+            model,
+            store,
+            dataset,
+            val_batches,
+            schedule: CosineSchedule::paper(cfg.lr, cfg.steps),
+        }
+    }
+}
+
+/// Does `step` record a curve point? Every tenth of the run, plus the
+/// final step.
+pub(crate) fn is_eval_step(cfg: &PretrainConfig, step: usize) -> bool {
+    step.is_multiple_of((cfg.steps / 10).max(1)) || step + 1 == cfg.steps
+}
+
+/// Training state decoded from a v2 checkpoint image.
+pub(crate) struct ResumeState {
+    pub weights: ParamStore,
+    pub opt_state: OptimizerState,
+    pub step: usize,
+    pub cursor: u128,
+    pub train_curve: Vec<(usize, f32)>,
+    pub val_curve: Vec<(usize, f32)>,
+}
+
+/// Decode and validate a v2 checkpoint image written for `cfg` — the one
+/// decoder behind [`Trainer::resume`] and every [`crate::parallel`]
+/// resume or rollback.
+pub(crate) fn decode_resume(
+    cfg: &PretrainConfig,
+    bytes: &[u8],
+) -> Result<ResumeState, ResumeError> {
+    let ck = checkpoint::load_full(bytes).map_err(ResumeError::Checkpoint)?;
+    let section = |name: &'static str| ck.section(name).ok_or(ResumeError::MissingSection(name));
+    let label = section(SEC_LABEL)?;
+    let expected = cfg.label();
+    if label != expected.as_bytes() {
+        return Err(ResumeError::ConfigMismatch {
+            expected,
+            found: String::from_utf8_lossy(label).into_owned(),
+        });
+    }
+    let opt_state =
+        OptimizerState::from_bytes(section(SEC_OPT)?).ok_or(ResumeError::Corrupt(SEC_OPT))?;
+    let step = u64::from_le_bytes(
+        section(SEC_STEP)?
+            .try_into()
+            .map_err(|_| ResumeError::Corrupt(SEC_STEP))?,
+    ) as usize;
+    let cursor = u128::from_le_bytes(
+        section(SEC_CURSOR)?
+            .try_into()
+            .map_err(|_| ResumeError::Corrupt(SEC_CURSOR))?,
+    );
+    let (train_curve, val_curve) =
+        decode_curves(section(SEC_CURVES)?).ok_or(ResumeError::Corrupt(SEC_CURVES))?;
+    Ok(ResumeState {
+        weights: ck.store,
+        opt_state,
+        step,
+        cursor,
+        train_curve,
+        val_curve,
+    })
+}
+
+/// Copy a decoded image's weights into a freshly built `store`,
+/// rejecting an image whose parameter table does not cover the model.
+pub(crate) fn restore_weights(
+    store: &mut ParamStore,
+    image: &ParamStore,
+) -> Result<(), ResumeError> {
+    let restored = checkpoint::restore_into(store, image);
+    if restored != store.len() {
+        return Err(ResumeError::ParamMismatch {
+            restored,
+            expected: store.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Encode the complete training state as a v2 MGPT checkpoint: weights
+/// in the parameter table, plus sections for the config label,
+/// optimizer moments, LR-schedule step, data-loader RNG cursor and the
+/// curves recorded so far. [`Trainer`] and the grid executor both write
+/// this one format, which is what makes their images interchangeable.
+pub(crate) fn encode_checkpoint(
+    cfg: &PretrainConfig,
+    store: &ParamStore,
+    opt_state: &OptimizerState,
+    step: usize,
+    cursor: u128,
+    train_curve: &[(usize, f32)],
+    val_curve: &[(usize, f32)],
+) -> Vec<u8> {
+    let sections = vec![
+        (SEC_LABEL.to_string(), cfg.label().into_bytes()),
+        (SEC_OPT.to_string(), opt_state.to_bytes()),
+        (SEC_STEP.to_string(), (step as u64).to_le_bytes().to_vec()),
+        (SEC_CURSOR.to_string(), cursor.to_le_bytes().to_vec()),
+        (
+            SEC_CURVES.to_string(),
+            encode_curves(train_curve, val_curve),
+        ),
+    ];
+    checkpoint::save_with_sections(store, &sections).to_vec()
 }
 
 /// Cached handles into the global metrics [`Registry`]: the trainer's
@@ -324,6 +461,7 @@ pub struct Trainer {
     tokenizer: Box<dyn Tokenizer>,
     opt: Box<dyn Optimizer>,
     schedule: CosineSchedule,
+    val_batches: Vec<Batch>,
     step: usize,
     train_curve: Vec<(usize, f32)>,
     val_curve: Vec<(usize, f32)>,
@@ -343,19 +481,23 @@ impl Trainer {
         cfg: &PretrainConfig,
         tokenizer: Box<dyn Tokenizer>,
     ) -> Self {
-        let vocab = tokenizer.vocab_size();
-        let (model, store) = build_model(cfg, vocab);
-        let dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
-        let opt = build_optimizer(cfg);
-        let schedule = CosineSchedule::paper(cfg.lr, cfg.steps);
+        let RunSetup {
+            tokenizer,
+            model,
+            store,
+            dataset,
+            val_batches,
+            schedule,
+        } = RunSetup::new(documents, cfg, Some(tokenizer));
         Self {
             cfg: cfg.clone(),
             model,
             store,
             dataset,
             tokenizer,
-            opt,
+            opt: build_optimizer(cfg),
             schedule,
+            val_batches,
             step: 0,
             train_curve: Vec::new(),
             val_curve: Vec::new(),
@@ -385,7 +527,6 @@ impl Trainer {
         let _step_span = Span::enter(pids::TRAINER, "train", "step");
         let step = self.step;
         let cfg = &self.cfg;
-        let eval_every = (cfg.steps / 10).max(1);
         let mixed = cfg.precision != matgpt_tensor::Precision::F32;
 
         let batch = {
@@ -431,12 +572,12 @@ impl Trainer {
             self.opt.step(&mut self.store, lr);
         }
 
-        if step.is_multiple_of(eval_every) || step + 1 == cfg.steps {
+        if is_eval_step(cfg, step) {
             let _s = Span::enter(pids::TRAINER, "train", "eval");
             self.train_curve.push((step, train_loss));
             self.val_curve.push((
                 step,
-                validation_loss(&self.model, &self.store, &self.dataset, cfg.seq),
+                validation_loss_on(&self.model, &self.store, &self.val_batches),
             ));
         }
         self.step += 1;
@@ -465,23 +606,15 @@ impl Trainer {
     /// cursor and the curves recorded so far.
     pub fn checkpoint(&self) -> Vec<u8> {
         let _span = Span::enter(pids::TRAINER, "train", "checkpoint");
-        let sections = vec![
-            (SEC_LABEL.to_string(), self.cfg.label().into_bytes()),
-            (SEC_OPT.to_string(), self.opt.export_state().to_bytes()),
-            (
-                SEC_STEP.to_string(),
-                (self.step as u64).to_le_bytes().to_vec(),
-            ),
-            (
-                SEC_CURSOR.to_string(),
-                self.dataset.cursor().to_le_bytes().to_vec(),
-            ),
-            (
-                SEC_CURVES.to_string(),
-                encode_curves(&self.train_curve, &self.val_curve),
-            ),
-        ];
-        checkpoint::save_with_sections(&self.store, &sections).to_vec()
+        encode_checkpoint(
+            &self.cfg,
+            &self.store,
+            &self.opt.export_state(),
+            self.step,
+            self.dataset.cursor(),
+            &self.train_curve,
+            &self.val_curve,
+        )
     }
 
     /// Rebuild a mid-run trainer from a [`Trainer::checkpoint`] image,
@@ -503,53 +636,14 @@ impl Trainer {
         tokenizer: Box<dyn Tokenizer>,
         bytes: &[u8],
     ) -> Result<Self, ResumeError> {
-        let ck = checkpoint::load_full(bytes).map_err(ResumeError::Checkpoint)?;
-        let label = ck
-            .section(SEC_LABEL)
-            .ok_or(ResumeError::MissingSection(SEC_LABEL))?;
-        let expected = cfg.label();
-        if label != expected.as_bytes() {
-            return Err(ResumeError::ConfigMismatch {
-                expected,
-                found: String::from_utf8_lossy(label).into_owned(),
-            });
-        }
-        let opt_state = OptimizerState::from_bytes(
-            ck.section(SEC_OPT)
-                .ok_or(ResumeError::MissingSection(SEC_OPT))?,
-        )
-        .ok_or(ResumeError::Corrupt(SEC_OPT))?;
-        let step = u64::from_le_bytes(
-            ck.section(SEC_STEP)
-                .ok_or(ResumeError::MissingSection(SEC_STEP))?
-                .try_into()
-                .map_err(|_| ResumeError::Corrupt(SEC_STEP))?,
-        ) as usize;
-        let cursor = u128::from_le_bytes(
-            ck.section(SEC_CURSOR)
-                .ok_or(ResumeError::MissingSection(SEC_CURSOR))?
-                .try_into()
-                .map_err(|_| ResumeError::Corrupt(SEC_CURSOR))?,
-        );
-        let (train_curve, val_curve) = decode_curves(
-            ck.section(SEC_CURVES)
-                .ok_or(ResumeError::MissingSection(SEC_CURVES))?,
-        )
-        .ok_or(ResumeError::Corrupt(SEC_CURVES))?;
-
+        let state = decode_resume(cfg, bytes)?;
         let mut t = Self::with_tokenizer(documents, cfg, tokenizer);
-        let restored = checkpoint::restore_into(&mut t.store, &ck.store);
-        if restored != t.store.len() {
-            return Err(ResumeError::ParamMismatch {
-                restored,
-                expected: t.store.len(),
-            });
-        }
-        t.opt.import_state(opt_state);
-        t.step = step;
-        t.dataset.seek(cursor);
-        t.train_curve = train_curve;
-        t.val_curve = val_curve;
+        restore_weights(&mut t.store, &state.weights)?;
+        t.opt.import_state(state.opt_state);
+        t.step = state.step;
+        t.dataset.seek(state.cursor);
+        t.train_curve = state.train_curve;
+        t.val_curve = state.val_curve;
         Ok(t)
     }
 

@@ -55,6 +55,9 @@ cargo test -q --test fault_tolerance
 PROPTEST_CASES=512 cargo test -q -p matgpt-tensor --test checkpoint_corruption
 
 section "resilience: executed fault tolerance (kill/stall/elastic re-shard)"
+# dp ranks, tensor-parallel peers and pipeline stages alike: the suite
+# includes killed_tp_peer_*, killed_pipeline_stage_*, stalled_tp_peer_*
+# and tp_death_shrinks_its_whole_replica
 cargo test -q --test resilience
 # the seeded chaos matrix (MATGPT_CHAOS_SEED ∈ {3, 11, 1337}) runs as
 # CI matrix entries alongside the topology grid; see ci.yml

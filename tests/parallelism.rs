@@ -364,21 +364,36 @@ fn topology_dp2_tp2_matches_reference_bitwise() {
     }
 }
 
-/// Optional CI matrix entry: `MATGPT_TOPOLOGY=dp,tp,pp[,chunks]` runs
-/// that grid through the full bitwise + wire-audit contract.
+/// Optional CI matrix entry: `MATGPT_TOPOLOGY=dp,tp,pp[,chunks][,zero1]`
+/// runs that grid through the full bitwise + wire-audit contract, with
+/// a ZeRO-1 sharded optimizer when the trailing `zero1` flag is given.
 #[test]
 fn topology_matrix_from_env() {
     let Ok(spec) = std::env::var("MATGPT_TOPOLOGY") else {
         return;
     };
-    let parts: Vec<usize> = spec
-        .split(',')
-        .map(|p| p.trim().parse().expect("MATGPT_TOPOLOGY=dp,tp,pp[,chunks]"))
+    let mut fields: Vec<&str> = spec.split(',').map(str::trim).collect();
+    let zero1 = fields.last() == Some(&"zero1");
+    if zero1 {
+        fields.pop();
+    }
+    let parts: Vec<usize> = fields
+        .iter()
+        .map(|p| {
+            p.parse()
+                .expect("MATGPT_TOPOLOGY=dp,tp,pp[,chunks][,zero1]")
+        })
         .collect();
-    assert!(parts.len() == 3 || parts.len() == 4, "dp,tp,pp[,chunks]");
+    assert!(
+        parts.len() == 3 || parts.len() == 4,
+        "dp,tp,pp[,chunks][,zero1]"
+    );
     let mut topo = Topology::new(parts[0], parts[1], parts[2]);
     if let Some(&c) = parts.get(3) {
         topo = topo.with_chunks(c);
+    }
+    if zero1 {
+        topo = topo.with_zero1();
     }
     assert_topology_matches_reference(ArchKind::Llama, topo);
 }
@@ -451,5 +466,211 @@ fn topology_misconfigurations_are_typed_errors() {
     match train_topology(docs(), &base, Topology::new(1, 3, 1)) {
         Err(TopologyError::Plan(_)) => {}
         other => panic!("expected Plan error, got {:?}", other.err()),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One executor: the DataParallel and train_topology entry points agree,
+// and ZeRO-1 / mixed precision compose with every axis.
+// ---------------------------------------------------------------------------
+
+use matgpt::core::ResumeError;
+use matgpt::tensor::{checkpoint, ParamStore, Precision};
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// ZeRO-1 is an optimizer-sharding mode of the dp ring at any
+/// `{tp, pp}`: on `{2,2,1}` and `{2,1,2}` it matches the sequential
+/// reference bitwise with an exact wire audit (the reference never
+/// shards its optimizer, so this is also ZeRO-1 ≡ replicated), the
+/// replicated threaded run produces the same bits, and the largest
+/// per-worker optimizer footprint drops to about 1/dp of replicated.
+#[test]
+fn zero1_composes_with_tp_and_pp_bitwise() {
+    for (arch, topo) in [
+        (ArchKind::NeoX, Topology::new(2, 2, 1)),
+        (ArchKind::Llama, Topology::new(2, 1, 2)),
+    ] {
+        let sharded = assert_topology_matches_reference(arch, topo.with_zero1());
+        let cfg = cfg(arch);
+        let replicated = DataParallel::new(topo).train(docs(), &cfg);
+        let zero1 = DataParallel::new(topo.with_zero1()).train(docs(), &cfg);
+        assert_eq!(
+            zero1.pretrained.curves.train,
+            replicated.pretrained.curves.train
+        );
+        assert_eq!(
+            zero1.pretrained.curves.val,
+            replicated.pretrained.curves.val
+        );
+        assert_eq!(
+            bits(&zero1.pretrained.store.flat_values()),
+            bits(&replicated.pretrained.store.flat_values())
+        );
+        assert_eq!(
+            bits(&sharded.store.flat_values()),
+            bits(&replicated.pretrained.store.flat_values()),
+            "train_topology and DataParallel run the same executor"
+        );
+
+        // every seat of the replicated grid holds its whole shard
+        // store's moments; under ZeRO-1 a seat holds its dp shard only
+        let full = replicated.report.max_opt_state_bytes() as f64;
+        let max_shard = zero1.report.max_opt_state_bytes() as f64;
+        assert!(
+            max_shard <= 0.65 * full && max_shard >= 0.35 * full,
+            "{}: max shard {max_shard} vs replicated {full}",
+            topo.describe()
+        );
+        let held =
+            |o: &matgpt::core::ParallelOutcome| o.report.opt_state_bytes.iter().sum::<usize>();
+        // the shards of the two replicas sum back to one replica's state
+        // (each seat carries its own 8-byte step counter)
+        let seats = topo.world();
+        assert_eq!(
+            held(&zero1) - 8 * seats,
+            (held(&replicated) - 8 * seats) / topo.dp
+        );
+    }
+}
+
+/// `train_topology({N,1,1})` *is* `DataParallel::replicated(N).train`:
+/// same curves, same weights, same final validation loss, for
+/// N ∈ {2, 4} and both architectures.
+#[test]
+fn dp_grid_topology_matches_data_parallel_bitwise() {
+    for arch in [ArchKind::NeoX, ArchKind::Llama] {
+        for n in [2usize, 4] {
+            let cfg = cfg(arch);
+            let grid = train_topology(docs(), &cfg, Topology::new(n, 1, 1)).expect("dp grid");
+            let dp = DataParallel::new(ParallelConfig::replicated(n)).train(docs(), &cfg);
+            assert_eq!(
+                grid.train_curve, dp.pretrained.curves.train,
+                "{arch:?} n={n}"
+            );
+            assert_eq!(
+                bits(&grid.store.flat_values()),
+                bits(&dp.pretrained.store.flat_values()),
+                "{arch:?} n={n} weights"
+            );
+            assert_eq!(
+                grid.final_val.to_bits(),
+                dp.pretrained.curves.final_val().to_bits(),
+                "{arch:?} n={n} val"
+            );
+            assert_eq!(grid.report.steps_run, dp.report.steps_run);
+        }
+    }
+}
+
+/// `PretrainConfig::precision` reaches the grid executor: a bf16
+/// `{1,1,1}` run (threaded and reference) rounds the store around
+/// forward+backward exactly like `Trainer`, bit for bit — and differs
+/// from the f32 run, so the rounding really happened.
+#[test]
+fn unit_topology_honours_mixed_precision_bitwise() {
+    let base = cfg(ArchKind::Llama);
+    let bf16 = PretrainConfig {
+        precision: Precision::Bf16,
+        ..base.clone()
+    };
+    let plain = pretrain(docs(), &bf16);
+    let topo = Topology::new(1, 1, 1);
+    for out in [
+        train_topology(docs(), &bf16, topo).expect("threaded"),
+        reference_topology(docs(), &bf16, topo).expect("reference"),
+    ] {
+        assert_eq!(out.train_curve, plain.curves.train);
+        assert_eq!(
+            bits(&out.store.flat_values()),
+            bits(&plain.store.flat_values())
+        );
+        assert_eq!(out.final_val.to_bits(), plain.curves.final_val().to_bits());
+    }
+    let f32_run = train_topology(docs(), &base, topo).expect("f32");
+    assert_ne!(
+        bits(&f32_run.store.flat_values()),
+        bits(&plain.store.flat_values())
+    );
+    // and it composes with sharding: TP=2 under bf16 still matches its
+    // sequential reference
+    let tp2 = Topology::new(1, 2, 1);
+    let threaded = train_topology(docs(), &bf16, tp2).expect("threaded tp2");
+    let reference = reference_topology(docs(), &bf16, tp2).expect("reference tp2");
+    assert_eq!(threaded.train_curve, reference.train_curve);
+    assert_eq!(
+        bits(&threaded.store.flat_values()),
+        bits(&reference.store.flat_values())
+    );
+}
+
+/// Checkpoints are full-model v2 images whatever grid wrote them: a
+/// `{2,2,1}` ZeRO-1 run's midpoint image resumes bitwise on the same
+/// grid, on a differently shaped grid, and under the plain `Trainer`.
+#[test]
+fn grid_checkpoints_interchange_across_grids_and_trainer() {
+    let cfg = cfg(ArchKind::Llama);
+    let topo = Topology::new(2, 2, 1).with_zero1();
+    let full = DataParallel::new(topo).train_with_checkpoints(docs(), &cfg, 3);
+    let (_, image) = full
+        .checkpoints
+        .iter()
+        .find(|(s, _)| *s == 3)
+        .expect("midpoint checkpoint at step 3");
+
+    let same = DataParallel::new(topo)
+        .resume(docs(), &cfg, image)
+        .expect("same-grid resume");
+    assert_eq!(same.pretrained.curves.train, full.pretrained.curves.train);
+    assert_eq!(same.pretrained.curves.val, full.pretrained.curves.val);
+    assert_eq!(
+        bits(&same.pretrained.store.flat_values()),
+        bits(&full.pretrained.store.flat_values())
+    );
+    assert_eq!(same.report.steps_run, cfg.steps - 3);
+
+    // a {1,1,2} pipeline and the single-worker Trainer both accept it
+    let other = DataParallel::new(Topology::new(1, 1, 2))
+        .resume(docs(), &cfg, image)
+        .expect("cross-grid resume");
+    assert_eq!(other.pretrained.curves.train.len(), cfg.steps);
+    assert!(other.pretrained.curves.final_val().is_finite());
+    let single = pretrain_resume(docs(), &cfg, image).expect("Trainer resume");
+    assert_eq!(single.curves.train.len(), cfg.steps);
+    // ... and the {1,1,1} grid resumes a Trainer image like Trainer does
+    let (trained, images) = matgpt::core::pretrain_with_checkpoints(docs(), &cfg, 3);
+    let unit = DataParallel::new(ParallelConfig::replicated(1))
+        .resume(docs(), &cfg, &images[0].1)
+        .expect("Trainer image resumes on the unit grid");
+    assert_eq!(unit.pretrained.curves.train, trained.curves.train);
+    assert_eq!(
+        bits(&unit.pretrained.store.flat_values()),
+        bits(&trained.store.flat_values())
+    );
+}
+
+/// A resume image whose parameter table does not cover the model is a
+/// typed `ParamMismatch` from `DataParallel::resume` — decided on the
+/// coordinator, before any worker spawns.
+#[test]
+fn resume_with_wrong_shaped_image_is_param_mismatch() {
+    let cfg = cfg(ArchKind::Llama);
+    let pool = DataParallel::new(ParallelConfig::zero1(2));
+    let run = pool.train_with_checkpoints(docs(), &cfg, 3);
+    let ck = checkpoint::load_full(&run.checkpoints[0].1).expect("own image decodes");
+    // same sections, but the last tensor of the table is missing
+    let mut truncated = ParamStore::new();
+    let ids: Vec<_> = ck.store.ids().collect();
+    for &id in &ids[..ids.len() - 1] {
+        truncated.add(ck.store.name(id), ck.store.value(id).clone());
+    }
+    let image = checkpoint::save_with_sections(&truncated, &ck.sections).to_vec();
+    match pool.resume(docs(), &cfg, &image) {
+        Err(ResumeError::ParamMismatch { restored, expected }) => {
+            assert_eq!((restored, expected), (ids.len() - 1, ids.len()));
+        }
+        other => panic!("expected ParamMismatch, got {:?}", other.err()),
     }
 }

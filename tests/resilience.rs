@@ -8,7 +8,7 @@
 //! MTBF process, `MATGPT_CHAOS_SEED`-selectable) still reproduces the
 //! sequential reference bit-for-bit.
 
-use matgpt::core::parallel::{DataParallel, ParallelConfig};
+use matgpt::core::parallel::{reference_topology, DataParallel, ParallelConfig, Topology};
 use matgpt::core::recipes::{OptChoice, PretrainConfig, SizeRole};
 use matgpt::core::{FailureCause, FaultPlan, RecoveryPolicy, ResilienceConfig, ResilientOutcome};
 use matgpt::corpus::{build_corpus, CorpusConfig};
@@ -256,5 +256,197 @@ fn seeded_chaos_run_still_matches_the_sequential_reference() {
     assert_eq!(
         out.outcome.pretrained.curves.val,
         reference.pretrained.curves.val
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Faults on grid coordinates: tensor-parallel peers and pipeline stages.
+// ---------------------------------------------------------------------------
+
+/// Kill `victim` (a grid seat) at step 3 of a resilient run on `topo`
+/// and assert typed detection, a postmortem that flags the victim seat,
+/// and a recovered run bit-identical to one that never faulted.
+fn assert_kill_recovers_bitwise(topo: Topology, victim: usize) {
+    let cfg = cfg(4);
+    let res = ResilienceConfig {
+        snapshot_every: 2,
+        faults: FaultPlan::kill(victim, 3),
+        policy: RecoveryPolicy::Respawn,
+        ..ResilienceConfig::default()
+    };
+    let out = DataParallel::new(topo).train_resilient(docs(), &cfg, res);
+
+    assert_eq!(out.resilience.faults_fired, 1, "{}", topo.describe());
+    assert_eq!(out.resilience.recoveries.len(), 1);
+    let ev = &out.resilience.recoveries[0];
+    assert_eq!(ev.detected_at_step, 3);
+    assert_eq!(ev.dead_ranks, vec![victim]);
+    assert_eq!(ev.cause, FailureCause::RankLost);
+    assert_eq!(ev.rolled_back_to, 2);
+    assert_eq!(
+        (ev.workers_before, ev.workers_after),
+        (topo.world(), topo.world())
+    );
+    let pm = &out.resilience.postmortems[0];
+    assert_eq!(pm.victims, vec![victim as u64]);
+    assert!(pm.cause.contains("RankLost"), "{}", pm.cause);
+    assert!(
+        pm.trace_json.contains(&format!("rank {victim} (victim)")),
+        "victim track flagged in the dump"
+    );
+    // committed steps: 6 planned + the 1 re-executed after the rollback
+    assert_eq!(out.outcome.report.steps_run, cfg.steps + ev.lost_steps);
+
+    let clean = DataParallel::new(topo).train(docs(), &cfg);
+    assert_eq!(
+        out.outcome.pretrained.store.flat_values(),
+        clean.pretrained.store.flat_values(),
+        "{} weights",
+        topo.describe()
+    );
+    assert_eq!(
+        out.outcome.pretrained.curves.train,
+        clean.pretrained.curves.train
+    );
+    assert_eq!(
+        out.outcome.pretrained.curves.val,
+        clean.pretrained.curves.val
+    );
+    // fault-free and recovered runs measure the same per-step traffic
+    assert_eq!(clean.report.steps_run, cfg.steps);
+    assert_eq!(
+        out.outcome.report.measured_allreduce_bytes_per_step,
+        clean.report.measured_allreduce_bytes_per_step
+    );
+}
+
+/// A dead tensor-parallel peer: its ring partner sees the activation
+/// allreduce disconnect mid-forward, the coordinator names the seat, and
+/// the run recovers from the full-model snapshot.
+#[test]
+fn killed_tp_peer_is_detected_and_recovered_bitwise() {
+    assert_kill_recovers_bitwise(Topology::new(1, 2, 1), 1);
+}
+
+/// A dead pipeline stage: the neighbour's boundary send/recv fails as a
+/// typed `RankLost`, never a hang, and the run recovers bitwise.
+#[test]
+fn killed_pipeline_stage_is_detected_and_recovered_bitwise() {
+    assert_kill_recovers_bitwise(Topology::new(1, 1, 2), 1);
+}
+
+/// Shrink acts on the dp axis: a tp death on `{2,2,1}` takes its whole
+/// replica with it, and the `{1,2,1}` continuation equals a fresh
+/// `{1,2,1}` grid resuming the same snapshot.
+#[test]
+fn tp_death_shrinks_its_whole_replica() {
+    let cfg = cfg(4);
+    let topo = Topology::new(2, 2, 1).with_zero1();
+    let res = ResilienceConfig {
+        snapshot_every: 2,
+        faults: FaultPlan::kill(topo.seat(1, 0, 1), 3),
+        policy: RecoveryPolicy::Shrink,
+        ..ResilienceConfig::default()
+    };
+    let out = DataParallel::new(topo).train_resilient(docs(), &cfg, res);
+    let ev = &out.resilience.recoveries[0];
+    assert_eq!(ev.dead_ranks, vec![3]);
+    assert_eq!((ev.workers_before, ev.workers_after), (4, 2));
+    assert_eq!(out.outcome.report.workers, 2);
+
+    let (_, image) = rollback_image(&out);
+    let fresh = DataParallel::new(Topology::new(1, 2, 1).with_zero1())
+        .resume(docs(), &cfg, &image)
+        .expect("snapshot resumes on the narrower grid");
+    assert_eq!(
+        out.outcome.pretrained.store.flat_values(),
+        fresh.pretrained.store.flat_values()
+    );
+    assert_eq!(
+        out.outcome.pretrained.curves.val,
+        fresh.pretrained.curves.val
+    );
+}
+
+/// A stalled tp peer sleeping far past the collective timeout is
+/// declared dead rather than waited on; the run completes bit-identically
+/// to a clean one.
+#[test]
+fn stalled_tp_peer_is_declared_dead_not_waited_on() {
+    let cfg = cfg(4);
+    let topo = Topology::new(1, 2, 1);
+    let res = ResilienceConfig {
+        snapshot_every: 2,
+        faults: FaultPlan::stall(1, 2, 3_000),
+        policy: RecoveryPolicy::Respawn,
+        collective_timeout_ms: 150,
+        heartbeat_stale_ms: 600,
+        grace_ms: 250,
+    };
+    let out = DataParallel::new(topo).train_resilient(docs(), &cfg, res);
+
+    assert_eq!(out.resilience.recoveries.len(), 1);
+    let ev = &out.resilience.recoveries[0];
+    assert_eq!(ev.detected_at_step, 2);
+    assert_eq!(ev.dead_ranks, vec![1]);
+    assert_eq!(ev.cause, FailureCause::Stalled);
+
+    let clean = DataParallel::new(topo).train(docs(), &cfg);
+    assert_eq!(
+        out.outcome.pretrained.store.flat_values(),
+        clean.pretrained.store.flat_values()
+    );
+}
+
+/// Seeded chaos on a composed grid: kills sampled from the simulator's
+/// MTBF process over the four seats of a `{2,2,1}` ZeRO-1 grid (so dp
+/// ranks and tp peers both die), respawn recovery. Whatever fires, the
+/// result equals the grid's sequential reference bit-for-bit.
+/// `MATGPT_CHAOS_SEED` selects the schedule, as for the dp-only run.
+#[test]
+fn seeded_chaos_on_a_dp_tp_grid_still_matches_the_sequential_reference() {
+    let seed: u64 = std::env::var("MATGPT_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(7);
+    let cfg = cfg(4);
+    let topo = Topology::new(2, 2, 1).with_zero1();
+    let model = FaultModel {
+        node_mtbf_hours: 0.004,
+        gcds_per_node: 1,
+        straggler_prob: 0.0,
+        seed,
+        ..FaultModel::default()
+    };
+    let faults = FaultPlan::from_model(&model, topo.world(), cfg.steps, 1.0);
+    let planned = faults.planned().len();
+    let res = ResilienceConfig {
+        snapshot_every: 2,
+        faults,
+        policy: RecoveryPolicy::Respawn,
+        ..ResilienceConfig::default()
+    };
+    let out = DataParallel::new(topo).train_resilient(docs(), &cfg, res);
+
+    assert_eq!(out.resilience.faults_planned, planned);
+    assert_eq!(out.resilience.final_workers, topo.world());
+    assert_eq!(
+        out.resilience.steps_executed,
+        cfg.steps + out.resilience.lost_steps + out.resilience.recoveries.len()
+    );
+    assert_eq!(
+        out.outcome.report.steps_run,
+        cfg.steps + out.resilience.lost_steps
+    );
+
+    let reference = reference_topology(docs(), &cfg, topo).expect("reference grid");
+    assert_eq!(
+        out.outcome.pretrained.store.flat_values(),
+        reference.store.flat_values()
+    );
+    assert_eq!(out.outcome.pretrained.curves.train, reference.train_curve);
+    assert_eq!(
+        out.outcome.pretrained.curves.final_val().to_bits(),
+        reference.final_val.to_bits()
     );
 }
