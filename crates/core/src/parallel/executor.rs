@@ -305,7 +305,6 @@ fn shard_opt_state(
 /// values (every consolidation reloads them first) and leaves `store`
 /// unchanged.
 fn consolidate_opt_state(
-    model: &GptModel,
     store: &mut ParamStore,
     grid: &mut Grid,
     columns: &[OptimizerState],
@@ -316,7 +315,7 @@ fn consolidate_opt_state(
             for (column, (_, shard)) in columns.iter().zip(grid.iter_mut().flatten()) {
                 restore_values(shard, &column.slots[k]);
             }
-            consolidate_shards(model, store, &grid_view(grid));
+            consolidate_shards(store, &grid_view(grid));
             snapshot_values(store)
         })
         .collect();
@@ -1049,7 +1048,7 @@ impl Coordinator<'_> {
                         let weights = done.weights.as_ref().expect("replica 0 exports weights");
                         shard.load_flat_values(weights);
                     }
-                    consolidate_shards(model, store, &grid_view(template));
+                    consolidate_shards(store, &grid_view(template));
                 }
                 if validate {
                     let _s = Span::enter(pids::PARALLEL, "dp", "validation");
@@ -1076,7 +1075,7 @@ impl Coordinator<'_> {
                         })
                         .collect();
                     let template = template.as_mut().expect("an image step exports weights");
-                    let opt_state = consolidate_opt_state(model, store, template, &columns);
+                    let opt_state = consolidate_opt_state(store, template, &columns);
                     let image = encode_checkpoint(
                         cfg,
                         store,
@@ -1523,7 +1522,7 @@ pub(crate) fn reference_grid(
             step + 1 == cfg.steps
         };
         if validate {
-            consolidate_shards(&model, &mut store, &grid_view(&grid));
+            consolidate_shards(&mut store, &grid_view(&grid));
             val_curve.push((step, validation_loss_on(&model, &store, &val_batches)));
         }
     }

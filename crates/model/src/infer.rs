@@ -20,7 +20,7 @@
 //!   attention), the tape path is a training-time convenience.
 
 use crate::config::ArchKind;
-use crate::gpt::GptModel;
+use crate::gpt::{GptModel, Slot::*};
 use crate::quant::ForwardParams;
 use matgpt_tensor::kernels::activation as act;
 use matgpt_tensor::kernels::infer::{cached_attention, rotary_rows};
@@ -349,37 +349,37 @@ impl GptModel {
         let mut scratch = vec![0.0f32; n * h];
         for (li, layer) in self.layers.iter().enumerate() {
             // --- attention block
-            self.norm_rows(&ctx, &x, &mut scratch, n, layer.ln1_g, layer.ln1_b);
-            let mut q = ctx.linear(&scratch, layer.wq, layer.bq, n, h, h);
-            let mut k = ctx.linear(&scratch, layer.wk, layer.bk, n, h, kv_dim);
-            let v = ctx.linear(&scratch, layer.wv, layer.bv, n, h, kv_dim);
+            self.norm_rows(&ctx, &x, &mut scratch, n, layer.id(Ln1G), layer.get(Ln1B));
+            let mut q = ctx.linear(&scratch, layer.id(Wq), layer.get(Bq), n, h, h);
+            let mut k = ctx.linear(&scratch, layer.id(Wk), layer.get(Bk), n, h, kv_dim);
+            let v = ctx.linear(&scratch, layer.id(Wv), layer.get(Bv), n, h, kv_dim);
             rotary_rows(&mut q, &positions, heads, d, cfg.rope_base);
             rotary_rows(&mut k, &positions, kv_heads, d, cfg.rope_base);
             cache.write(li, &k, &v);
             let mut att = vec![0.0f32; n * heads * d];
             cache.attend(li, &q, &mut att, n, heads, kv_heads, d);
-            let proj = ctx.linear(&att, layer.wo, layer.bo, n, h, h);
+            let proj = ctx.linear(&att, layer.id(Wo), layer.get(Bo), n, h, h);
             for (o, &p) in x.iter_mut().zip(&proj) {
                 *o += p;
             }
             // --- mlp block
-            self.norm_rows(&ctx, &x, &mut scratch, n, layer.ln2_g, layer.ln2_b);
+            self.norm_rows(&ctx, &x, &mut scratch, n, layer.id(Ln2G), layer.get(Ln2B));
             let m = cfg.mlp_hidden();
             let mlp = match cfg.arch {
                 ArchKind::NeoX => {
-                    let mut a = ctx.linear(&scratch, layer.w1, layer.b1, n, h, m);
+                    let mut a = ctx.linear(&scratch, layer.id(W1), layer.get(B1), n, h, m);
                     for v in a.iter_mut() {
                         *v = act::gelu(*v);
                     }
-                    ctx.linear(&a, layer.w2, layer.b2, n, m, h)
+                    ctx.linear(&a, layer.id(W2), layer.get(B2), n, m, h)
                 }
                 ArchKind::Llama => {
-                    let mut gate = ctx.linear(&scratch, layer.w1, None, n, h, m);
-                    let up = ctx.linear(&scratch, layer.w3.expect("llama w3"), None, n, h, m);
+                    let mut gate = ctx.linear(&scratch, layer.id(W1), None, n, h, m);
+                    let up = ctx.linear(&scratch, layer.id(W3), None, n, h, m);
                     for (g, &u) in gate.iter_mut().zip(&up) {
                         *g = act::silu(*g) * u;
                     }
-                    ctx.linear(&gate, layer.w2, None, n, m, h)
+                    ctx.linear(&gate, layer.id(W2), None, n, m, h)
                 }
             };
             for (o, &p) in x.iter_mut().zip(&mlp) {

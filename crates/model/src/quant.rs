@@ -2,8 +2,9 @@
 //! weights.
 //!
 //! [`QuantizedParamStore::quantize`] walks a trained [`ParamStore`] and
-//! converts every matmul weight the decode path streams through —
-//! `wq`/`wk`/`wv`/`wo`, the MLP matrices, and the LM head — to
+//! converts every matmul weight the decode path streams through — the
+//! 2-D rows of [`crate::gpt`]'s per-layer layout table (the attention
+//! and MLP matrices) and the LM head — to
 //! per-channel symmetric int8 ([`matgpt_tensor::QuantizedMatrix`]),
 //! while the small tensors whose values are read element-wise (token
 //! embeddings, norm gains, biases) stay f32. The result is
@@ -89,17 +90,20 @@ pub struct QuantizedParamStore {
 impl QuantizedParamStore {
     /// Quantize `model`'s matmul weights out of `store`.
     pub fn quantize(model: &GptModel, store: &ParamStore) -> Self {
-        let mut matmul_ids = vec![model.lm_head];
-        for layer in &model.layers {
-            matmul_ids.extend([layer.wq, layer.wk, layer.wv, layer.wo, layer.w1, layer.w2]);
-            matmul_ids.extend(layer.w3);
-        }
-        let mut quant = HashMap::new();
-        for id in matmul_ids {
-            let t = store.value(id);
-            let (k, n) = t.as_2d();
-            quant.insert(id, QuantizedMatrix::quantize(t.data(), k, n));
-        }
+        let layer_matmuls = model.layers.iter().flat_map(|layer| {
+            layer
+                .iter()
+                .filter(|(spec, _)| spec.is_matmul())
+                .map(|(_, id)| id)
+        });
+        let quant: HashMap<_, _> = std::iter::once(model.lm_head)
+            .chain(layer_matmuls)
+            .map(|id| {
+                let t = store.value(id);
+                let (k, n) = t.as_2d();
+                (id, QuantizedMatrix::quantize(t.data(), k, n))
+            })
+            .collect();
         let dense = store
             .ids()
             .filter(|id| !quant.contains_key(id))

@@ -1,29 +1,40 @@
-//! Megatron-style tensor-parallel shards of [`crate::GptModel`], plus
-//! the sequential-reference graph builder that defines their bitwise
-//! equivalence target.
+//! Megatron-style tensor-parallel shards of [`crate::GptModel`]: carving
+//! and re-assembling them, and the two sharded callers of the one tape
+//! forward, [`crate::gpt`]'s `walk`.
 //!
-//! The shard layout follows GPT-NeoX-20B / Megatron-LM:
+//! The shard layout follows GPT-NeoX-20B / Megatron-LM and is read off
+//! the `split` column of `crate::gpt::LAYER_LAYOUT`, never re-listed
+//! here:
 //!
-//! * **column-parallel** — `wq`/`wk`/`wv` (by contiguous head blocks),
-//!   `w1`/`w3` (MLP up/gate) and their biases: each rank holds a column
-//!   slice and computes a disjoint slice of the output features;
-//! * **row-parallel** — `wo`, `w2` (the projections back to the
-//!   residual stream): each rank holds the row block matching its
+//! * **column-parallel** (`Split::Col`) — the q/k/v projections (by
+//!   contiguous head blocks), the MLP up/gate projections and their
+//!   biases: each rank holds a column slice and computes a disjoint
+//!   slice of the output features;
+//! * **row-parallel** (`Split::Row`) — the two projections back to the
+//!   residual stream: each rank holds the row block matching its
 //!   column slice and produces a *partial sum* of the full output,
 //!   combined by an allreduce (the Megatron "g" point);
-//! * **replicated** — embeddings, norms, the output biases `bo`/`b2`
-//!   (added after the allreduce), and `lm_head`: identical on every
-//!   rank, kept in lockstep because every gradient that reaches them
-//!   has already been allreduced (the Megatron "f" point).
+//! * **replicated** — embeddings, norms, the row-parallel outputs'
+//!   biases (added after the allreduce) and the LM head: identical on
+//!   every rank, kept in lockstep because every gradient that reaches
+//!   them has already been allreduced (the Megatron "f" point).
 //!
-//! Equivalence contract: a threaded TP×t run is bit-identical to the
-//! sequential reference built by [`reference_loss`], which folds the
-//! per-rank partials with the exact ring reduction order
-//! ([`matgpt_tensor::ring_fold`]); at `t = 1, pp = 1` the reference
-//! graph degenerates node-for-node to [`crate::GptModel::loss`].
+//! Which entry point is which caller of the walk:
+//!
+//! * [`ShardModel::stage_forward`] — what a threaded grid worker runs:
+//!   one rank view (its shard of its stage), the sync points are real
+//!   collectives on the worker's [`CommHook`];
+//! * [`reference_loss`] — the sequential reference: per stage, all `tp`
+//!   shards as views on one tape, the sync points folded on the tape in
+//!   the exact ring reduction order ([`matgpt_tensor::ring_fold`]).
+//!
+//! Equivalence contract: a threaded TP×t run is bit-identical to
+//! [`reference_loss`]; at `t = 1` (any `pp`) both record node for node
+//! the tape [`crate::GptModel::loss`] records, since every sync op is
+//! the identity for a group of one.
 
-use crate::config::{ArchKind, GptConfig};
-use crate::gpt::{GptModel, LayerIds};
+use crate::config::GptConfig;
+use crate::gpt::{walk, GptModel, LayerIds, RankView, Split, WalkFrom, WalkTo, LAYER_LAYOUT};
 use matgpt_tensor::{CommHook, ParamId, ParamStore, Tape, Tensor, Var};
 use std::ops::Range;
 
@@ -131,43 +142,58 @@ pub fn stage_ranges(layers: usize, p: usize) -> Vec<Range<usize>> {
 }
 
 /// Is this parameter tensor sharded under TP (true) or replicated
-/// (false)? Classified by the registration-name suffix.
+/// (false)? Looked up in `LAYER_LAYOUT` by the registration name's
+/// `layer{l}.`-stripped suffix; the model ends are all replicated.
 pub fn is_sharded_name(name: &str) -> bool {
-    let suffix = name.rsplit('.').next().unwrap_or(name);
-    matches!(
-        suffix,
-        "wq" | "bq" | "wk" | "bk" | "wv" | "bv" | "w1" | "b1" | "w3" | "wo" | "w2"
-    )
+    name.split_once('.').is_some_and(|(_, suffix)| {
+        LAYER_LAYOUT
+            .iter()
+            .any(|spec| spec.suffix == suffix && spec.split != Split::Replicated)
+    })
 }
 
-/// Does a sharded tensor split by rows (`wo`, `w2`) rather than columns?
-fn is_row_sharded(name: &str) -> bool {
-    let suffix = name.rsplit('.').next().unwrap_or(name);
-    matches!(suffix, "wo" | "w2")
-}
-
-fn col_slice(t: &Tensor, cols: &Range<usize>) -> Tensor {
-    assert_eq!(t.rank(), 2, "column slice of a 2-D tensor");
-    let (rows, c) = (t.dim(0), t.dim(1));
-    let w = cols.len();
-    let mut data = Vec::with_capacity(rows * w);
-    for r in 0..rows {
-        data.extend_from_slice(&t.data()[r * c + cols.start..r * c + cols.end]);
+/// The `(rows, columns)` block of a full tensor that TP rank `r` of `tp`
+/// holds under `split`, and the full row width. A vector is one row.
+fn shard_block(
+    split: Split,
+    shape: &[usize],
+    r: usize,
+    tp: usize,
+) -> (Range<usize>, Range<usize>, usize) {
+    let (rows, cols) = match *shape {
+        [n] => (1, n),
+        [rows, cols] => (rows, cols),
+        _ => panic!("model tensors are vectors or matrices, not {shape:?}"),
+    };
+    let block = |n: usize| r * n / tp..(r + 1) * n / tp;
+    match split {
+        Split::Replicated => (0..rows, 0..cols, cols),
+        Split::Col => (0..rows, block(cols), cols),
+        Split::Row => (block(rows), 0..cols, cols),
     }
-    Tensor::from_vec(&[rows, w], data)
 }
 
-fn row_slice(t: &Tensor, rows: &Range<usize>) -> Tensor {
-    assert_eq!(t.rank(), 2, "row slice of a 2-D tensor");
-    let c = t.dim(1);
-    Tensor::from_vec(
-        &[rows.len(), c],
-        t.data()[rows.start * c..rows.end * c].to_vec(),
-    )
+/// Rank `r` of `tp`'s exact slice of `full`.
+fn shard_of(full: &Tensor, split: Split, r: usize, tp: usize) -> Tensor {
+    let (rows, cols, width) = shard_block(split, full.shape(), r, tp);
+    let mut data = Vec::with_capacity(rows.len() * cols.len());
+    for row in rows.clone() {
+        data.extend_from_slice(&full.data()[row * width + cols.start..row * width + cols.end]);
+    }
+    if full.rank() == 1 {
+        Tensor::from_vec(&[cols.len()], data)
+    } else {
+        Tensor::from_vec(&[rows.len(), cols.len()], data)
+    }
 }
 
-fn vec_slice(t: &Tensor, r: &Range<usize>) -> Tensor {
-    Tensor::from_vec(&[r.len()], t.data()[r.clone()].to_vec())
+/// Inverse of [`shard_of`]: write rank `r`'s slice back into `full`.
+fn unshard_into(full: &mut Tensor, shard: &Tensor, split: Split, r: usize, tp: usize) {
+    let (rows, cols, width) = shard_block(split, full.shape(), r, tp);
+    assert_eq!(shard.numel(), rows.len() * cols.len(), "shard geometry");
+    for (src, row) in shard.data().chunks_exact(cols.len()).zip(rows) {
+        full.data_mut()[row * width + cols.start..row * width + cols.end].copy_from_slice(src);
+    }
 }
 
 /// One rank's stage of the model: the owned layer span sharded across
@@ -191,6 +217,10 @@ pub struct ShardModel {
     lnf_g: Option<ParamId>,
     lnf_b: Option<ParamId>,
     lm_head: Option<ParamId>,
+    /// The full-store tensor each of this shard's tensors was carved
+    /// from and how, in registration order — the way back for
+    /// [`consolidate_shards`].
+    origin: Vec<(ParamId, Split)>,
 }
 
 /// Carve rank `(rank of tp)`'s shard of `layer_range` out of a fully
@@ -209,60 +239,28 @@ pub fn shard_model(
     let cfg = full.cfg.clone();
     validate_plan(&cfg, tp, 1).expect("validated layout");
     assert!(rank < tp, "rank within group");
-    let h = cfg.hidden;
-    let m = cfg.mlp_hidden();
-    let kvd = cfg.kv_head_count() * cfg.head_dim();
-    let hcols = rank * h / tp..(rank + 1) * h / tp;
-    let kvcols = rank * kvd / tp..(rank + 1) * kvd / tp;
-    let mcols = rank * m / tp..(rank + 1) * m / tp;
 
     let mut store = ParamStore::new();
-    let copy = |store: &mut ParamStore, id: ParamId| {
-        store.add(full_store.name(id), full_store.value(id).clone())
+    let mut origin = Vec::new();
+    let mut carve = |id: ParamId, split: Split| {
+        origin.push((id, split));
+        let slice = shard_of(full_store.value(id), split, rank, tp);
+        store.add(full_store.name(id), slice)
     };
-    let col = |store: &mut ParamStore, id: ParamId, cols: &Range<usize>| {
-        let v = full_store.value(id);
-        let sliced = if v.rank() == 2 {
-            col_slice(v, cols)
-        } else {
-            vec_slice(v, cols)
-        };
-        store.add(full_store.name(id), sliced)
-    };
-    let row = |store: &mut ParamStore, id: ParamId, rows: &Range<usize>| {
-        store.add(full_store.name(id), row_slice(full_store.value(id), rows))
-    };
-
-    let tok_emb = first_stage.then(|| copy(&mut store, full.tok_emb));
-    let mut layers = Vec::with_capacity(layer_range.len());
-    for l in layer_range.clone() {
-        let src = &full.layers[l];
-        layers.push(LayerIds {
-            ln1_g: copy(&mut store, src.ln1_g),
-            ln1_b: src.ln1_b.map(|id| copy(&mut store, id)),
-            wq: col(&mut store, src.wq, &hcols),
-            bq: src.bq.map(|id| col(&mut store, id, &hcols)),
-            wk: col(&mut store, src.wk, &kvcols),
-            bk: src.bk.map(|id| col(&mut store, id, &kvcols)),
-            wv: col(&mut store, src.wv, &kvcols),
-            bv: src.bv.map(|id| col(&mut store, id, &kvcols)),
-            wo: row(&mut store, src.wo, &hcols),
-            bo: src.bo.map(|id| copy(&mut store, id)),
-            ln2_g: copy(&mut store, src.ln2_g),
-            ln2_b: src.ln2_b.map(|id| copy(&mut store, id)),
-            w1: col(&mut store, src.w1, &mcols),
-            b1: src.b1.map(|id| col(&mut store, id, &mcols)),
-            w2: row(&mut store, src.w2, &mcols),
-            b2: src.b2.map(|id| copy(&mut store, id)),
-            w3: src.w3.map(|id| col(&mut store, id, &mcols)),
-        });
-    }
-    let lnf_g = last_stage.then(|| copy(&mut store, full.lnf_g));
+    let tok_emb = first_stage.then(|| carve(full.tok_emb, Split::Replicated));
+    let layers = layer_range
+        .clone()
+        .map(|l| {
+            let src = &full.layers[l];
+            LayerIds::from_fn(|spec| src.get(spec.slot).map(|id| carve(id, spec.split)))
+        })
+        .collect();
+    let lnf_g = last_stage.then(|| carve(full.lnf_g, Split::Replicated));
     let lnf_b = full
         .lnf_b
         .filter(|_| last_stage)
-        .map(|id| copy(&mut store, id));
-    let lm_head = last_stage.then(|| copy(&mut store, full.lm_head));
+        .map(|id| carve(id, Split::Replicated));
+    let lm_head = last_stage.then(|| carve(full.lm_head, Split::Replicated));
 
     (
         ShardModel {
@@ -277,6 +275,7 @@ pub fn shard_model(
             lnf_g,
             lnf_b,
             lm_head,
+            origin,
         },
         store,
     )
@@ -316,132 +315,24 @@ impl ShardModel {
             .collect()
     }
 
-    fn stage_param(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        staged: &mut Vec<(ParamId, Var)>,
-        id: ParamId,
-    ) -> Var {
-        let v = tape.param(store, id);
-        staged.push((id, v));
-        v
-    }
-
-    fn norm(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        staged: &mut Vec<(ParamId, Var)>,
-        x: Var,
-        g: ParamId,
-        b: Option<ParamId>,
-    ) -> Var {
-        let gv = self.stage_param(tape, store, staged, g);
-        match self.cfg.arch {
-            ArchKind::NeoX => {
-                let bv = self.stage_param(tape, store, staged, b.expect("NeoX LayerNorm beta"));
-                tape.layernorm(x, gv, bv, self.cfg.norm_eps)
-            }
-            ArchKind::Llama => tape.rmsnorm(x, gv, self.cfg.norm_eps),
+    /// This shard as one rank view for [`walk`].
+    fn view<'a>(&'a self, store: &'a ParamStore) -> RankView<'a> {
+        RankView {
+            store,
+            tok_emb: self.tok_emb,
+            layers: &self.layers,
+            lnf_g: self.lnf_g,
+            lnf_b: self.lnf_b,
+            lm_head: self.lm_head,
+            staged: Vec::new(),
         }
     }
 
-    fn proj(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        staged: &mut Vec<(ParamId, Var)>,
-        x: Var,
-        w: ParamId,
-        b: Option<ParamId>,
-    ) -> Var {
-        let wv = self.stage_param(tape, store, staged, w);
-        let y = tape.matmul(x, wv);
-        match b {
-            Some(b) => {
-                let bv = self.stage_param(tape, store, staged, b);
-                tape.add_bias(y, bv)
-            }
-            None => y,
-        }
-    }
-
-    /// This rank's attention partial for local layer `li`: from the
-    /// (synced) norm output to the row-parallel `wo` product — the
-    /// pre-allreduce partial sum, no output bias.
-    #[allow(clippy::too_many_arguments)]
-    fn attn_partial(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        staged: &mut Vec<(ParamId, Var)>,
-        li: usize,
-        n1s: Var,
-        batch: usize,
-        seq: usize,
-    ) -> Var {
-        let layer = &self.layers[li];
-        let heads = self.cfg.heads / self.tp;
-        let kv_heads = self.cfg.kv_head_count() / self.tp;
-        let d = self.cfg.head_dim();
-        let q = self.proj(tape, store, staged, n1s, layer.wq, layer.bq);
-        let k = self.proj(tape, store, staged, n1s, layer.wk, layer.bk);
-        let v = self.proj(tape, store, staged, n1s, layer.wv, layer.bv);
-        let q = tape.split_heads(q, batch, seq, heads, d);
-        let k = tape.split_heads(k, batch, seq, kv_heads, d);
-        let v = tape.split_heads(v, batch, seq, kv_heads, d);
-        let q = tape.rotary(q, seq, d, self.cfg.rope_base);
-        let k = tape.rotary(k, seq, d, self.cfg.rope_base);
-        let (k, v) = if kv_heads < heads {
-            (
-                crate::gpt::expand_kv_heads(tape, k, batch, seq, heads, kv_heads, d),
-                crate::gpt::expand_kv_heads(tape, v, batch, seq, heads, kv_heads, d),
-            )
-        } else {
-            (k, v)
-        };
-        let att = tape.causal_attention(q, k, v, batch * heads, seq, d);
-        let att = tape.merge_heads(att, batch, seq, heads, d);
-        let att = tape.reshape(att, &[batch * seq, heads * d]);
-        let wv = self.stage_param(tape, store, staged, layer.wo);
-        tape.matmul(att, wv)
-    }
-
-    /// This rank's MLP partial for local layer `li`: from the (synced)
-    /// norm output to the row-parallel `w2` product — the pre-allreduce
-    /// partial sum, no output bias.
-    fn mlp_partial(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        staged: &mut Vec<(ParamId, Var)>,
-        li: usize,
-        n2s: Var,
-    ) -> Var {
-        let layer = &self.layers[li];
-        match self.cfg.arch {
-            ArchKind::NeoX => {
-                let a = self.proj(tape, store, staged, n2s, layer.w1, layer.b1);
-                let a = tape.gelu(a);
-                let wv = self.stage_param(tape, store, staged, layer.w2);
-                tape.matmul(a, wv)
-            }
-            ArchKind::Llama => {
-                let gate = self.proj(tape, store, staged, n2s, layer.w1, None);
-                let gate = tape.silu(gate);
-                let up = self.proj(tape, store, staged, n2s, layer.w3.expect("llama w3"), None);
-                let a = tape.mul(gate, up);
-                let wv = self.stage_param(tape, store, staged, layer.w2);
-                tape.matmul(a, wv)
-            }
-        }
-    }
-
-    /// One rank's threaded forward over its stage span. TP sync points
-    /// go through `comm` ([`Tape::sync_grad`] before each sharded
-    /// block, [`Tape::sync_sum`] after each row-parallel product); a
-    /// group of one makes both no-ops and the graph degenerates to
+    /// One rank's threaded forward over its stage span: `walk` with
+    /// this shard as the only view and `comm` at the TP sync points
+    /// ([`Tape::sync_grad`] before each sharded block,
+    /// [`Tape::sync_sum`] after each row-parallel product); a group of
+    /// one makes both no-ops and the graph degenerates to
     /// [`crate::GptModel`]'s. With `targets` on the last stage the
     /// output is the scalar loss, otherwise the boundary hidden states.
     #[allow(clippy::too_many_arguments)]
@@ -455,66 +346,40 @@ impl ShardModel {
         batch: usize,
         seq: usize,
     ) -> StageForward {
-        let mut staged = Vec::new();
-        let (mut x, input_var) = match input {
+        assert_eq!(comm.0.group(), self.tp, "hook spans this shard's TP group");
+        let (from, input_var) = match input {
             StageInput::Tokens(tokens) => {
                 assert!(self.first_stage, "tokens enter at the first stage");
                 assert_eq!(tokens.len(), batch * seq, "token layout");
-                let emb = self.stage_param(tape, store, &mut staged, self.tok_emb.expect("emb"));
-                (tape.embedding(emb, tokens), None)
+                (WalkFrom::Tokens(tokens), None)
             }
             StageInput::Activation(act) => {
                 assert!(!self.first_stage, "activations enter at later stages");
                 let v = tape.input(act);
-                (v, Some(v))
+                (WalkFrom::Hidden(v), Some(v))
             }
         };
-        for li in 0..self.layers.len() {
-            let layer = &self.layers[li];
-            let n1 = self.norm(tape, store, &mut staged, x, layer.ln1_g, layer.ln1_b);
-            let n1s = tape.sync_grad(n1, comm);
-            let part = self.attn_partial(tape, store, &mut staged, li, n1s, batch, seq);
-            let mut y = tape.sync_sum(part, comm);
-            if let Some(bo) = layer.bo {
-                let bv = self.stage_param(tape, store, &mut staged, bo);
-                y = tape.add_bias(y, bv);
-            }
-            x = tape.add(x, y);
-            let n2 = self.norm(tape, store, &mut staged, x, layer.ln2_g, layer.ln2_b);
-            let n2s = tape.sync_grad(n2, comm);
-            let part = self.mlp_partial(tape, store, &mut staged, li, n2s);
-            let mut y = tape.sync_sum(part, comm);
-            if let Some(b2) = layer.b2 {
-                let bv = self.stage_param(tape, store, &mut staged, b2);
-                y = tape.add_bias(y, bv);
-            }
-            x = tape.add(x, y);
-        }
-        let out = if self.last_stage {
-            let hid = self.norm(
-                tape,
-                store,
-                &mut staged,
-                x,
-                self.lnf_g.expect("lnf"),
-                self.lnf_b,
-            );
-            match targets {
-                Some(targets) => {
-                    let head =
-                        self.stage_param(tape, store, &mut staged, self.lm_head.expect("head"));
-                    let logits = tape.matmul(hid, head);
-                    tape.cross_entropy(logits, targets)
-                }
-                None => hid,
-            }
-        } else {
-            x
+        let to = match (self.last_stage, targets) {
+            (false, _) => WalkTo::Boundary,
+            (true, Some(targets)) => WalkTo::Loss(targets),
+            (true, None) => WalkTo::Hidden,
         };
+        let mut views = [self.view(store)];
+        let out = walk(
+            &self.cfg,
+            tape,
+            &mut views,
+            Some(comm),
+            from,
+            to,
+            batch,
+            seq,
+        );
+        let [view] = views;
         StageForward {
             out,
             input: input_var,
-            staged,
+            staged: view.staged,
         }
     }
 }
@@ -532,12 +397,13 @@ pub fn accumulate_staged_grads(tape: &Tape, staged: &[(ParamId, Var)], store: &m
 }
 
 /// One micro-batch chunk's loss on the **sequential reference** graph:
-/// all `pp × tp` shards drive a single tape, with
-/// [`Tape::tp_branches`] / [`Tape::ring_sum`] standing in for the
-/// threaded sync points (same ring-fold reduction order) and stage
-/// boundaries flowing through directly (a threaded boundary transfers
-/// the same bits). Replicated segments are computed once, against TP
-/// rank 0's copies — the copies every consolidation reads.
+/// `walk` once per stage with all of the stage's `tp` shards as its
+/// views on a single tape, so [`Tape::tp_branches`] /
+/// [`Tape::ring_sum`] stand in for the threaded sync points (same
+/// ring-fold reduction order) and stage boundaries flow through
+/// directly (a threaded boundary transfers the same bits). Replicated
+/// segments are computed once, against TP rank 0's copies — the copies
+/// every consolidation reads.
 ///
 /// Returns the loss and the staged `(param, var)` pairs per
 /// `[stage][tp rank]`, for accumulation into the matching shard store.
@@ -550,176 +416,104 @@ pub fn reference_loss(
     batch: usize,
     seq: usize,
 ) -> (Var, Vec<Vec<Vec<(ParamId, Var)>>>) {
-    let t = stages[0].len();
-    let mut staged: Vec<Vec<Vec<(ParamId, Var)>>> =
-        stages.iter().map(|s| vec![Vec::new(); s.len()]).collect();
-
-    let (m0, s0) = stages[0][0];
-    assert!(m0.first_stage && stages.last().expect("stages")[0].0.last_stage);
-    let mut x = {
-        let emb = m0.stage_param(tape, s0, &mut staged[0][0], m0.tok_emb.expect("emb"));
-        tape.embedding(emb, inputs)
-    };
+    let cfg = &stages[0][0].0.cfg;
+    let mut staged = Vec::with_capacity(stages.len());
+    let mut x = None;
     for (si, stage) in stages.iter().enumerate() {
-        let (lead, lead_store) = stage[0];
-        for li in 0..lead.layers.len() {
-            // --- attention block
-            let n1 = lead.norm(
-                tape,
-                lead_store,
-                &mut staged[si][0],
-                x,
-                lead.layers[li].ln1_g,
-                lead.layers[li].ln1_b,
-            );
-            let branches = tape.tp_branches(n1, t);
-            let parts: Vec<Var> = (0..t)
-                .map(|r| {
-                    let (m, s) = stage[r];
-                    m.attn_partial(tape, s, &mut staged[si][r], li, branches[r], batch, seq)
-                })
-                .collect();
-            let mut y = tape.ring_sum(&parts);
-            if let Some(bo) = lead.layers[li].bo {
-                let bv = lead.stage_param(tape, lead_store, &mut staged[si][0], bo);
-                y = tape.add_bias(y, bv);
-            }
-            x = tape.add(x, y);
-            // --- mlp block
-            let n2 = lead.norm(
-                tape,
-                lead_store,
-                &mut staged[si][0],
-                x,
-                lead.layers[li].ln2_g,
-                lead.layers[li].ln2_b,
-            );
-            let branches = tape.tp_branches(n2, t);
-            let parts: Vec<Var> = (0..t)
-                .map(|r| {
-                    let (m, s) = stage[r];
-                    m.mlp_partial(tape, s, &mut staged[si][r], li, branches[r])
-                })
-                .collect();
-            let mut y = tape.ring_sum(&parts);
-            if let Some(b2) = lead.layers[li].b2 {
-                let bv = lead.stage_param(tape, lead_store, &mut staged[si][0], b2);
-                y = tape.add_bias(y, bv);
-            }
-            x = tape.add(x, y);
-        }
+        let mut views: Vec<RankView<'_>> = stage.iter().map(|(m, s)| m.view(s)).collect();
+        let from = x.map_or(WalkFrom::Tokens(inputs), WalkFrom::Hidden);
+        let to = if si + 1 == stages.len() {
+            WalkTo::Loss(targets)
+        } else {
+            WalkTo::Boundary
+        };
+        x = Some(walk(cfg, tape, &mut views, None, from, to, batch, seq));
+        staged.push(views.into_iter().map(|v| v.staged).collect());
     }
-    let last = stages.len() - 1;
-    let (ml, sl) = stages[last][0];
-    let hid = ml.norm(
-        tape,
-        sl,
-        &mut staged[last][0],
-        x,
-        ml.lnf_g.expect("lnf"),
-        ml.lnf_b,
-    );
-    let head = ml.stage_param(tape, sl, &mut staged[last][0], ml.lm_head.expect("head"));
-    let logits = tape.matmul(hid, head);
-    let loss = tape.cross_entropy(logits, targets);
-    (loss, staged)
+    (x.expect("at least one stage"), staged)
 }
 
 /// Write one dp-replica's shard grid back into `full_store`: column
 /// shards re-concatenate along columns, row shards along rows,
-/// replicated tensors copy from TP rank 0. Shapes decide the slice
-/// geometry; names decide the kind ([`is_sharded_name`]).
-pub fn consolidate_shards(
-    full: &GptModel,
-    full_store: &mut ParamStore,
-    stages: &[Vec<(&ShardModel, &ParamStore)>],
-) {
+/// replicated tensors copy from TP rank 0 — each tensor into the
+/// full-store slot, and by the split, it was carved with.
+pub fn consolidate_shards(full_store: &mut ParamStore, stages: &[Vec<(&ShardModel, &ParamStore)>]) {
     for stage in stages {
         for (r, &(model, store)) in stage.iter().enumerate() {
-            let mut full_ids = stage_param_ids(full, model);
-            full_ids.reverse(); // pop from the front in order
-            for sid in store.ids() {
-                let fid = full_ids.pop().expect("shard store mirrors the stage span");
-                let name = store.name(sid);
-                debug_assert_eq!(name, full_store.name(fid), "aligned registration order");
-                let shard = store.value(sid);
-                if !is_sharded_name(name) {
-                    if r == 0 {
-                        *full_store.value_mut(fid) = shard.clone();
-                    }
-                } else if is_row_sharded(name) {
-                    let c = shard.dim(1);
-                    let rows = shard.dim(0);
-                    let dst = full_store.value_mut(fid);
-                    dst.data_mut()[r * rows * c..(r + 1) * rows * c].copy_from_slice(shard.data());
-                } else if shard.rank() == 2 {
-                    let (rows, w) = (shard.dim(0), shard.dim(1));
-                    let dst = full_store.value_mut(fid);
-                    let full_c = dst.numel() / rows;
-                    for row in 0..rows {
-                        dst.data_mut()[row * full_c + r * w..row * full_c + (r + 1) * w]
-                            .copy_from_slice(&shard.data()[row * w..(row + 1) * w]);
-                    }
-                } else {
-                    let w = shard.numel();
-                    let dst = full_store.value_mut(fid);
-                    dst.data_mut()[r * w..(r + 1) * w].copy_from_slice(shard.data());
+            assert_eq!(model.origin.len(), store.len(), "store carved with model");
+            for (sid, &(fid, split)) in store.ids().zip(&model.origin) {
+                debug_assert_eq!(store.name(sid), full_store.name(fid), "aligned order");
+                if split != Split::Replicated || r == 0 {
+                    unshard_into(
+                        full_store.value_mut(fid),
+                        store.value(sid),
+                        split,
+                        r,
+                        model.tp,
+                    );
                 }
             }
         }
     }
 }
 
-/// The full-store parameter ids covered by `shard`'s stage span, in
-/// registration order — the walk [`consolidate_shards`] aligns against.
-fn stage_param_ids(full: &GptModel, shard: &ShardModel) -> Vec<ParamId> {
-    let mut ids = Vec::new();
-    if shard.first_stage {
-        ids.push(full.tok_emb);
-    }
-    for l in shard.layer_range.clone() {
-        let lay = &full.layers[l];
-        ids.push(lay.ln1_g);
-        ids.extend(lay.ln1_b);
-        ids.push(lay.wq);
-        ids.extend(lay.bq);
-        ids.push(lay.wk);
-        ids.extend(lay.bk);
-        ids.push(lay.wv);
-        ids.extend(lay.bv);
-        ids.push(lay.wo);
-        ids.extend(lay.bo);
-        ids.push(lay.ln2_g);
-        ids.extend(lay.ln2_b);
-        ids.push(lay.w1);
-        ids.extend(lay.b1);
-        ids.push(lay.w2);
-        ids.extend(lay.b2);
-        ids.extend(lay.w3);
-    }
-    if shard.last_stage {
-        ids.push(full.lnf_g);
-        ids.extend(full.lnf_b);
-        ids.push(full.lm_head);
-    }
-    ids
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ArchKind;
     use matgpt_tensor::init;
 
-    fn full(arch: ArchKind) -> (GptModel, ParamStore) {
+    /// Both Fig. 2 variants, plus LLaMA with grouped-query attention
+    /// (4 heads over 2 kv heads: `wk`/`wv` are narrower than `wq`).
+    const VARIANTS: [(ArchKind, Option<usize>); 3] = [
+        (ArchKind::NeoX, None),
+        (ArchKind::Llama, None),
+        (ArchKind::Llama, Some(2)),
+    ];
+
+    fn full(arch: ArchKind, kv_heads: Option<usize>) -> (GptModel, ParamStore) {
         let mut store = ParamStore::new();
         let mut rng = init::rng(7);
         let cfg = GptConfig {
             vocab_size: 40,
             max_seq: 16,
+            kv_heads,
             ..GptConfig::tiny(arch, 40)
         };
         let model = GptModel::new(cfg, &mut store, &mut rng);
         (model, store)
+    }
+
+    type Grid = Vec<Vec<(ShardModel, ParamStore)>>;
+
+    fn carve(model: &GptModel, store: &ParamStore, tp: usize, pp: usize) -> Grid {
+        stage_ranges(model.cfg.layers, pp)
+            .into_iter()
+            .enumerate()
+            .map(|(s, range)| {
+                (0..tp)
+                    .map(|r| shard_model(model, store, tp, r, range.clone(), s == 0, s == pp - 1))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn view(grid: &Grid) -> Vec<Vec<(&ShardModel, &ParamStore)>> {
+        grid.iter()
+            .map(|st| st.iter().map(|(m, s)| (m, s)).collect())
+            .collect()
+    }
+
+    /// Consolidate `grid` into a fresh, differently seeded store.
+    fn consolidated(model: &GptModel, grid: &Grid) -> ParamStore {
+        let mut rebuilt = ParamStore::new();
+        GptModel::new(model.cfg.clone(), &mut rebuilt, &mut init::rng(99));
+        consolidate_shards(&mut rebuilt, &view(grid));
+        rebuilt
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -734,49 +528,91 @@ mod tests {
 
     #[test]
     fn shard_then_consolidate_is_identity() {
-        for arch in [ArchKind::NeoX, ArchKind::Llama] {
+        for (arch, kv_heads) in VARIANTS {
+            let (model, store) = full(arch, kv_heads);
+            // the layout table covers every id the store registered, in
+            // order, under the names checkpoints carry
+            let (whole, _) = shard_model(&model, &store, 1, 0, 0..model.cfg.layers, true, true);
+            let covered: Vec<ParamId> = whole.origin.iter().map(|&(id, _)| id).collect();
+            assert_eq!(covered, store.ids().collect::<Vec<_>>(), "{arch:?}");
+            for (l, layer) in model.layers.iter().enumerate() {
+                for (spec, id) in layer.iter() {
+                    assert_eq!(store.name(id), format!("layer{l}.{}", spec.suffix));
+                }
+            }
             for (tp, pp) in [(1, 1), (2, 1), (1, 2), (2, 2), (4, 1)] {
-                let (model, store) = full(arch);
-                let ranges = stage_ranges(model.cfg.layers, pp);
-                let grid: Vec<Vec<(ShardModel, ParamStore)>> = ranges
-                    .iter()
-                    .enumerate()
-                    .map(|(s, range)| {
-                        (0..tp)
-                            .map(|r| {
-                                shard_model(
-                                    &model,
-                                    &store,
-                                    tp,
-                                    r,
-                                    range.clone(),
-                                    s == 0,
-                                    s == pp - 1,
-                                )
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let mut rebuilt = ParamStore::new();
-                let mut rng = init::rng(99);
-                let probe = GptModel::new(model.cfg.clone(), &mut rebuilt, &mut rng);
-                let view: Vec<Vec<(&ShardModel, &ParamStore)>> = grid
-                    .iter()
-                    .map(|st| st.iter().map(|(m, s)| (m, s)).collect())
-                    .collect();
-                consolidate_shards(&probe, &mut rebuilt, &view);
+                if validate_plan(&model.cfg, tp, pp).is_err() {
+                    continue; // 2 kv heads do not split four ways
+                }
+                let rebuilt = consolidated(&model, &carve(&model, &store, tp, pp));
                 for (a, b) in store.ids().zip(rebuilt.ids()) {
                     assert_eq!(store.name(a), rebuilt.name(b));
                     let (va, vb) = (store.value(a), rebuilt.value(b));
                     assert_eq!(va.shape(), vb.shape(), "{}", store.name(a));
-                    let bits =
-                        |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
-                        bits(va),
-                        bits(vb),
+                        bits(va.data()),
+                        bits(vb.data()),
                         "{arch:?} tp={tp} pp={pp} {}",
                         store.name(a)
                     );
+                }
+            }
+        }
+    }
+
+    /// Ties the TP reference to the *unsharded* model (the threaded
+    /// executor is only ever compared to the reference): loss and every
+    /// gradient, written back through [`consolidate_shards`], equal
+    /// [`GptModel::loss`] on the full store — bitwise at `tp = 1`, and
+    /// within `1e-6 + 1e-4·|want|` at `tp = 2`, where the ring fold sums
+    /// the two ranks' partials in a different order than one matmul.
+    #[test]
+    fn reference_over_shards_matches_the_unsharded_model() {
+        let (batch, seq) = (2, 8);
+        let inputs: Vec<u32> = (0..batch * seq).map(|i| (i * 7 % 40) as u32).collect();
+        let targets: Vec<u32> = (0..batch * seq)
+            .map(|i| ((i * 7 + 3) % 40) as u32)
+            .collect();
+        for (arch, kv_heads) in VARIANTS {
+            let (model, mut store) = full(arch, kv_heads);
+            let mut tape = Tape::new();
+            let loss = model.loss(&mut tape, &store, &inputs, &targets, batch, seq);
+            tape.backward(loss);
+            tape.accumulate_param_grads(&mut store);
+            let want_loss = tape.value(loss).item();
+            let want_grads = store.flat_grads();
+            assert!(want_grads.iter().any(|g| *g != 0.0));
+
+            for (tp, pp) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
+                let mut grid = carve(&model, &store, tp, pp);
+                let mut tape = Tape::new();
+                let (loss, staged) =
+                    reference_loss(&view(&grid), &mut tape, &inputs, &targets, batch, seq);
+                tape.backward(loss);
+                let got_loss = tape.value(loss).item();
+                // move each shard's gradients into its values, so the
+                // weight consolidation path carries them back
+                for ((_, shard), staged) in grid.iter_mut().flatten().zip(staged.iter().flatten()) {
+                    accumulate_staged_grads(&tape, staged, shard);
+                    let grads = shard.flat_grads();
+                    shard.load_flat_values(&grads);
+                }
+                let got_grads = consolidated(&model, &grid).flat_values();
+
+                let label = format!("{arch:?} kv={kv_heads:?} tp={tp} pp={pp}");
+                if tp == 1 {
+                    assert_eq!(got_loss.to_bits(), want_loss.to_bits(), "{label} loss");
+                    assert_eq!(bits(&got_grads), bits(&want_grads), "{label} grads");
+                } else {
+                    let close =
+                        |got: f32, want: f32| (got - want).abs() <= 1e-6 + 1e-4 * want.abs();
+                    assert!(
+                        close(got_loss, want_loss),
+                        "{label}: {got_loss} vs {want_loss}"
+                    );
+                    for (i, (&g, &w)) in got_grads.iter().zip(&want_grads).enumerate() {
+                        assert!(close(g, w), "{label} grad[{i}]: {g} vs {w}");
+                    }
                 }
             }
         }

@@ -523,17 +523,19 @@ impl Active {
         self.last_token_at = now;
     }
 
-    fn into_response(self) -> (Submission, Response) {
-        let total = self.sub.submitted.elapsed();
-        let resp = Response {
-            id: self.sub.id,
-            tokens: self.tokens,
-            generated: self.generated,
-            finish: self.done.unwrap_or(FinishReason::Length),
-            ttft: self.ttft.unwrap_or(total),
-            total,
-        };
-        (self.sub, resp)
+    /// Leave the batch: close the traced lifecycle, then answer with
+    /// whatever was generated.
+    fn retire(self, metrics: &MetricsInner) {
+        emit_lifecycle(&self);
+        let finish = self.done.unwrap_or(FinishReason::Length);
+        answer(
+            self.sub,
+            self.tokens,
+            self.generated,
+            self.ttft,
+            finish,
+            metrics,
+        );
     }
 }
 
@@ -544,7 +546,6 @@ fn token_cost(sub: &Submission, max_seq: usize) -> usize {
 
 /// Retire a request that never entered the batch.
 fn retire_unstarted(sub: Submission, reason: FinishReason, metrics: &MetricsInner) {
-    let total = sub.submitted.elapsed();
     let rec = Recorder::global();
     let tid = REQ_TRACK_BASE + sub.id;
     let ts = rec.ts_of(sub.submitted);
@@ -602,45 +603,75 @@ fn retire_unstarted(sub: Submission, reason: FinishReason, metrics: &MetricsInne
             ),
         ]);
     }
-    if reason == FinishReason::Failed {
-        dump_request_postmortem(sub.id, metrics);
-    }
-    let resp = Response {
-        id: sub.id,
-        tokens: sub.req.prompt.clone(),
-        generated: 0,
-        finish: reason,
-        ttft: total,
-        total,
-    };
-    metrics.completed.inc();
-    if reason == FinishReason::Failed {
-        metrics.failed.inc();
-    }
-    metrics.release_slot();
-    let _ = sub.tx.send(resp);
+    let prompt = sub.req.prompt.clone();
+    answer(sub, prompt, 0, None, reason, metrics);
 }
 
 /// Retire a preempted request waiting for re-admission (cancelled,
 /// expired, or unschedulable), answering with the tokens it had
 /// generated before eviction.
 fn retire_preempted(p: Preempted, reason: FinishReason, metrics: &MetricsInner) {
-    let total = p.sub.submitted.elapsed();
-    let resp = Response {
-        id: p.sub.id,
-        tokens: p.state.tokens,
-        generated: p.state.generated,
-        finish: reason,
-        ttft: p.state.ttft.unwrap_or(total),
-        total,
-    };
+    let ResumeState {
+        tokens,
+        generated,
+        ttft,
+        ..
+    } = p.state;
+    answer(p.sub, tokens, generated, ttft, reason, metrics);
+}
+
+/// The one way a request leaves the engine, whatever state it was in:
+/// count it (a [`FinishReason::Failed`] one also dumps its postmortem),
+/// free its in-flight slot, then send the response — in that order, so a
+/// client that snapshots metrics right after its response sees them
+/// settled. `ttft` is `None` for a request that never produced a token.
+fn answer(
+    sub: Submission,
+    tokens: Vec<u32>,
+    generated: usize,
+    ttft: Option<Duration>,
+    finish: FinishReason,
+    metrics: &MetricsInner,
+) {
+    let total = sub.submitted.elapsed();
     metrics.completed.inc();
-    if reason == FinishReason::Failed {
+    if finish == FinishReason::Failed {
         metrics.failed.inc();
-        dump_request_postmortem(p.sub.id, metrics);
+        dump_request_postmortem(sub.id, metrics);
     }
     metrics.release_slot();
-    let _ = p.sub.tx.send(resp);
+    let _ = sub.tx.send(Response {
+        id: sub.id,
+        tokens,
+        generated,
+        finish,
+        ttft: ttft.unwrap_or(total),
+        total,
+    });
+}
+
+/// Retire every parked request (queued or preempted) whose client
+/// cancelled it or whose deadline has passed.
+fn sweep_parked<T>(
+    parked: &mut VecDeque<T>,
+    now: Instant,
+    sub_of: impl Fn(&T) -> &Submission,
+    retire: impl Fn(T, FinishReason),
+) {
+    let mut i = 0;
+    while i < parked.len() {
+        let sub = sub_of(&parked[i]);
+        let reason = if sub.cancelled() {
+            FinishReason::Cancelled
+        } else if sub.expired(now) {
+            FinishReason::DeadlineExceeded
+        } else {
+            i += 1;
+            continue;
+        };
+        let Some(gone) = parked.remove(i) else { break };
+        retire(gone, reason);
+    }
 }
 
 /// Black-box dump for a request that retired [`FinishReason::Failed`]
@@ -895,41 +926,21 @@ pub(crate) fn run(
 
         let iter_start = Instant::now();
 
-        // ---- sweep the queue for requests already cancelled or expired
+        // ---- sweep queued and preempted requests already cancelled or
+        // expired
         let now = Instant::now();
-        let mut i = 0;
-        while i < queue.len() {
-            let (cancelled, expired) = (queue[i].cancelled(), queue[i].expired(now));
-            if cancelled || expired {
-                let Some(sub) = queue.remove(i) else { break };
-                let reason = if cancelled {
-                    FinishReason::Cancelled
-                } else {
-                    FinishReason::DeadlineExceeded
-                };
-                retire_unstarted(sub, reason, &metrics);
-            } else {
-                i += 1;
-            }
-        }
-
-        // ---- sweep preempted requests the same way
-        let mut i = 0;
-        while i < preempted.len() {
-            let (cancelled, expired) =
-                (preempted[i].sub.cancelled(), preempted[i].sub.expired(now));
-            if cancelled || expired {
-                let Some(p) = preempted.remove(i) else { break };
-                let reason = if cancelled {
-                    FinishReason::Cancelled
-                } else {
-                    FinishReason::DeadlineExceeded
-                };
-                retire_preempted(p, reason, &metrics);
-            } else {
-                i += 1;
-            }
-        }
+        sweep_parked(
+            &mut queue,
+            now,
+            |sub| sub,
+            |sub, reason| retire_unstarted(sub, reason, &metrics),
+        );
+        sweep_parked(
+            &mut preempted,
+            now,
+            |p| &p.sub,
+            |p, reason| retire_preempted(p, reason, &metrics),
+        );
 
         // ---- admission
         match paged.as_mut() {
@@ -1130,13 +1141,7 @@ pub(crate) fn run(
                             // the submit-time capacity check)
                             let mut a = active.remove(0);
                             a.done = Some(FinishReason::Failed);
-                            metrics.failed.inc();
-                            dump_request_postmortem(a.sub.id, &metrics);
-                            metrics.completed.inc();
-                            metrics.release_slot();
-                            emit_lifecycle(&a);
-                            let (sub, resp) = a.into_response();
-                            let _ = sub.tx.send(resp);
+                            a.retire(&metrics);
                             break;
                         }
                         let a = active.remove(active.len() - 1);
@@ -1224,17 +1229,9 @@ pub(crate) fn run(
         // update gauges before answering, so a client that snapshots
         // metrics right after its response sees them already settled
         metrics.active.set(active.len() as f64);
-        metrics.completed.add(retired.len() as u64);
         metrics.record_busy(iter_start.elapsed());
         for a in retired {
-            if a.done == Some(FinishReason::Failed) {
-                metrics.failed.inc();
-                dump_request_postmortem(a.sub.id, &metrics);
-            }
-            metrics.release_slot();
-            emit_lifecycle(&a);
-            let (sub, resp) = a.into_response();
-            let _ = sub.tx.send(resp);
+            a.retire(&metrics);
         }
     }
     // hand any spans still buffered on this thread to the recorder

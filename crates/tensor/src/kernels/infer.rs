@@ -73,23 +73,18 @@ fn dot8(a: &[f32], b: &[f32]) -> f32 {
         + tail
 }
 
-/// KV-cached causal attention over token-major buffers.
-///
-/// * `q`: `[n_new, heads*d]` rotated queries for the trailing `n_new`
-///   tokens of the cached sequence;
-/// * `k_cache` / `v_cache`: `[t_total, kv_heads*d]` including the rows
-///   for the new tokens (append before calling);
-/// * `out`: `[n_new, heads*d]`.
-///
-/// Query `i` (cache row `t_total - n_new + i`) attends to cache rows
-/// `0..=t_total - n_new + i` — causal over the window. Streaming online
-/// softmax keeps auxiliary memory O(1) per head, decode cost O(T) per
-/// token.
+/// The one causal attention scan behind both KV layouts: query `i` (of
+/// the trailing `n_new` visible rows) attends to visible rows
+/// `0..=t_total - n_new + i`, scoring with [`dot8`] and folding with a
+/// streaming [`OnlineSoftmax`] — O(1) auxiliary memory per head, O(T)
+/// per decoded token. `kv_row(j)` fetches visible row `j`'s
+/// `[kv_heads*d]` key and value rows; it is the only thing the layouts
+/// differ in (monomorphised per caller), so for bitwise-equal rows every
+/// layout performs the identical float operations in the identical order.
 #[allow(clippy::too_many_arguments)]
-pub fn cached_attention(
+fn attention_scan<'a>(
     q: &[f32],
-    k_cache: &[f32],
-    v_cache: &[f32],
+    kv_row: impl Fn(usize) -> (&'a [f32], &'a [f32]) + Sync,
     out: &mut [f32],
     n_new: usize,
     t_total: usize,
@@ -98,12 +93,9 @@ pub fn cached_attention(
     d: usize,
 ) {
     debug_assert_eq!(q.len(), n_new * heads * d, "q layout");
-    debug_assert_eq!(k_cache.len(), t_total * kv_heads * d, "k cache layout");
-    debug_assert_eq!(v_cache.len(), t_total * kv_heads * d, "v cache layout");
-    debug_assert!(n_new <= t_total, "more new tokens than cache rows");
+    debug_assert!(n_new <= t_total, "more new tokens than visible rows");
     let group = heads / kv_heads;
     let scale = 1.0 / (d as f32).sqrt();
-    let kv_stride = kv_heads * d;
     let first = t_total - n_new;
     out.par_chunks_mut(heads * d)
         .enumerate()
@@ -116,14 +108,42 @@ pub fn cached_attention(
                 let acc = &mut orow[h * d..(h + 1) * d];
                 let mut os = OnlineSoftmax::default();
                 for j in 0..=limit {
-                    let kj = &k_cache[j * kv_stride + hkv * d..j * kv_stride + (hkv + 1) * d];
-                    let s = dot8(qh, kj) * scale;
-                    let vj = &v_cache[j * kv_stride + hkv * d..j * kv_stride + (hkv + 1) * d];
-                    os.push(s, vj, acc);
+                    let (krow, vrow) = kv_row(j);
+                    let s = dot8(qh, &krow[hkv * d..(hkv + 1) * d]) * scale;
+                    os.push(s, &vrow[hkv * d..(hkv + 1) * d], acc);
                 }
                 os.finish(acc);
             }
         });
+}
+
+/// KV-cached causal attention over token-major buffers.
+///
+/// * `q`: `[n_new, heads*d]` rotated queries for the trailing `n_new`
+///   tokens of the cached sequence;
+/// * `k_cache` / `v_cache`: `[t_total, kv_heads*d]` including the rows
+///   for the new tokens (append before calling);
+/// * `out`: `[n_new, heads*d]`.
+///
+/// Query `i` (cache row `t_total - n_new + i`) attends to cache rows
+/// `0..=t_total - n_new + i` — causal over the window.
+#[allow(clippy::too_many_arguments)]
+pub fn cached_attention(
+    q: &[f32],
+    k_cache: &[f32],
+    v_cache: &[f32],
+    out: &mut [f32],
+    n_new: usize,
+    t_total: usize,
+    heads: usize,
+    kv_heads: usize,
+    d: usize,
+) {
+    let w = kv_heads * d;
+    debug_assert_eq!(k_cache.len(), t_total * w, "k cache layout");
+    debug_assert_eq!(v_cache.len(), t_total * w, "v cache layout");
+    let kv_row = |j: usize| (&k_cache[j * w..(j + 1) * w], &v_cache[j * w..(j + 1) * w]);
+    attention_scan(q, kv_row, out, n_new, t_total, heads, kv_heads, d);
 }
 
 /// [`cached_attention`] over a **block-paged** KV layout.
@@ -136,11 +156,10 @@ pub fn cached_attention(
 /// rows are outside the attention window (front-dropped) and are never
 /// read, so visible row `j` maps to physical row `skip + j`.
 ///
-/// The scan visits exactly the same rows in exactly the same order as
-/// [`cached_attention`] and performs the identical float operations
-/// (same dot-product accumulation, same [`OnlineSoftmax`] updates), so
-/// for bitwise-equal inputs the outputs are **bitwise equal** — the
-/// property the paged KV backend's parity guarantee rests on.
+/// Both layouts run the same private scan and differ only in this row
+/// lookup, so for bitwise-equal inputs the outputs are **bitwise
+/// equal** — the property the paged KV backend's parity guarantee
+/// rests on.
 #[allow(clippy::too_many_arguments)]
 pub fn paged_attention(
     q: &[f32],
@@ -155,7 +174,6 @@ pub fn paged_attention(
     kv_heads: usize,
     d: usize,
 ) {
-    debug_assert_eq!(q.len(), n_new * heads * d, "q layout");
     debug_assert_eq!(k_blocks.len(), v_blocks.len(), "block table layout");
     debug_assert!(
         k_blocks.len() * block_rows >= skip + t_total,
@@ -165,34 +183,14 @@ pub fn paged_attention(
         skip,
         t_total
     );
-    debug_assert!(n_new <= t_total, "more new tokens than visible rows");
-    let group = heads / kv_heads;
-    let scale = 1.0 / (d as f32).sqrt();
-    let kv_stride = kv_heads * d;
-    let first = t_total - n_new;
-    out.par_chunks_mut(heads * d)
-        .enumerate()
-        .for_each(|(i, orow)| {
-            let qrow = &q[i * heads * d..(i + 1) * heads * d];
-            let limit = first + i; // inclusive causal horizon (visible rows)
-            for h in 0..heads {
-                let hkv = h / group;
-                let qh = &qrow[h * d..(h + 1) * d];
-                let acc = &mut orow[h * d..(h + 1) * d];
-                let mut os = OnlineSoftmax::default();
-                for j in 0..=limit {
-                    let p = skip + j;
-                    let (b, slot) = (p / block_rows, p % block_rows);
-                    let kj =
-                        &k_blocks[b][slot * kv_stride + hkv * d..slot * kv_stride + (hkv + 1) * d];
-                    let s = dot8(qh, kj) * scale;
-                    let vj =
-                        &v_blocks[b][slot * kv_stride + hkv * d..slot * kv_stride + (hkv + 1) * d];
-                    os.push(s, vj, acc);
-                }
-                os.finish(acc);
-            }
-        });
+    let w = kv_heads * d;
+    let kv_row = |j: usize| {
+        let p = skip + j;
+        let (b, slot) = (p / block_rows, p % block_rows);
+        let at = slot * w..(slot + 1) * w;
+        (&k_blocks[b][at.clone()], &v_blocks[b][at])
+    };
+    attention_scan(q, kv_row, out, n_new, t_total, heads, kv_heads, d);
 }
 
 #[cfg(test)]

@@ -47,6 +47,13 @@ section "tier-1: release build + root test suite"
 cargo build --release
 cargo test -q
 
+section "crate unit tests"
+# the #[cfg(test)] modules inside the four library crates the executed
+# paths live in (tp.rs, kernels/infer.rs, kvpool.rs, engine.rs,
+# executor.rs, ...) — clippy above only compiles them; the root suite
+# never runs them. ~11 s cold for the first three, ~77 s for core
+cargo test -q -p matgpt-tensor -p matgpt-model -p matgpt-serve -p matgpt-core
+
 section "fault-tolerance: checkpoint-restart + failure injection"
 cargo test -q --test fault_tolerance
 # corruption properties get a deeper sweep than the proptest default —
