@@ -2,25 +2,19 @@
 
 //! # matgpt-bench
 //!
-//! The benchmark harness: one binary per table and figure of the paper
-//! (`table1_sources` … `fig17_clustering`, plus `reproduce_all`), and
-//! criterion micro-benchmarks for the numeric kernels.
+//! The reproduction harness: every table and figure of the paper, plus
+//! the ablations and extension studies, as rows of one registry
+//! ([`experiments::REGISTRY`]) behind one executable,
+//! `repro list | <name>… | all [--smoke]`.
 //!
-//! Every binary prints the paper's reference values next to the measured
-//! ones so EXPERIMENTS.md can be regenerated mechanically. Binaries that
-//! need trained models accept `--smoke` for a fast, reduced-scale run.
+//! Every experiment prints the paper's reference values next to the
+//! measured ones so EXPERIMENTS.md can be regenerated mechanically;
+//! `--smoke` selects a fast, reduced scale. Performance is measured
+//! elsewhere, by the repo benchmark in `perf/`.
 
 pub mod experiments;
-pub mod report;
 
 use std::fmt::Display;
-use std::path::{Path, PathBuf};
-
-/// Directory fresh machine-readable bench reports land in
-/// (`target/bench/BENCH_<name>.json`).
-pub fn bench_out_dir() -> PathBuf {
-    Path::new("target").join("bench")
-}
 
 /// Render an ASCII table.
 pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {
@@ -68,20 +62,12 @@ pub fn compare(metric: &str, paper: &str, measured: &str, verdict: &str) {
     println!("  {metric:<44} paper: {paper:<18} measured: {measured:<18} [{verdict}]");
 }
 
-/// True when `--smoke` (or env `MATGPT_SMOKE=1`) asks for the fast scale.
-pub fn smoke_requested() -> bool {
-    std::env::args().any(|a| a == "--smoke")
-        || std::env::var("MATGPT_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-}
-
-/// The suite scale selected by the command line.
-pub fn selected_scale() -> matgpt_core::SuiteScale {
-    if smoke_requested() {
-        matgpt_core::SuiteScale::smoke()
+/// The verdict tag of a [`compare`] line whose claim is exact.
+pub fn verdict(ok: bool) -> &'static str {
+    if ok {
+        "MATCH"
     } else {
-        matgpt_core::SuiteScale::standard()
+        "MISMATCH"
     }
 }
 

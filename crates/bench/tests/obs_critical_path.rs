@@ -5,16 +5,13 @@
 //! Runs alone in its own process (single test in this file) because it
 //! owns the global recorder for the duration of the run.
 
+use matgpt_bench::experiments::{base_recipe, small_corpus};
 use matgpt_core::parallel::{DataParallel, ParallelConfig};
-use matgpt_core::{
-    FaultPlan, OptChoice, PretrainConfig, RecoveryPolicy, ResilienceConfig, SizeRole,
-};
-use matgpt_corpus::{build_corpus, CorpusConfig};
+use matgpt_core::{FaultPlan, PretrainConfig, RecoveryPolicy, ResilienceConfig};
 use matgpt_frontier_sim::parallel::{simulate_step, Strategy, TrainSetup};
 use matgpt_model::{ArchKind, GptConfig};
 use matgpt_obs::critical_path;
 use matgpt_obs::Recorder;
-use matgpt_tokenizer::TokenizerKind;
 
 #[test]
 fn injected_straggler_is_attributed_and_phase_order_matches_fig9() {
@@ -22,24 +19,12 @@ fn injected_straggler_is_attributed_and_phase_order_matches_fig9() {
     rec.clear();
     rec.enable();
 
-    let documents = build_corpus(&CorpusConfig {
-        n_materials: 30,
-        total_docs: 90,
-        offtopic_fraction: 0.2,
-        seed: 31,
-    })
-    .documents;
+    let documents = small_corpus(31);
     let cfg = PretrainConfig {
         steps: 6,
         batch_seqs: 4,
         seq: 32,
-        ..PretrainConfig::scaled(
-            ArchKind::Llama,
-            TokenizerKind::Hf,
-            300,
-            OptChoice::Adam,
-            SizeRole::Base,
-        )
+        ..base_recipe(ArchKind::Llama)
     };
     // a 300 ms stall on rank 2 — far above a step's natural jitter,
     // far below the failure-detection thresholds, so the epoch

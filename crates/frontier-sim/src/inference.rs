@@ -57,7 +57,7 @@ impl InferenceSetup {
 
     /// Predicted decode throughput in tokens/s across the batch — the
     /// analytic counterpart of the serving engine's measured
-    /// `tokens_per_sec` metric (see `ext_serve_bench`).
+    /// `tokens_per_sec` metric.
     pub fn decode_tokens_per_sec(&self) -> f64 {
         simulate_inference(self).tokens_per_s
     }

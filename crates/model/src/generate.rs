@@ -1,14 +1,14 @@
 //! Autoregressive sampling from a trained GPT.
 //!
 //! [`generate`] decodes on the KV-cached inference path (O(T) work per
-//! token); [`generate_uncached`] keeps the original re-run-the-window
-//! reference implementation for comparison benchmarks. The sampling
+//! token); `generate_uncached` keeps the original re-run-the-window
+//! implementation as the unit tests' reference. The sampling
 //! primitives ([`argmax`], [`sample_softmax`], [`sample_top_k`],
 //! [`sample_logits`]) are public so serving code can drive per-request
 //! sampling state over raw logits rows.
 
 use crate::gpt::GptModel;
-use matgpt_tensor::{ParamStore, Tape};
+use matgpt_tensor::ParamStore;
 use rand::Rng;
 
 /// Sampling controls.
@@ -65,9 +65,10 @@ pub fn generate<R: Rng>(
 }
 
 /// The original cache-free reference: re-runs a full forward over the
-/// trailing window for every generated token. Kept for benchmarking the
-/// cached path against (see `ext_serve_bench`).
-pub fn generate_uncached<R: Rng>(
+/// trailing window for every generated token. The reference the cached
+/// path is tested against.
+#[cfg(test)]
+fn generate_uncached<R: Rng>(
     model: &GptModel,
     store: &ParamStore,
     prompt: &[u32],
@@ -80,7 +81,7 @@ pub fn generate_uncached<R: Rng>(
     for _ in 0..opts.max_new_tokens {
         let ctx_start = tokens.len().saturating_sub(model.cfg.max_seq);
         let ctx = &tokens[ctx_start..];
-        let mut tape = Tape::new();
+        let mut tape = matgpt_tensor::Tape::new();
         let logits = model.logits(&mut tape, store, ctx, 1, ctx.len());
         let lv = tape.value(logits);
         let row = &lv.data()[(ctx.len() - 1) * v..ctx.len() * v];

@@ -38,7 +38,7 @@ pub mod tp;
 
 pub use bert::{mask_tokens, BertModel};
 pub use config::{ArchKind, BertConfig, GptConfig};
-pub use generate::{generate, generate_uncached, sample_logits, SampleOptions};
+pub use generate::{generate, sample_logits, SampleOptions};
 pub use gpt::GptModel;
 pub use infer::{KvCache, KvStorage};
 pub use quant::{ForwardParams, ModelWeights, QuantizedParamStore, WeightPrecision};

@@ -44,8 +44,8 @@
 //! With per-step acceptance `a ∈ [0, k]`, a macro-step emits `a + 1`
 //! tokens for one full-weight pass plus `k` quarter-weight draft passes.
 //! In the memory-bound limit the speedup over plain decode is
-//! `E[a + 1] / (1 + k/4)`; the measured numbers live in `ext_spec`
-//! (`BENCH_spec.json`).
+//! `E[a + 1] / (1 + k/4)`; the measured acceptance is `repro ext_spec`'s,
+//! the measured time `perf/`'s `model.spec_step_ms`.
 
 use crate::config::GptConfig;
 use crate::generate::{argmax, SampleOptions};

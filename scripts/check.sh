@@ -68,41 +68,34 @@ section "resilience: executed fault tolerance (kill/stall/elastic re-shard)"
 cargo test -q --test resilience
 # the seeded chaos matrix (MATGPT_CHAOS_SEED ∈ {3, 11, 1337}) runs as
 # CI matrix entries alongside the topology grid; see ci.yml
-cargo run --release -q -p matgpt-bench --bin ext_resilience -- --smoke
 
-section "observability: matgpt-obs suite + unified-trace smoke gate"
+section "observability: matgpt-obs suite"
 cargo test -q -p matgpt-obs
-rm -f target/obs/trace.json
-# the binary self-validates (exits non-zero on an invalid/empty trace
-# or missing metric families); re-check the artifact here anyway
-cargo run --release -q -p matgpt-bench --bin ext_observability -- --smoke
-# re-validate the artifacts from disk (no python needed: the validator
-# is the same chrome::validate / prom::parse code the repo ships)
-cargo run --release -q -p matgpt-bench --bin ext_observability -- --validate
-# fault postmortem end-to-end: seeded kill → flight-recorder dump →
-# bundle re-validated from disk (victim flagged, flow arrows complete)
-cargo run --release -q -p matgpt-bench --bin ext_obs_flight -- --postmortem --smoke
-# critical-path attribution: injected straggler identified, phase order
-# agrees with the simulated Fig. 9 timeline
-cargo test -q -p matgpt-bench --test obs_critical_path
 
-section "quantization: int8 decode acceptance gates (smoke scale)"
-cargo run --release -q -p matgpt-bench --bin ext_quant -- --smoke
-
-section "parallelism: DP/ZeRO-1 + executed TP/PP acceptance gates (smoke scale)"
+section "parallelism: DP/ZeRO-1 + executed TP/PP"
+# the {dp,tp,pp} grid sweep runs as CI matrix entries; see ci.yml
 cargo test -q --test parallelism
-cargo run --release -q -p matgpt-bench --bin ext_parallel -- --smoke
-# executed tensor/pipeline parallelism: TP compute partition, Fig. 11
-# histogram agreement, 1F1B bitwise check (the {dp,tp,pp} grid sweep
-# runs as CI matrix entries; see ci.yml)
-cargo run --release -q -p matgpt-bench --bin ext_tp -- --smoke
 
-section "paged KV: bit-identical backends + pool invariants + smoke bench"
+section "paged KV: bit-identical backends + pool invariants"
 cargo test -q --test paged_kv
-cargo run --release -q -p matgpt-bench --bin ext_paged_bench -- --smoke
 
-section "speculative decoding: bit-identity proptests + smoke bench"
+section "speculative decoding: bit-identity proptests"
 cargo test -q --test speculative
-cargo run --release -q -p matgpt-bench --bin ext_spec -- --smoke
+
+section "reproduction: executed claims + every repro row (smoke scale)"
+# crates/bench/tests: the unified trace and the fault postmortem
+# re-validated from disk, critical-path attribution of an injected
+# straggler, and the closed-form claims of the executed experiments
+# (Fig. 11 census, paged-KV block counts, Daly optimum). --release: the
+# experiments train for real — 15 s optimised, 100 s in the dev profile
+cargo test --release -q -p matgpt-bench
+cargo run --release -q -p matgpt-bench --bin repro -- all --smoke
+
+section "perf smoke"
+# the repo benchmark, exercised not measured: a 1 s run per workload
+for w in l2_solo dram_batch paged_prefix dram_spec; do
+  perf/run.sh "$w" --smoke >/dev/null
+done
+cargo test -q --manifest-path perf/Cargo.toml
 
 echo "All checks passed."
