@@ -83,21 +83,16 @@ pub struct Engine {
     worker: Mutex<Option<JoinHandle<()>>>,
     metrics: Arc<MetricsInner>,
     cfg: EngineConfig,
-    /// `(block_size, num_blocks, max_seq)` when the paged backend is
-    /// configured — the submit-time never-schedulable check.
-    paged_limits: Option<(usize, usize, usize)>,
+    /// The model's attention window — with `cfg.kv_backend`'s block
+    /// geometry, the submit-time never-schedulable check.
+    max_seq: usize,
     next_id: AtomicU64,
 }
 
 impl Engine {
     /// Spawn the scheduler thread over `model` + `store`.
     pub fn new(model: GptModel, store: ParamStore, cfg: EngineConfig) -> Self {
-        let paged_limits = match cfg.kv_backend {
-            crate::scheduler::KvBackend::Contiguous => None,
-            crate::scheduler::KvBackend::Paged(bc) => {
-                Some((bc.block_size, bc.num_blocks, model.cfg.max_seq))
-            }
-        };
+        let max_seq = model.cfg.max_seq;
         let (tx, rx) = channel::unbounded();
         let metrics = Arc::new(MetricsInner::new(cfg.precision));
         let metrics_for_worker = Arc::clone(&metrics);
@@ -113,7 +108,7 @@ impl Engine {
             worker: Mutex::new(Some(worker)),
             metrics,
             cfg,
-            paged_limits,
+            max_seq,
             next_id: AtomicU64::new(0),
         }
     }
@@ -173,7 +168,8 @@ impl Engine {
         if req.prompt.is_empty() {
             return Err(EngineError::EmptyPrompt);
         }
-        if let Some((block_size, pool_blocks, max_seq)) = self.paged_limits {
+        if let Some(bc) = self.cfg.kv_backend.paged() {
+            let (block_size, pool_blocks, max_seq) = (bc.block_size, bc.num_blocks, self.max_seq);
             // worst-case concurrent block usage of this request alone:
             // the visible window never exceeds max_seq, plus up to one
             // partially dropped front block, plus one block of reserve-
@@ -412,6 +408,197 @@ mod tests {
                 "missing serve event `{name}`"
             );
         }
+    }
+
+    #[test]
+    fn snapshot_equals_scrape_after_a_mixed_run() {
+        use crate::metrics::{tests::scrape, SERIES};
+        let sampled = SampleOptions {
+            temperature: 0.8,
+            top_k: 5,
+            max_new_tokens: 12,
+            stop_token: None,
+        };
+        let greedy = SampleOptions {
+            temperature: 0.0,
+            top_k: 0,
+            ..sampled
+        };
+        // plain contiguous, paged under pool pressure (evictions and
+        // preemptions), speculative: between them every series moves
+        let paged = crate::KvBackend::Paged(crate::KvBlockConfig {
+            block_size: 4,
+            num_blocks: 10,
+        });
+        for (cfg, opts) in [
+            (EngineConfig::default(), sampled),
+            (
+                EngineConfig {
+                    kv_backend: paged,
+                    ..EngineConfig::default()
+                },
+                sampled,
+            ),
+            (
+                EngineConfig {
+                    decode: crate::DecodeMode::Speculative { k: 3 },
+                    ..EngineConfig::default()
+                },
+                greedy,
+            ),
+        ] {
+            let engine = tiny_engine(cfg);
+            let handles: Vec<_> = (0..8)
+                .map(|i| {
+                    engine
+                        .submit(&[1 + i as u32, 2, 3, 4, 5, 6], opts)
+                        .expect("admitted")
+                })
+                .collect();
+            for h in handles {
+                assert_eq!(h.wait().expect("response").generated, 12);
+            }
+            engine.shutdown();
+            // scrape first: nothing below may depend on `snapshot()`
+            // having refreshed a gauge
+            let text = matgpt_obs::prom::render(engine.registry());
+            let kinds = engine.registry().names();
+            matgpt_obs::prom::parse(&text).expect("exposition parses");
+            let snap = engine.metrics();
+            let json = serde_json::to_value(&snap).unwrap();
+            for (name, _, _, field) in SERIES {
+                let Some((field, _)) = field.split_once(':') else {
+                    continue;
+                };
+                let value = json
+                    .get(field)
+                    .unwrap_or_else(|| panic!("no key `{field}`"));
+                match kinds.iter().find(|(n, _)| n == name).map(|(_, k)| *k) {
+                    Some(matgpt_obs::MetricKind::Histogram) => {
+                        // window not yet full: exact count on both sides
+                        let count = value.get("count").and_then(|c| c.as_f64());
+                        assert_eq!(count, Some(scrape(&text, &format!("{name}_count"))));
+                    }
+                    Some(_) => assert_eq!(
+                        value.as_f64(),
+                        Some(scrape(&text, name)),
+                        "`{field}` != `{name}`:\n{text}"
+                    ),
+                    None => {
+                        let label = format!("{name}=\"{}\"", snap.precision);
+                        assert!(text.contains(&label), "label `{label}` missing:\n{text}");
+                    }
+                }
+            }
+            assert!(snap.tokens_per_sec > 0.0 && snap.generated_tokens == 96);
+            if cfg.kv_backend == paged {
+                assert!(snap.preemptions > 0 && snap.kv_blocks_evicted > 0);
+            }
+            if cfg.decode != crate::DecodeMode::Plain {
+                let rate = snap.spec_accepted as f64 / snap.spec_drafted as f64;
+                assert_eq!(snap.spec_acceptance_rate, rate);
+            }
+        }
+    }
+
+    #[test]
+    fn request_cancelled_while_preempted_keeps_its_tokens_and_its_trace() {
+        let rec = matgpt_obs::Recorder::global();
+        rec.enable();
+        // one request's worst case fills the 10-block pool, so of two
+        // growing side by side the younger is preempted and cannot
+        // return while the older runs
+        let engine = tiny_engine(EngineConfig {
+            kv_backend: crate::KvBackend::Paged(crate::KvBlockConfig {
+                block_size: 4,
+                num_blocks: 10,
+            }),
+            ..EngineConfig::default()
+        });
+        // ids no other test's engine reaches: the global recorder is
+        // shared, the lifecycle track id is `REQ_TRACK_BASE + id`
+        let victim_id = 7_000_001;
+        engine.next_id.store(victim_id - 1, Ordering::Relaxed);
+        let opts = SampleOptions {
+            temperature: 0.0,
+            top_k: 0,
+            max_new_tokens: 1_000_000,
+            stop_token: None,
+        };
+        let older = engine.submit(&[1, 2, 3, 4, 5, 6], opts).expect("admitted");
+        let victim = engine.submit(&[6, 5, 4, 3, 2, 1], opts).expect("admitted");
+        assert_eq!(victim.id(), victim_id);
+        let waited = Instant::now();
+        while engine.metrics().preemptions == 0 {
+            assert!(
+                waited.elapsed().as_secs() < 60,
+                "pool pressure never preempted"
+            );
+            std::thread::yield_now();
+        }
+        victim.cancel();
+        let r = victim.wait().expect("cancelled response arrives");
+        older.cancel();
+        older.wait().expect("response");
+        engine.shutdown();
+        assert_eq!(r.finish, FinishReason::Cancelled);
+        assert!(r.generated > 0, "tokens generated before eviction are kept");
+        assert_eq!(r.tokens.len(), 6 + r.generated);
+        assert_eq!(&r.tokens[..6], &[6, 5, 4, 3, 2, 1]);
+
+        // it retired from the parking lot, and still left its slice and
+        // one complete causal arrow on its own track
+        let tid = crate::scheduler::REQ_TRACK_BASE + victim_id;
+        let slices: Vec<_> = rec
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.tid == tid)
+            .collect();
+        assert_eq!(slices.len(), 1, "{slices:?}");
+        assert_eq!(slices[0].name, "queued");
+        let flows: Vec<_> = rec.flows().into_iter().filter(|f| f.tid == tid).collect();
+        assert_eq!(flows.len(), 2, "{flows:?}");
+        assert_eq!(flows[0].phase, matgpt_obs::FlowPhase::Start);
+        assert_eq!(flows[1].phase, matgpt_obs::FlowPhase::Finish);
+        assert_eq!(flows[0].id, flows[1].id);
+    }
+
+    #[test]
+    fn preempted_request_is_readmitted_ahead_of_the_queue() {
+        // two slots, a pool one worst case fills: of two requests
+        // growing side by side the younger is preempted, while the
+        // third and fourth still wait for a slot
+        let engine = tiny_engine(EngineConfig {
+            max_batch: 2,
+            kv_backend: crate::KvBackend::Paged(crate::KvBlockConfig {
+                block_size: 4,
+                num_blocks: 10,
+            }),
+            ..EngineConfig::default()
+        });
+        let opts = SampleOptions {
+            temperature: 0.0,
+            top_k: 0,
+            max_new_tokens: 30,
+            stop_token: None,
+        };
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                engine
+                    .submit(&[1 + i as u32, 2, 3, 4, 5, 6], opts)
+                    .expect("admitted")
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.wait().expect("response").generated, 30);
+        }
+        // re-entering the lot by id, a preempted request resumes before
+        // anything younger starts, so it is the older of its next pair
+        // and never the victim again: one preemption per request after
+        // the first. Parked behind the queue instead, younger requests
+        // start in its place, are preempted in turn, and the count
+        // doubles.
+        assert_eq!(engine.metrics().preemptions, 3);
     }
 
     #[test]

@@ -1,21 +1,25 @@
 //! Serving metrics: queue depth, time-to-first-token, per-token decode
 //! latency percentiles, and decode throughput.
 //!
-//! Counters are updated by the scheduler thread. The storage is a
-//! per-engine [`matgpt_obs::Registry`] — every value below is a
-//! registered counter/gauge/histogram, so the same numbers that back
-//! [`MetricsSnapshot`] export as Prometheus text via
-//! [`matgpt_obs::prom::render`] (see [`crate::Engine::registry`]).
+//! The series are listed once, in `serve_series!`: each row names the
+//! registry handle, the Prometheus family and help text, and the
+//! [`MetricsSnapshot`] field the series backs. `MetricsInner`'s
+//! handles, their registration in the per-engine
+//! [`matgpt_obs::Registry`] and `snapshot()` are all derived from that
+//! listing, so the snapshot is a typed view over the registry: what
+//! `perf/` and an operator read is what [`matgpt_obs::prom::render`]
+//! exports (see [`crate::Engine::registry`]). Counters and gauges are
+//! updated by the scheduler thread; derived gauges are refreshed where
+//! their inputs change, never at scrape time.
 //!
 //! Latency percentiles come from bounded reservoirs: a ring buffer
 //! keeps only the most recent [`TTFT_WINDOW`] /
 //! [`TOKEN_LATENCY_WINDOW`] samples, so a long-lived engine holds at
 //! most ~96 KiB of latency state instead of growing one `Vec` entry
-//! per token forever. Percentiles are exact over that sliding window —
-//! the same nearest-rank math as before, just over the recent past
-//! rather than all history (which is what a latency dashboard wants
-//! anyway). The full-history distribution still exists as the
-//! fixed-bucket `serve_*_ms` histograms in the registry.
+//! per token forever. Percentiles are exact over that sliding window
+//! (which is what a latency dashboard wants); the full-history
+//! distribution still exists as the fixed-bucket `serve_*_ms`
+//! histograms in the registry.
 
 use matgpt_model::WeightPrecision;
 use matgpt_obs::{Counter, Gauge, Histogram, Registry, Reservoir};
@@ -33,86 +37,273 @@ pub const TTFT_WINDOW: usize = 4096;
 /// `f64` per generated token, so a larger window: 64 KiB at the bound).
 pub const TOKEN_LATENCY_WINDOW: usize = 8192;
 
-/// Shared mutable metrics state (engine-internal). All externally
-/// visible series are registered in the per-engine registry.
-pub(crate) struct MetricsInner {
-    registry: Registry,
-    /// Requests admitted but not yet scheduled into the batch.
-    pub queue_depth: Gauge,
-    /// High-water mark of `queue_depth` (queued plus preempted) over
-    /// the engine's lifetime — sizing signal the instantaneous gauge
-    /// misses between scrapes.
-    queue_depth_peak: Gauge,
-    /// Requests currently decoding.
-    pub active: Gauge,
-    /// Requests submitted but not yet answered — the admission-control
-    /// value `Engine::submit` bounds against `max_queue`. The atomic is
-    /// the source of truth (admission needs CAS); the gauge mirrors it
-    /// for the exposition.
-    backlog: AtomicUsize,
-    backlog_gauge: Gauge,
-    /// Requests retired (any finish reason).
-    pub completed: Counter,
-    /// Requests retired with [`crate::FinishReason::Failed`].
-    pub failed: Counter,
-    /// Total tokens generated across all requests.
-    pub generated_tokens: Counter,
-    /// Nanoseconds the scheduler spent inside decode/prefill iterations.
-    busy_ns: AtomicU64,
-    tokens_per_sec: Gauge,
-    ttft_ms: Reservoir,
-    ttft_hist: Histogram,
-    token_latency_ms: Reservoir,
-    token_latency_hist: Histogram,
-    /// Which weight datatype this engine decodes with (label on the
-    /// per-precision series below).
-    precision: WeightPrecision,
-    /// Heap bytes of the weight store the scheduler runs against — the
-    /// quantized footprint under `Int8`, the f32 footprint otherwise.
-    quant_weight_bytes: Gauge,
-    /// Per-token decode latency again, as a precision-labelled family,
-    /// so one scrape can compare f32 and int8 engines side by side.
-    decode_latency_hist: Histogram,
-    /// KV-cache bytes currently held across active requests (paged:
-    /// allocated blocks × block bytes; contiguous: summed buffers).
-    kv_bytes: Gauge,
-    /// High-water mark of `kv_bytes` — the number capacity planning
-    /// cares about, and what `ext_paged_bench` gates on.
-    kv_bytes_peak: Gauge,
-    /// KV blocks currently allocated out of the paged pool (0 on the
-    /// contiguous backend).
-    kv_blocks_allocated: Gauge,
-    /// Extra references beyond the first across allocated blocks — the
-    /// block copies prefix sharing is avoiding right now.
-    kv_blocks_shared: Gauge,
-    /// Block references freed by memory-pressure eviction: preempted
-    /// requests' tables plus prefix-cache entries dropped to make room.
-    pub kv_blocks_evicted: Counter,
-    /// Fresh block allocations out of the pool (cumulative).
-    pub kv_block_allocs: Counter,
-    /// Blocks reused through prefix sharing instead of being allocated
-    /// and refilled (cumulative) — the numerator of the reuse ratio
-    /// `ext_paged_bench` reports.
-    pub kv_block_shares: Counter,
-    /// Actively decoding requests bumped back to the parking lot by
-    /// paged KV-pool exhaustion (cumulative). Preempted work is
-    /// re-prefilled on readmission, so this counter is the "wasted
-    /// prefill" signal capacity planning reads next to
-    /// `kv_blocks_evicted` (which counts the blocks each bump freed).
-    pub preemptions: Counter,
-    /// Tokens proposed by the int8 draft model across all speculative
-    /// macro-steps (cumulative).
-    spec_drafted: Counter,
-    /// Draft proposals the f32 verify pass accepted (cumulative).
-    spec_accepted: Counter,
-    /// Draft proposals rejected and rolled back out of the target KV
-    /// cache (cumulative). Always `spec_drafted - spec_accepted`.
-    spec_rolled_back: Counter,
-    /// Derived gauge `spec_accepted / spec_drafted`, refreshed on
-    /// scrape like `tokens_per_sec` — the knob that says whether the
-    /// configured draft length `k` is paying for itself.
-    spec_acceptance: Gauge,
+/// A latency series kept twice: the all-history histogram the registry
+/// exports, and the last `W` samples for the snapshot's exact
+/// percentiles.
+pub(crate) struct Windowed<const W: usize> {
+    hist: Histogram,
+    window: Reservoir,
 }
+
+impl<const W: usize> Windowed<W> {
+    fn observe(&self, ms: f64) {
+        self.window.push(ms);
+        self.hist.observe(ms);
+    }
+
+    fn get(&self) -> Percentiles {
+        self.window.percentiles()
+    }
+}
+
+/// The value of a series label (a listing row that is not a family).
+pub(crate) struct Label(String);
+
+impl Label {
+    fn get(&self) -> String {
+        self.0.clone()
+    }
+}
+
+/// How a listing row's handle is created in the engine registry.
+trait Series {
+    fn register(reg: &Registry, name: &str, labels: &[(&str, &str)], help: &str) -> Self;
+}
+
+impl Series for Counter {
+    fn register(reg: &Registry, name: &str, labels: &[(&str, &str)], help: &str) -> Self {
+        reg.counter_with(name, labels, help)
+    }
+}
+
+impl Series for Gauge {
+    fn register(reg: &Registry, name: &str, labels: &[(&str, &str)], help: &str) -> Self {
+        reg.gauge_with(name, labels, help)
+    }
+}
+
+impl Series for Histogram {
+    fn register(reg: &Registry, name: &str, labels: &[(&str, &str)], help: &str) -> Self {
+        reg.histogram_with(name, labels, help, &Histogram::LATENCY_MS_BOUNDS)
+    }
+}
+
+impl<const W: usize> Series for Windowed<W> {
+    fn register(reg: &Registry, name: &str, labels: &[(&str, &str)], help: &str) -> Self {
+        Self {
+            hist: Histogram::register(reg, name, labels, help),
+            window: Reservoir::new(W),
+        }
+    }
+}
+
+impl Series for Label {
+    fn register(_: &Registry, _: &str, labels: &[(&str, &str)], _: &str) -> Self {
+        Label(labels.iter().map(|(_, v)| *v).collect())
+    }
+}
+
+/// Converts what a handle's `get()` returns into the snapshot field's
+/// type: itself, or — gauges hold integers as `f64` — an integer.
+trait ReadAs<V> {
+    fn read_as(self) -> V;
+}
+
+impl<T> ReadAs<T> for T {
+    fn read_as(self) -> T {
+        self
+    }
+}
+
+impl ReadAs<usize> for f64 {
+    fn read_as(self) -> usize {
+        self as usize
+    }
+}
+
+impl ReadAs<u64> for f64 {
+    fn read_as(self) -> u64 {
+        self as u64
+    }
+}
+
+/// The one listing of the serve series. A row reads
+///
+/// ```text
+/// field: Handle as SnapshotType = "family" [by precision], "help";
+/// ```
+///
+/// and expands to the handle field of [`MetricsInner`], its
+/// registration (`by precision` labels the series with the engine's
+/// weight precision), the public [`MetricsSnapshot`] field of the same
+/// name (declaration order is the JSON key order) and its copy in
+/// `snapshot()`. Rows of the second block have no `as`: they are
+/// exported but back no snapshot field. The help text doubles as the
+/// rustdoc of both fields; `///` lines on a row add to it.
+macro_rules! serve_series {
+    (
+        {$(
+            $(#[$doc:meta])*
+            $field:ident: $handle:ty as $ty:ty = $name:literal $(by $label:ident)?, $help:literal;
+        )*}
+        {$(
+            $(#[$udoc:meta])*
+            $ufield:ident: $uhandle:ty = $uname:literal $(by $ulabel:ident)?, $uhelp:literal;
+        )*}
+    ) => {
+        /// Shared mutable metrics state (engine-internal): one handle
+        /// per listed series, all registered in the per-engine registry.
+        pub(crate) struct MetricsInner {
+            registry: Registry,
+            /// Requests submitted but not yet answered. The source of
+            /// truth for admission (`Engine::submit` needs a CAS against
+            /// `max_queue`); the `backlog` gauge mirrors it.
+            in_flight: AtomicUsize,
+            /// Nanoseconds the scheduler spent inside decode iterations.
+            busy_ns: AtomicU64,
+            $(#[doc = $help] $(#[$doc])* pub $field: $handle,)*
+            $(#[doc = $uhelp] $(#[$udoc])* pub $ufield: $uhandle,)*
+        }
+
+        impl MetricsInner {
+            /// Metrics for an engine decoding at `precision` (the label
+            /// on the per-precision series).
+            pub fn new(precision: WeightPrecision) -> Self {
+                let registry = Registry::new();
+                let label = precision.label();
+                $(let $field = <$handle as Series>::register(
+                    &registry,
+                    $name,
+                    &[$((stringify!($label), label))?],
+                    $help,
+                );)*
+                $(let $ufield = <$uhandle as Series>::register(
+                    &registry,
+                    $uname,
+                    &[$((stringify!($ulabel), label))?],
+                    $uhelp,
+                );)*
+                Self {
+                    registry,
+                    in_flight: AtomicUsize::new(0),
+                    busy_ns: AtomicU64::new(0),
+                    $($field,)*
+                    $($ufield,)*
+                }
+            }
+
+            /// Read every snapshot-backed series out of the registry.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: self.$field.get().read_as(),)*
+                }
+            }
+        }
+
+        /// A serialisable copy of the engine's metrics: a typed view
+        /// over the series in [`crate::Engine::registry`].
+        #[derive(Clone, Debug, Serialize)]
+        pub struct MetricsSnapshot {
+            $(#[doc = $help] $(#[$doc])* pub $field: $ty,)*
+        }
+
+        /// The listing as data — `(family, label, help, snapshot field)`
+        /// per row — for the tests that hold the exposition, the
+        /// snapshot and SERVING.md §4 against it.
+        #[cfg(test)]
+        pub(crate) const SERIES: &[(&str, &str, &str, &str)] = &[
+            $((
+                $name,
+                concat!($(stringify!($label))?),
+                $help,
+                concat!(stringify!($field), ": ", stringify!($ty)),
+            ),)*
+            $(($uname, concat!($(stringify!($ulabel))?), $uhelp, ""),)*
+        ];
+    };
+}
+
+serve_series! {{
+    queue_depth: Gauge as usize = "serve_queue_depth",
+        "requests admitted but not yet scheduled into the batch";
+    /// Over the engine's lifetime — the sizing signal the instantaneous
+    /// gauge misses between scrapes.
+    queue_depth_peak: Gauge as usize = "serve_queue_depth_peak",
+        "high-water mark of queue depth (queued plus preempted)";
+    active: Gauge as usize = "serve_active_requests", "requests currently decoding";
+    /// That is, submitted and not yet answered.
+    backlog: Gauge as usize = "serve_backlog", "requests in flight anywhere in the engine";
+    completed: Counter as u64 = "serve_requests_completed_total",
+        "requests retired (any finish reason)";
+    /// ([`crate::FinishReason::Failed`]).
+    failed: Counter as u64 = "serve_requests_failed_total",
+        "requests retired by an internal fault";
+    generated_tokens: Counter as u64 = "serve_generated_tokens_total",
+        "tokens generated across all requests";
+    /// The snapshot carries exact percentiles over the last
+    /// [`TTFT_WINDOW`] retired requests.
+    ttft_ms: Windowed<TTFT_WINDOW> as Percentiles = "serve_ttft_ms",
+        "time to first token, milliseconds";
+    /// The snapshot carries exact percentiles over the last
+    /// [`TOKEN_LATENCY_WINDOW`] generated tokens.
+    token_latency_ms: Windowed<TOKEN_LATENCY_WINDOW> as Percentiles = "serve_token_latency_ms",
+        "per-token decode latency, milliseconds";
+    /// Derived: refreshed once per scheduler iteration.
+    tokens_per_sec: Gauge as f64 = "serve_tokens_per_sec",
+        "generated tokens per second of scheduler busy time";
+    precision: Label as String = "precision" by precision,
+        "weight datatype label the engine decodes with (`f32` / `int8`)";
+    /// The quantized footprint under `Int8`, the f32 footprint otherwise.
+    weight_bytes: Gauge as u64 = "serve_quant_weight_bytes" by precision,
+        "heap bytes of the weight store the scheduler decodes against";
+    /// Paged: allocated blocks × block bytes; contiguous: summed buffers.
+    kv_bytes: Gauge as u64 = "serve_kv_bytes",
+        "KV-cache bytes currently held across active requests";
+    /// The engine's true KV memory requirement, independent of when the
+    /// snapshot was taken — the number capacity planning cares about.
+    kv_bytes_peak: Gauge as u64 = "serve_kv_bytes_peak",
+        "high-water mark of KV-cache bytes held";
+    /// Always 0 on the contiguous backend.
+    kv_blocks_allocated: Gauge as usize = "serve_kv_blocks_allocated",
+        "KV blocks currently allocated out of the paged pool";
+    /// The block copies prefix sharing is avoiding right now.
+    kv_blocks_shared: Gauge as usize = "serve_kv_blocks_shared",
+        "extra block references held by copy-on-write prefix sharing";
+    /// Preempted requests' tables plus prefix-cache entries dropped to
+    /// make room (cumulative).
+    kv_blocks_evicted: Counter as u64 = "serve_kv_blocks_evicted_total",
+        "block references freed by memory-pressure eviction";
+    kv_block_allocs: Counter as u64 = "serve_kv_block_allocs_total",
+        "fresh KV block allocations out of the pool";
+    /// With `kv_block_allocs`, gives the reuse ratio
+    /// `shares / (allocs + shares)`.
+    kv_block_shares: Counter as u64 = "serve_kv_block_shares_total",
+        "KV blocks reused through copy-on-write prefix sharing";
+    /// Bumped by paged KV-pool exhaustion; each one re-prefills on
+    /// readmission, so this is the "wasted prefill" signal capacity
+    /// planning reads next to `kv_blocks_evicted` (the blocks each bump
+    /// freed).
+    preemptions: Counter as u64 = "serve_preemptions_total",
+        "active requests bumped back to the parking lot";
+    /// Across all speculative macro-steps (0 when no request ran in
+    /// speculative mode).
+    spec_drafted: Counter as u64 = "serve_spec_drafted_total",
+        "tokens proposed by the speculative draft model";
+    spec_accepted: Counter as u64 = "serve_spec_accepted_total",
+        "draft proposals accepted by the f32 verify pass";
+    /// Always `spec_drafted - spec_accepted`.
+    spec_rolled_back: Counter as u64 = "serve_spec_rolled_back_total",
+        "draft proposals rejected and rolled back from the KV cache";
+    /// Derived (0.0 before any drafting): the knob that says whether the
+    /// configured draft length `k` is paying for itself.
+    spec_acceptance_rate: Gauge as f64 = "serve_spec_acceptance_rate",
+        "fraction of draft proposals accepted (accepted / drafted)";
+} {
+    /// The `token_latency_ms` samples again, as a labelled family, so
+    /// one scrape can compare f32 and int8 engines side by side.
+    decode_latency: Histogram = "serve_decode_latency_ms" by precision,
+        "per-token decode latency by weight precision, milliseconds";
+}}
 
 impl Default for MetricsInner {
     fn default() -> Self {
@@ -120,156 +311,39 @@ impl Default for MetricsInner {
     }
 }
 
+/// `num / den`, or 0 while the denominator is still empty.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
 impl MetricsInner {
-    /// Metrics for an engine decoding at `precision`: everything the
-    /// f32 engine registers, plus the `serve_quant_weight_bytes` gauge
-    /// and a `precision`-labelled decode latency histogram.
-    pub fn new(precision: WeightPrecision) -> Self {
-        let registry = Registry::new();
-        let queue_depth = registry.gauge(
-            "serve_queue_depth",
-            "requests admitted but not yet scheduled into the batch",
-        );
-        let queue_depth_peak = registry.gauge(
-            "serve_queue_depth_peak",
-            "high-water mark of queue depth (queued plus preempted)",
-        );
-        let active = registry.gauge("serve_active_requests", "requests currently decoding");
-        let backlog_gauge =
-            registry.gauge("serve_backlog", "requests in flight anywhere in the engine");
-        let completed = registry.counter(
-            "serve_requests_completed_total",
-            "requests retired (any finish reason)",
-        );
-        let failed = registry.counter(
-            "serve_requests_failed_total",
-            "requests retired by an internal fault",
-        );
-        let generated_tokens = registry.counter(
-            "serve_generated_tokens_total",
-            "tokens generated across all requests",
-        );
-        let tokens_per_sec = registry.gauge(
-            "serve_tokens_per_sec",
-            "generated tokens per second of scheduler busy time",
-        );
-        let ttft_hist = registry.histogram(
-            "serve_ttft_ms",
-            "time to first token, milliseconds",
-            &Histogram::LATENCY_MS_BOUNDS,
-        );
-        let token_latency_hist = registry.histogram(
-            "serve_token_latency_ms",
-            "per-token decode latency, milliseconds",
-            &Histogram::LATENCY_MS_BOUNDS,
-        );
-        let quant_weight_bytes = registry.gauge_with(
-            "serve_quant_weight_bytes",
-            &[("precision", precision.label())],
-            "heap bytes of the weight store the scheduler decodes against",
-        );
-        let decode_latency_hist = registry.histogram_with(
-            "serve_decode_latency_ms",
-            &[("precision", precision.label())],
-            "per-token decode latency by weight precision, milliseconds",
-            &Histogram::LATENCY_MS_BOUNDS,
-        );
-        let kv_bytes = registry.gauge(
-            "serve_kv_bytes",
-            "KV-cache bytes currently held across active requests",
-        );
-        let kv_bytes_peak = registry.gauge(
-            "serve_kv_bytes_peak",
-            "high-water mark of KV-cache bytes held",
-        );
-        let kv_blocks_allocated = registry.gauge(
-            "serve_kv_blocks_allocated",
-            "KV blocks currently allocated out of the paged pool",
-        );
-        let kv_blocks_shared = registry.gauge(
-            "serve_kv_blocks_shared",
-            "extra block references held by copy-on-write prefix sharing",
-        );
-        let kv_blocks_evicted = registry.counter(
-            "serve_kv_blocks_evicted_total",
-            "block references freed by memory-pressure eviction",
-        );
-        let kv_block_allocs = registry.counter(
-            "serve_kv_block_allocs_total",
-            "fresh KV block allocations out of the pool",
-        );
-        let kv_block_shares = registry.counter(
-            "serve_kv_block_shares_total",
-            "KV blocks reused through copy-on-write prefix sharing",
-        );
-        let preemptions = registry.counter(
-            "serve_preemptions_total",
-            "active requests bumped back to the parking lot",
-        );
-        let spec_drafted = registry.counter(
-            "serve_spec_drafted_total",
-            "tokens proposed by the speculative draft model",
-        );
-        let spec_accepted = registry.counter(
-            "serve_spec_accepted_total",
-            "draft proposals accepted by the f32 verify pass",
-        );
-        let spec_rolled_back = registry.counter(
-            "serve_spec_rolled_back_total",
-            "draft proposals rejected and rolled back from the KV cache",
-        );
-        let spec_acceptance = registry.gauge(
-            "serve_spec_acceptance_rate",
-            "fraction of draft proposals accepted (accepted / drafted)",
-        );
-        Self {
-            registry,
-            queue_depth,
-            queue_depth_peak,
-            active,
-            backlog: AtomicUsize::new(0),
-            backlog_gauge,
-            completed,
-            failed,
-            generated_tokens,
-            busy_ns: AtomicU64::new(0),
-            tokens_per_sec,
-            ttft_ms: Reservoir::new(TTFT_WINDOW),
-            ttft_hist,
-            token_latency_ms: Reservoir::new(TOKEN_LATENCY_WINDOW),
-            token_latency_hist,
-            precision,
-            quant_weight_bytes,
-            decode_latency_hist,
-            kv_bytes,
-            kv_bytes_peak,
-            kv_blocks_allocated,
-            kv_blocks_shared,
-            kv_blocks_evicted,
-            kv_block_allocs,
-            kv_block_shares,
-            preemptions,
-            spec_drafted,
-            spec_accepted,
-            spec_rolled_back,
-            spec_acceptance,
-        }
+    /// The engine's metric registry (for Prometheus exposition).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
-    /// Record one speculative macro-step's outcome: `drafted` proposals
-    /// made, `accepted` of them kept, `rolled_back` rejected out of the
-    /// target KV cache. The acceptance-rate gauge is derived from the
-    /// counters at snapshot time, so this is three counter bumps.
+    /// Record one scheduler iteration's speculative outcome: `drafted`
+    /// proposals made, `accepted` of them kept, `rolled_back` rejected
+    /// out of the target KV cache. Scheduler-thread only, so the
+    /// acceptance gauge is derived from settled counters.
     pub fn record_spec(&self, drafted: u64, accepted: u64, rolled_back: u64) {
         self.spec_drafted.add(drafted);
         self.spec_accepted.add(accepted);
         self.spec_rolled_back.add(rolled_back);
+        self.spec_acceptance_rate.set(ratio(
+            self.spec_accepted.get() as f64,
+            self.spec_drafted.get() as f64,
+        ));
     }
 
-    /// Record the scheduler's view of pending work (queued plus
-    /// preempted), tracking the lifetime high-water mark alongside the
-    /// instantaneous gauge. Scheduler-thread only, so the read-modify
-    /// on the peak gauge is race-free.
+    /// Record the scheduler's view of pending work (the parking lot:
+    /// queued plus preempted), tracking the lifetime high-water mark
+    /// alongside the instantaneous gauge. Scheduler-thread only, so the
+    /// read-modify on the peak gauge is race-free.
     pub fn record_queue_depth(&self, depth: usize) {
         let d = depth as f64;
         self.queue_depth.set(d);
@@ -291,167 +365,46 @@ impl MetricsInner {
         self.kv_blocks_shared.set(blocks_shared as f64);
     }
 
-    /// The engine's metric registry (for Prometheus exposition).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Record the weight store's heap footprint (set once by the
-    /// scheduler after it builds [`matgpt_model::ModelWeights`]).
-    pub fn record_weight_bytes(&self, bytes: usize) {
-        self.quant_weight_bytes.set(bytes as f64);
-    }
-
     /// Atomically claim an in-flight slot if fewer than `capacity` are
     /// taken. Admission control for `Engine::submit`.
     pub fn try_claim_slot(&self, capacity: usize) -> bool {
         let claimed = self
-            .backlog
+            .in_flight
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| {
                 (b < capacity).then_some(b + 1)
             })
             .is_ok();
         if claimed {
-            self.backlog_gauge
-                .set(self.backlog.load(Ordering::Relaxed) as f64);
+            self.backlog
+                .set(self.in_flight.load(Ordering::Relaxed) as f64);
         }
         claimed
     }
 
     /// Release an in-flight slot (request answered or bounced).
     pub fn release_slot(&self) {
-        let prev = self.backlog.fetch_sub(1, Ordering::AcqRel);
-        self.backlog_gauge.set(prev.saturating_sub(1) as f64);
+        let prev = self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        self.backlog.set(prev.saturating_sub(1) as f64);
     }
 
     pub fn record_ttft(&self, d: Duration) {
-        let ms = d.as_secs_f64() * 1e3;
-        self.ttft_ms.push(ms);
-        self.ttft_hist.observe(ms);
+        self.ttft_ms.observe(d.as_secs_f64() * 1e3);
     }
 
     pub fn record_token_latency(&self, d: Duration) {
         let ms = d.as_secs_f64() * 1e3;
-        self.token_latency_ms.push(ms);
-        self.token_latency_hist.observe(ms);
-        self.decode_latency_hist.observe(ms);
+        self.token_latency_ms.observe(ms);
+        self.decode_latency.observe(ms);
     }
 
+    /// Add one scheduler iteration's wall time and refresh the derived
+    /// throughput gauge (the iteration's tokens are already counted).
     pub fn record_busy(&self, d: Duration) {
-        self.busy_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        let d = d.as_nanos() as u64;
+        let busy_s = (self.busy_ns.fetch_add(d, Ordering::Relaxed) + d) as f64 * 1e-9;
+        self.tokens_per_sec
+            .set(ratio(self.generated_tokens.get() as f64, busy_s));
     }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let generated = self.generated_tokens.get();
-        let busy_s = self.busy_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-        let tokens_per_sec = if busy_s > 0.0 {
-            generated as f64 / busy_s
-        } else {
-            0.0
-        };
-        // derived gauge: refreshed on scrape so the exposition carries it
-        self.tokens_per_sec.set(tokens_per_sec);
-        let spec_drafted = self.spec_drafted.get();
-        let spec_accepted = self.spec_accepted.get();
-        let spec_acceptance_rate = if spec_drafted > 0 {
-            spec_accepted as f64 / spec_drafted as f64
-        } else {
-            0.0
-        };
-        self.spec_acceptance.set(spec_acceptance_rate);
-        MetricsSnapshot {
-            queue_depth: self.queue_depth.get() as usize,
-            queue_depth_peak: self.queue_depth_peak.get() as usize,
-            active: self.active.get() as usize,
-            backlog: self.backlog.load(Ordering::Relaxed),
-            completed: self.completed.get(),
-            failed: self.failed.get(),
-            generated_tokens: generated,
-            ttft_ms: self.ttft_ms.percentiles(),
-            token_latency_ms: self.token_latency_ms.percentiles(),
-            tokens_per_sec,
-            precision: self.precision.label().to_string(),
-            weight_bytes: self.quant_weight_bytes.get() as u64,
-            kv_bytes: self.kv_bytes.get() as u64,
-            kv_bytes_peak: self.kv_bytes_peak.get() as u64,
-            kv_blocks_allocated: self.kv_blocks_allocated.get() as usize,
-            kv_blocks_shared: self.kv_blocks_shared.get() as usize,
-            kv_blocks_evicted: self.kv_blocks_evicted.get(),
-            kv_block_allocs: self.kv_block_allocs.get(),
-            kv_block_shares: self.kv_block_shares.get(),
-            preemptions: self.preemptions.get(),
-            spec_drafted,
-            spec_accepted,
-            spec_rolled_back: self.spec_rolled_back.get(),
-            spec_acceptance_rate,
-        }
-    }
-}
-
-/// A consistent, serialisable copy of the engine's metrics.
-#[derive(Clone, Debug, Serialize)]
-pub struct MetricsSnapshot {
-    /// Requests admitted but not yet scheduled into the batch.
-    pub queue_depth: usize,
-    /// High-water mark of `queue_depth` (queued plus preempted) over
-    /// the engine's lifetime.
-    pub queue_depth_peak: usize,
-    /// Requests currently decoding.
-    pub active: usize,
-    /// Requests in flight anywhere in the engine (submitted, not yet
-    /// answered).
-    pub backlog: usize,
-    /// Requests retired (any finish reason).
-    pub completed: u64,
-    /// Requests retired because an internal fault hit them.
-    pub failed: u64,
-    /// Total tokens generated across all requests.
-    pub generated_tokens: u64,
-    /// Time-to-first-token percentiles over the last [`TTFT_WINDOW`]
-    /// retired requests.
-    pub ttft_ms: Percentiles,
-    /// Per-token decode latency percentiles over the last
-    /// [`TOKEN_LATENCY_WINDOW`] generated tokens.
-    pub token_latency_ms: Percentiles,
-    /// Generated tokens per second of scheduler busy time.
-    pub tokens_per_sec: f64,
-    /// Weight datatype label the engine decodes with (`f32` / `int8`).
-    pub precision: String,
-    /// Heap bytes of the weight store the scheduler runs against.
-    pub weight_bytes: u64,
-    /// KV-cache bytes currently held across active requests.
-    pub kv_bytes: u64,
-    /// High-water mark of `kv_bytes` — the engine's true KV memory
-    /// requirement, independent of when the snapshot was taken.
-    pub kv_bytes_peak: u64,
-    /// KV blocks currently allocated out of the paged pool (0 on the
-    /// contiguous backend).
-    pub kv_blocks_allocated: usize,
-    /// Extra block references held by copy-on-write prefix sharing.
-    pub kv_blocks_shared: usize,
-    /// Block references freed by memory-pressure eviction so far.
-    pub kv_blocks_evicted: u64,
-    /// Fresh KV block allocations out of the pool (cumulative).
-    pub kv_block_allocs: u64,
-    /// KV blocks reused through copy-on-write prefix sharing
-    /// (cumulative) — with `kv_block_allocs`, gives the reuse ratio
-    /// `shares / (allocs + shares)`.
-    pub kv_block_shares: u64,
-    /// Actively decoding requests bumped back to the parking lot by
-    /// paged KV-pool exhaustion (cumulative), each of which will
-    /// re-prefill on readmission.
-    pub preemptions: u64,
-    /// Tokens proposed by the int8 draft model across all speculative
-    /// macro-steps (0 when no request ran in speculative mode).
-    pub spec_drafted: u64,
-    /// Draft proposals accepted by the f32 verify pass.
-    pub spec_accepted: u64,
-    /// Draft proposals rejected and rolled back — always
-    /// `spec_drafted - spec_accepted`.
-    pub spec_rolled_back: u64,
-    /// `spec_accepted / spec_drafted` (0.0 before any drafting).
-    pub spec_acceptance_rate: f64,
 }
 
 impl MetricsSnapshot {
@@ -463,7 +416,7 @@ impl MetricsSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -503,35 +456,137 @@ mod tests {
         inner.completed.inc();
         let text = matgpt_obs::prom::render(inner.registry());
         let families = matgpt_obs::prom::parse(&text).expect("exposition parses");
-        for name in [
-            "serve_queue_depth",
-            "serve_queue_depth_peak",
-            "serve_active_requests",
-            "serve_backlog",
-            "serve_requests_completed_total",
-            "serve_requests_failed_total",
-            "serve_generated_tokens_total",
-            "serve_tokens_per_sec",
-            "serve_ttft_ms",
-            "serve_token_latency_ms",
-            "serve_kv_bytes",
-            "serve_kv_bytes_peak",
-            "serve_kv_blocks_allocated",
-            "serve_kv_blocks_shared",
-            "serve_kv_blocks_evicted_total",
-            "serve_kv_block_allocs_total",
-            "serve_kv_block_shares_total",
-            "serve_preemptions_total",
-            "serve_spec_drafted_total",
-            "serve_spec_accepted_total",
-            "serve_spec_rolled_back_total",
-            "serve_spec_acceptance_rate",
-        ] {
+        // the one listing, minus its label row, is exactly what renders
+        let listed: Vec<&str> = SERIES
+            .iter()
+            .map(|row| row.0)
+            .filter(|name| name.starts_with("serve_"))
+            .collect();
+        assert_eq!(listed.len(), SERIES.len() - 1, "one label row: `precision`");
+        for name in &listed {
             assert!(
-                families.iter().any(|f| f.name == name),
+                families.iter().any(|f| f.name == *name),
                 "family `{name}` missing:\n{text}"
             );
         }
+        assert_eq!(families.len(), listed.len(), "unlisted family:\n{text}");
+    }
+
+    /// The value of an unlabelled-or-labelled counter/gauge sample line.
+    pub(crate) fn scrape(text: &str, name: &str) -> f64 {
+        text.lines()
+            .find_map(|l| {
+                let rest = l.strip_prefix(name)?;
+                let rest = rest
+                    .strip_prefix('{')
+                    .map_or(Some(rest), |r| Some(r.split_once('}')?.1));
+                rest?.strip_prefix(' ')?.parse().ok()
+            })
+            .unwrap_or_else(|| panic!("no sample for `{name}`:\n{text}"))
+    }
+
+    #[test]
+    fn derived_gauges_are_fresh_at_scrape_without_a_snapshot() {
+        let inner = MetricsInner::default();
+        inner.generated_tokens.add(7);
+        inner.record_busy(Duration::from_millis(70));
+        inner.record_spec(4, 3, 1);
+        // no `snapshot()` anywhere: a scraper reads the registry alone
+        let text = matgpt_obs::prom::render(inner.registry());
+        assert!(
+            (scrape(&text, "serve_tokens_per_sec") - 100.0).abs() < 1e-9,
+            "{text}"
+        );
+        assert_eq!(scrape(&text, "serve_spec_acceptance_rate"), 0.75, "{text}");
+    }
+
+    #[test]
+    fn snapshot_json_keys_are_pinned() {
+        // `perf/` and dashboards read these names: a rename must fail
+        // here, in tier-1's crate tests, not in the benchmark
+        let json = serde_json::to_value(&MetricsInner::default().snapshot()).unwrap();
+        let keys: Vec<&str> = json
+            .as_object()
+            .expect("snapshot serialises to an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "queue_depth",
+                "queue_depth_peak",
+                "active",
+                "backlog",
+                "completed",
+                "failed",
+                "generated_tokens",
+                "ttft_ms",
+                "token_latency_ms",
+                "tokens_per_sec",
+                "precision",
+                "weight_bytes",
+                "kv_bytes",
+                "kv_bytes_peak",
+                "kv_blocks_allocated",
+                "kv_blocks_shared",
+                "kv_blocks_evicted",
+                "kv_block_allocs",
+                "kv_block_shares",
+                "preemptions",
+                "spec_drafted",
+                "spec_accepted",
+                "spec_rolled_back",
+                "spec_acceptance_rate",
+            ]
+        );
+    }
+
+    /// SERVING.md §4's table, rendered from the listing (kinds from the
+    /// live registry, so the table cannot disagree with the exposition).
+    fn series_table() -> String {
+        let kinds = MetricsInner::default().registry().names();
+        let mut md = String::from(
+            "| series | kind | `MetricsSnapshot` field | meaning |\n|---|---|---|---|\n",
+        );
+        for (name, label, help, field) in SERIES {
+            let kind = kinds
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, k)| k.prom_type());
+            let series = match (kind, label.is_empty()) {
+                (Some(_), false) => format!("{name}{{{label}}}"),
+                _ => name.to_string(),
+            };
+            let field = if field.is_empty() {
+                "—".to_string()
+            } else {
+                format!("`{field}`")
+            };
+            let kind = kind.unwrap_or("label");
+            md += &format!("| `{series}` | {kind} | {field} | {help} |\n");
+        }
+        md
+    }
+
+    #[test]
+    fn serving_md_carries_the_series_table() {
+        let md = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../SERVING.md"))
+            .expect("read SERVING.md");
+        let table = series_table();
+        // the whole table, first row to last: a row dropped from either
+        // end of the listing must not pass as a substring
+        let header = table.lines().next().unwrap();
+        let in_md: String = md
+            .lines()
+            .skip_while(|l| *l != header)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            in_md, table,
+            "SERVING.md §4 differs from the `serve_series!` listing; paste:\n{table}"
+        );
     }
 
     #[test]

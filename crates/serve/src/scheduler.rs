@@ -1,21 +1,24 @@
 //! Continuous-batching scheduler.
 //!
 //! One scheduler thread owns the model and drives an iteration-level
-//! loop: every iteration it (1) drains newly submitted requests into a
-//! FIFO queue, (2) admits from the queue head while the batch slot and
-//! KV-token budgets allow — strict head-of-line order, so admission is
-//! FIFO — running a batched prefill over the newly admitted prompts,
-//! (3) advances every active request by one decoded token in parallel
-//! (rayon over the batch; the per-request forwards are the heavy part),
-//! and (4) retires requests that hit their stop token, length budget,
-//! deadline, or a client cancel, freeing their budget so the next
-//! queued request joins on the very next iteration.
+//! loop over the **parking lot** — one deque, ordered by request id, of
+//! every request outside the batch (`Parked`: newly submitted, or
+//! preempted mid-decode) — and the **batch** (`Active`). Every
+//! iteration it (1) drains new submissions onto the back of the lot,
+//! (2) admits from its head while the batch slot and KV budgets allow —
+//! strict head-of-line order, so admission is oldest-first — prefilling
+//! what it admits, (3) advances every active request by one decoded
+//! token in parallel (rayon over the batch; the per-request forwards
+//! are the heavy part), and (4) retires requests that hit their stop
+//! token, length budget, deadline, or a client cancel, freeing their
+//! budget so the next parked request joins on the very next iteration.
+//! A request leaves the engine one way, wherever it is: `Parked::retire`.
 //!
 //! Faults are isolated per request: a model forward that panics (in
 //! prefill or decode) is caught with `catch_unwind`, the afflicted
-//! request retires with [`FinishReason::Failed`] — its partially
-//! mutated state discarded with it, so no poisoned state survives —
-//! and the rest of the batch continues untouched.
+//! request retires with [`FinishReason::Failed`] — keeping its tokens,
+//! its partially mutated KV state discarded, so no poisoned state
+//! survives — and the rest of the batch continues untouched.
 //!
 //! ## KV backends
 //!
@@ -34,9 +37,11 @@
 //!   the first prefill's blocks; the forwards themselves stay
 //!   rayon-parallel inside). When a decode step cannot get a block the
 //!   scheduler evicts prefix-cache entries first and then **preempts**
-//!   the youngest active request — its blocks return to the pool, its
-//!   decode progress (tokens, rng stream, ttft) is parked, and it is
-//!   re-admitted ahead of the queue via a recompute prefill that
+//!   the youngest active request — its blocks return to the pool and
+//!   its decode progress (tokens, rng stream, ttft) re-enters the lot
+//!   *by id*. Ids follow submission order and everything active left
+//!   the lot's head earlier, so it sorts ahead of everything still
+//!   queued and is re-admitted first, via a recompute prefill that
 //!   reproduces its pre-eviction logits bit-for-bit. Both backends
 //!   produce bit-identical logits for identical request streams (see
 //!   `tests/paged_kv.rs`).
@@ -46,12 +51,13 @@
 //! prefill and decode iteration on the scheduler thread's track, and a
 //! reconstructed queued → prefill → decode lifecycle track per request
 //! (tid `REQ_TRACK_BASE + id`, named "req N"), emitted from the
-//! captured `Instant`s when the request retires.
+//! captured `Instant`s when the request retires — from the batch or,
+//! as a single `queued` slice, from the lot.
 
 use crate::kvpool::{BlockPool, KvBlockConfig, KvExhausted, PagedKv, PrefixCache};
 use crate::metrics::MetricsInner;
 use crate::request::{FinishReason, Response, Submission};
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::Receiver;
 use matgpt_model::infer::{KvCache, KvStorage};
 use matgpt_model::speculative::{speculative_step, DraftState, SpecOutcome};
 use matgpt_model::{
@@ -70,7 +76,7 @@ use std::time::{Duration, Instant};
 /// Request lifecycle tracks start here within [`pids::SERVE`], far
 /// above the small thread-local track ids the scheduler's own spans
 /// use, so the two can never collide in the trace.
-const REQ_TRACK_BASE: u64 = 1 << 32;
+pub(crate) const REQ_TRACK_BASE: u64 = 1 << 32;
 
 /// Prefix-cache entries the paged scheduler keeps warm. Small and
 /// LRU-rotated: the cache exists to carry a handful of hot system
@@ -93,6 +99,17 @@ pub enum KvBackend {
     /// high request counts with common system prompts — see
     /// `ext_paged_bench` for the gated peak-memory numbers.
     Paged(KvBlockConfig),
+}
+
+impl KvBackend {
+    /// The pool geometry when paged: the one arm the scheduler's pool and
+    /// `Engine::submit`'s never-schedulable check are both built from.
+    pub(crate) fn paged(self) -> Option<KvBlockConfig> {
+        match self {
+            KvBackend::Contiguous => None,
+            KvBackend::Paged(bc) => Some(bc),
+        }
+    }
 }
 
 /// How the scheduler advances active requests each decode iteration.
@@ -297,33 +314,72 @@ impl KvStorage for ReqKv {
     }
 }
 
-/// Decode progress carried across a preemption: enough to re-admit the
-/// request with a recompute prefill that resumes the exact token and
-/// rng stream it was evicted mid-way through.
-struct ResumeState {
+/// A request and the progress it carries wherever it is: waiting in
+/// the parking lot for its first admission (`generated == 0`, `tokens`
+/// is the prompt), evicted back there by memory pressure, or — inside
+/// an [`Active`] — decoding in the batch. Enough for a prefill over
+/// `tokens` to pick up the exact token and rng stream where it stands.
+struct Parked {
+    sub: Submission,
     tokens: Vec<u32>,
     generated: usize,
     rng: ChaCha8Rng,
     ttft: Option<Duration>,
 }
 
-/// A request evicted from the batch by memory pressure, waiting (ahead
-/// of the queue) to be re-admitted.
-struct Preempted {
-    sub: Submission,
-    state: ResumeState,
+impl Parked {
+    /// A submission straight off the intake channel.
+    fn fresh(sub: Submission) -> Self {
+        Self {
+            tokens: sub.req.prompt.clone(),
+            generated: 0,
+            rng: ChaCha8Rng::seed_from_u64(sub.req.seed),
+            ttft: None,
+            sub,
+        }
+    }
+
+    /// The one way a request leaves the engine, whatever state it was
+    /// in: close its traced lifecycle (`prefill` is when its last
+    /// prefill began and ended; `None` when it retires from the parking
+    /// lot), count it (a [`FinishReason::Failed`] one also dumps its
+    /// postmortem), free its in-flight slot, then send the response
+    /// with whatever it had generated — in that order, so a client that
+    /// snapshots metrics right after its response sees them settled.
+    fn retire(
+        self,
+        finish: FinishReason,
+        prefill: Option<(Instant, Instant)>,
+        metrics: &MetricsInner,
+    ) {
+        let sub = self.sub;
+        emit_lifecycle(&sub, self.generated, prefill);
+        let total = sub.submitted.elapsed();
+        metrics.completed.inc();
+        if finish == FinishReason::Failed {
+            metrics.failed.inc();
+            dump_request_postmortem(sub.id, metrics);
+        }
+        metrics.release_slot();
+        let _ = sub.tx.send(Response {
+            id: sub.id,
+            tokens: self.tokens,
+            generated: self.generated,
+            finish,
+            // a request that never produced a token reports its total
+            ttft: self.ttft.unwrap_or(total),
+            total,
+        });
+    }
 }
 
 /// A request that has been admitted into the decode batch.
 struct Active {
-    sub: Submission,
+    /// What the request takes with it when it is preempted or retires.
+    state: Parked,
     cache: ReqKv,
-    tokens: Vec<u32>,
-    generated: usize,
-    rng: ChaCha8Rng,
     /// Logits row the next token will be sampled from.
     last_row: Vec<f32>,
-    ttft: Option<Duration>,
     last_token_at: Instant,
     reserved: usize,
     /// Int8 self-draft state, present only when the engine runs
@@ -331,41 +387,36 @@ struct Active {
     /// Recreated fresh on preemption-resume (safe: the draft never
     /// influences output, only acceptance rate).
     draft: Option<DraftState>,
+    /// `[drafted, accepted, rolled_back]` of the speculative macro-step
+    /// this iteration ran, for the scheduler thread to count once the
+    /// parallel step has joined.
+    spec_step: [u64; 3],
     done: Option<FinishReason>,
     /// When this request's prefill forward began / finished — the
     /// boundaries of its traced queued/prefill/decode lifecycle.
-    prefill_start: Instant,
-    prefill_end: Instant,
+    prefill: (Instant, Instant),
 }
 
 impl Active {
-    /// Prefill into `cache` (trailing `max_seq` window) and stage the
-    /// first logits row. A forked paged cache already holds a shared
-    /// prefix, so only the uncached suffix forwards; a `resume` state
-    /// (preempted request) recomputes over its full prompt+generated
-    /// token stream and picks up the exact rng stream it left off at.
-    /// The model forward runs under `catch_unwind`: on a panic the
-    /// submission is handed back so the scheduler can retire it as
-    /// [`FinishReason::Failed`] without losing the batch.
+    /// Prefill `state.tokens` into `cache` (trailing `max_seq` window)
+    /// and stage the first logits row. A forked paged cache already
+    /// holds a shared prefix, so only the uncached suffix forwards; a
+    /// preempted request recomputes over its full prompt+generated
+    /// stream and picks up the exact rng stream it left off at. The
+    /// model forward runs under `catch_unwind`: on a panic the request
+    /// is handed back as it was parked, so the scheduler can retire it
+    /// as [`FinishReason::Failed`] without losing the batch or the
+    /// tokens it had generated.
     fn try_prefill(
         model: &GptModel,
         weights: &ModelWeights,
-        sub: Submission,
+        state: Parked,
         reserved: usize,
         cache: ReqKv,
-        resume: Option<ResumeState>,
         spec_enabled: bool,
-    ) -> Result<Self, Box<(Submission, usize)>> {
+    ) -> Result<Self, Box<Parked>> {
         let prefill_start = Instant::now();
-        let (tokens, generated, rng, ttft) = match resume {
-            Some(r) => (r.tokens, r.generated, r.rng, r.ttft),
-            None => (
-                sub.req.prompt.clone(),
-                0,
-                ChaCha8Rng::seed_from_u64(sub.req.seed),
-                None,
-            ),
-        };
+        let tokens = &state.tokens;
         let ctx_start = tokens.len().saturating_sub(model.cfg.max_seq);
         // rows the cache already holds (a forked shared prefix) skip
         // the forward entirely; a fresh cache starts at the window edge
@@ -375,7 +426,7 @@ impl Active {
             ctx_start
         };
         let n_fwd = tokens.len() - start;
-        // only the forward is unwind-scoped; `sub` stays outside so a
+        // only the forward is unwind-scoped; `state` stays outside so a
         // Failed response can still be delivered (the cache rides in
         // and is dropped — blocks released — if the forward panics)
         let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -385,29 +436,24 @@ impl Active {
             let last_row = logits[(n_fwd - 1) * v..].to_vec();
             (cache, last_row)
         }));
-        let (cache, last_row) = match forward {
-            Ok(ok) => ok,
-            Err(_) => return Err(Box::new((sub, reserved))),
+        let Ok((cache, last_row)) = forward else {
+            return Err(Box::new(state));
         };
         let prefill_end = Instant::now();
         // speculation is per-request: only greedy requests get a draft
         // (a sampled request's rng stream must advance token by token)
-        let draft = (spec_enabled && sub.req.opts.temperature <= 0.0)
+        let draft = (spec_enabled && state.sub.req.opts.temperature <= 0.0)
             .then(|| DraftState::new(model, &tokens[ctx_start..]));
         Ok(Self {
-            sub,
+            state,
             cache,
-            tokens,
-            generated,
-            rng,
             last_row,
-            ttft,
             last_token_at: prefill_end,
             reserved,
             draft,
+            spec_step: [0; 3],
             done: None,
-            prefill_start,
-            prefill_end,
+            prefill: (prefill_start, prefill_end),
         })
     }
 
@@ -423,15 +469,16 @@ impl Active {
     ) {
         debug_assert!(self.done.is_none(), "stepping a finished request");
         let now = Instant::now();
-        if self.sub.cancelled() {
+        let Parked { sub, generated, .. } = &self.state;
+        if sub.cancelled() {
             self.done = Some(FinishReason::Cancelled);
             return;
         }
-        if self.sub.expired(now) {
+        if sub.expired(now) {
             self.done = Some(FinishReason::DeadlineExceeded);
             return;
         }
-        if self.generated >= self.sub.req.opts.max_new_tokens {
+        if *generated >= sub.req.opts.max_new_tokens {
             self.done = Some(FinishReason::Length);
             return;
         }
@@ -439,25 +486,11 @@ impl Active {
             self.step_speculative(model, fstore, rt, metrics);
             return;
         }
-        let opts = &self.sub.req.opts;
-        let next =
-            sample_logits(&self.last_row, opts.temperature, opts.top_k, &mut self.rng) as u32;
-        self.tokens.push(next);
-        self.generated += 1;
-        metrics.generated_tokens.inc();
-        if self.ttft.is_none() {
-            let ttft = self.sub.submitted.elapsed();
-            self.ttft = Some(ttft);
-            metrics.record_ttft(ttft);
-        } else {
-            metrics.record_token_latency(now - self.last_token_at);
-        }
-        self.last_token_at = now;
-        if Some(next) == opts.stop_token {
-            self.done = Some(FinishReason::Stop);
-        } else if self.generated >= opts.max_new_tokens {
-            self.done = Some(FinishReason::Length);
-        } else {
+        let opts = &self.state.sub.req.opts;
+        let rng = &mut self.state.rng;
+        let next = sample_logits(&self.last_row, opts.temperature, opts.top_k, rng) as u32;
+        self.emit(&[next], now - self.last_token_at, now, metrics);
+        if self.done.is_none() {
             self.last_row = weights.decode_step(model, next, &mut self.cache);
         }
     }
@@ -477,7 +510,7 @@ impl Active {
     ) {
         let step_start = Instant::now();
         let mut draft = self.draft.take().expect("speculative step without draft");
-        let remaining = self.sub.req.opts.max_new_tokens - self.generated;
+        let remaining = self.state.sub.req.opts.max_new_tokens - self.state.generated;
         let out = speculative_step(
             model,
             store,
@@ -490,32 +523,36 @@ impl Active {
         );
         self.draft = Some(draft);
         let now = Instant::now();
-        metrics.record_spec(
-            out.drafted as u64,
-            out.accepted as u64,
-            out.rolled_back as u64,
-        );
-        emit_spec_spans(self.sub.id, step_start, &out);
+        self.spec_step = [out.drafted, out.accepted, out.rolled_back].map(|n| n as u64);
+        emit_spec_spans(self.state.sub.id, step_start, &out);
         // the macro-step produced all its tokens in one go; attribute
         // its wall time evenly across them for the latency histogram
         let per_token = (now - self.last_token_at) / out.tokens.len() as u32;
-        let opts = &self.sub.req.opts;
-        for &t in &out.tokens {
-            self.tokens.push(t);
-            self.generated += 1;
+        self.emit(&out.tokens, per_token, now, metrics);
+    }
+
+    /// Append the tokens a step produced, in order, until one of them
+    /// finishes the request: count each, record TTFT for the first the
+    /// request ever produced and `per_token` latency for the rest.
+    fn emit(&mut self, tokens: &[u32], per_token: Duration, now: Instant, metrics: &MetricsInner) {
+        let state = &mut self.state;
+        for &t in tokens {
+            state.tokens.push(t);
+            state.generated += 1;
             metrics.generated_tokens.inc();
-            if self.ttft.is_none() {
-                let ttft = self.sub.submitted.elapsed();
-                self.ttft = Some(ttft);
+            if state.ttft.is_none() {
+                let ttft = state.sub.submitted.elapsed();
+                state.ttft = Some(ttft);
                 metrics.record_ttft(ttft);
             } else {
                 metrics.record_token_latency(per_token);
             }
+            let opts = &state.sub.req.opts;
             if Some(t) == opts.stop_token {
                 self.done = Some(FinishReason::Stop);
                 break;
             }
-            if self.generated >= opts.max_new_tokens {
+            if state.generated >= opts.max_new_tokens {
                 self.done = Some(FinishReason::Length);
                 break;
             }
@@ -523,19 +560,10 @@ impl Active {
         self.last_token_at = now;
     }
 
-    /// Leave the batch: close the traced lifecycle, then answer with
-    /// whatever was generated.
+    /// Leave the batch with whatever was generated.
     fn retire(self, metrics: &MetricsInner) {
-        emit_lifecycle(&self);
         let finish = self.done.unwrap_or(FinishReason::Length);
-        answer(
-            self.sub,
-            self.tokens,
-            self.generated,
-            self.ttft,
-            finish,
-            metrics,
-        );
+        self.state.retire(finish, Some(self.prefill), metrics);
     }
 }
 
@@ -544,123 +572,12 @@ fn token_cost(sub: &Submission, max_seq: usize) -> usize {
     sub.req.prompt.len().min(max_seq) + sub.req.opts.max_new_tokens
 }
 
-/// Retire a request that never entered the batch.
-fn retire_unstarted(sub: Submission, reason: FinishReason, metrics: &MetricsInner) {
-    let rec = Recorder::global();
-    let tid = REQ_TRACK_BASE + sub.id;
-    let ts = rec.ts_of(sub.submitted);
-    let dur = (rec.now_us() - ts).max(0.0);
-    // always-on black box: the flow endpoints land in the flight ring
-    // even while the full recorder is off
-    let id = sub.flow_id;
-    flight::record(
-        FlightEvent::flow(
-            pids::SERVE,
-            "serve.request",
-            "queued",
-            FlightKind::FlowStart(id),
-            ts,
-            dur,
-        )
-        .at_step(sub.id),
-    );
-    flight::record(
-        FlightEvent::flow(
-            pids::SERVE,
-            "serve.request",
-            "queued",
-            FlightKind::FlowFinish(id),
-            ts,
-            dur,
-        )
-        .at_step(sub.id),
-    );
-    if rec.is_enabled() {
-        // its whole life was the queue: one "queued" interval
-        rec.set_track_name(pids::SERVE, tid, format!("req {}", sub.id));
-        rec.record(
-            TraceEvent::complete(pids::SERVE, tid, "serve.request", "queued", ts, dur)
-                .arg("id", sub.id as f64),
-        );
-        rec.extend_flows(vec![
-            FlowEvent::at(
-                FlowPhase::Start,
-                pids::SERVE,
-                tid,
-                "serve.request",
-                "queued",
-                id,
-                ts,
-            ),
-            FlowEvent::at(
-                FlowPhase::Finish,
-                pids::SERVE,
-                tid,
-                "serve.request",
-                "queued",
-                id,
-                ts + dur,
-            ),
-        ]);
-    }
-    let prompt = sub.req.prompt.clone();
-    answer(sub, prompt, 0, None, reason, metrics);
-}
-
-/// Retire a preempted request waiting for re-admission (cancelled,
-/// expired, or unschedulable), answering with the tokens it had
-/// generated before eviction.
-fn retire_preempted(p: Preempted, reason: FinishReason, metrics: &MetricsInner) {
-    let ResumeState {
-        tokens,
-        generated,
-        ttft,
-        ..
-    } = p.state;
-    answer(p.sub, tokens, generated, ttft, reason, metrics);
-}
-
-/// The one way a request leaves the engine, whatever state it was in:
-/// count it (a [`FinishReason::Failed`] one also dumps its postmortem),
-/// free its in-flight slot, then send the response — in that order, so a
-/// client that snapshots metrics right after its response sees them
-/// settled. `ttft` is `None` for a request that never produced a token.
-fn answer(
-    sub: Submission,
-    tokens: Vec<u32>,
-    generated: usize,
-    ttft: Option<Duration>,
-    finish: FinishReason,
-    metrics: &MetricsInner,
-) {
-    let total = sub.submitted.elapsed();
-    metrics.completed.inc();
-    if finish == FinishReason::Failed {
-        metrics.failed.inc();
-        dump_request_postmortem(sub.id, metrics);
-    }
-    metrics.release_slot();
-    let _ = sub.tx.send(Response {
-        id: sub.id,
-        tokens,
-        generated,
-        finish,
-        ttft: ttft.unwrap_or(total),
-        total,
-    });
-}
-
-/// Retire every parked request (queued or preempted) whose client
-/// cancelled it or whose deadline has passed.
-fn sweep_parked<T>(
-    parked: &mut VecDeque<T>,
-    now: Instant,
-    sub_of: impl Fn(&T) -> &Submission,
-    retire: impl Fn(T, FinishReason),
-) {
+/// Retire every parked request whose client cancelled it or whose
+/// deadline has passed.
+fn sweep_parked(parked: &mut VecDeque<Parked>, now: Instant, metrics: &MetricsInner) {
     let mut i = 0;
     while i < parked.len() {
-        let sub = sub_of(&parked[i]);
+        let sub = &parked[i].sub;
         let reason = if sub.cancelled() {
             FinishReason::Cancelled
         } else if sub.expired(now) {
@@ -670,7 +587,7 @@ fn sweep_parked<T>(
             continue;
         };
         let Some(gone) = parked.remove(i) else { break };
-        retire(gone, reason);
+        gone.retire(reason, None, metrics);
     }
 }
 
@@ -752,105 +669,88 @@ fn emit_spec_spans(id: u64, start: Instant, out: &SpecOutcome) {
     ]);
 }
 
-/// Reconstruct a retired request's lifecycle — queued → prefill →
-/// decode — onto its own trace track from the `Instant`s captured
-/// while it ran. No-op while the global recorder is disabled.
-fn emit_lifecycle(a: &Active) {
+/// Reconstruct a retiring request's lifecycle onto its own trace track
+/// from the `Instant`s captured while it ran: a `queued` slice, then —
+/// when it retires from the batch, `prefill` being the start and end of
+/// its last prefill — `prefill` and `decode` slices, with one causal
+/// flow arrow from the first slice's start to the last one's end. A
+/// request that retires from the parking lot is the one-slice case. The
+/// arrow's endpoints always land in the flight ring; the slices only
+/// while the global recorder is enabled.
+fn emit_lifecycle(sub: &Submission, generated: usize, prefill: Option<(Instant, Instant)>) {
     let rec = Recorder::global();
-    let tid = REQ_TRACK_BASE + a.sub.id;
-    let queued_ts = rec.ts_of(a.sub.submitted);
-    let prefill_ts = rec.ts_of(a.prefill_start);
-    let decode_ts = rec.ts_of(a.prefill_end);
+    let tid = REQ_TRACK_BASE + sub.id;
+    let id = sub.flow_id;
+    let queued_ts = rec.ts_of(sub.submitted);
     let now = rec.now_us();
-    let id = a.sub.flow_id;
+    let (prefill_ts, decode_ts) = prefill.map_or((now, now), |(start, end)| {
+        (rec.ts_of(start), rec.ts_of(end))
+    });
+    // (name, start, end, arg key, arg value) per slice, in order
+    let all = [
+        ("queued", queued_ts, prefill_ts, "id", sub.id as f64),
+        (
+            "prefill",
+            prefill_ts,
+            decode_ts,
+            "prompt_tokens",
+            sub.req.prompt.len() as f64,
+        ),
+        ("decode", decode_ts, now, "generated", generated as f64),
+    ];
+    // a request that never reached the batch was queued to the end
+    let slices = &all[..if prefill.is_some() { 3 } else { 1 }];
+    let dur = |start: f64, end: f64| (end - start).max(0.0);
+    let (first, last) = (slices[0], slices[slices.len() - 1]);
     // always-on black box: the journey's endpoints survive in the
     // flight ring even while the full recorder is off
-    flight::record(
-        FlightEvent::flow(
-            pids::SERVE,
-            "serve.request",
-            "queued",
-            FlightKind::FlowStart(id),
-            queued_ts,
-            (prefill_ts - queued_ts).max(0.0),
-        )
-        .at_step(a.sub.id),
-    );
-    flight::record(
-        FlightEvent::flow(
-            pids::SERVE,
-            "serve.request",
-            "decode",
-            FlightKind::FlowFinish(id),
-            decode_ts,
-            (now - decode_ts).max(0.0),
-        )
-        .at_step(a.sub.id),
-    );
+    for (slice, kind) in [
+        (first, FlightKind::FlowStart(id)),
+        (last, FlightKind::FlowFinish(id)),
+    ] {
+        let (name, start, end, ..) = slice;
+        flight::record(
+            FlightEvent::flow(
+                pids::SERVE,
+                "serve.request",
+                name,
+                kind,
+                start,
+                dur(start, end),
+            )
+            .at_step(sub.id),
+        );
+    }
     if !rec.is_enabled() {
         return;
     }
-    rec.set_track_name(pids::SERVE, tid, format!("req {}", a.sub.id));
-    rec.extend(vec![
-        TraceEvent::complete(
-            pids::SERVE,
-            tid,
-            "serve.request",
-            "queued",
-            queued_ts,
-            (prefill_ts - queued_ts).max(0.0),
-        )
-        .arg("id", a.sub.id as f64),
-        TraceEvent::complete(
-            pids::SERVE,
-            tid,
-            "serve.request",
-            "prefill",
-            prefill_ts,
-            (decode_ts - prefill_ts).max(0.0),
-        )
-        .arg("prompt_tokens", a.sub.req.prompt.len() as f64),
-        TraceEvent::complete(
-            pids::SERVE,
-            tid,
-            "serve.request",
-            "decode",
-            decode_ts,
-            (now - decode_ts).max(0.0),
-        )
-        .arg("generated", a.generated as f64),
-    ]);
-    // the causal arrow: leaves the queued slice, touches prefill,
-    // lands at the decode slice's end (inclusive binding)
-    rec.extend_flows(vec![
-        FlowEvent::at(
-            FlowPhase::Start,
-            pids::SERVE,
-            tid,
-            "serve.request",
-            "queued",
-            id,
-            queued_ts,
-        ),
-        FlowEvent::at(
-            FlowPhase::Step,
-            pids::SERVE,
-            tid,
-            "serve.request",
-            "prefill",
-            id,
-            prefill_ts,
-        ),
-        FlowEvent::at(
-            FlowPhase::Finish,
-            pids::SERVE,
-            tid,
-            "serve.request",
-            "decode",
-            id,
-            now,
-        ),
-    ]);
+    rec.set_track_name(pids::SERVE, tid, format!("req {}", sub.id));
+    rec.extend(
+        slices
+            .iter()
+            .map(|&(name, start, end, key, value)| {
+                TraceEvent::complete(
+                    pids::SERVE,
+                    tid,
+                    "serve.request",
+                    name,
+                    start,
+                    dur(start, end),
+                )
+                .arg(key, value)
+            })
+            .collect(),
+    );
+    // the causal arrow: leaves the first slice, touches the middle one
+    // if there is one, lands at the last slice's end (inclusive binding)
+    let hop =
+        |phase, name, ts| FlowEvent::at(phase, pids::SERVE, tid, "serve.request", name, id, ts);
+    let mut flows = vec![hop(FlowPhase::Start, first.0, first.1)];
+    if let [_, middle, _] = slices {
+        flows.push(hop(FlowPhase::Step, middle.0, middle.1));
+    }
+    flows.push(hop(FlowPhase::Finish, last.0, last.1 + dur(last.1, last.2)));
+    rec.extend_flows(flows);
 }
 
 /// The scheduler loop. Runs until every sender is gone and all queued
@@ -862,11 +762,10 @@ pub(crate) fn run(
     rx: Receiver<Submission>,
     metrics: Arc<MetricsInner>,
 ) {
-    let mut queue: VecDeque<Submission> = VecDeque::new();
-    let mut preempted: VecDeque<Preempted> = VecDeque::new();
+    // the parking lot: every request outside the batch, ordered by id
+    let mut parked: VecDeque<Parked> = VecDeque::new();
     let mut active: Vec<Active> = Vec::new();
     let mut used_budget = 0usize;
-    let mut disconnected = false;
     Recorder::global().set_track_name(pids::SERVE, matgpt_obs::thread_tid(), "scheduler");
     flight::label_thread("serve-scheduler", None);
 
@@ -885,132 +784,89 @@ pub(crate) fn run(
     // one-time precision selection: Int8 quantizes here and drops the
     // f32 store with `store`'s binding
     let weights = ModelWeights::from_store(&model, store, cfg.precision);
-    metrics.record_weight_bytes(weights.weight_bytes());
+    metrics.weight_bytes.set(weights.weight_bytes() as f64);
 
     // last-seen pool totals, so the cumulative alloc/share counters
     // advance by per-iteration deltas
     let (mut prev_allocs, mut prev_shares) = (0u64, 0u64);
-    let mut paged: Option<PagedState> = match cfg.kv_backend {
-        KvBackend::Contiguous => None,
-        KvBackend::Paged(bc) => {
-            let pool = BlockPool::for_model(bc, &model);
-            let prefix = PrefixCache::new(&pool, PREFIX_CACHE_CAP);
-            Some(PagedState { pool, prefix })
-        }
-    };
+    let mut paged: Option<PagedState> = cfg.kv_backend.paged().map(|bc| {
+        let pool = BlockPool::for_model(bc, &model);
+        let prefix = PrefixCache::new(&pool, PREFIX_CACHE_CAP);
+        PagedState { pool, prefix }
+    });
 
     loop {
-        // ---- intake: block when idle, drain opportunistically otherwise
-        if active.is_empty() && queue.is_empty() && preempted.is_empty() {
-            if disconnected {
-                break;
-            }
+        // ---- intake: block when idle (every sender gone and nothing
+        // left to do ends the loop), drain opportunistically otherwise
+        if active.is_empty() && parked.is_empty() {
             match rx.recv() {
-                Ok(sub) => queue.push_back(sub),
-                Err(_) => {
-                    disconnected = true;
-                    continue;
-                }
+                Ok(sub) => parked.push_back(Parked::fresh(sub)),
+                Err(_) => break,
             }
         }
-        loop {
-            match rx.try_recv() {
-                Ok(sub) => queue.push_back(sub),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
+        while let Ok(sub) = rx.try_recv() {
+            parked.push_back(Parked::fresh(sub));
         }
 
         let iter_start = Instant::now();
 
-        // ---- sweep queued and preempted requests already cancelled or
-        // expired
-        let now = Instant::now();
-        sweep_parked(
-            &mut queue,
-            now,
-            |sub| sub,
-            |sub, reason| retire_unstarted(sub, reason, &metrics),
-        );
-        sweep_parked(
-            &mut preempted,
-            now,
-            |p| &p.sub,
-            |p, reason| retire_preempted(p, reason, &metrics),
-        );
+        // ---- sweep parked requests already cancelled or expired
+        sweep_parked(&mut parked, Instant::now(), &metrics);
 
         // ---- admission
         match paged.as_mut() {
             None => {
                 // contiguous: strict FIFO, worst-case token budget,
                 // batched rayon prefill over everything admitted at once
-                let mut admitted: Vec<(Submission, usize)> = Vec::new();
-                while let Some(front) = queue.front() {
+                let mut admitted: Vec<(Parked, usize)> = Vec::new();
+                while let Some(front) = parked.front() {
                     if active.len() + admitted.len() >= cfg.max_batch {
                         break;
                     }
-                    let cost = token_cost(front, model.cfg.max_seq);
+                    let cost = token_cost(&front.sub, model.cfg.max_seq);
                     let batch_empty = active.is_empty() && admitted.is_empty();
                     if !batch_empty && used_budget + cost > cfg.token_budget {
                         break;
                     }
-                    let Some(sub) = queue.pop_front() else { break };
+                    let Some(p) = parked.pop_front() else { break };
                     used_budget += cost;
-                    admitted.push((sub, cost));
+                    admitted.push((p, cost));
                 }
                 if !admitted.is_empty() {
                     let _span = Span::enter(pids::SERVE, "serve", "prefill-batch");
                     // batched prefill: all newly admitted prompts forward together
                     let (model_ref, weights_ref) = (&model, &weights);
                     let spec_on = spec.is_some();
-                    let fresh: Vec<Result<Active, Box<(Submission, usize)>>> = admitted
+                    let fresh: Vec<Result<Active, Box<Parked>>> = admitted
                         .into_par_iter()
-                        .map(|(sub, cost)| {
+                        .map(|(p, cost)| {
                             let cache = ReqKv::Contig(model_ref.new_cache());
-                            Active::try_prefill(
-                                model_ref,
-                                weights_ref,
-                                sub,
-                                cost,
-                                cache,
-                                None,
-                                spec_on,
-                            )
+                            Active::try_prefill(model_ref, weights_ref, p, cost, cache, spec_on)
                         })
                         .collect_vec();
                     for prefilled in fresh {
                         match prefilled {
                             Ok(a) => active.push(a),
-                            Err(bounced) => {
-                                let (sub, cost) = *bounced;
+                            Err(p) => {
                                 // panicked prefill: free its budget, answer Failed
-                                used_budget -= cost;
-                                retire_unstarted(sub, FinishReason::Failed, &metrics);
+                                used_budget -= token_cost(&p.sub, model.cfg.max_seq);
+                                p.retire(FinishReason::Failed, None, &metrics);
                             }
                         }
                     }
                 }
             }
             Some(ps) => {
-                // paged: block-granular admission, preempted requests
-                // re-admitted ahead of the queue. Prefills run serially
+                // paged: block-granular admission from the head of the
+                // lot (preempted requests first). Prefills run serially
                 // so a wave sharing a system prompt forks the blocks
                 // the wave's first prefill just registered (the forward
                 // itself is rayon-parallel inside).
                 let _span = Span::enter(pids::SERVE, "serve", "prefill-paged");
                 let max_seq = model.cfg.max_seq;
                 while active.len() < cfg.max_batch {
-                    let (sub, resume) = if let Some(p) = preempted.pop_front() {
-                        (p.sub, Some(p.state))
-                    } else if let Some(sub) = queue.pop_front() {
-                        (sub, None)
-                    } else {
-                        break;
-                    };
-                    let seq: &[u32] = resume.as_ref().map_or(&sub.req.prompt, |r| &r.tokens);
+                    let Some(p) = parked.pop_front() else { break };
+                    let seq: &[u32] = &p.tokens;
                     // sequences that fit the window fork the longest
                     // cached prefix; longer ones prefill a fresh
                     // truncated window (nothing block-aligned to share)
@@ -1056,55 +912,35 @@ pub(crate) fn run(
                             // cannot fit retires typed-Failed.
                             // `Engine::submit`'s capacity check makes
                             // this unreachable in practice.
-                            match resume {
-                                Some(state) => retire_preempted(
-                                    Preempted { sub, state },
-                                    FinishReason::Failed,
-                                    &metrics,
-                                ),
-                                None => retire_unstarted(sub, FinishReason::Failed, &metrics),
-                            }
+                            p.retire(FinishReason::Failed, None, &metrics);
                             continue;
                         }
                         // pool is busy: park the request at the head and
                         // stop admitting until blocks free up
-                        match resume {
-                            Some(state) => preempted.push_front(Preempted { sub, state }),
-                            None => queue.push_front(sub),
-                        }
+                        parked.push_front(p);
                         break;
                     }
-                    match Active::try_prefill(
-                        &model,
-                        &weights,
-                        sub,
-                        0,
-                        ReqKv::Paged(kv),
-                        resume,
-                        spec.is_some(),
-                    ) {
+                    let kv = ReqKv::Paged(kv);
+                    match Active::try_prefill(&model, &weights, p, 0, kv, spec.is_some()) {
                         Ok(a) => {
                             // register the prompt prefix for sharing —
                             // valid only when the cache holds the prompt
                             // from position 0 (no window truncation)
-                            if a.tokens.len() <= max_seq {
+                            if a.state.tokens.len() <= max_seq {
                                 if let Some(pkv) = a.cache.paged() {
-                                    let plen = a.sub.req.prompt.len();
-                                    ps.prefix.register(&a.tokens[..plen], pkv);
+                                    let plen = a.state.sub.req.prompt.len();
+                                    ps.prefix.register(&a.state.tokens[..plen], pkv);
                                 }
                             }
                             active.push(a);
                         }
-                        Err(bounced) => {
-                            let (sub, _) = *bounced;
-                            retire_unstarted(sub, FinishReason::Failed, &metrics);
-                        }
+                        Err(p) => p.retire(FinishReason::Failed, None, &metrics),
                     }
                 }
             }
         }
 
-        metrics.record_queue_depth(queue.len() + preempted.len());
+        metrics.record_queue_depth(parked.len());
         metrics.active.set(active.len() as f64);
 
         if active.is_empty() {
@@ -1118,7 +954,7 @@ pub(crate) fn run(
         if let Some(ps) = paged.as_mut() {
             // oldest ids claim first, so the preemption victim (max id,
             // last element) is always at or after the cursor
-            active.sort_by_key(|a| a.sub.id);
+            active.sort_by_key(|a| a.state.sub.id);
             let mut i = 0;
             while i < active.len() {
                 // speculative requests commit up to k + 1 rows in one
@@ -1149,22 +985,14 @@ pub(crate) fn run(
                         metrics
                             .kv_blocks_evicted
                             .add(a.cache.paged().map_or(0, |p| p.blocks_held()) as u64);
-                        let p = Preempted {
-                            state: ResumeState {
-                                tokens: a.tokens,
-                                generated: a.generated,
-                                rng: a.rng,
-                                ttft: a.ttft,
-                            },
-                            sub: a.sub,
-                        };
-                        // keep the parking lot sorted by id so re-
-                        // admission stays oldest-first
-                        let at = preempted
+                        // its cache drops with `a` — the blocks return
+                        // to the pool — while its progress re-enters the
+                        // lot by id, so re-admission stays oldest-first
+                        let at = parked
                             .iter()
-                            .position(|q| q.sub.id > p.sub.id)
-                            .unwrap_or(preempted.len());
-                        preempted.insert(at, p);
+                            .position(|q| q.sub.id > a.state.sub.id)
+                            .unwrap_or(parked.len());
+                        parked.insert(at, a.state);
                     }
                 }
             }
@@ -1192,6 +1020,18 @@ pub(crate) fn run(
                     a.done = Some(FinishReason::Failed);
                 }
             });
+        }
+
+        // ---- count the iteration's speculative macro-steps on this
+        // thread: one acceptance-gauge store, from settled counters
+        let [drafted, accepted, rolled_back] = active
+            .iter_mut()
+            .map(|a| std::mem::take(&mut a.spec_step))
+            .fold([0; 3], |sum, s| {
+                [sum[0] + s[0], sum[1] + s[1], sum[2] + s[2]]
+            });
+        if drafted > 0 {
+            metrics.record_spec(drafted, accepted, rolled_back);
         }
 
         // ---- KV occupancy while every active cache is still held, so
@@ -1237,4 +1077,62 @@ pub(crate) fn run(
     // hand any spans still buffered on this thread to the recorder
     // before the scheduler thread exits
     matgpt_obs::flush_thread();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::GenRequest;
+    use matgpt_model::config::{ArchKind, GptConfig};
+    use matgpt_tensor::init;
+
+    #[test]
+    fn failed_reprefill_hands_the_parked_request_back_with_its_tokens() {
+        let mut store = ParamStore::new();
+        let mcfg = GptConfig {
+            vocab_size: 30,
+            hidden: 16,
+            layers: 1,
+            heads: 2,
+            max_seq: 32,
+            ..GptConfig::tiny(ArchKind::Llama, 30)
+        };
+        let model = GptModel::new(mcfg, &mut store, &mut init::rng(0));
+        let weights = ModelWeights::from_store(&model, store, WeightPrecision::F32);
+        let metrics = MetricsInner::default();
+        assert!(metrics.try_claim_slot(1));
+        let (tx, rx) = crossbeam::channel::unbounded();
+        // a preempted request two tokens into its generation; the second
+        // is out of vocabulary, so the recompute prefill panics
+        let parked = Parked {
+            tokens: vec![1, 2, 3, 7, 29_999],
+            generated: 2,
+            ttft: Some(Duration::from_millis(5)),
+            ..Parked::fresh(Submission {
+                id: 0,
+                req: GenRequest::new(vec![1, 2, 3]),
+                submitted: Instant::now(),
+                absolute_deadline: None,
+                cancel: Arc::default(),
+                tx,
+                flow_id: 0,
+            })
+        };
+        let cache = ReqKv::Contig(model.new_cache());
+        let Err(back) = Active::try_prefill(&model, &weights, parked, 0, cache, false) else {
+            panic!("out-of-vocab recompute must not prefill");
+        };
+        back.retire(FinishReason::Failed, None, &metrics);
+        let r = rx.try_recv().expect("answered");
+        assert_eq!(r.finish, FinishReason::Failed);
+        assert_eq!(
+            r.tokens,
+            [1, 2, 3, 7, 29_999],
+            "progress before eviction kept"
+        );
+        assert_eq!(r.generated, 2);
+        assert_eq!(r.ttft, Duration::from_millis(5));
+        let snap = metrics.snapshot();
+        assert_eq!((snap.completed, snap.failed, snap.backlog), (1, 1, 0));
+    }
 }
