@@ -28,7 +28,7 @@ fn decode_rows<P: ForwardParams>(
 ) -> (Vec<u32>, Vec<Vec<f32>>) {
     let v = model.cfg.vocab_size;
     let mut cache = model.new_cache();
-    let logits = model.forward_cached_with(params, prompt, &mut cache);
+    let logits = model.forward_cached(params, prompt, &mut cache);
     let mut row = logits[(cache.len() - 1) * v..].to_vec();
     let mut tokens = Vec::with_capacity(steps);
     let mut rows = Vec::with_capacity(steps);
@@ -37,7 +37,7 @@ fn decode_rows<P: ForwardParams>(
             Some(path) => path[i],
             None => argmax(&row) as u32,
         };
-        row = model.decode_step_with(params, next, &mut cache);
+        row = model.decode_step(params, next, &mut cache);
         tokens.push(next);
         rows.push(row.clone());
     }
@@ -48,7 +48,7 @@ fn decode_rows<P: ForwardParams>(
 fn mean_nll<P: ForwardParams>(model: &GptModel, params: &P, seq: &[u32]) -> f64 {
     let v = model.cfg.vocab_size;
     let mut cache = model.new_cache();
-    let logits = model.forward_cached_with(params, seq, &mut cache);
+    let logits = model.forward_cached(params, seq, &mut cache);
     let mut total = 0.0f64;
     for pos in 1..seq.len() {
         let row = &logits[(pos - 1) * v..pos * v];

@@ -6,6 +6,10 @@
 //! a per-layer [`KvCache`], so decoding one token costs one pass over
 //! the weights plus one O(T) streaming-attention scan.
 //!
+//! [`GptModel::forward_cached`] is the one entry point: prefill, decode
+//! and speculative verify are the same call, over any [`ForwardParams`]
+//! × [`KvStorage`] (DECODING.md tabulates who dispatches on what).
+//!
 //! Semantics relative to the tape path:
 //!
 //! * positions are **absolute**: token `n` is rotated at angle `n`
@@ -25,12 +29,12 @@ use crate::quant::ForwardParams;
 use matgpt_tensor::kernels::activation as act;
 use matgpt_tensor::kernels::infer::{cached_attention, rotary_rows};
 use matgpt_tensor::kernels::norm;
-use matgpt_tensor::{ParamId, ParamStore};
+use matgpt_tensor::ParamId;
 
 /// Storage backend for the per-request KV state the cached decode path
 /// attends through.
 ///
-/// [`GptModel::forward_cached_with`] drives one forward of `n` new
+/// [`GptModel::forward_cached`] drives one forward of `n` new
 /// tokens as: [`KvStorage::begin`] (claim the next `n` absolute
 /// positions), then per layer [`KvStorage::write`] (store the rotated
 /// K/V rows) and [`KvStorage::attend`] (causal attention of the new
@@ -44,7 +48,7 @@ use matgpt_tensor::{ParamId, ParamStore};
 /// slab, refcounted copy-on-write prefix sharing). The contract both
 /// uphold: for bitwise-equal inputs, [`KvStorage::attend`] visits the
 /// same rows in the same order with the same float operations, so the
-/// logits out of `forward_cached_with` are **bit-identical** across
+/// logits out of `forward_cached` are **bit-identical** across
 /// backends (property-tested in `tests/paged_kv.rs`).
 pub trait KvStorage {
     /// Number of transformer layers this storage is shaped for.
@@ -146,20 +150,6 @@ impl KvCache {
         self.next_pos == 0
     }
 
-    /// Total tokens ever fed through this cache (monotone, unaffected
-    /// by truncation).
-    pub fn positions_seen(&self) -> usize {
-        self.next_pos
-    }
-
-    /// Heap bytes held by the cached keys and values.
-    pub fn cache_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| (l.k.len() + l.v.len()) * std::mem::size_of::<f32>())
-            .sum()
-    }
-
     /// Drop rows from the front of every layer until at most `max_seq`
     /// positions remain.
     fn truncate_to_window(&mut self) {
@@ -188,7 +178,10 @@ impl KvStorage for KvCache {
     }
 
     fn kv_bytes(&self) -> usize {
-        self.cache_bytes()
+        self.layers
+            .iter()
+            .map(|l| (l.k.len() + l.v.len()) * std::mem::size_of::<f32>())
+            .sum()
     }
 
     fn begin(&mut self, n: usize) -> usize {
@@ -241,43 +234,6 @@ impl KvStorage for KvCache {
     }
 }
 
-/// Scratch-buffer forward pass: everything below works on flat `f32`
-/// rows, reading weights through a [`ForwardParams`] source — the f32
-/// [`ParamStore`] or the int8 [`crate::quant::QuantizedParamStore`],
-/// which supplies its own fused-dequant matmul.
-struct Ctx<'a, P: ForwardParams> {
-    store: &'a P,
-}
-
-impl<'a, P: ForwardParams> Ctx<'a, P> {
-    fn w(&self, id: ParamId) -> &'a [f32] {
-        self.store.dense(id)
-    }
-
-    /// `y = x @ w (+ b)`, x `[m, k]`, w `[k, n]`.
-    fn linear(
-        &self,
-        x: &[f32],
-        w: ParamId,
-        b: Option<ParamId>,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Vec<f32> {
-        let mut y = vec![0.0f32; m * n];
-        self.store.matmul(x, w, &mut y, m, k, n);
-        if let Some(b) = b {
-            let bias = self.w(b);
-            for row in y.chunks_mut(n) {
-                for (o, &bv) in row.iter_mut().zip(bias) {
-                    *o += bv;
-                }
-            }
-        }
-        y
-    }
-}
-
 impl GptModel {
     /// An empty KV cache shaped for this model.
     pub fn new_cache(&self) -> KvCache {
@@ -286,25 +242,14 @@ impl GptModel {
 
     /// Feed `tokens` through the model on top of `cache`, returning the
     /// logits `[tokens.len(), vocab]` for every new position and
-    /// advancing the cache. Works for both regimes: a multi-token call
-    /// is a prefill, a 1-token call is a decode step.
-    pub fn forward_cached(
-        &self,
-        store: &ParamStore,
-        tokens: &[u32],
-        cache: &mut KvCache,
-    ) -> Vec<f32> {
-        self.forward_cached_with(store, tokens, cache)
-    }
-
-    /// [`GptModel::forward_cached`] generalised over the weight source
-    /// and the KV storage backend: `P` supplies dense reads and the
-    /// matmul kernel (f32 [`ParamStore`] or the int8
-    /// [`crate::quant::QuantizedParamStore`], fused-dequant matmuls);
-    /// `S` supplies the KV layout the pass attends through (contiguous
-    /// [`KvCache`] or a block-paged view), with bit-identical logits
-    /// across storage backends.
-    pub fn forward_cached_with<P: ForwardParams, S: KvStorage>(
+    /// advancing the cache — the one forward entry point: a multi-token
+    /// call is a prefill (or a speculative verify), a 1-token call a
+    /// decode step. `P` supplies dense reads and the matmul kernel (the
+    /// f32 [`matgpt_tensor::ParamStore`] or the int8
+    /// [`crate::quant::QuantizedParamStore`]), `S` the KV layout the
+    /// pass attends through (contiguous [`KvCache`] or a block-paged
+    /// view, bit-identical logits across the two); either may be `dyn`.
+    pub fn forward_cached<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
         &self,
         store: &P,
         tokens: &[u32],
@@ -332,13 +277,12 @@ impl GptModel {
         let kv_heads = cfg.kv_head_count();
         let d = cfg.head_dim();
         let kv_dim = kv_heads * d;
-        let ctx = Ctx { store };
 
         let start = cache.begin(n);
         let positions: Vec<usize> = (start..start + n).collect();
 
         // token embeddings -> x [n, h]
-        let emb = ctx.w(self.tok_emb);
+        let emb = store.dense(self.tok_emb);
         let mut x = vec![0.0f32; n * h];
         for (row, &tok) in x.chunks_mut(h).zip(tokens) {
             let tok = tok as usize;
@@ -349,37 +293,37 @@ impl GptModel {
         let mut scratch = vec![0.0f32; n * h];
         for (li, layer) in self.layers.iter().enumerate() {
             // --- attention block
-            self.norm_rows(&ctx, &x, &mut scratch, n, layer.id(Ln1G), layer.get(Ln1B));
-            let mut q = ctx.linear(&scratch, layer.id(Wq), layer.get(Bq), n, h, h);
-            let mut k = ctx.linear(&scratch, layer.id(Wk), layer.get(Bk), n, h, kv_dim);
-            let v = ctx.linear(&scratch, layer.id(Wv), layer.get(Bv), n, h, kv_dim);
+            self.norm_rows(store, &x, &mut scratch, n, layer.id(Ln1G), layer.get(Ln1B));
+            let mut q = store.linear(&scratch, layer.id(Wq), layer.get(Bq), n, h, h);
+            let mut k = store.linear(&scratch, layer.id(Wk), layer.get(Bk), n, h, kv_dim);
+            let v = store.linear(&scratch, layer.id(Wv), layer.get(Bv), n, h, kv_dim);
             rotary_rows(&mut q, &positions, heads, d, cfg.rope_base);
             rotary_rows(&mut k, &positions, kv_heads, d, cfg.rope_base);
             cache.write(li, &k, &v);
             let mut att = vec![0.0f32; n * heads * d];
             cache.attend(li, &q, &mut att, n, heads, kv_heads, d);
-            let proj = ctx.linear(&att, layer.id(Wo), layer.get(Bo), n, h, h);
+            let proj = store.linear(&att, layer.id(Wo), layer.get(Bo), n, h, h);
             for (o, &p) in x.iter_mut().zip(&proj) {
                 *o += p;
             }
             // --- mlp block
-            self.norm_rows(&ctx, &x, &mut scratch, n, layer.id(Ln2G), layer.get(Ln2B));
+            self.norm_rows(store, &x, &mut scratch, n, layer.id(Ln2G), layer.get(Ln2B));
             let m = cfg.mlp_hidden();
             let mlp = match cfg.arch {
                 ArchKind::NeoX => {
-                    let mut a = ctx.linear(&scratch, layer.id(W1), layer.get(B1), n, h, m);
+                    let mut a = store.linear(&scratch, layer.id(W1), layer.get(B1), n, h, m);
                     for v in a.iter_mut() {
                         *v = act::gelu(*v);
                     }
-                    ctx.linear(&a, layer.id(W2), layer.get(B2), n, m, h)
+                    store.linear(&a, layer.id(W2), layer.get(B2), n, m, h)
                 }
                 ArchKind::Llama => {
-                    let mut gate = ctx.linear(&scratch, layer.id(W1), None, n, h, m);
-                    let up = ctx.linear(&scratch, layer.id(W3), None, n, h, m);
+                    let mut gate = store.linear(&scratch, layer.id(W1), None, n, h, m);
+                    let up = store.linear(&scratch, layer.id(W3), None, n, h, m);
                     for (g, &u) in gate.iter_mut().zip(&up) {
                         *g = act::silu(*g) * u;
                     }
-                    ctx.linear(&gate, layer.id(W2), None, n, m, h)
+                    store.linear(&gate, layer.id(W2), None, n, m, h)
                 }
             };
             for (o, &p) in x.iter_mut().zip(&mlp) {
@@ -388,35 +332,28 @@ impl GptModel {
         }
         cache.commit();
 
-        self.norm_rows(&ctx, &x, &mut scratch, n, self.lnf_g, self.lnf_b);
+        self.norm_rows(store, &x, &mut scratch, n, self.lnf_g, self.lnf_b);
         let mut logits = vec![0.0f32; n * cfg.vocab_size];
-        ctx.store
-            .matmul(&scratch, self.lm_head, &mut logits, n, h, cfg.vocab_size);
+        store.matmul(&scratch, self.lm_head, &mut logits, n, h, cfg.vocab_size);
         logits
     }
 
     /// Decode one token on top of `cache`, returning its `[vocab]`
     /// logits row.
-    pub fn decode_step(&self, store: &ParamStore, token: u32, cache: &mut KvCache) -> Vec<f32> {
-        self.forward_cached(store, &[token], cache)
-    }
-
-    /// [`GptModel::decode_step`] generalised over the weight source and
-    /// the KV storage backend.
-    pub fn decode_step_with<P: ForwardParams, S: KvStorage>(
+    pub fn decode_step<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
         &self,
         store: &P,
         token: u32,
         cache: &mut S,
     ) -> Vec<f32> {
-        self.forward_cached_with(store, &[token], cache)
+        self.forward_cached(store, &[token], cache)
     }
 
     /// Architecture-appropriate normalisation of `[n, hidden]` rows into
     /// `out`.
-    fn norm_rows<P: ForwardParams>(
+    fn norm_rows<P: ForwardParams + ?Sized>(
         &self,
-        ctx: &Ctx<P>,
+        store: &P,
         x: &[f32],
         out: &mut [f32],
         n: usize,
@@ -426,11 +363,11 @@ impl GptModel {
         let h = self.cfg.hidden;
         match self.cfg.arch {
             ArchKind::NeoX => {
-                let beta = ctx.w(b.expect("NeoX LayerNorm beta"));
-                norm::layernorm_fwd(x, ctx.w(g), beta, out, n, h, self.cfg.norm_eps);
+                let beta = store.dense(b.expect("NeoX LayerNorm beta"));
+                norm::layernorm_fwd(x, store.dense(g), beta, out, n, h, self.cfg.norm_eps);
             }
             ArchKind::Llama => {
-                norm::rmsnorm_fwd(x, ctx.w(g), out, n, h, self.cfg.norm_eps);
+                norm::rmsnorm_fwd(x, store.dense(g), out, n, h, self.cfg.norm_eps);
             }
         }
     }
@@ -440,7 +377,7 @@ impl GptModel {
 mod tests {
     use super::*;
     use crate::config::GptConfig;
-    use matgpt_tensor::{init, Tape};
+    use matgpt_tensor::{init, ParamStore, Tape};
 
     fn build(arch: ArchKind, kv_heads: Option<usize>, seed: u64) -> (GptModel, ParamStore) {
         let mut store = ParamStore::new();
@@ -514,7 +451,7 @@ mod tests {
         }
         assert_eq!(cache.len(), max);
         assert_eq!(cache.positions_seen(), max + 10);
-        let bytes = cache.cache_bytes();
+        let bytes = cache.kv_bytes();
         let kv_dim = model.cfg.kv_head_count() * model.cfg.head_dim();
         assert_eq!(bytes, 2 * model.cfg.layers * max * kv_dim * 4);
     }

@@ -41,5 +41,5 @@ pub use config::{ArchKind, BertConfig, GptConfig};
 pub use generate::{generate, sample_logits, SampleOptions};
 pub use gpt::GptModel;
 pub use infer::{KvCache, KvStorage};
-pub use quant::{ForwardParams, ModelWeights, QuantizedParamStore, WeightPrecision};
+pub use quant::{ForwardParams, QuantizedParamStore, WeightPrecision};
 pub use speculative::{generate_speculative, speculative_step, DraftState, SpecOutcome, SpecStats};

@@ -11,10 +11,11 @@
 //! self-contained: the original f32 store can be dropped, which is
 //! where the ~4× weight-memory saving comes from.
 //!
-//! [`GptModel::forward_cached_with`] runs against either store through
-//! the [`ForwardParams`] trait, so the serving engine picks a precision
-//! with one [`WeightPrecision`] knob and everything downstream — KV
-//! cache, scheduler, sampling — is unchanged.
+//! [`GptModel::forward_cached`] runs against either store through the
+//! [`ForwardParams`] trait — the one place precision is dispatched — so
+//! the serving engine picks a store once from its [`WeightPrecision`]
+//! knob and everything downstream — KV cache, scheduler, sampling — is
+//! unchanged (DECODING.md has the whole decode-path table).
 
 use crate::gpt::GptModel;
 use matgpt_tensor::kernels::matmul::matmul;
@@ -60,6 +61,28 @@ pub trait ForwardParams {
     fn matmul(&self, x: &[f32], id: ParamId, c: &mut [f32], m: usize, k: usize, n: usize);
     /// Heap bytes held by the weights (for capacity accounting).
     fn weight_bytes(&self) -> usize;
+    /// `y = x @ w (+ b)`, x `[m, k]`, w `[k, n]`, `b` a dense bias row.
+    fn linear(
+        &self,
+        x: &[f32],
+        w: ParamId,
+        b: Option<ParamId>,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<f32> {
+        let mut y = vec![0.0f32; m * n];
+        self.matmul(x, w, &mut y, m, k, n);
+        if let Some(b) = b {
+            let bias = self.dense(b);
+            for row in y.chunks_mut(n) {
+                for (o, &bv) in row.iter_mut().zip(bias) {
+                    *o += bv;
+                }
+            }
+        }
+        y
+    }
 }
 
 impl ForwardParams for ParamStore {
@@ -76,49 +99,61 @@ impl ForwardParams for ParamStore {
     }
 }
 
+/// One quantized matrix, in the layout the kernel that streams it reads.
+enum Codes {
+    /// Row-major codes for the W8A32 fused-dequant [`matmul_q8`].
+    Rows(QuantizedMatrix),
+    /// Blocked codes for the W8A8 integer-dot [`matmul_q8a8`].
+    Packed(PackedQ8Matrix),
+}
+
 /// A [`ParamStore`] snapshot with every matmul weight quantized to
 /// per-channel int8 and everything else kept f32. Self-contained —
 /// drop the f32 store after building one.
 pub struct QuantizedParamStore {
     dense: HashMap<ParamId, Tensor>,
-    quant: HashMap<ParamId, QuantizedMatrix>,
-    /// Codes repacked for the integer-dot kernel; present only on
-    /// stores built with [`QuantizedParamStore::for_draft`].
-    packed: HashMap<ParamId, PackedQ8Matrix>,
+    /// The one representation each quantized matrix is held in.
+    codes: HashMap<ParamId, Codes>,
 }
 
 impl QuantizedParamStore {
-    /// Quantize `model`'s matmul weights out of `store`.
-    pub fn quantize(model: &GptModel, store: &ParamStore) -> Self {
+    /// Quantize `model`'s matmul weights out of `store`, holding each in
+    /// the layout `encode` turns it into.
+    fn build(
+        model: &GptModel,
+        store: &ParamStore,
+        encode: impl Fn(QuantizedMatrix) -> Codes,
+    ) -> Self {
         let layer_matmuls = model.layers.iter().flat_map(|layer| {
             layer
                 .iter()
                 .filter(|(spec, _)| spec.is_matmul())
                 .map(|(_, id)| id)
         });
-        let quant: HashMap<_, _> = std::iter::once(model.lm_head)
+        let codes: HashMap<_, _> = std::iter::once(model.lm_head)
             .chain(layer_matmuls)
             .map(|id| {
                 let t = store.value(id);
                 let (k, n) = t.as_2d();
-                (id, QuantizedMatrix::quantize(t.data(), k, n))
+                (id, encode(QuantizedMatrix::quantize(t.data(), k, n)))
             })
             .collect();
         let dense = store
             .ids()
-            .filter(|id| !quant.contains_key(id))
+            .filter(|id| !codes.contains_key(id))
             .map(|id| (id, store.value(id).clone()))
             .collect();
-        Self {
-            dense,
-            quant,
-            packed: HashMap::new(),
-        }
+        Self { dense, codes }
     }
 
-    /// Quantize for use as a speculative *draft*: matmuls additionally
-    /// keep an integer-dot packing ([`PackedQ8Matrix`]) and run W8A8 —
-    /// activations are int8-quantized per row and dot products
+    /// Quantize `model`'s matmul weights out of `store`.
+    pub fn quantize(model: &GptModel, store: &ParamStore) -> Self {
+        Self::build(model, store, Codes::Rows)
+    }
+
+    /// Quantize for use as a speculative *draft*: each matrix is held
+    /// only in its integer-dot packing ([`PackedQ8Matrix`]) and runs
+    /// W8A8 — activations are int8-quantized per row and dot products
     /// accumulate exactly in i32. Roughly 1% extra rounding error per
     /// linear versus the serving [`Self::quantize`] path, which for a
     /// draft only shows up as slightly lower acceptance — while the
@@ -127,28 +162,33 @@ impl QuantizedParamStore {
     /// memory-bound. Output correctness is unaffected either way: the
     /// f32 verify pass re-derives every emitted token.
     pub fn for_draft(model: &GptModel, store: &ParamStore) -> Self {
-        let mut q = Self::quantize(model, store);
-        q.packed = q
-            .quant
-            .iter()
-            .map(|(&id, qm)| (id, PackedQ8Matrix::pack(qm)))
-            .collect();
-        q
+        Self::build(model, store, |q| Codes::Packed(PackedQ8Matrix::pack(&q)))
     }
 
     /// Number of quantized matrices.
     pub fn quantized_matrices(&self) -> usize {
-        self.quant.len()
+        self.codes.len()
     }
 
-    /// Bytes the quantized matrices alone occupy (codes + scales).
+    /// Bytes the quantized matrices alone occupy (codes + scales, plus
+    /// the packing's column sums on a draft store).
     pub fn quantized_bytes(&self) -> usize {
-        self.quant.values().map(|q| q.bytes()).sum()
+        self.codes
+            .values()
+            .map(|c| match c {
+                Codes::Rows(q) => q.bytes(),
+                Codes::Packed(p) => p.bytes(),
+            })
+            .sum()
     }
 
-    /// The quantized matrix behind `id`, if `id` was quantized.
+    /// The row-major quantized matrix behind `id`: `None` when `id` was
+    /// not quantized, or is held packed ([`Self::for_draft`]).
     pub fn quantized(&self, id: ParamId) -> Option<&QuantizedMatrix> {
-        self.quant.get(&id)
+        match self.codes.get(&id) {
+            Some(Codes::Rows(q)) => Some(q),
+            _ => None,
+        }
     }
 }
 
@@ -161,11 +201,9 @@ impl ForwardParams for QuantizedParamStore {
     }
 
     fn matmul(&self, x: &[f32], id: ParamId, c: &mut [f32], m: usize, k: usize, n: usize) {
-        if let Some(p) = self.packed.get(&id) {
-            return matmul_q8a8(x, p, c, m, k, n);
-        }
-        match self.quant.get(&id) {
-            Some(q) => matmul_q8(x, q, c, m, k, n),
+        match self.codes.get(&id) {
+            Some(Codes::Packed(p)) => matmul_q8a8(x, p, c, m, k, n),
+            Some(Codes::Rows(q)) => matmul_q8(x, q, c, m, k, n),
             None => matmul(x, self.dense(id), c, m, k, n),
         }
     }
@@ -176,71 +214,7 @@ impl ForwardParams for QuantizedParamStore {
             .values()
             .map(|t| t.numel() * std::mem::size_of::<f32>())
             .sum();
-        let packed: usize = self.packed.values().map(|p| p.bytes()).sum();
-        dense + self.quantized_bytes() + packed
-    }
-}
-
-/// The weights a serving engine runs against: one enum so the scheduler
-/// holds either precision behind a single field and the choice stays a
-/// construction-time config knob.
-pub enum ModelWeights {
-    /// Native f32 weights.
-    F32(ParamStore),
-    /// Int8-quantized matmul weights.
-    Int8(QuantizedParamStore),
-}
-
-impl ModelWeights {
-    /// Build the weights for `precision`, consuming the f32 store (the
-    /// int8 path quantizes and drops it).
-    pub fn from_store(model: &GptModel, store: ParamStore, precision: WeightPrecision) -> Self {
-        match precision {
-            WeightPrecision::F32 => ModelWeights::F32(store),
-            WeightPrecision::Int8 => {
-                ModelWeights::Int8(QuantizedParamStore::quantize(model, &store))
-            }
-        }
-    }
-
-    /// Which precision these weights hold.
-    pub fn precision(&self) -> WeightPrecision {
-        match self {
-            ModelWeights::F32(_) => WeightPrecision::F32,
-            ModelWeights::Int8(_) => WeightPrecision::Int8,
-        }
-    }
-
-    /// Heap bytes the weights occupy.
-    pub fn weight_bytes(&self) -> usize {
-        match self {
-            ModelWeights::F32(s) => s.weight_bytes(),
-            ModelWeights::Int8(s) => s.weight_bytes(),
-        }
-    }
-
-    /// [`GptModel::forward_cached_with`] against whichever precision is
-    /// loaded, over any [`crate::infer::KvStorage`] backend.
-    pub fn forward_cached<S: crate::infer::KvStorage>(
-        &self,
-        model: &GptModel,
-        tokens: &[u32],
-        cache: &mut S,
-    ) -> Vec<f32> {
-        match self {
-            ModelWeights::F32(s) => model.forward_cached_with(s, tokens, cache),
-            ModelWeights::Int8(s) => model.forward_cached_with(s, tokens, cache),
-        }
-    }
-
-    /// One-token decode against whichever precision is loaded.
-    pub fn decode_step<S: crate::infer::KvStorage>(
-        &self,
-        model: &GptModel,
-        token: u32,
-        cache: &mut S,
-    ) -> Vec<f32> {
-        self.forward_cached(model, &[token], cache)
+        dense + self.quantized_bytes()
     }
 }
 
@@ -298,13 +272,27 @@ mod tests {
     }
 
     #[test]
-    fn model_weights_enum_round_trips_precision() {
-        let (model, store) = build(ArchKind::Llama);
-        let f32_bytes = store.weight_bytes();
-        let w = ModelWeights::from_store(&model, store, WeightPrecision::Int8);
-        assert_eq!(w.precision(), WeightPrecision::Int8);
-        assert!(w.weight_bytes() * 2 < f32_bytes);
+    fn precision_labels_are_stable() {
         assert_eq!(WeightPrecision::default().label(), "f32");
         assert_eq!(format!("{}", WeightPrecision::Int8), "int8");
+    }
+
+    #[test]
+    fn draft_store_holds_one_copy_of_each_matrix() {
+        // k % 4 == 0 and n % 16 == 0 everywhere, so the packing adds only
+        // `colsum` to the codes: a store that also kept the row-major
+        // copy would weigh about one `quantized_bytes()` more
+        let (model, store) = build(ArchKind::NeoX);
+        let served = QuantizedParamStore::quantize(&model, &store);
+        let draft = QuantizedParamStore::for_draft(&model, &store);
+        assert_eq!(draft.quantized_matrices(), served.quantized_matrices());
+        assert!(draft.quantized(model.lm_head).is_none(), "held packed");
+        assert!(
+            draft.weight_bytes() < served.weight_bytes() + served.quantized_bytes() / 2,
+            "draft {} vs served {} (+ codes {})",
+            draft.weight_bytes(),
+            served.weight_bytes(),
+            served.quantized_bytes()
+        );
     }
 }

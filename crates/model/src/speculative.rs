@@ -4,7 +4,7 @@
 //! the *same* model, and single-token decode is bound by weight-memory
 //! traffic — so the int8 copy makes a natural draft model: it proposes
 //! `k` cheap tokens, and the f32 model verifies all of them in **one**
-//! batched [`GptModel::forward_cached_with`] call (the weight-stationary
+//! batched [`GptModel::forward_cached`] call (the weight-stationary
 //! small-batch matmul path makes that verify cost about one weight
 //! stream, not `k + 1`). Drafts built with
 //! [`QuantizedParamStore::for_draft`] additionally run their linears as
@@ -51,7 +51,7 @@ use crate::config::GptConfig;
 use crate::generate::{argmax, SampleOptions};
 use crate::gpt::GptModel;
 use crate::infer::KvStorage;
-use crate::quant::QuantizedParamStore;
+use crate::quant::{ForwardParams, QuantizedParamStore};
 use matgpt_tensor::ParamStore;
 use std::time::{Duration, Instant};
 
@@ -94,7 +94,7 @@ impl DraftState {
         let start = lag.len().saturating_sub(max);
         let mut row = Vec::new();
         for chunk in lag[start..].chunks(max) {
-            let logits = model.forward_cached_with(draft, chunk, &mut self.cache);
+            let logits = model.forward_cached(draft, chunk, &mut self.cache);
             row = logits[(chunk.len() - 1) * v..].to_vec();
         }
         row
@@ -164,7 +164,12 @@ impl SpecStats {
 /// of `max_seq` — rollback across window truncation is unsupported, so
 /// speculation stops just short of the window and plain decode (which
 /// truncates identically to non-speculative serving) takes over.
-fn draft_budget<S: KvStorage>(cfg: &GptConfig, cache: &S, k: usize, remaining: usize) -> usize {
+fn draft_budget<S: KvStorage + ?Sized>(
+    cfg: &GptConfig,
+    cache: &S,
+    k: usize,
+    remaining: usize,
+) -> usize {
     if cache.len() != cache.positions_seen() {
         return 0; // already truncated: never roll back past this point
     }
@@ -173,8 +178,10 @@ fn draft_budget<S: KvStorage>(cfg: &GptConfig, cache: &S, k: usize, remaining: u
 }
 
 /// One speculative macro-step: draft up to `k` tokens with the int8
-/// weights, verify them in one batched f32 forward, emit the accepted
-/// prefix and roll back the rest.
+/// weights, verify them in one batched forward of `store` (the f32
+/// model wherever this is called: the stream equals plain greedy decode
+/// against whatever weights verify), emit the accepted prefix and roll
+/// back the rest.
 ///
 /// `last_row` is the f32 logits row predicting the next token (as
 /// produced by the prefill or the previous step) and is replaced with
@@ -184,9 +191,9 @@ fn draft_budget<S: KvStorage>(cfg: &GptConfig, cache: &S, k: usize, remaining: u
 /// decode regardless of the draft's quality — see the module docs for
 /// the invariant.
 #[allow(clippy::too_many_arguments)]
-pub fn speculative_step<S: KvStorage>(
+pub fn speculative_step<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
     model: &GptModel,
-    store: &ParamStore,
+    store: &P,
     draft: &QuantizedParamStore,
     k: usize,
     cache: &mut S,
@@ -202,7 +209,7 @@ pub fn speculative_step<S: KvStorage>(
         // serving (including its window truncation). The draft just
         // accrues lag in case a later step drafts again.
         let verify_t0 = Instant::now();
-        *last_row = model.forward_cached_with(store, &[t1], cache);
+        *last_row = model.forward_cached(store, &[t1], cache);
         draft_state.lag.push(t1);
         return SpecOutcome {
             tokens: vec![t1],
@@ -224,7 +231,7 @@ pub fn speculative_step<S: KvStorage>(
         let d = argmax(&drow) as u32;
         proposals.push(d);
         if i + 1 < k_eff {
-            drow = model.decode_step_with(draft, d, &mut draft_state.cache);
+            drow = model.decode_step(draft, d, &mut draft_state.cache);
         }
     }
     let draft_time = draft_t0.elapsed();
@@ -234,7 +241,7 @@ pub fn speculative_step<S: KvStorage>(
     let mut batch = Vec::with_capacity(k_eff + 1);
     batch.push(t1);
     batch.extend_from_slice(&proposals);
-    let logits = model.forward_cached_with(store, &batch, cache);
+    let logits = model.forward_cached(store, &batch, cache);
     let v = model.cfg.vocab_size;
     let mut accepted = 0;
     while accepted < k_eff {

@@ -22,7 +22,9 @@
 //!
 //! ## KV backends
 //!
-//! [`SchedulerConfig::kv_backend`] picks the KV storage strategy:
+//! [`SchedulerConfig::kv_backend`] picks the KV storage strategy; a
+//! request's storage reaches the model forward as one `&mut dyn
+//! KvStorage` (DECODING.md tabulates the whole decode path):
 //!
 //! * [`KvBackend::Contiguous`] (default) — one private
 //!   [`KvCache`] buffer per request; admission is governed by the
@@ -61,7 +63,7 @@ use crossbeam::channel::Receiver;
 use matgpt_model::infer::{KvCache, KvStorage};
 use matgpt_model::speculative::{speculative_step, DraftState, SpecOutcome};
 use matgpt_model::{
-    generate::sample_logits, GptModel, ModelWeights, QuantizedParamStore, WeightPrecision,
+    generate::sample_logits, ForwardParams, GptModel, QuantizedParamStore, WeightPrecision,
 };
 use matgpt_obs::flight::{self, FlightEvent, FlightKind};
 use matgpt_obs::{pids, FlowEvent, FlowPhase, Recorder, Span, TraceEvent};
@@ -210,9 +212,12 @@ struct SpecRuntime {
     k: usize,
 }
 
+/// The weights every forward of an engine runs against, behind the one
+/// dispatch [`run`] makes from [`SchedulerConfig::precision`].
+type Weights = dyn ForwardParams + Send + Sync;
+
 /// The KV storage a request decodes against — one enum so `Active` is
-/// backend-agnostic and the generic model forward monomorphises once
-/// per engine rather than per call site.
+/// backend-agnostic; the model forward reaches it through [`ReqKv::kv`].
 enum ReqKv {
     /// Private contiguous buffer.
     Contig(KvCache),
@@ -221,6 +226,16 @@ enum ReqKv {
 }
 
 impl ReqKv {
+    /// The storage as the forward sees it: the one place the backend is
+    /// dispatched (two dynamic calls per layer per forward, next to
+    /// matmuls that each stream ≥ 64 KiB).
+    fn kv(&mut self) -> &mut dyn KvStorage {
+        match self {
+            ReqKv::Contig(c) => c,
+            ReqKv::Paged(p) => p,
+        }
+    }
+
     /// Ensure the next decode step's `rows` rows have blocks to land in
     /// (1 for plain decode, `k + 1` for a speculative macro-step).
     /// Contiguous storage grows inline, so only the paged arm can fail.
@@ -236,80 +251,6 @@ impl ReqKv {
         match self {
             ReqKv::Contig(_) => None,
             ReqKv::Paged(p) => Some(p),
-        }
-    }
-}
-
-impl KvStorage for ReqKv {
-    fn layers(&self) -> usize {
-        match self {
-            ReqKv::Contig(c) => c.layers(),
-            ReqKv::Paged(p) => p.layers(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ReqKv::Contig(c) => c.len(),
-            ReqKv::Paged(p) => p.len(),
-        }
-    }
-
-    fn positions_seen(&self) -> usize {
-        match self {
-            ReqKv::Contig(c) => c.positions_seen(),
-            ReqKv::Paged(p) => p.positions_seen(),
-        }
-    }
-
-    fn kv_bytes(&self) -> usize {
-        match self {
-            ReqKv::Contig(c) => c.kv_bytes(),
-            ReqKv::Paged(p) => p.kv_bytes(),
-        }
-    }
-
-    fn begin(&mut self, n: usize) -> usize {
-        match self {
-            ReqKv::Contig(c) => c.begin(n),
-            ReqKv::Paged(p) => p.begin(n),
-        }
-    }
-
-    fn write(&mut self, layer: usize, k: &[f32], v: &[f32]) {
-        match self {
-            ReqKv::Contig(c) => c.write(layer, k, v),
-            ReqKv::Paged(p) => p.write(layer, k, v),
-        }
-    }
-
-    fn attend(
-        &self,
-        layer: usize,
-        q: &[f32],
-        out: &mut [f32],
-        n_new: usize,
-        heads: usize,
-        kv_heads: usize,
-        d: usize,
-    ) {
-        match self {
-            ReqKv::Contig(c) => c.attend(layer, q, out, n_new, heads, kv_heads, d),
-            ReqKv::Paged(p) => p.attend(layer, q, out, n_new, heads, kv_heads, d),
-        }
-    }
-
-    fn commit(&mut self) {
-        match self {
-            ReqKv::Contig(c) => c.commit(),
-            ReqKv::Paged(p) => p.commit(),
-        }
-    }
-
-    fn rollback(&mut self, n: usize) {
-        match self {
-            ReqKv::Contig(c) => c.rollback(n),
-            ReqKv::Paged(p) => p.rollback(n),
         }
     }
 }
@@ -409,29 +350,21 @@ impl Active {
     /// tokens it had generated.
     fn try_prefill(
         model: &GptModel,
-        weights: &ModelWeights,
+        weights: &Weights,
         state: Parked,
         reserved: usize,
-        cache: ReqKv,
+        mut cache: ReqKv,
         spec_enabled: bool,
     ) -> Result<Self, Box<Parked>> {
         let prefill_start = Instant::now();
         let tokens = &state.tokens;
-        let ctx_start = tokens.len().saturating_sub(model.cfg.max_seq);
-        // rows the cache already holds (a forked shared prefix) skip
-        // the forward entirely; a fresh cache starts at the window edge
-        let start = if cache.len() > 0 {
-            cache.len()
-        } else {
-            ctx_start
-        };
+        let start = first_uncached(tokens.len(), cache.kv().len(), model.cfg.max_seq);
         let n_fwd = tokens.len() - start;
         // only the forward is unwind-scoped; `state` stays outside so a
         // Failed response can still be delivered (the cache rides in
         // and is dropped — blocks released — if the forward panics)
         let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut cache = cache;
-            let logits = weights.forward_cached(model, &tokens[start..], &mut cache);
+            let logits = model.forward_cached(weights, &tokens[start..], cache.kv());
             let v = model.cfg.vocab_size;
             let last_row = logits[(n_fwd - 1) * v..].to_vec();
             (cache, last_row)
@@ -441,9 +374,10 @@ impl Active {
         };
         let prefill_end = Instant::now();
         // speculation is per-request: only greedy requests get a draft
-        // (a sampled request's rng stream must advance token by token)
+        // (a sampled request's rng stream must advance token by token);
+        // the draft windows `tokens` to the trailing `max_seq` itself
         let draft = (spec_enabled && state.sub.req.opts.temperature <= 0.0)
-            .then(|| DraftState::new(model, &tokens[ctx_start..]));
+            .then(|| DraftState::new(model, tokens));
         Ok(Self {
             state,
             cache,
@@ -463,7 +397,7 @@ impl Active {
     fn step(
         &mut self,
         model: &GptModel,
-        weights: &ModelWeights,
+        weights: &Weights,
         spec: Option<&SpecRuntime>,
         metrics: &MetricsInner,
     ) {
@@ -482,53 +416,36 @@ impl Active {
             self.done = Some(FinishReason::Length);
             return;
         }
-        if let (Some(rt), ModelWeights::F32(fstore), true) = (spec, weights, self.draft.is_some()) {
-            self.step_speculative(model, fstore, rt, metrics);
+        let (Some(rt), Some(draft)) = (spec, self.draft.as_mut()) else {
+            let opts = &self.state.sub.req.opts;
+            let rng = &mut self.state.rng;
+            let next = sample_logits(&self.last_row, opts.temperature, opts.top_k, rng) as u32;
+            self.emit(&[next], now - self.last_token_at, now, metrics);
+            if self.done.is_none() {
+                self.last_row = model.decode_step(weights, next, self.cache.kv());
+            }
             return;
-        }
-        let opts = &self.state.sub.req.opts;
-        let rng = &mut self.state.rng;
-        let next = sample_logits(&self.last_row, opts.temperature, opts.top_k, rng) as u32;
-        self.emit(&[next], now - self.last_token_at, now, metrics);
-        if self.done.is_none() {
-            self.last_row = weights.decode_step(model, next, &mut self.cache);
-        }
-    }
-
-    /// One speculative macro-step: the int8 self-draft proposes up to
-    /// `k` tokens, one batched f32 verify accepts a prefix (emitting 1
-    /// to `k + 1` tokens), and the rejected KV rows roll back through
-    /// the request's [`KvStorage`] backend. Token-for-token identical
-    /// to the plain path — only throughput and per-step accounting
-    /// differ.
-    fn step_speculative(
-        &mut self,
-        model: &GptModel,
-        store: &ParamStore,
-        rt: &SpecRuntime,
-        metrics: &MetricsInner,
-    ) {
-        let step_start = Instant::now();
-        let mut draft = self.draft.take().expect("speculative step without draft");
-        let remaining = self.state.sub.req.opts.max_new_tokens - self.state.generated;
+        };
+        // one speculative macro-step: 1 to `k + 1` tokens, identical to
+        // what the plain path above would emit one at a time — only
+        // throughput and per-step accounting differ
         let out = speculative_step(
             model,
-            store,
+            weights,
             &rt.draft,
             rt.k,
-            &mut self.cache,
-            &mut draft,
+            self.cache.kv(),
+            draft,
             &mut self.last_row,
-            remaining,
+            sub.req.opts.max_new_tokens - generated,
         );
-        self.draft = Some(draft);
-        let now = Instant::now();
+        let done_at = Instant::now();
         self.spec_step = [out.drafted, out.accepted, out.rolled_back].map(|n| n as u64);
-        emit_spec_spans(self.state.sub.id, step_start, &out);
+        emit_spec_spans(sub.id, now, &out);
         // the macro-step produced all its tokens in one go; attribute
         // its wall time evenly across them for the latency histogram
-        let per_token = (now - self.last_token_at) / out.tokens.len() as u32;
-        self.emit(&out.tokens, per_token, now, metrics);
+        let per_token = (done_at - self.last_token_at) / out.tokens.len() as u32;
+        self.emit(&out.tokens, per_token, done_at, metrics);
     }
 
     /// Append the tokens a step produced, in order, until one of them
@@ -570,6 +487,16 @@ impl Active {
 /// Worst-case KV token footprint used for admission control.
 fn token_cost(sub: &Submission, max_seq: usize) -> usize {
     sub.req.prompt.len().min(max_seq) + sub.req.opts.max_new_tokens
+}
+
+/// Index of the first token a prefill of `len` tokens forwards: rows the
+/// cache already holds (`cached`, a forked shared prefix) skip the
+/// forward entirely; a fresh cache starts at the trailing-window edge.
+fn first_uncached(len: usize, cached: usize, max_seq: usize) -> usize {
+    match cached {
+        0 => len.saturating_sub(max_seq),
+        rows => rows,
+    }
 }
 
 /// Retire every parked request whose client cancelled it or whose
@@ -624,10 +551,28 @@ struct PagedState {
 /// Drop one prefix-cache entry to relieve pool pressure, counting the
 /// freed block references as evictions. Returns 0 when there is
 /// nothing left to evict.
-fn evict_prefix(ps: &mut PagedState, metrics: &MetricsInner) -> usize {
-    let n = ps.prefix.evict_one();
+fn evict_prefix(prefix: &mut PrefixCache, metrics: &MetricsInner) -> usize {
+    let n = prefix.evict_one();
     metrics.kv_blocks_evicted.add(n as u64);
     n
+}
+
+/// Retry `fits` — a block claim, or a free-block check — evicting one
+/// prefix-cache entry after each failure; false once it still fails
+/// with nothing left to evict (the caller parks, preempts or fails).
+fn evict_until(
+    prefix: &mut PrefixCache,
+    metrics: &MetricsInner,
+    mut fits: impl FnMut() -> bool,
+) -> bool {
+    loop {
+        if fits() {
+            return true;
+        }
+        if evict_prefix(prefix, metrics) == 0 {
+            return false;
+        }
+    }
 }
 
 /// Trace one speculative macro-step as three back-to-back slices —
@@ -781,9 +726,19 @@ pub(crate) fn run(
         }),
         _ => None,
     };
-    // one-time precision selection: Int8 quantizes here and drops the
-    // f32 store with `store`'s binding
-    let weights = ModelWeights::from_store(&model, store, cfg.precision);
+    // KV rows one step of a drafting request may commit before rollback
+    let spec_rows = spec.as_ref().map_or(1, |rt| rt.k + 1);
+    // the one precision dispatch: every forward below goes through this
+    // handle. Int8 quantizes here and drops the f32 store
+    let weights: Box<Weights> = match cfg.precision {
+        WeightPrecision::F32 => Box::new(store),
+        WeightPrecision::Int8 => {
+            let quantized = QuantizedParamStore::quantize(&model, &store);
+            drop(store);
+            Box::new(quantized)
+        }
+    };
+    let weights = &*weights;
     metrics.weight_bytes.set(weights.weight_bytes() as f64);
 
     // last-seen pool totals, so the cumulative alloc/share counters
@@ -835,13 +790,11 @@ pub(crate) fn run(
                 if !admitted.is_empty() {
                     let _span = Span::enter(pids::SERVE, "serve", "prefill-batch");
                     // batched prefill: all newly admitted prompts forward together
-                    let (model_ref, weights_ref) = (&model, &weights);
-                    let spec_on = spec.is_some();
                     let fresh: Vec<Result<Active, Box<Parked>>> = admitted
                         .into_par_iter()
                         .map(|(p, cost)| {
-                            let cache = ReqKv::Contig(model_ref.new_cache());
-                            Active::try_prefill(model_ref, weights_ref, p, cost, cache, spec_on)
+                            let cache = ReqKv::Contig(model.new_cache());
+                            Active::try_prefill(&model, weights, p, cost, cache, spec.is_some())
                         })
                         .collect_vec();
                     for prefilled in fresh {
@@ -876,34 +829,16 @@ pub(crate) fn run(
                         None
                     }
                     .unwrap_or_else(|| ps.pool.new_seq(max_seq));
-                    let ctx_start = seq.len().saturating_sub(max_seq);
-                    let start = if kv.len() > 0 { kv.len() } else { ctx_start };
-                    let mut ok = loop {
-                        match kv.reserve_rows(seq.len() - start) {
-                            Ok(()) => break true,
-                            Err(_) => {
-                                if evict_prefix(ps, &metrics) == 0 {
-                                    break false;
-                                }
-                            }
-                        }
-                    };
+                    let rows = seq.len() - first_uncached(seq.len(), kv.len(), max_seq);
                     // headroom: every already-active request may claim
                     // more blocks on the next decode step (one for
                     // plain decode, enough for k + 1 transient rows
                     // under speculation); admitting into that margin
                     // would trigger an immediate preemption ping-pong
-                    let blocks_per_step = spec
-                        .as_ref()
-                        .map_or(1, |rt| (rt.k + 1).div_ceil(ps.pool.block_size()).max(1));
-                    while ok
-                        && !active.is_empty()
-                        && ps.pool.free_blocks() < active.len() * blocks_per_step
-                    {
-                        if evict_prefix(ps, &metrics) == 0 {
-                            ok = false;
-                        }
-                    }
+                    let headroom = active.len() * spec_rows.div_ceil(ps.pool.block_size());
+                    let (prefix, pool) = (&mut ps.prefix, &ps.pool);
+                    let ok = evict_until(prefix, &metrics, || kv.reserve_rows(rows).is_ok())
+                        && evict_until(prefix, &metrics, || pool.free_blocks() >= headroom);
                     if !ok {
                         drop(kv); // release whatever was reserved
                         if active.is_empty() {
@@ -921,7 +856,7 @@ pub(crate) fn run(
                         break;
                     }
                     let kv = ReqKv::Paged(kv);
-                    match Active::try_prefill(&model, &weights, p, 0, kv, spec.is_some()) {
+                    match Active::try_prefill(&model, weights, p, 0, kv, spec.is_some()) {
                         Ok(a) => {
                             // register the prompt prefix for sharing —
                             // valid only when the cache holds the prompt
@@ -960,41 +895,36 @@ pub(crate) fn run(
                 // speculative requests commit up to k + 1 rows in one
                 // macro-step (the rejected tail rolls back, returning
                 // its blocks); plain requests commit exactly one
-                let rows = if active[i].draft.is_some() {
-                    spec.as_ref().map_or(1, |rt| rt.k + 1)
-                } else {
-                    1
-                };
-                match active[i].cache.reserve_decode(rows) {
-                    Ok(()) => i += 1,
-                    Err(_) => {
-                        if evict_prefix(ps, &metrics) > 0 {
-                            continue;
-                        }
-                        if active.len() == 1 {
-                            // cannot free anything: typed failure
-                            // instead of a livelock (unreachable given
-                            // the submit-time capacity check)
-                            let mut a = active.remove(0);
-                            a.done = Some(FinishReason::Failed);
-                            a.retire(&metrics);
-                            break;
-                        }
-                        let a = active.remove(active.len() - 1);
-                        metrics.preemptions.inc();
-                        metrics
-                            .kv_blocks_evicted
-                            .add(a.cache.paged().map_or(0, |p| p.blocks_held()) as u64);
-                        // its cache drops with `a` — the blocks return
-                        // to the pool — while its progress re-enters the
-                        // lot by id, so re-admission stays oldest-first
-                        let at = parked
-                            .iter()
-                            .position(|q| q.sub.id > a.state.sub.id)
-                            .unwrap_or(parked.len());
-                        parked.insert(at, a.state);
-                    }
+                let rows = active[i].draft.as_ref().map_or(1, |_| spec_rows);
+                let cache = &mut active[i].cache;
+                if evict_until(&mut ps.prefix, &metrics, || {
+                    cache.reserve_decode(rows).is_ok()
+                }) {
+                    i += 1;
+                    continue;
                 }
+                if active.len() == 1 {
+                    // cannot free anything: typed failure instead of a
+                    // livelock (unreachable given the submit-time
+                    // capacity check)
+                    let mut a = active.remove(0);
+                    a.done = Some(FinishReason::Failed);
+                    a.retire(&metrics);
+                    break;
+                }
+                let a = active.remove(active.len() - 1);
+                metrics.preemptions.inc();
+                metrics
+                    .kv_blocks_evicted
+                    .add(a.cache.paged().map_or(0, |p| p.blocks_held()) as u64);
+                // its cache drops with `a` — the blocks return to the
+                // pool — while its progress re-enters the lot by id, so
+                // re-admission stays oldest-first
+                let at = parked
+                    .iter()
+                    .position(|q| q.sub.id > a.state.sub.id)
+                    .unwrap_or(parked.len());
+                parked.insert(at, a.state);
             }
             if active.is_empty() {
                 continue;
@@ -1004,8 +934,6 @@ pub(crate) fn run(
         // ---- one decode iteration across the whole batch
         {
             let _span = Span::enter(pids::SERVE, "serve", "decode-iter");
-            let (model_ref, weights_ref, metrics_ref) = (&model, &weights, &*metrics);
-            let spec_ref = spec.as_ref();
             active.par_iter_mut().for_each(|a| {
                 if a.done.is_some() {
                     return;
@@ -1014,7 +942,7 @@ pub(crate) fn run(
                 // only its own request; its half-stepped state is
                 // discarded when it retires below
                 let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    a.step(model_ref, weights_ref, spec_ref, metrics_ref)
+                    a.step(&model, weights, spec.as_ref(), &metrics)
                 }));
                 if stepped.is_err() {
                     a.done = Some(FinishReason::Failed);
@@ -1049,7 +977,7 @@ pub(crate) fn run(
                 (prev_allocs, prev_shares) = (st.allocs_total, st.shares_total);
             }
             None => {
-                let bytes: usize = active.iter().map(|a| a.cache.kv_bytes()).sum();
+                let bytes: usize = active.iter_mut().map(|a| a.cache.kv().kv_bytes()).sum();
                 metrics.record_kv_usage(bytes, 0, 0);
             }
         }
@@ -1098,7 +1026,6 @@ mod tests {
             ..GptConfig::tiny(ArchKind::Llama, 30)
         };
         let model = GptModel::new(mcfg, &mut store, &mut init::rng(0));
-        let weights = ModelWeights::from_store(&model, store, WeightPrecision::F32);
         let metrics = MetricsInner::default();
         assert!(metrics.try_claim_slot(1));
         let (tx, rx) = crossbeam::channel::unbounded();
@@ -1119,7 +1046,7 @@ mod tests {
             })
         };
         let cache = ReqKv::Contig(model.new_cache());
-        let Err(back) = Active::try_prefill(&model, &weights, parked, 0, cache, false) else {
+        let Err(back) = Active::try_prefill(&model, &store, parked, 0, cache, false) else {
             panic!("out-of-vocab recompute must not prefill");
         };
         back.retire(FinishReason::Failed, None, &metrics);

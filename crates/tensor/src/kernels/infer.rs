@@ -17,35 +17,48 @@
 use super::softmax::OnlineSoftmax;
 use rayon::prelude::*;
 
-/// Apply rotary position embeddings in place to token-major rows
-/// `x = [rows.len(), heads*d]`, where row `i` sits at absolute position
-/// `positions[i]`. Uses the same half-split convention as the training
-/// tape (`theta = pos / base^(2i/d)`), so a cache built here matches a
-/// full forward that numbered positions `0..T`.
-pub fn rotary_rows(x: &mut [f32], positions: &[usize], heads: usize, d: usize, base: f32) {
+/// Rotate every `d`-wide head of `x` in place by the rotary angles
+/// `theta = pos / base^(2i/d)` (half-split convention), head `j` of `x`
+/// sitting at `positions[pos_of(j)]`; `inverse` un-applies. The one
+/// evaluation of the angle: the token-major rows below and the
+/// head-major training tape both rotate through here, so they agree
+/// bitwise. The divisor depends only on `i` and the angle only on
+/// `(pos, i)`, so both are computed once, not per head.
+pub(crate) fn rotary_heads(
+    x: &mut [f32],
+    positions: &[usize],
+    d: usize,
+    base: f32,
+    pos_of: impl Fn(usize) -> usize,
+    inverse: bool,
+) {
     let half = d / 2;
-    debug_assert_eq!(x.len(), positions.len() * heads * d, "rotary_rows layout");
-    // The frequency divisor depends only on `i` and the angle only on
-    // `(pos, i)`, so hoist both out of the head loop — same expressions,
-    // evaluated once instead of per head.
     let divisors: Vec<f32> = (0..half)
         .map(|i| base.powf(2.0 * i as f32 / d as f32))
         .collect();
-    let mut sincos = vec![(0.0f32, 0.0f32); half];
-    for (row, &pos) in x.chunks_mut(heads * d).zip(positions) {
-        for (sc, &div) in sincos.iter_mut().zip(&divisors) {
-            *sc = (pos as f32 / div).sin_cos();
-        }
-        for h in 0..heads {
-            let head = &mut row[h * d..(h + 1) * d];
-            for (i, &(sin, cos)) in sincos.iter().enumerate() {
-                let x1 = head[i];
-                let x2 = head[i + half];
-                head[i] = x1 * cos - x2 * sin;
-                head[i + half] = x2 * cos + x1 * sin;
-            }
+    let mut sincos = Vec::with_capacity(positions.len() * half);
+    for &pos in positions {
+        sincos.extend(divisors.iter().map(|&div| (pos as f32 / div).sin_cos()));
+    }
+    for (j, head) in x.chunks_mut(d).enumerate() {
+        let at = pos_of(j) * half;
+        for (i, &(sin, cos)) in sincos[at..at + half].iter().enumerate() {
+            let sin = if inverse { -sin } else { sin };
+            let x1 = head[i];
+            let x2 = head[i + half];
+            head[i] = x1 * cos - x2 * sin;
+            head[i + half] = x2 * cos + x1 * sin;
         }
     }
+}
+
+/// Apply rotary position embeddings in place to token-major rows
+/// `x = [rows.len(), heads*d]`, where row `i` sits at absolute position
+/// `positions[i]` — the training tape's convention, so a cache built
+/// here matches a full forward that numbered positions `0..T`.
+pub fn rotary_rows(x: &mut [f32], positions: &[usize], heads: usize, d: usize, base: f32) {
+    debug_assert_eq!(x.len(), positions.len() * heads * d, "rotary_rows layout");
+    rotary_heads(x, positions, d, base, |j| j / heads, false);
 }
 
 /// Dot product with a fixed eight-lane accumulation shape: lanes gather
@@ -349,7 +362,7 @@ mod tests {
                 for di in 0..d {
                     let a = tm[ti * h * d + hi * d + di];
                     let b = ref_hm[(hi * t + ti) * d + di];
-                    assert!((a - b).abs() < 1e-6, "t={ti} h={hi} d={di}: {a} vs {b}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "t={ti} h={hi} d={di}: {a} vs {b}");
                 }
             }
         }

@@ -411,30 +411,49 @@ unsafe fn dot_block_vnni(qa: &[u8], cells: &[i8], acc: &mut [i32; 16], kg: usize
 /// Deterministic: integer accumulation is exact, so the result is
 /// independent of vectorization and batch shape by construction.
 pub fn matmul_q8a8(a: &[f32], w: &PackedQ8Matrix, c: &mut [f32], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    let use_vnni = is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vnni");
+    #[cfg(not(target_arch = "x86_64"))]
+    let use_vnni = false;
+    matmul_q8a8_with(use_vnni, a, w, c, m, k, n);
+}
+
+/// [`matmul_q8a8`] with the integer-dot core chosen by the caller, so a
+/// test can run the scalar core on a host that would never dispatch it.
+/// `use_vnni` must only be true when the features were detected.
+fn matmul_q8a8_with(
+    use_vnni: bool,
+    a: &[f32],
+    w: &PackedQ8Matrix,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     assert_eq!(w.k, k, "contraction dim");
     assert_eq!(w.n, n, "output dim");
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(c.len(), m * n);
     let kg = k.div_ceil(4);
     let nb = n.div_ceil(16);
-    #[cfg(target_arch = "x86_64")]
-    let use_vnni = is_x86_feature_detected!("avx512f")
-        && is_x86_feature_detected!("avx512bw")
-        && is_x86_feature_detected!("avx512vnni");
     let mut qa: Vec<u8> = Vec::with_capacity(kg * 4);
     for (ci, ai) in c.chunks_mut(n).zip(a.chunks(k)) {
         let s_a = quantize_row_u8(ai, &mut qa, kg);
         for b in 0..nb {
             let cells = &w.packed[b * kg * 64..(b + 1) * kg * 64];
             let mut acc = [0i32; 16];
-            #[cfg(target_arch = "x86_64")]
             if use_vnni {
-                unsafe { dot_block_vnni(&qa, cells, &mut acc, kg) }
+                // SAFETY: `use_vnni` is only true once avx512f, avx512bw
+                // and avx512vnni were detected (see `matmul_q8a8`)
+                #[cfg(target_arch = "x86_64")]
+                unsafe {
+                    dot_block_vnni(&qa, cells, &mut acc, kg)
+                }
             } else {
                 dot_block_scalar(&qa, cells, &mut acc, kg);
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            dot_block_scalar(&qa, cells, &mut acc, kg);
             let j0 = b * 16;
             let jend = n.min(j0 + 16);
             for j in j0..jend {
@@ -599,6 +618,43 @@ mod tests {
                 "({m},{k},{n})"
             );
         }
+    }
+
+    #[test]
+    fn scalar_core_matches_vnni_core_and_forced_scalar_matches_dispatch() {
+        // On a VNNI host `matmul_q8a8` never runs `dot_block_scalar`, and
+        // elsewhere never `dot_block_vnni`: hold the two against each
+        // other directly wherever both can run.
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vnni")
+        {
+            let kg = 9;
+            let lcg = |i: usize, seed: u32| (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
+            for seed in 0..8 {
+                let qa: Vec<u8> = (0..kg * 4).map(|i| (lcg(i, seed) >> 13) as u8).collect();
+                let cells: Vec<i8> = (0..kg * 64).map(|i| (lcg(i, !seed) >> 11) as i8).collect();
+                let (mut scalar, mut vnni) = ([seed as i32; 16], [seed as i32; 16]);
+                dot_block_scalar(&qa, &cells, &mut scalar, kg);
+                // SAFETY: the three features were detected just above
+                unsafe { dot_block_vnni(&qa, &cells, &mut vnni, kg) };
+                assert_eq!(scalar, vnni, "seed {seed}");
+            }
+        }
+        // odd shape: both the k % 4 and the n % 16 padding are live
+        let (m, k, n) = (3, 29, 41);
+        let packed = PackedQ8Matrix::pack(&QuantizedMatrix::quantize(&toy_weight(k, n, 9), k, n));
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| ((i * 41 % 23) as f32 - 11.0) * 0.07)
+            .collect();
+        let (mut dispatched, mut scalar) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        matmul_q8a8(&a, &packed, &mut dispatched, m, k, n);
+        matmul_q8a8_with(false, &a, &packed, &mut scalar, m, k, n);
+        assert_eq!(
+            dispatched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        );
     }
 
     #[test]

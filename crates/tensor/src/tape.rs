@@ -11,6 +11,7 @@
 use crate::collective::{ring_chunks, ring_fold, CommHook};
 use crate::kernels::activation as act;
 use crate::kernels::attention::{attention_bwd, attention_fwd, AttentionImpl, AttnSaved};
+use crate::kernels::infer::rotary_heads;
 use crate::kernels::matmul::{matmul, matmul_at_acc, matmul_bt_acc};
 use crate::kernels::norm;
 use crate::kernels::softmax::{softmax_rows, softmax_rows_bwd};
@@ -844,24 +845,10 @@ impl Tape {
 pub const IGNORE_INDEX: u32 = u32::MAX;
 
 /// Apply (or, with `inverse`, un-apply) rotary embeddings in place over
-/// `[*, T, D]` blocks using the half-split convention.
+/// `[*, T, D]` blocks: row `j` sits at position `j % t`.
 fn rotary_apply(data: &mut [f32], t: usize, d: usize, base: f32, inverse: bool) {
-    let half = d / 2;
-    let blocks = data.len() / (t * d);
-    for b in 0..blocks {
-        for ti in 0..t {
-            let row = &mut data[(b * t + ti) * d..(b * t + ti + 1) * d];
-            for i in 0..half {
-                let theta = ti as f32 / base.powf(2.0 * i as f32 / d as f32);
-                let (sin, cos) = theta.sin_cos();
-                let sin = if inverse { -sin } else { sin };
-                let x1 = row[i];
-                let x2 = row[i + half];
-                row[i] = x1 * cos - x2 * sin;
-                row[i + half] = x2 * cos + x1 * sin;
-            }
-        }
-    }
+    let positions: Vec<usize> = (0..t).collect();
+    rotary_heads(data, &positions, d, base, |j| j % t, inverse);
 }
 
 /// Ensure a gradient buffer exists for `id` and return it.

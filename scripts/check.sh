@@ -104,4 +104,8 @@ for w in l2_solo dram_batch paged_prefix dram_spec; do
 done
 cargo test -q --manifest-path perf/Cargo.toml
 
+section "size: non-test Rust lines per crate (informational)"
+# the one way lines are counted (scripts/loc.sh); a table, never a gate
+scripts/loc.sh || true
+
 echo "All checks passed."

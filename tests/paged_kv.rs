@@ -75,14 +75,14 @@ proptest! {
         let mut paged = pool.new_seq(cfg.max_seq);
         paged.reserve_rows(prompt.len()).expect("reserve prefill");
         let lc = model.forward_cached(&store, &prompt, &mut contig);
-        let lp = model.forward_cached_with(&store, &prompt, &mut paged);
+        let lp = model.forward_cached(&store, &prompt, &mut paged);
         prop_assert_eq!(&lc, &lp, "prefill logits diverge");
         let v = cfg.vocab_size;
         let mut next = argmax(&lc[(prompt_len - 1) * v..]) as u32;
         for s in 0..steps {
             paged.reserve_rows(1).expect("reserve decode row");
             let dc = model.decode_step(&store, next, &mut contig);
-            let dp = model.decode_step_with(&store, next, &mut paged);
+            let dp = model.decode_step(&store, next, &mut paged);
             prop_assert_eq!(&dc, &dp, "decode step {} diverges", s);
             next = argmax(&dc) as u32;
         }
@@ -108,7 +108,7 @@ proptest! {
         );
         let mut parent = pool.new_seq(cfg.max_seq);
         parent.reserve_rows(prompt.len()).expect("reserve prefill");
-        model.forward_cached_with(&store, &prompt, &mut parent);
+        model.forward_cached(&store, &prompt, &mut parent);
         let mut child = parent.fork();
         // independent reference caches for each divergent stream
         let mut ref_a = model.new_cache();
@@ -120,8 +120,8 @@ proptest! {
             let (ta, tb) = ((3 * i as u32 + 1) % vocab, (5 * i as u32 + 2) % vocab);
             parent.reserve_rows(1).expect("reserve parent row");
             child.reserve_rows(1).expect("reserve child row");
-            let pa = model.decode_step_with(&store, ta, &mut parent);
-            let pb = model.decode_step_with(&store, tb, &mut child);
+            let pa = model.decode_step(&store, ta, &mut parent);
+            let pb = model.decode_step(&store, tb, &mut child);
             let ca = model.decode_step(&store, ta, &mut ref_a);
             let cb = model.decode_step(&store, tb, &mut ref_b);
             prop_assert_eq!(&pa, &ca, "parent aliased at step {}", i);

@@ -121,7 +121,7 @@ proptest! {
         let mut cache = pool.new_seq(cfg.max_seq);
         cache.reserve_rows(prompt.len()).expect("reserve prefill");
         let v = cfg.vocab_size;
-        let logits = model.forward_cached_with(&store, &prompt, &mut cache);
+        let logits = model.forward_cached(&store, &prompt, &mut cache);
         let mut row = logits[(cache.len() - 1) * v..].to_vec();
         let mut draft_state = DraftState::new(&model, &prompt);
         let mut stats = SpecStats::default();
