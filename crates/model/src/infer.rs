@@ -6,9 +6,11 @@
 //! a per-layer [`KvCache`], so decoding one token costs one pass over
 //! the weights plus one O(T) streaming-attention scan.
 //!
-//! [`GptModel::forward_cached`] is the one entry point: prefill, decode
-//! and speculative verify are the same call, over any [`ForwardParams`]
-//! × [`KvStorage`] (DECODING.md tabulates who dispatches on what).
+//! [`GptModel::forward_batch`] is the one forward body: prefill, decode,
+//! speculative verify and a whole scheduler iteration's ragged batch of
+//! them are the same call, over any [`ForwardParams`] × [`KvStorage`];
+//! [`GptModel::forward_cached`] and [`GptModel::decode_step`] are its
+//! one-segment spellings (DECODING.md tabulates who dispatches on what).
 //!
 //! Semantics relative to the tape path:
 //!
@@ -34,8 +36,8 @@ use matgpt_tensor::ParamId;
 /// Storage backend for the per-request KV state the cached decode path
 /// attends through.
 ///
-/// [`GptModel::forward_cached`] drives one forward of `n` new
-/// tokens as: [`KvStorage::begin`] (claim the next `n` absolute
+/// [`GptModel::forward_batch`] drives one segment's forward of `n`
+/// new tokens as: [`KvStorage::begin`] (claim the next `n` absolute
 /// positions), then per layer [`KvStorage::write`] (store the rotated
 /// K/V rows) and [`KvStorage::attend`] (causal attention of the new
 /// queries over everything cached in that layer, *including* the rows
@@ -240,53 +242,72 @@ impl GptModel {
         KvCache::new(self)
     }
 
-    /// Feed `tokens` through the model on top of `cache`, returning the
-    /// logits `[tokens.len(), vocab]` for every new position and
-    /// advancing the cache — the one forward entry point: a multi-token
-    /// call is a prefill (or a speculative verify), a 1-token call a
-    /// decode step. `P` supplies dense reads and the matmul kernel (the
-    /// f32 [`matgpt_tensor::ParamStore`] or the int8
+    /// The one tape-free forward: feed every segment's new tokens through
+    /// the model in **one** pass over the weights, each on top of its
+    /// own cache, returning the logits `[R, vocab]` for all `R` new
+    /// positions in segment order and advancing every cache.
+    ///
+    /// A segment is one sequence's `(new tokens, cache)`: a multi-token
+    /// segment is a prefill (or a speculative verify), a one-token
+    /// segment a decode step, and a batch of them is one scheduler
+    /// iteration. All rows are stacked into one `[R, hidden]`
+    /// activation, so every norm, linear, MLP and the LM head run once
+    /// over all of them (the weights stream ⌈R/8⌉ times, not once per
+    /// segment); only the KV calls — `begin` / `write` / `attend` /
+    /// `commit` — and the absolute positions the rotation takes fan out
+    /// per segment. Every kernel on the way is row-independent, so a
+    /// segment's rows and cache are **bit-identical** to forwarding it
+    /// alone (property-tested below).
+    ///
+    /// `P` supplies dense reads and the matmul kernel (the f32
+    /// [`matgpt_tensor::ParamStore`] or the int8
     /// [`crate::quant::QuantizedParamStore`]), `S` the KV layout the
     /// pass attends through (contiguous [`KvCache`] or a block-paged
     /// view, bit-identical logits across the two); either may be `dyn`.
-    pub fn forward_cached<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
+    ///
+    /// Every segment is checked before the first `begin`, so a bad one
+    /// panics with no cache touched — never with a neighbour's between
+    /// `begin` and `commit`.
+    pub fn forward_batch<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
         &self,
         store: &P,
-        tokens: &[u32],
-        cache: &mut S,
+        segs: &mut [(&[u32], &mut S)],
     ) -> Vec<f32> {
-        assert!(
-            !tokens.is_empty(),
-            "forward_cached needs at least one token"
-        );
-        assert!(
-            tokens.len() <= self.cfg.max_seq,
-            "chunk of {} tokens exceeds max_seq {}; split the prefill",
-            tokens.len(),
-            self.cfg.max_seq
-        );
-        assert_eq!(
-            cache.layers(),
-            self.cfg.layers,
-            "cache shaped for another model"
-        );
         let cfg = &self.cfg;
+        for (tokens, cache) in segs.iter() {
+            assert!(!tokens.is_empty(), "forward needs at least one token");
+            assert!(
+                tokens.len() <= cfg.max_seq,
+                "chunk of {} tokens exceeds max_seq {}; split the prefill",
+                tokens.len(),
+                cfg.max_seq
+            );
+            if let Some(&tok) = tokens.iter().find(|&&t| t as usize >= cfg.vocab_size) {
+                panic!("token id {tok} out of vocab");
+            }
+            assert_eq!(cache.layers(), cfg.layers, "cache shaped for another model");
+        }
         let h = cfg.hidden;
-        let n = tokens.len();
         let heads = cfg.heads;
         let kv_heads = cfg.kv_head_count();
         let d = cfg.head_dim();
         let kv_dim = kv_heads * d;
 
-        let start = cache.begin(n);
-        let positions: Vec<usize> = (start..start + n).collect();
+        // each segment claims its own absolute positions; rows stack in
+        // segment order
+        let mut positions = Vec::new();
+        for (tokens, cache) in segs.iter_mut() {
+            let start = cache.begin(tokens.len());
+            positions.extend(start..start + tokens.len());
+        }
+        let n = positions.len();
 
         // token embeddings -> x [n, h]
         let emb = store.dense(self.tok_emb);
         let mut x = vec![0.0f32; n * h];
-        for (row, &tok) in x.chunks_mut(h).zip(tokens) {
+        let stacked = segs.iter().flat_map(|(tokens, _)| tokens.iter());
+        for (row, &tok) in x.chunks_mut(h).zip(stacked) {
             let tok = tok as usize;
-            assert!(tok < cfg.vocab_size, "token id {tok} out of vocab");
             row.copy_from_slice(&emb[tok * h..(tok + 1) * h]);
         }
 
@@ -299,9 +320,19 @@ impl GptModel {
             let v = store.linear(&scratch, layer.id(Wv), layer.get(Bv), n, h, kv_dim);
             rotary_rows(&mut q, &positions, heads, d, cfg.rope_base);
             rotary_rows(&mut k, &positions, kv_heads, d, cfg.rope_base);
-            cache.write(li, &k, &v);
             let mut att = vec![0.0f32; n * heads * d];
-            cache.attend(li, &q, &mut att, n, heads, kv_heads, d);
+            let mut row = 0;
+            for (tokens, cache) in segs.iter_mut() {
+                let (n_seg, end) = (tokens.len(), row + tokens.len());
+                cache.write(
+                    li,
+                    &k[row * kv_dim..end * kv_dim],
+                    &v[row * kv_dim..end * kv_dim],
+                );
+                let (q, att) = (&q[row * h..end * h], &mut att[row * h..end * h]);
+                cache.attend(li, q, att, n_seg, heads, kv_heads, d);
+                row = end;
+            }
             let proj = store.linear(&att, layer.id(Wo), layer.get(Bo), n, h, h);
             for (o, &p) in x.iter_mut().zip(&proj) {
                 *o += p;
@@ -330,12 +361,27 @@ impl GptModel {
                 *o += p;
             }
         }
-        cache.commit();
+        for (_, cache) in segs.iter_mut() {
+            cache.commit();
+        }
 
         self.norm_rows(store, &x, &mut scratch, n, self.lnf_g, self.lnf_b);
         let mut logits = vec![0.0f32; n * cfg.vocab_size];
         store.matmul(&scratch, self.lm_head, &mut logits, n, h, cfg.vocab_size);
         logits
+    }
+
+    /// [`GptModel::forward_batch`] over one segment: `tokens` on top of
+    /// `cache`, returning the logits `[tokens.len(), vocab]` — a prefill
+    /// (or a speculative verify) when there are several tokens, a decode
+    /// step when there is one.
+    pub fn forward_cached<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
+        &self,
+        store: &P,
+        tokens: &[u32],
+        cache: &mut S,
+    ) -> Vec<f32> {
+        self.forward_batch(store, &mut [(tokens, cache)])
     }
 
     /// Decode one token on top of `cache`, returning its `[vocab]`
@@ -378,6 +424,7 @@ mod tests {
     use super::*;
     use crate::config::GptConfig;
     use matgpt_tensor::{init, ParamStore, Tape};
+    use proptest::prelude::*;
 
     fn build(arch: ArchKind, kv_heads: Option<usize>, seed: u64) -> (GptModel, ParamStore) {
         let mut store = ParamStore::new();
@@ -504,6 +551,123 @@ mod tests {
             model.decode_step(&store, i % 40, &mut cache);
         }
         cache.rollback(1);
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Segment shapes the serving engine produces: a solo decode, a
+    /// plain batch, a batch with verify rows, and a batch past the
+    /// small-m tier (R = 12 walks as 8 + 4).
+    fn ragged_shapes() -> impl Strategy<Value = Vec<usize>> {
+        prop_oneof![
+            Just(vec![1]),
+            Just(vec![1, 1, 1, 1]),
+            Just(vec![1, 3, 2]),
+            Just(vec![1; 12]),
+            proptest::collection::vec(1usize..6, 1..7),
+        ]
+    }
+
+    /// `forward_batch` over `lens`-shaped segments — each on top of a
+    /// cache of its own length, segment `edge` on a full window so its
+    /// commit truncates — against forwarding each segment alone.
+    fn batch_equals_solo<P: ForwardParams>(
+        model: &GptModel,
+        store: &P,
+        lens: &[usize],
+        edge: usize,
+        seed: u64,
+    ) {
+        let (max, vocab) = (model.cfg.max_seq, model.cfg.vocab_size as u64);
+        let toks = |n: usize, salt: u64| -> Vec<u32> {
+            (0..n as u64)
+                .map(|i| ((i * 7 + salt * 13 + seed) % vocab) as u32)
+                .collect()
+        };
+        let mut solo = Vec::new();
+        for (i, &len) in lens.iter().enumerate() {
+            let ctx = if i == edge % lens.len() {
+                max
+            } else {
+                (seed as usize * (i + 3) + i) % (max - len)
+            };
+            let mut cache = model.new_cache();
+            if ctx > 0 {
+                model.forward_cached(store, &toks(ctx, i as u64), &mut cache);
+            }
+            solo.push((toks(len, 100 + i as u64), cache));
+        }
+        let mut stacked = solo.clone();
+
+        let mut solo_rows = Vec::new();
+        for (tokens, cache) in solo.iter_mut() {
+            solo_rows.extend(model.forward_cached(store, tokens, cache));
+        }
+        let mut segs: Vec<(&[u32], &mut KvCache)> =
+            stacked.iter_mut().map(|(t, c)| (&t[..], c)).collect();
+        let rows = model.forward_batch(store, &mut segs);
+
+        assert_eq!(bits(&rows), bits(&solo_rows), "logits rows, lens {lens:?}");
+        for (i, ((_, a), (_, b))) in stacked.iter().zip(&solo).enumerate() {
+            assert_eq!(a.next_pos, b.next_pos, "segment {i} position");
+            assert_eq!(a.len(), b.len(), "segment {i} window");
+            for (la, lb) in a.layers.iter().zip(&b.layers) {
+                assert_eq!(bits(&la.k), bits(&lb.k), "segment {i} keys");
+                assert_eq!(bits(&la.v), bits(&lb.v), "segment {i} values");
+            }
+        }
+        assert_eq!(stacked[edge % lens.len()].1.len(), max, "edge truncated");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The property batched decode rests on: a ragged batch's rows
+        /// and caches are bit-for-bit the per-segment forwards', on
+        /// every architecture, for f32 and int8 weights.
+        #[test]
+        fn ragged_batch_is_bitwise_the_per_segment_forwards(
+            arch in 0usize..3,
+            lens in ragged_shapes(),
+            edge in 0usize..12,
+            seed in 0u64..1000,
+        ) {
+            let (arch, kv) = [
+                (ArchKind::NeoX, None),
+                (ArchKind::Llama, None),
+                (ArchKind::Llama, Some(2)),
+            ][arch];
+            let (model, store) = build(arch, kv, seed);
+            batch_equals_solo(&model, &store, &lens, edge, seed);
+            let int8 = crate::quant::QuantizedParamStore::quantize(&model, &store);
+            batch_equals_solo(&model, &int8, &lens, edge, seed);
+        }
+    }
+
+    #[test]
+    fn bad_segment_panics_before_any_cache_is_touched() {
+        let (model, store) = build(ArchKind::Llama, Some(2), 4);
+        let mut good = model.new_cache();
+        model.forward_cached(&store, &[1, 2, 3], &mut good);
+        let untouched = good.clone();
+        let long = vec![0u32; model.cfg.max_seq + 1];
+        for bad in [&[9_999u32][..], &[], &long] {
+            let mut other = model.new_cache();
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                model.forward_batch(&store, &mut [(&[5u32][..], &mut good), (bad, &mut other)])
+            }));
+            assert!(died.is_err(), "segment {bad:?} must be refused");
+            // the neighbour was never begun: same position, same rows,
+            // and it decodes on exactly as a cache the batch never saw
+            assert_eq!(good.positions_seen(), untouched.positions_seen());
+            assert_eq!(good.kv_bytes(), untouched.kv_bytes());
+            assert!(other.is_empty());
+        }
+        let after = model.decode_step(&store, 5, &mut good);
+        let reference = model.decode_step(&store, 5, &mut untouched.clone());
+        assert_eq!(bits(&after), bits(&reference));
     }
 
     #[test]

@@ -42,4 +42,6 @@ pub use generate::{generate, sample_logits, SampleOptions};
 pub use gpt::GptModel;
 pub use infer::{KvCache, KvStorage};
 pub use quant::{ForwardParams, QuantizedParamStore, WeightPrecision};
-pub use speculative::{generate_speculative, speculative_step, DraftState, SpecOutcome, SpecStats};
+pub use speculative::{
+    generate_speculative, speculative_step, DraftState, Proposal, SpecOutcome, SpecStats,
+};

@@ -18,7 +18,7 @@
 //! unchanged (DECODING.md has the whole decode-path table).
 
 use crate::gpt::GptModel;
-use matgpt_tensor::kernels::matmul::matmul;
+use matgpt_tensor::kernels::matmul::{in_small_m_groups, matmul};
 use matgpt_tensor::kernels::quant::{matmul_q8, matmul_q8a8, PackedQ8Matrix, QuantizedMatrix};
 use matgpt_tensor::{ParamId, ParamStore, Tensor};
 use serde::{Deserialize, Serialize};
@@ -91,12 +91,18 @@ impl ForwardParams for ParamStore {
     }
 
     fn matmul(&self, x: &[f32], id: ParamId, c: &mut [f32], m: usize, k: usize, n: usize) {
-        matmul(x, self.value(id).data(), c, m, k, n);
+        matmul_f32(x, self.value(id).data(), c, m, k, n);
     }
 
     fn weight_bytes(&self) -> usize {
         self.num_scalars() * std::mem::size_of::<f32>()
     }
+}
+
+/// The inference f32 matmul: any `m` through the weight-stationary
+/// small-`m` tier, so `R` stacked rows stream `w` `⌈R/8⌉` times.
+fn matmul_f32(x: &[f32], w: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    in_small_m_groups(x, c, m, k, n, |xg, cg, mg| matmul(xg, w, cg, mg, k, n));
 }
 
 /// One quantized matrix, in the layout the kernel that streams it reads.
@@ -203,8 +209,10 @@ impl ForwardParams for QuantizedParamStore {
     fn matmul(&self, x: &[f32], id: ParamId, c: &mut [f32], m: usize, k: usize, n: usize) {
         match self.codes.get(&id) {
             Some(Codes::Packed(p)) => matmul_q8a8(x, p, c, m, k, n),
-            Some(Codes::Rows(q)) => matmul_q8(x, q, c, m, k, n),
-            None => matmul(x, self.dense(id), c, m, k, n),
+            Some(Codes::Rows(q)) => {
+                in_small_m_groups(x, c, m, k, n, |xg, cg, mg| matmul_q8(xg, q, cg, mg, k, n))
+            }
+            None => matmul_f32(x, self.dense(id), c, m, k, n),
         }
     }
 

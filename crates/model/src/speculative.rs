@@ -6,7 +6,12 @@
 //! `k` cheap tokens, and the f32 model verifies all of them in **one**
 //! batched [`GptModel::forward_cached`] call (the weight-stationary
 //! small-batch matmul path makes that verify cost about one weight
-//! stream, not `k + 1`). Drafts built with
+//! stream, not `k + 1`) — or, in the serving engine, in the one
+//! [`GptModel::forward_batch`] an iteration shares across every active
+//! request: a macro-step is a [`DraftState::propose`] half and a
+//! [`DraftState::settle`] half around whichever forward verifies, and
+//! [`speculative_step`] is the two around a forward of its own. Drafts
+//! built with
 //! [`QuantizedParamStore::for_draft`] additionally run their linears as
 //! W8A8 integer dots (activations int8-quantized per row, exact i32
 //! accumulation), which drops the draft's per-step compute to one
@@ -177,11 +182,128 @@ fn draft_budget<S: KvStorage + ?Sized>(
     k.min(remaining.saturating_sub(1)).min(window_room)
 }
 
+/// What the propose half of a macro-step hands to its settle half: the
+/// tokens one f32 forward must verify, and what proposing them cost.
+#[derive(Clone, Debug, Default)]
+pub struct Proposal {
+    /// `[t_1, d_1, .., d_k]` — the step's own token, then the draft's
+    /// proposals (none on the plain fallback). The verify forward feeds
+    /// exactly these and returns one logits row per token.
+    pub tokens: Vec<u32>,
+    /// Time spent in the draft catch-up + proposal forwards.
+    pub draft_time: Duration,
+}
+
+impl DraftState {
+    /// The propose half of a macro-step: take `t_1 = argmax(last_row)`,
+    /// catch the draft up on everything it has not seen and have it
+    /// propose up to `k` tokens after `t_1`. Touches only the draft's
+    /// own state — `cache` (the target's) is read for the window and
+    /// budget check — so the caller is free to verify the proposal in a
+    /// forward it shares with other sequences
+    /// ([`GptModel::forward_batch`]) before handing the rows to
+    /// [`DraftState::settle`].
+    ///
+    /// When the window or the token budget makes drafting pointless the
+    /// proposal is `[t_1]` alone: a plain one-token decode, identical to
+    /// non-speculative serving (including its window truncation), with
+    /// the draft just accruing lag in case a later step drafts again.
+    pub fn propose<S: KvStorage + ?Sized>(
+        &mut self,
+        model: &GptModel,
+        draft: &QuantizedParamStore,
+        k: usize,
+        cache: &S,
+        last_row: &[f32],
+        remaining: usize,
+    ) -> Proposal {
+        assert!(remaining >= 1, "caller must still want at least one token");
+        let draft_t0 = Instant::now();
+        let t1 = argmax(last_row) as u32;
+        let k_eff = draft_budget(&model.cfg, cache, k, remaining);
+        let mut tokens = Vec::with_capacity(k_eff + 1);
+        tokens.push(t1);
+        self.lag.push(t1);
+        if k_eff > 0 {
+            // catch up on lagged tokens (t_1 included), then propose
+            let mut drow = self.catch_up(model, draft);
+            for i in 0..k_eff {
+                let d = argmax(&drow) as u32;
+                tokens.push(d);
+                if i + 1 < k_eff {
+                    drow = model.decode_step(draft, d, &mut self.cache);
+                }
+            }
+        }
+        Proposal {
+            tokens,
+            draft_time: draft_t0.elapsed(),
+        }
+    }
+
+    /// The settle half: `rows` are the `[proposal.tokens.len(), vocab]`
+    /// logits of the verify forward that fed `proposal.tokens` through
+    /// `cache` (taking `verify_time`). Accepts draft tokens while the
+    /// f32 argmax agrees, rolls the rejected rows back out of both
+    /// caches and replaces `last_row` with the row predicting the token
+    /// after the last one emitted.
+    pub fn settle<S: KvStorage + ?Sized>(
+        &mut self,
+        proposal: Proposal,
+        rows: &[f32],
+        verify_time: Duration,
+        cache: &mut S,
+        last_row: &mut Vec<f32>,
+    ) -> SpecOutcome {
+        let Proposal {
+            mut tokens,
+            draft_time,
+        } = proposal;
+        let k_eff = tokens.len() - 1;
+        let v = rows.len() / tokens.len();
+        let mut accepted = 0;
+        while accepted < k_eff && argmax(&rows[accepted * v..][..v]) as u32 == tokens[accepted + 1]
+        {
+            accepted += 1;
+        }
+        last_row.clear();
+        last_row.extend_from_slice(&rows[accepted * v..][..v]);
+
+        // --- rollback: drop the rejected rows from both caches
+        let rollback_t0 = Instant::now();
+        let rolled_back = k_eff - accepted;
+        cache.rollback(rolled_back);
+        if accepted < k_eff {
+            // the draft holds k_eff - 1 proposal rows beyond t_1; keep the
+            // accepted prefix
+            self.cache.rollback((k_eff - 1) - accepted);
+        } else if k_eff > 0 {
+            // fully accepted: the last proposal was emitted but never fed
+            // through the draft — it becomes the next step's lag
+            self.lag.push(tokens[k_eff]);
+        }
+        let rollback_time = rollback_t0.elapsed();
+
+        tokens.truncate(accepted + 1);
+        SpecOutcome {
+            tokens,
+            drafted: k_eff,
+            accepted,
+            rolled_back,
+            draft_time,
+            verify_time,
+            rollback_time,
+        }
+    }
+}
+
 /// One speculative macro-step: draft up to `k` tokens with the int8
-/// weights, verify them in one batched forward of `store` (the f32
-/// model wherever this is called: the stream equals plain greedy decode
-/// against whatever weights verify), emit the accepted prefix and roll
-/// back the rest.
+/// weights ([`DraftState::propose`]), verify them in one batched forward
+/// of `store` (the f32 model wherever this is called: the stream equals
+/// plain greedy decode against whatever weights verify), emit the
+/// accepted prefix and roll back the rest ([`DraftState::settle`]). The
+/// serving scheduler calls the two halves itself, around a verify
+/// forward shared by every request of the iteration.
 ///
 /// `last_row` is the f32 logits row predicting the next token (as
 /// produced by the prefill or the previous step) and is replaced with
@@ -201,87 +323,10 @@ pub fn speculative_step<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
     last_row: &mut Vec<f32>,
     remaining: usize,
 ) -> SpecOutcome {
-    assert!(remaining >= 1, "caller must still want at least one token");
-    let t1 = argmax(last_row) as u32;
-    let k_eff = draft_budget(&model.cfg, cache, k, remaining);
-    if k_eff == 0 {
-        // Plain fallback: one-token decode, identical to non-speculative
-        // serving (including its window truncation). The draft just
-        // accrues lag in case a later step drafts again.
-        let verify_t0 = Instant::now();
-        *last_row = model.forward_cached(store, &[t1], cache);
-        draft_state.lag.push(t1);
-        return SpecOutcome {
-            tokens: vec![t1],
-            drafted: 0,
-            accepted: 0,
-            rolled_back: 0,
-            draft_time: Duration::ZERO,
-            verify_time: verify_t0.elapsed(),
-            rollback_time: Duration::ZERO,
-        };
-    }
-
-    // --- draft: catch up on lagged tokens (t_1 included), then propose
-    let draft_t0 = Instant::now();
-    draft_state.lag.push(t1);
-    let mut drow = draft_state.catch_up(model, draft);
-    let mut proposals = Vec::with_capacity(k_eff);
-    for i in 0..k_eff {
-        let d = argmax(&drow) as u32;
-        proposals.push(d);
-        if i + 1 < k_eff {
-            drow = model.decode_step(draft, d, &mut draft_state.cache);
-        }
-    }
-    let draft_time = draft_t0.elapsed();
-
-    // --- verify: one batched f32 forward over [t_1, d_1, .., d_k]
+    let proposal = draft_state.propose(model, draft, k, cache, last_row, remaining);
     let verify_t0 = Instant::now();
-    let mut batch = Vec::with_capacity(k_eff + 1);
-    batch.push(t1);
-    batch.extend_from_slice(&proposals);
-    let logits = model.forward_cached(store, &batch, cache);
-    let v = model.cfg.vocab_size;
-    let mut accepted = 0;
-    while accepted < k_eff {
-        let row = &logits[accepted * v..(accepted + 1) * v];
-        if argmax(row) as u32 == proposals[accepted] {
-            accepted += 1;
-        } else {
-            break;
-        }
-    }
-    let mut tokens = Vec::with_capacity(accepted + 1);
-    tokens.push(t1);
-    tokens.extend_from_slice(&proposals[..accepted]);
-    *last_row = logits[accepted * v..(accepted + 1) * v].to_vec();
-    let verify_time = verify_t0.elapsed();
-
-    // --- rollback: drop the rejected rows from both caches
-    let rollback_t0 = Instant::now();
-    let rolled_back = k_eff - accepted;
-    cache.rollback(rolled_back);
-    if accepted == k_eff {
-        // fully accepted: the last proposal was emitted but never fed
-        // through the draft — it becomes the next step's lag
-        draft_state.lag.push(proposals[k_eff - 1]);
-    } else {
-        // the draft holds k_eff - 1 proposal rows beyond t_1; keep the
-        // accepted prefix
-        draft_state.cache.rollback((k_eff - 1) - accepted);
-    }
-    let rollback_time = rollback_t0.elapsed();
-
-    SpecOutcome {
-        tokens,
-        drafted: k_eff,
-        accepted,
-        rolled_back,
-        draft_time,
-        verify_time,
-        rollback_time,
-    }
+    let rows = model.forward_cached(store, &proposal.tokens, cache);
+    draft_state.settle(proposal, &rows, verify_t0.elapsed(), cache, last_row)
 }
 
 /// [`crate::generate::generate`] on the speculative path: greedy-only

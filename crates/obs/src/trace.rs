@@ -402,6 +402,7 @@ pub struct Span<'r> {
     cat: &'static str,
     name: &'static str,
     start: Instant,
+    args: Vec<(&'static str, f64)>,
 }
 
 impl Span<'static> {
@@ -427,6 +428,7 @@ impl<'r> Span<'r> {
                 cat,
                 name,
                 start: Instant::now(),
+                args: Vec::new(),
             };
         }
         THREAD.with(|t| t.borrow_mut().depth += 1);
@@ -437,6 +439,17 @@ impl<'r> Span<'r> {
             cat,
             name,
             start: Instant::now(),
+            args: Vec::new(),
+        }
+    }
+
+    /// Attach one numeric argument to the slice this scope records —
+    /// for a quantity only known once the scope is under way (the rows
+    /// a decode iteration ended up forwarding). Kept off the flight
+    /// copy, which stays fixed-size.
+    pub fn set_arg(&mut self, key: &'static str, value: f64) {
+        if self.rec.is_some() {
+            self.args.push((key, value));
         }
     }
 }
@@ -460,6 +473,7 @@ impl Drop for Span<'_> {
         THREAD.with(|t| {
             let mut t = t.borrow_mut();
             let ev = TraceEvent::complete(self.pid, t.tid, self.cat, self.name, ts_us, dur_us);
+            let ev = self.args.drain(..).fold(ev, |ev, (k, v)| ev.arg(k, v));
             t.depth = t.depth.saturating_sub(1);
             if rec.is_global() {
                 t.buf.push(ev);
@@ -502,6 +516,18 @@ mod tests {
         assert_eq!(evs[1].name, "outer");
         assert!(evs.iter().all(|e| e.ts_us >= 0.0 && e.dur_us >= 0.0));
         assert_eq!(evs[0].tid, evs[1].tid);
+    }
+
+    #[test]
+    fn span_args_set_mid_scope_land_on_the_slice() {
+        let rec = Recorder::new();
+        rec.enable();
+        {
+            let mut s = Span::enter_in(&rec, pids::SERVE, "serve", "iter");
+            s.set_arg("rows", 12.0);
+        }
+        let evs = rec.drain();
+        assert_eq!(evs[0].args, vec![("rows".to_string(), 12.0)]);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! The public submit/wait/shutdown surface is panic-free: every fallible
 //! condition (engine shut down, queue full, empty prompt) is a typed
-//! [`EngineError`], and model-side panics are isolated per request by
-//! the scheduler (see [`crate::scheduler`]) rather than propagated.
+//! [`EngineError`], and model-side panics are isolated by the scheduler
+//! — per request in prefill, per shared forward in decode (see
+//! [`crate::scheduler`]) — rather than propagated.
 
 use crate::metrics::{MetricsInner, MetricsSnapshot};
 use crate::request::{GenRequest, ResponseHandle, Submission};
@@ -408,6 +409,13 @@ mod tests {
                 "missing serve event `{name}`"
             );
         }
+        // an iteration that forwarded says how many rows shared the pass
+        assert!(
+            serve
+                .iter()
+                .any(|e| e.name == "decode-iter" && e.args == [("rows".to_string(), 1.0)]),
+            "no decode-iter slice carries its `rows`"
+        );
     }
 
     #[test]
@@ -673,6 +681,54 @@ mod tests {
             outs[0], outs[1],
             "paged and contiguous greedy decode differ"
         );
+    }
+
+    #[test]
+    fn twelve_deep_batch_matches_generate_and_counts_its_rows() {
+        // max_batch 12: while all twelve overlap, an iteration stacks
+        // R = 12 rows — past the small-m tier, the grouped walk
+        let opts = SampleOptions {
+            temperature: 0.0,
+            top_k: 0,
+            max_new_tokens: 16,
+            stop_token: None,
+        };
+        let engine = tiny_engine(EngineConfig {
+            max_batch: 12,
+            ..EngineConfig::default()
+        });
+        let prompts: Vec<Vec<u32>> = (0..12u32)
+            .map(|i| (0..2 + i % 4).map(|j| (i * 7 + j) % 30).collect())
+            .collect();
+        let handles: Vec<_> = prompts
+            .iter()
+            .map(|p| engine.submit(p, opts).expect("admitted"))
+            .collect();
+        let streams: Vec<Vec<u32>> = handles
+            .into_iter()
+            .map(|h| h.wait().expect("response").tokens)
+            .collect();
+        engine.shutdown();
+
+        // the same weights `tiny_engine` built
+        let mut store = ParamStore::new();
+        let mcfg = GptConfig {
+            vocab_size: 30,
+            hidden: 16,
+            layers: 1,
+            heads: 2,
+            max_seq: 32,
+            ..GptConfig::tiny(ArchKind::Llama, 30)
+        };
+        let model = GptModel::new(mcfg, &mut store, &mut init::rng(0));
+        for (prompt, stream) in prompts.iter().zip(&streams) {
+            let reference =
+                matgpt_model::generate(&model, &store, prompt, &opts, &mut init::rng(0));
+            assert_eq!(stream, &reference, "prompt {prompt:?}");
+        }
+        // however they overlapped: a plain request rides every iteration
+        // but the one that emits its last token
+        assert_eq!(engine.metrics().decode_rows, 12 * 15);
     }
 
     #[test]

@@ -240,6 +240,14 @@ serve_series! {{
         "requests retired by an internal fault";
     generated_tokens: Counter as u64 = "serve_generated_tokens_total",
         "tokens generated across all requests";
+    /// One per scheduler iteration that forwarded anything, however
+    /// many requests rode in it.
+    decode_forwards: Counter as u64 = "serve_decode_forwards_total",
+        "shared decode forwards run (one pass over the weights each)";
+    /// With `decode_forwards`, the rows per weight stream: the mean
+    /// decode batch (plain rows plus speculative verify rows).
+    decode_rows: Counter as u64 = "serve_decode_rows_total",
+        "token rows carried by the shared decode forwards";
     /// The snapshot carries exact percentiles over the last
     /// [`TTFT_WINDOW`] retired requests.
     ttft_ms: Windowed<TTFT_WINDOW> as Percentiles = "serve_ttft_ms",
@@ -521,6 +529,8 @@ pub(crate) mod tests {
                 "completed",
                 "failed",
                 "generated_tokens",
+                "decode_forwards",
+                "decode_rows",
                 "ttft_ms",
                 "token_latency_ms",
                 "tokens_per_sec",

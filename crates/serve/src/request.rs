@@ -45,9 +45,11 @@ pub enum FinishReason {
     DeadlineExceeded,
     /// The client cancelled via [`ResponseHandle::cancel`].
     Cancelled,
-    /// The engine hit an internal error (a panicked model forward) on
-    /// this request. Other requests in the batch are unaffected; any
-    /// tokens decoded before the fault are kept.
+    /// The engine hit an internal error (a panicked model forward) with
+    /// this request in it: its own prefill, or a decode forward it
+    /// shared — every request riding that forward fails with it, the
+    /// rest of the engine is unaffected. Any tokens decoded before the
+    /// fault are kept.
     Failed,
 }
 

@@ -7,18 +7,32 @@
 //! iteration it (1) drains new submissions onto the back of the lot,
 //! (2) admits from its head while the batch slot and KV budgets allow —
 //! strict head-of-line order, so admission is oldest-first — prefilling
-//! what it admits, (3) advances every active request by one decoded
-//! token in parallel (rayon over the batch; the per-request forwards
-//! are the heavy part), and (4) retires requests that hit their stop
-//! token, length budget, deadline, or a client cancel, freeing their
-//! budget so the next parked request joins on the very next iteration.
-//! A request leaves the engine one way, wherever it is: `Parked::retire`.
+//! what it admits, (3) advances every active request by one decode
+//! step through **one shared forward** (`decode_iteration`: each
+//! request samples and emits from its staged logits row, then every
+//! request that still needs a row — one per plain request, the `k + 1`
+//! verify rows of a drafting one — is stacked into a single ragged
+//! [`GptModel::forward_batch`], so the iteration streams the weights
+//! once, not once per request; then each request takes its rows), and
+//! (4) retires requests that hit their stop token, length budget,
+//! deadline, or a client cancel, freeing their budget so the next
+//! parked request joins on the very next iteration. A request leaves
+//! the engine one way, wherever it is: `Parked::retire`.
 //!
-//! Faults are isolated per request: a model forward that panics (in
-//! prefill or decode) is caught with `catch_unwind`, the afflicted
-//! request retires with [`FinishReason::Failed`] — keeping its tokens,
-//! its partially mutated KV state discarded, so no poisoned state
-//! survives — and the rest of the batch continues untouched.
+//! Faults are isolated with `catch_unwind` at two granularities. A
+//! prefill that panics fails its own request: it retires with
+//! [`FinishReason::Failed`] — keeping its tokens, its partially mutated
+//! KV state discarded, so no poisoned state survives — and the rest of
+//! the wave is untouched. A *decode* forward is shared, so a panic
+//! inside it fails exactly the requests whose rows were in it (a
+//! forward that dies part-way leaves each of their caches between
+//! `begin` and `commit`); requests that finished before the forward,
+//! parked requests and the loop itself carry on. The drafts' propose
+//! forwards run inside the same scope, so a panic in *one* request's
+//! draft also fails every rider of that iteration — wider than the
+//! state it touched (that request's `DraftState` only), and the price
+//! of one unwind scope per iteration. Bad input never gets that far:
+//! `forward_batch` validates every segment before it touches a cache.
 //!
 //! ## KV backends
 //!
@@ -61,7 +75,7 @@ use crate::metrics::MetricsInner;
 use crate::request::{FinishReason, Response, Submission};
 use crossbeam::channel::Receiver;
 use matgpt_model::infer::{KvCache, KvStorage};
-use matgpt_model::speculative::{speculative_step, DraftState, SpecOutcome};
+use matgpt_model::speculative::{DraftState, Proposal, SpecOutcome};
 use matgpt_model::{
     generate::sample_logits, ForwardParams, GptModel, QuantizedParamStore, WeightPrecision,
 };
@@ -328,10 +342,10 @@ struct Active {
     /// Recreated fresh on preemption-resume (safe: the draft never
     /// influences output, only acceptance rate).
     draft: Option<DraftState>,
-    /// `[drafted, accepted, rolled_back]` of the speculative macro-step
-    /// this iteration ran, for the scheduler thread to count once the
-    /// parallel step has joined.
-    spec_step: [u64; 3],
+    /// The tokens this request feeds the iteration's shared forward:
+    /// the one it just sampled, or — drafting — the `[t₁, d₁..d_k]` its
+    /// draft proposed, which the forward's rows then verify.
+    feed: Proposal,
     done: Option<FinishReason>,
     /// When this request's prefill forward began / finished — the
     /// boundaries of its traced queued/prefill/decode lifecycle.
@@ -385,63 +399,87 @@ impl Active {
             last_token_at: prefill_end,
             reserved,
             draft,
-            spec_step: [0; 3],
+            feed: Proposal::default(),
             done: None,
             prefill: (prefill_start, prefill_end),
         })
     }
 
-    /// Advance by one token (or one speculative macro-step): sample
-    /// from the staged logits, decide whether to finish, otherwise run
-    /// one cached decode step.
-    fn step(
-        &mut self,
-        model: &GptModel,
-        weights: &Weights,
-        spec: Option<&SpecRuntime>,
-        metrics: &MetricsInner,
-    ) {
+    /// Phase 1 of a decode iteration: decide whether to finish;
+    /// otherwise a plain request samples its next token from the staged
+    /// logits, emits it and — unless that finished it — stages it in
+    /// `feed`. A drafting request only passes the checks here: its
+    /// tokens come out of the macro-step ([`Active::propose`] →
+    /// shared forward → [`Active::finish_step`]) all at once. Returns
+    /// whether the request rides in the iteration's forward.
+    fn begin_step(&mut self, metrics: &MetricsInner) -> bool {
         debug_assert!(self.done.is_none(), "stepping a finished request");
+        self.feed.tokens.clear();
         let now = Instant::now();
         let Parked { sub, generated, .. } = &self.state;
         if sub.cancelled() {
             self.done = Some(FinishReason::Cancelled);
-            return;
-        }
-        if sub.expired(now) {
+        } else if sub.expired(now) {
             self.done = Some(FinishReason::DeadlineExceeded);
-            return;
-        }
-        if *generated >= sub.req.opts.max_new_tokens {
+        } else if *generated >= sub.req.opts.max_new_tokens {
             self.done = Some(FinishReason::Length);
-            return;
-        }
-        let (Some(rt), Some(draft)) = (spec, self.draft.as_mut()) else {
+        } else if self.draft.is_none() {
             let opts = &self.state.sub.req.opts;
             let rng = &mut self.state.rng;
             let next = sample_logits(&self.last_row, opts.temperature, opts.top_k, rng) as u32;
             self.emit(&[next], now - self.last_token_at, now, metrics);
             if self.done.is_none() {
-                self.last_row = model.decode_step(weights, next, self.cache.kv());
+                self.feed.tokens.push(next);
             }
+        }
+        self.done.is_none()
+    }
+
+    /// Phase 2, drafting requests only: the propose half of one
+    /// speculative macro-step — `feed` becomes the `[t₁, d₁..d_k]` the
+    /// shared forward verifies. Runs the draft's forwards, so the caller
+    /// scopes it with the shared forward's `catch_unwind`.
+    fn propose(&mut self, model: &GptModel, spec: Option<&SpecRuntime>) {
+        if let (Some(rt), Some(draft)) = (spec, self.draft.as_mut()) {
+            let Parked { sub, generated, .. } = &self.state;
+            let remaining = sub.req.opts.max_new_tokens - generated;
+            let (cache, row) = (self.cache.kv(), &self.last_row);
+            self.feed = draft.propose(model, &rt.draft, rt.k, cache, row, remaining);
+        }
+    }
+
+    /// Phase 3: take this request's `rows` (`[feed.tokens.len(), vocab]`)
+    /// out of the shared forward that began at `verify.0` and took
+    /// `verify.1`. A plain request stages its one row for the next
+    /// iteration's sample. A drafting request settles its macro-step —
+    /// accept, roll back — and emits the 1 to `k + 1` tokens it
+    /// produced: identical to what the plain path would emit one at a
+    /// time, only throughput and per-step accounting differ. `draft_at`
+    /// is when its propose half began, for the trace.
+    fn finish_step(
+        &mut self,
+        rows: &[f32],
+        draft_at: Instant,
+        verify: (Instant, Duration),
+        metrics: &MetricsInner,
+    ) {
+        let Some(draft) = self.draft.as_mut() else {
+            self.last_row.clear();
+            self.last_row.extend_from_slice(rows);
             return;
         };
-        // one speculative macro-step: 1 to `k + 1` tokens, identical to
-        // what the plain path above would emit one at a time — only
-        // throughput and per-step accounting differ
-        let out = speculative_step(
-            model,
-            weights,
-            &rt.draft,
-            rt.k,
-            self.cache.kv(),
-            draft,
-            &mut self.last_row,
-            sub.req.opts.max_new_tokens - generated,
-        );
+        let settle_at = Instant::now();
+        let feed = std::mem::take(&mut self.feed);
+        let out = draft.settle(feed, rows, verify.1, self.cache.kv(), &mut self.last_row);
         let done_at = Instant::now();
-        self.spec_step = [out.drafted, out.accepted, out.rolled_back].map(|n| n as u64);
-        emit_spec_spans(sub.id, now, &out);
+        if out.drafted > 0 {
+            metrics.record_spec(
+                out.drafted as u64,
+                out.accepted as u64,
+                out.rolled_back as u64,
+            );
+        }
+        emit_spec_spans(self.state.sub.id, [draft_at, verify.0, settle_at], &out);
         // the macro-step produced all its tokens in one go; attribute
         // its wall time evenly across them for the latency histogram
         let per_token = (done_at - self.last_token_at) / out.tokens.len() as u32;
@@ -575,42 +613,26 @@ fn evict_until(
     }
 }
 
-/// Trace one speculative macro-step as three back-to-back slices —
-/// spec-draft → spec-verify → spec-rollback — on the request's
-/// lifecycle track, from the phase durations the step measured on its
-/// own clock. Skipped for plain-fallback steps (nothing drafted) and
-/// while the global recorder is disabled.
-fn emit_spec_spans(id: u64, start: Instant, out: &SpecOutcome) {
+/// Trace one speculative macro-step as three slices — spec-draft,
+/// spec-verify, spec-rollback — on the request's lifecycle track, each
+/// where it began (`at`, in that order; the verify is the iteration's
+/// shared forward, so every request of the iteration shows the same
+/// one) for the duration the step measured. Skipped for plain-fallback
+/// steps (nothing drafted) and while the global recorder is disabled.
+fn emit_spec_spans(id: u64, at: [Instant; 3], out: &SpecOutcome) {
     let rec = Recorder::global();
     if !rec.is_enabled() || out.drafted == 0 {
         return;
     }
     let tid = REQ_TRACK_BASE + id;
-    let t0 = rec.ts_of(start);
-    let draft_us = out.draft_time.as_secs_f64() * 1e6;
-    let verify_us = out.verify_time.as_secs_f64() * 1e6;
-    let rollback_us = out.rollback_time.as_secs_f64() * 1e6;
+    let slice = |name, at: Instant, took: Duration| {
+        let us = took.as_secs_f64() * 1e6;
+        TraceEvent::complete(pids::SERVE, tid, "serve.spec", name, rec.ts_of(at), us)
+    };
     rec.extend(vec![
-        TraceEvent::complete(pids::SERVE, tid, "serve.spec", "spec-draft", t0, draft_us)
-            .arg("drafted", out.drafted as f64),
-        TraceEvent::complete(
-            pids::SERVE,
-            tid,
-            "serve.spec",
-            "spec-verify",
-            t0 + draft_us,
-            verify_us,
-        )
-        .arg("accepted", out.accepted as f64),
-        TraceEvent::complete(
-            pids::SERVE,
-            tid,
-            "serve.spec",
-            "spec-rollback",
-            t0 + draft_us + verify_us,
-            rollback_us,
-        )
-        .arg("rolled_back", out.rolled_back as f64),
+        slice("spec-draft", at[0], out.draft_time).arg("drafted", out.drafted as f64),
+        slice("spec-verify", at[1], out.verify_time).arg("accepted", out.accepted as f64),
+        slice("spec-rollback", at[2], out.rollback_time).arg("rolled_back", out.rolled_back as f64),
     ]);
 }
 
@@ -696,6 +718,76 @@ fn emit_lifecycle(sub: &Submission, generated: usize, prefill: Option<(Instant, 
     }
     flows.push(hop(FlowPhase::Finish, last.0, last.1 + dur(last.1, last.2)));
     rec.extend_flows(flows);
+}
+
+/// One decode iteration over the batch, in three phases on the calling
+/// (scheduler) thread:
+///
+/// 1. per request — finish checks, then sample from the staged logits
+///    row and emit ([`Active::begin_step`]);
+/// 2. **one** [`GptModel::forward_batch`] over every request that still
+///    needs a row: plain requests ride one row each, drafting requests
+///    first propose ([`Active::propose`]) and ride their `k + 1` verify
+///    rows in the same weight stream;
+/// 3. per request — take its logits rows, settling a speculative
+///    macro-step ([`Active::finish_step`]).
+///
+/// Phase 2 is the one unwind scope of the decode path. A panic inside
+/// the shared forward fails exactly the requests whose rows were in it:
+/// they shared one pass over the weights, and a forward that died
+/// part-way leaves every cache it was writing between `begin` and
+/// `commit`, so none is trustworthy. A panic in one request's draft
+/// forward, before the shared forward began, fails the same set — every
+/// rider of the iteration, though only that request's draft state was
+/// touched: the scope is per iteration, not per request. Requests that
+/// finished in phase 1 keep their finish reason, parked requests and the
+/// loop are untouched. (`forward_batch` checks every segment before it
+/// touches any cache, so bad input cannot get that far.)
+fn decode_iteration(
+    model: &GptModel,
+    weights: &Weights,
+    spec: Option<&SpecRuntime>,
+    active: &mut [Active],
+    metrics: &MetricsInner,
+) {
+    let mut span = Span::enter(pids::SERVE, "serve", "decode-iter");
+    let mut stepping: Vec<&mut Active> = active
+        .iter_mut()
+        .filter_map(|a| a.begin_step(metrics).then_some(a))
+        .collect();
+    if stepping.is_empty() {
+        return;
+    }
+    let mut draft_at = Instant::now();
+    let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut segs: Vec<(&[u32], &mut dyn KvStorage)> = Vec::with_capacity(stepping.len());
+        for a in stepping.iter_mut() {
+            a.propose(model, spec);
+            segs.push((&a.feed.tokens, a.cache.kv()));
+        }
+        let verify_at = Instant::now();
+        let logits = model.forward_batch(weights, &mut segs);
+        (logits, (verify_at, verify_at.elapsed()))
+    }));
+    let Ok((logits, verify)) = forward else {
+        for a in stepping {
+            a.done = Some(FinishReason::Failed);
+        }
+        return;
+    };
+    let v = model.cfg.vocab_size;
+    let rows = logits.len() / v;
+    metrics.decode_forwards.inc();
+    metrics.decode_rows.add(rows as u64);
+    span.set_arg("rows", rows as f64);
+    let mut row = 0;
+    for a in stepping {
+        let (n, took) = (a.feed.tokens.len(), a.feed.draft_time);
+        a.finish_step(&logits[row * v..(row + n) * v], draft_at, verify, metrics);
+        row += n;
+        // drafts ran back to back, in this order
+        draft_at += took;
+    }
 }
 
 /// The scheduler loop. Runs until every sender is gone and all queued
@@ -883,7 +975,7 @@ pub(crate) fn run(
         }
 
         // ---- paged: secure one decode block per live request before
-        // the parallel step; exhaustion evicts prefix-cache entries and
+        // the shared forward; exhaustion evicts prefix-cache entries and
         // then preempts the youngest request (its blocks return to the
         // pool, its progress parks for re-admission by recompute)
         if let Some(ps) = paged.as_mut() {
@@ -932,35 +1024,7 @@ pub(crate) fn run(
         }
 
         // ---- one decode iteration across the whole batch
-        {
-            let _span = Span::enter(pids::SERVE, "serve", "decode-iter");
-            active.par_iter_mut().for_each(|a| {
-                if a.done.is_some() {
-                    return;
-                }
-                // per-request unwind isolation: a panicked decode fails
-                // only its own request; its half-stepped state is
-                // discarded when it retires below
-                let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    a.step(&model, weights, spec.as_ref(), &metrics)
-                }));
-                if stepped.is_err() {
-                    a.done = Some(FinishReason::Failed);
-                }
-            });
-        }
-
-        // ---- count the iteration's speculative macro-steps on this
-        // thread: one acceptance-gauge store, from settled counters
-        let [drafted, accepted, rolled_back] = active
-            .iter_mut()
-            .map(|a| std::mem::take(&mut a.spec_step))
-            .fold([0; 3], |sum, s| {
-                [sum[0] + s[0], sum[1] + s[1], sum[2] + s[2]]
-            });
-        if drafted > 0 {
-            metrics.record_spec(drafted, accepted, rolled_back);
-        }
+        decode_iteration(&model, weights, spec.as_ref(), &mut active, &metrics);
 
         // ---- KV occupancy while every active cache is still held, so
         // the peak gauge sees the true high-water mark of the iteration
@@ -1012,10 +1076,11 @@ mod tests {
     use super::*;
     use crate::request::GenRequest;
     use matgpt_model::config::{ArchKind, GptConfig};
-    use matgpt_tensor::init;
+    use matgpt_model::{generate, SampleOptions};
+    use matgpt_tensor::{init, ParamId};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn failed_reprefill_hands_the_parked_request_back_with_its_tokens() {
+    fn tiny_model() -> (GptModel, ParamStore) {
         let mut store = ParamStore::new();
         let mcfg = GptConfig {
             vocab_size: 30,
@@ -1026,24 +1091,304 @@ mod tests {
             ..GptConfig::tiny(ArchKind::Llama, 30)
         };
         let model = GptModel::new(mcfg, &mut store, &mut init::rng(0));
-        let metrics = MetricsInner::default();
-        assert!(metrics.try_claim_slot(1));
+        (model, store)
+    }
+
+    fn greedy(max_new_tokens: usize) -> SampleOptions {
+        SampleOptions {
+            temperature: 0.0,
+            top_k: 0,
+            max_new_tokens,
+            stop_token: None,
+        }
+    }
+
+    /// A parked greedy request and the channel its response arrives on.
+    fn parked(
+        id: u64,
+        prompt: Vec<u32>,
+        max_new: usize,
+        metrics: &MetricsInner,
+    ) -> (Parked, Receiver<Response>) {
+        assert!(metrics.try_claim_slot(usize::MAX));
         let (tx, rx) = crossbeam::channel::unbounded();
+        let mut req = GenRequest::new(prompt);
+        req.opts = greedy(max_new);
+        let sub = Submission {
+            id,
+            req,
+            submitted: Instant::now(),
+            absolute_deadline: None,
+            cancel: Arc::default(),
+            tx,
+            flow_id: 0,
+        };
+        (Parked::fresh(sub), rx)
+    }
+
+    /// `n` greedy requests with distinct prompts, admitted and prefilled
+    /// the way `run` does it: on `pool` when paged, drafting when `spec`.
+    fn admit(
+        n: u64,
+        max_new: usize,
+        model: &GptModel,
+        weights: &Weights,
+        pool: Option<&BlockPool>,
+        spec: bool,
+        metrics: &MetricsInner,
+    ) -> Vec<Active> {
+        (0..n)
+            .map(|id| {
+                let prompt: Vec<u32> = (0..3 + id % 3)
+                    .map(|i| ((id * 5 + i) % 30) as u32)
+                    .collect();
+                let cache = match pool {
+                    None => ReqKv::Contig(model.new_cache()),
+                    Some(pool) => {
+                        let mut kv = pool.new_seq(model.cfg.max_seq);
+                        kv.reserve_rows(prompt.len()).expect("ample pool");
+                        ReqKv::Paged(kv)
+                    }
+                };
+                let (p, _rx) = parked(id, prompt, max_new, metrics);
+                Active::try_prefill(model, weights, p, 0, cache, spec)
+                    .unwrap_or_else(|_| panic!("prefill {id}"))
+            })
+            .collect()
+    }
+
+    /// `run`'s decode loop over an already admitted batch: reserve, one
+    /// [`decode_iteration`], pull out what finished. Returns the finished
+    /// requests and, per iteration, `(requests in the batch, rows its
+    /// forward carried)`.
+    fn drive(
+        model: &GptModel,
+        weights: &Weights,
+        spec: Option<&SpecRuntime>,
+        mut active: Vec<Active>,
+        metrics: &MetricsInner,
+    ) -> (Vec<Active>, Vec<(u64, u64)>) {
+        let (mut finished, mut iterations) = (Vec::new(), Vec::new());
+        while !active.is_empty() {
+            for a in active.iter_mut() {
+                let rows = a
+                    .draft
+                    .as_ref()
+                    .map_or(1, |_| spec.map_or(1, |rt| rt.k + 1));
+                a.cache.reserve_decode(rows).expect("ample pool");
+            }
+            let (forwards, rows) = (metrics.decode_forwards.get(), metrics.decode_rows.get());
+            decode_iteration(model, weights, spec, &mut active, metrics);
+            let rows = metrics.decode_rows.get() - rows;
+            assert_eq!(
+                metrics.decode_forwards.get() - forwards,
+                u64::from(rows > 0),
+                "an iteration is at most one pass over the weights"
+            );
+            iterations.push((active.len() as u64, rows));
+            let (done, live) = active.into_iter().partition(|a| a.done.is_some());
+            active = live;
+            finished.extend(done);
+        }
+        (finished, iterations)
+    }
+
+    /// The f32 weights, counting the matmuls that stream them — and
+    /// panicking on the `fault_at`-th, when one is set.
+    struct CountedWeights {
+        inner: ParamStore,
+        matmuls: AtomicUsize,
+        fault_at: AtomicUsize,
+    }
+
+    impl CountedWeights {
+        fn new(inner: ParamStore) -> Self {
+            Self {
+                inner,
+                matmuls: AtomicUsize::new(0),
+                fault_at: AtomicUsize::new(0),
+            }
+        }
+
+        fn matmuls(&self) -> usize {
+            self.matmuls.load(Ordering::Relaxed)
+        }
+    }
+
+    impl ForwardParams for CountedWeights {
+        fn dense(&self, id: ParamId) -> &[f32] {
+            self.inner.dense(id)
+        }
+        fn matmul(&self, x: &[f32], id: ParamId, c: &mut [f32], m: usize, k: usize, n: usize) {
+            let call = self.matmuls.fetch_add(1, Ordering::Relaxed) + 1;
+            assert_ne!(
+                call,
+                self.fault_at.load(Ordering::Relaxed),
+                "injected fault"
+            );
+            self.inner.matmul(x, id, c, m, k, n);
+        }
+        fn weight_bytes(&self) -> usize {
+            self.inner.weight_bytes()
+        }
+    }
+
+    #[test]
+    fn an_iteration_is_one_forward_whatever_the_batch() {
+        let (model, store) = tiny_model();
+        let max_new = 10;
+        let rt = SpecRuntime {
+            draft: QuantizedParamStore::for_draft(&model, &store),
+            k: 2,
+        };
+        // one pass over the weights: seven linears a layer and the LM head
+        let per_forward = 7 * model.cfg.layers + 1;
+        let weights = CountedWeights::new(store);
+        let store = &weights.inner;
+        let bc = KvBlockConfig {
+            block_size: 4,
+            num_blocks: 256,
+        };
+        // (requests, paged, speculative); 12 stacks past the small-m tier
+        for (n, paged, speculative) in [
+            (4, false, false),
+            (4, true, false),
+            (4, false, true),
+            (4, true, true),
+            (12, false, false),
+        ] {
+            let metrics = MetricsInner::default();
+            let pool = paged.then(|| BlockPool::for_model(bc, &model));
+            let spec = speculative.then_some(&rt);
+            let active = admit(
+                n,
+                max_new,
+                &model,
+                &weights,
+                pool.as_ref(),
+                speculative,
+                &metrics,
+            );
+            let prefilled = weights.matmuls();
+            let (finished, iterations) = drive(&model, &weights, spec, active, &metrics);
+
+            for a in &finished {
+                let prompt = &a.state.sub.req.prompt;
+                let reference =
+                    generate(&model, store, prompt, &greedy(max_new), &mut init::rng(0));
+                assert_eq!(a.state.tokens, reference, "request {}", a.state.sub.id);
+                assert_eq!(a.done, Some(FinishReason::Length));
+            }
+            let snap = metrics.snapshot();
+            // the weights were streamed once per iteration, not per request
+            assert_eq!(
+                weights.matmuls() - prefilled,
+                per_forward * snap.decode_forwards as usize,
+                "{n}/{paged}/{speculative}"
+            );
+            if speculative {
+                // every iteration is one verify forward, shared by all
+                // that are left: k_eff + 1 rows a request
+                assert_eq!(snap.decode_forwards, iterations.len() as u64);
+                for (batch, rows) in iterations {
+                    assert!(rows >= batch, "{rows} rows for {batch} requests");
+                }
+                assert!(snap.spec_drafted > 0, "nothing drafted");
+            } else {
+                // lockstep: max_new - 1 forwards of n rows each, then an
+                // iteration in which everyone emits the last token
+                assert_eq!(
+                    iterations,
+                    [vec![(n, n); max_new - 1], vec![(n, 0)]].concat()
+                );
+                assert_eq!(snap.decode_forwards, max_new as u64 - 1, "{n}/{paged}");
+                assert_eq!(snap.decode_rows, n * snap.decode_forwards);
+            }
+            assert_eq!(snap.generated_tokens, n * max_new as u64);
+        }
+    }
+
+    #[test]
+    fn a_panicked_shared_forward_fails_exactly_the_requests_in_it() {
+        let (model, store) = tiny_model();
+        let weights = CountedWeights::new(store);
+        let metrics = MetricsInner::default();
+        let mut active = admit(3, 8, &model, &weights, None, false, &metrics);
+        // request 2 wants two tokens: it emits its last in phase 1 of the
+        // second iteration and is not in that iteration's forward
+        active[2].state.sub.req.opts.max_new_tokens = 2;
+
+        decode_iteration(&model, &weights, None, &mut active, &metrics);
+        assert!(active.iter().all(|a| a.done.is_none()));
+        // the second iteration's forward dies at its fourth linear, with
+        // every rider's cache begun, written and not committed
+        weights
+            .fault_at
+            .store(weights.matmuls() + 4, Ordering::Relaxed);
+        decode_iteration(&model, &weights, None, &mut active, &metrics);
+
+        let reasons: Vec<_> = active.iter().map(|a| a.done).collect();
+        assert_eq!(
+            reasons,
+            [
+                Some(FinishReason::Failed),
+                Some(FinishReason::Failed),
+                Some(FinishReason::Length)
+            ]
+        );
+        // the failed keep what they had emitted: prompt + two tokens
+        for a in &active[..2] {
+            assert_eq!(a.state.generated, 2);
+            assert_eq!(a.state.tokens.len(), a.state.sub.req.prompt.len() + 2);
+        }
+        assert_eq!(metrics.decode_forwards.get(), 1, "only the first completed");
+
+        // a fault in one request's draft forward (its lag holds a token
+        // outside the vocabulary) is inside the same scope: it fails the
+        // healthy rider next to it too, before any shared forward begins
+        let rt = SpecRuntime {
+            draft: QuantizedParamStore::for_draft(&model, &weights.inner),
+            k: 2,
+        };
+        let mut drafting = admit(2, 8, &model, &weights, None, true, &metrics);
+        drafting[1].draft = Some(DraftState::new(&model, &[29_999]));
+        let streamed = weights.matmuls();
+        decode_iteration(&model, &weights, Some(&rt), &mut drafting, &metrics);
+        for a in &drafting {
+            assert_eq!(a.done, Some(FinishReason::Failed));
+            assert_eq!(a.state.generated, 0, "failed before emitting");
+        }
+        assert_eq!(weights.matmuls(), streamed, "no shared forward began");
+        assert_eq!(metrics.decode_forwards.get(), 1);
+
+        // the loop is alive: the next batch decodes to the reference
+        let fresh = admit(2, 4, &model, &weights, None, false, &metrics);
+        let (finished, _) = drive(&model, &weights, None, fresh, &metrics);
+        for a in &finished {
+            let prompt = &a.state.sub.req.prompt;
+            let reference = generate(
+                &model,
+                &weights.inner,
+                prompt,
+                &greedy(4),
+                &mut init::rng(0),
+            );
+            assert_eq!(a.state.tokens, reference);
+        }
+    }
+
+    #[test]
+    fn failed_reprefill_hands_the_parked_request_back_with_its_tokens() {
+        let (model, store) = tiny_model();
+        let metrics = MetricsInner::default();
         // a preempted request two tokens into its generation; the second
         // is out of vocabulary, so the recompute prefill panics
+        let (fresh, rx) = parked(0, vec![1, 2, 3], 32, &metrics);
         let parked = Parked {
             tokens: vec![1, 2, 3, 7, 29_999],
             generated: 2,
             ttft: Some(Duration::from_millis(5)),
-            ..Parked::fresh(Submission {
-                id: 0,
-                req: GenRequest::new(vec![1, 2, 3]),
-                submitted: Instant::now(),
-                absolute_deadline: None,
-                cancel: Arc::default(),
-                tx,
-                flow_id: 0,
-            })
+            ..fresh
         };
         let cache = ReqKv::Contig(model.new_cache());
         let Err(back) = Active::try_prefill(&model, &store, parked, 0, cache, false) else {

@@ -16,9 +16,9 @@ const PAR_THRESHOLD: usize = 64 * 64;
 /// [`matmul`]: `b` is streamed from memory exactly once while all `m`
 /// output rows accumulate in cache. The per-row `ikj` loop streams the
 /// full `k*n` weight matrix once *per row*, so for the small-`m` batches
-/// of speculative verify (`m = k_draft + 1`) it would cost `m` weight
-/// passes where one suffices. Kept small so the `m` output rows stay
-/// cache-resident.
+/// of batched decode and speculative verify (`m = k_draft + 1`) it would
+/// cost `m` weight passes where one suffices. Kept small so the `m`
+/// output rows stay cache-resident.
 pub const SMALL_M_MAX: usize = 8;
 
 /// Weight-stationary `c[m,n] = a[m,k] @ b[k,n]` for small `m`.
@@ -228,6 +228,38 @@ pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
     }
 }
 
+/// Run a small-`m` matmul `kernel(a_rows, c_rows, rows)` over all `m`
+/// rows of `a[m,k]` / `c[m,n]` in groups of at most [`SMALL_M_MAX`], so
+/// a weight-stationary kernel streams its weights `⌈m / SMALL_M_MAX⌉`
+/// times instead of once per row — the inference stores' entry for a
+/// prefill or a stacked decode batch of any size ([`matmul`] itself, the
+/// training entry point, keeps one rayon task per row above the tier).
+/// Groups run on the rayon pool past the same size threshold as
+/// [`matmul`]'s rows (inline on a one-worker pool). Rows are independent
+/// in every such kernel, so grouping changes no output bit.
+pub fn in_small_m_groups(
+    a: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    kernel: impl Fn(&[f32], &mut [f32], usize) + Sync + Send,
+) {
+    if m <= SMALL_M_MAX {
+        return kernel(a, c, m);
+    }
+    let group = |(cg, ag): (&mut [f32], &[f32])| kernel(ag, cg, ag.len() / k);
+    if m * n >= PAR_THRESHOLD {
+        c.par_chunks_mut(SMALL_M_MAX * n)
+            .zip(a.par_chunks(SMALL_M_MAX * k))
+            .for_each(group);
+    } else {
+        c.chunks_mut(SMALL_M_MAX * n)
+            .zip(a.chunks(SMALL_M_MAX * k))
+            .for_each(group);
+    }
+}
+
 /// `c[m,n] += a[m,k] @ b[k,n]` (accumulating variant used in backward).
 pub fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
@@ -430,6 +462,58 @@ mod tests {
                 per_row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "m={m}"
             );
+        }
+    }
+
+    #[test]
+    fn single_row_bitwise_matches_the_per_row_chain() {
+        // One row through `matmul` (the per-row loop a solo decode step
+        // takes) and through the fused small-m kernel (what it would take
+        // if m = 1 were fused too: ROADMAP item 2) is the same chain: per
+        // output element one p-ascending FMA chain that skips zero
+        // coefficients. The skip is observable: a skipped coefficient
+        // never meets its weight row, so a non-finite weight under a zero
+        // stays out of the sum. Shapes put zeros inside an 8-group, in
+        // the k % 8 tail, both, and nowhere; k < 8 is all tail.
+        type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        let chain = |a: &[f32], b: &[f32], n: usize| {
+            let mut c = vec![0.0f32; n];
+            for (p, &ap) in a.iter().enumerate() {
+                if ap == 0.0 {
+                    continue;
+                }
+                for (cv, &bv) in c.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                    *cv = ap.mul_add(bv, *cv);
+                }
+            }
+            c
+        };
+        for (k, n, zeros) in [
+            (37, 113, vec![3, 35]),
+            (16, 9, vec![9]),
+            (21, 64, vec![20]),
+            (5, 7, vec![0, 4]),
+            (24, 33, vec![]),
+        ] {
+            let mut a: Vec<f32> = (0..k).map(|i| ((i * 37 % 19) as f32 - 9.5) * 0.1).collect();
+            let mut b: Vec<f32> = (0..k * n)
+                .map(|i| ((i * 53 % 23) as f32 - 11.0) * 0.1)
+                .collect();
+            for &p in &zeros {
+                a[p] = 0.0;
+                b[p * n + p % n] = f32::INFINITY;
+            }
+            let want: Vec<u32> = chain(&a, &b, n).iter().map(|v| v.to_bits()).collect();
+            for (name, f) in [("matmul", matmul as Kernel), ("small_m", matmul_small_m)] {
+                let mut c = vec![f32::NAN; n];
+                f(&a, &b, &mut c, 1, k, n);
+                assert!(c.iter().all(|v| v.is_finite()), "{name} k={k}: zero met");
+                assert_eq!(
+                    c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want,
+                    "{name} k={k} n={n} zeros at {zeros:?}"
+                );
+            }
         }
     }
 
