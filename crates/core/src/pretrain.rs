@@ -376,7 +376,7 @@ pub(crate) fn encode_checkpoint(
             encode_curves(train_curve, val_curve),
         ),
     ];
-    checkpoint::save_with_sections(store, &sections).to_vec()
+    checkpoint::save_with_sections(store, &sections)
 }
 
 /// Cached handles into the global metrics [`Registry`]: the trainer's
@@ -897,7 +897,7 @@ mod tests {
             Err(ResumeError::ConfigMismatch { .. })
         ));
         // a weights-only checkpoint lacks training state
-        let weights_only = checkpoint::save(&trainer.store).to_vec();
+        let weights_only = checkpoint::save(&trainer.store);
         assert!(matches!(
             pretrain_resume(&documents, &cfg, &weights_only),
             Err(ResumeError::MissingSection(_))

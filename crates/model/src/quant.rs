@@ -91,18 +91,12 @@ impl ForwardParams for ParamStore {
     }
 
     fn matmul(&self, x: &[f32], id: ParamId, c: &mut [f32], m: usize, k: usize, n: usize) {
-        matmul_f32(x, self.value(id).data(), c, m, k, n);
+        matmul(x, self.value(id).data(), c, m, k, n);
     }
 
     fn weight_bytes(&self) -> usize {
         self.num_scalars() * std::mem::size_of::<f32>()
     }
-}
-
-/// The inference f32 matmul: any `m` through the weight-stationary
-/// small-`m` tier, so `R` stacked rows stream `w` `⌈R/8⌉` times.
-fn matmul_f32(x: &[f32], w: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    in_small_m_groups(x, c, m, k, n, |xg, cg, mg| matmul(xg, w, cg, mg, k, n));
 }
 
 /// One quantized matrix, in the layout the kernel that streams it reads.
@@ -212,7 +206,7 @@ impl ForwardParams for QuantizedParamStore {
             Some(Codes::Rows(q)) => {
                 in_small_m_groups(x, c, m, k, n, |xg, cg, mg| matmul_q8(xg, q, cg, mg, k, n))
             }
-            None => matmul_f32(x, self.dense(id), c, m, k, n),
+            None => matmul(x, self.dense(id), c, m, k, n),
         }
     }
 

@@ -112,8 +112,11 @@ pub struct CriticalPathReport {
     pub ranks: Vec<RankShare>,
     /// Milliseconds per phase class on the critical ranks' steps.
     pub phase_ms: Vec<(PhaseClass, f64)>,
-    /// Phase classes ordered by their mean start offset within the
-    /// critical step — the measured Fig. 9 ordering.
+    /// Phase classes in order of first appearance within the critical
+    /// rank's step, as most analysed steps show it (equally common
+    /// orders: the smaller by class) — the measured Fig. 9 ordering.
+    /// Not ordered by mean offset: a class that recurs late (ZeRO-1's
+    /// trailing `allgather-params`) would drift behind one it precedes.
     pub phase_order: Vec<PhaseClass>,
     /// Send→recv flow edges resolved across ranks.
     pub flow_edges: usize,
@@ -197,7 +200,7 @@ pub fn analyze(
     let mut steps = Vec::with_capacity(n_steps);
     let mut straggle_by_rank: BTreeMap<u64, f64> = BTreeMap::new();
     let mut phase_ms: BTreeMap<PhaseClass, f64> = BTreeMap::new();
-    let mut phase_offsets: BTreeMap<PhaseClass, (f64, usize)> = BTreeMap::new();
+    let mut order_votes: BTreeMap<Vec<PhaseClass>, usize> = BTreeMap::new();
     for i in 0..n_steps {
         // busy time per rank: span duration minus the union of its
         // communication intervals. The union (not the sum) because the
@@ -247,17 +250,22 @@ pub fn analyze(
         // phase breakdown inside the critical rank's step window
         let crit_span = steps_by_rank[&critical_rank][i];
         let (lo, hi) = (crit_span.ts_us, crit_span.ts_us + crit_span.dur_us);
+        let mut first_seen: BTreeMap<PhaseClass, f64> = BTreeMap::new();
         for e in events {
             if e.tid != crit_span.tid || e.ts_us < lo || e.ts_us > hi || e.name == "worker-step" {
                 continue;
             }
             if let Some(class) = classify(&e.name) {
                 *phase_ms.entry(class).or_default() += e.dur_us / 1e3;
-                let entry = phase_offsets.entry(class).or_default();
-                entry.0 += e.ts_us - lo;
-                entry.1 += 1;
+                let first = first_seen.entry(class).or_insert(e.ts_us);
+                *first = first.min(e.ts_us);
             }
         }
+        // stable sort: classes first seen at the same instant stay in
+        // class order
+        let mut order: Vec<PhaseClass> = first_seen.keys().copied().collect();
+        order.sort_by(|a, b| first_seen[a].total_cmp(&first_seen[b]));
+        *order_votes.entry(order).or_default() += 1;
 
         steps.push(StepPath {
             index: i,
@@ -321,17 +329,17 @@ pub fn analyze(
         })
         .collect();
 
-    let mut order: Vec<(PhaseClass, f64)> = phase_offsets
-        .iter()
-        .map(|(&c, &(sum, n))| (c, sum / n.max(1) as f64))
-        .collect();
-    order.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let phase_order = order_votes
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+        .map(|(order, _)| order)
+        .unwrap_or_default();
 
     CriticalPathReport {
         steps,
         ranks,
         phase_ms: phase_ms.into_iter().collect(),
-        phase_order: order.into_iter().map(|(c, _)| c).collect(),
+        phase_order,
         flow_edges,
     }
 }
@@ -402,6 +410,40 @@ mod tests {
             .map(|(_, ms)| *ms)
             .unwrap();
         assert!((comm - 0.015).abs() < 1e-9, "15 us = 0.015 ms, got {comm}");
+    }
+
+    #[test]
+    fn phase_order_is_first_appearance_by_majority_not_mean_offset() {
+        // ZeRO-1 steps, rank 1 critical: the trailing allgather and its
+        // hops put communication's *mean* offset (99.2) behind the
+        // optimizer's (95) although it first appears before it (80)
+        let zero1_step = |t0: f64| {
+            vec![
+                step_span(100, t0, 90.0),
+                step_span(101, t0, 120.0),
+                child(101, "forward", t0, 30.0),
+                child(101, "backward", t0 + 30.0, 50.0),
+                child(101, "reduce-scatter", t0 + 80.0, 15.0),
+                child(101, "optimizer", t0 + 95.0, 5.0),
+                child(101, "allgather-params", t0 + 100.0, 15.0),
+                child(101, "ring.recv", t0 + 101.0, 3.0),
+                child(101, "ring.recv", t0 + 105.0, 3.0),
+                child(101, "ring.recv", t0 + 110.0, 3.0),
+            ]
+        };
+        let fig9 = vec![
+            PhaseClass::Forward,
+            PhaseClass::Backward,
+            PhaseClass::Communication,
+            PhaseClass::Io,
+        ];
+        let mut events = zero1_step(0.0);
+        assert_eq!(analyze(&events, &[], &tracks(2)).phase_order, fig9);
+        // one step of three opens with a stray hop: two steps outvote it
+        events.extend(zero1_step(1000.0));
+        events.extend(zero1_step(2000.0));
+        events.push(child(101, "ring.recv", 1000.0, 0.5));
+        assert_eq!(analyze(&events, &[], &tracks(2)).phase_order, fig9);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod schedule;
 
 pub use schedule::{ConstantSchedule, CosineSchedule, LrSchedule};
 
-use matgpt_tensor::ParamStore;
+use matgpt_tensor::{ParamStore, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// A stateful optimizer stepping a parameter store.
@@ -211,12 +211,13 @@ impl OptimizerState {
     /// Payload bytes of this state (4 per f32 plus the step counter) —
     /// the same accounting as [`Optimizer::state_bytes`].
     pub fn payload_bytes(&self) -> usize {
-        8 + self
-            .slots
-            .iter()
-            .flat_map(|s| s.iter().map(|p| p.len() * 4))
-            .sum::<usize>()
+        payload_bytes(&self.slots)
     }
+}
+
+/// Bytes of slot groups: 4 per f32 plus the 8-byte step counter.
+fn payload_bytes(slots: &[Vec<Vec<f32>>]) -> usize {
+    8 + slots.iter().flatten().map(|p| p.len() * 4).sum::<usize>()
 }
 
 /// Configuration shared by the Adam-family optimizers.
@@ -265,14 +266,113 @@ impl AdamConfig {
     }
 }
 
+impl AdamConfig {
+    /// The bias-corrected Adam direction of one scalar at step `t` as
+    /// `(m, v, grad, weight) -> direction`, advancing its two moments.
+    /// Shared with LAMB.
+    fn direction(self, t: u64) -> impl Fn(&mut f32, &mut f32, f32, f32) -> f32 {
+        let (b1, b2) = (self.beta1, self.beta2);
+        let bc1 = 1.0 - b1.powi(t as i32);
+        let bc2 = 1.0 - b2.powi(t as i32);
+        move |m, v, g, w| {
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            mhat / (vhat.sqrt() + self.eps) + self.weight_decay * w
+        }
+    }
+}
+
+/// What every optimizer here keeps: `S` slot groups of per-parameter
+/// state vectors (Adam/LAMB `[m, v]`, SGD `[buf]`), lazily sized, and
+/// the step counter. The masked walk, the byte accounting and the
+/// checkpoint snapshot live here once; an optimizer supplies only its
+/// per-tensor update.
+struct Moments<const S: usize> {
+    slots: [Vec<Vec<f32>>; S],
+    t: u64,
+}
+
+impl<const S: usize> Moments<S> {
+    fn new() -> Self {
+        Self {
+            slots: std::array::from_fn(|_| Vec::new()),
+            t: 0,
+        }
+    }
+
+    /// Call `update(value, grad, state)` for every parameter `owned`
+    /// flags (every parameter when `None`), `state` being its vector in
+    /// each slot group — allocated zeroed on first visit, so a masked
+    /// walk holds state for its owned tensors alone.
+    fn for_each_param(
+        &mut self,
+        store: &mut ParamStore,
+        owned: Option<&[bool]>,
+        mut update: impl FnMut(&mut Tensor, &Tensor, [&mut [f32]; S]),
+    ) {
+        store.for_each_param(|i, value, grad| {
+            let mine = owned.is_none_or(|mask| mask[i]);
+            let state = self.slots.each_mut().map(|slot| {
+                if slot.len() <= i {
+                    slot.resize_with(i + 1, Vec::new);
+                }
+                if mine && slot[i].len() != grad.numel() {
+                    slot[i] = vec![0.0; grad.numel()];
+                }
+                &mut slot[i][..]
+            });
+            if mine {
+                update(value, grad, state);
+            }
+        });
+    }
+
+    fn export(&self) -> OptimizerState {
+        OptimizerState {
+            step: self.t,
+            slots: self.slots.to_vec(),
+        }
+    }
+
+    fn import(&mut self, state: OptimizerState) {
+        let mut slots = state.slots.into_iter();
+        self.slots = std::array::from_fn(|_| slots.next().unwrap_or_default());
+        self.t = state.step;
+    }
+}
+
+/// The [`Optimizer`] methods that are the same for every holder of a
+/// `state: Moments` and a `step_impl`.
+macro_rules! optimizer_via_moments {
+    () => {
+        fn step(&mut self, store: &mut ParamStore, lr: f32) {
+            self.step_impl(store, lr, None);
+        }
+
+        fn step_masked(&mut self, store: &mut ParamStore, lr: f32, owned: &[bool]) {
+            self.step_impl(store, lr, Some(owned));
+        }
+
+        fn state_bytes(&self) -> usize {
+            payload_bytes(&self.state.slots)
+        }
+
+        fn export_state(&self) -> OptimizerState {
+            self.state.export()
+        }
+
+        fn import_state(&mut self, state: OptimizerState) {
+            self.state.import(state);
+        }
+    };
+}
+
 /// Adam / AdamW (decoupled weight decay when `weight_decay > 0`).
 pub struct Adam {
     cfg: AdamConfig,
-    /// Per-parameter first moments, lazily sized.
-    m: Vec<Vec<f32>>,
-    /// Per-parameter second moments.
-    v: Vec<Vec<f32>>,
-    t: u64,
+    state: Moments<2>,
 }
 
 impl Adam {
@@ -280,128 +380,39 @@ impl Adam {
     pub fn new(cfg: AdamConfig) -> Self {
         Self {
             cfg,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-        }
-    }
-
-    fn ensure_state(&mut self, i: usize, n: usize) {
-        while self.m.len() <= i {
-            self.m.push(Vec::new());
-            self.v.push(Vec::new());
-        }
-        if self.m[i].len() != n {
-            self.m[i] = vec![0.0; n];
-            self.v[i] = vec![0.0; n];
-        }
-    }
-
-    /// Compute the bias-corrected Adam update direction for one parameter,
-    /// writing it into `out`. Shared with LAMB.
-    fn direction(
-        cfg: &AdamConfig,
-        m: &mut [f32],
-        v: &mut [f32],
-        grad: &[f32],
-        value: &[f32],
-        t: u64,
-        out: &mut [f32],
-    ) {
-        let b1 = cfg.beta1;
-        let b2 = cfg.beta2;
-        let bc1 = 1.0 - b1.powi(t as i32);
-        let bc2 = 1.0 - b2.powi(t as i32);
-        for i in 0..grad.len() {
-            m[i] = b1 * m[i] + (1.0 - b1) * grad[i];
-            v[i] = b2 * v[i] + (1.0 - b2) * grad[i] * grad[i];
-            let mhat = m[i] / bc1;
-            let vhat = v[i] / bc2;
-            out[i] = mhat / (vhat.sqrt() + cfg.eps) + cfg.weight_decay * value[i];
+            state: Moments::new(),
         }
     }
 
     fn step_impl(&mut self, store: &mut ParamStore, lr: f32, owned: Option<&[bool]>) {
-        self.t += 1;
-        let t = self.t;
-        let cfg = self.cfg;
-        let sizes: Vec<usize> = store.ids().map(|id| store.value(id).numel()).collect();
-        for (i, n) in sizes.iter().enumerate() {
-            if owned.is_none_or(|mask| mask[i]) {
-                self.ensure_state(i, *n);
-            }
-        }
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        store.for_each_param(|i, value, grad| {
-            if owned.is_some_and(|mask| !mask[i]) {
-                return;
-            }
-            let n = value.numel();
-            let mut dir = vec![0.0f32; n];
-            Adam::direction(
-                &cfg,
-                &mut ms[i],
-                &mut vs[i],
-                grad.data(),
-                value.data(),
-                t,
-                &mut dir,
-            );
-            for (w, d) in value.data_mut().iter_mut().zip(dir.iter()) {
-                *w -= lr * d;
-            }
-        });
+        self.state.t += 1;
+        let direction = self.cfg.direction(self.state.t);
+        self.state
+            .for_each_param(store, owned, |value, grad, [m, v]| {
+                for (((w, &g), m), v) in value.data_mut().iter_mut().zip(grad.data()).zip(m).zip(v)
+                {
+                    *w -= lr * direction(m, v, g, *w);
+                }
+            });
     }
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore, lr: f32) {
-        self.step_impl(store, lr, None);
-    }
-
-    fn step_masked(&mut self, store: &mut ParamStore, lr: f32, owned: &[bool]) {
-        self.step_impl(store, lr, Some(owned));
-    }
-
-    fn state_bytes(&self) -> usize {
-        moment_bytes(&[&self.m, &self.v])
-    }
+    optimizer_via_moments!();
 
     fn name(&self) -> &'static str {
         "adam"
     }
-
-    fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            step: self.t,
-            slots: vec![self.m.clone(), self.v.clone()],
-        }
-    }
-
-    fn import_state(&mut self, state: OptimizerState) {
-        let mut slots = state.slots.into_iter();
-        self.m = slots.next().unwrap_or_default();
-        self.v = slots.next().unwrap_or_default();
-        self.t = state.step;
-    }
-}
-
-/// Allocated bytes across moment slot groups: 4 per f32 plus the step
-/// counter, matching [`OptimizerState::payload_bytes`].
-fn moment_bytes(slots: &[&Vec<Vec<f32>>]) -> usize {
-    8 + slots
-        .iter()
-        .flat_map(|s| s.iter().map(|p| p.len() * 4))
-        .sum::<usize>()
 }
 
 /// LAMB (You et al., 2020): Adam direction rescaled per layer by the trust
 /// ratio `‖w‖ / ‖update‖`, enabling very large batch sizes.
 pub struct Lamb {
     cfg: AdamConfig,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
-    t: u64,
+    state: Moments<2>,
+    /// The current tensor's direction: its norm is needed before the
+    /// first weight may move. Reused across tensors and steps.
+    dir: Vec<f32>,
     /// Clamp for the trust ratio, as in common implementations.
     pub max_trust: f32,
 }
@@ -411,9 +422,8 @@ impl Lamb {
     pub fn new(cfg: AdamConfig) -> Self {
         Self {
             cfg,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
+            state: Moments::new(),
+            dir: Vec::new(),
             max_trust: 10.0,
         }
     }
@@ -429,62 +439,30 @@ impl Lamb {
     }
 
     fn step_impl(&mut self, store: &mut ParamStore, lr: f32, owned: Option<&[bool]>) {
-        self.t += 1;
-        let t = self.t;
-        let cfg = self.cfg;
-        let max_trust = self.max_trust;
-        let sizes: Vec<usize> = store.ids().map(|id| store.value(id).numel()).collect();
-        while self.m.len() < sizes.len() {
-            self.m.push(Vec::new());
-            self.v.push(Vec::new());
-        }
-        for (i, n) in sizes.iter().enumerate() {
-            if owned.is_none_or(|mask| mask[i]) && self.m[i].len() != *n {
-                self.m[i] = vec![0.0; *n];
-                self.v[i] = vec![0.0; *n];
-            }
-        }
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        store.for_each_param(|i, value, grad| {
-            if owned.is_some_and(|mask| !mask[i]) {
-                return;
-            }
-            let n = value.numel();
-            let mut dir = vec![0.0f32; n];
-            Adam::direction(
-                &cfg,
-                &mut ms[i],
-                &mut vs[i],
-                grad.data(),
-                value.data(),
-                t,
-                &mut dir,
-            );
-            // The trust ratio is per whole tensor, so ZeRO-1 shards must
-            // align to tensor boundaries for masked and full steps to
-            // produce identical updates — `core::parallel` guarantees it.
-            let w_norm = value.norm();
-            let u_norm = dir.iter().map(|x| x * x).sum::<f32>().sqrt();
-            let trust = Lamb::trust_ratio(w_norm, u_norm, max_trust);
-            for (w, d) in value.data_mut().iter_mut().zip(dir.iter()) {
-                *w -= lr * trust * d;
-            }
-        });
+        self.state.t += 1;
+        let direction = self.cfg.direction(self.state.t);
+        let (dir, max_trust) = (&mut self.dir, self.max_trust);
+        self.state
+            .for_each_param(store, owned, |value, grad, [m, v]| {
+                dir.clear();
+                dir.extend(
+                    (value.data().iter().zip(grad.data()).zip(m).zip(v))
+                        .map(|(((&w, &g), m), v)| direction(m, v, g, w)),
+                );
+                // The trust ratio is per whole tensor, so ZeRO-1 shards must
+                // align to tensor boundaries for masked and full steps to
+                // produce identical updates — `core::parallel` guarantees it.
+                let u_norm = dir.iter().map(|x| x * x).sum::<f32>().sqrt();
+                let trust = Lamb::trust_ratio(value.norm(), u_norm, max_trust);
+                for (w, d) in value.data_mut().iter_mut().zip(dir.iter()) {
+                    *w -= lr * trust * d;
+                }
+            });
     }
 }
 
 impl Optimizer for Lamb {
-    fn step(&mut self, store: &mut ParamStore, lr: f32) {
-        self.step_impl(store, lr, None);
-    }
-
-    fn step_masked(&mut self, store: &mut ParamStore, lr: f32, owned: &[bool]) {
-        self.step_impl(store, lr, Some(owned));
-    }
-
-    fn state_bytes(&self) -> usize {
-        moment_bytes(&[&self.m, &self.v])
-    }
+    optimizer_via_moments!();
 
     fn name(&self) -> &'static str {
         "lamb"
@@ -493,27 +471,14 @@ impl Optimizer for Lamb {
     fn elementwise(&self) -> bool {
         false // per-tensor trust ratio couples scalars within a tensor
     }
-
-    fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            step: self.t,
-            slots: vec![self.m.clone(), self.v.clone()],
-        }
-    }
-
-    fn import_state(&mut self, state: OptimizerState) {
-        let mut slots = state.slots.into_iter();
-        self.m = slots.next().unwrap_or_default();
-        self.v = slots.next().unwrap_or_default();
-        self.t = state.step;
-    }
 }
 
-/// Plain SGD with optional momentum.
+/// Plain SGD with optional momentum. It has no step counter: its
+/// snapshots carry `step: 0`.
 pub struct Sgd {
     /// Momentum coefficient (0 disables).
     pub momentum: f32,
-    bufs: Vec<Vec<f32>>,
+    state: Moments<1>,
 }
 
 impl Sgd {
@@ -521,68 +486,27 @@ impl Sgd {
     pub fn new(momentum: f32) -> Self {
         Self {
             momentum,
-            bufs: Vec::new(),
+            state: Moments::new(),
         }
     }
-}
 
-impl Sgd {
     fn step_impl(&mut self, store: &mut ParamStore, lr: f32, owned: Option<&[bool]>) {
         let mu = self.momentum;
-        let sizes: Vec<usize> = store.ids().map(|id| store.value(id).numel()).collect();
-        while self.bufs.len() < sizes.len() {
-            self.bufs.push(Vec::new());
-        }
-        for (i, n) in sizes.iter().enumerate() {
-            if owned.is_none_or(|mask| mask[i]) && self.bufs[i].len() != *n {
-                self.bufs[i] = vec![0.0; *n];
-            }
-        }
-        let bufs = &mut self.bufs;
-        store.for_each_param(|i, value, grad| {
-            if owned.is_some_and(|mask| !mask[i]) {
-                return;
-            }
-            let buf = &mut bufs[i];
-            for ((w, &g), b) in value
-                .data_mut()
-                .iter_mut()
-                .zip(grad.data())
-                .zip(buf.iter_mut())
-            {
-                *b = mu * *b + g;
-                *w -= lr * *b;
-            }
-        });
+        self.state
+            .for_each_param(store, owned, |value, grad, [buf]| {
+                for ((w, &g), b) in value.data_mut().iter_mut().zip(grad.data()).zip(buf) {
+                    *b = mu * *b + g;
+                    *w -= lr * *b;
+                }
+            });
     }
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore, lr: f32) {
-        self.step_impl(store, lr, None);
-    }
-
-    fn step_masked(&mut self, store: &mut ParamStore, lr: f32, owned: &[bool]) {
-        self.step_impl(store, lr, Some(owned));
-    }
-
-    fn state_bytes(&self) -> usize {
-        moment_bytes(&[&self.bufs])
-    }
+    optimizer_via_moments!();
 
     fn name(&self) -> &'static str {
         "sgd"
-    }
-
-    fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            step: 0,
-            slots: vec![self.bufs.clone()],
-        }
-    }
-
-    fn import_state(&mut self, state: OptimizerState) {
-        self.bufs = state.slots.into_iter().next().unwrap_or_default();
     }
 }
 

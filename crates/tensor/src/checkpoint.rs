@@ -22,7 +22,6 @@
 
 use crate::param::ParamStore;
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"MGPT";
 const V1: u32 = 1;
@@ -74,52 +73,74 @@ impl Checkpoint {
 
 /// Serialise all parameters (names, shapes, values) of `store` with no
 /// extra sections.
-pub fn save(store: &ParamStore) -> Bytes {
+pub fn save(store: &ParamStore) -> Vec<u8> {
     save_with_sections(store, &[])
 }
 
 /// Serialise `store` plus named opaque `sections` (format v2).
-pub fn save_with_sections(store: &ParamStore, sections: &[(String, Vec<u8>)]) -> Bytes {
+pub fn save_with_sections(store: &ParamStore, sections: &[(String, Vec<u8>)]) -> Vec<u8> {
+    fn put_name(buf: &mut Vec<u8>, name: &str) {
+        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(name.as_bytes());
+    }
     let extra: usize = sections.iter().map(|(n, b)| 12 + n.len() + b.len()).sum();
-    let mut buf = BytesMut::with_capacity(64 + store.num_scalars() * 4 + extra);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(V2);
-    buf.put_u32_le(store.len() as u32);
+    let mut buf = Vec::with_capacity(64 + store.num_scalars() * 4 + extra);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&V2.to_le_bytes());
+    buf.extend_from_slice(&(store.len() as u32).to_le_bytes());
     for id in store.ids() {
-        let name = store.name(id).as_bytes();
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name);
+        put_name(&mut buf, store.name(id));
         let t = store.value(id);
-        buf.put_u32_le(t.rank() as u32);
+        buf.extend_from_slice(&(t.rank() as u32).to_le_bytes());
         for &d in t.shape() {
-            buf.put_u64_le(d as u64);
+            buf.extend_from_slice(&(d as u64).to_le_bytes());
         }
         for &v in t.data() {
-            buf.put_f32_le(v);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
     }
-    buf.put_u32_le(sections.len() as u32);
+    buf.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     for (name, bytes) in sections {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-        buf.put_u64_le(bytes.len() as u64);
-        buf.put_slice(bytes);
+        put_name(&mut buf, name);
+        buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        buf.extend_from_slice(bytes);
     }
-    buf.freeze()
+    buf
 }
 
-/// Read a length-prefixed name, bounds-checked.
-fn read_name(buf: &mut &[u8]) -> Result<String, CheckpointError> {
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
+/// Bounds-checked cursor over an image: a read past the end is
+/// [`CheckpointError::Truncated`] and consumes nothing.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// The next `n` bytes; `None` (a length that overflowed) is past
+    /// the end of any image.
+    fn take(&mut self, n: Option<usize>) -> Result<&'a [u8], CheckpointError> {
+        let (head, rest) = n
+            .and_then(|n| self.0.split_at_checked(n))
+            .ok_or(CheckpointError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
     }
-    let name_len = buf.get_u32_le() as usize;
-    if buf.remaining() < name_len {
-        return Err(CheckpointError::Truncated);
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let head = self.take(Some(N))?;
+        Ok(head.try_into().expect("take returns the length asked for"))
     }
-    let mut name = vec![0u8; name_len];
-    buf.copy_to_slice(&mut name);
-    Ok(String::from_utf8_lossy(&name).into_owned())
+
+    fn u32(&mut self) -> Result<u32, CheckpointError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A length-prefixed name.
+    fn name(&mut self) -> Result<String, CheckpointError> {
+        let len = self.u32()? as usize;
+        Ok(String::from_utf8_lossy(self.take(Some(len))?).into_owned())
+    }
 }
 
 /// Decode a checkpoint (v1 or v2) into a fresh [`ParamStore`],
@@ -130,74 +151,47 @@ pub fn load(bytes: &[u8]) -> Result<ParamStore, CheckpointError> {
 
 /// Decode a checkpoint (v1 or v2) keeping the section table.
 pub fn load_full(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    let mut buf = bytes;
-    if buf.remaining() < 12 {
+    if bytes.len() < 12 {
         return Err(CheckpointError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut buf = Reader(bytes);
+    if &buf.array::<4>()? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let version = buf.get_u32_le();
+    let version = buf.u32()?;
     if version != V1 && version != V2 {
         return Err(CheckpointError::BadVersion(version));
     }
-    let n = buf.get_u32_le() as usize;
+    let n = buf.u32()?;
     let mut store = ParamStore::new();
     for _ in 0..n {
-        let name = read_name(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let rank = buf.get_u32_le() as usize;
-        // bound before any shape-sized work: each dim is 8 bytes
-        if rank
-            .checked_mul(8)
-            .is_none_or(|need| buf.remaining() < need)
-        {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(buf.get_u64_le() as usize);
-        }
+        let name = buf.name()?;
+        let rank = buf.u32()? as usize;
+        // taken before any shape-sized work: each dim is 8 bytes
+        let shape: Vec<usize> = buf
+            .take(rank.checked_mul(8))?
+            .chunks_exact(8)
+            .map(|d| u64::from_le_bytes(d.try_into().expect("8-byte chunk")) as usize)
+            .collect();
         // corrupt dims can overflow the element count; use checked math
         // so a bit flip yields an error instead of a panic or huge alloc
         let numel = shape
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
             .ok_or(CheckpointError::ShapeMismatch)?;
-        if numel
-            .checked_mul(4)
-            .is_none_or(|need| buf.remaining() < need)
-        {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(buf.get_f32_le());
-        }
+        let data = buf
+            .take(numel.checked_mul(4))?
+            .chunks_exact(4)
+            .map(|v| f32::from_le_bytes(v.try_into().expect("4-byte chunk")))
+            .collect();
         store.add(name, Tensor::from_vec(&shape, data));
     }
     let mut sections = Vec::new();
     if version >= V2 {
-        if buf.remaining() < 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let n_sections = buf.get_u32_le() as usize;
-        for _ in 0..n_sections {
-            let name = read_name(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let len = buf.get_u64_le();
-            if len > buf.remaining() as u64 {
-                return Err(CheckpointError::Truncated);
-            }
-            let mut data = vec![0u8; len as usize];
-            buf.copy_to_slice(&mut data);
-            sections.push((name, data));
+        for _ in 0..buf.u32()? {
+            let name = buf.name()?;
+            let len = buf.u64()?;
+            sections.push((name, buf.take(usize::try_from(len).ok())?.to_vec()));
         }
     }
     Ok(Checkpoint { store, sections })
@@ -268,19 +262,39 @@ mod tests {
     #[test]
     fn v1_checkpoints_stay_readable() {
         // hand-build a v1 image: header + one scalar param, no sections
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(V1);
-        buf.put_u32_le(1);
-        buf.put_u32_le(1); // name len
-        buf.put_slice(b"s");
-        buf.put_u32_le(0); // rank 0
-        buf.put_f32_le(2.5);
-        let ck = load_full(&buf.freeze()).unwrap();
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&V1.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes()); // name len
+        buf.extend_from_slice(b"s");
+        buf.extend_from_slice(&0u32.to_le_bytes()); // rank 0
+        buf.extend_from_slice(&2.5f32.to_le_bytes());
+        let ck = load_full(&buf).unwrap();
         assert_eq!(ck.store.len(), 1);
         assert!(ck.sections.is_empty());
         let id = ck.store.ids().next().unwrap();
         assert_eq!(ck.store.value(id).data(), &[2.5]);
+    }
+
+    #[test]
+    fn image_bytes_are_pinned() {
+        // FNV-1a of a fixed store's image, taken from the encoder this
+        // one replaced: the format is a contract with every checkpoint
+        // already on disk, so no byte of it may move
+        let mut store = ParamStore::new();
+        let w = (0..6).map(|i| i as f32 * 0.25 - 0.5).collect();
+        store.add("w", Tensor::from_vec(&[2, 3], w));
+        store.add("b", Tensor::from_vec(&[3], vec![1.5, -2.0, 0.0]));
+        store.add("s", Tensor::scalar(7.25));
+        let sections = [
+            ("opt".to_string(), vec![1u8, 2, 3, 4, 5]),
+            ("cursor".to_string(), Vec::new()),
+        ];
+        let image = save_with_sections(&store, &sections);
+        let fnv = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((image.len(), fnv), (145, 0x0f1d_fe6f_8031_3f4a));
     }
 
     #[test]

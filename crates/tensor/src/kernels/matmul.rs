@@ -1,9 +1,28 @@
 //! Rayon-parallel dense matrix multiplication kernels.
 //!
-//! The hot loop uses the classic `ikj` ordering: for each output row we
-//! stream over `k`, broadcasting `a[i][k]` against row `k` of `b`. This is
-//! cache-friendly for row-major data and auto-vectorises well. Rows of the
-//! output are distributed over the rayon pool.
+//! Two loop nests. `matmul_small_m` is the weight-stationary tier: up to
+//! [`SMALL_M_MAX`] output rows accumulate in cache while `b` streams
+//! past once. `row_axpy` is the classic `ikj` row update — for one
+//! output row, stream over `p`, broadcasting a coefficient against row
+//! `p` of `b`; cache-friendly for row-major data and auto-vectorised.
+//! Every public entry is a choice of nest, coefficient walk and packing:
+//!
+//! | entry | per output row | chain per element |
+//! |---|---|---|
+//! | [`matmul`], `m = 1` | `row_axpy`, coefficients `a[p]` | fused, zero-skip |
+//! | [`matmul`], `m ≥ 2` | `matmul_small_m` over ≤ 8-row groups | the same chain, grouped |
+//! | [`matmul_at_acc`] | `row_axpy` into `c[p]`, coefficients `a[i·k + p]` (strided, no pack) | unfused, zero-skip |
+//! | [`matmul_bt_acc`] | `b^T` packed once; `row_axpy` into a zeroed temp; `c += temp` | unfused, no skip |
+//!
+//! The chain an output element sees — its order, fusing and zero-skip —
+//! is a function of the inner dimension only, never of `m`, the group a
+//! row fell in or the worker that ran it; the bitwise training and
+//! serving equivalences all rest on that. `matmul_bt_acc` goes through a
+//! temp because its chain is a dot product's: the accumulator starts at
+//! `+0` and meets `c` once, at the end, and `(c + x₀) + x₁ …` rounds
+//! differently from `c + (x₀ + x₁ …)` whenever `c` is non-zero.
+//! Output rows (or row groups) are distributed over the rayon pool by
+//! `par_rows`.
 
 use rayon::prelude::*;
 
@@ -190,53 +209,76 @@ fn matmul_small_m(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
     }
 }
 
+/// The row nest every entry but the small-`m` tier is an instance of:
+/// `out[j] ⊕= coef(p) · b[p][j]`, `p` ascending over the rows of
+/// `b[·, out.len()]`. `FUSED` picks `mul_add` (one rounding per step)
+/// over mul-then-add; `SKIP` passes over zero coefficients without
+/// touching their `b` row. Both are part of an entry's per-element
+/// chain, so each entry pins them.
+#[inline(always)]
+fn row_axpy<const FUSED: bool, const SKIP: bool>(
+    out: &mut [f32],
+    coef: impl Iterator<Item = f32>,
+    b: &[f32],
+) {
+    let n = out.len();
+    for (p, ap) in coef.enumerate() {
+        if SKIP && ap == 0.0 {
+            continue;
+        }
+        for (o, &bv) in out.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+            *o = if FUSED {
+                ap.mul_add(bv, *o)
+            } else {
+                *o + ap * bv
+            };
+        }
+    }
+}
+
+/// Hand `c` out in `chunk`-float pieces as `f(piece index, piece)`: on
+/// the rayon pool from [`PAR_THRESHOLD`] outputs up when there is more
+/// than one piece, inline otherwise. Pieces are independent in every
+/// caller, so where they run changes no output bit.
+fn par_rows(c: &mut [f32], chunk: usize, f: impl Fn(usize, &mut [f32]) + Sync + Send) {
+    if c.len() >= PAR_THRESHOLD && c.len() > chunk {
+        c.par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(i, ci)| f(i, ci));
+    } else {
+        c.chunks_mut(chunk).enumerate().for_each(|(i, ci)| f(i, ci));
+    }
+}
+
 /// `c[m,n] = a[m,k] @ b[k,n]`.
 ///
 /// Accumulation uses `f32::mul_add` (a true fused multiply-add, one
 /// rounding per step): it halves the FP-port pressure of separate
-/// mul/add pairs, and because every path here — per-row, rayon per-row,
-/// and the small-`m` weight-stationary branch — applies the identical
-/// per-element FMA chain, outputs remain bitwise reproducible across
-/// batch shapes.
+/// mul/add pairs, and because both paths here — the single row and the
+/// weight-stationary groups every `m ≥ 2` is walked in — apply the
+/// identical per-element FMA chain, outputs remain bitwise reproducible
+/// across batch shapes.
 pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    if m > 1 && m <= SMALL_M_MAX {
-        return matmul_small_m(a, b, c, m, k, n);
+    if m == 1 {
+        c.fill(0.0);
+        return row_axpy::<true, true>(c, a.iter().copied(), b);
     }
-    let row = |ci: &mut [f32], ai: &[f32]| {
-        ci.fill(0.0);
-        for (p, &aip) in ai.iter().enumerate() {
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in ci.iter_mut().zip(brow.iter()) {
-                *cv = aip.mul_add(bv, *cv);
-            }
-        }
-    };
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        c.par_chunks_mut(n)
-            .zip(a.par_chunks(k))
-            .for_each(|(ci, ai)| row(ci, ai));
-    } else {
-        for (ci, ai) in c.chunks_mut(n).zip(a.chunks(k)) {
-            row(ci, ai);
-        }
-    }
+    in_small_m_groups(a, c, m, k, n, |ag, cg, rows| {
+        matmul_small_m(ag, b, cg, rows, k, n)
+    });
 }
 
 /// Run a small-`m` matmul `kernel(a_rows, c_rows, rows)` over all `m`
 /// rows of `a[m,k]` / `c[m,n]` in groups of at most [`SMALL_M_MAX`], so
 /// a weight-stationary kernel streams its weights `⌈m / SMALL_M_MAX⌉`
-/// times instead of once per row — the inference stores' entry for a
-/// prefill or a stacked decode batch of any size ([`matmul`] itself, the
-/// training entry point, keeps one rayon task per row above the tier).
-/// Groups run on the rayon pool past the same size threshold as
-/// [`matmul`]'s rows (inline on a one-worker pool). Rows are independent
-/// in every such kernel, so grouping changes no output bit.
+/// times instead of once per row — how [`matmul`] and the int8 store's
+/// `matmul_q8` take a training batch, a prefill or a stacked decode
+/// batch of any size. Groups run on the rayon pool past
+/// `PAR_THRESHOLD` outputs (inline on a one-worker pool). Rows are
+/// independent in every such kernel, so grouping changes no output bit.
 pub fn in_small_m_groups(
     a: &[f32],
     c: &mut [f32],
@@ -248,102 +290,44 @@ pub fn in_small_m_groups(
     if m <= SMALL_M_MAX {
         return kernel(a, c, m);
     }
-    let group = |(cg, ag): (&mut [f32], &[f32])| kernel(ag, cg, ag.len() / k);
-    if m * n >= PAR_THRESHOLD {
-        c.par_chunks_mut(SMALL_M_MAX * n)
-            .zip(a.par_chunks(SMALL_M_MAX * k))
-            .for_each(group);
-    } else {
-        c.chunks_mut(SMALL_M_MAX * n)
-            .zip(a.chunks(SMALL_M_MAX * k))
-            .for_each(group);
-    }
+    par_rows(c, SMALL_M_MAX * n, |g, cg| {
+        let rows = cg.len() / n;
+        kernel(&a[g * SMALL_M_MAX * k..][..rows * k], cg, rows)
+    });
 }
 
-/// `c[m,n] += a[m,k] @ b[k,n]` (accumulating variant used in backward).
-pub fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    let row = |ci: &mut [f32], ai: &[f32]| {
-        for (p, &aip) in ai.iter().enumerate() {
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in ci.iter_mut().zip(brow.iter()) {
-                *cv += aip * bv;
-            }
-        }
-    };
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        c.par_chunks_mut(n)
-            .zip(a.par_chunks(k))
-            .for_each(|(ci, ai)| row(ci, ai));
-    } else {
-        for (ci, ai) in c.chunks_mut(n).zip(a.chunks(k)) {
-            row(ci, ai);
-        }
-    }
-}
-
-/// `c[m,n] += a[m,k] @ b[n,k]^T` — i.e. `a @ transpose(b)` without
-/// materialising the transpose. Used for `dA = dC @ B^T`.
+/// `c[m,n] += a[m,k] @ b[n,k]^T` — `dA = dC @ B^T`, `b` being the
+/// forward weight as stored: `b^T` is packed once into row-major
+/// `[k,n]`, then each output row is the nest into a zeroed temp and one
+/// add into `c` (the module docs say why not straight into `c`).
 pub fn matmul_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    let row = |ci: &mut [f32], ai: &[f32]| {
-        for (j, cv) in ci.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in ai.iter().zip(brow.iter()) {
-                acc += av * bv;
-            }
-            *cv += acc;
-        }
-    };
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        c.par_chunks_mut(n)
-            .zip(a.par_chunks(k))
-            .for_each(|(ci, ai)| row(ci, ai));
-    } else {
-        for (ci, ai) in c.chunks_mut(n).zip(a.chunks(k)) {
-            row(ci, ai);
-        }
+    let mut bt = Vec::with_capacity(k * n);
+    for p in 0..k {
+        bt.extend(b.iter().skip(p).step_by(k));
     }
+    par_rows(c, n, |i, ci| {
+        let mut acc = vec![0.0f32; n];
+        row_axpy::<false, false>(&mut acc, a[i * k..(i + 1) * k].iter().copied(), &bt);
+        for (cv, av) in ci.iter_mut().zip(acc) {
+            *cv += av;
+        }
+    });
 }
 
-/// `c[k,n] += a[m,k]^T @ b[m,n]` — i.e. `transpose(a) @ b` without
-/// materialising the transpose. Used for `dB = A^T @ dC`.
-///
-/// Parallelised over the `k` (output-row) dimension: each output row `p`
-/// gathers column `p` of `a` against all rows of `b`.
+/// `c[k,n] += a[m,k]^T @ b[m,n]` — `dB = A^T @ dC` — without
+/// materialising the transpose: output row `p` is the unfused,
+/// zero-skipping nest over the rows of `b`, its coefficients read down
+/// column `p` of `a`.
 pub fn matmul_at_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), m * n);
     debug_assert_eq!(c.len(), k * n);
-    let row = |p: usize, cp: &mut [f32]| {
-        for i in 0..m {
-            let aip = a[i * k + p];
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = &b[i * n..(i + 1) * n];
-            for (cv, &bv) in cp.iter_mut().zip(brow.iter()) {
-                *cv += aip * bv;
-            }
-        }
-    };
-    if k * n >= PAR_THRESHOLD && k > 1 {
-        c.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(p, cp)| row(p, cp));
-    } else {
-        for (p, cp) in c.chunks_mut(n).enumerate() {
-            row(p, cp);
-        }
-    }
+    par_rows(c, n, |p, cp| {
+        row_axpy::<false, true>(cp, (0..m).map(|i| a[i * k + p]), b)
+    });
 }
 
 #[cfg(test)]
@@ -389,39 +373,141 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Deterministic operand with a zero at every 7th position, so zero
+    /// coefficients land inside 8-groups and in `k % 8` tails alike.
+    fn operand(len: usize, mul: usize, modulo: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                _ => ((i * mul % modulo) as f32 - modulo as f32 / 2.0) * 0.1,
+            })
+            .collect()
+    }
+
+    /// Run `check` on the default pool and as a one-worker pool would:
+    /// parallel calls made from inside a pool worker run inline.
+    fn on_both_pools(check: impl Fn() + Sync) {
+        check();
+        (0..2).into_par_iter().for_each(|_| check());
+    }
+
+    /// `matmul_bt_acc` as it was before it became a packing of the row
+    /// nest — a scalar dot per output element — kept as its reference.
+    fn bt_dot_reference(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+        for (ci, ai) in c.chunks_mut(n).zip(a.chunks(k)) {
+            for (j, cv) in ci.iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for (&av, &bv) in ai.iter().zip(&b[j * k..(j + 1) * k]) {
+                    acc += av * bv;
+                }
+                *cv += acc;
+            }
+        }
+    }
+
+    /// `matmul_at_acc` as it was: per output row, a gather down one
+    /// column of `a`.
+    fn at_gather_reference(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        for (p, cp) in c.chunks_mut(n).enumerate() {
+            for i in 0..m {
+                let aip = a[i * k + p];
+                if aip == 0.0 {
+                    continue;
+                }
+                for (cv, &bv) in cp.iter_mut().zip(&b[i * n..(i + 1) * n]) {
+                    *cv += aip * bv;
+                }
+            }
+        }
+    }
+
+    const MS: [usize; 7] = [1, 2, 7, 8, 9, 37, 128];
+    /// `(k, n)`, neither a multiple of 8; the first keeps every output
+    /// below `PAR_THRESHOLD` at small `m`, the others cross it.
+    const KNS: [(usize, usize); 3] = [(21, 50), (37, 113), (130, 67)];
+
     #[test]
-    fn transposed_variants_agree_with_explicit_transpose() {
-        let (m, k, n) = (5, 4, 6);
-        let a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.3 - 2.0).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| i as f32 * 0.2 - 1.5).collect();
-        // a @ b via bt: need b stored as [n,k] transposed
-        let mut bt = vec![0.0; n * k];
-        for p in 0..k {
-            for j in 0..n {
-                bt[j * k + p] = b[p * n + j];
+    fn transposed_entries_bitwise_match_their_reference_loops() {
+        // `c` starts non-zero: "row temp, then one add" and "accumulate
+        // straight into c" only differ when there is something in `c`.
+        on_both_pools(|| {
+            for m in MS {
+                for (k, n) in KNS {
+                    // dA[m,n] += dC[m,k] @ B[n,k]^T
+                    let (a, b) = (operand(m * k, 37, 19), operand(n * k, 53, 23));
+                    let c0 = operand(m * n, 29, 31);
+                    let (mut got, mut want) = (c0.clone(), c0);
+                    matmul_bt_acc(&a, &b, &mut got, m, k, n);
+                    bt_dot_reference(&a, &b, &mut want, k, n);
+                    assert_eq!(bits(&got), bits(&want), "bt m={m} k={k} n={n}");
+                    // dB[k,n] += A[m,k]^T @ dC[m,n]
+                    let d = operand(m * n, 41, 17);
+                    let c0 = operand(k * n, 29, 31);
+                    let (mut got, mut want) = (c0.clone(), c0);
+                    matmul_at_acc(&a, &d, &mut got, m, k, n);
+                    at_gather_reference(&a, &d, &mut want, m, k, n);
+                    assert_eq!(bits(&got), bits(&want), "at m={m} k={k} n={n}");
+                }
             }
-        }
-        let mut c1 = vec![0.0; m * n];
-        matmul(&a, &b, &mut c1, m, k, n);
-        let mut c2 = vec![0.0; m * n];
-        matmul_bt_acc(&a, &bt, &mut c2, m, k, n);
-        for (x, y) in c1.iter().zip(c2.iter()) {
-            assert!((x - y).abs() < 1e-4);
-        }
-        // at variant: c[k,n] = a^T[k,m] @ d[m,n] where we pass a as [m,k]
-        let d: Vec<f32> = (0..m * n).map(|i| (i as f32).sin()).collect();
-        let mut at = vec![0.0; k * m];
-        for i in 0..m {
-            for p in 0..k {
-                at[p * m + i] = a[i * k + p];
+        });
+    }
+
+    #[test]
+    fn every_entry_is_within_k_epsilon_of_an_f64_accumulation() {
+        // Forward-error bound of a length-k f32 recurrence (plus the one
+        // add into `c` of the accumulating entries): (k + 1) · ε · Σ|terms|,
+        // twice the textbook γ_{k+1} with unit roundoff ε / 2.
+        let check = |what: &str, got: &[f32], want: &[(f64, f64)], k: usize| {
+            for (idx, (&g, &(sum, abs))) in got.iter().zip(want).enumerate() {
+                let bound = (k + 1) as f64 * f32::EPSILON as f64 * abs;
+                let err = (g as f64 - sum).abs();
+                assert!(
+                    err <= bound,
+                    "{what}[{idx}]: |{g} - {sum}| = {err} > {bound}"
+                );
             }
-        }
-        let mut c3 = vec![0.0; k * n];
-        matmul(&at, &d, &mut c3, k, m, n);
-        let mut c4 = vec![0.0; k * n];
-        matmul_at_acc(&a, &d, &mut c4, m, k, n);
-        for (x, y) in c3.iter().zip(c4.iter()) {
-            assert!((x - y).abs() < 1e-4);
+        };
+        // (Σ terms, Σ |terms|) in f64 of `c0 + Σ_p x(p) · y(p)` per output
+        let oracle = |c0: &[f32], len: usize, term: &dyn Fn(usize, usize) -> (f32, f32)| {
+            c0.iter()
+                .enumerate()
+                .map(|(o, &c)| {
+                    (0..len).fold((c as f64, c.abs() as f64), |(s, t), p| {
+                        let (x, y) = term(o, p);
+                        let xy = x as f64 * y as f64;
+                        (s + xy, t + xy.abs())
+                    })
+                })
+                .collect::<Vec<_>>()
+        };
+        for m in [1, 9, 128] {
+            for (k, n) in KNS {
+                let (a, b) = (operand(m * k, 37, 19), operand(k * n, 53, 23));
+                let mut c = vec![f32::NAN; m * n];
+                matmul(&a, &b, &mut c, m, k, n);
+                let want = oracle(&vec![0.0; m * n], k, &|o, p| {
+                    (a[o / n * k + p], b[p * n + o % n])
+                });
+                check("matmul", &c, &want, k);
+
+                let bt = operand(n * k, 53, 23);
+                let c0 = operand(m * n, 29, 31);
+                let mut c = c0.clone();
+                matmul_bt_acc(&a, &bt, &mut c, m, k, n);
+                let want = oracle(&c0, k, &|o, p| (a[o / n * k + p], bt[o % n * k + p]));
+                check("bt", &c, &want, k);
+
+                let d = operand(m * n, 41, 17);
+                let c0 = operand(k * n, 29, 31);
+                let mut c = c0.clone();
+                matmul_at_acc(&a, &d, &mut c, m, k, n);
+                let want = oracle(&c0, m, &|o, i| (a[i * k + o / n], d[i * n + o % n]));
+                check("at", &c, &want, m);
+            }
         }
     }
 
@@ -431,7 +517,8 @@ mod tests {
         // exactly the bytes of m single-row calls. Include zeros in `a`
         // so the zero-skip fires on both paths.
         let (k, n) = (37, 113);
-        for m in 2..=SMALL_M_MAX {
+        // and past the tier: 8 + 1, 8 + 8, 16 · 8 + 1 rows walk in groups
+        for m in (2..=SMALL_M_MAX).chain([9, 16, 129]) {
             let a: Vec<f32> = (0..m * k)
                 .map(|i| {
                     if i % 7 == 0 {
@@ -515,14 +602,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn accumulating_variant_adds() {
-        let a = vec![1.0, 0.0, 0.0, 1.0]; // identity 2x2
-        let b = vec![5.0, 6.0, 7.0, 8.0];
-        let mut c = vec![1.0; 4];
-        matmul_acc(&a, &b, &mut c, 2, 2, 2);
-        assert_eq!(c, vec![6.0, 7.0, 8.0, 9.0]);
     }
 }

@@ -875,19 +875,11 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::Mul(a, b) => {
-            let (a, b) = (*a, *b);
-            {
-                let bval = nodes[b.0].value.data().to_vec();
-                let ga = grad_buf(grads, nodes, a.0);
-                for ((o, &gv), &bv) in ga.data_mut().iter_mut().zip(g.data()).zip(bval.iter()) {
-                    *o += gv * bv;
-                }
-            }
-            {
-                let aval = nodes[a.0].value.data().to_vec();
-                let gb = grad_buf(grads, nodes, b.0);
-                for ((o, &gv), &av) in gb.data_mut().iter_mut().zip(g.data()).zip(aval.iter()) {
-                    *o += gv * av;
+            for (x, other) in [(a, b), (b, a)] {
+                let gx = grad_buf(grads, nodes, x.0);
+                let oval = nodes[other.0].value.data();
+                for ((o, &gv), &ov) in gx.data_mut().iter_mut().zip(g.data()).zip(oval) {
+                    *o += gv * ov;
                 }
             }
         }
@@ -910,49 +902,35 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::MatMul(a, b) => {
-            let (a, b) = (*a, *b);
+            let (aval, bval) = (nodes[a.0].value.data(), nodes[b.0].value.data());
             let (m, k) = nodes[a.0].value.as_2d();
             let n = nodes[b.0].value.dim(1);
-            // dA += dC @ B^T  (B stored [k,n]; use bt kernel with B as [n,k]? —
-            // matmul_bt_acc expects the transposed operand stored [n,k], but B is
-            // [k,n]; dC @ B^T has inner dim n: dA[m,k] = dC[m,n] @ (B^T)[n,k],
-            // where (B^T)[n,k] stored row-major equals B [k,n] column-major, i.e.
-            // we need "dC times rows of B as columns" — that is exactly
-            // matmul_bt_acc(dC, B, dA, m, n, k) with B interpreted [k, n].
-            {
-                let bval = nodes[b.0].value.data().to_vec();
-                let ga = grad_buf(grads, nodes, a.0);
-                matmul_bt_acc(g.data(), &bval, ga.data_mut(), m, n, k);
-            }
-            // dB += A^T @ dC
-            {
-                let aval = nodes[a.0].value.data().to_vec();
-                let gb = grad_buf(grads, nodes, b.0);
-                matmul_at_acc(&aval, g.data(), gb.data_mut(), m, k, n);
-            }
+            // dA[m,k] += dC[m,n] @ B^T: the bt kernel's inner dimension is
+            // n and its transposed operand, stored [k,n], is B as it lies
+            let ga = grad_buf(grads, nodes, a.0).data_mut();
+            matmul_bt_acc(g.data(), bval, ga, m, n, k);
+            // dB[k,n] += A^T @ dC
+            let gb = grad_buf(grads, nodes, b.0).data_mut();
+            matmul_at_acc(aval, g.data(), gb, m, k, n);
         }
         Op::Gelu(x) => unary_bwd(nodes, grads, *x, g, act::gelu_grad),
         Op::Silu(x) => unary_bwd(nodes, grads, *x, g, act::silu_grad),
         Op::Relu(x) => unary_bwd(nodes, grads, *x, g, act::relu_grad),
         Op::Tanh(x) => unary_bwd(nodes, grads, *x, g, act::tanh_grad),
         Op::LayerNorm { x, gamma, beta } => {
-            let (x, gamma, beta) = (*x, *gamma, *beta);
             let (rows, d) = nodes[x.0].value.as_2d();
-            let (means, rstds) = match &nodes[id].saved {
-                Saved::Norm(m, r) => (m.clone(), r.clone()),
-                _ => unreachable!("layernorm saved state"),
+            let Saved::Norm(means, rstds) = &nodes[id].saved else {
+                unreachable!("layernorm saved state")
             };
-            let xval = nodes[x.0].value.data().to_vec();
-            let gval = nodes[gamma.0].value.data().to_vec();
             let mut dx = vec![0.0f32; rows * d];
             let mut dgamma = vec![0.0f32; d];
             let mut dbeta = vec![0.0f32; d];
             norm::layernorm_bwd(
-                &xval,
-                &gval,
+                nodes[x.0].value.data(),
+                nodes[gamma.0].value.data(),
                 g.data(),
-                &means,
-                &rstds,
+                means,
+                rstds,
                 &mut dx,
                 &mut dgamma,
                 &mut dbeta,
@@ -964,26 +942,21 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             add_into(grad_buf(grads, nodes, beta.0), &dbeta);
         }
         Op::RmsNorm { x, gamma } => {
-            let (x, gamma) = (*x, *gamma);
             let (rows, d) = nodes[x.0].value.as_2d();
-            let rrms = match &nodes[id].saved {
-                Saved::Rrms(r) => r.clone(),
-                _ => unreachable!("rmsnorm saved state"),
+            let Saved::Rrms(rrms) = &nodes[id].saved else {
+                unreachable!("rmsnorm saved state")
             };
-            let xval = nodes[x.0].value.data().to_vec();
-            let gval = nodes[gamma.0].value.data().to_vec();
+            let (xval, gval) = (nodes[x.0].value.data(), nodes[gamma.0].value.data());
             let mut dx = vec![0.0f32; rows * d];
             let mut dgamma = vec![0.0f32; d];
-            norm::rmsnorm_bwd(&xval, &gval, g.data(), &rrms, &mut dx, &mut dgamma, rows, d);
+            norm::rmsnorm_bwd(xval, gval, g.data(), rrms, &mut dx, &mut dgamma, rows, d);
             add_into(grad_buf(grads, nodes, x.0), &dx);
             add_into(grad_buf(grads, nodes, gamma.0), &dgamma);
         }
         Op::Softmax(x) => {
-            let x = *x;
             let (rows, d) = nodes[id].value.as_2d();
-            let p = nodes[id].value.data().to_vec();
             let mut ds = vec![0.0f32; rows * d];
-            softmax_rows_bwd(&p, g.data(), &mut ds, rows, d);
+            softmax_rows_bwd(nodes[id].value.data(), g.data(), &mut ds, rows, d);
             add_into(grad_buf(grads, nodes, x.0), &ds);
         }
         Op::CrossEntropy {
@@ -991,15 +964,11 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             targets,
             n_valid,
         } => {
-            let logits = *logits;
-            let n_valid = *n_valid;
-            let (n, v) = nodes[logits.0].value.as_2d();
-            let probs = match &nodes[id].saved {
-                Saved::Probs(p) => p.clone(),
-                _ => unreachable!("cross entropy saved state"),
+            let (_, v) = nodes[logits.0].value.as_2d();
+            let Saved::Probs(probs) = &nodes[id].saved else {
+                unreachable!("cross entropy saved state")
             };
-            let seed = g.item() / n_valid as f32;
-            let targets = targets.clone();
+            let seed = g.item() / *n_valid as f32;
             let gl = grad_buf(grads, nodes, logits.0);
             let gld = gl.data_mut();
             for (r, &t) in targets.iter().enumerate() {
@@ -1014,16 +983,12 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
                     gld[r * v + c] += seed * dv;
                 }
             }
-            let _ = n;
         }
         Op::Mse { pred, target } => {
-            let pred = *pred;
-            let n = nodes[pred.0].value.numel() as f32;
-            let seed = g.item() * 2.0 / n;
-            let pval = nodes[pred.0].value.data().to_vec();
-            let tval = target.data().to_vec();
+            let pval = nodes[pred.0].value.data();
+            let seed = g.item() * 2.0 / pval.len() as f32;
             let gp = grad_buf(grads, nodes, pred.0);
-            for ((o, &p), &t) in gp.data_mut().iter_mut().zip(pval.iter()).zip(tval.iter()) {
+            for ((o, &p), &t) in gp.data_mut().iter_mut().zip(pval).zip(target.data()) {
                 *o += seed * (p - t);
             }
         }
@@ -1043,9 +1008,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::Embedding { table, ids } => {
-            let table = *table;
             let d = nodes[table.0].value.dim(1);
-            let ids = ids.clone();
             let gt = grad_buf(grads, nodes, table.0);
             let gtd = gt.data_mut();
             for (r, &idx) in ids.iter().enumerate() {
@@ -1072,32 +1035,31 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             d,
             causal,
         } => {
-            let (q, k, v, bh, t, d, causal) = (*q, *k, *v, *bh, *t, *d, *causal);
-            let saved = match &nodes[id].saved {
-                Saved::Attn(s) => s.clone(),
-                _ => unreachable!("attention saved state"),
+            let Saved::Attn(saved) = &nodes[id].saved else {
+                unreachable!("attention saved state")
             };
-            let qv = nodes[q.0].value.data().to_vec();
-            let kv = nodes[k.0].value.data().to_vec();
-            let vv = nodes[v.0].value.data().to_vec();
-            let ov = nodes[id].value.data().to_vec();
+            let (qv, kv, vv) = (
+                nodes[q.0].value.data(),
+                nodes[k.0].value.data(),
+                nodes[v.0].value.data(),
+            );
             let mut dq = vec![0.0f32; qv.len()];
             let mut dk = vec![0.0f32; kv.len()];
             let mut dv = vec![0.0f32; vv.len()];
             attention_bwd(
-                &qv,
-                &kv,
-                &vv,
-                &ov,
+                qv,
+                kv,
+                vv,
+                nodes[id].value.data(),
                 g.data(),
-                &saved,
+                saved,
                 &mut dq,
                 &mut dk,
                 &mut dv,
-                bh,
-                t,
-                d,
-                causal,
+                *bh,
+                *t,
+                *d,
+                *causal,
             );
             add_into(grad_buf(grads, nodes, q.0), &dq);
             add_into(grad_buf(grads, nodes, k.0), &dk);
@@ -1164,9 +1126,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::IndexSelect { x, idx } => {
-            let x = *x;
             let (_, d) = nodes[x.0].value.as_2d();
-            let idx = idx.clone();
             let gx = grad_buf(grads, nodes, x.0);
             let gxd = gx.data_mut();
             for (r, &i) in idx.iter().enumerate() {
@@ -1177,9 +1137,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::SegmentSum { x, seg } => {
-            let x = *x;
             let (_, d) = nodes[x.0].value.as_2d();
-            let seg = seg.clone();
             let gx = grad_buf(grads, nodes, x.0);
             let gxd = gx.data_mut();
             for (r, &s) in seg.iter().enumerate() {
@@ -1203,10 +1161,8 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::Dropout { x, mask } => {
-            let x = *x;
-            let mask = mask.clone();
             let gx = grad_buf(grads, nodes, x.0);
-            for ((o, &gv), &m) in gx.data_mut().iter_mut().zip(g.data()).zip(mask.iter()) {
+            for ((o, &gv), &m) in gx.data_mut().iter_mut().zip(g.data()).zip(mask) {
                 *o += gv * m;
             }
         }
@@ -1214,25 +1170,20 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             grad_buf(grads, nodes, x.0).add_assign(g);
         }
         Op::SyncGrad { x, comm } => {
-            let x = *x;
-            let comm = comm.clone();
             let mut buf = g.data().to_vec();
             comm.0.allreduce(&mut buf);
             add_into(grad_buf(grads, nodes, x.0), &buf);
         }
         Op::RingSum { parts } => {
-            let parts = parts.clone();
             for p in parts {
                 grad_buf(grads, nodes, p.0).add_assign(g);
             }
         }
         Op::TpPart => {}
         Op::TpJoin { x, parts } => {
-            let x = *x;
-            let parts = parts.clone();
             let n = parts.len() + 1;
             let mut vecs: Vec<Vec<f32>> = Vec::with_capacity(n);
-            for p in &parts {
+            for p in parts {
                 match &grads[p.0] {
                     Some(gp) => vecs.push(gp.data().to_vec()),
                     None => vecs.push(vec![0.0; g.numel()]),
@@ -1246,9 +1197,9 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
 }
 
 fn unary_bwd(nodes: &[Node], grads: &mut [Option<Tensor>], x: Var, g: &Tensor, df: fn(f32) -> f32) {
-    let xval = nodes[x.0].value.data().to_vec();
+    let xval = nodes[x.0].value.data();
     let gx = grad_buf(grads, nodes, x.0);
-    for ((o, &gv), &xv) in gx.data_mut().iter_mut().zip(g.data()).zip(xval.iter()) {
+    for ((o, &gv), &xv) in gx.data_mut().iter_mut().zip(g.data()).zip(xval) {
         *o += gv * df(xv);
     }
 }
