@@ -468,6 +468,51 @@ mod tests {
     }
 
     #[test]
+    fn rendered_bytes_are_pinned() {
+        use crate::trace::FlowEvent;
+        // three slices, one arrow: key order, number formatting (integral
+        // floats print as integers), escaping and the hex flow id
+        let events = vec![
+            ev(pids::PARALLEL, 2, "recv \"slice\"\n", 12.5, 6.0),
+            ev(pids::PARALLEL, 1, "send\\slice", 10.0, 5.25).arg("bytes", 4096.0),
+            ev(pids::TRAINER, 1, "step\u{1}", 0.0, 0.1).arg("loss", 3.25),
+        ];
+        let id = (1u64 << 56) | 0xBEEF;
+        let flows = vec![
+            FlowEvent::at(FlowPhase::Start, pids::PARALLEL, 1, "ring", "hop", id, 10.0),
+            FlowEvent::at(
+                FlowPhase::Finish,
+                pids::PARALLEL,
+                2,
+                "ring",
+                "hop",
+                id,
+                18.5,
+            ),
+        ];
+        let tracks = vec![((pids::PARALLEL, 2), "rank 1 (victim)".to_string())];
+        let json = render_full(&events, &flows, &tracks);
+        validate(&json).expect("the pinned document validates");
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"displayTimeUnit":"ms","traceEvents":["#,
+                r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"ts":0,"args":{"name":"trainer"}},"#,
+                r#"{"name":"process_name","ph":"M","pid":4,"tid":0,"ts":0,"args":{"name":"parallel"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"ts":0,"args":{"name":"tid 1"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":4,"tid":1,"ts":0,"args":{"name":"tid 1"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":4,"tid":2,"ts":0,"args":{"name":"rank 1 (victim)"}},"#,
+                r#"{"name":"step\u0001","cat":"test","ph":"X","pid":1,"tid":1,"ts":0,"dur":0.1,"args":{"loss":3.25}},"#,
+                r#"{"name":"send\\slice","cat":"test","ph":"X","pid":4,"tid":1,"ts":10,"dur":5.25,"args":{"bytes":4096}},"#,
+                r#"{"name":"hop","cat":"ring","ph":"s","id":"0x10000000000beef","pid":4,"tid":1,"ts":10},"#,
+                r#"{"name":"recv \"slice\"\n","cat":"test","ph":"X","pid":4,"tid":2,"ts":12.5,"dur":6,"args":{}},"#,
+                r#"{"name":"hop","cat":"ring","ph":"f","id":"0x10000000000beef","pid":4,"tid":2,"ts":18.5,"bp":"e"}"#,
+                "]}"
+            )
+        );
+    }
+
+    #[test]
     fn validator_rejects_broken_flows() {
         // flow with no enclosing slice
         let orphan = r#"{"traceEvents":[

@@ -568,6 +568,61 @@ mod tests {
     }
 
     #[test]
+    fn manifest_bytes_are_pinned() {
+        let pm = Postmortem {
+            cause: "RankLost { rank: 2 } \"ring\"".into(),
+            victims: vec![2, 3],
+            threads: vec![
+                (7, "rank 2 (victim)".into(), Some(2), 128, 4096),
+                (9, "coordinator".into(), None, 0, 0),
+            ],
+            trace_json: String::new(),
+            metrics_prom: String::new(),
+        };
+        assert_eq!(
+            pm.manifest_json(),
+            r#"{
+  "schema": "matgpt-postmortem/v1",
+  "cause": "RankLost { rank: 2 } \"ring\"",
+  "victim_ranks": [
+    2,
+    3
+  ],
+  "threads": [
+    {
+      "tid": 7,
+      "label": "rank 2 (victim)",
+      "rank": 2,
+      "retained_events": 128,
+      "total_recorded": 4096
+    },
+    {
+      "tid": 9,
+      "label": "coordinator",
+      "rank": null,
+      "retained_events": 0,
+      "total_recorded": 0
+    }
+  ]
+}"#
+        );
+        let empty = Postmortem {
+            victims: vec![],
+            threads: vec![],
+            ..pm
+        };
+        assert_eq!(
+            empty.manifest_json(),
+            r#"{
+  "schema": "matgpt-postmortem/v1",
+  "cause": "RankLost { rank: 2 } \"ring\"",
+  "victim_ranks": [],
+  "threads": []
+}"#
+        );
+    }
+
+    #[test]
     fn postmortem_capture_renders_valid_artifacts() {
         // record through the real global path on this thread
         label_thread("rank 0", Some(0));

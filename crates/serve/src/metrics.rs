@@ -552,6 +552,40 @@ pub(crate) mod tests {
         );
     }
 
+    #[test]
+    fn snapshot_json_bytes_are_pinned() {
+        // key order, integers without a fraction, shortest-roundtrip
+        // floats, the nested percentile objects
+        let snap = MetricsSnapshot {
+            queue_depth_peak: 12,
+            completed: 3,
+            generated_tokens: 1 << 40,
+            ttft_ms: Percentiles {
+                p50: 12.5,
+                p95: 0.1 + 0.2,
+                p99: 1e-7,
+                count: 4096,
+            },
+            tokens_per_sec: 99.75,
+            weight_bytes: 369_098_752,
+            spec_acceptance_rate: 2.0 / 3.0,
+            ..MetricsInner::new(WeightPrecision::Int8).snapshot()
+        };
+        assert_eq!(
+            snap.to_json(),
+            concat!(
+                r#"{"queue_depth":0,"queue_depth_peak":12,"active":0,"backlog":0,"completed":3,"failed":0,"#,
+                r#""generated_tokens":1099511627776,"decode_forwards":0,"decode_rows":0,"#,
+                r#""ttft_ms":{"p50":12.5,"p95":0.30000000000000004,"p99":0.0000001,"count":4096},"#,
+                r#""token_latency_ms":{"p50":0,"p95":0,"p99":0,"count":0},"tokens_per_sec":99.75,"#,
+                r#""precision":"int8","weight_bytes":369098752,"kv_bytes":0,"kv_bytes_peak":0,"#,
+                r#""kv_blocks_allocated":0,"kv_blocks_shared":0,"kv_blocks_evicted":0,"#,
+                r#""kv_block_allocs":0,"kv_block_shares":0,"preemptions":0,"spec_drafted":0,"#,
+                r#""spec_accepted":0,"spec_rolled_back":0,"spec_acceptance_rate":0.6666666666666666}"#
+            )
+        );
+    }
+
     /// SERVING.md §4's table, rendered from the listing (kinds from the
     /// live registry, so the table cannot disagree with the exposition).
     fn series_table() -> String {
