@@ -288,4 +288,25 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), REGISTRY.len(), "registry names are unique");
     }
+
+    #[test]
+    fn design_md_lists_exactly_the_shims() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut shims: Vec<String> = std::fs::read_dir(format!("{root}/shims"))
+            .expect("read shims/")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        shims.sort();
+        let md = std::fs::read_to_string(format!("{root}/DESIGN.md")).expect("read DESIGN.md");
+        // §6's bullets: "* `name` — why"
+        let listed: Vec<&str> = md
+            .lines()
+            .skip_while(|l| !l.starts_with("## 6. Dependencies"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("## "))
+            .filter_map(|l| l.strip_prefix("* `")?.split_once("` — "))
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(listed, shims, "DESIGN.md §6 differs from `ls shims`");
+    }
 }

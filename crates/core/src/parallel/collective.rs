@@ -6,11 +6,9 @@
 //!   links, executing the
 //!   chunked reduce-scatter / allgather schedule RCCL rings run on
 //!   Frontier, with bounded receives ([`CollectiveError`], never a
-//!   hang) and per-endpoint wire-byte / wait-time accounting;
-//! * [`Collective`] — the fallible trait surface (allreduce,
-//!   reduce-scatter, allgather, deadline-bounded p2p send/recv)
-//!   extracted from the DP-specific plumbing so TP groups, DP groups
-//!   and the grad-norm group are all the same audited object;
+//!   hang) and per-endpoint wire-byte / wait-time accounting — DP
+//!   groups, TP groups and the grad-norm group are all this one
+//!   audited object;
 //! * [`PipeLink`] — a bidirectional stage-boundary link for pipeline
 //!   parallelism, built from a 2-ring, emitting `Domain::Pipe` flow
 //!   arrows whose ids both endpoints derive without communicating;
@@ -71,55 +69,6 @@ impl std::fmt::Display for CollectiveError {
 }
 
 impl std::error::Error for CollectiveError {}
-
-/// The communication surface every executed parallelism axis uses: the
-/// chunked ring collectives plus deadline-bounded point-to-point
-/// transfers, all fallible ([`CollectiveError`], never a hang) and all
-/// wire-byte audited ([`Collective::sent_bytes`]).
-///
-/// DP gradient sync, TP activation allreduces, the distributed
-/// grad-norm allgather and PP boundary hops run through this one trait,
-/// so a single accounting and failure model covers the whole
-/// `Topology { dp, tp, pp }` executor.
-pub trait Collective {
-    /// This endpoint's rank within the group.
-    fn rank(&self) -> usize;
-    /// Group size.
-    fn world(&self) -> usize;
-    /// Chunked ring reduce-scatter over `bounds` (see the
-    /// crate-private `Ring::reduce_scatter` for the schedule and fold
-    /// order).
-    fn reduce_scatter(
-        &mut self,
-        buf: &mut [f32],
-        bounds: &[Range<usize>],
-    ) -> Result<(), CollectiveError>;
-    /// Chunked ring allgather over `bounds`.
-    fn allgather(
-        &mut self,
-        buf: &mut [f32],
-        bounds: &[Range<usize>],
-    ) -> Result<(), CollectiveError>;
-    /// Allreduce-sum: reduce-scatter then allgather — the ring
-    /// decomposition whose per-rank wire volume is the paper's
-    /// `2(N−1)/N · M` closed form.
-    fn allreduce(
-        &mut self,
-        buf: &mut [f32],
-        bounds: &[Range<usize>],
-    ) -> Result<(), CollectiveError> {
-        self.reduce_scatter(buf, bounds)?;
-        self.allgather(buf, bounds)
-    }
-    /// Point-to-point send to this endpoint's successor.
-    fn send(&mut self, buf: Vec<f32>) -> Result<(), CollectiveError>;
-    /// Deadline-bounded point-to-point receive from the predecessor.
-    fn recv(&mut self) -> Result<Vec<f32>, CollectiveError>;
-    /// Total bytes this endpoint has sent.
-    fn sent_bytes(&self) -> u64;
-    /// Total milliseconds this endpoint has spent blocked on receives.
-    fn wait_ms(&self) -> f64;
-}
 
 /// One worker's pair of ring links: it only ever sends to its successor
 /// and receives from its predecessor, like one RCCL ring channel.
@@ -298,41 +247,6 @@ impl Ring {
             buf[bounds[recv_idx].clone()].copy_from_slice(&incoming);
         }
         Ok(())
-    }
-}
-
-impl Collective for Ring {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-    fn world(&self) -> usize {
-        self.n
-    }
-    fn reduce_scatter(
-        &mut self,
-        buf: &mut [f32],
-        bounds: &[Range<usize>],
-    ) -> Result<(), CollectiveError> {
-        Ring::reduce_scatter(self, buf, bounds)
-    }
-    fn allgather(
-        &mut self,
-        buf: &mut [f32],
-        bounds: &[Range<usize>],
-    ) -> Result<(), CollectiveError> {
-        Ring::allgather(self, buf, bounds)
-    }
-    fn send(&mut self, buf: Vec<f32>) -> Result<(), CollectiveError> {
-        Ring::send(self, buf)
-    }
-    fn recv(&mut self) -> Result<Vec<f32>, CollectiveError> {
-        Ring::recv(self)
-    }
-    fn sent_bytes(&self) -> u64 {
-        self.sent_bytes
-    }
-    fn wait_ms(&self) -> f64 {
-        self.wait_ms
     }
 }
 

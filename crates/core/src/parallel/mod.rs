@@ -78,7 +78,7 @@ use std::time::Duration;
 
 pub use collective::{
     ring_allgather_rank_bytes, ring_allreduce_rank_bytes, ring_allreduce_sum,
-    ring_reduce_scatter_rank_bytes, Collective, CollectiveError, PipeDir, PipeLink, RingComm,
+    ring_reduce_scatter_rank_bytes, CollectiveError, PipeDir, PipeLink, RingComm,
 };
 /// Re-exported from `matgpt_tensor`, where the fold order now lives so
 /// the tape's sequential-reference TP ops share it.

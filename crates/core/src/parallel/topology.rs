@@ -4,7 +4,7 @@
 //! A [`Topology`] is the executed (not simulated) 3-D parallel layout
 //! of the paper's Sec. 4: one worker thread per grid seat `(d, s, r)` —
 //! data replica `d`, pipeline stage `s`, tensor rank `r` — with every
-//! wire between workers a [`Collective`](super::Collective) ring or a
+//! wire between workers a bounded ring or a
 //! [`PipeLink`](super::PipeLink):
 //!
 //! * **TP** — each `(d, s)` pair owns a `tp`-rank ring; the four

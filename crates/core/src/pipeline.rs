@@ -8,10 +8,9 @@ use matgpt_model::{BertConfig, BertModel};
 use matgpt_optim::{Adam, AdamConfig, Optimizer};
 use matgpt_tensor::{init, ParamStore, Tape};
 use matgpt_tokenizer::{Tokenizer, TokenizerKind};
-use serde::{Deserialize, Serialize};
 
 /// How big to run the whole reproduction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SuiteScale {
     /// Materials in the universe.
     pub n_materials: usize,

@@ -18,11 +18,10 @@ use matgpt_optim::{Adam, AdamConfig, CosineSchedule, Lamb, LrSchedule, Optimizer
 use matgpt_tensor::checkpoint::{self, CheckpointError};
 use matgpt_tensor::{init, ParamStore, Tape};
 use matgpt_tokenizer::{BpeTokenizer, Tokenizer, TokenizerKind, UnigramTokenizer};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Recorded loss curves of one experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LossCurves {
     /// Legend label (`size-arch-tokenizer-vocab-optimizer-batch`).
     pub label: String,

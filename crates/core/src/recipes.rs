@@ -4,10 +4,9 @@
 use matgpt_model::ArchKind;
 use matgpt_tensor::Precision;
 use matgpt_tokenizer::TokenizerKind;
-use serde::{Deserialize, Serialize};
 
 /// Optimizer choice (Table III rows).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OptChoice {
     /// Adam with the paper's (0.9, 0.95) betas.
     Adam,
@@ -25,7 +24,7 @@ impl std::fmt::Display for OptChoice {
 }
 
 /// One row of the paper's Table III.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PaperRecipe {
     /// Model size label.
     pub model: &'static str,
@@ -71,7 +70,7 @@ pub const TABLE_III: &[PaperRecipe] = &[
 
 /// The two model-size roles of the loss study (Fig. 13), scaled down for
 /// CPU training: `Base` plays the 1.7B part, `Large` the 6.7B part.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SizeRole {
     /// The smaller model (1.7B in the paper, `GptConfig::tiny` here).
     Base,
@@ -90,7 +89,7 @@ impl SizeRole {
 }
 
 /// A full pre-training experiment configuration — one curve of Fig. 13.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PretrainConfig {
     /// Architecture (NeoX or LLaMA).
     pub arch: ArchKind,

@@ -6,10 +6,8 @@
 //! models led 2018–2019; since 2021 the decoder-only (GPT) branch
 //! dominates while encoder-decoder output stays flat.
 
-use serde::{Deserialize, Serialize};
-
 /// Architecture branch of the evolutionary tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Branch {
     /// BERT-style.
     EncoderOnly,
@@ -31,7 +29,7 @@ impl Branch {
 }
 
 /// One major model release.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Release {
     /// Model name.
     pub name: &'static str,

@@ -14,10 +14,9 @@ use matgpt_tokenizer::{special, Tokenizer};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for synthetic corpus construction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CorpusConfig {
     /// Number of distinct materials in the universe.
     pub n_materials: usize,
@@ -42,7 +41,7 @@ impl Default for CorpusConfig {
 }
 
 /// Per-source generation/screening statistics (the synthetic Table I).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SourceStats {
     /// Source name.
     pub name: &'static str,

@@ -18,11 +18,10 @@ use crate::elements::{Element, ELEMENTS};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Band-gap category, as the paper describes ("materials in nature can be
 /// classified by band gap into a few categories").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BandGapClass {
     /// Essentially zero gap.
     Conductor,
@@ -55,7 +54,7 @@ impl BandGapClass {
 }
 
 /// One atomic site in the unit cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Site {
     /// Index into [`Material::composition`].
     pub species: usize,
@@ -64,7 +63,7 @@ pub struct Site {
 }
 
 /// A synthetic crystalline material.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Material {
     /// Canonical chemical formula, e.g. `BaTiO3`.
     pub formula: String,

@@ -7,10 +7,8 @@
 //! labelled set exactly as the paper describes — same pipeline role, much
 //! lighter model.
 
-use serde::{Deserialize, Serialize};
-
 /// Hashed bag-of-words logistic regression.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScreeningClassifier {
     weights: Vec<f32>,
     bias: f32,

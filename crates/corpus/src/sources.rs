@@ -6,10 +6,8 @@
 //! configurable down-scaling factor that maps each source to a synthetic
 //! document budget for actual generation.
 
-use serde::{Deserialize, Serialize};
-
 /// One bibliographic data source.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DataSource {
     /// Source name as in Table I.
     pub name: &'static str,

@@ -4,7 +4,6 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Euclidean distance between two vectors.
 pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
@@ -69,7 +68,7 @@ pub fn pairwise_cosine(x: &[Vec<f32>], max_pairs: usize) -> Vec<f32> {
 }
 
 /// A fixed-bin histogram with density normalisation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     /// Left edge of the first bin.
     pub lo: f32,
@@ -148,7 +147,7 @@ pub fn mean_std(values: &[f32]) -> (f64, f64) {
 }
 
 /// Geometry summary of one embedding set (one row of Fig. 16's legend).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GeometrySummary {
     /// Model label.
     pub model: String,

@@ -10,10 +10,9 @@ use crate::tasks::{QaItem, TaskKind};
 use matgpt_model::GptModel;
 use matgpt_tensor::ParamStore;
 use matgpt_tokenizer::Tokenizer;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy with its standard error.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TaskScore {
     /// Fraction correct.
     pub accuracy: f64,
@@ -104,7 +103,7 @@ pub fn evaluate(
 }
 
 /// A full benchmark sweep result for one model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepResult {
     /// Model label (e.g. "LLaMA-1.7B-HF-52K").
     pub model: String,

@@ -10,10 +10,9 @@
 use matgpt_model::GptModel;
 use matgpt_tensor::ParamStore;
 use matgpt_tokenizer::Tokenizer;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated text-level metrics for one model on a document set.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TextMetrics {
     /// Bits per UTF-8 byte (tokenizer-independent).
     pub bits_per_byte: f64,

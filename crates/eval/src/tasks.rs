@@ -13,10 +13,9 @@ use matgpt_corpus::ELEMENTS;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// The nine benchmark families.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Science QA: band-gap class of a named material.
     SciQ,
@@ -72,7 +71,7 @@ impl TaskKind {
 
 /// One multiple-choice item. The prompt ends where the continuation
 /// begins; choices are scored as continuations.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QaItem {
     /// The question / context text.
     pub prompt: String,

@@ -7,10 +7,9 @@
 //! collective spans many nodes.
 
 use crate::machine::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 /// The collective operations the training strategies issue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Collective {
     /// Reduce + broadcast (gradient sync, TP activation sync).
     AllReduce,

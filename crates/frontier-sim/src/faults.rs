@@ -13,14 +13,13 @@ use crate::parallel::{StepReport, TrainSetup};
 use crate::power::{training_run, PowerModel, TrainingRun};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// The failure/perturbation model of one job allocation.
 ///
 /// Failures are exponential per node (memoryless, the standard MTBF
 /// abstraction); stragglers and degraded links are transient per-step
 /// perturbations that slow the bulk-synchronous step without killing it.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FaultModel {
     /// Mean time between failures of one node, hours.
     pub node_mtbf_hours: f64,
@@ -128,7 +127,7 @@ impl FaultModel {
 /// reports where the measured optimum landed, which grid point the
 /// prediction names, and whether they are within one grid step of each
 /// other — the acceptance form of the executed-vs-simulated claim.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IntervalAgreement {
     /// Index of the measured goodput maximum in the sweep grid.
     pub measured_idx: usize,
@@ -169,7 +168,7 @@ pub fn interval_agreement(intervals: &[f64], goodput: &[f64], predicted: f64) ->
 }
 
 /// Aggregate accounting of a failure-prone run (means over replications).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ResilientTrainingRun {
     /// The failure-free accounting of the same job ([`training_run`]).
     pub ideal: TrainingRun,

@@ -4,10 +4,9 @@
 use crate::kernels::{FlashVersion, KernelModel};
 use matgpt_model::count::total_params;
 use matgpt_model::{ArchKind, GptConfig};
-use serde::{Deserialize, Serialize};
 
 /// The paper's architecture-search constraints.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Constraints {
     /// Tensor-parallel degree `TP`.
     pub tp: usize,
@@ -43,7 +42,7 @@ impl Constraints {
 }
 
 /// One evaluated grid cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GridCell {
     /// Layers.
     pub layers: usize,

@@ -15,7 +15,6 @@ use crate::kernels::{FlashVersion, KernelModel};
 use crate::machine::MachineConfig;
 use matgpt_model::count::{layer_flops, total_params};
 use matgpt_model::GptConfig;
-use serde::{Deserialize, Serialize};
 
 /// HBM bandwidth of one GCD in GB/s (MI250X: 1.6 TB/s per GCD pair ≈
 /// 1638 GB/s for the full card; per GCD ~819... we model the effective
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 pub const GCD_HBM_GBPS: f64 = 1200.0;
 
 /// An inference workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InferenceSetup {
     /// Model.
     pub cfg: GptConfig,
@@ -64,7 +63,7 @@ impl InferenceSetup {
 }
 
 /// Inference cost breakdown.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InferenceReport {
     /// Prefill wall time (s).
     pub prefill_s: f64,

@@ -9,11 +9,10 @@
 
 use matgpt_model::count::{layer_flops, LayerFlops};
 use matgpt_model::GptConfig;
-use serde::{Deserialize, Serialize};
 
 /// Flash-attention availability, mirroring the paper's v1/v2 study on the
 /// ROCm composable-kernel port.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlashVersion {
     /// No flash attention: naive attention, memory-bound softmax.
     None,
@@ -35,7 +34,7 @@ impl FlashVersion {
 }
 
 /// GEMM/attention efficiency model for one GCD.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KernelModel {
     /// Base GEMM efficiency (fraction of peak) for well-shaped matrices.
     pub base_efficiency: f64,

@@ -6,10 +6,8 @@
 //! 200 GB/s; all GPUs within a node at 100 GB/s Infinity Fabric; nodes via
 //! Slingshot-11 at 100 GB/s — exactly the numbers of the paper's Sec. IV-A.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of the machine.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// GCDs (effective GPUs) per node.
     pub gcds_per_node: usize,

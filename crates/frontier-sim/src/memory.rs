@@ -11,7 +11,6 @@
 use crate::kernels::FlashVersion;
 use matgpt_model::count::total_params;
 use matgpt_model::GptConfig;
-use serde::{Deserialize, Serialize};
 
 /// Bytes per parameter for weights+grads+optimizer states (the 12× rule).
 pub const STATE_BYTES_PER_PARAM: f64 = 12.0;
@@ -23,7 +22,7 @@ pub const ACT_HIDDEN_MULTIPLIER: f64 = 8.0;
 pub const LIVE_SCORE_LAYERS: f64 = 3.0;
 
 /// How the model/optimizer state is partitioned.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Partitioning {
     /// Data-parallel group size (shards optimizer states under ZeRO-1).
     pub dp: usize,

@@ -12,12 +12,11 @@ use crate::machine::MachineConfig;
 use crate::memory::{peak_memory_gib, Partitioning};
 use matgpt_model::count::total_params;
 use matgpt_model::GptConfig;
-use serde::{Deserialize, Serialize};
 
 /// Where the two ranks of a TP=2 group live — the paper's Observation 2:
 /// "map the partition of model parallelism to the platform network
 /// topology to maximize the network bandwidth utilization."
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TpMapping {
     /// Both GCDs of one MI250X (200 GB/s) — the paper's choice.
     IntraMi250x,
@@ -39,7 +38,7 @@ impl TpMapping {
 }
 
 /// The four strategies the paper evaluates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
     /// Vanilla data parallelism (model replicated per GCD).
     DataParallel,
@@ -170,7 +169,7 @@ impl TrainSetup {
 }
 
 /// One recorded class of RCCL calls.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MsgRecord {
     /// Collective type.
     pub collective: Collective,
@@ -190,7 +189,7 @@ impl MsgRecord {
 }
 
 /// The simulated cost of one training step.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StepReport {
     /// Pure compute seconds per step.
     pub compute_s: f64,

@@ -10,10 +10,9 @@ use crate::kernels::FlashVersion;
 use crate::parallel::{simulate_step, Strategy, TrainSetup};
 use crate::power::{training_run, PowerModel, TrainingRun};
 use matgpt_model::GptConfig;
-use serde::{Deserialize, Serialize};
 
 /// What the planner may spend.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PlanConstraints {
     /// Largest GPU (GCD) allocation available.
     pub max_gcds: usize,
@@ -34,7 +33,7 @@ impl Default for PlanConstraints {
 }
 
 /// What to optimise once constraints are met.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanObjective {
     /// Minimise wall-clock time.
     Time,
@@ -45,7 +44,7 @@ pub enum PlanObjective {
 }
 
 /// One evaluated plan.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Plan {
     /// Strategy used.
     pub strategy: Strategy,

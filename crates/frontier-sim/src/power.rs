@@ -6,10 +6,9 @@
 //! during data movement.
 
 use crate::parallel::{StepReport, TrainSetup};
-use serde::{Deserialize, Serialize};
 
 /// Phase-dependent power draw of one MI250X (both GCDs), watts.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PowerModel {
     /// Idle draw.
     pub idle_w: f64,
@@ -47,7 +46,7 @@ impl PowerModel {
 }
 
 /// Aggregate accounting of a full pre-training run (Table IV).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrainingRun {
     /// GPUs (GCDs) used.
     pub gcds: usize,

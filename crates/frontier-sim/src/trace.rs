@@ -13,10 +13,9 @@ use crate::parallel::{StepReport, TrainSetup};
 use crate::power::PowerModel;
 use matgpt_model::count::layer_flops;
 use matgpt_obs::{pids, Recorder, Registry, TraceEvent as ObsEvent};
-use serde::{Deserialize, Serialize};
 
 /// What the device is doing during an interval.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PhaseKind {
     /// Forward compute of one layer.
     Forward,
@@ -29,7 +28,7 @@ pub enum PhaseKind {
 }
 
 /// One timeline interval.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// Start time within the step, seconds.
     pub start_s: f64,
@@ -124,7 +123,7 @@ pub fn phase_order(
 
 /// One kernel-class interval inside a single layer's forward pass — the
 /// Fig. 9 "boxed snapshot" zoom.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KernelSpan {
     /// Kernel class name (QKV, flash/score+AOV, Linproj, MLP, other).
     pub name: &'static str,
@@ -170,7 +169,7 @@ pub fn layer_zoom(setup: &TrainSetup) -> Vec<KernelSpan> {
 }
 
 /// One sample of the rocm-smi-style device trace (Fig. 12).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DeviceSample {
     /// Time, seconds.
     pub t_s: f64,

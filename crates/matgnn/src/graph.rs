@@ -6,10 +6,9 @@
 //! variant additionally carries bond-angle statistics from the line graph.
 
 use matgpt_corpus::{Material, ELEMENTS};
-use serde::{Deserialize, Serialize};
 
 /// A materials graph ready for message passing.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CrystalGraph {
     /// Element-table index per node.
     pub species: Vec<u32>,
@@ -27,7 +26,7 @@ pub struct CrystalGraph {
 }
 
 /// Graph-construction options.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GraphOptions {
     /// Neighbours per node.
     pub k_neighbors: usize,
@@ -74,7 +73,7 @@ pub fn element_descriptors(e: usize) -> Vec<f32> {
 }
 
 /// Which material property the graph's regression target is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PropertyTarget {
     /// Band gap in eV (the paper's task).
     BandGap,

@@ -14,10 +14,9 @@ use crate::graph::{CrystalGraph, GraphOptions};
 use matgpt_corpus::ELEMENTS;
 use matgpt_tensor::{init, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The GNN baselines of Table V.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GnnVariant {
     /// Crystal graph convolutional network (Xie & Grossman).
     Cgcnn,

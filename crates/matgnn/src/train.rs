@@ -5,7 +5,6 @@ use crate::model::{GnnModel, GnnVariant};
 use matgpt_corpus::Material;
 use matgpt_optim::{Adam, AdamConfig, Optimizer};
 use matgpt_tensor::{init, ParamStore, Tape, Tensor};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A regression dataset: graphs plus optional per-formula embeddings.
@@ -65,7 +64,7 @@ impl GnnDataset {
 }
 
 /// Training hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GnnTrainConfig {
     /// Epochs over the training set.
     pub epochs: usize,
@@ -92,7 +91,7 @@ impl Default for GnnTrainConfig {
 }
 
 /// The outcome of one Table V cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RegressionResult {
     /// Row label (e.g. "CGCNN", "+GPT").
     pub label: String,

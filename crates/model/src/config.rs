@@ -1,9 +1,7 @@
 //! Model configurations, including the paper's Table II architectures.
 
-use serde::{Deserialize, Serialize};
-
 /// The two GPT variants the paper compares (Fig. 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArchKind {
     /// GPT-NeoX: LayerNorm pre-norm, GELU MLP (4h expansion), biases.
     NeoX,
@@ -21,7 +19,7 @@ impl std::fmt::Display for ArchKind {
 }
 
 /// Decoder-only GPT configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GptConfig {
     /// Architecture variant.
     pub arch: ArchKind,
@@ -160,7 +158,7 @@ impl GptConfig {
 }
 
 /// BERT-style encoder configuration (the MatSciBERT surrogate).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BertConfig {
     /// Vocabulary size.
     pub vocab_size: usize,

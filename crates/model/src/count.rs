@@ -4,10 +4,9 @@
 //! simulator and the table harnesses share one source of truth.
 
 use crate::config::{ArchKind, GptConfig};
-use serde::{Deserialize, Serialize};
 
 /// Per-layer parameter breakdown.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LayerParams {
     /// Query/key/value projections (+ biases for NeoX).
     pub qkv: usize,
@@ -64,7 +63,7 @@ pub fn total_params(cfg: &GptConfig) -> usize {
 
 /// Per-layer forward FLOPs for a `[batch, seq]` input, split by GEMM the
 /// way the paper's Fig. 10 (right) does.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LayerFlops {
     /// Query-key-value projection GEMMs.
     pub qkv: f64,

@@ -21,11 +21,10 @@ use crate::gpt::GptModel;
 use matgpt_tensor::kernels::matmul::{in_small_m_groups, matmul};
 use matgpt_tensor::kernels::quant::{matmul_q8, matmul_q8a8, PackedQ8Matrix, QuantizedMatrix};
 use matgpt_tensor::{ParamId, ParamStore, Tensor};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Which weight datatype the cached decode path runs against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WeightPrecision {
     /// Native f32 weights straight out of the [`ParamStore`].
     #[default]

@@ -27,7 +27,7 @@
 //! run.
 
 use crate::trace::{pids, FlowPhase, TraceEvent};
-use serde::Value;
+use serde_json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {

@@ -26,7 +26,7 @@
 //! cleanly with any fully-recorded spans in one trace.
 
 use crate::trace::{FlowEvent, FlowPhase, Recorder, TraceEvent};
-use serde::Value;
+use serde_json::Value;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -33,7 +33,7 @@
 //!   and flow edges: which rank straggled, which phase dominated, and
 //!   whether the measured phase ordering matches the simulator's.
 //!
-//! Everything is `std` + `serde` only — no clocks beyond
+//! Everything is `std` + `serde_json` only — no clocks beyond
 //! `std::time::Instant`, no background threads, no I/O: callers decide
 //! where `trace.json` / `metrics.prom` land.
 //!

@@ -8,7 +8,7 @@
 //! metric name may be registered under several label sets (one time
 //! series each, one `# TYPE` family).
 
-use serde::Serialize;
+use serde_json::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -189,7 +189,7 @@ impl Default for Histogram {
 
 /// p50/p95/p99 of a latency population, in the unit the samples were
 /// recorded in.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Percentiles {
     /// Median.
     pub p50: f64,
@@ -221,6 +221,16 @@ impl Percentiles {
             p99: at(0.99),
             count: sorted.len(),
         }
+    }
+
+    /// As a JSON object, fields in declaration order.
+    pub fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("p50".into(), Value::Num(self.p50)),
+            ("p95".into(), Value::Num(self.p95)),
+            ("p99".into(), Value::Num(self.p99)),
+            ("count".into(), Value::Num(self.count as f64)),
+        ])
     }
 }
 

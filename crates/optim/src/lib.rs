@@ -28,7 +28,6 @@ pub mod schedule;
 pub use schedule::{ConstantSchedule, CosineSchedule, LrSchedule};
 
 use matgpt_tensor::{ParamStore, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// A stateful optimizer stepping a parameter store.
 pub trait Optimizer {
@@ -221,7 +220,7 @@ fn payload_bytes(slots: &[Vec<Vec<f32>>]) -> usize {
 }
 
 /// Configuration shared by the Adam-family optimizers.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AdamConfig {
     /// First-moment decay.
     pub beta1: f32,

@@ -1,7 +1,5 @@
 //! Learning-rate schedules.
 
-use serde::{Deserialize, Serialize};
-
 /// A learning-rate schedule over discrete steps.
 pub trait LrSchedule {
     /// Learning rate at step `step` (0-based).
@@ -9,7 +7,7 @@ pub trait LrSchedule {
 }
 
 /// Constant learning rate.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ConstantSchedule(pub f32);
 
 impl LrSchedule for ConstantSchedule {
@@ -24,7 +22,7 @@ impl LrSchedule for ConstantSchedule {
 /// employed with an initial learning rate [...] and a final learning rate
 /// set to 10 % of the initial learning rate. We use 1 % of the total batch
 /// steps for warmup."
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CosineSchedule {
     /// Peak learning rate reached at the end of warmup.
     pub base_lr: f32,

@@ -473,7 +473,7 @@ mod tests {
             let kinds = engine.registry().names();
             matgpt_obs::prom::parse(&text).expect("exposition parses");
             let snap = engine.metrics();
-            let json = serde_json::to_value(&snap).unwrap();
+            let json = snap.to_value();
             for (name, _, _, field) in SERIES {
                 let Some((field, _)) = field.split_once(':') else {
                     continue;

@@ -18,11 +18,10 @@
 //! * [`metrics`] — queue depth, TTFT and per-token latency percentiles
 //!   (bounded sliding-window reservoirs), decode throughput; every
 //!   series lives in a per-engine `matgpt-obs` registry
-//!   ([`Engine::registry`]) for Prometheus exposition, and snapshots
-//!   serialise with `serde_json`. With the global `matgpt-obs`
-//!   recorder enabled, the scheduler also traces per-request
-//!   queued/prefill/decode lifecycles and its own batch iterations
-//!   into the shared Chrome-trace timeline.
+//!   ([`Engine::registry`]) for Prometheus exposition. With the
+//!   global `matgpt-obs` recorder enabled, the scheduler also traces
+//!   per-request queued/prefill/decode lifecycles and its own batch
+//!   iterations into the shared Chrome-trace timeline.
 //!
 //! The public submit/wait/shutdown surface is **panic-free**: rejected
 //! submissions are typed [`EngineError`]s (shut down, queue full, empty

@@ -23,7 +23,7 @@
 
 use matgpt_model::WeightPrecision;
 use matgpt_obs::{Counter, Gauge, Histogram, Registry, Reservoir};
-use serde::Serialize;
+use serde_json::Value;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -127,6 +127,21 @@ impl ReadAs<u64> for f64 {
     }
 }
 
+/// A snapshot field of the listed type as JSON: the label as a
+/// string, percentiles as their object, every number as an `f64`
+/// (integral ones print without a fraction).
+macro_rules! field_value {
+    (String, $v:expr) => {
+        Value::Str($v.clone())
+    };
+    (Percentiles, $v:expr) => {
+        $v.to_value()
+    };
+    ($number:ident, $v:expr) => {
+        Value::Num($v as f64)
+    };
+}
+
 /// The one listing of the serve series. A row reads
 ///
 /// ```text
@@ -136,15 +151,16 @@ impl ReadAs<u64> for f64 {
 /// and expands to the handle field of [`MetricsInner`], its
 /// registration (`by precision` labels the series with the engine's
 /// weight precision), the public [`MetricsSnapshot`] field of the same
-/// name (declaration order is the JSON key order) and its copy in
-/// `snapshot()`. Rows of the second block have no `as`: they are
-/// exported but back no snapshot field. The help text doubles as the
-/// rustdoc of both fields; `///` lines on a row add to it.
+/// name, its copy in `snapshot()` and its entry in `to_value()`
+/// (declaration order is the JSON key order). Rows of the second block
+/// have no `as`: they are exported but back no snapshot field. The help
+/// text doubles as the rustdoc of both fields; `///` lines on a row add
+/// to it.
 macro_rules! serve_series {
     (
         {$(
             $(#[$doc:meta])*
-            $field:ident: $handle:ty as $ty:ty = $name:literal $(by $label:ident)?, $help:literal;
+            $field:ident: $handle:ty as $ty:ident = $name:literal $(by $label:ident)?, $help:literal;
         )*}
         {$(
             $(#[$udoc:meta])*
@@ -200,11 +216,20 @@ macro_rules! serve_series {
             }
         }
 
-        /// A serialisable copy of the engine's metrics: a typed view
-        /// over the series in [`crate::Engine::registry`].
-        #[derive(Clone, Debug, Serialize)]
+        /// A copy of the engine's metrics: a typed view over the
+        /// series in [`crate::Engine::registry`].
+        #[derive(Clone, Debug)]
         pub struct MetricsSnapshot {
             $(#[doc = $help] $(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl MetricsSnapshot {
+            /// As a JSON object, one key per field in listing order.
+            pub fn to_value(&self) -> Value {
+                Value::Object(vec![
+                    $((stringify!($field).into(), field_value!($ty, self.$field)),)*
+                ])
+            }
         }
 
         /// The listing as data — `(family, label, help, snapshot field)`
@@ -416,10 +441,10 @@ impl MetricsInner {
 }
 
 impl MetricsSnapshot {
-    /// Serialise to a JSON string (an empty object if serialisation
-    /// ever fails — scraping must not bring the engine down).
+    /// As compact JSON text (an empty object if printing ever fails —
+    /// scraping must not bring the engine down).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).unwrap_or_else(|_| String::from("{}"))
+        serde_json::to_string(&self.to_value()).unwrap_or_else(|_| String::from("{}"))
     }
 }
 
@@ -512,7 +537,7 @@ pub(crate) mod tests {
     fn snapshot_json_keys_are_pinned() {
         // `perf/` and dashboards read these names: a rename must fail
         // here, in tier-1's crate tests, not in the benchmark
-        let json = serde_json::to_value(&MetricsInner::default().snapshot()).unwrap();
+        let json = MetricsInner::default().snapshot().to_value();
         let keys: Vec<&str> = json
             .as_object()
             .expect("snapshot serialises to an object")

@@ -36,20 +36,6 @@ pub fn silu_grad(x: f32) -> f32 {
     s * (1.0 + x * (1.0 - s))
 }
 
-/// ReLU.
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
-/// Derivative of [`relu`] (subgradient 0 at the kink).
-pub fn relu_grad(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 /// Hyperbolic tangent forward.
 pub fn tanh(x: f32) -> f32 {
     x.tanh()
@@ -59,14 +45,6 @@ pub fn tanh(x: f32) -> f32 {
 pub fn tanh_grad(x: f32) -> f32 {
     let t = x.tanh();
     1.0 - t * t
-}
-
-/// Apply `f` elementwise from `src` into `dst`.
-pub fn map_into(src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32) {
-    debug_assert_eq!(src.len(), dst.len());
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d = f(s);
-    }
 }
 
 #[cfg(test)]
@@ -108,12 +86,6 @@ mod tests {
             assert!(
                 (tanh_grad(x) - numeric_grad(tanh, x)).abs() < 1e-2,
                 "tanh at {x}"
-            );
-        }
-        for &x in &[-2.0f32, 0.5, 3.0] {
-            assert!(
-                (relu_grad(x) - numeric_grad(relu, x)).abs() < 1e-2,
-                "relu at {x}"
             );
         }
     }

@@ -7,10 +7,9 @@
 //! and bfloat16, are almost identical".
 
 use crate::param::ParamStore;
-use serde::{Deserialize, Serialize};
 
 /// Storage precision to emulate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Precision {
     /// Native f32 (no rounding).
     F32,

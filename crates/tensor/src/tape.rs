@@ -14,10 +14,9 @@ use crate::kernels::attention::{attention_bwd, attention_fwd, AttentionImpl, Att
 use crate::kernels::infer::rotary_heads;
 use crate::kernels::matmul::{matmul, matmul_at_acc, matmul_bt_acc};
 use crate::kernels::norm;
-use crate::kernels::softmax::{softmax_rows, softmax_rows_bwd};
+use crate::kernels::softmax::softmax_rows;
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
-use rand::Rng;
 
 /// Handle to a value on the tape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,7 +30,7 @@ enum Saved {
     Norm(Vec<f32>, Vec<f32>),
     /// RMSNorm per-row reciprocal rms.
     Rrms(Vec<f32>),
-    /// Softmax / cross-entropy probabilities.
+    /// Cross-entropy probabilities.
     Probs(Vec<f32>),
     /// Attention forward stash.
     Attn(AttnSaved),
@@ -42,14 +41,12 @@ enum Op {
     Input,
     Param(ParamId),
     Add(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
     Scale(Var, f32),
     AddBias(Var, Var),
     MatMul(Var, Var),
     Gelu(Var),
     Silu(Var),
-    Relu(Var),
     Tanh(Var),
     LayerNorm {
         x: Var,
@@ -60,7 +57,6 @@ enum Op {
         x: Var,
         gamma: Var,
     },
-    Softmax(Var),
     CrossEntropy {
         logits: Var,
         targets: Vec<u32>,
@@ -116,10 +112,6 @@ enum Op {
     GroupMeanRows {
         x: Var,
         group: usize,
-    },
-    Dropout {
-        x: Var,
-        mask: Vec<f32>,
     },
     Sum(Var),
     Mean(Var),
@@ -223,20 +215,6 @@ impl Tape {
         self.push(Op::Add(a, b), out, Saved::None)
     }
 
-    /// Elementwise subtraction of same-shape tensors.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(ta.shape(), tb.shape(), "sub shape mismatch");
-        let data = ta
-            .data()
-            .iter()
-            .zip(tb.data())
-            .map(|(x, y)| x - y)
-            .collect();
-        let out = Tensor::from_vec(ta.shape(), data);
-        self.push(Op::Sub(a, b), out, Saved::None)
-    }
-
     /// Elementwise (Hadamard) product of same-shape tensors.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let (ta, tb) = (self.value(a), self.value(b));
@@ -322,11 +300,6 @@ impl Tape {
         self.unary(x, act::silu, Op::Silu(x))
     }
 
-    /// ReLU activation.
-    pub fn relu(&mut self, x: Var) -> Var {
-        self.unary(x, act::relu, Op::Relu(x))
-    }
-
     /// tanh activation.
     pub fn tanh(&mut self, x: Var) -> Var {
         self.unary(x, act::tanh, Op::Tanh(x))
@@ -364,16 +337,6 @@ impl Tape {
         let rrms = norm::rmsnorm_fwd(tx.data(), self.value(gamma).data(), &mut y, rows, d, eps);
         let out = Tensor::from_vec(tx.shape(), y);
         self.push(Op::RmsNorm { x, gamma }, out, Saved::Rrms(rrms))
-    }
-
-    /// Softmax over the last dimension.
-    pub fn softmax(&mut self, x: Var) -> Var {
-        let tx = self.value(x);
-        let (rows, d) = tx.as_2d();
-        let mut y = tx.data().to_vec();
-        softmax_rows(&mut y, rows, d);
-        let out = Tensor::from_vec(tx.shape(), y);
-        self.push(Op::Softmax(x), out, Saved::None)
     }
 
     // ---------------------------------------------------------------- losses
@@ -768,27 +731,6 @@ impl Tape {
         self.push(Op::GroupMeanRows { x, group }, out, Saved::None)
     }
 
-    /// Inverted dropout with keep-probability `1 - p`. A no-op when `p == 0`.
-    pub fn dropout<R: Rng>(&mut self, x: Var, p: f32, rng: &mut R) -> Var {
-        if p <= 0.0 {
-            return x;
-        }
-        let tx = self.value(x);
-        let keep = 1.0 - p;
-        let inv = 1.0 / keep;
-        let mask: Vec<f32> = (0..tx.numel())
-            .map(|_| if rng.gen::<f32>() < keep { inv } else { 0.0 })
-            .collect();
-        let data = tx
-            .data()
-            .iter()
-            .zip(mask.iter())
-            .map(|(a, m)| a * m)
-            .collect();
-        let out = Tensor::from_vec(tx.shape(), data);
-        self.push(Op::Dropout { x, mask }, out, Saved::None)
-    }
-
     // -------------------------------------------------------------- backward
 
     /// Run the reverse sweep seeding `d loss = 1`.
@@ -867,13 +809,6 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             grad_buf(grads, nodes, a.0).add_assign(g);
             grad_buf(grads, nodes, b.0).add_assign(g);
         }
-        Op::Sub(a, b) => {
-            grad_buf(grads, nodes, a.0).add_assign(g);
-            let gb = grad_buf(grads, nodes, b.0);
-            for (o, &gv) in gb.data_mut().iter_mut().zip(g.data()) {
-                *o -= gv;
-            }
-        }
         Op::Mul(a, b) => {
             for (x, other) in [(a, b), (b, a)] {
                 let gx = grad_buf(grads, nodes, x.0);
@@ -915,7 +850,6 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
         }
         Op::Gelu(x) => unary_bwd(nodes, grads, *x, g, act::gelu_grad),
         Op::Silu(x) => unary_bwd(nodes, grads, *x, g, act::silu_grad),
-        Op::Relu(x) => unary_bwd(nodes, grads, *x, g, act::relu_grad),
         Op::Tanh(x) => unary_bwd(nodes, grads, *x, g, act::tanh_grad),
         Op::LayerNorm { x, gamma, beta } => {
             let (rows, d) = nodes[x.0].value.as_2d();
@@ -952,12 +886,6 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             norm::rmsnorm_bwd(xval, gval, g.data(), rrms, &mut dx, &mut dgamma, rows, d);
             add_into(grad_buf(grads, nodes, x.0), &dx);
             add_into(grad_buf(grads, nodes, gamma.0), &dgamma);
-        }
-        Op::Softmax(x) => {
-            let (rows, d) = nodes[id].value.as_2d();
-            let mut ds = vec![0.0f32; rows * d];
-            softmax_rows_bwd(nodes[id].value.data(), g.data(), &mut ds, rows, d);
-            add_into(grad_buf(grads, nodes, x.0), &ds);
         }
         Op::CrossEntropy {
             logits,
@@ -1158,12 +1086,6 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
                 for c in 0..d {
                     gxd[r * d + c] += g.data()[o * d + c] * inv;
                 }
-            }
-        }
-        Op::Dropout { x, mask } => {
-            let gx = grad_buf(grads, nodes, x.0);
-            for ((o, &gv), &m) in gx.data_mut().iter_mut().zip(g.data()).zip(mask) {
-                *o += gv * m;
             }
         }
         Op::SyncSum { x } => {

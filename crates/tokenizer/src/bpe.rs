@@ -8,16 +8,14 @@
 
 use crate::special::{self, NUM_SPECIAL};
 use crate::{Tokenizer, TokenizerKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A trained byte-level BPE tokenizer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BpeTokenizer {
     /// Merge rules in training order: (left id, right id) -> new id.
     merges: Vec<(u32, u32)>,
     /// Lookup from pair to merge rank / produced id.
-    #[serde(skip)]
     merge_map: HashMap<(u32, u32), (usize, u32)>,
     /// Byte sequence for every token id (specials map to empty).
     token_bytes: Vec<Vec<u8>>,
@@ -81,19 +79,7 @@ impl BpeTokenizer {
             }
         }
 
-        let mut tok = Self {
-            merges,
-            merge_map: HashMap::new(),
-            token_bytes,
-        };
-        tok.rebuild_merge_map();
-        tok
-    }
-
-    /// Rebuild the rank lookup (needed after deserialisation).
-    pub fn rebuild_merge_map(&mut self) {
-        self.merge_map = self
-            .merges
+        let merge_map = merges
             .iter()
             .enumerate()
             .map(|(rank, &(l, r))| {
@@ -101,6 +87,11 @@ impl BpeTokenizer {
                 ((l, r), (rank, id))
             })
             .collect();
+        Self {
+            merges,
+            merge_map,
+            token_bytes,
+        }
     }
 
     /// Number of learned merges.

@@ -22,11 +22,9 @@ pub mod unigram;
 pub use bpe::BpeTokenizer;
 pub use unigram::UnigramTokenizer;
 
-use serde::{Deserialize, Serialize};
-
 /// Which tokenizer family an instance belongs to (the paper's "HF" vs
 /// "SPM" axis).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokenizerKind {
     /// Byte-level BPE ("HuggingFace").
     Hf,

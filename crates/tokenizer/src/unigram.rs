@@ -12,7 +12,6 @@
 
 use crate::special::{self, NUM_SPECIAL};
 use crate::{Tokenizer, TokenizerKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The SentencePiece whitespace meta-symbol.
@@ -23,13 +22,12 @@ const EM_ITERATIONS: usize = 3;
 const PRUNE_FRACTION: f64 = 0.2;
 
 /// A trained unigram tokenizer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UnigramTokenizer {
     /// Subword pieces; index + NUM_SPECIAL is the token id.
     pieces: Vec<String>,
     /// Log-probability score per piece.
     scores: Vec<f64>,
-    #[serde(skip)]
     lookup: HashMap<String, usize>,
 }
 
@@ -136,11 +134,6 @@ impl UnigramTokenizer {
             scores,
             lookup,
         }
-    }
-
-    /// Rebuild the piece lookup (needed after deserialisation).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = build_lookup(&self.pieces);
     }
 
     /// The score (log-probability) of a piece by id, if it exists.

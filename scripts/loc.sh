@@ -4,7 +4,9 @@
 # has none). Comments and blank lines count — deleting them is not a
 # reduction — and so does every file, so moving code does not hide it.
 #
-#   scripts/loc.sh              per-crate table over crates/*/src
+#   scripts/loc.sh              per-crate table over crates/*/src, then
+#                               a per-shim table over shims/*/src whose
+#                               total line also counts the shims
 #   scripts/loc.sh <path>...    per-file table over the files and
 #                               directories named, with their total
 #
@@ -12,23 +14,32 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-by=file
-if [[ $# -eq 0 ]]; then
-  by=crate
-  set -- crates/*/src
-fi
+# table <file|package> <path>...: one row per file, or per package (the
+# directory above src/)
+table() {
+  local by=$1
+  shift
+  find "$@" -type f -name '*.rs' | sort | xargs awk -v by="$by" '
+    FNR == 1 { counting = 1; files++ }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
+    counting {
+      key = FILENAME
+      if (by == "package") sub(/\/src\/.*/, "", key)
+      if (!(key in lines)) order[++n] = key
+      lines[key]++
+      total++
+    }
+    END {
+      for (i = 1; i <= n; i++) printf "%7d  %s\n", lines[order[i]], order[i]
+      if (by == "package") printf "%7d  total (%d packages, %d files)\n", total, n, files
+      else printf "%7d  total (%d files)\n", total, files
+    }'
+}
 
-find "$@" -type f -name '*.rs' | sort | xargs awk -v by="$by" '
-  FNR == 1 { counting = 1; files++ }
-  /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
-  counting {
-    key = FILENAME
-    if (by == "crate") sub(/\/src\/.*/, "", key)
-    if (!(key in lines)) order[++n] = key
-    lines[key]++
-    total++
-  }
-  END {
-    for (i = 1; i <= n; i++) printf "%7d  %s\n", lines[order[i]], order[i]
-    printf "%7d  total (%d files)\n", total, files
-  }'
+if [[ $# -eq 0 ]]; then
+  table package crates/*/src
+  echo
+  table package shims/*/src
+else
+  table file "$@"
+fi

@@ -1,15 +1,73 @@
 #![warn(missing_docs)]
 
-//! Offline shim for `serde_json`: prints and parses JSON text against
-//! the shim `serde`'s [`Value`] tree. Covers the subset this workspace
-//! uses — `to_string`, `to_string_pretty`, `from_str`, and [`Value`]
-//! itself. Non-finite numbers serialize as `null` (upstream errors
-//! instead; callers here never hit that path with metrics data).
+//! Offline shim for `serde_json`: the [`Value`] tree, its compact and
+//! pretty printers and its parser. Covers the subset this workspace
+//! uses — `to_string`, `to_string_pretty` and `from_str`, all at
+//! [`Value`] type: every JSON document in the workspace is built as a
+//! `Value` by hand, so there is no trait-and-derive layer.
+//! Non-finite numbers print as `null` (upstream errors instead; callers
+//! here never hit that path with metrics data).
 
-pub use serde::Value;
-use serde::{Deserialize, Serialize};
+/// A dynamically typed JSON tree.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// JSON `null`.
+    Null,
+    /// JSON boolean.
+    Bool(bool),
+    /// JSON number (all numbers are `f64`, as in JSON itself).
+    Num(f64),
+    /// JSON string.
+    Str(String),
+    /// JSON array.
+    Array(Vec<Value>),
+    /// JSON object; insertion-ordered.
+    Object(Vec<(String, Value)>),
+}
 
-/// A JSON serialization or parse error.
+impl Value {
+    /// The entries of an object, if this is one.
+    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Object(entries) => Some(entries),
+            _ => None,
+        }
+    }
+
+    /// The elements of an array, if this is one.
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Look up a field of an object by name.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+}
+
+/// A JSON parse error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -21,31 +79,26 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
-        Error(e.0)
-    }
-}
-
 /// Result alias matching upstream's signature shapes.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Serialize to compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+/// Print as compact JSON text (never fails; `Result` is upstream's
+/// signature).
+pub fn to_string(value: &Value) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
+    write_value(value, &mut out, None, 0);
     Ok(out)
 }
 
-/// Serialize to human-indented JSON text (two-space indent).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+/// Print as human-indented JSON text (two-space indent).
+pub fn to_string_pretty(value: &Value) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    write_value(value, &mut out, Some(2), 0);
     Ok(out)
 }
 
-/// Parse JSON text into any [`Deserialize`] type.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
+/// Parse JSON text.
+pub fn from_str(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
@@ -56,17 +109,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     if p.pos != p.bytes.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
-    Ok(T::from_value(&v)?)
-}
-
-/// Convert any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
-    Ok(value.to_value())
-}
-
-/// Convert a [`Value`] tree into any deserializable type.
-pub fn from_value<T: Deserialize>(v: Value) -> Result<T> {
-    Ok(T::from_value(&v)?)
+    Ok(v)
 }
 
 // ------------------------------------------------------------ printing
@@ -360,34 +403,22 @@ mod tests {
             ("empty".into(), Value::Array(vec![])),
         ]);
         let text = to_string(&v).unwrap();
-        let back: Value = from_str(&text).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(from_str(&text).unwrap(), v);
 
         let pretty = to_string_pretty(&v).unwrap();
-        let back2: Value = from_str(&pretty).unwrap();
-        assert_eq!(back2, v);
+        assert_eq!(from_str(&pretty).unwrap(), v);
     }
 
     #[test]
     fn unicode_escapes_parse() {
-        let s: String = from_str(r#""é😀x""#).unwrap();
-        assert_eq!(s, "é😀x");
-    }
-
-    #[test]
-    fn typed_roundtrip() {
-        let pairs: Vec<(u32, u32)> = vec![(1, 2), (3, 4)];
-        let text = to_string(&pairs).unwrap();
-        assert_eq!(text, "[[1,2],[3,4]]");
-        let back: Vec<(u32, u32)> = from_str(&text).unwrap();
-        assert_eq!(back, pairs);
+        let s = from_str(r#""é😀x""#).unwrap();
+        assert_eq!(s, Value::Str("é😀x".into()));
     }
 
     #[test]
     fn float_precision_survives() {
         let x = 0.1f64 + 0.2f64;
-        let text = to_string(&x).unwrap();
-        let back: f64 = from_str(&text).unwrap();
-        assert_eq!(back, x);
+        let text = to_string(&Value::Num(x)).unwrap();
+        assert_eq!(from_str(&text).unwrap(), Value::Num(x));
     }
 }
