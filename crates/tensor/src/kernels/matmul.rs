@@ -388,6 +388,19 @@ mod tests {
             .collect()
     }
 
+    /// [`operand`] without the zeros (`modulo` odd, so no value sits on
+    /// the half): every coefficient slab is zero-free, which is what a
+    /// kernel's non-skipping fast path sees.
+    fn dense_operand(len: usize, mul: usize, modulo: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i * mul % modulo) as f32 - modulo as f32 / 2.0) * 0.1)
+            .collect()
+    }
+
+    type Operand = fn(usize, usize, usize) -> Vec<f32>;
+    /// Zero-laden (every skip fires) and zero-free (none does).
+    const OPERANDS: [(&str, Operand); 2] = [("zeros", operand), ("dense", dense_operand)];
+
     /// Run `check` on the default pool and as a one-worker pool would:
     /// parallel calls made from inside a pool worker run inline.
     fn on_both_pools(check: impl Fn() + Sync) {
@@ -429,31 +442,87 @@ mod tests {
     /// `(k, n)`, neither a multiple of 8; the first keeps every output
     /// below `PAR_THRESHOLD` at small `m`, the others cross it.
     const KNS: [(usize, usize); 3] = [(21, 50), (37, 113), (130, 67)];
+    /// The training model's MLP shapes: `n = 344` leaves `n % 16 = 8`
+    /// lanes, `n = 128` none; with [`TRAIN_MS`] rows a call is several
+    /// whole row groups.
+    const TRAIN_KNS: [(usize, usize); 2] = [(128, 344), (344, 128)];
+    const TRAIN_MS: [usize; 2] = [32, 64];
+
+    /// `MS × KNS` and `TRAIN_MS × TRAIN_KNS` as `(m, k, n)`.
+    fn shapes() -> Vec<(usize, usize, usize)> {
+        let grid = |ms: &[usize], kns: &[(usize, usize)]| {
+            ms.iter()
+                .flat_map(|&m| kns.iter().map(move |&(k, n)| (m, k, n)))
+                .collect::<Vec<_>>()
+        };
+        [grid(&MS, &KNS), grid(&TRAIN_MS, &TRAIN_KNS)].concat()
+    }
 
     #[test]
     fn transposed_entries_bitwise_match_their_reference_loops() {
         // `c` starts non-zero: "row temp, then one add" and "accumulate
         // straight into c" only differ when there is something in `c`.
         on_both_pools(|| {
-            for m in MS {
-                for (k, n) in KNS {
+            for (set, gen) in OPERANDS {
+                for (m, k, n) in shapes() {
                     // dA[m,n] += dC[m,k] @ B[n,k]^T
-                    let (a, b) = (operand(m * k, 37, 19), operand(n * k, 53, 23));
-                    let c0 = operand(m * n, 29, 31);
+                    let (a, b) = (gen(m * k, 37, 19), gen(n * k, 53, 23));
+                    let c0 = gen(m * n, 29, 31);
                     let (mut got, mut want) = (c0.clone(), c0);
                     matmul_bt_acc(&a, &b, &mut got, m, k, n);
                     bt_dot_reference(&a, &b, &mut want, k, n);
-                    assert_eq!(bits(&got), bits(&want), "bt m={m} k={k} n={n}");
+                    assert_eq!(bits(&got), bits(&want), "bt {set} m={m} k={k} n={n}");
                     // dB[k,n] += A[m,k]^T @ dC[m,n]
-                    let d = operand(m * n, 41, 17);
-                    let c0 = operand(k * n, 29, 31);
+                    let d = gen(m * n, 41, 17);
+                    let c0 = gen(k * n, 29, 31);
                     let (mut got, mut want) = (c0.clone(), c0);
                     matmul_at_acc(&a, &d, &mut got, m, k, n);
                     at_gather_reference(&a, &d, &mut want, m, k, n);
-                    assert_eq!(bits(&got), bits(&want), "at m={m} k={k} n={n}");
+                    assert_eq!(bits(&got), bits(&want), "at {set} m={m} k={k} n={n}");
                 }
             }
         });
+    }
+
+    #[test]
+    fn at_skips_zero_coefficients_of_either_sign() {
+        // `at`'s skip is observable the way `matmul`'s is
+        // (`single_row_bitwise_matches_the_per_row_chain`): a skipped
+        // coefficient never meets its row of `b`, so an ∞ there stays
+        // out of every sum, and a `-0.0` already in `c` survives a
+        // column of zero coefficients (`-0.0 + 0.0 · x` would be `+0.0`).
+        for (m, k, n) in [(9, 21, 50), (37, 37, 113), (32, 128, 344), (64, 344, 128)] {
+            let mut a = dense_operand(m * k, 37, 19);
+            let mut d = dense_operand(m * n, 41, 17);
+            let mut c0 = dense_operand(k * n, 29, 31);
+            // step `i0` is skipped by every output row, by +0.0 and -0.0
+            // alike; its row of `d` is poisoned
+            let i0 = m / 2;
+            for (p, ap) in a[i0 * k..(i0 + 1) * k].iter_mut().enumerate() {
+                *ap = if p % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            d[i0 * n..(i0 + 1) * n].fill(f32::INFINITY);
+            // output row `p0` skips every step
+            let p0 = k - 2;
+            (0..m).for_each(|i| a[i * k + p0] = 0.0);
+            c0[p0 * n..(p0 + 1) * n]
+                .iter_mut()
+                .step_by(3)
+                .for_each(|v| *v = -0.0);
+            let (mut got, mut want) = (c0.clone(), c0.clone());
+            on_both_pools(|| {
+                let mut c = c0.clone();
+                matmul_at_acc(&a, &d, &mut c, m, k, n);
+                assert!(c.iter().all(|v| v.is_finite()), "m={m} k={k}: zero met");
+            });
+            matmul_at_acc(&a, &d, &mut got, m, k, n);
+            at_gather_reference(&a, &d, &mut want, m, k, n);
+            assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n}");
+            assert_eq!(
+                bits(&got[p0 * n..(p0 + 1) * n]),
+                bits(&c0[p0 * n..(p0 + 1) * n])
+            );
+        }
     }
 
     #[test]
@@ -516,39 +585,27 @@ mod tests {
         // Speculative verify relies on a batched m-row matmul producing
         // exactly the bytes of m single-row calls. Include zeros in `a`
         // so the zero-skip fires on both paths.
-        let (k, n) = (37, 113);
-        // and past the tier: 8 + 1, 8 + 8, 16 · 8 + 1 rows walk in groups
-        for m in (2..=SMALL_M_MAX).chain([9, 16, 129]) {
-            let a: Vec<f32> = (0..m * k)
-                .map(|i| {
-                    if i % 7 == 0 {
-                        0.0
-                    } else {
-                        ((i * 37 % 19) as f32 - 9.0) * 0.1
-                    }
-                })
-                .collect();
-            let b: Vec<f32> = (0..k * n)
-                .map(|i| ((i * 53 % 23) as f32 - 11.0) * 0.1)
-                .collect();
-            let mut batched = vec![0.0; m * n];
-            matmul(&a, &b, &mut batched, m, k, n);
-            let mut per_row = vec![0.0; m * n];
-            for i in 0..m {
-                matmul(
-                    &a[i * k..(i + 1) * k],
-                    &b,
-                    &mut per_row[i * n..(i + 1) * n],
-                    1,
-                    k,
-                    n,
-                );
+        // and past the tier: 8 + 1, 8 + 8, 16 · 8 + 1 rows walk in groups;
+        // 32 and 64 are whole groups at the training shapes
+        let ms = (2..=SMALL_M_MAX).chain([9, 16, 32, 64, 129]);
+        for (m, (k, n)) in ms.flat_map(|m| [(37, 113), (128, 344), (344, 128)].map(|kn| (m, kn))) {
+            for (set, gen) in OPERANDS {
+                let (a, b) = (gen(m * k, 37, 19), dense_operand(k * n, 53, 23));
+                let mut batched = vec![0.0; m * n];
+                matmul(&a, &b, &mut batched, m, k, n);
+                let mut per_row = vec![0.0; m * n];
+                for i in 0..m {
+                    matmul(
+                        &a[i * k..(i + 1) * k],
+                        &b,
+                        &mut per_row[i * n..(i + 1) * n],
+                        1,
+                        k,
+                        n,
+                    );
+                }
+                assert_eq!(bits(&batched), bits(&per_row), "{set} m={m} k={k} n={n}");
             }
-            assert_eq!(
-                batched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                per_row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "m={m}"
-            );
         }
     }
 
