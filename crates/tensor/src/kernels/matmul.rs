@@ -1,28 +1,42 @@
 //! Rayon-parallel dense matrix multiplication kernels.
 //!
-//! Two loop nests. `matmul_small_m` is the weight-stationary tier: up to
-//! [`SMALL_M_MAX`] output rows accumulate in cache while `b` streams
-//! past once. `row_axpy` is the classic `ikj` row update — for one
-//! output row, stream over `p`, broadcasting a coefficient against row
-//! `p` of `b`; cache-friendly for row-major data and auto-vectorised.
-//! Every public entry is a choice of nest, coefficient walk and packing:
+//! One blocked loop nest, [`nest`], under every entry with more than one
+//! row: `c[r][j] ⊕= coef(r, s) · b[s][j]`, `s` ascending, walked as step
+//! blocks of [`KC`] → column strips of ≤ [`NV_MAX`] × [`LANES`] floats →
+//! row tiles of ≤ [`MR`] rows. A tile's accumulators stay in registers
+//! for its whole block; the strip of `b` it read is re-used from L1 by
+//! every later row tile, and the first row tile of a strip prefetches
+//! the same strip of the next block, so `b` crosses DRAM once per call
+//! whatever `m`. An entry is an addressing of the coefficient
+//! `coef(r, s) = a[r·rs + s·ss]`, a packing, and a chain:
 //!
-//! | entry | per output row | chain per element |
-//! |---|---|---|
-//! | [`matmul`], `m = 1` | `row_axpy`, coefficients `a[p]` | fused, zero-skip |
-//! | [`matmul`], `m ≥ 2` | `matmul_small_m` over ≤ 8-row groups | the same chain, grouped |
-//! | [`matmul_at_acc`] | `row_axpy` into `c[p]`, coefficients `a[i·k + p]` (strided, no pack) | unfused, zero-skip |
-//! | [`matmul_bt_acc`] | `b^T` packed once; `row_axpy` into a zeroed temp; `c += temp` | unfused, no skip |
+//! | entry | rows × steps, `(rs, ss)` | packing | chain per element |
+//! |---|---|---|---|
+//! | [`matmul`], `m = 1` | — (`row_axpy`, coefficients `a[p]`) | none | fused, zero-skip, from `+0` |
+//! | [`matmul`], `m ≥ 2` | `m × k`, `(k, 1)` | none | fused, zero-skip, from `+0` |
+//! | [`matmul_bt_acc`] | `m × k`, `(k, 1)` | `b^T` packed once to `[k, n]`; one zeroed `[m, n]` temp, `c += temp` | unfused, no skip, from `+0` |
+//! | [`matmul_at_acc`] | `k × m`, `(1, k)` (down a column of `a`, no pack) | none | unfused, zero-skip, from `c` |
 //!
 //! The chain an output element sees — its order, fusing and zero-skip —
-//! is a function of the inner dimension only, never of `m`, the group a
-//! row fell in or the worker that ran it; the bitwise training and
-//! serving equivalences all rest on that. `matmul_bt_acc` goes through a
-//! temp because its chain is a dot product's: the accumulator starts at
-//! `+0` and meets `c` once, at the end, and `(c + x₀) + x₁ …` rounds
-//! differently from `c + (x₀ + x₁ …)` whenever `c` is non-zero.
-//! Output rows (or row groups) are distributed over the rayon pool by
-//! `par_rows`.
+//! is a function of the inner dimension only, never of `m`, the tile a
+//! row fell in, the body that ran it or the worker it ran on; the bitwise
+//! training and serving equivalences all rest on that. A vector
+//! `fmadd` per step is the fused chain lane by lane, a vector `mul` then
+//! `add` the unfused one; a zero coefficient is found by one scan of a
+//! tile's coefficient slab per block and sends that tile-block through
+//! the skipping instantiation, where the coefficient never meets its row
+//! of `b`. `matmul_bt_acc` goes through a temp because its chain is a
+//! dot product's: the accumulator starts at `+0` and meets `c` once, at
+//! the end, and `(c + x₀) + x₁ …` rounds differently from
+//! `c + (x₀ + x₁ …)` whenever `c` is non-zero.
+//!
+//! The tile has two bodies that produce the same bits: AVX-512
+//! intrinsics behind runtime detection, and a safe lane-array twin that
+//! is the only body elsewhere. `unsafe` is confined to the first and its
+//! dispatch; the entries' shape asserts are what its raw reads rest on,
+//! so they are checked in release builds too.
+
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use rayon::prelude::*;
 
@@ -31,207 +45,328 @@ use rayon::prelude::*;
 /// multiply itself).
 const PAR_THRESHOLD: usize = 64 * 64;
 
-/// Batches up to this many rows take the weight-stationary path in
-/// [`matmul`]: `b` is streamed from memory exactly once while all `m`
-/// output rows accumulate in cache. The per-row `ikj` loop streams the
-/// full `k*n` weight matrix once *per row*, so for the small-`m` batches
-/// of batched decode and speculative verify (`m = k_draft + 1`) it would
-/// cost `m` weight passes where one suffices. Kept small so the `m`
-/// output rows stay cache-resident.
+/// Rows the int8 store's weight-stationary kernel (`matmul_q8`) takes
+/// per group in [`in_small_m_groups`]: its codes stream once while the
+/// group's output rows accumulate in cache.
 pub const SMALL_M_MAX: usize = 8;
 
-/// Weight-stationary `c[m,n] = a[m,k] @ b[k,n]` for small `m`.
-///
-/// Per output element the accumulation is still one `p`-ascending chain
-/// of fused multiply-adds with the same `a[i][p] == 0.0` skip as the
-/// per-row loop, so the result is bitwise identical to calling the
-/// per-row path (or `m` single-row calls) — speculative verify depends
-/// on that.
-///
-/// Eight weight rows are fused per pass: each output element gets eight
-/// sequential `mul_add`s (one per `p`, ascending), which cuts the
-/// load/store traffic on the cached output rows 8× without reordering
-/// any per-element sum — grouping a chain does not change the chain. A
-/// pass containing a zero coefficient falls back to the per-`p` loop so
-/// the zero-skip stays element-exact.
-///
-/// Output rows are additionally processed in pairs so each loaded
-/// weight vector feeds two independent FMA chains: the per-row loop is
-/// load-port bound, while the paired loop amortises the eight `b` loads
-/// over sixteen FMAs and lets the two rows' chains issue in parallel.
-/// Each row's chain is element-for-element the same as the unpaired
-/// loop, so pairing changes nothing bitwise.
-fn matmul_small_m(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    c.fill(0.0);
-    let mut p = 0;
-    while p + 8 <= k {
-        let brows: [&[f32]; 8] = std::array::from_fn(|r| &b[(p + r) * n..(p + r + 1) * n]);
-        let [b0, b1, b2, b3, b4, b5, b6, b7] = brows;
-        let oct_one = |ci: &mut [f32], ar: &[f32]| {
-            if ar.iter().all(|&v| v != 0.0) {
-                let a: [f32; 8] = ar.try_into().unwrap();
-                let w = ci.len();
-                let (b0, b1, b2, b3) = (&b0[..w], &b1[..w], &b2[..w], &b3[..w]);
-                let (b4, b5, b6, b7) = (&b4[..w], &b5[..w], &b6[..w], &b7[..w]);
-                for (j, cv) in ci.iter_mut().enumerate() {
-                    let mut x = a[0].mul_add(b0[j], *cv);
-                    x = a[1].mul_add(b1[j], x);
-                    x = a[2].mul_add(b2[j], x);
-                    x = a[3].mul_add(b3[j], x);
-                    x = a[4].mul_add(b4[j], x);
-                    x = a[5].mul_add(b5[j], x);
-                    x = a[6].mul_add(b6[j], x);
-                    *cv = a[7].mul_add(b7[j], x);
-                }
-            } else {
-                for (aip, brow) in ar.iter().zip(brows) {
-                    if *aip == 0.0 {
-                        continue;
-                    }
-                    for (cv, &bv) in ci.iter_mut().zip(brow.iter()) {
-                        *cv = aip.mul_add(bv, *cv);
-                    }
-                }
-            }
-        };
-        let mut i = 0;
-        while i + 4 <= m {
-            let rows: [&[f32]; 4] =
-                std::array::from_fn(|r| &a[(i + r) * k + p..(i + r) * k + p + 8]);
-            if rows.iter().all(|ar| ar.iter().all(|&v| v != 0.0)) {
-                let av: [[f32; 8]; 4] = std::array::from_fn(|r| rows[r].try_into().unwrap());
-                let (c01, c23) = c[i * n..(i + 4) * n].split_at_mut(2 * n);
-                let (c0, c1) = c01.split_at_mut(n);
-                let (c2, c3) = c23.split_at_mut(n);
-                let w = c0.len();
-                let (b0, b1, b2, b3) = (&b0[..w], &b1[..w], &b2[..w], &b3[..w]);
-                let (b4, b5, b6, b7) = (&b4[..w], &b5[..w], &b6[..w], &b7[..w]);
-                let c1 = &mut c1[..w];
-                let c2 = &mut c2[..w];
-                let c3 = &mut c3[..w];
-                for (j, cv0) in c0.iter_mut().enumerate() {
-                    let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-                    let (v4, v5, v6, v7) = (b4[j], b5[j], b6[j], b7[j]);
-                    let mut x0 = av[0][0].mul_add(v0, *cv0);
-                    let mut x1 = av[1][0].mul_add(v0, c1[j]);
-                    let mut x2 = av[2][0].mul_add(v0, c2[j]);
-                    let mut x3 = av[3][0].mul_add(v0, c3[j]);
-                    x0 = av[0][1].mul_add(v1, x0);
-                    x1 = av[1][1].mul_add(v1, x1);
-                    x2 = av[2][1].mul_add(v1, x2);
-                    x3 = av[3][1].mul_add(v1, x3);
-                    x0 = av[0][2].mul_add(v2, x0);
-                    x1 = av[1][2].mul_add(v2, x1);
-                    x2 = av[2][2].mul_add(v2, x2);
-                    x3 = av[3][2].mul_add(v2, x3);
-                    x0 = av[0][3].mul_add(v3, x0);
-                    x1 = av[1][3].mul_add(v3, x1);
-                    x2 = av[2][3].mul_add(v3, x2);
-                    x3 = av[3][3].mul_add(v3, x3);
-                    x0 = av[0][4].mul_add(v4, x0);
-                    x1 = av[1][4].mul_add(v4, x1);
-                    x2 = av[2][4].mul_add(v4, x2);
-                    x3 = av[3][4].mul_add(v4, x3);
-                    x0 = av[0][5].mul_add(v5, x0);
-                    x1 = av[1][5].mul_add(v5, x1);
-                    x2 = av[2][5].mul_add(v5, x2);
-                    x3 = av[3][5].mul_add(v5, x3);
-                    x0 = av[0][6].mul_add(v6, x0);
-                    x1 = av[1][6].mul_add(v6, x1);
-                    x2 = av[2][6].mul_add(v6, x2);
-                    x3 = av[3][6].mul_add(v6, x3);
-                    *cv0 = av[0][7].mul_add(v7, x0);
-                    c1[j] = av[1][7].mul_add(v7, x1);
-                    c2[j] = av[2][7].mul_add(v7, x2);
-                    c3[j] = av[3][7].mul_add(v7, x3);
-                }
-            } else {
-                for (r, ar) in rows.iter().enumerate() {
-                    oct_one(&mut c[(i + r) * n..(i + r + 1) * n], ar);
-                }
-            }
-            i += 4;
+/// Steps per block of [`nest`]. Measured, not an option: on the
+/// DRAM-resident serving shapes 64 / 128 / 256 cost `m ≤ 4` 10–34 %
+/// (the prefetch runs a whole block ahead), and 32 already amortises a
+/// tile's load and store of `c` over 32 steps.
+const KC: usize = 32;
+/// Floats per vector of a tile (one AVX-512 register, one cache line).
+const LANES: usize = 16;
+/// Vectors per column strip.
+const NV_MAX: usize = 3;
+/// Rows per tile: `MR · NV_MAX` accumulators, `NV_MAX` vectors of `b`
+/// and one broadcast coefficient fill 28 of the 32 vector registers.
+const MR: usize = 8;
+
+/// One tile-block of [`nest`]: `R` rows × `NV` vectors of `c` starting
+/// at `c0`, `kc` steps. `coef(r, s) = a[a0 + r·rs + s·ss]`; row `s` of
+/// the strip of `b` starts at `b0 + s·n`; `w` of the strip's
+/// `NV · LANES` lanes exist (`(NV − 1) · LANES < w`).
+struct Tile<'a> {
+    a: &'a [f32],
+    a0: usize,
+    rs: usize,
+    ss: usize,
+    b: &'a [f32],
+    b0: usize,
+    c0: usize,
+    n: usize,
+    kc: usize,
+    w: usize,
+    /// Prefetch the strip's rows `KC` steps on (the next block's).
+    prefetch: bool,
+}
+
+impl Tile<'_> {
+    /// Lanes that exist in vector `v` of `nv`.
+    fn lanes(&self, v: usize, nv: usize) -> usize {
+        if v + 1 < nv {
+            LANES
+        } else {
+            self.w - (nv - 1) * LANES
         }
-        while i + 2 <= m {
-            let ar = &a[i * k + p..i * k + p + 8];
-            let sr = &a[(i + 1) * k + p..(i + 1) * k + p + 8];
-            if ar.iter().all(|&v| v != 0.0) && sr.iter().all(|&v| v != 0.0) {
-                let av: [f32; 8] = ar.try_into().unwrap();
-                let sv: [f32; 8] = sr.try_into().unwrap();
-                let (head, rest) = c.split_at_mut((i + 1) * n);
-                let ci = &mut head[i * n..];
-                let cj = &mut rest[..n];
-                let w = ci.len();
-                let (b0, b1, b2, b3) = (&b0[..w], &b1[..w], &b2[..w], &b3[..w]);
-                let (b4, b5, b6, b7) = (&b4[..w], &b5[..w], &b6[..w], &b7[..w]);
-                for (j, (cv, cw)) in ci.iter_mut().zip(cj.iter_mut()).enumerate() {
-                    let mut x = av[0].mul_add(b0[j], *cv);
-                    let mut y = sv[0].mul_add(b0[j], *cw);
-                    x = av[1].mul_add(b1[j], x);
-                    y = sv[1].mul_add(b1[j], y);
-                    x = av[2].mul_add(b2[j], x);
-                    y = sv[2].mul_add(b2[j], y);
-                    x = av[3].mul_add(b3[j], x);
-                    y = sv[3].mul_add(b3[j], y);
-                    x = av[4].mul_add(b4[j], x);
-                    y = sv[4].mul_add(b4[j], y);
-                    x = av[5].mul_add(b5[j], x);
-                    y = sv[5].mul_add(b5[j], y);
-                    x = av[6].mul_add(b6[j], x);
-                    y = sv[6].mul_add(b6[j], y);
-                    *cv = av[7].mul_add(b7[j], x);
-                    *cw = sv[7].mul_add(b7[j], y);
-                }
-            } else {
-                oct_one(&mut c[i * n..(i + 1) * n], ar);
-                oct_one(&mut c[(i + 1) * n..(i + 2) * n], sr);
-            }
-            i += 2;
-        }
-        if i < m {
-            oct_one(&mut c[i * n..(i + 1) * n], &a[i * k + p..i * k + p + 8]);
-        }
-        p += 8;
     }
-    while p < k {
-        let brow = &b[p * n..(p + 1) * n];
-        for i in 0..m {
-            let aip = a[i * k + p];
-            if aip == 0.0 {
-                continue;
-            }
-            let ci = &mut c[i * n..(i + 1) * n];
-            for (cv, &bv) in ci.iter_mut().zip(brow.iter()) {
-                *cv = aip.mul_add(bv, *cv);
-            }
-        }
-        p += 1;
+
+    /// Panic unless every index the bodies form for an `r`-row tile is
+    /// inside its slice: the check `tile_avx512`'s raw reads rest on.
+    fn check(&self, r: usize, c_len: usize) {
+        assert!(r > 0 && self.kc > 0 && self.w > 0 && self.w <= self.n);
+        assert!(self.a0 + (r - 1) * self.rs + (self.kc - 1) * self.ss < self.a.len());
+        assert!(self.b0 + (self.kc - 1) * self.n + self.w <= self.b.len());
+        assert!(self.c0 + (r - 1) * self.n + self.w <= c_len);
     }
 }
 
-/// The row nest every entry but the small-`m` tier is an instance of:
-/// `out[j] ⊕= coef(p) · b[p][j]`, `p` ascending over the rows of
-/// `b[·, out.len()]`. `FUSED` picks `mul_add` (one rounding per step)
-/// over mul-then-add; `SKIP` passes over zero coefficients without
-/// touching their `b` row. Both are part of an entry's per-element
-/// chain, so each entry pins them.
+/// One whole vector of a tile-block in portable code: its `R`
+/// accumulators are lane arrays the compiler keeps in whatever vector
+/// registers the target has (16 of AVX2's, 8 of AVX-512's). Row `r` of
+/// `c` starts at `r · cstride`, row `s` of `b` at `s · bstride`. Every
+/// load and store is a whole lane array: a run-time length anywhere in
+/// here sends the accumulators through memory on every step.
 #[inline(always)]
-fn row_axpy<const FUSED: bool, const SKIP: bool>(
-    out: &mut [f32],
-    coef: impl Iterator<Item = f32>,
-    b: &[f32],
+fn column_lanes<const R: usize, const FUSED: bool, const SKIP: bool>(
+    t: &Tile,
+    (b, bstride): (&[f32], usize),
+    (c, cstride): (&mut [f32], usize),
 ) {
+    let whole = |x: &[f32]| -> [f32; LANES] { x[..LANES].try_into().expect("LANES floats") };
+    let mut acc: [[f32; LANES]; R] = std::array::from_fn(|r| whole(&c[r * cstride..]));
+    for s in 0..t.kc {
+        let bv = whole(&b[s * bstride..]);
+        for (r, av) in acc.iter_mut().enumerate() {
+            let cf = t.a[t.a0 + r * t.rs + s * t.ss];
+            if SKIP && cf == 0.0 {
+                continue;
+            }
+            for (o, &bl) in av.iter_mut().zip(&bv) {
+                *o = if FUSED {
+                    cf.mul_add(bl, *o)
+                } else {
+                    *o + cf * bl
+                };
+            }
+        }
+    }
+    for (r, av) in acc.iter().enumerate() {
+        c[r * cstride..][..LANES].copy_from_slice(av);
+    }
+}
+
+/// The portable body of a tile-block: [`column_lanes`] per vector of the
+/// strip, a vector with fewer than [`LANES`] lanes staged through
+/// zero-padded copies of its `b` and `c`. `FUSED` picks `mul_add` (one
+/// rounding per step) over mul-then-add; `SKIP` passes over zero
+/// coefficients without touching their row of `b`.
+fn tile_lanes<const R: usize, const NV: usize, const FUSED: bool, const SKIP: bool>(
+    t: &Tile,
+    c: &mut [f32],
+) {
+    for v in 0..NV {
+        let (w, j) = (t.lanes(v, NV), v * LANES);
+        if w == LANES {
+            let (b, c) = (&t.b[t.b0 + j..], &mut c[t.c0 + j..]);
+            column_lanes::<R, FUSED, SKIP>(t, (b, t.n), (c, t.n));
+            continue;
+        }
+        let (mut bs, mut cs) = ([[0.0f32; LANES]; KC], [[0.0f32; LANES]; R]);
+        for (s, row) in bs[..t.kc].iter_mut().enumerate() {
+            row[..w].copy_from_slice(&t.b[t.b0 + s * t.n + j..][..w]);
+        }
+        for (r, row) in cs.iter_mut().enumerate() {
+            row[..w].copy_from_slice(&c[t.c0 + r * t.n + j..][..w]);
+        }
+        let staged = (cs.as_flattened_mut(), LANES);
+        column_lanes::<R, FUSED, SKIP>(t, (bs.as_flattened(), LANES), staged);
+        for (r, row) in cs.iter().enumerate() {
+            c[t.c0 + r * t.n + j..][..w].copy_from_slice(&row[..w]);
+        }
+    }
+}
+
+/// The AVX-512 body of a tile-block: `R · NV` `zmm` accumulators, one
+/// `fmadd` (or `mul` then `add`) per accumulator per step — lane by lane
+/// the chain of [`tile_lanes`]. Lanes past `w` are masked out of every
+/// load and store.
+///
+/// # Safety
+/// `avx512f` must have been detected, and `t.check(R, c.len())` must
+/// have passed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512<const R: usize, const NV: usize, const FUSED: bool, const SKIP: bool>(
+    t: &Tile,
+    c: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let tail: __mmask16 = (!0u16) >> (LANES - t.lanes(NV - 1, NV));
+    let mask = |v: usize| if v + 1 < NV { !0 } else { tail };
+    // SAFETY: `check` bounded every tile index by its slice — rows
+    // `r < R` and lanes `< w` of `c` from `c0`, steps `s < kc` and lanes
+    // `< w` of `b` from `b0`, `a0 + r·rs + s·ss` in `a` — and masked
+    // loads and stores touch no lane past `w`. The prefetch address may
+    // lie past `b`: it is formed with `wrapping_add` and never read.
+    unsafe {
+        let (a, b) = (t.a.as_ptr().add(t.a0), t.b.as_ptr().add(t.b0));
+        let c = c.as_mut_ptr().add(t.c0);
+        let mut acc = [[_mm512_setzero_ps(); NV]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, av) in row.iter_mut().enumerate() {
+                *av = _mm512_maskz_loadu_ps(mask(v), c.add(r * t.n + v * LANES));
+            }
+        }
+        for s in 0..t.kc {
+            let brow = b.add(s * t.n);
+            let mut bv = [_mm512_setzero_ps(); NV];
+            for (v, x) in bv.iter_mut().enumerate() {
+                if t.prefetch {
+                    let next = brow.wrapping_add(KC * t.n + v * LANES);
+                    _mm_prefetch::<_MM_HINT_T0>(next as *const i8);
+                }
+                *x = _mm512_maskz_loadu_ps(mask(v), brow.add(v * LANES));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let cf = *a.add(r * t.rs + s * t.ss);
+                if SKIP && cf == 0.0 {
+                    continue;
+                }
+                let cf = _mm512_set1_ps(cf);
+                for (av, &x) in row.iter_mut().zip(&bv) {
+                    *av = if FUSED {
+                        _mm512_fmadd_ps(cf, x, *av)
+                    } else {
+                        _mm512_add_ps(*av, _mm512_mul_ps(cf, x))
+                    };
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &av) in row.iter().enumerate() {
+                _mm512_mask_storeu_ps(c.add(r * t.n + v * LANES), mask(v), av);
+            }
+        }
+    }
+}
+
+/// Run one tile-block through the AVX-512 body where `avx512` proves the
+/// host has it, the portable one otherwise, at the instantiation its row
+/// and vector counts name.
+fn tile<const FUSED: bool, const SKIP: bool>(
+    avx512: Option<Avx512>,
+    rows: usize,
+    t: &Tile,
+    c: &mut [f32],
+) {
+    t.check(rows, c.len());
+    let nv = t.w.div_ceil(LANES);
+    macro_rules! body {
+        ($($r:literal)+) => {
+            match (rows, nv) {
+                $(($r, 1) => body!(@ $r, 1), ($r, 2) => body!(@ $r, 2), ($r, 3) => body!(@ $r, 3),)+
+                _ => unreachable!("a tile is 1..={MR} rows of 1..={NV_MAX} vectors"),
+            }
+        };
+        (@ $r:literal, $nv:literal) => {
+            if avx512.is_some() {
+                // SAFETY: an `Avx512` exists only where avx512f was
+                // detected, and `t.check` passed above
+                #[cfg(target_arch = "x86_64")]
+                unsafe {
+                    tile_avx512::<$r, $nv, FUSED, SKIP>(t, c)
+                }
+            } else {
+                tile_lanes::<$r, $nv, FUSED, SKIP>(t, c)
+            }
+        };
+    }
+    body!(1 2 3 4 5 6 7 8)
+}
+
+/// True when any coefficient of an `r`-row, `kc`-step slab from `a0` is
+/// zero. One of the two strides is 1 in every entry; the scan runs
+/// along it without an early exit, so it vectorises.
+fn slab_has_zero(a: &[f32], a0: usize, (rs, ss): (usize, usize), r: usize, kc: usize) -> bool {
+    let (outer, stride, inner) = if ss == 1 { (r, rs, kc) } else { (kc, ss, r) };
+    (0..outer).any(|o| {
+        a[a0 + o * stride..][..inner]
+            .iter()
+            .fold(false, |z, &v| z | (v == 0.0))
+    })
+}
+
+/// The blocked nest: `c[rows, n] ⊕= coef · b[steps, n]` with
+/// `coef(r, s) = a[r·rs + s·ss]` and `⊕` the `FUSED` / `SKIP` chain of
+/// the tile bodies, `s` ascending per output element. Row tiles are
+/// dealt to the rayon pool in whole tiles, one contiguous run per
+/// worker, so `b` streams once per worker; which worker ran a tile
+/// changes no bit.
+#[allow(clippy::too_many_arguments)]
+fn nest<const FUSED: bool, const SKIP: bool>(
+    avx512: Option<Avx512>,
+    a: &[f32],
+    (rs, ss): (usize, usize),
+    b: &[f32],
+    c: &mut [f32],
+    rows: usize,
+    steps: usize,
+    n: usize,
+) {
+    assert_eq!(b.len(), steps * n);
+    assert_eq!(c.len(), rows * n);
+    assert!(rs == 1 || ss == 1, "one coefficient stride is the unit one");
+    if c.is_empty() || steps == 0 {
+        return;
+    }
+    assert!((rows - 1) * rs + (steps - 1) * ss < a.len());
+    let tiles = rows.div_ceil(MR);
+    let run = tiles.div_ceil(rayon::current_num_threads().min(tiles)) * MR;
+    par_rows(c, run * n, |g, cg| {
+        let rows = cg.len() / n;
+        let mut has_zero = vec![false; if SKIP { rows.div_ceil(MR) } else { 0 }];
+        for s0 in (0..steps).step_by(KC) {
+            let kc = KC.min(steps - s0);
+            for (i, z) in has_zero.iter_mut().enumerate() {
+                let a0 = (g * run + i * MR) * rs + s0 * ss;
+                *z = slab_has_zero(a, a0, (rs, ss), MR.min(rows - i * MR), kc);
+            }
+            for j0 in (0..n).step_by(NV_MAX * LANES) {
+                for r0 in (0..rows).step_by(MR) {
+                    let t = Tile {
+                        a,
+                        a0: (g * run + r0) * rs + s0 * ss,
+                        rs,
+                        ss,
+                        b,
+                        b0: s0 * n + j0,
+                        c0: r0 * n + j0,
+                        n,
+                        kc,
+                        w: (NV_MAX * LANES).min(n - j0),
+                        prefetch: r0 == 0 && s0 + KC < steps,
+                    };
+                    let r = MR.min(rows - r0);
+                    if SKIP && has_zero[r0 / MR] {
+                        tile::<FUSED, true>(avx512, r, &t, cg)
+                    } else {
+                        tile::<FUSED, false>(avx512, r, &t, cg)
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// Proof that `avx512f` was detected on this host: the only way to
+/// reach [`tile_avx512`].
+#[derive(Clone, Copy)]
+struct Avx512(());
+
+impl Avx512 {
+    fn detect() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        return is_x86_feature_detected!("avx512f").then_some(Avx512(()));
+        #[cfg(not(target_arch = "x86_64"))]
+        None
+    }
+}
+
+/// The single-row nest `matmul` keeps for `m = 1`: `out[j] = fma(coef(p),
+/// b[p][j], out[j])`, `p` ascending over the rows of `b[·, out.len()]`,
+/// zero coefficients passed over without touching their `b` row — the
+/// chain of `nest::<true, true>`, one row at a time, auto-vectorised.
+#[inline(always)]
+fn row_axpy(out: &mut [f32], coef: &[f32], b: &[f32]) {
     let n = out.len();
-    for (p, ap) in coef.enumerate() {
-        if SKIP && ap == 0.0 {
+    for (p, &ap) in coef.iter().enumerate() {
+        if ap == 0.0 {
             continue;
         }
         for (o, &bv) in out.iter_mut().zip(&b[p * n..(p + 1) * n]) {
-            *o = if FUSED {
-                ap.mul_add(bv, *o)
-            } else {
-                *o + ap * bv
-            };
+            *o = ap.mul_add(bv, *o);
         }
     }
 }
@@ -252,31 +387,21 @@ fn par_rows(c: &mut [f32], chunk: usize, f: impl Fn(usize, &mut [f32]) + Sync + 
 
 /// `c[m,n] = a[m,k] @ b[k,n]`.
 ///
-/// Accumulation uses `f32::mul_add` (a true fused multiply-add, one
-/// rounding per step): it halves the FP-port pressure of separate
-/// mul/add pairs, and because both paths here — the single row and the
-/// weight-stationary groups every `m ≥ 2` is walked in — apply the
-/// identical per-element FMA chain, outputs remain bitwise reproducible
-/// across batch shapes.
+/// Accumulation is fused (one rounding per step): a single row and a
+/// tile of the nest apply the identical per-element FMA chain, so
+/// outputs are bitwise reproducible across batch shapes. `m = 1` stays
+/// on the per-row loop: an L2-resident decode step is faster there
+/// (ROADMAP item 2 holds the one-row tile's numbers).
 pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    if m == 1 {
-        c.fill(0.0);
-        return row_axpy::<true, true>(c, a.iter().copied(), b);
-    }
-    in_small_m_groups(a, c, m, k, n, |ag, cg, rows| {
-        matmul_small_m(ag, b, cg, rows, k, n)
-    });
+    entry_with(Entry::Matmul, Avx512::detect(), a, b, c, m, k, n)
 }
 
 /// Run a small-`m` matmul `kernel(a_rows, c_rows, rows)` over all `m`
 /// rows of `a[m,k]` / `c[m,n]` in groups of at most [`SMALL_M_MAX`], so
 /// a weight-stationary kernel streams its weights `⌈m / SMALL_M_MAX⌉`
-/// times instead of once per row — how [`matmul`] and the int8 store's
-/// `matmul_q8` take a training batch, a prefill or a stacked decode
-/// batch of any size. Groups run on the rayon pool past
+/// times instead of once per row — how the int8 store's `matmul_q8`
+/// takes a prefill or a stacked decode batch of any size ([`matmul`]
+/// blocks its own rows). Groups run on the rayon pool past
 /// `PAR_THRESHOLD` outputs (inline on a one-worker pool). Rows are
 /// independent in every such kernel, so grouping changes no output bit.
 pub fn in_small_m_groups(
@@ -298,36 +423,74 @@ pub fn in_small_m_groups(
 
 /// `c[m,n] += a[m,k] @ b[n,k]^T` — `dA = dC @ B^T`, `b` being the
 /// forward weight as stored: `b^T` is packed once into row-major
-/// `[k,n]`, then each output row is the nest into a zeroed temp and one
-/// add into `c` (the module docs say why not straight into `c`).
+/// `[k,n]`, the nest runs into one zeroed `[m,n]` temp, and the temp is
+/// added into `c` once (the module docs say why not straight into `c`).
 pub fn matmul_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    let mut bt = Vec::with_capacity(k * n);
-    for p in 0..k {
-        bt.extend(b.iter().skip(p).step_by(k));
-    }
-    par_rows(c, n, |i, ci| {
-        let mut acc = vec![0.0f32; n];
-        row_axpy::<false, false>(&mut acc, a[i * k..(i + 1) * k].iter().copied(), &bt);
-        for (cv, av) in ci.iter_mut().zip(acc) {
-            *cv += av;
-        }
-    });
+    entry_with(Entry::BtAcc, Avx512::detect(), a, b, c, m, k, n)
 }
 
 /// `c[k,n] += a[m,k]^T @ b[m,n]` — `dB = A^T @ dC` — without
-/// materialising the transpose: output row `p` is the unfused,
-/// zero-skipping nest over the rows of `b`, its coefficients read down
-/// column `p` of `a`.
+/// materialising the transpose: output row `p` takes its coefficients
+/// down column `p` of `a`, one per row of `b`; unfused, zero-skipping,
+/// straight into `c`.
 pub fn matmul_at_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), m * n);
-    debug_assert_eq!(c.len(), k * n);
-    par_rows(c, n, |p, cp| {
-        row_axpy::<false, true>(cp, (0..m).map(|i| a[i * k + p]), b)
-    });
+    entry_with(Entry::AtAcc, Avx512::detect(), a, b, c, m, k, n)
+}
+
+/// The public entries, as [`entry_with`] names them.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    Matmul,
+    BtAcc,
+    AtAcc,
+}
+
+/// An entry with the tile body chosen by the caller (`None`: the
+/// portable one), so a test can run the portable body on a host that
+/// would never dispatch it. The shape
+/// asserts are the bounds the tile's raw reads rest on: a mis-shaped
+/// call panics in release builds too.
+#[allow(clippy::too_many_arguments)]
+fn entry_with(
+    entry: Entry,
+    avx512: Option<Avx512>,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k);
+    match entry {
+        Entry::Matmul => {
+            assert_eq!(b.len(), k * n);
+            assert_eq!(c.len(), m * n);
+            c.fill(0.0);
+            if m == 1 {
+                return row_axpy(c, a, b);
+            }
+            nest::<true, true>(avx512, a, (k, 1), b, c, m, k, n);
+        }
+        Entry::BtAcc => {
+            assert_eq!(b.len(), n * k);
+            assert_eq!(c.len(), m * n);
+            let mut bt = Vec::with_capacity(k * n);
+            for p in 0..k {
+                bt.extend(b.iter().skip(p).step_by(k));
+            }
+            let mut acc = vec![0.0f32; m * n];
+            nest::<false, false>(avx512, a, (k, 1), &bt, &mut acc, m, k, n);
+            for (cv, av) in c.iter_mut().zip(acc) {
+                *cv += av;
+            }
+        }
+        Entry::AtAcc => {
+            assert_eq!(b.len(), m * n);
+            assert_eq!(c.len(), k * n);
+            nest::<false, true>(avx512, a, (1, k), b, c, k, m, n);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -485,6 +648,77 @@ mod tests {
     }
 
     #[test]
+    fn both_tile_bodies_match_each_other_and_the_reference_loops() {
+        // CI's baseline-ISA job and every non-x86 host run only the
+        // portable body; this host may never dispatch it. Hold the two
+        // against each other and against the kept reference loops, for
+        // every entry, with the skips firing and not.
+        let matmul_reference = |a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize| {
+            for (ci, ai) in c.chunks_mut(n).zip(a.chunks(k)) {
+                ci.fill(0.0);
+                row_axpy(ci, ai, b);
+            }
+        };
+        let bodies = [None, Avx512::detect()];
+        on_both_pools(|| {
+            for (set, gen) in OPERANDS {
+                for (m, k, n) in shapes() {
+                    let a = gen(m * k, 37, 19);
+                    let run = |entry: Entry, b: &[f32], c0: &[f32]| {
+                        let [portable, detected] = bodies.map(|body| {
+                            let mut c = c0.to_vec();
+                            entry_with(entry, body, &a, b, &mut c, m, k, n);
+                            bits(&c)
+                        });
+                        assert_eq!(portable, detected, "{entry:?} {set} m={m} k={k} n={n}");
+                        portable
+                    };
+                    let what = format!("{set} m={m} k={k} n={n}");
+
+                    let b = gen(k * n, 53, 23);
+                    let mut want = vec![f32::NAN; m * n];
+                    matmul_reference(&a, &b, &mut want, k, n);
+                    assert_eq!(run(Entry::Matmul, &b, &want), bits(&want), "matmul {what}");
+
+                    let (b, c0) = (gen(n * k, 53, 23), gen(m * n, 29, 31));
+                    let mut want = c0.clone();
+                    bt_dot_reference(&a, &b, &mut want, k, n);
+                    assert_eq!(run(Entry::BtAcc, &b, &c0), bits(&want), "bt {what}");
+
+                    let (d, c0) = (gen(m * n, 41, 17), gen(k * n, 29, 31));
+                    let mut want = c0.clone();
+                    at_gather_reference(&a, &d, &mut want, m, k, n);
+                    assert_eq!(run(Entry::AtAcc, &d, &c0), bits(&want), "at {what}");
+                }
+            }
+        });
+        // the skip itself, in both bodies: one step whose coefficients are
+        // ±0.0 for every row, over a poisoned row of the other operand
+        for (m, k, n) in [(9, 37, 113), (32, 128, 344)] {
+            for (entry, steps, rows) in [(Entry::Matmul, k, m), (Entry::AtAcc, m, k)] {
+                let (s0, mut a) = (steps / 2, dense_operand(m * k, 37, 19));
+                for i in 0..m {
+                    for p in 0..k {
+                        let step = if matches!(entry, Entry::Matmul) { p } else { i };
+                        if step == s0 {
+                            a[i * k + p] = if (i + p) % 2 == 0 { 0.0 } else { -0.0 };
+                        }
+                    }
+                }
+                let mut b = dense_operand(steps * n, 53, 23);
+                b[s0 * n..(s0 + 1) * n].fill(f32::INFINITY);
+                let [portable, detected] = bodies.map(|body| {
+                    let mut c = vec![-0.0f32; rows * n];
+                    entry_with(entry, body, &a, &b, &mut c, m, k, n);
+                    assert!(c.iter().all(|v| v.is_finite()), "{entry:?} m={m}: zero met");
+                    bits(&c)
+                });
+                assert_eq!(portable, detected, "{entry:?} m={m} k={k} n={n}");
+            }
+        }
+    }
+
+    #[test]
     fn at_skips_zero_coefficients_of_either_sign() {
         // `at`'s skip is observable the way `matmul`'s is
         // (`single_row_bitwise_matches_the_per_row_chain`): a skipped
@@ -612,8 +846,8 @@ mod tests {
     #[test]
     fn single_row_bitwise_matches_the_per_row_chain() {
         // One row through `matmul` (the per-row loop a solo decode step
-        // takes) and through the fused small-m kernel (what it would take
-        // if m = 1 were fused too: ROADMAP item 2) is the same chain: per
+        // takes) and through the nest's one-row tile (what it would take
+        // if m = 1 were blocked too: ROADMAP item 2) is the same chain: per
         // output element one p-ascending FMA chain that skips zero
         // coefficients. The skip is observable: a skipped coefficient
         // never meets its weight row, so a non-finite weight under a zero
@@ -648,7 +882,11 @@ mod tests {
                 b[p * n + p % n] = f32::INFINITY;
             }
             let want: Vec<u32> = chain(&a, &b, n).iter().map(|v| v.to_bits()).collect();
-            for (name, f) in [("matmul", matmul as Kernel), ("small_m", matmul_small_m)] {
+            let one_row_tile: Kernel = |a, b, c, m, k, n| {
+                c.fill(0.0);
+                nest::<true, true>(Avx512::detect(), a, (k, 1), b, c, m, k, n)
+            };
+            for (name, f) in [("matmul", matmul as Kernel), ("one_row_tile", one_row_tile)] {
                 let mut c = vec![f32::NAN; n];
                 f(&a, &b, &mut c, 1, k, n);
                 assert!(c.iter().all(|v| v.is_finite()), "{name} k={k}: zero met");
