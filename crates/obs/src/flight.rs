@@ -20,7 +20,9 @@
 //! * **Crash-readable.** Rings are `Arc`-shared with a global
 //!   registry, so [`snapshot_all`] (and [`Postmortem::capture`]) can
 //!   read the buffer of a thread that has already died — exactly what
-//!   `parallel::resilience` needs when a rank is lost.
+//!   `parallel::resilience` needs when a rank is lost. The registry
+//!   keeps every live ring and the 64 most recently registered dead
+//!   ones, so it is bounded however many threads come and go.
 //!
 //! Timestamps use the global recorder's epoch so flight events merge
 //! cleanly with any fully-recorded spans in one trace.
@@ -216,6 +218,31 @@ fn global() -> &'static FlightGlobal {
     })
 }
 
+/// Rings of exited threads the registry keeps: 4 MiB at the default
+/// budget. A postmortem follows the death it explains by one recovery,
+/// not by 64 more thread deaths.
+const DEAD_RINGS_KEPT: usize = 64;
+
+/// Drop the oldest-registered dead rings beyond [`DEAD_RINGS_KEPT`]. A
+/// ring is dead once the registry holds its only `Arc` — its thread's
+/// slot is gone and nothing can record into it again — so a process
+/// that spawns workers per call (`train_topology`, `DataParallel`) holds
+/// its live threads' rings plus a bounded tail, not one per thread ever
+/// spawned. A ring a snapshot is reading looks live and stays.
+fn forget_oldest_dead(rings: &mut Vec<Arc<FlightRing>>) {
+    let dead = |r: &Arc<FlightRing>| Arc::strong_count(r) == 1;
+    let mut excess = rings
+        .iter()
+        .filter(|r| dead(r))
+        .count()
+        .saturating_sub(DEAD_RINGS_KEPT);
+    rings.retain(|r| {
+        let forget = excess > 0 && dead(r);
+        excess -= forget as usize;
+        !forget
+    });
+}
+
 thread_local! {
     static RING: std::cell::RefCell<Option<Arc<FlightRing>>> = const { std::cell::RefCell::new(None) };
 }
@@ -229,7 +256,9 @@ fn with_ring<R>(f: impl FnOnce(&FlightRing) -> R) -> R {
                 crate::trace::thread_tid(),
                 g.budget.load(Ordering::Relaxed),
             ));
-            g.rings.lock().unwrap().push(ring.clone());
+            let mut rings = g.rings.lock().unwrap();
+            rings.push(ring.clone());
+            forget_oldest_dead(&mut rings);
             *slot = Some(ring);
         }
         f(slot.as_ref().unwrap())
@@ -285,7 +314,8 @@ pub struct ThreadFlight {
 }
 
 /// Capture every registered ring — including rings of threads that
-/// have already exited, since the registry holds them alive.
+/// have already exited, since the registry holds the most recent of
+/// them alive.
 pub fn snapshot_all() -> Vec<ThreadFlight> {
     let rings: Vec<Arc<FlightRing>> = global().rings.lock().unwrap().clone();
     rings
@@ -517,6 +547,37 @@ mod tests {
         assert_eq!(ring.total_recorded(), 10);
         let kept: Vec<u64> = ring.snapshot().iter().map(|e| e.step).collect();
         assert_eq!(kept, vec![6, 7, 8, 9], "oldest dropped first");
+    }
+
+    #[test]
+    fn registry_keeps_a_bounded_tail_of_dead_rings() {
+        // workers spawned per call used to leave one ring each, for ever
+        const LABEL: &str = "ring-cap probe";
+        for i in 0..1000u64 {
+            std::thread::spawn(move || {
+                label_thread(LABEL, None);
+                record(FlightEvent::span(0, "test", "probe", i as f64, 1.0).at_step(i));
+            })
+            .join()
+            .expect("probe thread");
+        }
+        let all = snapshot_all();
+        let probes: Vec<_> = all.iter().filter(|t| t.label == LABEL).collect();
+        // the cap, plus the last probe: it died after its own registration
+        assert!(probes.len() <= DEAD_RINGS_KEPT + 1, "{} kept", probes.len());
+        let newest = probes
+            .iter()
+            .any(|t| t.events.iter().any(|e| e.step == 999));
+        assert!(newest, "the most recent death is what a postmortem reads");
+        // live rings are never forgotten: this thread's survives 1000 deaths
+        record(FlightEvent::span(0, "test", "live", 0.0, 1.0));
+        let mine = crate::trace::thread_tid();
+        for _ in 0..2 * DEAD_RINGS_KEPT {
+            std::thread::spawn(|| record(FlightEvent::span(0, "test", "probe", 0.0, 1.0)))
+                .join()
+                .expect("probe thread");
+        }
+        assert!(snapshot_all().iter().any(|t| t.tid == mine));
     }
 
     #[test]
