@@ -16,6 +16,7 @@ mod ablation_seq_sweep;
 mod ablation_tp_mapping;
 mod ext_bits_per_byte;
 mod ext_formation_energy;
+mod ext_gemm_roofline;
 mod ext_gqa;
 mod ext_inference_sim;
 mod ext_parallel;
@@ -172,6 +173,7 @@ pub const REGISTRY: &[Row] = &[
     ("ext_resilience", "Extension: executed kill/rollback goodput sweep against the Daly interval", |c| ext_resilience::run(c).map(drop)),
     ("ext_observability", "Extension: trainer, serving and simulator in one trace and one exposition", |c| ext_observability::run(c).map(drop)),
     ("ext_obs_flight", "Extension: seeded kill to flight-recorder postmortem bundle", |c| ext_obs_flight::run(c).map(drop)),
+    ("ext_gemm_roofline", "Extension: the three GEMM entries against a measured FMA peak and stream rate", ext_gemm_roofline::run),
 ];
 
 /// `rows` as the markdown table EXPERIMENTS.md carries.
