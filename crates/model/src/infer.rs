@@ -252,8 +252,8 @@ impl GptModel {
     /// segment a decode step, and a batch of them is one scheduler
     /// iteration. All rows are stacked into one `[R, hidden]`
     /// activation, so every norm, linear, MLP and the LM head run once
-    /// over all of them (the weights stream ⌈R/8⌉ times, not once per
-    /// segment); only the KV calls — `begin` / `write` / `attend` /
+    /// over all of them (f32 weights stream once, the int8 store's
+    /// codes ⌈R/8⌉ times — never once per segment); only the KV calls — `begin` / `write` / `attend` /
     /// `commit` — and the absolute positions the rotation takes fan out
     /// per segment. Every kernel on the way is row-independent, so a
     /// segment's rows and cache are **bit-identical** to forwarding it
@@ -558,8 +558,8 @@ mod tests {
     }
 
     /// Segment shapes the serving engine produces: a solo decode, a
-    /// plain batch, a batch with verify rows, and a batch past the
-    /// small-m tier (R = 12 walks as 8 + 4).
+    /// plain batch, a batch with verify rows, and a batch of more rows
+    /// than one tile holds (R = 12 is a row tile of 8 and one of 4).
     fn ragged_shapes() -> impl Strategy<Value = Vec<usize>> {
         prop_oneof![
             Just(vec![1]),

@@ -686,7 +686,7 @@ mod tests {
     #[test]
     fn twelve_deep_batch_matches_generate_and_counts_its_rows() {
         // max_batch 12: while all twelve overlap, an iteration stacks
-        // R = 12 rows — past the small-m tier, the grouped walk
+        // R = 12 rows — two row tiles of the matmul nest (8 + 4)
         let opts = SampleOptions {
             temperature: 0.0,
             top_k: 0,

@@ -1249,7 +1249,7 @@ mod tests {
             block_size: 4,
             num_blocks: 256,
         };
-        // (requests, paged, speculative); 12 stacks past the small-m tier
+        // (requests, paged, speculative); 12 stacks two matmul row tiles
         for (n, paged, speculative) in [
             (4, false, false),
             (4, true, false),

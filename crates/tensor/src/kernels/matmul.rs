@@ -1,9 +1,9 @@
 //! Rayon-parallel dense matrix multiplication kernels.
 //!
-//! One blocked loop nest, [`nest`], under every entry with more than one
+//! One blocked loop nest, `nest`, under every entry with more than one
 //! row: `c[r][j] ⊕= coef(r, s) · b[s][j]`, `s` ascending, walked as step
-//! blocks of [`KC`] → column strips of ≤ [`NV_MAX`] × [`LANES`] floats →
-//! row tiles of ≤ [`MR`] rows. A tile's accumulators stay in registers
+//! blocks of `KC` → column strips of ≤ `NV_MAX` × `LANES` floats →
+//! row tiles of ≤ `MR` rows. A tile's accumulators stay in registers
 //! for its whole block; the strip of `b` it read is re-used from L1 by
 //! every later row tile, and the first row tile of a strip prefetches
 //! the same strip of the next block, so `b` crosses DRAM once per call
@@ -94,6 +94,8 @@ impl Tile<'_> {
 
     /// Panic unless every index the bodies form for an `r`-row tile is
     /// inside its slice: the check `tile_avx512`'s raw reads rest on.
+    /// (No sum here can wrap: `nest` built each term from products its
+    /// own asserts bound by a slice length.)
     fn check(&self, r: usize, c_len: usize) {
         assert!(r > 0 && self.kc > 0 && self.w > 0 && self.w <= self.n);
         assert!(self.a0 + (r - 1) * self.rs + (self.kc - 1) * self.ss < self.a.len());
@@ -174,8 +176,8 @@ fn tile_lanes<const R: usize, const NV: usize, const FUSED: bool, const SKIP: bo
 /// load and store.
 ///
 /// # Safety
-/// `avx512f` must have been detected, and `t.check(R, c.len())` must
-/// have passed.
+/// `avx512f` must have been detected, `t.check(R, c.len())` must have
+/// passed, and `NV` must be `t.w.div_ceil(LANES)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn tile_avx512<const R: usize, const NV: usize, const FUSED: bool, const SKIP: bool>(
@@ -253,7 +255,8 @@ fn tile<const FUSED: bool, const SKIP: bool>(
         (@ $r:literal, $nv:literal) => {
             if avx512.is_some() {
                 // SAFETY: an `Avx512` exists only where avx512f was
-                // detected, and `t.check` passed above
+                // detected, `t.check` passed above, and this arm is
+                // the one `nv = ⌈w / LANES⌉` selected
                 #[cfg(target_arch = "x86_64")]
                 unsafe {
                     tile_avx512::<$r, $nv, FUSED, SKIP>(t, c)
@@ -447,9 +450,8 @@ enum Entry {
 
 /// An entry with the tile body chosen by the caller (`None`: the
 /// portable one), so a test can run the portable body on a host that
-/// would never dispatch it. The shape
-/// asserts are the bounds the tile's raw reads rest on: a mis-shaped
-/// call panics in release builds too.
+/// would never dispatch it. The shape asserts are the bounds the tile's
+/// raw reads rest on: a mis-shaped call panics in release builds too.
 #[allow(clippy::too_many_arguments)]
 fn entry_with(
     entry: Entry,

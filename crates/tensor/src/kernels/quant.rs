@@ -115,8 +115,8 @@ pub fn matmul_q8(a: &[f32], w: &QuantizedMatrix, c: &mut [f32], m: usize, k: usi
     let data = &w.data;
     let scales = &w.scales;
     if m > 1 && m <= crate::kernels::matmul::SMALL_M_MAX {
-        // Weight-stationary small-batch path, mirroring the f32 kernel:
-        // codes stream once while all m rows accumulate in cache. Four
+        // Weight-stationary small-batch path: codes stream once while
+        // all m rows accumulate in cache. Four
         // code rows are fused per pass (sequential adds keep the
         // p-ascending per-element order; a quad with a zero coefficient
         // falls back to the per-p loop so the zero-skip stays exact),
@@ -152,8 +152,7 @@ pub fn matmul_q8(a: &[f32], w: &QuantizedMatrix, c: &mut [f32], m: usize, k: usi
                 }
             };
             // Row pairs share each decoded weight vector across two FMA
-            // chains (same trick as the f32 kernel — see
-            // `matmul_small_m`); per-row order is untouched.
+            // chains; per-row order is untouched.
             let mut i = 0;
             while i + 2 <= m {
                 let ar = &a[i * k + p..i * k + p + 4];
