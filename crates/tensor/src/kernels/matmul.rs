@@ -144,12 +144,10 @@ fn column_lanes<const R: usize, const FUSED: bool, const SKIP: bool>(
 /// zero-padded copies of its `b` and `c`. `FUSED` picks `mul_add` (one
 /// rounding per step) over mul-then-add; `SKIP` passes over zero
 /// coefficients without touching their row of `b`.
-fn tile_lanes<const R: usize, const NV: usize, const FUSED: bool, const SKIP: bool>(
-    t: &Tile,
-    c: &mut [f32],
-) {
-    for v in 0..NV {
-        let (w, j) = (t.lanes(v, NV), v * LANES);
+fn tile_lanes<const R: usize, const FUSED: bool, const SKIP: bool>(t: &Tile, c: &mut [f32]) {
+    let nv = t.w.div_ceil(LANES);
+    for v in 0..nv {
+        let (w, j) = (t.lanes(v, nv), v * LANES);
         if w == LANES {
             let (b, c) = (&t.b[t.b0 + j..], &mut c[t.c0 + j..]);
             column_lanes::<R, FUSED, SKIP>(t, (b, t.n), (c, t.n));
@@ -262,7 +260,7 @@ fn tile<const FUSED: bool, const SKIP: bool>(
                     tile_avx512::<$r, $nv, FUSED, SKIP>(t, c)
                 }
             } else {
-                tile_lanes::<$r, $nv, FUSED, SKIP>(t, c)
+                tile_lanes::<$r, FUSED, SKIP>(t, c)
             }
         };
     }
