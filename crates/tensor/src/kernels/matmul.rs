@@ -303,8 +303,14 @@ fn nest<const FUSED: bool, const SKIP: bool>(
         return;
     }
     assert!((rows - 1) * rs + (steps - 1) * ss < a.len());
+    // below the threshold `par_rows` runs inline: one run, one stream of `b`
     let tiles = rows.div_ceil(MR);
-    let run = tiles.div_ceil(rayon::current_num_threads().min(tiles)) * MR;
+    let workers = if c.len() >= PAR_THRESHOLD {
+        rayon::current_num_threads().min(tiles)
+    } else {
+        1
+    };
+    let run = tiles.div_ceil(workers) * MR;
     par_rows(c, run * n, |g, cg| {
         let rows = cg.len() / n;
         let mut has_zero = vec![false; if SKIP { rows.div_ceil(MR) } else { 0 }];
