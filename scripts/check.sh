@@ -5,14 +5,15 @@
 # Tier-1 (`cargo build --release && cargo test -q`: the root package,
 # all 11 tests/*.rs) runs exactly once, in its own section; no later
 # section re-runs one of its suites. Ceiling for `cargo test -q` on the
-# reference box (2 vCPU, dev-profile tests, binaries prebuilt): 7m50s
-# (470 s; PR 22). Measured there: 6m35s / 7m11s, against 8m55s / 9m25s
-# at its parent — backward got cheaper — so the box's own A/A
-# difference is 30–36 s and the ceiling is the slower reading plus
-# that. Re-timed at PR 23 (no test path changed): 6m49s / 5m46s — the
-# same tree 63 s apart, the slower reading inside PR 22's range, so the
-# ceiling is kept. A PR that pushes tier-1 past it says so in
-# CHANGES.md and moves the number here and in ROADMAP item 6.
+# reference box (2 vCPU, dev-profile tests, binaries prebuilt): 5m30s
+# (330 s; PR 24). Measured there: 4m26s / 4m04s, against 6m49s / 5m46s
+# at its parent (PR 23, the same tree 63 s apart; PR 22: 6m35s / 7m11s)
+# — the GEMMs got 2–3× faster, the dev profile included — so the
+# reading left the old 7m50s ceiling's 30–36 s A/A band downward, and
+# the ceiling is the slower reading plus the widest same-tree spread
+# seen (63 s). `cargo test -q -p matgpt-core --lib` alone: 51.9 → 43 s.
+# A PR that pushes tier-1 past it says so in CHANGES.md and moves the
+# number here and in ROADMAP item 6.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,7 +64,7 @@ section "crate unit tests"
 # the #[cfg(test)] modules inside the four library crates the executed
 # paths live in (tp.rs, kernels/infer.rs, kvpool.rs, engine.rs,
 # executor.rs, ...) — clippy above only compiles them; the root suite
-# never runs them. ~11 s cold for the first three, ~77 s for core
+# never runs them. ~15 s cold for the first three, ~45 s for core
 cargo test -q -p matgpt-tensor -p matgpt-model -p matgpt-serve -p matgpt-core
 
 # fault-tolerance: checkpoint-restart + failure injection
