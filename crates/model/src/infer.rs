@@ -236,10 +236,63 @@ impl KvStorage for KvCache {
     }
 }
 
+/// Why [`GptModel::check_segment`] refuses a segment's tokens; its
+/// `Display` is the message [`GptModel::forward_batch`] panics with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SegmentError {
+    /// No token to forward.
+    Empty,
+    /// More tokens than the window holds in one forward.
+    TooLong {
+        /// Tokens in the segment.
+        len: usize,
+        /// The model's window.
+        max_seq: usize,
+    },
+    /// A token id at or past the vocabulary size.
+    OutOfVocab(u32),
+}
+
+impl std::fmt::Display for SegmentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SegmentError::Empty => write!(f, "forward needs at least one token"),
+            SegmentError::TooLong { len, max_seq } => write!(
+                f,
+                "chunk of {len} tokens exceeds max_seq {max_seq}; split the prefill"
+            ),
+            SegmentError::OutOfVocab(tok) => write!(f, "token id {tok} out of vocab"),
+        }
+    }
+}
+
+impl std::error::Error for SegmentError {}
+
 impl GptModel {
     /// An empty KV cache shaped for this model.
     pub fn new_cache(&self) -> KvCache {
         KvCache::new(self)
+    }
+
+    /// Whether `tokens` can be one segment of [`GptModel::forward_batch`]:
+    /// non-empty, at most `max_seq` long, every id inside the vocabulary.
+    /// The forward refuses exactly what this refuses, so a caller that
+    /// checks first never sends it a segment it would panic on.
+    pub fn check_segment(&self, tokens: &[u32]) -> Result<(), SegmentError> {
+        let cfg = &self.cfg;
+        if tokens.is_empty() {
+            return Err(SegmentError::Empty);
+        }
+        if tokens.len() > cfg.max_seq {
+            return Err(SegmentError::TooLong {
+                len: tokens.len(),
+                max_seq: cfg.max_seq,
+            });
+        }
+        match tokens.iter().find(|&&t| t as usize >= cfg.vocab_size) {
+            Some(&tok) => Err(SegmentError::OutOfVocab(tok)),
+            None => Ok(()),
+        }
     }
 
     /// The one tape-free forward: feed every segment's new tokens through
@@ -265,9 +318,10 @@ impl GptModel {
     /// pass attends through (contiguous [`KvCache`] or a block-paged
     /// view, bit-identical logits across the two); either may be `dyn`.
     ///
-    /// Every segment is checked before the first `begin`, so a bad one
-    /// panics with no cache touched — never with a neighbour's between
-    /// `begin` and `commit`.
+    /// Every segment is checked ([`GptModel::check_segment`], and its
+    /// cache's shape) before the first `begin`, so a bad one panics with
+    /// no cache touched — never with a neighbour's between `begin` and
+    /// `commit`.
     pub fn forward_batch<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
         &self,
         store: &P,
@@ -275,15 +329,8 @@ impl GptModel {
     ) -> Vec<f32> {
         let cfg = &self.cfg;
         for (tokens, cache) in segs.iter() {
-            assert!(!tokens.is_empty(), "forward needs at least one token");
-            assert!(
-                tokens.len() <= cfg.max_seq,
-                "chunk of {} tokens exceeds max_seq {}; split the prefill",
-                tokens.len(),
-                cfg.max_seq
-            );
-            if let Some(&tok) = tokens.iter().find(|&&t| t as usize >= cfg.vocab_size) {
-                panic!("token id {tok} out of vocab");
+            if let Err(e) = self.check_segment(tokens) {
+                panic!("{e}");
             }
             assert_eq!(cache.layers(), cfg.layers, "cache shaped for another model");
         }
@@ -668,6 +715,34 @@ mod tests {
         let after = model.decode_step(&store, 5, &mut good);
         let reference = model.decode_step(&store, 5, &mut untouched.clone());
         assert_eq!(bits(&after), bits(&reference));
+    }
+
+    #[test]
+    fn check_segment_refuses_what_the_forward_panics_on() {
+        let (model, store) = build(ArchKind::NeoX, None, 6);
+        let max = model.cfg.max_seq;
+        let long = vec![0u32; max + 1];
+        let cases: [(&[u32], SegmentError); 3] = [
+            (&[], SegmentError::Empty),
+            (
+                &long,
+                SegmentError::TooLong {
+                    len: max + 1,
+                    max_seq: max,
+                },
+            ),
+            (&[3, 40, 41], SegmentError::OutOfVocab(40)),
+        ];
+        for (tokens, want) in cases {
+            assert_eq!(model.check_segment(tokens), Err(want));
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                model.forward_cached(&store, tokens, &mut model.new_cache())
+            }));
+            let payload = died.expect_err("the forward refuses it too");
+            let msg = payload.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(*msg, want.to_string());
+        }
+        assert_eq!(model.check_segment(&vec![39; max]), Ok(()));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use bert::{mask_tokens, BertModel};
 pub use config::{ArchKind, BertConfig, GptConfig};
 pub use generate::{generate, sample_logits, SampleOptions};
 pub use gpt::GptModel;
-pub use infer::{KvCache, KvStorage};
+pub use infer::{KvCache, KvStorage, SegmentError};
 pub use quant::{ForwardParams, QuantizedParamStore, WeightPrecision};
 pub use speculative::{
     generate_speculative, speculative_step, DraftState, Proposal, SpecOutcome, SpecStats,
