@@ -273,6 +273,14 @@ serve_series! {{
     /// decode batch (plain rows plus speculative verify rows).
     decode_rows: Counter as u64 = "serve_decode_rows_total",
         "token rows carried by the shared decode forwards";
+    /// One per admission round that forwarded anything, however many
+    /// requests it admitted.
+    prefill_forwards: Counter as u64 = "serve_prefill_forwards_total",
+        "admission prefill forwards run (one pass over the weights each)";
+    /// With `prefill_forwards`, the rows per weight stream: the prompt
+    /// rows an admission round stacked.
+    prefill_rows: Counter as u64 = "serve_prefill_rows_total",
+        "prompt rows carried by the admission prefill forwards";
     /// The snapshot carries exact percentiles over the last
     /// [`TTFT_WINDOW`] retired requests.
     ttft_ms: Windowed<TTFT_WINDOW> as Percentiles = "serve_ttft_ms",
@@ -556,6 +564,8 @@ pub(crate) mod tests {
                 "generated_tokens",
                 "decode_forwards",
                 "decode_rows",
+                "prefill_forwards",
+                "prefill_rows",
                 "ttft_ms",
                 "token_latency_ms",
                 "tokens_per_sec",
@@ -601,6 +611,7 @@ pub(crate) mod tests {
             concat!(
                 r#"{"queue_depth":0,"queue_depth_peak":12,"active":0,"backlog":0,"completed":3,"failed":0,"#,
                 r#""generated_tokens":1099511627776,"decode_forwards":0,"decode_rows":0,"#,
+                r#""prefill_forwards":0,"prefill_rows":0,"#,
                 r#""ttft_ms":{"p50":12.5,"p95":0.30000000000000004,"p99":0.0000001,"count":4096},"#,
                 r#""token_latency_ms":{"p50":0,"p95":0,"p99":0,"count":0},"tokens_per_sec":99.75,"#,
                 r#""precision":"int8","weight_bytes":369098752,"kv_bytes":0,"kv_bytes_peak":0,"#,

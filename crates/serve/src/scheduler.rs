@@ -6,8 +6,9 @@
 //! preempted mid-decode) — and the **batch** (`Active`). Every
 //! iteration it (1) drains new submissions onto the back of the lot,
 //! (2) admits from its head while the batch slot and KV budgets allow —
-//! strict head-of-line order, so admission is oldest-first — prefilling
-//! what it admits, (3) advances every active request by one decode
+//! strict head-of-line order, so admission is oldest-first — and
+//! prefills the round it admitted in **one** stacked forward
+//! (`prefill_round`), (3) advances every active request by one decode
 //! step through **one shared forward** (`decode_iteration`: each
 //! request samples and emits from its staged logits row, then every
 //! request that still needs a row — one per plain request, the `k + 1`
@@ -19,20 +20,21 @@
 //! parked request joins on the very next iteration. A request leaves
 //! the engine one way, wherever it is: `Parked::retire`.
 //!
-//! Faults are isolated with `catch_unwind` at two granularities. A
-//! prefill that panics fails its own request: it retires with
-//! [`FinishReason::Failed`] — keeping its tokens, its partially mutated
-//! KV state discarded, so no poisoned state survives — and the rest of
-//! the wave is untouched. A *decode* forward is shared, so a panic
-//! inside it fails exactly the requests whose rows were in it (a
-//! forward that dies part-way leaves each of their caches between
-//! `begin` and `commit`); requests that finished before the forward,
-//! parked requests and the loop itself carry on. The drafts' propose
-//! forwards run inside the same scope, so a panic in *one* request's
-//! draft also fails every rider of that iteration — wider than the
-//! state it touched (that request's `DraftState` only), and the price
-//! of one unwind scope per iteration. Bad input never gets that far:
-//! `forward_batch` validates every segment before it touches a cache.
+//! Faults are isolated with `catch_unwind` around each shared forward:
+//! one per admission round, one per decode iteration. A panic inside
+//! one fails exactly the requests whose rows were in it (a forward that
+//! dies part-way leaves each of their caches between `begin` and
+//! `commit`): they retire with [`FinishReason::Failed`], keeping their
+//! tokens, their partially mutated KV state discarded, so no poisoned
+//! state survives. Requests outside that forward, parked requests and
+//! the loop itself carry on. The drafts' propose forwards run inside
+//! the decode scope, so a panic in *one* request's draft also fails
+//! every rider of that iteration — wider than the state it touched
+//! (that request's `DraftState` only), and the price of one unwind
+//! scope per iteration. Bad input never widens a scope: admission
+//! retires a request whose window [`GptModel::check_segment`] refuses
+//! before the round's forward, and `forward_batch` validates every
+//! segment again before it touches a cache.
 //!
 //! ## KV backends
 //!
@@ -49,10 +51,10 @@
 //!   cover its prompt, not its worst case. Prompts that repeat a
 //!   recently served prefix fork its blocks copy-on-write from the
 //!   [`crate::kvpool::PrefixCache`] instead of recomputing the prefill
-//!   (paged prefills run serially at admission so wave-mates can share
-//!   the first prefill's blocks; the forwards themselves stay
-//!   rayon-parallel inside). When a decode step cannot get a block the
-//!   scheduler evicts prefix-cache entries first and then **preempts**
+//!   (paged admission rounds hold one request each, so wave-mates can
+//!   share the blocks the previous prefill registered). When a decode
+//!   step cannot get a block the scheduler evicts prefix-cache entries
+//!   first and then **preempts**
 //!   the youngest active request — its blocks return to the pool and
 //!   its decode progress (tokens, rng stream, ttft) re-enters the lot
 //!   *by id*. Ids follow submission order and everything active left
@@ -63,8 +65,9 @@
 //!   `tests/paged_kv.rs`).
 //!
 //! When the global `matgpt-obs` recorder is enabled, the scheduler
-//! traces itself on [`pids::SERVE`]: RAII spans around each batched
-//! prefill and decode iteration on the scheduler thread's track, and a
+//! traces itself on [`pids::SERVE`]: RAII spans around each admission
+//! round's prefill and each decode iteration on the scheduler thread's
+//! track (`prefill-batch` and `decode-iter`, each with its `rows`), and a
 //! reconstructed queued → prefill → decode lifecycle track per request
 //! (tid `REQ_TRACK_BASE + id`, named "req N"), emitted from the
 //! captured `Instant`s when the request retires — from the batch or,
@@ -84,7 +87,6 @@ use matgpt_obs::{pids, FlowEvent, FlowPhase, Recorder, Span, TraceEvent};
 use matgpt_tensor::ParamStore;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -353,58 +355,6 @@ struct Active {
 }
 
 impl Active {
-    /// Prefill `state.tokens` into `cache` (trailing `max_seq` window)
-    /// and stage the first logits row. A forked paged cache already
-    /// holds a shared prefix, so only the uncached suffix forwards; a
-    /// preempted request recomputes over its full prompt+generated
-    /// stream and picks up the exact rng stream it left off at. The
-    /// model forward runs under `catch_unwind`: on a panic the request
-    /// is handed back as it was parked, so the scheduler can retire it
-    /// as [`FinishReason::Failed`] without losing the batch or the
-    /// tokens it had generated.
-    fn try_prefill(
-        model: &GptModel,
-        weights: &Weights,
-        state: Parked,
-        reserved: usize,
-        mut cache: ReqKv,
-        spec_enabled: bool,
-    ) -> Result<Self, Box<Parked>> {
-        let prefill_start = Instant::now();
-        let tokens = &state.tokens;
-        let start = first_uncached(tokens.len(), cache.kv().len(), model.cfg.max_seq);
-        let n_fwd = tokens.len() - start;
-        // only the forward is unwind-scoped; `state` stays outside so a
-        // Failed response can still be delivered (the cache rides in
-        // and is dropped — blocks released — if the forward panics)
-        let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let logits = model.forward_cached(weights, &tokens[start..], cache.kv());
-            let v = model.cfg.vocab_size;
-            let last_row = logits[(n_fwd - 1) * v..].to_vec();
-            (cache, last_row)
-        }));
-        let Ok((cache, last_row)) = forward else {
-            return Err(Box::new(state));
-        };
-        let prefill_end = Instant::now();
-        // speculation is per-request: only greedy requests get a draft
-        // (a sampled request's rng stream must advance token by token);
-        // the draft windows `tokens` to the trailing `max_seq` itself
-        let draft = (spec_enabled && state.sub.req.opts.temperature <= 0.0)
-            .then(|| DraftState::new(model, tokens));
-        Ok(Self {
-            state,
-            cache,
-            last_row,
-            last_token_at: prefill_end,
-            reserved,
-            draft,
-            feed: Proposal::default(),
-            done: None,
-            prefill: (prefill_start, prefill_end),
-        })
-    }
-
     /// Phase 1 of a decode iteration: decide whether to finish;
     /// otherwise a plain request samples its next token from the staged
     /// logits, emits it and — unless that finished it — stages it in
@@ -720,6 +670,94 @@ fn emit_lifecycle(sub: &Submission, generated: usize, prefill: Option<(Instant, 
     rec.extend_flows(flows);
 }
 
+/// One admission round's prefill. Every request admitted this round —
+/// `(progress, reserved budget, storage)` — forwards what its storage
+/// does not hold yet, `tokens[first_uncached(..)..]` (the trailing
+/// `max_seq` window, or the suffix past a forked shared prefix; a
+/// preempted request recomputes over prompt + generated and resumes its
+/// rng stream where it stood), and all of them ride **one**
+/// [`GptModel::forward_batch`]: the round streams the weights once,
+/// however many it admitted. Each then stages its last logits row and,
+/// decoding greedily under speculation, builds its draft.
+///
+/// A window [`GptModel::check_segment`] refuses retires
+/// [`FinishReason::Failed`] before the forward, so bad input never
+/// widens the unwind scope. The forward is the round's one
+/// `catch_unwind`: if it panics, every request in it retires `Failed`
+/// with its tokens, its storage (mid-write) dropped — paged blocks
+/// released — as a panicked decode forward fails its riders. A failed
+/// request's `reserved` budget comes off `used_budget`. Returns the
+/// requests that joined the batch, in round order.
+fn prefill_round(
+    model: &GptModel,
+    weights: &Weights,
+    round: Vec<(Parked, usize, ReqKv)>,
+    spec_enabled: bool,
+    used_budget: &mut usize,
+    metrics: &MetricsInner,
+) -> Vec<Active> {
+    let mut span = Span::enter(pids::SERVE, "serve", "prefill-batch");
+    let mut fail = |p: Parked, reserved: usize| {
+        *used_budget -= reserved;
+        p.retire(FinishReason::Failed, None, metrics);
+    };
+    let mut ready = Vec::with_capacity(round.len());
+    for (p, reserved, mut cache) in round {
+        let start = first_uncached(p.tokens.len(), cache.kv().len(), model.cfg.max_seq);
+        if model.check_segment(&p.tokens[start..]).is_ok() {
+            ready.push((p, reserved, cache, start));
+        } else {
+            fail(p, reserved);
+        }
+    }
+    if ready.is_empty() {
+        return Vec::new();
+    }
+    let prefill_start = Instant::now();
+    let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut segs: Vec<(&[u32], &mut dyn KvStorage)> = ready
+            .iter_mut()
+            .map(|(p, _, cache, start)| (&p.tokens[*start..], cache.kv()))
+            .collect();
+        model.forward_batch(weights, &mut segs)
+    }));
+    let Ok(logits) = forward else {
+        for (p, reserved, ..) in ready {
+            fail(p, reserved);
+        }
+        return Vec::new();
+    };
+    let prefill_end = Instant::now();
+    let v = model.cfg.vocab_size;
+    let rows = logits.len() / v;
+    metrics.prefill_forwards.inc();
+    metrics.prefill_rows.add(rows as u64);
+    span.set_arg("rows", rows as f64);
+    let mut end = 0;
+    ready
+        .into_iter()
+        .map(|(state, reserved, cache, start)| {
+            end += state.tokens.len() - start;
+            // speculation is per-request: only greedy requests get a
+            // draft (a sampled request's rng stream must advance token
+            // by token); the draft windows `tokens` to `max_seq` itself
+            let draft = (spec_enabled && state.sub.req.opts.temperature <= 0.0)
+                .then(|| DraftState::new(model, &state.tokens));
+            Active {
+                state,
+                cache,
+                last_row: logits[(end - 1) * v..end * v].to_vec(),
+                last_token_at: prefill_end,
+                reserved,
+                draft,
+                feed: Proposal::default(),
+                done: None,
+                prefill: (prefill_start, prefill_end),
+            }
+        })
+        .collect()
+}
+
 /// One decode iteration over the batch, in three phases on the calling
 /// (scheduler) thread:
 ///
@@ -820,6 +858,7 @@ pub(crate) fn run(
     };
     // KV rows one step of a drafting request may commit before rollback
     let spec_rows = spec.as_ref().map_or(1, |rt| rt.k + 1);
+    let spec_on = spec.is_some();
     // the one precision dispatch: every forward below goes through this
     // handle. Int8 quantizes here and drops the f32 store
     let weights: Box<Weights> = match cfg.precision {
@@ -863,50 +902,36 @@ pub(crate) fn run(
         // ---- admission
         match paged.as_mut() {
             None => {
-                // contiguous: strict FIFO, worst-case token budget,
-                // batched rayon prefill over everything admitted at once
-                let mut admitted: Vec<(Parked, usize)> = Vec::new();
+                // contiguous: strict FIFO, worst-case token budget; the
+                // whole round prefills in one stacked forward
+                let mut round: Vec<(Parked, usize, ReqKv)> = Vec::new();
                 while let Some(front) = parked.front() {
-                    if active.len() + admitted.len() >= cfg.max_batch {
+                    if active.len() + round.len() >= cfg.max_batch {
                         break;
                     }
                     let cost = token_cost(&front.sub, model.cfg.max_seq);
-                    let batch_empty = active.is_empty() && admitted.is_empty();
+                    let batch_empty = active.is_empty() && round.is_empty();
                     if !batch_empty && used_budget + cost > cfg.token_budget {
                         break;
                     }
                     let Some(p) = parked.pop_front() else { break };
                     used_budget += cost;
-                    admitted.push((p, cost));
+                    round.push((p, cost, ReqKv::Contig(model.new_cache())));
                 }
-                if !admitted.is_empty() {
-                    let _span = Span::enter(pids::SERVE, "serve", "prefill-batch");
-                    // batched prefill: all newly admitted prompts forward together
-                    let fresh: Vec<Result<Active, Box<Parked>>> = admitted
-                        .into_par_iter()
-                        .map(|(p, cost)| {
-                            let cache = ReqKv::Contig(model.new_cache());
-                            Active::try_prefill(&model, weights, p, cost, cache, spec.is_some())
-                        })
-                        .collect_vec();
-                    for prefilled in fresh {
-                        match prefilled {
-                            Ok(a) => active.push(a),
-                            Err(p) => {
-                                // panicked prefill: free its budget, answer Failed
-                                used_budget -= token_cost(&p.sub, model.cfg.max_seq);
-                                p.retire(FinishReason::Failed, None, &metrics);
-                            }
-                        }
-                    }
+                if !round.is_empty() {
+                    let budget = &mut used_budget;
+                    let admitted = prefill_round(&model, weights, round, spec_on, budget, &metrics);
+                    active.extend(admitted);
                 }
             }
             Some(ps) => {
                 // paged: block-granular admission from the head of the
-                // lot (preempted requests first). Prefills run serially
-                // so a wave sharing a system prompt forks the blocks
-                // the wave's first prefill just registered (the forward
-                // itself is rayon-parallel inside).
+                // lot (preempted requests first), one request per
+                // round. Each admission reads what the previous prefill
+                // wrote — a wave-mate forks the prefix it just
+                // registered, `register`'s LRU cap frees blocks the next
+                // `reserve_rows` sees, `evict_until` picks among them —
+                // so stacking the wave would change block decisions.
                 let _span = Span::enter(pids::SERVE, "serve", "prefill-paged");
                 let max_seq = model.cfg.max_seq;
                 while active.len() < cfg.max_batch {
@@ -947,21 +972,19 @@ pub(crate) fn run(
                         parked.push_front(p);
                         break;
                     }
-                    let kv = ReqKv::Paged(kv);
-                    match Active::try_prefill(&model, weights, p, 0, kv, spec.is_some()) {
-                        Ok(a) => {
-                            // register the prompt prefix for sharing —
-                            // valid only when the cache holds the prompt
-                            // from position 0 (no window truncation)
-                            if a.state.tokens.len() <= max_seq {
-                                if let Some(pkv) = a.cache.paged() {
-                                    let plen = a.state.sub.req.prompt.len();
-                                    ps.prefix.register(&a.state.tokens[..plen], pkv);
-                                }
+                    let round = vec![(p, 0, ReqKv::Paged(kv))];
+                    let budget = &mut used_budget;
+                    for a in prefill_round(&model, weights, round, spec_on, budget, &metrics) {
+                        // register the prompt prefix for sharing — valid
+                        // only when the cache holds the prompt from
+                        // position 0 (no window truncation)
+                        if a.state.tokens.len() <= max_seq {
+                            if let Some(pkv) = a.cache.paged() {
+                                let plen = a.state.sub.req.prompt.len();
+                                ps.prefix.register(&a.state.tokens[..plen], pkv);
                             }
-                            active.push(a);
                         }
-                        Err(p) => p.retire(FinishReason::Failed, None, &metrics),
+                        active.push(a);
                     }
                 }
             }
@@ -1137,7 +1160,7 @@ mod tests {
         spec: bool,
         metrics: &MetricsInner,
     ) -> Vec<Active> {
-        (0..n)
+        let round = (0..n)
             .map(|id| {
                 let prompt: Vec<u32> = (0..3 + id % 3)
                     .map(|i| ((id * 5 + i) % 30) as u32)
@@ -1151,10 +1174,12 @@ mod tests {
                     }
                 };
                 let (p, _rx) = parked(id, prompt, max_new, metrics);
-                Active::try_prefill(model, weights, p, 0, cache, spec)
-                    .unwrap_or_else(|_| panic!("prefill {id}"))
+                (p, 0, cache)
             })
-            .collect()
+            .collect();
+        let admitted = prefill_round(model, weights, round, spec, &mut 0, metrics);
+        assert_eq!(admitted.len() as u64, n, "every prefill");
+        admitted
     }
 
     /// `run`'s decode loop over an already admitted batch: reserve, one
@@ -1390,11 +1415,12 @@ mod tests {
             ttft: Some(Duration::from_millis(5)),
             ..fresh
         };
-        let cache = ReqKv::Contig(model.new_cache());
-        let Err(back) = Active::try_prefill(&model, &store, parked, 0, cache, false) else {
-            panic!("out-of-vocab recompute must not prefill");
-        };
-        back.retire(FinishReason::Failed, None, &metrics);
+        let round = vec![(parked, 0, ReqKv::Contig(model.new_cache()))];
+        let admitted = prefill_round(&model, &store, round, false, &mut 0, &metrics);
+        assert!(
+            admitted.is_empty(),
+            "out-of-vocab recompute must not prefill"
+        );
         let r = rx.try_recv().expect("answered");
         assert_eq!(r.finish, FinishReason::Failed);
         assert_eq!(
@@ -1406,5 +1432,135 @@ mod tests {
         assert_eq!(r.ttft, Duration::from_millis(5));
         let snap = metrics.snapshot();
         assert_eq!((snap.completed, snap.failed, snap.backlog), (1, 1, 0));
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_stacked_round_is_bitwise_each_solo_prefill() {
+        let (model, store) = tiny_model();
+        let (max, v) = (model.cfg.max_seq, model.cfg.vocab_size);
+        // ragged prompts; the third outgrows the window, so only its
+        // trailing `max_seq` tokens forward
+        let prompts: Vec<Vec<u32>> = [5, 1, max + 8, 9]
+            .into_iter()
+            .enumerate()
+            .map(|(r, len)| (0..len).map(|i| ((i * 7 + r * 11) % v) as u32).collect())
+            .collect();
+        for n in 1..=prompts.len() {
+            let metrics = MetricsInner::default();
+            let round = prompts[..n]
+                .iter()
+                .enumerate()
+                .map(|(id, prompt)| {
+                    let (p, _rx) = parked(id as u64, prompt.clone(), 4, &metrics);
+                    (p, 0, ReqKv::Contig(model.new_cache()))
+                })
+                .collect();
+            let admitted = prefill_round(&model, &store, round, false, &mut 0, &metrics);
+            assert_eq!(admitted.len(), n);
+            for (mut a, prompt) in admitted.into_iter().zip(&prompts) {
+                let mut solo = model.new_cache();
+                let window = &prompt[prompt.len().saturating_sub(max)..];
+                let logits = model.forward_cached(&store, window, &mut solo);
+                let id = a.state.sub.id;
+                assert_eq!(
+                    bits(&a.last_row),
+                    bits(&logits[logits.len() - v..]),
+                    "{n}/{id}"
+                );
+                assert_eq!(a.cache.kv().kv_bytes(), solo.kv_bytes(), "{n}/{id}");
+                // the cached rows themselves: the next step reads them all
+                let next = model.decode_step(&store, 3, a.cache.kv());
+                let want = model.decode_step(&store, 3, &mut solo);
+                assert_eq!(bits(&next), bits(&want), "{n}/{id} cache");
+            }
+            let rows: usize = prompts[..n].iter().map(|p| p.len().min(max)).sum();
+            let snap = metrics.snapshot();
+            assert_eq!((snap.prefill_forwards, snap.prefill_rows), (1, rows as u64));
+        }
+    }
+
+    /// A parked request costing its worst case, and its response channel.
+    fn costed(id: u64, prompt: Vec<u32>, model: &GptModel, metrics: &MetricsInner) -> Costed {
+        let (p, rx) = parked(id, prompt, 6, metrics);
+        let cost = token_cost(&p.sub, model.cfg.max_seq);
+        ((p, cost, ReqKv::Contig(model.new_cache())), rx)
+    }
+
+    type Costed = ((Parked, usize, ReqKv), Receiver<Response>);
+
+    #[test]
+    fn a_panicked_round_fails_exactly_its_requests() {
+        let (model, store) = tiny_model();
+        let weights = CountedWeights::new(store);
+        let metrics = MetricsInner::default();
+        // two requests already decoding, one iteration in
+        let mut active = admit(2, 6, &model, &weights, None, false, &metrics);
+        decode_iteration(&model, &weights, None, &mut active, &metrics);
+
+        let pre_round = 17;
+        let mut used_budget = pre_round;
+        let (round, rxs): (Vec<_>, Vec<_>) = (10..13)
+            .map(|id| costed(id, vec![id as u32, 2, 3], &model, &metrics))
+            .unzip();
+        used_budget += round.iter().map(|r| r.1).sum::<usize>();
+        // the stacked forward dies at its fifth linear, every cache begun
+        weights
+            .fault_at
+            .store(weights.matmuls() + 5, Ordering::Relaxed);
+        let admitted = prefill_round(&model, &weights, round, false, &mut used_budget, &metrics);
+        assert!(admitted.is_empty());
+        assert_eq!(used_budget, pre_round, "the round's budget came back");
+        for (id, rx) in (10..13).zip(rxs) {
+            let r = rx.try_recv().expect("answered");
+            assert_eq!(r.finish, FinishReason::Failed);
+            assert_eq!(r.tokens, [id as u32, 2, 3], "tokens kept");
+        }
+        let snap = metrics.snapshot();
+        assert_eq!((snap.failed, snap.prefill_forwards), (3, 1), "only admit's");
+
+        // the batch decodes on to the reference
+        let (finished, _) = drive(&model, &weights, None, active, &metrics);
+        assert_eq!(finished.len(), 2);
+        for a in &finished {
+            let prompt = &a.state.sub.req.prompt;
+            let reference = generate(
+                &model,
+                &weights.inner,
+                prompt,
+                &greedy(6),
+                &mut init::rng(0),
+            );
+            assert_eq!(a.state.tokens, reference);
+        }
+        assert_eq!(metrics.snapshot().failed, 3);
+    }
+
+    #[test]
+    fn a_refused_window_fails_alone_outside_the_forward() {
+        let (model, store) = tiny_model();
+        let metrics = MetricsInner::default();
+        let mut used_budget = 0;
+        let (round, rxs): (Vec<_>, Vec<_>) = [vec![1, 2], vec![4, 29_999], vec![5, 6, 7]]
+            .into_iter()
+            .enumerate()
+            .map(|(id, prompt)| costed(id as u64, prompt, &model, &metrics))
+            .unzip();
+        let good_cost = round[0].1 + round[2].1;
+        used_budget += round.iter().map(|r| r.1).sum::<usize>();
+        let admitted = prefill_round(&model, &store, round, false, &mut used_budget, &metrics);
+        let ids: Vec<u64> = admitted.iter().map(|a| a.state.sub.id).collect();
+        assert_eq!(ids, [0, 2], "its neighbours prefilled");
+        assert_eq!(used_budget, good_cost);
+        let r = rxs[1].try_recv().expect("answered");
+        assert_eq!(
+            (r.finish, r.tokens),
+            (FinishReason::Failed, vec![4, 29_999])
+        );
+        let snap = metrics.snapshot();
+        assert_eq!((snap.prefill_forwards, snap.prefill_rows), (1, 5));
     }
 }
