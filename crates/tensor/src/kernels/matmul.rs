@@ -350,10 +350,10 @@ fn nest<const FUSED: bool, const SKIP: bool>(
 /// Proof that `avx512f` was detected on this host: the only way to
 /// reach [`tile_avx512`].
 #[derive(Clone, Copy)]
-struct Avx512(());
+pub(crate) struct Avx512(());
 
 impl Avx512 {
-    fn detect() -> Option<Self> {
+    pub(crate) fn detect() -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         return is_x86_feature_detected!("avx512f").then_some(Avx512(()));
         #[cfg(not(target_arch = "x86_64"))]
@@ -502,6 +502,7 @@ fn entry_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::quant::{matmul_q8, matmul_q8_with, QuantizedMatrix};
 
     fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut c = vec![0.0; m * n];
@@ -607,10 +608,44 @@ mod tests {
         }
     }
 
+    /// `matmul_q8` as it was before it became an addressing of the nest:
+    /// per output row a p-ascending `mul_add` chain from `+0` over the
+    /// codes read as f32, zero coefficients skipped, then each column
+    /// times its scale.
+    fn q8_rows_reference(a: &[f32], q: &QuantizedMatrix, c: &mut [f32], k: usize, n: usize) {
+        for (ci, ai) in c.chunks_mut(n).zip(a.chunks(k)) {
+            ci.fill(0.0);
+            for (&ap, codes) in ai.iter().zip(q.data().chunks(n)) {
+                if ap == 0.0 {
+                    continue;
+                }
+                for (cv, &code) in ci.iter_mut().zip(codes) {
+                    *cv = ap.mul_add(f32::from(code), *cv);
+                }
+            }
+            for (cv, &s) in ci.iter_mut().zip(q.scales()) {
+                *cv *= s;
+            }
+        }
+    }
+
+    /// A `[k, n]` weight from `gen` with every odd column negated,
+    /// quantized: each column's extreme lands on `-127` or `+127`, and
+    /// `gen`'s zeros on code 0.
+    fn quantized(gen: Operand, k: usize, n: usize) -> QuantizedMatrix {
+        let w: Vec<f32> = (gen(k * n, 53, 23).into_iter().enumerate())
+            .map(|(i, v)| if i % n % 2 == 1 { -v } else { v })
+            .collect();
+        let q = QuantizedMatrix::quantize(&w, k, n);
+        assert!(q.data().contains(&127) && q.data().contains(&-127));
+        q
+    }
+
     const MS: [usize; 7] = [1, 2, 7, 8, 9, 37, 128];
     /// `(k, n)`, neither a multiple of 8; the first keeps every output
-    /// below `PAR_THRESHOLD` at small `m`, the others cross it.
-    const KNS: [(usize, usize); 3] = [(21, 50), (37, 113), (130, 67)];
+    /// below `PAR_THRESHOLD` at small `m`, the others cross it. The last
+    /// strip's partial vector is 2, 1, 3 and 15 lanes wide.
+    const KNS: [(usize, usize); 4] = [(21, 50), (37, 113), (130, 67), (29, 63)];
     /// The training model's MLP shapes: `n = 344` leaves `n % 16 = 8`
     /// lanes, `n = 128` none; with [`TRAIN_MS`] rows a call is several
     /// whole row groups.
@@ -695,6 +730,17 @@ mod tests {
                     let mut want = c0.clone();
                     at_gather_reference(&a, &d, &mut want, m, k, n);
                     assert_eq!(run(Entry::AtAcc, &d, &c0), bits(&want), "at {what}");
+
+                    let q = quantized(gen, k, n);
+                    let mut want = vec![f32::NAN; m * n];
+                    q8_rows_reference(&a, &q, &mut want, k, n);
+                    let [portable, detected] = bodies.map(|body| {
+                        let mut c = vec![f32::NAN; m * n];
+                        matmul_q8_with(body, &a, &q, &mut c, m, k, n);
+                        bits(&c)
+                    });
+                    assert_eq!(portable, detected, "q8 {what}");
+                    assert_eq!(portable, bits(&want), "q8 {what}");
                 }
             }
         });
@@ -720,6 +766,33 @@ mod tests {
                     bits(&c)
                 });
                 assert_eq!(portable, detected, "{entry:?} m={m} k={k} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn int8_entry_is_the_f32_nest_over_codes_then_scales() {
+        // `matmul_q8` is `matmul` over the codes read as f32, then each
+        // column times its scale, to the bit: the int8 entry and the f32
+        // one share a chain. Half the zero coefficients are `-0.0`, which
+        // both skip like `+0.0`.
+        for (set, gen) in OPERANDS {
+            for (m, k, n) in shapes() {
+                let q = quantized(gen, k, n);
+                let a: Vec<f32> = (gen(m * k, 37, 19).into_iter().enumerate())
+                    .map(|(i, v)| if v == 0.0 && i % 2 == 1 { -0.0 } else { v })
+                    .collect();
+                let codes: Vec<f32> = q.data().iter().map(|&c| f32::from(c)).collect();
+                let mut want = vec![f32::NAN; m * n];
+                matmul(&a, &codes, &mut want, m, k, n);
+                for row in want.chunks_mut(n) {
+                    for (v, &s) in row.iter_mut().zip(q.scales()) {
+                        *v *= s;
+                    }
+                }
+                let mut got = vec![f32::NAN; m * n];
+                matmul_q8(&a, &q, &mut got, m, k, n);
+                assert_eq!(bits(&got), bits(&want), "{set} m={m} k={k} n={n}");
             }
         }
     }

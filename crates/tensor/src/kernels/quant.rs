@@ -17,6 +17,7 @@
 //! `[k, n]` data, `ikj` loop order, rayon over output rows past the
 //! same threshold.
 
+use super::matmul::Avx512;
 use rayon::prelude::*;
 
 /// Minimum output elements before rayon pays for itself (kept identical
@@ -108,6 +109,21 @@ impl QuantizedMatrix {
 /// weights: int8 codes stream through the `ikj` hot loop and each
 /// output element is scaled once at the end.
 pub fn matmul_q8(a: &[f32], w: &QuantizedMatrix, c: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_q8_with(Avx512::detect(), a, w, c, m, k, n)
+}
+
+/// [`matmul_q8`] with the body chosen by the caller (`None`: the
+/// portable one), so a test can hold every body against the others. This
+/// kernel has one body, so the choice changes nothing.
+pub(crate) fn matmul_q8_with(
+    _avx512: Option<Avx512>,
+    a: &[f32],
+    w: &QuantizedMatrix,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     assert_eq!(w.k, k, "contraction dim");
     assert_eq!(w.n, n, "output dim");
     debug_assert_eq!(a.len(), m * k);
