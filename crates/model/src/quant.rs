@@ -18,7 +18,7 @@
 //! unchanged (DECODING.md has the whole decode-path table).
 
 use crate::gpt::GptModel;
-use matgpt_tensor::kernels::matmul::{in_small_m_groups, matmul};
+use matgpt_tensor::kernels::matmul::matmul;
 use matgpt_tensor::kernels::quant::{matmul_q8, matmul_q8a8, PackedQ8Matrix, QuantizedMatrix};
 use matgpt_tensor::{ParamId, ParamStore, Tensor};
 use std::collections::HashMap;
@@ -202,9 +202,7 @@ impl ForwardParams for QuantizedParamStore {
     fn matmul(&self, x: &[f32], id: ParamId, c: &mut [f32], m: usize, k: usize, n: usize) {
         match self.codes.get(&id) {
             Some(Codes::Packed(p)) => matmul_q8a8(x, p, c, m, k, n),
-            Some(Codes::Rows(q)) => {
-                in_small_m_groups(x, c, m, k, n, |xg, cg, mg| matmul_q8(xg, q, cg, mg, k, n))
-            }
+            Some(Codes::Rows(q)) => matmul_q8(x, q, c, m, k, n),
             None => matmul(x, self.dense(id), c, m, k, n),
         }
     }

@@ -1,13 +1,15 @@
 //! Rayon-parallel dense matrix multiplication kernels.
 //!
-//! One blocked loop nest, `nest`, under every entry with more than one
-//! row: `c[r][j] ⊕= coef(r, s) · b[s][j]`, `s` ascending, walked as step
-//! blocks of `KC` → column strips of ≤ `NV_MAX` × `LANES` floats →
-//! row tiles of ≤ `MR` rows. A tile's accumulators stay in registers
-//! for its whole block; the strip of `b` it read is re-used from L1 by
-//! every later row tile, and the first row tile of a strip prefetches
-//! the same strip of the next block, so `b` crosses DRAM once per call
-//! whatever `m`. An entry is an addressing of the coefficient
+//! One blocked loop nest, `nest`, under every float matmul in the repo
+//! but the f32 single row: `c[r][j] ⊕= coef(r, s) · b[s][j]`, `s`
+//! ascending, walked as step blocks of `KC` → column strips of ≤
+//! `NV_MAX` × `LANES` columns → row tiles of ≤ `MR` rows. A tile's
+//! accumulators stay in registers for its whole block; the strip of `b`
+//! it read is re-used from L1 by every later row tile, and the first row
+//! tile of a strip prefetches the same strip of the next block, so `b`
+//! crosses DRAM once per call whatever `m`. `b` is f32, or int8 codes
+//! the tile widens to f32 in registers (exactly: every `i8` is an f32).
+//! An entry is an addressing of the coefficient
 //! `coef(r, s) = a[r·rs + s·ss]`, a packing, and a chain:
 //!
 //! | entry | rows × steps, `(rs, ss)` | packing | chain per element |
@@ -16,6 +18,7 @@
 //! | [`matmul`], `m ≥ 2` | `m × k`, `(k, 1)` | none | fused, zero-skip, from `+0` |
 //! | [`matmul_bt_acc`] | `m × k`, `(k, 1)` | `b^T` packed once to `[k, n]`; one zeroed `[m, n]` temp, `c += temp` | unfused, no skip, from `+0` |
 //! | [`matmul_at_acc`] | `k × m`, `(1, k)` (down a column of `a`, no pack) | none | unfused, zero-skip, from `c` |
+//! | [`super::quant::matmul_q8`], every `m` | `m × k`, `(k, 1)` | none: `b` is the `[k, n]` int8 codes, widened in registers | fused, zero-skip, from `+0`, then `× scale[j]` |
 //!
 //! The chain an output element sees — its order, fusing and zero-skip —
 //! is a function of the inner dimension only, never of `m`, the tile a
@@ -45,17 +48,13 @@ use rayon::prelude::*;
 /// multiply itself).
 const PAR_THRESHOLD: usize = 64 * 64;
 
-/// Rows the int8 store's weight-stationary kernel (`matmul_q8`) takes
-/// per group in [`in_small_m_groups`]: its codes stream once while the
-/// group's output rows accumulate in cache.
-pub const SMALL_M_MAX: usize = 8;
-
 /// Steps per block of [`nest`]. Measured, not an option: on the
 /// DRAM-resident serving shapes 64 / 128 / 256 cost `m ≤ 4` 10–34 %
 /// (the prefetch runs a whole block ahead), and 32 already amortises a
 /// tile's load and store of `c` over 32 steps.
 const KC: usize = 32;
-/// Floats per vector of a tile (one AVX-512 register, one cache line).
+/// Lanes per vector of a tile: one AVX-512 register of f32 (a cache line
+/// of f32 `b`, a quarter of one of int8 codes).
 const LANES: usize = 16;
 /// Vectors per column strip.
 const NV_MAX: usize = 3;
@@ -63,16 +62,78 @@ const NV_MAX: usize = 3;
 /// and one broadcast coefficient fill 28 of the 32 vector registers.
 const MR: usize = 8;
 
+/// What a tile reads `b` as: f32 values, or int8 codes widened to f32
+/// (exactly) as they are loaded.
+pub(crate) trait Elem: Copy + Default + Send + Sync {
+    /// The value the tile multiplies.
+    fn widen(self) -> f32;
+
+    /// One vector of `b` from `p`, widened: the lanes `mask` sets (a run
+    /// from lane 0) hold their values, the others zeros — or, when
+    /// `whole`, anything.
+    ///
+    /// # Safety
+    /// `avx512f` must have been detected, and every lane `mask` sets must
+    /// be readable from `p` — all `LANES` of them when `whole`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load(p: *const Self, mask: u16, whole: bool) -> std::arch::x86_64::__m512;
+}
+
+impl Elem for f32 {
+    fn widen(self) -> f32 {
+        self
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load(p: *const f32, mask: u16, _: bool) -> std::arch::x86_64::__m512 {
+        // SAFETY: the caller detected avx512f and vouches for the masked
+        // lanes; the others are not read
+        unsafe { std::arch::x86_64::_mm512_maskz_loadu_ps(mask, p) }
+    }
+}
+
+impl Elem for i8 {
+    fn widen(self) -> f32 {
+        f32::from(self)
+    }
+
+    /// `vpmovsxbd` + `vcvtdq2ps` on 16 bytes. A masked byte load would
+    /// need `avx512bw`; instead a partial vector reads on into the next
+    /// row where the caller says 16 bytes are there, and on the last row
+    /// of `b` is gathered byte by byte in a register (a `memcpy` call in
+    /// the step loop would send every accumulator through the stack).
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load(p: *const i8, mask: u16, whole: bool) -> std::arch::x86_64::__m512 {
+        use std::arch::x86_64::*;
+        let codes = if mask == !0 || whole {
+            // SAFETY: every lane is set, or the caller says all 16 bytes
+            // are readable
+            unsafe { _mm_loadu_si128(p.cast()) }
+        } else {
+            let staged = (0..mask.count_ones() as usize).fold(0u128, |v, l| {
+                // SAFETY: lane `l` is one the mask sets
+                v | u128::from(unsafe { p.add(l).cast::<u8>().read() }) << (8 * l)
+            });
+            _mm_set_epi64x((staged >> 64) as i64, staged as i64)
+        };
+        _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(codes))
+    }
+}
+
 /// One tile-block of [`nest`]: `R` rows × `NV` vectors of `c` starting
 /// at `c0`, `kc` steps. `coef(r, s) = a[a0 + r·rs + s·ss]`; row `s` of
 /// the strip of `b` starts at `b0 + s·n`; `w` of the strip's
 /// `NV · LANES` lanes exist (`(NV − 1) · LANES < w`).
-struct Tile<'a> {
+struct Tile<'a, T> {
     a: &'a [f32],
     a0: usize,
     rs: usize,
     ss: usize,
-    b: &'a [f32],
+    b: &'a [T],
     b0: usize,
     c0: usize,
     n: usize,
@@ -82,7 +143,7 @@ struct Tile<'a> {
     prefetch: bool,
 }
 
-impl Tile<'_> {
+impl<T> Tile<'_, T> {
     /// Lanes that exist in vector `v` of `nv`.
     fn lanes(&self, v: usize, nv: usize) -> usize {
         if v + 1 < nv {
@@ -111,15 +172,17 @@ impl Tile<'_> {
 /// load and store is a whole lane array: a run-time length anywhere in
 /// here sends the accumulators through memory on every step.
 #[inline(always)]
-fn column_lanes<const R: usize, const FUSED: bool, const SKIP: bool>(
-    t: &Tile,
-    (b, bstride): (&[f32], usize),
+fn column_lanes<T: Elem, const R: usize, const FUSED: bool, const SKIP: bool>(
+    t: &Tile<T>,
+    (b, bstride): (&[T], usize),
     (c, cstride): (&mut [f32], usize),
 ) {
-    let whole = |x: &[f32]| -> [f32; LANES] { x[..LANES].try_into().expect("LANES floats") };
+    fn whole<T: Copy>(x: &[T]) -> [T; LANES] {
+        x[..LANES].try_into().expect("LANES lanes")
+    }
     let mut acc: [[f32; LANES]; R] = std::array::from_fn(|r| whole(&c[r * cstride..]));
     for s in 0..t.kc {
-        let bv = whole(&b[s * bstride..]);
+        let bv = whole(&b[s * bstride..]).map(T::widen);
         for (r, av) in acc.iter_mut().enumerate() {
             let cf = t.a[t.a0 + r * t.rs + s * t.ss];
             if SKIP && cf == 0.0 {
@@ -144,16 +207,19 @@ fn column_lanes<const R: usize, const FUSED: bool, const SKIP: bool>(
 /// zero-padded copies of its `b` and `c`. `FUSED` picks `mul_add` (one
 /// rounding per step) over mul-then-add; `SKIP` passes over zero
 /// coefficients without touching their row of `b`.
-fn tile_lanes<const R: usize, const FUSED: bool, const SKIP: bool>(t: &Tile, c: &mut [f32]) {
+fn tile_lanes<T: Elem, const R: usize, const FUSED: bool, const SKIP: bool>(
+    t: &Tile<T>,
+    c: &mut [f32],
+) {
     let nv = t.w.div_ceil(LANES);
     for v in 0..nv {
         let (w, j) = (t.lanes(v, nv), v * LANES);
         if w == LANES {
             let (b, c) = (&t.b[t.b0 + j..], &mut c[t.c0 + j..]);
-            column_lanes::<R, FUSED, SKIP>(t, (b, t.n), (c, t.n));
+            column_lanes::<T, R, FUSED, SKIP>(t, (b, t.n), (c, t.n));
             continue;
         }
-        let (mut bs, mut cs) = ([[0.0f32; LANES]; KC], [[0.0f32; LANES]; R]);
+        let (mut bs, mut cs) = ([[T::default(); LANES]; KC], [[0.0f32; LANES]; R]);
         for (s, row) in bs[..t.kc].iter_mut().enumerate() {
             row[..w].copy_from_slice(&t.b[t.b0 + s * t.n + j..][..w]);
         }
@@ -161,7 +227,7 @@ fn tile_lanes<const R: usize, const FUSED: bool, const SKIP: bool>(t: &Tile, c: 
             row[..w].copy_from_slice(&c[t.c0 + r * t.n + j..][..w]);
         }
         let staged = (cs.as_flattened_mut(), LANES);
-        column_lanes::<R, FUSED, SKIP>(t, (bs.as_flattened(), LANES), staged);
+        column_lanes::<T, R, FUSED, SKIP>(t, (bs.as_flattened(), LANES), staged);
         for (r, row) in cs.iter().enumerate() {
             c[t.c0 + r * t.n + j..][..w].copy_from_slice(&row[..w]);
         }
@@ -178,8 +244,14 @@ fn tile_lanes<const R: usize, const FUSED: bool, const SKIP: bool>(t: &Tile, c: 
 /// passed, and `NV` must be `t.w.div_ceil(LANES)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tile_avx512<const R: usize, const NV: usize, const FUSED: bool, const SKIP: bool>(
-    t: &Tile,
+unsafe fn tile_avx512<
+    T: Elem,
+    const R: usize,
+    const NV: usize,
+    const FUSED: bool,
+    const SKIP: bool,
+>(
+    t: &Tile<T>,
     c: &mut [f32],
 ) {
     use std::arch::x86_64::*;
@@ -187,9 +259,10 @@ unsafe fn tile_avx512<const R: usize, const NV: usize, const FUSED: bool, const 
     let mask = |v: usize| if v + 1 < NV { !0 } else { tail };
     // SAFETY: `check` bounded every tile index by its slice — rows
     // `r < R` and lanes `< w` of `c` from `c0`, steps `s < kc` and lanes
-    // `< w` of `b` from `b0`, `a0 + r·rs + s·ss` in `a` — and masked
-    // loads and stores touch no lane past `w`. The prefetch address may
-    // lie past `b`: it is formed with `wrapping_add` and never read.
+    // `< w` of `b` from `b0`, `a0 + r·rs + s·ss` in `a` — so masked loads
+    // and stores touch no lane past `w`, and a `b` load told `whole` has
+    // its 16 lanes inside `b`. The prefetch address may lie past `b`: it
+    // is formed with `wrapping_add` and never read.
     unsafe {
         let (a, b) = (t.a.as_ptr().add(t.a0), t.b.as_ptr().add(t.b0));
         let c = c.as_mut_ptr().add(t.c0);
@@ -205,9 +278,10 @@ unsafe fn tile_avx512<const R: usize, const NV: usize, const FUSED: bool, const 
             for (v, x) in bv.iter_mut().enumerate() {
                 if t.prefetch {
                     let next = brow.wrapping_add(KC * t.n + v * LANES);
-                    _mm_prefetch::<_MM_HINT_T0>(next as *const i8);
+                    _mm_prefetch::<_MM_HINT_T0>(next.cast());
                 }
-                *x = _mm512_maskz_loadu_ps(mask(v), brow.add(v * LANES));
+                let whole = t.b0 + s * t.n + (v + 1) * LANES <= t.b.len();
+                *x = T::load(brow.add(v * LANES), mask(v), whole);
             }
             for (r, row) in acc.iter_mut().enumerate() {
                 let cf = *a.add(r * t.rs + s * t.ss);
@@ -238,7 +312,7 @@ unsafe fn tile_avx512<const R: usize, const NV: usize, const FUSED: bool, const 
 fn tile<const FUSED: bool, const SKIP: bool>(
     avx512: Option<Avx512>,
     rows: usize,
-    t: &Tile,
+    t: &Tile<impl Elem>,
     c: &mut [f32],
 ) {
     t.check(rows, c.len());
@@ -257,10 +331,10 @@ fn tile<const FUSED: bool, const SKIP: bool>(
                 // the one `nv = ⌈w / LANES⌉` selected
                 #[cfg(target_arch = "x86_64")]
                 unsafe {
-                    tile_avx512::<$r, $nv, FUSED, SKIP>(t, c)
+                    tile_avx512::<_, $r, $nv, FUSED, SKIP>(t, c)
                 }
             } else {
-                tile_lanes::<$r, FUSED, SKIP>(t, c)
+                tile_lanes::<_, $r, FUSED, SKIP>(t, c)
             }
         };
     }
@@ -284,13 +358,14 @@ fn slab_has_zero(a: &[f32], a0: usize, (rs, ss): (usize, usize), r: usize, kc: u
 /// the tile bodies, `s` ascending per output element. Row tiles are
 /// dealt to the rayon pool in whole tiles, one contiguous run per
 /// worker, so `b` streams once per worker; which worker ran a tile
-/// changes no bit.
+/// changes no bit. Below [`PAR_THRESHOLD`] outputs the nest runs
+/// inline: one run, one stream of `b`.
 #[allow(clippy::too_many_arguments)]
-fn nest<const FUSED: bool, const SKIP: bool>(
+pub(crate) fn nest<const FUSED: bool, const SKIP: bool>(
     avx512: Option<Avx512>,
     a: &[f32],
     (rs, ss): (usize, usize),
-    b: &[f32],
+    b: &[impl Elem],
     c: &mut [f32],
     rows: usize,
     steps: usize,
@@ -303,7 +378,6 @@ fn nest<const FUSED: bool, const SKIP: bool>(
         return;
     }
     assert!((rows - 1) * rs + (steps - 1) * ss < a.len());
-    // below the threshold `par_rows` runs inline: one run, one stream of `b`
     let tiles = rows.div_ceil(MR);
     let workers = if c.len() >= PAR_THRESHOLD {
         rayon::current_num_threads().min(tiles)
@@ -311,7 +385,7 @@ fn nest<const FUSED: bool, const SKIP: bool>(
         1
     };
     let run = tiles.div_ceil(workers) * MR;
-    par_rows(c, run * n, |g, cg| {
+    let walk = |g: usize, cg: &mut [f32]| {
         let rows = cg.len() / n;
         let mut has_zero = vec![false; if SKIP { rows.div_ceil(MR) } else { 0 }];
         for s0 in (0..steps).step_by(KC) {
@@ -344,7 +418,14 @@ fn nest<const FUSED: bool, const SKIP: bool>(
                 }
             }
         }
-    });
+    };
+    if workers > 1 {
+        c.par_chunks_mut(run * n)
+            .enumerate()
+            .for_each(|(g, cg)| walk(g, cg));
+    } else {
+        walk(0, c);
+    }
 }
 
 /// Proof that `avx512f` was detected on this host: the only way to
@@ -378,20 +459,6 @@ fn row_axpy(out: &mut [f32], coef: &[f32], b: &[f32]) {
     }
 }
 
-/// Hand `c` out in `chunk`-float pieces as `f(piece index, piece)`: on
-/// the rayon pool from [`PAR_THRESHOLD`] outputs up when there is more
-/// than one piece, inline otherwise. Pieces are independent in every
-/// caller, so where they run changes no output bit.
-fn par_rows(c: &mut [f32], chunk: usize, f: impl Fn(usize, &mut [f32]) + Sync + Send) {
-    if c.len() >= PAR_THRESHOLD && c.len() > chunk {
-        c.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(i, ci)| f(i, ci));
-    } else {
-        c.chunks_mut(chunk).enumerate().for_each(|(i, ci)| f(i, ci));
-    }
-}
-
 /// `c[m,n] = a[m,k] @ b[k,n]`.
 ///
 /// Accumulation is fused (one rounding per step): a single row and a
@@ -401,31 +468,6 @@ fn par_rows(c: &mut [f32], chunk: usize, f: impl Fn(usize, &mut [f32]) + Sync + 
 /// (ROADMAP item 2 holds the one-row tile's numbers).
 pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     entry_with(Entry::Matmul, Avx512::detect(), a, b, c, m, k, n)
-}
-
-/// Run a small-`m` matmul `kernel(a_rows, c_rows, rows)` over all `m`
-/// rows of `a[m,k]` / `c[m,n]` in groups of at most [`SMALL_M_MAX`], so
-/// a weight-stationary kernel streams its weights `⌈m / SMALL_M_MAX⌉`
-/// times instead of once per row — how the int8 store's `matmul_q8`
-/// takes a prefill or a stacked decode batch of any size ([`matmul`]
-/// blocks its own rows). Groups run on the rayon pool past
-/// `PAR_THRESHOLD` outputs (inline on a one-worker pool). Rows are
-/// independent in every such kernel, so grouping changes no output bit.
-pub fn in_small_m_groups(
-    a: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    kernel: impl Fn(&[f32], &mut [f32], usize) + Sync + Send,
-) {
-    if m <= SMALL_M_MAX {
-        return kernel(a, c, m);
-    }
-    par_rows(c, SMALL_M_MAX * n, |g, cg| {
-        let rows = cg.len() / n;
-        kernel(&a[g * SMALL_M_MAX * k..][..rows * k], cg, rows)
-    });
 }
 
 /// `c[m,n] += a[m,k] @ b[n,k]^T` — `dA = dC @ B^T`, `b` being the
@@ -481,7 +523,7 @@ fn entry_with(
         Entry::BtAcc => {
             assert_eq!(b.len(), n * k);
             assert_eq!(c.len(), m * n);
-            let mut bt = Vec::with_capacity(k * n);
+            let mut bt: Vec<f32> = Vec::with_capacity(k * n);
             for p in 0..k {
                 bt.extend(b.iter().skip(p).step_by(k));
             }
@@ -898,9 +940,9 @@ mod tests {
         // Speculative verify relies on a batched m-row matmul producing
         // exactly the bytes of m single-row calls. Include zeros in `a`
         // so the zero-skip fires on both paths.
-        // and past the tier: 8 + 1, 8 + 8, 16 · 8 + 1 rows walk in groups;
-        // 32 and 64 are whole groups at the training shapes
-        let ms = (2..=SMALL_M_MAX).chain([9, 16, 32, 64, 129]);
+        // One row tile, then past it: 8 + 1, 8 + 8, 16 · 8 + 1 rows are
+        // several tiles; 32 and 64 are whole tiles at the training shapes
+        let ms = (2..=MR).chain([9, 16, 32, 64, 129]);
         for (m, (k, n)) in ms.flat_map(|m| [(37, 113), (128, 344), (344, 128)].map(|kn| (m, kn))) {
             for (set, gen) in OPERANDS {
                 let (a, b) = (gen(m * k, 37, 19), dense_operand(k * n, 53, 23));

@@ -4,26 +4,19 @@
 //! stores one `i8` per element plus one `f32` scale per output channel
 //! (column `j`), chosen so the channel's largest-magnitude weight maps
 //! to ±127. Symmetric (no zero point) keeps the fused matmul a pure
-//! multiply: because the scale is constant along the contraction
-//! dimension it factors out of the dot product, so
-//! [`matmul_q8`] accumulates `a[i][p] * q[p][j]` in f32 and applies
-//! `scale[j]` once per output element — identical arithmetic to
-//! dequantize-then-matmul, at a quarter of the weight-memory traffic.
+//! multiply: the scale is constant along the contraction dimension, so
+//! it factors out of the dot product. [`matmul_q8`] is one more
+//! addressing of [`super::matmul`]'s blocked nest, whose tile reads the
+//! row-major `[k, n]` codes and widens them to f32 in registers: each
+//! output element is `matmul`'s fused, zero-skipping chain from `+0`
+//! over the codes, then one `× scale[j]` — bit for bit `matmul` over the
+//! codes read as f32, then the scales, and within rounding of
+//! dequantize-then-matmul, at a quarter of the weight bytes streamed.
 //! That traffic is what bounds single-token decode (a GEMV touches
-//! every weight once per token), which is where the int8 path earns its
-//! speedup; see `ext_quant` for the measured numbers.
-//!
-//! Layout and parallel structure mirror [`super::matmul`]: row-major
-//! `[k, n]` data, `ikj` loop order, rayon over output rows past the
-//! same threshold.
+//! every weight once per token). No benchmark workload serves int8;
+//! ROADMAP item 2 holds the kernel's off-benchmark timings.
 
-use super::matmul::Avx512;
-use rayon::prelude::*;
-
-/// Minimum output elements before rayon pays for itself (kept identical
-/// to the f32 kernels so precision comparisons measure the datatype,
-/// not a different parallel policy).
-const PAR_THRESHOLD: usize = 64 * 64;
+use super::matmul::{nest, Avx512};
 
 /// A `[k, n]` weight matrix quantized to int8 with one symmetric scale
 /// per output channel (column).
@@ -106,17 +99,17 @@ impl QuantizedMatrix {
 }
 
 /// `c[m,n] = a[m,k] @ dequant(w)[k,n]` without materialising the f32
-/// weights: int8 codes stream through the `ikj` hot loop and each
-/// output element is scaled once at the end.
+/// weights: the nest reads the codes and widens them in registers, and
+/// each output element is scaled once at the end.
 pub fn matmul_q8(a: &[f32], w: &QuantizedMatrix, c: &mut [f32], m: usize, k: usize, n: usize) {
     matmul_q8_with(Avx512::detect(), a, w, c, m, k, n)
 }
 
-/// [`matmul_q8`] with the body chosen by the caller (`None`: the
-/// portable one), so a test can hold every body against the others. This
-/// kernel has one body, so the choice changes nothing.
+/// [`matmul_q8`] with the tile body chosen by the caller (`None`: the
+/// portable one), so a test can run the portable body on a host that
+/// would never dispatch it.
 pub(crate) fn matmul_q8_with(
-    _avx512: Option<Avx512>,
+    avx512: Option<Avx512>,
     a: &[f32],
     w: &QuantizedMatrix,
     c: &mut [f32],
@@ -126,168 +119,12 @@ pub(crate) fn matmul_q8_with(
 ) {
     assert_eq!(w.k, k, "contraction dim");
     assert_eq!(w.n, n, "output dim");
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(c.len(), m * n);
-    let data = &w.data;
-    let scales = &w.scales;
-    if m > 1 && m <= crate::kernels::matmul::SMALL_M_MAX {
-        // Weight-stationary small-batch path: codes stream once while
-        // all m rows accumulate in cache. Four
-        // code rows are fused per pass (sequential adds keep the
-        // p-ascending per-element order; a quad with a zero coefficient
-        // falls back to the per-p loop so the zero-skip stays exact),
-        // scales applied once per element at the end — bitwise identical
-        // to m single-row calls.
-        c.fill(0.0);
-        let mut p = 0;
-        while p + 4 <= k {
-            let q0 = &data[p * n..(p + 1) * n];
-            let q1 = &data[(p + 1) * n..(p + 2) * n];
-            let q2 = &data[(p + 2) * n..(p + 3) * n];
-            let q3 = &data[(p + 3) * n..(p + 4) * n];
-            let quad_one = |ci: &mut [f32], ar: &[f32]| {
-                let (a0, a1, a2, a3) = (ar[0], ar[1], ar[2], ar[3]);
-                if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-                    for ((((cv, &v0), &v1), &v2), &v3) in
-                        ci.iter_mut().zip(q0).zip(q1).zip(q2).zip(q3)
-                    {
-                        let mut x = a0.mul_add(v0 as f32, *cv);
-                        x = a1.mul_add(v1 as f32, x);
-                        x = a2.mul_add(v2 as f32, x);
-                        *cv = a3.mul_add(v3 as f32, x);
-                    }
-                } else {
-                    for (aip, qrow) in ar.iter().zip([q0, q1, q2, q3]) {
-                        if *aip == 0.0 {
-                            continue;
-                        }
-                        for (cv, &qv) in ci.iter_mut().zip(qrow.iter()) {
-                            *cv = aip.mul_add(qv as f32, *cv);
-                        }
-                    }
-                }
-            };
-            // Row pairs share each decoded weight vector across two FMA
-            // chains; per-row order is untouched.
-            let mut i = 0;
-            while i + 2 <= m {
-                let ar = &a[i * k + p..i * k + p + 4];
-                let as_ = &a[(i + 1) * k + p..(i + 1) * k + p + 4];
-                let (a0, a1, a2, a3) = (ar[0], ar[1], ar[2], ar[3]);
-                let (s0, s1, s2, s3) = (as_[0], as_[1], as_[2], as_[3]);
-                let all_nz = a0 != 0.0
-                    && a1 != 0.0
-                    && a2 != 0.0
-                    && a3 != 0.0
-                    && s0 != 0.0
-                    && s1 != 0.0
-                    && s2 != 0.0
-                    && s3 != 0.0;
-                if all_nz {
-                    let (head, rest) = c.split_at_mut((i + 1) * n);
-                    let ci = &mut head[i * n..];
-                    let cj = &mut rest[..n];
-                    for (((((cv, cw), &v0), &v1), &v2), &v3) in ci
-                        .iter_mut()
-                        .zip(cj.iter_mut())
-                        .zip(q0)
-                        .zip(q1)
-                        .zip(q2)
-                        .zip(q3)
-                    {
-                        let (f0, f1, f2, f3) = (v0 as f32, v1 as f32, v2 as f32, v3 as f32);
-                        let mut x = a0.mul_add(f0, *cv);
-                        let mut y = s0.mul_add(f0, *cw);
-                        x = a1.mul_add(f1, x);
-                        y = s1.mul_add(f1, y);
-                        x = a2.mul_add(f2, x);
-                        y = s2.mul_add(f2, y);
-                        *cv = a3.mul_add(f3, x);
-                        *cw = s3.mul_add(f3, y);
-                    }
-                } else {
-                    quad_one(&mut c[i * n..(i + 1) * n], ar);
-                    quad_one(&mut c[(i + 1) * n..(i + 2) * n], as_);
-                }
-                i += 2;
-            }
-            if i < m {
-                quad_one(&mut c[i * n..(i + 1) * n], &a[i * k + p..i * k + p + 4]);
-            }
-            p += 4;
-        }
-        while p < k {
-            let qrow = &data[p * n..(p + 1) * n];
-            for i in 0..m {
-                let aip = a[i * k + p];
-                if aip == 0.0 {
-                    continue;
-                }
-                let ci = &mut c[i * n..(i + 1) * n];
-                for (cv, &qv) in ci.iter_mut().zip(qrow.iter()) {
-                    *cv = aip.mul_add(qv as f32, *cv);
-                }
-            }
-            p += 1;
-        }
-        for ci in c.chunks_mut(n) {
-            for (cv, &s) in ci.iter_mut().zip(scales.iter()) {
-                *cv *= s;
-            }
-        }
-        return;
-    }
-    // Single-row (and rayon per-row) path: the same four-rows-per-pass
-    // fusion; sequential adds keep each output element's sum p-ascending,
-    // so results stay bitwise identical to the plain ikj loop.
-    let row = |ci: &mut [f32], ai: &[f32]| {
-        ci.fill(0.0);
-        let mut p = 0;
-        while p + 4 <= ai.len() {
-            let (a0, a1, a2, a3) = (ai[p], ai[p + 1], ai[p + 2], ai[p + 3]);
-            let q0 = &data[p * n..(p + 1) * n];
-            let q1 = &data[(p + 1) * n..(p + 2) * n];
-            let q2 = &data[(p + 2) * n..(p + 3) * n];
-            let q3 = &data[(p + 3) * n..(p + 4) * n];
-            if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-                for ((((cv, &v0), &v1), &v2), &v3) in ci.iter_mut().zip(q0).zip(q1).zip(q2).zip(q3)
-                {
-                    let mut x = a0.mul_add(v0 as f32, *cv);
-                    x = a1.mul_add(v1 as f32, x);
-                    x = a2.mul_add(v2 as f32, x);
-                    *cv = a3.mul_add(v3 as f32, x);
-                }
-            } else {
-                for (aip, qrow) in ai[p..p + 4].iter().zip([q0, q1, q2, q3]) {
-                    if *aip == 0.0 {
-                        continue;
-                    }
-                    for (cv, &qv) in ci.iter_mut().zip(qrow.iter()) {
-                        *cv = aip.mul_add(qv as f32, *cv);
-                    }
-                }
-            }
-            p += 4;
-        }
-        for (&aip, qrow) in ai[p..].iter().zip(data[p * n..].chunks_exact(n)) {
-            if aip == 0.0 {
-                continue;
-            }
-            for (cv, &qv) in ci.iter_mut().zip(qrow.iter()) {
-                *cv = aip.mul_add(qv as f32, *cv);
-            }
-        }
-        for (cv, &s) in ci.iter_mut().zip(scales.iter()) {
+    assert_eq!(a.len(), m * k);
+    c.fill(0.0);
+    nest::<true, true>(avx512, a, (k, 1), &w.data, c, m, k, n);
+    for ci in c.chunks_mut(n) {
+        for (cv, &s) in ci.iter_mut().zip(&w.scales) {
             *cv *= s;
-        }
-    };
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        c.par_chunks_mut(n)
-            .zip(a.par_chunks(k))
-            .for_each(|(ci, ai)| row(ci, ai));
-    } else {
-        for (ci, ai) in c.chunks_mut(n).zip(a.chunks(k)) {
-            row(ci, ai);
         }
     }
 }
