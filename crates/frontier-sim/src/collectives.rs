@@ -72,16 +72,12 @@ pub fn wire_bytes(coll: Collective, bytes: f64, n: usize) -> f64 {
     }
 }
 
-/// Split `len` elements into `n` contiguous ring chunks whose sizes
-/// differ by at most one — the chunk partition a ring
-/// reduce-scatter/all-gather rotates through. `core::parallel` executes
-/// its real in-process ring over exactly these bounds, which is what
-/// makes its measured per-rank traffic land on the
-/// [`wire_bytes`] `2(n−1)/n · S` closed form (up to remainder chunks).
-pub fn ring_chunks(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(n > 0, "ring needs at least one rank");
-    (0..n).map(|i| (i * len / n)..((i + 1) * len / n)).collect()
-}
+/// The chunk partition a ring reduce-scatter/all-gather rotates
+/// through. `core::parallel` executes its real in-process ring over
+/// exactly these bounds, which is what makes its measured per-rank
+/// traffic land on the [`wire_bytes`] `2(n−1)/n · S` closed form (up to
+/// remainder chunks).
+pub use matgpt_tensor::ring_chunks;
 
 #[cfg(test)]
 mod tests {
@@ -89,22 +85,6 @@ mod tests {
 
     fn frontier() -> MachineConfig {
         MachineConfig::frontier()
-    }
-
-    #[test]
-    fn ring_chunks_cover_and_balance() {
-        for (len, n) in [(0, 1), (7, 3), (8, 4), (10, 4), (3, 8), (1024, 7)] {
-            let chunks = ring_chunks(len, n);
-            assert_eq!(chunks.len(), n);
-            assert_eq!(chunks[0].start, 0);
-            assert_eq!(chunks[n - 1].end, len);
-            for w in chunks.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "contiguous cover");
-            }
-            let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "balanced within one: {sizes:?}");
-        }
     }
 
     #[test]

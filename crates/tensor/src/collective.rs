@@ -18,9 +18,9 @@ use std::rc::Rc;
 
 /// Split `len` elements into `n` contiguous ring chunks whose sizes
 /// differ by at most one — the chunk partition a ring
-/// reduce-scatter/all-gather rotates through. Identical to
-/// `matgpt_frontier_sim::collectives::ring_chunks`; duplicated here
-/// because the tape sits below the simulator in the crate graph.
+/// reduce-scatter/all-gather rotates through. The simulator, which sits
+/// above the tape in the crate graph, re-exports it as
+/// `matgpt_frontier_sim::collectives::ring_chunks`.
 pub fn ring_chunks(len: usize, n: usize) -> Vec<Range<usize>> {
     assert!(n > 0, "ring needs at least one rank");
     (0..n).map(|i| (i * len / n)..((i + 1) * len / n)).collect()
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn ring_chunks_cover_and_balance() {
-        for (len, n) in [(0usize, 1usize), (7, 3), (8, 4), (10, 4), (3, 8)] {
+        for (len, n) in [(0usize, 1usize), (7, 3), (8, 4), (10, 4), (3, 8), (1024, 7)] {
             let chunks = ring_chunks(len, n);
             assert_eq!(chunks.len(), n);
             assert_eq!(chunks[0].start, 0);
