@@ -14,7 +14,7 @@
 //! behind the paper's Table V: GNN + LLM-embedding fusion beats
 //! structure-only GNNs because the embedding carries `g`.
 
-use crate::elements::{Element, ELEMENTS};
+use crate::elements::ELEMENTS;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -82,11 +82,6 @@ pub struct Material {
 }
 
 impl Material {
-    /// The element struct for a site.
-    pub fn element_of_site(&self, site: usize) -> &'static Element {
-        &ELEMENTS[self.composition[self.sites[site].species].0]
-    }
-
     /// Cartesian coordinates of a site in Å.
     pub fn cartesian(&self, site: usize) -> [f32; 3] {
         let f = self.sites[site].frac;

@@ -120,13 +120,6 @@ pub fn best_cell(cells: &[GridCell]) -> Option<&GridCell> {
         .max_by(|a, b| a.tflops_base.partial_cmp(&b.tflops_base).unwrap())
 }
 
-/// Extrapolate the grid-search winner to a larger budget, as the paper
-/// does for the 6.7B model: keep head_dim a "nice" multiple of 8 (128) and
-/// scale layers/hidden together.
-pub fn extrapolate_to_6_7b(arch: ArchKind, vocab: usize) -> GptConfig {
-    GptConfig::paper_6_7b(arch, vocab)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,10 +30,10 @@
 use crate::trace::{FlowEvent, FlowPhase, Recorder, TraceEvent};
 use serde_json::Value;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default per-thread byte budget: 64 KiB ≈ 750 events.
+/// The byte budget every thread's ring is built with: 64 KiB ≈ 750 events.
 pub const DEFAULT_BYTES_PER_THREAD: usize = 64 * 1024;
 
 /// What a compact event records.
@@ -205,7 +205,6 @@ impl FlightRing {
 
 struct FlightGlobal {
     enabled: AtomicBool,
-    budget: AtomicUsize,
     rings: Mutex<Vec<Arc<FlightRing>>>,
 }
 
@@ -213,7 +212,6 @@ fn global() -> &'static FlightGlobal {
     static GLOBAL: OnceLock<FlightGlobal> = OnceLock::new();
     GLOBAL.get_or_init(|| FlightGlobal {
         enabled: AtomicBool::new(true),
-        budget: AtomicUsize::new(DEFAULT_BYTES_PER_THREAD),
         rings: Mutex::new(Vec::new()),
     })
 }
@@ -254,7 +252,7 @@ fn with_ring<R>(f: impl FnOnce(&FlightRing) -> R) -> R {
             let g = global();
             let ring = Arc::new(FlightRing::with_budget(
                 crate::trace::thread_tid(),
-                g.budget.load(Ordering::Relaxed),
+                DEFAULT_BYTES_PER_THREAD,
             ));
             let mut rings = g.rings.lock().unwrap();
             rings.push(ring.clone());
@@ -274,12 +272,6 @@ pub fn is_enabled() -> bool {
 /// bench uses this as its all-off baseline.
 pub fn set_enabled(on: bool) {
     global().enabled.store(on, Ordering::Relaxed);
-}
-
-/// Byte budget newly registered threads get (existing rings keep the
-/// budget they were built with).
-pub fn set_budget_bytes(bytes: usize) {
-    global().budget.store(bytes.max(1), Ordering::Relaxed);
 }
 
 /// Record one event into the calling thread's ring (drops it while

@@ -1,6 +1,6 @@
 //! Request and response types for the serving engine.
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use matgpt_model::SampleOptions;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -99,11 +99,6 @@ impl ResponseHandle {
     /// Block up to `timeout` for the response.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<Response, RecvTimeoutError> {
         self.rx.recv_timeout(timeout)
-    }
-
-    /// Non-blocking poll for the response.
-    pub fn try_wait(&self) -> Result<Response, TryRecvError> {
-        self.rx.try_recv()
     }
 }
 
