@@ -305,10 +305,10 @@ impl GptModel {
     /// segment a decode step, and a batch of them is one scheduler
     /// iteration. All rows are stacked into one `[R, hidden]`
     /// activation, so every norm, linear, MLP and the LM head run once
-    /// over all of them (f32 weights stream once, the int8 store's
-    /// codes ⌈R/8⌉ times — never once per segment); only the KV calls — `begin` / `write` / `attend` /
-    /// `commit` — and the absolute positions the rotation takes fan out
-    /// per segment. Every kernel on the way is row-independent, so a
+    /// over all of them (f32 weights and the int8 store's codes alike
+    /// stream once — never once per segment); only the KV calls —
+    /// `begin` / `write` / `attend` / `commit` — and the absolute
+    /// positions the rotation takes fan out per segment. Every kernel on the way is row-independent, so a
     /// segment's rows and cache are **bit-identical** to forwarding it
     /// alone (property-tested below).
     ///

@@ -100,7 +100,9 @@ impl ForwardParams for ParamStore {
 
 /// One quantized matrix, in the layout the kernel that streams it reads.
 enum Codes {
-    /// Row-major codes for the W8A32 fused-dequant [`matmul_q8`].
+    /// Row-major `[k, n]` codes for the W8A32 [`matmul_q8`]: the f32
+    /// blocked nest over the codes widened in registers, then one scale
+    /// per column.
     Rows(QuantizedMatrix),
     /// Blocked codes for the W8A8 integer-dot [`matmul_q8a8`].
     Packed(PackedQ8Matrix),

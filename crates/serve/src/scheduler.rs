@@ -188,8 +188,10 @@ pub struct SchedulerConfig {
     /// Weight datatype the decode path runs against. `Int8` quantizes
     /// the store once at engine construction (per-channel symmetric
     /// int8, fused-dequant matmuls) and drops the f32 copy — ~4× less
-    /// weight memory and measurably faster bandwidth-bound decode; see
-    /// `ext_quant` for the gated numbers.
+    /// weight memory. `repro ext_quant` measures its logits drift,
+    /// perplexity and compression; no benchmark workload serves `Int8`,
+    /// so its speed record is ROADMAP item 2's off-benchmark kernel
+    /// table.
     pub precision: WeightPrecision,
     /// KV-cache storage backend. [`KvBackend::Contiguous`] (the
     /// default) gives each request a private buffer and admits against
