@@ -64,7 +64,7 @@ const MR: usize = 8;
 
 /// What a tile reads `b` as: f32 values, or int8 codes widened to f32
 /// (exactly) as they are loaded.
-pub(crate) trait Elem: Copy + Default + Send + Sync {
+pub(crate) trait Elem: Copy + Default + Sync {
     /// The value the tile multiplies.
     fn widen(self) -> f32;
 
