@@ -4,7 +4,7 @@
 //! The public submit/wait/shutdown surface is panic-free: every fallible
 //! condition (engine shut down, queue full, empty prompt) is a typed
 //! [`EngineError`], and model-side panics are isolated by the scheduler
-//! — per request in prefill, per shared forward in decode (see
+//! — per shared forward, prefill and decode rows alike (see
 //! [`crate::scheduler`]) — rather than propagated.
 
 use crate::metrics::{MetricsInner, MetricsSnapshot};

@@ -265,22 +265,22 @@ serve_series! {{
         "requests retired by an internal fault";
     generated_tokens: Counter as u64 = "serve_generated_tokens_total",
         "tokens generated across all requests";
-    /// One per scheduler iteration that forwarded anything, however
-    /// many requests rode in it.
+    /// A shared forward counts once: here when it carried a decode row
+    /// (prompt rows may ride next to it), under `prefill_forwards`
+    /// otherwise — so the two sum to the passes over the weights.
     decode_forwards: Counter as u64 = "serve_decode_forwards_total",
-        "shared decode forwards run (one pass over the weights each)";
-    /// With `decode_forwards`, the rows per weight stream: the mean
-    /// decode batch (plain rows plus speculative verify rows).
+        "shared forwards that carried a decode row (one pass over the weights each)";
+    /// Counted by kind, whichever counter the forward went to. With
+    /// `decode_forwards`, the mean decode batch.
     decode_rows: Counter as u64 = "serve_decode_rows_total",
-        "token rows carried by the shared decode forwards";
-    /// One per admission round that forwarded anything, however many
-    /// requests it admitted.
+        "decode rows (plain and speculative verify) the shared forwards carried";
+    /// Forwards that carried only prompt rows: contiguous admissions
+    /// while nothing was decoding, and each paged admission's prefill.
     prefill_forwards: Counter as u64 = "serve_prefill_forwards_total",
-        "admission prefill forwards run (one pass over the weights each)";
-    /// With `prefill_forwards`, the rows per weight stream: the prompt
-    /// rows an admission round stacked.
+        "shared forwards that carried prompt rows only (one pass over the weights each)";
+    /// Counted by kind, whichever counter the forward went to.
     prefill_rows: Counter as u64 = "serve_prefill_rows_total",
-        "prompt rows carried by the admission prefill forwards";
+        "prompt rows the shared forwards carried";
     /// The snapshot carries exact percentiles over the last
     /// [`TTFT_WINDOW`] retired requests.
     ttft_ms: Windowed<TTFT_WINDOW> as Percentiles = "serve_ttft_ms",

@@ -46,10 +46,10 @@ pub enum FinishReason {
     /// The client cancelled via [`ResponseHandle::cancel`].
     Cancelled,
     /// The engine hit an internal error (a panicked model forward) with
-    /// this request in it: its own prefill, or a decode forward it
-    /// shared — every request riding that forward fails with it, the
-    /// rest of the engine is unaffected. Any tokens decoded before the
-    /// fault are kept.
+    /// this request in it: the shared forward carrying its prefill or
+    /// its decode rows — every request riding that forward fails with
+    /// it, the rest of the engine is unaffected — or a prompt window
+    /// the model refuses. Any tokens decoded before the fault are kept.
     Failed,
 }
 

@@ -1,40 +1,35 @@
 //! Continuous-batching scheduler.
 //!
-//! One scheduler thread owns the model and drives an iteration-level
-//! loop over the **parking lot** — one deque, ordered by request id, of
-//! every request outside the batch (`Parked`: newly submitted, or
-//! preempted mid-decode) — and the **batch** (`Active`). Every
-//! iteration it (1) drains new submissions onto the back of the lot,
-//! (2) admits from its head while the batch slot and KV budgets allow —
-//! strict head-of-line order, so admission is oldest-first — and
-//! prefills the round it admitted in **one** stacked forward
-//! (`prefill_round`), (3) advances every active request by one decode
-//! step through **one shared forward** (`decode_iteration`: each
-//! request samples and emits from its staged logits row, then every
-//! request that still needs a row — one per plain request, the `k + 1`
-//! verify rows of a drafting one — is stacked into a single ragged
-//! [`GptModel::forward_batch`], so the iteration streams the weights
-//! once, not once per request; then each request takes its rows), and
-//! (4) retires requests that hit their stop token, length budget,
-//! deadline, or a client cancel, freeing their budget so the next
-//! parked request joins on the very next iteration. A request leaves
-//! the engine one way, wherever it is: `Parked::retire`.
+//! One scheduler thread owns the model and a [`Scheduler`]: the
+//! **parking lot** — one deque, ordered by request id, of every request
+//! outside the batch (`Parked`: newly submitted, or preempted
+//! mid-decode) — and the **batch** (`Active`). [`run`] drains new
+//! submissions onto the back of the lot and calls [`Scheduler::step`],
+//! one iteration, which (1) admits from the lot's head while the batch
+//! slot and KV budgets allow — strict head-of-line order, so admission
+//! is oldest-first — (2) runs **one shared forward**
+//! ([`shared_forward`]): one ragged [`GptModel::forward_batch`] carries
+//! each newcomer's uncached prompt window (a *prefill rider*) next to
+//! the token each decoding request just sampled, or the `k + 1` verify
+//! rows its draft proposed (a *decode rider*), so an iteration streams
+//! the weights once whatever arrived, and (3) retires requests that hit
+//! their stop token, length budget, deadline, or a client cancel,
+//! freeing their budget for the next iteration's admission. A request
+//! leaves the engine one way, wherever it is: `Parked::retire`. `step`
+//! needs no thread, so tests drive it directly.
 //!
-//! Faults are isolated with `catch_unwind` around each shared forward:
-//! one per admission round, one per decode iteration. A panic inside
-//! one fails exactly the requests whose rows were in it (a forward that
-//! dies part-way leaves each of their caches between `begin` and
-//! `commit`): they retire with [`FinishReason::Failed`], keeping their
-//! tokens, their partially mutated KV state discarded, so no poisoned
-//! state survives. Requests outside that forward, parked requests and
-//! the loop itself carry on. The drafts' propose forwards run inside
-//! the decode scope, so a panic in *one* request's draft also fails
-//! every rider of that iteration — wider than the state it touched
-//! (that request's `DraftState` only), and the price of one unwind
-//! scope per iteration. Bad input never widens a scope: admission
-//! retires a request whose window [`GptModel::check_segment`] refuses
-//! before the round's forward, and `forward_batch` validates every
-//! segment again before it touches a cache.
+//! Faults are isolated by the scheduler's one `catch_unwind`, around the
+//! shared forward: a panic inside it fails exactly its riders, prefill
+//! and decode alike. They retire with [`FinishReason::Failed`], keeping
+//! their tokens, their half-written KV state discarded and their budget
+//! returned; requests outside that forward, parked requests and the
+//! loop carry on. The scope is per forward, not per request: a real
+//! fault in a newcomer's prefill also fails the decode riders next to
+//! it, and so does a panic in one request's draft forward (drafts
+//! propose inside the scope). Bad input never widens it: a prefill
+//! rider whose window [`GptModel::check_segment`] refuses fails before
+//! the forward, and `forward_batch` validates every segment again
+//! before it touches a cache.
 //!
 //! ## KV backends
 //!
@@ -51,27 +46,28 @@
 //!   cover its prompt, not its worst case. Prompts that repeat a
 //!   recently served prefix fork its blocks copy-on-write from the
 //!   [`crate::kvpool::PrefixCache`] instead of recomputing the prefill
-//!   (paged admission rounds hold one request each, so wave-mates can
-//!   share the blocks the previous prefill registered). When a decode
-//!   step cannot get a block the scheduler evicts prefix-cache entries
-//!   first and then **preempts**
-//!   the youngest active request — its blocks return to the pool and
-//!   its decode progress (tokens, rng stream, ttft) re-enters the lot
-//!   *by id*. Ids follow submission order and everything active left
-//!   the lot's head earlier, so it sorts ahead of everything still
-//!   queued and is re-admitted first, via a recompute prefill that
-//!   reproduces its pre-eviction logits bit-for-bit. Both backends
+//!   (paged admission forwards each request alone, so the next one can
+//!   share the blocks its prefill registered). When a decode step
+//!   cannot get a block the scheduler evicts prefix-cache entries first
+//!   and then **preempts** the youngest active request — its blocks
+//!   return to the pool and its decode progress (tokens, rng stream,
+//!   ttft) re-enters the lot *by id*. Ids follow submission order and
+//!   everything active left the lot's head earlier, so it sorts ahead
+//!   of everything still queued and is re-admitted first, via a
+//!   recompute prefill that reproduces its pre-eviction logits
+//!   bit-for-bit while its tokens fit the window (past it, the
+//!   recompute re-encodes the window from position 0). Both backends
 //!   produce bit-identical logits for identical request streams (see
 //!   `tests/paged_kv.rs`).
 //!
 //! When the global `matgpt-obs` recorder is enabled, the scheduler
-//! traces itself on [`pids::SERVE`]: RAII spans around each admission
-//! round's prefill and each decode iteration on the scheduler thread's
-//! track (`prefill-batch` and `decode-iter`, each with its `rows`), and a
-//! reconstructed queued → prefill → decode lifecycle track per request
-//! (tid `REQ_TRACK_BASE + id`, named "req N"), emitted from the
-//! captured `Instant`s when the request retires — from the batch or,
-//! as a single `queued` slice, from the lot.
+//! traces itself on [`pids::SERVE`]: an RAII span around each shared
+//! forward on the scheduler thread's track (`decode-iter` when it
+//! carries a decode row, `prefill-batch` otherwise, each with its
+//! `rows`), and a reconstructed queued → prefill → decode lifecycle
+//! track per request (tid `REQ_TRACK_BASE + id`, named "req N"),
+//! emitted from the captured `Instant`s when the request retires — from
+//! the batch or, as a single `queued` slice, from the lot.
 
 use crate::kvpool::{BlockPool, KvBlockConfig, KvExhausted, PagedKv, PrefixCache};
 use crate::metrics::MetricsInner;
@@ -300,11 +296,12 @@ impl Parked {
 
     /// The one way a request leaves the engine, whatever state it was
     /// in: close its traced lifecycle (`prefill` is when its last
-    /// prefill began and ended; `None` when it retires from the parking
-    /// lot), count it (a [`FinishReason::Failed`] one also dumps its
-    /// postmortem), free its in-flight slot, then send the response
-    /// with whatever it had generated — in that order, so a client that
-    /// snapshots metrics right after its response sees them settled.
+    /// prefill began and ended; `None` when it retires without one
+    /// since it last left the lot), count it (a [`FinishReason::Failed`]
+    /// one also dumps its postmortem), free its in-flight slot, then
+    /// send the response with whatever it had generated — in that
+    /// order, so a client that snapshots metrics right after its
+    /// response sees them settled.
     fn retire(
         self,
         finish: FinishReason,
@@ -332,7 +329,7 @@ impl Parked {
     }
 }
 
-/// A request that has been admitted into the decode batch.
+/// A request that has been admitted into the batch.
 struct Active {
     /// What the request takes with it when it is preempted or retires.
     state: Parked,
@@ -346,24 +343,63 @@ struct Active {
     /// Recreated fresh on preemption-resume (safe: the draft never
     /// influences output, only acceptance rate).
     draft: Option<DraftState>,
-    /// The tokens this request feeds the iteration's shared forward:
-    /// the one it just sampled, or — drafting — the `[t₁, d₁..d_k]` its
-    /// draft proposed, which the forward's rows then verify.
+    /// The tokens this request feeds the next shared forward: its
+    /// uncached window while it waits for its prefill, then the token
+    /// it just sampled, or — drafting — the `[t₁, d₁..d_k]` its draft
+    /// proposed, which the forward's rows then verify.
     feed: Proposal,
     done: Option<FinishReason>,
     /// When this request's prefill forward began / finished — the
-    /// boundaries of its traced queued/prefill/decode lifecycle.
-    prefill: (Instant, Instant),
+    /// boundaries of its traced queued/prefill/decode lifecycle. `None`
+    /// until that forward has run: the request is a prefill rider.
+    prefill: Option<(Instant, Instant)>,
 }
 
 impl Active {
-    /// Phase 1 of a decode iteration: decide whether to finish;
-    /// otherwise a plain request samples its next token from the staged
-    /// logits, emits it and — unless that finished it — stages it in
-    /// `feed`. A drafting request only passes the checks here: its
-    /// tokens come out of the macro-step ([`Active::propose`] →
-    /// shared forward → [`Active::finish_step`]) all at once. Returns
-    /// whether the request rides in the iteration's forward.
+    /// `state` admitted onto `cache` with `reserved` budget, to ride the
+    /// next shared forward as a prefill rider. It feeds what its storage
+    /// does not hold yet, `tokens[first_uncached(..)..]`: the trailing
+    /// `max_seq` window, or the suffix past a forked shared prefix; a
+    /// preempted request recomputes over prompt + generated and resumes
+    /// its rng stream where it stood.
+    fn admitted(state: Parked, reserved: usize, mut cache: ReqKv, max_seq: usize) -> Self {
+        let start = first_uncached(state.tokens.len(), cache.kv().len(), max_seq);
+        Self {
+            feed: Proposal {
+                tokens: state.tokens[start..].to_vec(),
+                ..Proposal::default()
+            },
+            state,
+            cache,
+            last_row: Vec::new(),
+            last_token_at: Instant::now(),
+            reserved,
+            draft: None,
+            done: None,
+            prefill: None,
+        }
+    }
+
+    /// Whether this request rides the shared forward: a prefill rider
+    /// unless [`GptModel::check_segment`] refuses its window (it fails
+    /// here, outside the forward), a decoding one unless
+    /// [`Active::begin_step`] finishes it.
+    fn board(&mut self, model: &GptModel, metrics: &MetricsInner) -> bool {
+        if self.prefill.is_some() {
+            return self.begin_step(metrics);
+        }
+        let refused = model.check_segment(&self.feed.tokens).is_err();
+        self.done = refused.then_some(FinishReason::Failed);
+        !refused
+    }
+
+    /// A decode rider's boarding: decide whether to finish; otherwise a
+    /// plain request samples its next token from the staged logits,
+    /// emits it and — unless that finished it — stages it in `feed`. A
+    /// drafting request only passes the checks here: its tokens come
+    /// out of the macro-step ([`Active::propose`] → shared forward →
+    /// [`Active::finish_step`]) all at once. Returns whether the request
+    /// rides in the iteration's forward.
     fn begin_step(&mut self, metrics: &MetricsInner) -> bool {
         debug_assert!(self.done.is_none(), "stepping a finished request");
         self.feed.tokens.clear();
@@ -387,7 +423,7 @@ impl Active {
         self.done.is_none()
     }
 
-    /// Phase 2, drafting requests only: the propose half of one
+    /// Drafting decode riders only: the propose half of one
     /// speculative macro-step — `feed` becomes the `[t₁, d₁..d_k]` the
     /// shared forward verifies. Runs the draft's forwards, so the caller
     /// scopes it with the shared forward's `catch_unwind`.
@@ -400,19 +436,32 @@ impl Active {
         }
     }
 
-    /// Phase 3: take this request's `rows` (`[feed.tokens.len(), vocab]`)
-    /// out of the shared forward that began at `verify.0` and took
-    /// `verify.1`. A plain request stages its one row for the next
-    /// iteration's sample. A drafting request settles its macro-step —
-    /// accept, roll back — and emits the 1 to `k + 1` tokens it
-    /// produced: identical to what the plain path would emit one at a
-    /// time, only throughput and per-step accounting differ. `draft_at`
-    /// is when its propose half began, for the trace.
+    /// A prefill rider's share: take its `rows` out of the shared
+    /// forward that ran over `at` (start, end). It stages its last row
+    /// for its first sample and, decoding greedily under speculation,
+    /// builds its draft (a sampled request's rng stream must advance
+    /// token by token; the draft windows `tokens` to `max_seq` itself).
+    fn prefilled(&mut self, rows: &[f32], at: (Instant, Instant), model: &GptModel, spec: bool) {
+        self.last_row = rows[rows.len() - model.cfg.vocab_size..].to_vec();
+        self.draft = (spec && self.state.sub.req.opts.temperature <= 0.0)
+            .then(|| DraftState::new(model, &self.state.tokens));
+        self.last_token_at = at.1;
+        self.prefill = Some(at);
+    }
+
+    /// A decode rider's share: take its `rows`
+    /// (`[feed.tokens.len(), vocab]`) out of the shared forward that ran
+    /// over `at` (start, end). A plain request stages its one row for
+    /// the next iteration's sample. A drafting request settles its
+    /// macro-step — accept, roll back — and emits the 1 to `k + 1`
+    /// tokens it produced: identical to what the plain path would emit
+    /// one at a time, only throughput and per-step accounting differ.
+    /// `draft_at` is when its propose half began, for the trace.
     fn finish_step(
         &mut self,
         rows: &[f32],
         draft_at: Instant,
-        verify: (Instant, Duration),
+        at: (Instant, Instant),
         metrics: &MetricsInner,
     ) {
         let Some(draft) = self.draft.as_mut() else {
@@ -422,7 +471,7 @@ impl Active {
         };
         let settle_at = Instant::now();
         let feed = std::mem::take(&mut self.feed);
-        let out = draft.settle(feed, rows, verify.1, self.cache.kv(), &mut self.last_row);
+        let out = draft.settle(feed, rows, at.1 - at.0, self.cache.kv(), &mut self.last_row);
         let done_at = Instant::now();
         if out.drafted > 0 {
             metrics.record_spec(
@@ -431,7 +480,7 @@ impl Active {
                 out.rolled_back as u64,
             );
         }
-        emit_spec_spans(self.state.sub.id, [draft_at, verify.0, settle_at], &out);
+        emit_spec_spans(self.state.sub.id, [draft_at, at.0, settle_at], &out);
         // the macro-step produced all its tokens in one go; attribute
         // its wall time evenly across them for the latency histogram
         let per_token = (done_at - self.last_token_at) / out.tokens.len() as u32;
@@ -467,10 +516,12 @@ impl Active {
         self.last_token_at = now;
     }
 
-    /// Leave the batch with whatever was generated.
-    fn retire(self, metrics: &MetricsInner) {
+    /// Leave the batch with whatever was generated, handing the budget
+    /// it reserved back to `used_budget`.
+    fn retire(self, used_budget: &mut usize, metrics: &MetricsInner) {
+        *used_budget -= self.reserved;
         let finish = self.done.unwrap_or(FinishReason::Length);
-        self.state.retire(finish, Some(self.prefill), metrics);
+        self.state.retire(finish, self.prefill, metrics);
     }
 }
 
@@ -538,31 +589,22 @@ struct PagedState {
     prefix: PrefixCache,
 }
 
-/// Drop one prefix-cache entry to relieve pool pressure, counting the
-/// freed block references as evictions. Returns 0 when there is
-/// nothing left to evict.
-fn evict_prefix(prefix: &mut PrefixCache, metrics: &MetricsInner) -> usize {
-    let n = prefix.evict_one();
-    metrics.kv_blocks_evicted.add(n as u64);
-    n
-}
-
 /// Retry `fits` — a block claim, or a free-block check — evicting one
-/// prefix-cache entry after each failure; false once it still fails
-/// with nothing left to evict (the caller parks, preempts or fails).
+/// prefix-cache entry after each failure and counting the block
+/// references it freed as evictions; false once it still fails with
+/// nothing left to evict (the caller parks, preempts or fails).
 fn evict_until(
     prefix: &mut PrefixCache,
     metrics: &MetricsInner,
     mut fits: impl FnMut() -> bool,
 ) -> bool {
-    loop {
-        if fits() {
-            return true;
-        }
-        if evict_prefix(prefix, metrics) == 0 {
-            return false;
+    while !fits() {
+        match prefix.evict_one() {
+            0 => return false,
+            n => metrics.kv_blocks_evicted.add(n as u64),
         }
     }
+    true
 }
 
 /// Trace one speculative macro-step as three slices — spec-draft,
@@ -672,166 +714,329 @@ fn emit_lifecycle(sub: &Submission, generated: usize, prefill: Option<(Instant, 
     rec.extend_flows(flows);
 }
 
-/// One admission round's prefill. Every request admitted this round —
-/// `(progress, reserved budget, storage)` — forwards what its storage
-/// does not hold yet, `tokens[first_uncached(..)..]` (the trailing
-/// `max_seq` window, or the suffix past a forked shared prefix; a
-/// preempted request recomputes over prompt + generated and resumes its
-/// rng stream where it stood), and all of them ride **one**
-/// [`GptModel::forward_batch`]: the round streams the weights once,
-/// however many it admitted. Each then stages its last logits row and,
-/// decoding greedily under speculation, builds its draft.
+/// One pass over the weights for `riders`, on the calling (scheduler)
+/// thread: each rider boards ([`Active::board`]), then **one**
+/// [`GptModel::forward_batch`] carries every rider that boarded —
+/// prefill windows, plain decode rows, the `k + 1` verify rows a
+/// drafting rider proposes ([`Active::propose`]) — and each takes its
+/// rows ([`Active::prefilled`], [`Active::finish_step`]).
 ///
-/// A window [`GptModel::check_segment`] refuses retires
-/// [`FinishReason::Failed`] before the forward, so bad input never
-/// widens the unwind scope. The forward is the round's one
-/// `catch_unwind`: if it panics, every request in it retires `Failed`
-/// with its tokens, its storage (mid-write) dropped — paged blocks
-/// released — as a panicked decode forward fails its riders. A failed
-/// request's `reserved` budget comes off `used_budget`. Returns the
-/// requests that joined the batch, in round order.
-fn prefill_round(
-    model: &GptModel,
-    weights: &Weights,
-    round: Vec<(Parked, usize, ReqKv)>,
-    spec_enabled: bool,
-    used_budget: &mut usize,
-    metrics: &MetricsInner,
-) -> Vec<Active> {
-    let mut span = Span::enter(pids::SERVE, "serve", "prefill-batch");
-    let mut fail = |p: Parked, reserved: usize| {
-        *used_budget -= reserved;
-        p.retire(FinishReason::Failed, None, metrics);
-    };
-    let mut ready = Vec::with_capacity(round.len());
-    for (p, reserved, mut cache) in round {
-        let start = first_uncached(p.tokens.len(), cache.kv().len(), model.cfg.max_seq);
-        if model.check_segment(&p.tokens[start..]).is_ok() {
-            ready.push((p, reserved, cache, start));
-        } else {
-            fail(p, reserved);
-        }
-    }
-    if ready.is_empty() {
-        return Vec::new();
-    }
-    let prefill_start = Instant::now();
-    let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut segs: Vec<(&[u32], &mut dyn KvStorage)> = ready
-            .iter_mut()
-            .map(|(p, _, cache, start)| (&p.tokens[*start..], cache.kv()))
-            .collect();
-        model.forward_batch(weights, &mut segs)
-    }));
-    let Ok(logits) = forward else {
-        for (p, reserved, ..) in ready {
-            fail(p, reserved);
-        }
-        return Vec::new();
-    };
-    let prefill_end = Instant::now();
-    let v = model.cfg.vocab_size;
-    let rows = logits.len() / v;
-    metrics.prefill_forwards.inc();
-    metrics.prefill_rows.add(rows as u64);
-    span.set_arg("rows", rows as f64);
-    let mut end = 0;
-    ready
-        .into_iter()
-        .map(|(state, reserved, cache, start)| {
-            end += state.tokens.len() - start;
-            // speculation is per-request: only greedy requests get a
-            // draft (a sampled request's rng stream must advance token
-            // by token); the draft windows `tokens` to `max_seq` itself
-            let draft = (spec_enabled && state.sub.req.opts.temperature <= 0.0)
-                .then(|| DraftState::new(model, &state.tokens));
-            Active {
-                state,
-                cache,
-                last_row: logits[(end - 1) * v..end * v].to_vec(),
-                last_token_at: prefill_end,
-                reserved,
-                draft,
-                feed: Proposal::default(),
-                done: None,
-                prefill: (prefill_start, prefill_end),
-            }
-        })
-        .collect()
-}
-
-/// One decode iteration over the batch, in three phases on the calling
-/// (scheduler) thread:
-///
-/// 1. per request — finish checks, then sample from the staged logits
-///    row and emit ([`Active::begin_step`]);
-/// 2. **one** [`GptModel::forward_batch`] over every request that still
-///    needs a row: plain requests ride one row each, drafting requests
-///    first propose ([`Active::propose`]) and ride their `k + 1` verify
-///    rows in the same weight stream;
-/// 3. per request — take its logits rows, settling a speculative
-///    macro-step ([`Active::finish_step`]).
-///
-/// Phase 2 is the one unwind scope of the decode path. A panic inside
-/// the shared forward fails exactly the requests whose rows were in it:
-/// they shared one pass over the weights, and a forward that died
-/// part-way leaves every cache it was writing between `begin` and
-/// `commit`, so none is trustworthy. A panic in one request's draft
-/// forward, before the shared forward began, fails the same set — every
-/// rider of the iteration, though only that request's draft state was
-/// touched: the scope is per iteration, not per request. Requests that
-/// finished in phase 1 keep their finish reason, parked requests and the
-/// loop are untouched. (`forward_batch` checks every segment before it
-/// touches any cache, so bad input cannot get that far.)
-fn decode_iteration(
+/// The proposes and the forward are the scheduler's one unwind scope. A
+/// panic inside it marks every rider that boarded [`FinishReason::Failed`]
+/// for the caller to retire: they shared one pass over the weights, and
+/// a forward that died part-way leaves every cache it was writing
+/// between `begin` and `commit`, so none is trustworthy. Riders that
+/// finished while boarding keep their reason. A forward counts once,
+/// under `decode_forwards` when it carried a decode row and
+/// `prefill_forwards` otherwise; its rows count by kind.
+fn shared_forward(
     model: &GptModel,
     weights: &Weights,
     spec: Option<&SpecRuntime>,
-    active: &mut [Active],
+    riders: &mut [Active],
     metrics: &MetricsInner,
 ) {
-    let mut span = Span::enter(pids::SERVE, "serve", "decode-iter");
-    let mut stepping: Vec<&mut Active> = active
+    let mut boarded: Vec<&mut Active> = riders
         .iter_mut()
-        .filter_map(|a| a.begin_step(metrics).then_some(a))
+        .filter_map(|a| a.board(model, metrics).then_some(a))
         .collect();
-    if stepping.is_empty() {
+    if boarded.is_empty() {
         return;
     }
+    let (name, forwards) = match boarded.iter().any(|a| a.prefill.is_some()) {
+        true => ("decode-iter", &metrics.decode_forwards),
+        false => ("prefill-batch", &metrics.prefill_forwards),
+    };
+    let mut span = Span::enter(pids::SERVE, "serve", name);
     let mut draft_at = Instant::now();
     let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut segs: Vec<(&[u32], &mut dyn KvStorage)> = Vec::with_capacity(stepping.len());
-        for a in stepping.iter_mut() {
+        let mut segs: Vec<(&[u32], &mut dyn KvStorage)> = Vec::with_capacity(boarded.len());
+        for a in boarded.iter_mut() {
             a.propose(model, spec);
             segs.push((&a.feed.tokens, a.cache.kv()));
         }
-        let verify_at = Instant::now();
+        let start = Instant::now();
         let logits = model.forward_batch(weights, &mut segs);
-        (logits, (verify_at, verify_at.elapsed()))
+        (logits, (start, Instant::now()))
     }));
-    let Ok((logits, verify)) = forward else {
-        for a in stepping {
+    let Ok((logits, at)) = forward else {
+        for a in boarded {
             a.done = Some(FinishReason::Failed);
         }
         return;
     };
     let v = model.cfg.vocab_size;
-    let rows = logits.len() / v;
-    metrics.decode_forwards.inc();
-    metrics.decode_rows.add(rows as u64);
+    let (mut rows, mut prompt_rows) = (0, 0);
+    for a in boarded {
+        let n = a.feed.tokens.len();
+        let own = &logits[rows * v..(rows + n) * v];
+        rows += n;
+        if a.prefill.is_none() {
+            prompt_rows += n;
+            a.prefilled(own, at, model, spec.is_some());
+        } else {
+            let took = a.feed.draft_time;
+            a.finish_step(own, draft_at, at, metrics);
+            // drafts ran back to back, in this order
+            draft_at += took;
+        }
+    }
+    forwards.inc();
+    metrics.prefill_rows.add(prompt_rows as u64);
+    metrics.decode_rows.add((rows - prompt_rows) as u64);
     span.set_arg("rows", rows as f64);
-    let mut row = 0;
-    for a in stepping {
-        let (n, took) = (a.feed.tokens.len(), a.feed.draft_time);
-        a.finish_step(&logits[row * v..(row + n) * v], draft_at, verify, metrics);
-        row += n;
-        // drafts ran back to back, in this order
-        draft_at += took;
+}
+
+/// Everything one engine's scheduler owns: the model and the weights
+/// every forward runs against, the parking lot, the batch, the token
+/// budget the batch holds and, paged, the pool. [`Scheduler::step`] is
+/// one iteration; [`run`] feeds it submissions.
+struct Scheduler {
+    model: GptModel,
+    weights: Arc<Weights>,
+    spec: Option<SpecRuntime>,
+    cfg: SchedulerConfig,
+    metrics: Arc<MetricsInner>,
+    /// The parking lot: every request outside the batch, ordered by id.
+    parked: VecDeque<Parked>,
+    active: Vec<Active>,
+    /// Σ `reserved` over `active`.
+    used_budget: usize,
+    paged: Option<PagedState>,
+}
+
+impl Scheduler {
+    fn new(
+        model: GptModel,
+        weights: Arc<Weights>,
+        spec: Option<SpecRuntime>,
+        cfg: SchedulerConfig,
+        metrics: Arc<MetricsInner>,
+    ) -> Self {
+        metrics.weight_bytes.set(weights.weight_bytes() as f64);
+        let paged = cfg.kv_backend.paged().map(|bc| {
+            let pool = BlockPool::for_model(bc, &model);
+            let prefix = PrefixCache::new(&pool, PREFIX_CACHE_CAP);
+            PagedState { pool, prefix }
+        });
+        Self {
+            model,
+            weights,
+            spec,
+            cfg,
+            metrics,
+            parked: VecDeque::new(),
+            active: Vec::new(),
+            used_budget: 0,
+            paged,
+        }
+    }
+
+    /// Nothing parked and nothing in the batch.
+    fn idle(&self) -> bool {
+        self.active.is_empty() && self.parked.is_empty()
+    }
+
+    /// One iteration: sweep the lot, admit from its head, (paged) secure
+    /// every decode row a block, run the shared forward, record KV
+    /// occupancy, retire what finished.
+    fn step(&mut self) {
+        let iter_start = Instant::now();
+        sweep_parked(&mut self.parked, iter_start, &self.metrics);
+        if self.paged.is_some() {
+            self.admit_paged();
+        } else {
+            self.admit_contiguous();
+        }
+        self.metrics.record_queue_depth(self.parked.len());
+        self.metrics.active.set(self.active.len() as f64);
+        self.reserve_decode_blocks();
+        if self.active.is_empty() {
+            return;
+        }
+        let (model, weights, spec) = (&self.model, &*self.weights, self.spec.as_ref());
+        shared_forward(model, weights, spec, &mut self.active, &self.metrics);
+        self.record_kv();
+        // update gauges before answering, so a client that snapshots
+        // metrics right after its response sees them already settled
+        let retired: Vec<Active> = self.active.extract_if(.., |a| a.done.is_some()).collect();
+        self.metrics.active.set(self.active.len() as f64);
+        self.metrics.record_busy(iter_start.elapsed());
+        for a in retired {
+            a.retire(&mut self.used_budget, &self.metrics);
+        }
+    }
+
+    /// Contiguous admission: strict FIFO against the worst-case token
+    /// budget. What it admits rides this iteration's shared forward as
+    /// prefill riders, next to the decode rows.
+    fn admit_contiguous(&mut self) {
+        let max_seq = self.model.cfg.max_seq;
+        while let Some(front) = self.parked.front() {
+            if self.active.len() >= self.cfg.max_batch {
+                break;
+            }
+            let cost = token_cost(&front.sub, max_seq);
+            if !self.active.is_empty() && self.used_budget + cost > self.cfg.token_budget {
+                break;
+            }
+            let Some(p) = self.parked.pop_front() else {
+                break;
+            };
+            self.used_budget += cost;
+            let cache = ReqKv::Contig(self.model.new_cache());
+            self.active.push(Active::admitted(p, cost, cache, max_seq));
+        }
+    }
+
+    /// Paged admission: block-granular, from the head of the lot
+    /// (preempted requests first), each admitted request forwarded
+    /// alone and its prompt prefix registered before the next is
+    /// considered. Each admission reads what the previous prefill wrote
+    /// — a wave-mate forks the prefix it just registered, `register`'s
+    /// LRU cap frees blocks the next `reserve_rows` sees, `evict_until`
+    /// picks among them — so stacking the wave would change block
+    /// decisions.
+    fn admit_paged(&mut self) {
+        let Some(ps) = &mut self.paged else { return };
+        let (model, metrics) = (&self.model, &*self.metrics);
+        let (parked, active) = (&mut self.parked, &mut self.active);
+        let _span = Span::enter(pids::SERVE, "serve", "prefill-paged");
+        let max_seq = model.cfg.max_seq;
+        let spec_rows = self.spec.as_ref().map_or(1, |rt| rt.k + 1);
+        while active.len() < self.cfg.max_batch {
+            let Some(p) = parked.pop_front() else { break };
+            let seq: &[u32] = &p.tokens;
+            // sequences that fit the window fork the longest cached
+            // prefix; longer ones prefill a fresh truncated window
+            // (nothing block-aligned to share)
+            let mut kv = if seq.len() <= max_seq {
+                ps.prefix.fork_longest(seq, max_seq)
+            } else {
+                None
+            }
+            .unwrap_or_else(|| ps.pool.new_seq(max_seq));
+            let rows = seq.len() - first_uncached(seq.len(), kv.len(), max_seq);
+            // headroom: every already-active request may claim more
+            // blocks on the next decode step (one for plain decode,
+            // enough for k + 1 transient rows under speculation);
+            // admitting into that margin would trigger an immediate
+            // preemption ping-pong
+            let headroom = active.len() * spec_rows.div_ceil(ps.pool.block_size());
+            let (prefix, pool) = (&mut ps.prefix, &ps.pool);
+            let ok = evict_until(prefix, metrics, || kv.reserve_rows(rows).is_ok())
+                && evict_until(prefix, metrics, || pool.free_blocks() >= headroom);
+            if !ok {
+                drop(kv); // release whatever was reserved
+                if active.is_empty() {
+                    // nothing running will ever free blocks, so
+                    // requeueing would spin: a lone request that cannot
+                    // fit retires typed-Failed. `Engine::submit`'s
+                    // capacity check makes this unreachable in practice.
+                    p.retire(FinishReason::Failed, None, metrics);
+                    continue;
+                }
+                // pool is busy: park the request at the head and stop
+                // admitting until blocks free up
+                parked.push_front(p);
+                break;
+            }
+            let mut a = Active::admitted(p, 0, ReqKv::Paged(kv), max_seq);
+            let (weights, spec) = (&*self.weights, self.spec.as_ref());
+            shared_forward(model, weights, spec, std::slice::from_mut(&mut a), metrics);
+            if a.done.is_some() {
+                a.retire(&mut self.used_budget, metrics);
+                continue;
+            }
+            // register the prompt prefix for sharing — valid only when
+            // the cache holds the prompt from position 0 (no window
+            // truncation)
+            if a.state.tokens.len() <= max_seq {
+                if let Some(pkv) = a.cache.paged() {
+                    let plen = a.state.sub.req.prompt.len();
+                    ps.prefix.register(&a.state.tokens[..plen], pkv);
+                }
+            }
+            active.push(a);
+        }
+    }
+
+    /// Paged (a no-op otherwise): secure every live request's decode
+    /// rows before the shared forward. Exhaustion evicts prefix-cache
+    /// entries and then preempts the youngest request: its blocks return
+    /// to the pool, its progress parks for re-admission by recompute.
+    fn reserve_decode_blocks(&mut self) {
+        let Some(ps) = &mut self.paged else { return };
+        let (metrics, parked, active) = (&*self.metrics, &mut self.parked, &mut self.active);
+        // KV rows one step of a drafting request may commit before
+        // rollback; plain requests commit exactly one
+        let spec_rows = self.spec.as_ref().map_or(1, |rt| rt.k + 1);
+        // oldest ids claim first, so the preemption victim (max id,
+        // last element) is always at or after the cursor
+        active.sort_by_key(|a| a.state.sub.id);
+        let mut i = 0;
+        while i < active.len() {
+            let rows = active[i].draft.as_ref().map_or(1, |_| spec_rows);
+            let cache = &mut active[i].cache;
+            if evict_until(&mut ps.prefix, metrics, || {
+                cache.reserve_decode(rows).is_ok()
+            }) {
+                i += 1;
+                continue;
+            }
+            if active.len() == 1 {
+                // cannot free anything: typed failure instead of a
+                // livelock (unreachable given the submit-time capacity
+                // check)
+                let mut a = active.remove(0);
+                a.done = Some(FinishReason::Failed);
+                a.retire(&mut self.used_budget, metrics);
+                break;
+            }
+            let a = active.remove(active.len() - 1);
+            metrics.preemptions.inc();
+            metrics
+                .kv_blocks_evicted
+                .add(a.cache.paged().map_or(0, |p| p.blocks_held()) as u64);
+            // its cache drops with `a` — the blocks return to the pool —
+            // while its progress re-enters the lot by id, so
+            // re-admission stays oldest-first
+            let at = parked
+                .iter()
+                .position(|q| q.sub.id > a.state.sub.id)
+                .unwrap_or(parked.len());
+            parked.insert(at, a.state);
+        }
+    }
+
+    /// KV occupancy while every active cache is still held, so the peak
+    /// gauge sees the true high-water mark of the iteration. The alloc
+    /// and share counters advance to the pool's running totals.
+    fn record_kv(&mut self) {
+        let metrics = &self.metrics;
+        match &self.paged {
+            Some(ps) => {
+                let st = ps.pool.stats();
+                let (allocated, shared) = (st.allocated, st.shared_extra);
+                metrics.record_kv_usage(allocated * st.block_bytes, allocated, shared);
+                let (allocs, shares) = (&metrics.kv_block_allocs, &metrics.kv_block_shares);
+                allocs.add(st.allocs_total - allocs.get());
+                shares.add(st.shares_total - shares.get());
+            }
+            None => {
+                let bytes = self
+                    .active
+                    .iter_mut()
+                    .map(|a| a.cache.kv().kv_bytes())
+                    .sum();
+                metrics.record_kv_usage(bytes, 0, 0);
+            }
+        }
     }
 }
 
-/// The scheduler loop. Runs until every sender is gone and all queued
-/// and active work has drained.
+/// The scheduler loop: intake, then [`Scheduler::step`]. Runs until
+/// every sender is gone and all queued and active work has drained.
 pub(crate) fn run(
     model: GptModel,
     store: ParamStore,
@@ -839,10 +1044,6 @@ pub(crate) fn run(
     rx: Receiver<Submission>,
     metrics: Arc<MetricsInner>,
 ) {
-    // the parking lot: every request outside the batch, ordered by id
-    let mut parked: VecDeque<Parked> = VecDeque::new();
-    let mut active: Vec<Active> = Vec::new();
-    let mut used_budget = 0usize;
     Recorder::global().set_track_name(pids::SERVE, matgpt_obs::thread_tid(), "scheduler");
     flight::label_thread("serve-scheduler", None);
 
@@ -858,238 +1059,30 @@ pub(crate) fn run(
         }),
         _ => None,
     };
-    // KV rows one step of a drafting request may commit before rollback
-    let spec_rows = spec.as_ref().map_or(1, |rt| rt.k + 1);
-    let spec_on = spec.is_some();
-    // the one precision dispatch: every forward below goes through this
+    // the one precision dispatch: every forward goes through this
     // handle. Int8 quantizes here and drops the f32 store
-    let weights: Box<Weights> = match cfg.precision {
-        WeightPrecision::F32 => Box::new(store),
+    let weights: Arc<Weights> = match cfg.precision {
+        WeightPrecision::F32 => Arc::new(store),
         WeightPrecision::Int8 => {
             let quantized = QuantizedParamStore::quantize(&model, &store);
             drop(store);
-            Box::new(quantized)
+            Arc::new(quantized)
         }
     };
-    let weights = &*weights;
-    metrics.weight_bytes.set(weights.weight_bytes() as f64);
-
-    // last-seen pool totals, so the cumulative alloc/share counters
-    // advance by per-iteration deltas
-    let (mut prev_allocs, mut prev_shares) = (0u64, 0u64);
-    let mut paged: Option<PagedState> = cfg.kv_backend.paged().map(|bc| {
-        let pool = BlockPool::for_model(bc, &model);
-        let prefix = PrefixCache::new(&pool, PREFIX_CACHE_CAP);
-        PagedState { pool, prefix }
-    });
-
+    let mut s = Scheduler::new(model, weights, spec, cfg, metrics);
     loop {
-        // ---- intake: block when idle (every sender gone and nothing
-        // left to do ends the loop), drain opportunistically otherwise
-        if active.is_empty() && parked.is_empty() {
+        // block when idle (every sender gone and nothing left to do
+        // ends the loop), drain opportunistically otherwise
+        if s.idle() {
             match rx.recv() {
-                Ok(sub) => parked.push_back(Parked::fresh(sub)),
+                Ok(sub) => s.parked.push_back(Parked::fresh(sub)),
                 Err(_) => break,
             }
         }
         while let Ok(sub) = rx.try_recv() {
-            parked.push_back(Parked::fresh(sub));
+            s.parked.push_back(Parked::fresh(sub));
         }
-
-        let iter_start = Instant::now();
-
-        // ---- sweep parked requests already cancelled or expired
-        sweep_parked(&mut parked, Instant::now(), &metrics);
-
-        // ---- admission
-        match paged.as_mut() {
-            None => {
-                // contiguous: strict FIFO, worst-case token budget; the
-                // whole round prefills in one stacked forward
-                let mut round: Vec<(Parked, usize, ReqKv)> = Vec::new();
-                while let Some(front) = parked.front() {
-                    if active.len() + round.len() >= cfg.max_batch {
-                        break;
-                    }
-                    let cost = token_cost(&front.sub, model.cfg.max_seq);
-                    let batch_empty = active.is_empty() && round.is_empty();
-                    if !batch_empty && used_budget + cost > cfg.token_budget {
-                        break;
-                    }
-                    let Some(p) = parked.pop_front() else { break };
-                    used_budget += cost;
-                    round.push((p, cost, ReqKv::Contig(model.new_cache())));
-                }
-                if !round.is_empty() {
-                    let budget = &mut used_budget;
-                    let admitted = prefill_round(&model, weights, round, spec_on, budget, &metrics);
-                    active.extend(admitted);
-                }
-            }
-            Some(ps) => {
-                // paged: block-granular admission from the head of the
-                // lot (preempted requests first), one request per
-                // round. Each admission reads what the previous prefill
-                // wrote — a wave-mate forks the prefix it just
-                // registered, `register`'s LRU cap frees blocks the next
-                // `reserve_rows` sees, `evict_until` picks among them —
-                // so stacking the wave would change block decisions.
-                let _span = Span::enter(pids::SERVE, "serve", "prefill-paged");
-                let max_seq = model.cfg.max_seq;
-                while active.len() < cfg.max_batch {
-                    let Some(p) = parked.pop_front() else { break };
-                    let seq: &[u32] = &p.tokens;
-                    // sequences that fit the window fork the longest
-                    // cached prefix; longer ones prefill a fresh
-                    // truncated window (nothing block-aligned to share)
-                    let mut kv = if seq.len() <= max_seq {
-                        ps.prefix.fork_longest(seq, max_seq)
-                    } else {
-                        None
-                    }
-                    .unwrap_or_else(|| ps.pool.new_seq(max_seq));
-                    let rows = seq.len() - first_uncached(seq.len(), kv.len(), max_seq);
-                    // headroom: every already-active request may claim
-                    // more blocks on the next decode step (one for
-                    // plain decode, enough for k + 1 transient rows
-                    // under speculation); admitting into that margin
-                    // would trigger an immediate preemption ping-pong
-                    let headroom = active.len() * spec_rows.div_ceil(ps.pool.block_size());
-                    let (prefix, pool) = (&mut ps.prefix, &ps.pool);
-                    let ok = evict_until(prefix, &metrics, || kv.reserve_rows(rows).is_ok())
-                        && evict_until(prefix, &metrics, || pool.free_blocks() >= headroom);
-                    if !ok {
-                        drop(kv); // release whatever was reserved
-                        if active.is_empty() {
-                            // nothing running will ever free blocks, so
-                            // requeueing would spin: a lone request that
-                            // cannot fit retires typed-Failed.
-                            // `Engine::submit`'s capacity check makes
-                            // this unreachable in practice.
-                            p.retire(FinishReason::Failed, None, &metrics);
-                            continue;
-                        }
-                        // pool is busy: park the request at the head and
-                        // stop admitting until blocks free up
-                        parked.push_front(p);
-                        break;
-                    }
-                    let round = vec![(p, 0, ReqKv::Paged(kv))];
-                    let budget = &mut used_budget;
-                    for a in prefill_round(&model, weights, round, spec_on, budget, &metrics) {
-                        // register the prompt prefix for sharing — valid
-                        // only when the cache holds the prompt from
-                        // position 0 (no window truncation)
-                        if a.state.tokens.len() <= max_seq {
-                            if let Some(pkv) = a.cache.paged() {
-                                let plen = a.state.sub.req.prompt.len();
-                                ps.prefix.register(&a.state.tokens[..plen], pkv);
-                            }
-                        }
-                        active.push(a);
-                    }
-                }
-            }
-        }
-
-        metrics.record_queue_depth(parked.len());
-        metrics.active.set(active.len() as f64);
-
-        if active.is_empty() {
-            continue;
-        }
-
-        // ---- paged: secure one decode block per live request before
-        // the shared forward; exhaustion evicts prefix-cache entries and
-        // then preempts the youngest request (its blocks return to the
-        // pool, its progress parks for re-admission by recompute)
-        if let Some(ps) = paged.as_mut() {
-            // oldest ids claim first, so the preemption victim (max id,
-            // last element) is always at or after the cursor
-            active.sort_by_key(|a| a.state.sub.id);
-            let mut i = 0;
-            while i < active.len() {
-                // speculative requests commit up to k + 1 rows in one
-                // macro-step (the rejected tail rolls back, returning
-                // its blocks); plain requests commit exactly one
-                let rows = active[i].draft.as_ref().map_or(1, |_| spec_rows);
-                let cache = &mut active[i].cache;
-                if evict_until(&mut ps.prefix, &metrics, || {
-                    cache.reserve_decode(rows).is_ok()
-                }) {
-                    i += 1;
-                    continue;
-                }
-                if active.len() == 1 {
-                    // cannot free anything: typed failure instead of a
-                    // livelock (unreachable given the submit-time
-                    // capacity check)
-                    let mut a = active.remove(0);
-                    a.done = Some(FinishReason::Failed);
-                    a.retire(&metrics);
-                    break;
-                }
-                let a = active.remove(active.len() - 1);
-                metrics.preemptions.inc();
-                metrics
-                    .kv_blocks_evicted
-                    .add(a.cache.paged().map_or(0, |p| p.blocks_held()) as u64);
-                // its cache drops with `a` — the blocks return to the
-                // pool — while its progress re-enters the lot by id, so
-                // re-admission stays oldest-first
-                let at = parked
-                    .iter()
-                    .position(|q| q.sub.id > a.state.sub.id)
-                    .unwrap_or(parked.len());
-                parked.insert(at, a.state);
-            }
-            if active.is_empty() {
-                continue;
-            }
-        }
-
-        // ---- one decode iteration across the whole batch
-        decode_iteration(&model, weights, spec.as_ref(), &mut active, &metrics);
-
-        // ---- KV occupancy while every active cache is still held, so
-        // the peak gauge sees the true high-water mark of the iteration
-        match &paged {
-            Some(ps) => {
-                let st = ps.pool.stats();
-                metrics.record_kv_usage(
-                    st.allocated * st.block_bytes,
-                    st.allocated,
-                    st.shared_extra,
-                );
-                metrics.kv_block_allocs.add(st.allocs_total - prev_allocs);
-                metrics.kv_block_shares.add(st.shares_total - prev_shares);
-                (prev_allocs, prev_shares) = (st.allocs_total, st.shares_total);
-            }
-            None => {
-                let bytes: usize = active.iter_mut().map(|a| a.cache.kv().kv_bytes()).sum();
-                metrics.record_kv_usage(bytes, 0, 0);
-            }
-        }
-
-        // ---- retire finished requests, freeing their budget
-        let mut retired = Vec::new();
-        let mut j = 0;
-        while j < active.len() {
-            if active[j].done.is_some() {
-                let a = active.swap_remove(j);
-                used_budget -= a.reserved;
-                retired.push(a);
-            } else {
-                j += 1;
-            }
-        }
-        // update gauges before answering, so a client that snapshots
-        // metrics right after its response sees them already settled
-        metrics.active.set(active.len() as f64);
-        metrics.record_busy(iter_start.elapsed());
-        for a in retired {
-            a.retire(&metrics);
-        }
+        s.step();
     }
     // hand any spans still buffered on this thread to the recorder
     // before the scheduler thread exits
@@ -1099,11 +1092,14 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsSnapshot;
     use crate::request::GenRequest;
     use matgpt_model::config::{ArchKind, GptConfig};
     use matgpt_model::{generate, SampleOptions};
     use matgpt_tensor::{init, ParamId};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use proptest::prelude::*;
+    use rand::Rng;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn tiny_model() -> (GptModel, ParamStore) {
         let mut store = ParamStore::new();
@@ -1128,17 +1124,19 @@ mod tests {
         }
     }
 
-    /// A parked greedy request and the channel its response arrives on.
+    /// A parked request seeded with its id, and the channel its response
+    /// arrives on.
     fn parked(
         id: u64,
         prompt: Vec<u32>,
-        max_new: usize,
+        opts: SampleOptions,
         metrics: &MetricsInner,
     ) -> (Parked, Receiver<Response>) {
         assert!(metrics.try_claim_slot(usize::MAX));
         let (tx, rx) = crossbeam::channel::unbounded();
         let mut req = GenRequest::new(prompt);
-        req.opts = greedy(max_new);
+        req.opts = opts;
+        req.seed = id;
         let sub = Submission {
             id,
             req,
@@ -1151,75 +1149,6 @@ mod tests {
         (Parked::fresh(sub), rx)
     }
 
-    /// `n` greedy requests with distinct prompts, admitted and prefilled
-    /// the way `run` does it: on `pool` when paged, drafting when `spec`.
-    fn admit(
-        n: u64,
-        max_new: usize,
-        model: &GptModel,
-        weights: &Weights,
-        pool: Option<&BlockPool>,
-        spec: bool,
-        metrics: &MetricsInner,
-    ) -> Vec<Active> {
-        let round = (0..n)
-            .map(|id| {
-                let prompt: Vec<u32> = (0..3 + id % 3)
-                    .map(|i| ((id * 5 + i) % 30) as u32)
-                    .collect();
-                let cache = match pool {
-                    None => ReqKv::Contig(model.new_cache()),
-                    Some(pool) => {
-                        let mut kv = pool.new_seq(model.cfg.max_seq);
-                        kv.reserve_rows(prompt.len()).expect("ample pool");
-                        ReqKv::Paged(kv)
-                    }
-                };
-                let (p, _rx) = parked(id, prompt, max_new, metrics);
-                (p, 0, cache)
-            })
-            .collect();
-        let admitted = prefill_round(model, weights, round, spec, &mut 0, metrics);
-        assert_eq!(admitted.len() as u64, n, "every prefill");
-        admitted
-    }
-
-    /// `run`'s decode loop over an already admitted batch: reserve, one
-    /// [`decode_iteration`], pull out what finished. Returns the finished
-    /// requests and, per iteration, `(requests in the batch, rows its
-    /// forward carried)`.
-    fn drive(
-        model: &GptModel,
-        weights: &Weights,
-        spec: Option<&SpecRuntime>,
-        mut active: Vec<Active>,
-        metrics: &MetricsInner,
-    ) -> (Vec<Active>, Vec<(u64, u64)>) {
-        let (mut finished, mut iterations) = (Vec::new(), Vec::new());
-        while !active.is_empty() {
-            for a in active.iter_mut() {
-                let rows = a
-                    .draft
-                    .as_ref()
-                    .map_or(1, |_| spec.map_or(1, |rt| rt.k + 1));
-                a.cache.reserve_decode(rows).expect("ample pool");
-            }
-            let (forwards, rows) = (metrics.decode_forwards.get(), metrics.decode_rows.get());
-            decode_iteration(model, weights, spec, &mut active, metrics);
-            let rows = metrics.decode_rows.get() - rows;
-            assert_eq!(
-                metrics.decode_forwards.get() - forwards,
-                u64::from(rows > 0),
-                "an iteration is at most one pass over the weights"
-            );
-            iterations.push((active.len() as u64, rows));
-            let (done, live) = active.into_iter().partition(|a| a.done.is_some());
-            active = live;
-            finished.extend(done);
-        }
-        (finished, iterations)
-    }
-
     /// The f32 weights, counting the matmuls that stream them — and
     /// panicking on the `fault_at`-th, when one is set.
     struct CountedWeights {
@@ -1229,14 +1158,6 @@ mod tests {
     }
 
     impl CountedWeights {
-        fn new(inner: ParamStore) -> Self {
-            Self {
-                inner,
-                matmuls: AtomicUsize::new(0),
-                fault_at: AtomicUsize::new(0),
-            }
-        }
-
         fn matmuls(&self) -> usize {
             self.matmuls.load(Ordering::Relaxed)
         }
@@ -1260,167 +1181,281 @@ mod tests {
         }
     }
 
+    /// A scheduler over the tiny model's counted weights, drafting `k`
+    /// tokens a step for greedy requests when `k > 0`.
+    fn scheduler(cfg: SchedulerConfig, k: usize) -> (Scheduler, Arc<CountedWeights>) {
+        let (model, store) = tiny_model();
+        let spec = (k > 0).then(|| SpecRuntime {
+            draft: QuantizedParamStore::for_draft(&model, &store),
+            k,
+        });
+        let weights = Arc::new(CountedWeights {
+            inner: store,
+            matmuls: AtomicUsize::new(0),
+            fault_at: AtomicUsize::new(0),
+        });
+        let s = Scheduler::new(model, weights.clone(), spec, cfg, Arc::default());
+        (s, weights)
+    }
+
+    /// Park a greedy request on `s`, returning its response channel.
+    fn submit(s: &mut Scheduler, id: u64, prompt: Vec<u32>, max_new: usize) -> Receiver<Response> {
+        let (p, rx) = parked(id, prompt, greedy(max_new), &s.metrics);
+        s.parked.push_back(p);
+        rx
+    }
+
+    /// Weight passes counted in `snap`, of either kind.
+    fn passes(snap: &MetricsSnapshot) -> usize {
+        (snap.prefill_forwards + snap.decode_forwards) as usize
+    }
+
+    /// Solo `generate` over the f32 weights: the stream `s` owes request
+    /// `id` (whose rng is seeded with its id).
+    fn reference(
+        s: &Scheduler,
+        w: &CountedWeights,
+        id: u64,
+        prompt: &[u32],
+        opts: &SampleOptions,
+    ) -> Vec<u32> {
+        let rng = &mut ChaCha8Rng::seed_from_u64(id);
+        generate(&s.model, &w.inner, prompt, opts, rng)
+    }
+
+    /// Step `s` until it is idle.
+    fn drain(s: &mut Scheduler) {
+        while !s.idle() {
+            s.step();
+        }
+    }
+
     #[test]
     fn an_iteration_is_one_forward_whatever_the_batch() {
-        let (model, store) = tiny_model();
         let max_new = 10;
-        let rt = SpecRuntime {
-            draft: QuantizedParamStore::for_draft(&model, &store),
-            k: 2,
-        };
-        // one pass over the weights: seven linears a layer and the LM head
-        let per_forward = 7 * model.cfg.layers + 1;
-        let weights = CountedWeights::new(store);
-        let store = &weights.inner;
         let bc = KvBlockConfig {
             block_size: 4,
             num_blocks: 256,
         };
-        // (requests, paged, speculative); 12 stacks two matmul row tiles
-        for (n, paged, speculative) in [
-            (4, false, false),
-            (4, true, false),
-            (4, false, true),
-            (4, true, true),
-            (12, false, false),
+        // (requests, paged, draft length); 12 stacks two matmul row tiles
+        for (n, paged, k) in [
+            (4, false, 0),
+            (4, true, 0),
+            (4, false, 2),
+            (4, true, 2),
+            (12, false, 0),
         ] {
-            let metrics = MetricsInner::default();
-            let pool = paged.then(|| BlockPool::for_model(bc, &model));
-            let spec = speculative.then_some(&rt);
-            let active = admit(
-                n,
-                max_new,
-                &model,
-                &weights,
-                pool.as_ref(),
-                speculative,
-                &metrics,
-            );
-            let prefilled = weights.matmuls();
-            let (finished, iterations) = drive(&model, &weights, spec, active, &metrics);
-
-            for a in &finished {
-                let prompt = &a.state.sub.req.prompt;
-                let reference =
-                    generate(&model, store, prompt, &greedy(max_new), &mut init::rng(0));
-                assert_eq!(a.state.tokens, reference, "request {}", a.state.sub.id);
-                assert_eq!(a.done, Some(FinishReason::Length));
+            let cfg = SchedulerConfig {
+                max_batch: n,
+                kv_backend: [KvBackend::Contiguous, KvBackend::Paged(bc)][usize::from(paged)],
+                ..SchedulerConfig::default()
+            };
+            let (mut s, weights) = scheduler(cfg, k);
+            // one pass over the weights: seven linears a layer and the LM head
+            let per_forward = 7 * s.model.cfg.layers + 1;
+            let prompts: Vec<Vec<u32>> = (0..n as u32)
+                .map(|id| (0..3 + id % 3).map(|i| (id * 5 + i) % 30).collect())
+                .collect();
+            let rxs: Vec<_> = (0..n)
+                .map(|id| submit(&mut s, id as u64, prompts[id].clone(), max_new))
+                .collect();
+            let prompt_rows = prompts.iter().map(Vec::len).sum::<usize>() as u64;
+            // per step: (weight passes, prompt rows, decode rows, batch)
+            let mut steps = Vec::new();
+            while !s.idle() {
+                let (matmuls, before) = (weights.matmuls(), s.metrics.snapshot());
+                let batch = s.active.len() as u64;
+                s.step();
+                let after = s.metrics.snapshot();
+                let ran = passes(&after) - passes(&before);
+                // the weights were streamed once per pass, not per request
+                assert_eq!(
+                    weights.matmuls() - matmuls,
+                    per_forward * ran,
+                    "{n}/{paged}/{k}"
+                );
+                let prompt = after.prefill_rows - before.prefill_rows;
+                steps.push((
+                    ran as u64,
+                    prompt,
+                    after.decode_rows - before.decode_rows,
+                    batch,
+                ));
             }
-            let snap = metrics.snapshot();
-            // the weights were streamed once per iteration, not per request
-            assert_eq!(
-                weights.matmuls() - prefilled,
-                per_forward * snap.decode_forwards as usize,
-                "{n}/{paged}/{speculative}"
-            );
-            if speculative {
-                // every iteration is one verify forward, shared by all
+            for (id, rx) in rxs.iter().enumerate() {
+                let r = rx.try_recv().expect("answered");
+                let want = reference(&s, &weights, id as u64, &prompts[id], &greedy(max_new));
+                assert_eq!(r.tokens, want, "request {id}");
+                assert_eq!(r.finish, FinishReason::Length);
+            }
+            let snap = s.metrics.snapshot();
+            let n = n as u64;
+            assert_eq!(snap.generated_tokens, n * max_new as u64);
+            // paged admission forwards each newcomer alone, then the batch
+            // decodes in the same step; contiguous newcomers ride one
+            // forward and decode from the next step on
+            let (ran, prompt, decode, _) = steps[0];
+            let (want_ran, want_decode) = if paged { (n + 1, n) } else { (1, 0) };
+            assert_eq!((ran, prompt), (want_ran, prompt_rows), "{n}/{paged}/{k}");
+            assert!(decode == want_decode || (k > 0 && decode > want_decode));
+            if k > 0 {
+                // every later step is one verify forward shared by all
                 // that are left: k_eff + 1 rows a request
-                assert_eq!(snap.decode_forwards, iterations.len() as u64);
-                for (batch, rows) in iterations {
-                    assert!(rows >= batch, "{rows} rows for {batch} requests");
+                for &(ran, prompt, decode, batch) in &steps[1..] {
+                    assert_eq!((ran, prompt), (1, 0));
+                    assert!(decode >= batch, "{decode} rows for {batch} requests");
                 }
                 assert!(snap.spec_drafted > 0, "nothing drafted");
             } else {
-                // lockstep: max_new - 1 forwards of n rows each, then an
-                // iteration in which everyone emits the last token
-                assert_eq!(
-                    iterations,
-                    [vec![(n, n); max_new - 1], vec![(n, 0)]].concat()
-                );
-                assert_eq!(snap.decode_forwards, max_new as u64 - 1, "{n}/{paged}");
-                assert_eq!(snap.decode_rows, n * snap.decode_forwards);
+                // lockstep: n rows a step, then a step in which everyone
+                // emits its last token and nothing is forwarded
+                let decoding = max_new - 1 - usize::from(paged);
+                let want = [vec![(1, 0, n, n); decoding], vec![(0, 0, 0, n)]].concat();
+                assert_eq!(steps[1..], want, "{n}/{paged}");
+                assert_eq!(snap.decode_rows, n * (max_new as u64 - 1));
             }
-            assert_eq!(snap.generated_tokens, n * max_new as u64);
         }
     }
 
     #[test]
-    fn a_panicked_shared_forward_fails_exactly_the_requests_in_it() {
-        let (model, store) = tiny_model();
-        let weights = CountedWeights::new(store);
-        let metrics = MetricsInner::default();
-        let mut active = admit(3, 8, &model, &weights, None, false, &metrics);
-        // request 2 wants two tokens: it emits its last in phase 1 of the
-        // second iteration and is not in that iteration's forward
-        active[2].state.sub.req.opts.max_new_tokens = 2;
+    fn a_newcomer_rides_the_decode_forward() {
+        let (mut s, weights) = scheduler(SchedulerConfig::default(), 0);
+        let per_forward = 7 * s.model.cfg.layers + 1;
+        let prompts = [vec![1, 2, 3], vec![4, 5], vec![7, 8, 9, 10, 11]];
+        let mut rxs = vec![submit(&mut s, 0, prompts[0].clone(), 6)];
+        rxs.push(submit(&mut s, 1, prompts[1].clone(), 6));
+        s.step(); // their prefill
+        s.step(); // their first decode row
+        rxs.push(submit(&mut s, 2, prompts[2].clone(), 6));
 
-        decode_iteration(&model, &weights, None, &mut active, &metrics);
-        assert!(active.iter().all(|a| a.done.is_none()));
-        // the second iteration's forward dies at its fourth linear, with
-        // every rider's cache begun, written and not committed
+        let (matmuls, before) = (weights.matmuls(), s.metrics.snapshot());
+        s.step();
+        let after = s.metrics.snapshot();
+        assert_eq!(
+            weights.matmuls() - matmuls,
+            per_forward,
+            "one pass over the weights"
+        );
+        assert_eq!(after.decode_forwards - before.decode_forwards, 1);
+        assert_eq!(after.prefill_forwards, before.prefill_forwards);
+        // the newcomer's window and the two decode rows, in that pass
+        assert_eq!(after.prefill_rows - before.prefill_rows, 5);
+        assert_eq!(after.decode_rows - before.decode_rows, 2);
+
+        drain(&mut s);
+        for (id, (rx, prompt)) in rxs.iter().zip(&prompts).enumerate() {
+            let want = reference(&s, &weights, id as u64, prompt, &greedy(6));
+            assert_eq!(
+                rx.try_recv().expect("answered").tokens,
+                want,
+                "request {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicked_shared_forward_fails_exactly_its_riders() {
+        let cfg = SchedulerConfig {
+            max_batch: 5,
+            ..SchedulerConfig::default()
+        };
+        let (mut s, weights) = scheduler(cfg, 0);
+        // 0 and 1 decode on; 2 wants two tokens: it emits its second in
+        // phase 1 of the faulted step, as they do, and does not ride
+        let mut rxs: Vec<_> = (0..3)
+            .map(|id| {
+                submit(
+                    &mut s,
+                    id,
+                    vec![1 + id as u32, 2, 3],
+                    [6, 6, 2][id as usize],
+                )
+            })
+            .collect();
+        s.step(); // prefill
+        s.step(); // first decode row
+                  // 10 and 11 are admitted next to them; 12 waits for a slot
+        for id in 10..13 {
+            rxs.push(submit(&mut s, id, vec![id as u32, 2, 3], 4));
+        }
+        // the shared forward dies at its fifth linear, with every
+        // rider's cache begun, written and not committed
         weights
             .fault_at
-            .store(weights.matmuls() + 4, Ordering::Relaxed);
-        decode_iteration(&model, &weights, None, &mut active, &metrics);
+            .store(weights.matmuls() + 5, Ordering::Relaxed);
+        s.step();
 
-        let reasons: Vec<_> = active.iter().map(|a| a.done).collect();
+        let answers: Vec<_> = rxs[..5]
+            .iter()
+            .map(|rx| rx.try_recv().expect("answered"))
+            .collect();
+        let reasons: Vec<_> = answers.iter().map(|r| (r.finish, r.generated)).collect();
+        use FinishReason::{Failed, Length};
+        // decode and prefill riders alike fail, keeping what they had
         assert_eq!(
             reasons,
             [
-                Some(FinishReason::Failed),
-                Some(FinishReason::Failed),
-                Some(FinishReason::Length)
+                (Failed, 2),
+                (Failed, 2),
+                (Length, 2),
+                (Failed, 0),
+                (Failed, 0)
             ]
         );
-        // the failed keep what they had emitted: prompt + two tokens
-        for a in &active[..2] {
-            assert_eq!(a.state.generated, 2);
-            assert_eq!(a.state.tokens.len(), a.state.sub.req.prompt.len() + 2);
-        }
-        assert_eq!(metrics.decode_forwards.get(), 1, "only the first completed");
+        assert_eq!(answers[0].tokens.len(), 3 + 2, "tokens kept");
+        assert_eq!(answers[3].tokens, [10, 2, 3], "tokens kept");
+        assert!(s.active.is_empty());
+        assert_eq!(s.used_budget, 0, "the riders' budget came back");
+        let snap = s.metrics.snapshot();
+        assert_eq!(snap.failed, 4);
+        assert_eq!((snap.prefill_forwards, snap.decode_forwards), (1, 1));
+
+        // the loop is alive: the request that waited decodes to the reference
+        drain(&mut s);
+        let r = rxs[5].try_recv().expect("answered");
+        assert_eq!(
+            r.tokens,
+            reference(&s, &weights, 12, &[12, 2, 3], &greedy(4))
+        );
 
         // a fault in one request's draft forward (its lag holds a token
         // outside the vocabulary) is inside the same scope: it fails the
         // healthy rider next to it too, before any shared forward begins
-        let rt = SpecRuntime {
-            draft: QuantizedParamStore::for_draft(&model, &weights.inner),
-            k: 2,
-        };
-        let mut drafting = admit(2, 8, &model, &weights, None, true, &metrics);
-        drafting[1].draft = Some(DraftState::new(&model, &[29_999]));
-        let streamed = weights.matmuls();
-        decode_iteration(&model, &weights, Some(&rt), &mut drafting, &metrics);
-        for a in &drafting {
-            assert_eq!(a.done, Some(FinishReason::Failed));
-            assert_eq!(a.state.generated, 0, "failed before emitting");
+        let (mut s, weights) = scheduler(SchedulerConfig::default(), 2);
+        let rxs: Vec<_> = (0..2)
+            .map(|id| submit(&mut s, id, vec![1, 2, 3], 8))
+            .collect();
+        s.step();
+        s.active[1].draft = Some(DraftState::new(&s.model, &[29_999]));
+        let (streamed, forwards) = (weights.matmuls(), passes(&s.metrics.snapshot()));
+        s.step();
+        for rx in &rxs {
+            let r = rx.try_recv().expect("answered");
+            assert_eq!(
+                (r.finish, r.generated),
+                (Failed, 0),
+                "failed before emitting"
+            );
         }
         assert_eq!(weights.matmuls(), streamed, "no shared forward began");
-        assert_eq!(metrics.decode_forwards.get(), 1);
-
-        // the loop is alive: the next batch decodes to the reference
-        let fresh = admit(2, 4, &model, &weights, None, false, &metrics);
-        let (finished, _) = drive(&model, &weights, None, fresh, &metrics);
-        for a in &finished {
-            let prompt = &a.state.sub.req.prompt;
-            let reference = generate(
-                &model,
-                &weights.inner,
-                prompt,
-                &greedy(4),
-                &mut init::rng(0),
-            );
-            assert_eq!(a.state.tokens, reference);
-        }
+        assert_eq!(passes(&s.metrics.snapshot()), forwards);
     }
 
     #[test]
     fn failed_reprefill_hands_the_parked_request_back_with_its_tokens() {
-        let (model, store) = tiny_model();
-        let metrics = MetricsInner::default();
+        let (mut s, _) = scheduler(SchedulerConfig::default(), 0);
         // a preempted request two tokens into its generation; the second
-        // is out of vocabulary, so the recompute prefill panics
-        let (fresh, rx) = parked(0, vec![1, 2, 3], 32, &metrics);
-        let parked = Parked {
+        // is out of vocabulary, so the recompute prefill is refused
+        let (fresh, rx) = parked(0, vec![1, 2, 3], greedy(32), &s.metrics);
+        s.parked.push_back(Parked {
             tokens: vec![1, 2, 3, 7, 29_999],
             generated: 2,
             ttft: Some(Duration::from_millis(5)),
             ..fresh
-        };
-        let round = vec![(parked, 0, ReqKv::Contig(model.new_cache()))];
-        let admitted = prefill_round(&model, &store, round, false, &mut 0, &metrics);
+        });
+        s.step();
         assert!(
-            admitted.is_empty(),
+            s.active.is_empty(),
             "out-of-vocab recompute must not prefill"
         );
         let r = rx.try_recv().expect("answered");
@@ -1432,7 +1467,7 @@ mod tests {
         );
         assert_eq!(r.generated, 2);
         assert_eq!(r.ttft, Duration::from_millis(5));
-        let snap = metrics.snapshot();
+        let snap = s.metrics.snapshot();
         assert_eq!((snap.completed, snap.failed, snap.backlog), (1, 1, 0));
     }
 
@@ -1442,31 +1477,26 @@ mod tests {
 
     #[test]
     fn a_stacked_round_is_bitwise_each_solo_prefill() {
-        let (model, store) = tiny_model();
-        let (max, v) = (model.cfg.max_seq, model.cfg.vocab_size);
         // ragged prompts; the third outgrows the window, so only its
         // trailing `max_seq` tokens forward
+        let (max, v) = (32, 30);
         let prompts: Vec<Vec<u32>> = [5, 1, max + 8, 9]
             .into_iter()
             .enumerate()
             .map(|(r, len)| (0..len).map(|i| ((i * 7 + r * 11) % v) as u32).collect())
             .collect();
         for n in 1..=prompts.len() {
-            let metrics = MetricsInner::default();
-            let round = prompts[..n]
-                .iter()
-                .enumerate()
-                .map(|(id, prompt)| {
-                    let (p, _rx) = parked(id as u64, prompt.clone(), 4, &metrics);
-                    (p, 0, ReqKv::Contig(model.new_cache()))
-                })
-                .collect();
-            let admitted = prefill_round(&model, &store, round, false, &mut 0, &metrics);
-            assert_eq!(admitted.len(), n);
-            for (mut a, prompt) in admitted.into_iter().zip(&prompts) {
+            let (mut s, weights) = scheduler(SchedulerConfig::default(), 0);
+            for (id, prompt) in prompts[..n].iter().enumerate() {
+                let _ = submit(&mut s, id as u64, prompt.clone(), 4);
+            }
+            s.step();
+            assert_eq!(s.active.len(), n);
+            let (model, store) = (&s.model, &weights.inner);
+            for (a, prompt) in s.active.iter_mut().zip(&prompts) {
                 let mut solo = model.new_cache();
                 let window = &prompt[prompt.len().saturating_sub(max)..];
-                let logits = model.forward_cached(&store, window, &mut solo);
+                let logits = model.forward_cached(store, window, &mut solo);
                 let id = a.state.sub.id;
                 assert_eq!(
                     bits(&a.last_row),
@@ -1475,93 +1505,180 @@ mod tests {
                 );
                 assert_eq!(a.cache.kv().kv_bytes(), solo.kv_bytes(), "{n}/{id}");
                 // the cached rows themselves: the next step reads them all
-                let next = model.decode_step(&store, 3, a.cache.kv());
-                let want = model.decode_step(&store, 3, &mut solo);
+                let next = model.decode_step(store, 3, a.cache.kv());
+                let want = model.decode_step(store, 3, &mut solo);
                 assert_eq!(bits(&next), bits(&want), "{n}/{id} cache");
             }
             let rows: usize = prompts[..n].iter().map(|p| p.len().min(max)).sum();
-            let snap = metrics.snapshot();
+            let snap = s.metrics.snapshot();
             assert_eq!((snap.prefill_forwards, snap.prefill_rows), (1, rows as u64));
-        }
-    }
-
-    /// A parked request costing its worst case, and its response channel.
-    fn costed(id: u64, prompt: Vec<u32>, model: &GptModel, metrics: &MetricsInner) -> Costed {
-        let (p, rx) = parked(id, prompt, 6, metrics);
-        let cost = token_cost(&p.sub, model.cfg.max_seq);
-        ((p, cost, ReqKv::Contig(model.new_cache())), rx)
-    }
-
-    type Costed = ((Parked, usize, ReqKv), Receiver<Response>);
-
-    #[test]
-    fn a_panicked_round_fails_exactly_its_requests() {
-        let (model, store) = tiny_model();
-        let weights = CountedWeights::new(store);
-        let metrics = MetricsInner::default();
-        // two requests already decoding, one iteration in
-        let mut active = admit(2, 6, &model, &weights, None, false, &metrics);
-        decode_iteration(&model, &weights, None, &mut active, &metrics);
-
-        let pre_round = 17;
-        let mut used_budget = pre_round;
-        let (round, rxs): (Vec<_>, Vec<_>) = (10..13)
-            .map(|id| costed(id, vec![id as u32, 2, 3], &model, &metrics))
-            .unzip();
-        used_budget += round.iter().map(|r| r.1).sum::<usize>();
-        // the stacked forward dies at its fifth linear, every cache begun
-        weights
-            .fault_at
-            .store(weights.matmuls() + 5, Ordering::Relaxed);
-        let admitted = prefill_round(&model, &weights, round, false, &mut used_budget, &metrics);
-        assert!(admitted.is_empty());
-        assert_eq!(used_budget, pre_round, "the round's budget came back");
-        for (id, rx) in (10..13).zip(rxs) {
-            let r = rx.try_recv().expect("answered");
-            assert_eq!(r.finish, FinishReason::Failed);
-            assert_eq!(r.tokens, [id as u32, 2, 3], "tokens kept");
-        }
-        let snap = metrics.snapshot();
-        assert_eq!((snap.failed, snap.prefill_forwards), (3, 1), "only admit's");
-
-        // the batch decodes on to the reference
-        let (finished, _) = drive(&model, &weights, None, active, &metrics);
-        assert_eq!(finished.len(), 2);
-        for a in &finished {
-            let prompt = &a.state.sub.req.prompt;
-            let reference = generate(
-                &model,
-                &weights.inner,
-                prompt,
-                &greedy(6),
-                &mut init::rng(0),
-            );
-            assert_eq!(a.state.tokens, reference);
         }
     }
 
     #[test]
     fn a_refused_window_fails_alone_outside_the_forward() {
-        let (model, store) = tiny_model();
-        let metrics = MetricsInner::default();
-        let mut used_budget = 0;
-        let (round, rxs): (Vec<_>, Vec<_>) = [vec![1, 2], vec![4, 29_999], vec![5, 6, 7]]
-            .into_iter()
-            .enumerate()
-            .map(|(id, prompt)| costed(id as u64, prompt, &model, &metrics))
-            .unzip();
-        let good_cost = round[0].1 + round[2].1;
-        used_budget += round.iter().map(|r| r.1).sum::<usize>();
-        let admitted = prefill_round(&model, &store, round, false, &mut used_budget, &metrics);
-        let ids: Vec<u64> = admitted.iter().map(|a| a.state.sub.id).collect();
+        let (mut s, _) = scheduler(SchedulerConfig::default(), 0);
+        let prompts = [vec![1, 2], vec![4, 29_999], vec![5, 6, 7]];
+        let rxs: Vec<_> = (0..3)
+            .map(|id| submit(&mut s, id, prompts[id as usize].clone(), 6))
+            .collect();
+        let max_seq = s.model.cfg.max_seq;
+        let costs: Vec<usize> = s
+            .parked
+            .iter()
+            .map(|p| token_cost(&p.sub, max_seq))
+            .collect();
+        s.step();
+        let ids: Vec<u64> = s.active.iter().map(|a| a.state.sub.id).collect();
         assert_eq!(ids, [0, 2], "its neighbours prefilled");
-        assert_eq!(used_budget, good_cost);
+        assert_eq!(s.used_budget, costs[0] + costs[2]);
         let r = rxs[1].try_recv().expect("answered");
         assert_eq!(
             (r.finish, r.tokens),
             (FinishReason::Failed, vec![4, 29_999])
         );
-        let snap = metrics.snapshot();
+        let snap = s.metrics.snapshot();
         assert_eq!((snap.prefill_forwards, snap.prefill_rows), (1, 5));
+    }
+
+    /// One client of a random schedule: what it sends, the step it
+    /// arrives on, and the step it cancels on, if it does.
+    struct Client {
+        prompt: Vec<u32>,
+        opts: SampleOptions,
+        arrives: usize,
+        cancels: Option<usize>,
+    }
+
+    /// Drive `seed`'s schedule through [`Scheduler::step`] to quiescence,
+    /// holding the conservation invariants after every step and the
+    /// streams and the pool at the end.
+    fn random_schedule(seed: u64) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let paged = rng.gen_bool(0.5);
+        let k = if rng.gen_bool(0.5) {
+            rng.gen_range(1..=3)
+        } else {
+            0
+        };
+        // a pool a little over one request's worst case (the window, a
+        // dropped front block, k + 1 verify rows), so requests that grow
+        // side by side preempt each other
+        let block_size: usize = rng.gen_range(2..=4);
+        let lone = (32 + block_size + 4).div_ceil(block_size) + 1;
+        let bc = KvBlockConfig {
+            block_size,
+            num_blocks: rng.gen_range(lone..=lone + 4),
+        };
+        let cfg = SchedulerConfig {
+            max_batch: rng.gen_range(1..=4),
+            token_budget: rng.gen_range(8..=80),
+            kv_backend: [KvBackend::Contiguous, KvBackend::Paged(bc)][usize::from(paged)],
+            ..SchedulerConfig::default()
+        };
+        let (mut s, weights) = scheduler(cfg, k);
+        let (max_seq, v) = (s.model.cfg.max_seq, s.model.cfg.vocab_size as u32);
+        let per_forward = 7 * s.model.cfg.layers + 1;
+        // half the prompts open with one system prompt, so paged ones fork
+        let system: Vec<u32> = (0..8).map(|_| rng.gen_range(0..v)).collect();
+        let n = rng.gen_range(1..=6);
+        let mut clients: Vec<Client> = (0..n)
+            .map(|_| {
+                let len = match rng.gen_bool(0.2) {
+                    true => rng.gen_range(max_seq + 1..=max_seq + 8),
+                    false => rng.gen_range(1..=10),
+                };
+                let shared = if rng.gen_bool(0.5) { system.len() } else { 0 };
+                let own = (0..len).map(|_| rng.gen_range(0..v)).collect::<Vec<_>>();
+                let sampled = rng.gen_bool(0.3);
+                Client {
+                    prompt: [&system[..shared], &own].concat(),
+                    opts: SampleOptions {
+                        temperature: if sampled { 0.8 } else { 0.0 },
+                        top_k: 5,
+                        max_new_tokens: rng.gen_range(1..=16),
+                        stop_token: rng.gen_bool(0.2).then(|| rng.gen_range(0..v)),
+                    },
+                    arrives: rng.gen_range(0..=4),
+                    cancels: rng.gen_bool(0.25).then(|| rng.gen_range(0..=12)),
+                }
+            })
+            .collect();
+        // ids follow submission order
+        clients.sort_by_key(|c| c.arrives);
+
+        let mut handles: Vec<(Receiver<Response>, Arc<AtomicBool>)> = Vec::new();
+        let mut answers: Vec<Option<Response>> = vec![None; n];
+        let mut t = 0;
+        while handles.len() < n || !s.idle() {
+            while let Some(c) = clients.get(handles.len()).filter(|c| c.arrives <= t) {
+                let id = handles.len() as u64;
+                let (p, rx) = parked(id, c.prompt.clone(), c.opts, &s.metrics);
+                handles.push((rx, Arc::clone(&p.sub.cancel)));
+                s.parked.push_back(p);
+            }
+            for (c, (_, cancel)) in clients.iter().zip(&handles) {
+                if c.cancels == Some(t) {
+                    cancel.store(true, Ordering::Release);
+                }
+            }
+            let (matmuls, before) = (weights.matmuls(), passes(&s.metrics.snapshot()));
+            s.step();
+            let ran = passes(&s.metrics.snapshot()) - before;
+            assert_eq!(
+                weights.matmuls() - matmuls,
+                per_forward * ran,
+                "seed {seed}"
+            );
+            assert!(
+                paged || ran <= 1,
+                "seed {seed}: a contiguous step is one pass"
+            );
+            // every request is in exactly one place: the lot, the batch,
+            // or answered — and answered once
+            for (id, (rx, _)) in handles.iter().enumerate() {
+                if let Ok(r) = rx.try_recv() {
+                    assert!(answers[id].replace(r).is_none(), "seed {seed}: {id} twice");
+                }
+                let places = [
+                    answers[id].is_some(),
+                    s.parked.iter().any(|p| p.sub.id == id as u64),
+                    s.active.iter().any(|a| a.state.sub.id == id as u64),
+                ];
+                let at = places.iter().filter(|&&p| p).count();
+                assert_eq!(at, 1, "seed {seed}: request {id} at {places:?}");
+            }
+            let reserved: usize = s.active.iter().map(|a| a.reserved).sum();
+            assert_eq!(s.used_budget, reserved, "seed {seed}: budget");
+            t += 1;
+            assert!(t < 1000, "seed {seed}: no quiescence");
+        }
+
+        for (id, (c, answer)) in clients.iter().zip(&answers).enumerate() {
+            let r = answer.as_ref().expect("answered");
+            assert!(handles[id].0.try_recv().is_err(), "seed {seed}: {id} twice");
+            let want = reference(&s, &weights, id as u64, &c.prompt, &c.opts);
+            if r.finish == FinishReason::Cancelled {
+                assert!(want.starts_with(&r.tokens), "seed {seed}: request {id}");
+            } else {
+                assert_eq!(r.tokens, want, "seed {seed}: request {id} {:?}", r.finish);
+            }
+        }
+        let snap = s.metrics.snapshot();
+        assert_eq!((snap.failed, snap.backlog), (0, 0), "seed {seed}");
+        if let Some(ps) = s.paged.as_mut() {
+            ps.prefix.clear();
+            let free = ps.pool.free_blocks();
+            assert_eq!(free, ps.pool.num_blocks(), "seed {seed}: blocks leaked");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn random_schedules_conserve_requests_budget_and_blocks(seed in 0u64..u64::MAX) {
+            random_schedule(seed);
+        }
     }
 }
