@@ -13,7 +13,8 @@
 # the ceiling is the slower reading plus the widest same-tree spread
 # seen (63 s). `cargo test -q -p matgpt-core --lib` alone: 51.9 → 43 s.
 # PR 25 re-timed it at 4m30s / 5m03s, PR 26 at 4m51s / 4m26s: inside
-# the band, ceiling kept.
+# the band, ceiling kept. Re-timed once the serve scheduler ran one
+# shared forward per iteration: 4m15s / 4m11s, ceiling kept.
 # A PR that pushes tier-1 past it says so in CHANGES.md and moves the
 # number here and in ROADMAP item 6.
 set -euo pipefail
