@@ -8,6 +8,7 @@
 //! sampling state over raw logits rows.
 
 use crate::gpt::GptModel;
+use matgpt_tensor::kernels::exp::exp;
 use matgpt_tensor::ParamStore;
 use rand::Rng;
 
@@ -118,10 +119,7 @@ pub fn argmax(row: &[f32]) -> usize {
 /// Sample from the tempered softmax of a logits row.
 pub fn sample_softmax<R: Rng>(row: &[f32], temperature: f32, rng: &mut R) -> usize {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let weights: Vec<f32> = row
-        .iter()
-        .map(|&x| ((x - max) / temperature).exp())
-        .collect();
+    let weights: Vec<f32> = row.iter().map(|&x| exp((x - max) / temperature)).collect();
     let total: f32 = weights.iter().sum();
     let mut r = rng.gen::<f32>() * total;
     for (i, w) in weights.iter().enumerate() {

@@ -29,7 +29,7 @@ use crate::config::ArchKind;
 use crate::gpt::{GptModel, Slot::*};
 use crate::quant::ForwardParams;
 use matgpt_tensor::kernels::activation as act;
-use matgpt_tensor::kernels::infer::{cached_attention, rotary_rows};
+use matgpt_tensor::kernels::infer::{cached_attention, RotaryTable};
 use matgpt_tensor::kernels::norm;
 use matgpt_tensor::ParamId;
 
@@ -348,6 +348,8 @@ impl GptModel {
             positions.extend(start..start + tokens.len());
         }
         let n = positions.len();
+        // every layer rotates at the same positions: one table
+        let rope = RotaryTable::new(&positions, d, cfg.rope_base);
 
         // token embeddings -> x [n, h]
         let emb = store.dense(self.tok_emb);
@@ -365,8 +367,8 @@ impl GptModel {
             let mut q = store.linear(&scratch, layer.id(Wq), layer.get(Bq), n, h, h);
             let mut k = store.linear(&scratch, layer.id(Wk), layer.get(Bk), n, h, kv_dim);
             let v = store.linear(&scratch, layer.id(Wv), layer.get(Bv), n, h, kv_dim);
-            rotary_rows(&mut q, &positions, heads, d, cfg.rope_base);
-            rotary_rows(&mut k, &positions, kv_heads, d, cfg.rope_base);
+            rope.rotate_rows(&mut q, heads);
+            rope.rotate_rows(&mut k, kv_heads);
             let mut att = vec![0.0f32; n * heads * d];
             let mut row = 0;
             for (tokens, cache) in segs.iter_mut() {
@@ -398,8 +400,9 @@ impl GptModel {
                 ArchKind::Llama => {
                     let mut gate = store.linear(&scratch, layer.id(W1), None, n, h, m);
                     let up = store.linear(&scratch, layer.id(W3), None, n, h, m);
+                    act::silu_in_place(&mut gate);
                     for (g, &u) in gate.iter_mut().zip(&up) {
-                        *g = act::silu(*g) * u;
+                        *g *= u;
                     }
                     store.linear(&gate, layer.id(W2), None, n, m, h)
                 }

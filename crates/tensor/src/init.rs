@@ -1,7 +1,10 @@
 //! Deterministic random initialisation helpers.
 //!
 //! All randomness in the workspace flows through seedable ChaCha8 RNGs so
-//! every experiment is reproducible bit-for-bit across runs and platforms.
+//! every experiment is reproducible bit-for-bit across runs. Across hosts
+//! the draws are the same, but the normal draws below pass through the
+//! host libm's `ln`, `sin` and `cos` (DESIGN.md §5, numerics), so weights
+//! agree bit for bit only where those do.
 
 use crate::tensor::Tensor;
 use rand::Rng;

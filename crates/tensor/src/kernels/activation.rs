@@ -4,6 +4,8 @@
 //! gate activation inside LLaMA's SwiGLU block — exactly the two MLP
 //! parameterisations the paper contrasts in Fig. 2.
 
+use super::exp::{exp, exp_slice};
+
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 const GELU_C: f32 = 0.044_715;
 
@@ -22,7 +24,7 @@ pub fn gelu_grad(x: f32) -> f32 {
 
 /// Logistic sigmoid.
 pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+    1.0 / (1.0 + exp(-x))
 }
 
 /// SiLU (a.k.a. swish): `x * sigmoid(x)`.
@@ -34,6 +36,39 @@ pub fn silu(x: f32) -> f32 {
 pub fn silu_grad(x: f32) -> f32 {
     let s = sigmoid(x);
     s * (1.0 + x * (1.0 - s))
+}
+
+/// Lanes [`silu_in_place`] stages its `e^-x` in.
+const STAGE: usize = 64;
+
+/// [`silu`] of every element, in place, bit for bit: the `e^-x` of
+/// 64 elements at a time through one [`exp_slice`] call.
+pub fn silu_in_place(xs: &mut [f32]) {
+    let mut e = [0.0f32; STAGE];
+    for xc in xs.chunks_mut(STAGE) {
+        let e = &mut e[..xc.len()];
+        for (e, &x) in e.iter_mut().zip(xc.iter()) {
+            *e = -x;
+        }
+        exp_slice(e);
+        for (x, &e) in xc.iter_mut().zip(e.iter()) {
+            *x *= 1.0 / (1.0 + e);
+        }
+    }
+}
+
+/// [`silu_grad`] of every element of `xs` into `out`, bit for bit;
+/// `out` holds the `e^-x` for the one [`exp_slice`] call first.
+pub fn silu_grad_slice(xs: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(xs.len(), out.len());
+    for (e, &x) in out.iter_mut().zip(xs) {
+        *e = -x;
+    }
+    exp_slice(out);
+    for (o, &x) in out.iter_mut().zip(xs) {
+        let s = 1.0 / (1.0 + *o);
+        *o = s * (1.0 + x * (1.0 - s));
+    }
 }
 
 /// Hyperbolic tangent forward.
@@ -86,6 +121,35 @@ mod tests {
             assert!(
                 (tanh_grad(x) - numeric_grad(tanh, x)).abs() < 1e-2,
                 "tanh at {x}"
+            );
+        }
+    }
+
+    #[test]
+    fn slice_forms_equal_the_scalar_ones_bitwise() {
+        let xs: Vec<f32> = (0..203)
+            .map(|i| (i as f32 * 0.61).sin() * 12.0)
+            .chain([
+                0.0,
+                -0.0,
+                95.0,
+                -95.0,
+                200.0,
+                -200.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ])
+            .collect();
+        let mut silu_got = xs.clone();
+        silu_in_place(&mut silu_got);
+        let mut grad_got = vec![0.0f32; xs.len()];
+        silu_grad_slice(&xs, &mut grad_got);
+        for (i, &x) in xs.iter().enumerate() {
+            assert_eq!(silu_got[i].to_bits(), silu(x).to_bits(), "silu {x}");
+            assert_eq!(
+                grad_got[i].to_bits(),
+                silu_grad(x).to_bits(),
+                "silu_grad {x}"
             );
         }
     }

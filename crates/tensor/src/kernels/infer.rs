@@ -14,51 +14,71 @@
 //! Grouped-query attention falls out of the indexing: query head `h`
 //! reads cache head `h / (H / Hkv)`.
 
-use super::softmax::OnlineSoftmax;
-use rayon::prelude::*;
+use super::matmul::Avx512;
+use super::par_each_with;
+use super::softmax::{OnlineSoftmax, RowScratch};
+use std::collections::VecDeque;
 
-/// Rotate every `d`-wide head of `x` in place by the rotary angles
-/// `theta = pos / base^(2i/d)` (half-split convention), head `j` of `x`
-/// sitting at `positions[pos_of(j)]`; `inverse` un-applies. The one
-/// evaluation of the angle: the token-major rows below and the
-/// head-major training tape both rotate through here, so they agree
-/// bitwise. The divisor depends only on `i` and the angle only on
-/// `(pos, i)`, so both are computed once, not per head.
-pub(crate) fn rotary_heads(
-    x: &mut [f32],
-    positions: &[usize],
-    d: usize,
-    base: f32,
-    pos_of: impl Fn(usize) -> usize,
-    inverse: bool,
-) {
-    let half = d / 2;
-    let divisors: Vec<f32> = (0..half)
-        .map(|i| base.powf(2.0 * i as f32 / d as f32))
-        .collect();
-    let mut sincos = Vec::with_capacity(positions.len() * half);
-    for &pos in positions {
-        sincos.extend(divisors.iter().map(|&div| (pos as f32 / div).sin_cos()));
-    }
-    for (j, head) in x.chunks_mut(d).enumerate() {
-        let at = pos_of(j) * half;
-        for (i, &(sin, cos)) in sincos[at..at + half].iter().enumerate() {
-            let sin = if inverse { -sin } else { sin };
-            let x1 = head[i];
-            let x2 = head[i + half];
-            head[i] = x1 * cos - x2 * sin;
-            head[i + half] = x2 * cos + x1 * sin;
-        }
-    }
+/// The rotary angles of a set of positions, evaluated once:
+/// `sin_cos(pos / base^(2i/d))` for every position and `i < d/2`
+/// (half-split convention). The one evaluation of the angle: the
+/// token-major rows below and the head-major training tape both rotate
+/// through here, so they agree bitwise, and a forward that rotates
+/// queries and keys in every layer at the same positions builds one
+/// table for all of them.
+#[derive(Clone, Debug)]
+pub struct RotaryTable {
+    positions: usize,
+    half: usize,
+    sincos: Vec<(f32, f32)>,
 }
 
-/// Apply rotary position embeddings in place to token-major rows
-/// `x = [rows.len(), heads*d]`, where row `i` sits at absolute position
-/// `positions[i]` — the training tape's convention, so a cache built
-/// here matches a full forward that numbered positions `0..T`.
-pub fn rotary_rows(x: &mut [f32], positions: &[usize], heads: usize, d: usize, base: f32) {
-    debug_assert_eq!(x.len(), positions.len() * heads * d, "rotary_rows layout");
-    rotary_heads(x, positions, d, base, |j| j / heads, false);
+impl RotaryTable {
+    /// The angles of `positions` for heads `d` wide.
+    pub fn new(positions: &[usize], d: usize, base: f32) -> Self {
+        let half = d / 2;
+        let divisors: Vec<f32> = (0..half)
+            .map(|i| base.powf(2.0 * i as f32 / d as f32))
+            .collect();
+        let mut sincos = Vec::with_capacity(positions.len() * half);
+        for &pos in positions {
+            sincos.extend(divisors.iter().map(|&div| (pos as f32 / div).sin_cos()));
+        }
+        Self {
+            positions: positions.len(),
+            half,
+            sincos,
+        }
+    }
+
+    /// Rotate every `d`-wide head of `x` in place, head `j` sitting at
+    /// the `pos_of(j)`-th position of the table; `inverse` un-applies.
+    pub(crate) fn rotate(&self, x: &mut [f32], pos_of: impl Fn(usize) -> usize, inverse: bool) {
+        let half = self.half;
+        for (j, head) in x.chunks_mut(2 * half).enumerate() {
+            let at = pos_of(j) * half;
+            for (i, &(sin, cos)) in self.sincos[at..at + half].iter().enumerate() {
+                let sin = if inverse { -sin } else { sin };
+                let x1 = head[i];
+                let x2 = head[i + half];
+                head[i] = x1 * cos - x2 * sin;
+                head[i + half] = x2 * cos + x1 * sin;
+            }
+        }
+    }
+
+    /// Rotate token-major rows `x = [positions, heads*d]` in place, row
+    /// `i` at the table's `i`-th position — the training tape's
+    /// convention, so a cache built here matches a full forward that
+    /// numbered positions `0..T`.
+    pub fn rotate_rows(&self, x: &mut [f32], heads: usize) {
+        debug_assert_eq!(
+            x.len(),
+            self.positions * heads * 2 * self.half,
+            "rotate_rows layout"
+        );
+        self.rotate(x, |j| j / heads, false);
+    }
 }
 
 /// Dot product with a fixed eight-lane accumulation shape: lanes gather
@@ -66,7 +86,8 @@ pub fn rotary_rows(x: &mut [f32], positions: &[usize], heads: usize, d: usize, b
 /// the `len % 8` tail is added sequentially. The shape depends only on
 /// the slice length — never on which kernel or batch the call came from
 /// — so contiguous/paged attention and single/batched decode all score
-/// identical inputs bitwise identically.
+/// identical inputs bitwise identically. [`dot8_rows`] is the same shape
+/// over many keys at once.
 #[inline]
 fn dot8(a: &[f32], b: &[f32]) -> f32 {
     let mut lanes = [0.0f32; 8];
@@ -86,48 +107,134 @@ fn dot8(a: &[f32], b: &[f32]) -> f32 {
         + tail
 }
 
-/// The one causal attention scan behind both KV layouts: query `i` (of
-/// the trailing `n_new` visible rows) attends to visible rows
-/// `0..=t_total - n_new + i`, scoring with [`dot8`] and folding with a
-/// streaming [`OnlineSoftmax`] — O(1) auxiliary memory per head, O(T)
-/// per decoded token. `kv_row(j)` fetches visible row `j`'s
-/// `[kv_heads*d]` key and value rows; it is the only thing the layouts
-/// differ in (monomorphised per caller), so for bitwise-equal rows every
-/// layout performs the identical float operations in the identical order.
-#[allow(clippy::too_many_arguments)]
-fn attention_scan<'a>(
+/// `out[j] = dot8(q, key j) · scale` for every row of `rows`, key `j`
+/// being `rows[j].0[at..at + q.len()]`: four keys at a time through the
+/// AVX-512 host's vector units where `avx512` says it has them, one
+/// [`dot8`] call a key elsewhere — the same operations either way.
+fn dot8_rows(
+    avx512: Option<Avx512>,
     q: &[f32],
-    kv_row: impl Fn(usize) -> (&'a [f32], &'a [f32]) + Sync,
+    rows: &[(&[f32], &[f32])],
+    at: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let d = q.len();
+    let key = |j: usize| &rows[j].0[at..at + d];
+    let out = &mut out[..rows.len()];
+    // how many keys the vector body scored: all but the last `len % 4`
+    let done = match avx512 {
+        #[cfg(target_arch = "x86_64")]
+        Some(_) => {
+            for (j, four) in out.chunks_exact_mut(4).enumerate() {
+                let keys = [0, 1, 2, 3].map(|i| key(4 * j + i));
+                // SAFETY: an `Avx512` exists only where avx512f was detected
+                let s = unsafe { dot8_x4(q, keys) };
+                for (o, s) in four.iter_mut().zip(s) {
+                    *o = s * scale;
+                }
+            }
+            rows.len() - rows.len() % 4
+        }
+        _ => 0,
+    };
+    for (j, o) in out.iter_mut().enumerate().skip(done) {
+        *o = dot8(q, key(j)) * scale;
+    }
+}
+
+/// [`dot8`] of `q` with four keys: each key's eight lanes are one `ymm`
+/// of `fmadd`s, and two rounds of `hadd` then a high-plus-low add
+/// combine the four keys' lanes pairwise in `dot8`'s order — `hadd`
+/// adds a lane to its neighbour — before each key's tail is added.
+///
+/// # Safety
+/// `avx512f` (which brings `avx2` and `fma`) must have been detected.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dot8_x4(q: &[f32], keys: [&[f32]; 4]) -> [f32; 4] {
+    use std::arch::x86_64::*;
+    let d = q.len();
+    let full = d - d % 8;
+    let mut tails = [0.0f32; 4];
+    for (t, k) in tails.iter_mut().zip(keys) {
+        assert_eq!(k.len(), d, "key width");
+        for (x, y) in q[full..].iter().zip(&k[full..]) {
+            *t = x.mul_add(*y, *t);
+        }
+    }
+    // SAFETY: every load reads 8 floats from offset `c ≤ full - 8` of a
+    // slice of `d ≥ full` floats (the assert above for the keys)
+    unsafe {
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for c in (0..full).step_by(8) {
+            let qv = _mm256_loadu_ps(q.as_ptr().add(c));
+            for (a, k) in acc.iter_mut().zip(keys) {
+                *a = _mm256_fmadd_ps(qv, _mm256_loadu_ps(k.as_ptr().add(c)), *a);
+            }
+        }
+        let h = _mm256_hadd_ps(
+            _mm256_hadd_ps(acc[0], acc[1]),
+            _mm256_hadd_ps(acc[2], acc[3]),
+        );
+        let lanes = _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps::<1>(h));
+        let mut out = [0.0f32; 4];
+        _mm_storeu_ps(
+            out.as_mut_ptr(),
+            _mm_add_ps(lanes, _mm_loadu_ps(tails.as_ptr())),
+        );
+        out
+    }
+}
+
+/// The one causal attention scan behind both KV layouts: query `i` (of
+/// the trailing `n_new` of the `rows.len()` visible rows) attends to
+/// visible rows `0..=rows.len() - n_new + i`. `rows[j]` is visible row
+/// `j`'s `[kv_heads*d]` key and value rows — the only thing the layouts
+/// differ in — so for bitwise-equal rows every layout performs the
+/// identical float operations in the identical order.
+///
+/// Per query row and head it scores every visible key with [`dot8`]'s
+/// shape ([`dot8_rows`], many keys per instruction), then folds the
+/// scores with [`OnlineSoftmax::fold_row`]: the streaming softmax's
+/// exact recurrence, its exps in one vectorized call. Scratch is allocated per
+/// call and worker; rows are dealt to workers so each share costs the
+/// same (row `i` costs `first + i` keys).
+#[allow(clippy::too_many_arguments)]
+fn attention_scan(
+    q: &[f32],
+    rows: &[(&[f32], &[f32])],
     out: &mut [f32],
     n_new: usize,
-    t_total: usize,
     heads: usize,
     kv_heads: usize,
     d: usize,
 ) {
+    let t_total = rows.len();
     debug_assert_eq!(q.len(), n_new * heads * d, "q layout");
     debug_assert!(n_new <= t_total, "more new tokens than visible rows");
     let group = heads / kv_heads;
     let scale = 1.0 / (d as f32).sqrt();
     let first = t_total - n_new;
-    out.par_chunks_mut(heads * d)
-        .enumerate()
-        .for_each(|(i, orow)| {
-            let qrow = &q[i * heads * d..(i + 1) * heads * d];
-            let limit = first + i; // inclusive causal horizon
-            for h in 0..heads {
-                let hkv = h / group;
-                let qh = &qrow[h * d..(h + 1) * d];
-                let acc = &mut orow[h * d..(h + 1) * d];
-                let mut os = OnlineSoftmax::default();
-                for j in 0..=limit {
-                    let (krow, vrow) = kv_row(j);
-                    let s = dot8(qh, &krow[hkv * d..(hkv + 1) * d]) * scale;
-                    os.push(s, &vrow[hkv * d..(hkv + 1) * d], acc);
-                }
-                os.finish(acc);
-            }
-        });
+    let avx512 = Avx512::detect();
+    let mut left: VecDeque<(usize, &mut [f32])> = out.chunks_mut(heads * d).enumerate().collect();
+    let mut items = Vec::with_capacity(n_new);
+    while let Some(cheap) = left.pop_front() {
+        items.push(cheap);
+        items.extend(left.pop_back());
+    }
+    let init = || (vec![0.0f32; t_total], RowScratch::default());
+    par_each_with(items, init, |(scores, scratch), (i, orow)| {
+        let n = first + i + 1;
+        for (h, acc) in orow.chunks_mut(d).enumerate() {
+            let hkv = h / group;
+            let qh = &q[(i * heads + h) * d..][..d];
+            let head = hkv * d..(hkv + 1) * d;
+            dot8_rows(avx512, qh, &rows[..n], hkv * d, scale, scores);
+            let v = |j: usize| &rows[j].1[head.clone()];
+            OnlineSoftmax::fold_row(&scores[..n], v, acc, scratch).finish(acc);
+        }
+    });
 }
 
 /// KV-cached causal attention over token-major buffers.
@@ -155,8 +262,13 @@ pub fn cached_attention(
     let w = kv_heads * d;
     debug_assert_eq!(k_cache.len(), t_total * w, "k cache layout");
     debug_assert_eq!(v_cache.len(), t_total * w, "v cache layout");
-    let kv_row = |j: usize| (&k_cache[j * w..(j + 1) * w], &v_cache[j * w..(j + 1) * w]);
-    attention_scan(q, kv_row, out, n_new, t_total, heads, kv_heads, d);
+    let rows: Vec<(&[f32], &[f32])> = k_cache
+        .chunks_exact(w)
+        .zip(v_cache.chunks_exact(w))
+        .take(t_total)
+        .collect();
+    assert_eq!(rows.len(), t_total, "k / v cache shorter than t_total rows");
+    attention_scan(q, &rows, out, n_new, heads, kv_heads, d);
 }
 
 /// [`cached_attention`] over a **block-paged** KV layout.
@@ -197,13 +309,14 @@ pub fn paged_attention(
         t_total
     );
     let w = kv_heads * d;
-    let kv_row = |j: usize| {
-        let p = skip + j;
-        let (b, slot) = (p / block_rows, p % block_rows);
-        let at = slot * w..(slot + 1) * w;
-        (&k_blocks[b][at.clone()], &v_blocks[b][at])
-    };
-    attention_scan(q, kv_row, out, n_new, t_total, heads, kv_heads, d);
+    let rows: Vec<(&[f32], &[f32])> = (skip..skip + t_total)
+        .map(|p| {
+            let (b, slot) = (p / block_rows, p % block_rows);
+            let at = slot * w..(slot + 1) * w;
+            (&k_blocks[b][at.clone()], &v_blocks[b][at])
+        })
+        .collect();
+    attention_scan(q, &rows, out, n_new, heads, kv_heads, d);
 }
 
 #[cfg(test)]
@@ -220,6 +333,147 @@ mod tests {
                 ((x >> 33) as f32 / u32::MAX as f32 - 0.5) * 2.0
             })
             .collect()
+    }
+
+    /// The scan as it was before it scored first: one key at a time,
+    /// [`dot8`] then [`OnlineSoftmax::push`], `kv_row(j)` fetching visible
+    /// row `j`'s key and value rows.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_reference<'a>(
+        q: &[f32],
+        kv_row: impl Fn(usize) -> (&'a [f32], &'a [f32]),
+        n_new: usize,
+        t_total: usize,
+        heads: usize,
+        kv_heads: usize,
+        d: usize,
+    ) -> Vec<f32> {
+        let group = heads / kv_heads;
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut out = vec![0.0f32; n_new * heads * d];
+        for (i, orow) in out.chunks_mut(heads * d).enumerate() {
+            let qrow = &q[i * heads * d..(i + 1) * heads * d];
+            for h in 0..heads {
+                let hkv = h / group;
+                let acc = &mut orow[h * d..(h + 1) * d];
+                let mut os = OnlineSoftmax::default();
+                for j in 0..=t_total - n_new + i {
+                    let (krow, vrow) = kv_row(j);
+                    let s = dot8(&qrow[h * d..(h + 1) * d], &krow[hkv * d..(hkv + 1) * d]) * scale;
+                    os.push(s, &vrow[hkv * d..(hkv + 1) * d], acc);
+                }
+                os.finish(acc);
+            }
+        }
+        out
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Keys with every third row scaled by `spread`: at 60 and more,
+    /// scores of one row lie more than 88 apart.
+    fn spread_keys(n: usize, w: usize, seed: u64, spread: f32) -> Vec<f32> {
+        rand_buf(n * w, seed)
+            .iter()
+            .enumerate()
+            .map(|(x, &e)| if (x / w) % 3 == 1 { e * spread } else { e })
+            .collect()
+    }
+
+    #[test]
+    fn scan_equals_the_one_key_reference_bitwise() {
+        // decode, verify and prefill row counts, visible lengths off multiples of 16, dot8's tail, GQA, and
+        // scores far enough apart that exp's special path runs
+        for (n_new, t_total) in [
+            (1, 1),
+            (1, 37),
+            (2, 45),
+            (7, 7),
+            (16, 29),
+            (17, 17),
+            (64, 64),
+            (208, 211),
+        ] {
+            for d in [6, 16, 32, 128] {
+                if n_new * d > 64 * 128 {
+                    continue;
+                }
+                for (heads, kv_heads, spread) in [(4, 4, 1.0), (4, 2, 1.0), (4, 1, 80.0)] {
+                    let w = kv_heads * d;
+                    let q = rand_buf(n_new * heads * d, 61);
+                    let k = spread_keys(t_total, w, 62, spread);
+                    let v = rand_buf(t_total * w, 63);
+                    let kv_row = |j: usize| (&k[j * w..(j + 1) * w], &v[j * w..(j + 1) * w]);
+                    let want = scan_reference(&q, kv_row, n_new, t_total, heads, kv_heads, d);
+                    let mut got = vec![0.0f32; n_new * heads * d];
+                    cached_attention(&q, &k, &v, &mut got, n_new, t_total, heads, kv_heads, d);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "n {n_new} t {t_total} d {d} h {heads}/{kv_heads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_with_rising_scores_rescales_at_every_key() {
+        // row j's key is j·step along the query: every score is a new
+        // max, by 0.5 (an ordinary rescale) or by 100 (exp(-100) → a
+        // subnormal, and more than 88 below: 0)
+        for step in [0.5f32, 100.0, 300.0] {
+            for n_new in [1, 20] {
+                let (t_total, heads, d) = (40, 2, 16);
+                let w = heads * d;
+                let q = vec![1.0f32; n_new * w];
+                let unscale = (d as f32).sqrt() / d as f32;
+                let k: Vec<f32> = (0..t_total * w)
+                    .map(|x| (x / w) as f32 * step * unscale)
+                    .collect();
+                let v = rand_buf(t_total * w, 71);
+                let kv_row = |j: usize| (&k[j * w..(j + 1) * w], &v[j * w..(j + 1) * w]);
+                let want = scan_reference(&q, kv_row, n_new, t_total, heads, heads, d);
+                let mut got = vec![0.0f32; n_new * w];
+                cached_attention(&q, &k, &v, &mut got, n_new, t_total, heads, heads, d);
+                assert_eq!(bits(&got), bits(&want), "step {step} n {n_new}");
+            }
+        }
+    }
+
+    #[test]
+    fn paged_scan_equals_the_one_key_reference_bitwise() {
+        // block sizes 1-5 with and without front-dropped rows, both
+        // scoring layouts
+        for rows in 1..=5 {
+            for skip in [0, 1, 3, 7] {
+                for (n_new, t_vis) in [(1, 19), (7, 23), (17, 33)] {
+                    let (heads, kv_heads, d) = (4, 2, 6);
+                    let w = kv_heads * d;
+                    let t_phys = skip + t_vis;
+                    let q = rand_buf(n_new * heads * d, 81);
+                    let k = spread_keys(t_phys, w, 82, 70.0);
+                    let v = rand_buf(t_phys * w, 83);
+                    let kb = to_blocks(&k, t_phys, w, rows);
+                    let vb = to_blocks(&v, t_phys, w, rows);
+                    let kr: Vec<&[f32]> = kb.iter().map(|b| b.as_slice()).collect();
+                    let vr: Vec<&[f32]> = vb.iter().map(|b| b.as_slice()).collect();
+                    let kv_row = |j: usize| {
+                        let p = skip + j;
+                        let at = (p % rows) * w..(p % rows + 1) * w;
+                        (&kr[p / rows][at.clone()], &vr[p / rows][at])
+                    };
+                    let want = scan_reference(&q, kv_row, n_new, t_vis, heads, kv_heads, d);
+                    let mut got = vec![0.0f32; n_new * heads * d];
+                    paged_attention(
+                        &q, &kr, &vr, rows, skip, &mut got, n_new, t_vis, heads, kv_heads, d,
+                    );
+                    assert_eq!(bits(&got), bits(&want), "rows {rows} skip {skip} n {n_new}");
+                }
+            }
+        }
     }
 
     /// Reshape `[T, H*D]` token-major into `[H, T, D]` head-major.
@@ -344,13 +598,13 @@ mod tests {
     #[test]
     fn rotary_rows_matches_training_convention() {
         // tape's rotary numbers positions 0..T inside a [BH, T, D] block;
-        // rotary_rows with positions = 0..T must produce the same values.
+        // the table's rows at positions = 0..T must produce the same values.
         let (t, h, d) = (5, 3, 8);
         let base = 10_000.0;
         let x = rand_buf(t * h * d, 21);
         let mut tm = x.clone();
         let positions: Vec<usize> = (0..t).collect();
-        rotary_rows(&mut tm, &positions, h, d, base);
+        RotaryTable::new(&positions, d, base).rotate_rows(&mut tm, h);
         // reference via the tape on head-major layout
         let mut tape = crate::tape::Tape::new();
         let hm = to_head_major(&x, t, h, d);
@@ -444,10 +698,10 @@ mod tests {
         let x = rand_buf(3 * h * d, 31);
         // rotate all three rows at positions 0,1,2 in one call...
         let mut all = x.clone();
-        rotary_rows(&mut all, &[0, 1, 2], h, d, base);
+        RotaryTable::new(&[0, 1, 2], d, base).rotate_rows(&mut all, h);
         // ...or rotate the last row alone at offset 2
         let mut last = x[2 * h * d..].to_vec();
-        rotary_rows(&mut last, &[2], h, d, base);
+        RotaryTable::new(&[2], d, base).rotate_rows(&mut last, h);
         for (a, b) in all[2 * h * d..].iter().zip(&last) {
             assert!((a - b).abs() < 1e-6);
         }

@@ -1,16 +1,21 @@
 //! Numerically stable row softmax and the streaming ("online") softmax
 //! accumulator that powers the flash-style attention kernel.
 
+use super::exp::{exp, exp_slice};
+
 /// In-place stable softmax over each row of a `[rows, d]` buffer.
 pub fn softmax_rows(x: &mut [f32], rows: usize, d: usize) {
     debug_assert_eq!(x.len(), rows * d);
     for r in 0..rows {
         let row = &mut x[r * d..(r + 1) * d];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v -= max;
+        }
+        exp_slice(row);
+        let mut sum = 0.0f32;
+        for &v in row.iter() {
+            sum += v;
         }
         let inv = 1.0 / sum;
         for v in row.iter_mut() {
@@ -46,7 +51,7 @@ impl OnlineSoftmax {
     pub fn push(&mut self, s: f32, v: &[f32], acc: &mut [f32]) {
         if s > self.m {
             let scale = if self.m.is_finite() {
-                (self.m - s).exp()
+                exp(self.m - s)
             } else {
                 0.0
             };
@@ -56,7 +61,7 @@ impl OnlineSoftmax {
             }
             self.m = s;
         }
-        let w = (s - self.m).exp();
+        let w = exp(s - self.m);
         self.l += w;
         for (a, &vv) in acc.iter_mut().zip(v.iter()) {
             *a = w.mul_add(vv, *a);
@@ -78,13 +83,149 @@ impl OnlineSoftmax {
     }
 }
 
+/// A point where a row's running sums are multiplied by `scale`: where
+/// the running max moved (`exp(m_old - m_new)`, or `0` when the old max
+/// was `-inf`), and `1` at key 0 when the max first moves later (only
+/// NaN or `-inf` scores come before it).
+#[derive(Clone, Copy, Debug)]
+struct Rescale {
+    at: usize,
+    scale: f32,
+}
+
+/// Scratch for [`OnlineSoftmax::fold_row`]: the row's weights and its
+/// rescale points. One per worker, reused across rows.
+#[derive(Debug, Default)]
+pub(crate) struct RowScratch {
+    w: Vec<f32>,
+    rescales: Vec<Rescale>,
+}
+
+impl OnlineSoftmax {
+    /// [`OnlineSoftmax::push`] of a whole row of scores, `v(j)` being
+    /// score `j`'s value row: the same float operations on `l` and on
+    /// every element of `acc`, in the same order, done in phases. A
+    /// prefix-max pass finds the rescale points and the exp arguments,
+    /// one [`exp_slice`] call evaluates all of them, and the recurrence
+    /// walks the keys with a slab of `acc` in registers. Returns the
+    /// final state; `acc` is left unnormalised, as `push` leaves it.
+    pub(crate) fn fold_row<'v>(
+        scores: &[f32],
+        v: impl Fn(usize) -> &'v [f32],
+        acc: &mut [f32],
+        scratch: &mut RowScratch,
+    ) -> OnlineSoftmax {
+        let RowScratch { w, rescales } = scratch;
+        let n = scores.len();
+        w.clear();
+        w.resize(n, 0.0);
+        rescales.clear();
+        // rescales[args..] hold exp arguments until the exp call
+        let mut args = 0;
+        let mut m = f32::NEG_INFINITY;
+        for (j, (&s, wj)) in scores.iter().zip(w.iter_mut()).enumerate() {
+            if s > m {
+                if m.is_finite() {
+                    rescales.push(Rescale {
+                        at: j,
+                        scale: m - s,
+                    });
+                } else {
+                    // the first move, from -inf: NaN and -inf scores
+                    // may come before it
+                    if j > 0 {
+                        rescales.push(Rescale { at: 0, scale: 1.0 });
+                    }
+                    rescales.push(Rescale { at: j, scale: 0.0 });
+                    args = rescales.len();
+                }
+                m = s;
+            }
+            *wj = s - m;
+        }
+        if rescales.is_empty() {
+            rescales.push(Rescale { at: 0, scale: 1.0 });
+            args = 1;
+        }
+        w.extend(rescales[args..].iter().map(|r| r.scale));
+        exp_slice(w);
+        for (r, &e) in rescales[args..].iter_mut().zip(&w[n..]) {
+            r.scale = e;
+        }
+        let (w, rescales) = (&w[..n], &rescales[..]);
+        let mut l = 0.0f32;
+        let mut c0 = fold_cols::<true>(0, w, rescales, &v, acc, &mut l);
+        while c0 < acc.len() {
+            c0 += fold_cols::<false>(c0, w, rescales, &v, acc, &mut l);
+        }
+        OnlineSoftmax { m, l }
+    }
+}
+
+/// One slab of [`OnlineSoftmax::fold_row`]'s recurrence starting at
+/// column `c0`, as wide as the columns left allow; with `L`, `l` too.
+/// Returns the width.
+#[inline(always)]
+fn fold_cols<'v, const L: bool>(
+    c0: usize,
+    w: &[f32],
+    rescales: &[Rescale],
+    v: &impl Fn(usize) -> &'v [f32],
+    acc: &mut [f32],
+    l: &mut f32,
+) -> usize {
+    match acc.len() - c0 {
+        32.. => fold_slab::<32, L>(c0, w, rescales, v, acc, l),
+        16.. => fold_slab::<16, L>(c0, w, rescales, v, acc, l),
+        8.. => fold_slab::<8, L>(c0, w, rescales, v, acc, l),
+        _ => fold_slab::<1, L>(c0, w, rescales, v, acc, l),
+    }
+}
+
+#[inline(always)]
+fn fold_slab<'v, const W: usize, const L: bool>(
+    c0: usize,
+    w: &[f32],
+    rescales: &[Rescale],
+    v: &impl Fn(usize) -> &'v [f32],
+    acc: &mut [f32],
+    l: &mut f32,
+) -> usize {
+    let slab = &mut acc[c0..c0 + W];
+    let mut a: [f32; W] = (&*slab).try_into().expect("slab width");
+    let mut sum = *l;
+    for (k, r) in rescales.iter().enumerate() {
+        let end = rescales.get(k + 1).map_or(w.len(), |next| next.at);
+        if L {
+            sum *= r.scale;
+        }
+        for x in a.iter_mut() {
+            *x *= r.scale;
+        }
+        for (j, &wj) in (r.at..end).zip(&w[r.at..end]) {
+            if L {
+                sum += wj;
+            }
+            let vj: &[f32; W] = v(j)[c0..c0 + W].try_into().expect("slab width");
+            for (x, &vv) in a.iter_mut().zip(vj) {
+                *x = wj.mul_add(vv, *x);
+            }
+        }
+    }
+    slab.copy_from_slice(&a);
+    if L {
+        *l = sum;
+    }
+    W
+}
+
 /// Row-wise log-sum-exp (stable).
 pub fn logsumexp(row: &[f32]) -> f32 {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     if !max.is_finite() {
         return max;
     }
-    max + row.iter().map(|v| (v - max).exp()).sum::<f32>().ln()
+    max + row.iter().map(|v| exp(v - max)).sum::<f32>().ln()
 }
 
 #[cfg(test)]
@@ -108,6 +249,48 @@ mod tests {
         softmax_rows(&mut x, 1, 3);
         assert!(x.iter().all(|v| v.is_finite()));
         assert!((x.iter().sum::<f32>() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn fold_row_is_push_after_push_bitwise() {
+        let inf = f32::INFINITY;
+        let rows: [&[f32]; 10] = [
+            &[0.3, -1.2, 2.5, 0.0, 1.1, 2.5, -0.0, 7.0, 6.9],
+            &[f32::NAN, f32::NEG_INFINITY, 1.0, 3.0, f32::NAN, 2.0],
+            &[f32::NEG_INFINITY, f32::NEG_INFINITY],
+            &[-0.0, 0.0, -0.0, 0.0],
+            &[1.0, inf, 5.0, inf],
+            &[inf, 2.0],
+            &[-5.0, 90.0, -20.0, 200.0, 199.0, 400.0, -1000.0],
+            &[f32::NAN],
+            &[],
+            &[3.0; 40],
+        ];
+        let d = 37; // slabs of 32, 1, 1, 1, 1, 1
+        for (r, scores) in rows.iter().enumerate() {
+            let values: Vec<Vec<f32>> = (0..scores.len())
+                .map(|j| (0..d).map(|c| ((j * d + c) as f32 * 0.37).sin()).collect())
+                .collect();
+            let mut want_acc = vec![0.0f32; d];
+            let mut want = OnlineSoftmax::default();
+            for (&s, v) in scores.iter().zip(&values) {
+                want.push(s, v, &mut want_acc);
+            }
+            let mut acc = vec![0.0f32; d];
+            let got = OnlineSoftmax::fold_row(
+                scores,
+                |j| &values[j],
+                &mut acc,
+                &mut RowScratch::default(),
+            );
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&acc), bits(&want_acc), "row {r}");
+            assert_eq!(
+                [got.m.to_bits(), got.l.to_bits()],
+                [want.m.to_bits(), want.l.to_bits()],
+                "row {r}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::collective::{ring_chunks, ring_fold, CommHook};
 use crate::kernels::activation as act;
 use crate::kernels::attention::{attention_bwd, attention_fwd, AttentionImpl, AttnSaved};
-use crate::kernels::infer::rotary_heads;
+use crate::kernels::infer::RotaryTable;
 use crate::kernels::matmul::{matmul, matmul_at_acc, matmul_bt_acc};
 use crate::kernels::norm;
 use crate::kernels::softmax::softmax_rows;
@@ -297,7 +297,11 @@ impl Tape {
 
     /// SiLU activation.
     pub fn silu(&mut self, x: Var) -> Var {
-        self.unary(x, act::silu, Op::Silu(x))
+        let tx = self.value(x);
+        let mut data = tx.data().to_vec();
+        act::silu_in_place(&mut data);
+        let out = Tensor::from_vec(tx.shape(), data);
+        self.push(Op::Silu(x), out, Saved::None)
     }
 
     /// tanh activation.
@@ -790,7 +794,7 @@ pub const IGNORE_INDEX: u32 = u32::MAX;
 /// `[*, T, D]` blocks: row `j` sits at position `j % t`.
 fn rotary_apply(data: &mut [f32], t: usize, d: usize, base: f32, inverse: bool) {
     let positions: Vec<usize> = (0..t).collect();
-    rotary_heads(data, &positions, d, base, |j| j % t, inverse);
+    RotaryTable::new(&positions, d, base).rotate(data, |j| j % t, inverse);
 }
 
 /// Ensure a gradient buffer exists for `id` and return it.
@@ -849,7 +853,15 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             matmul_at_acc(aval, g.data(), gb, m, k, n);
         }
         Op::Gelu(x) => unary_bwd(nodes, grads, *x, g, act::gelu_grad),
-        Op::Silu(x) => unary_bwd(nodes, grads, *x, g, act::silu_grad),
+        Op::Silu(x) => {
+            let xval = nodes[x.0].value.data();
+            let mut df = vec![0.0f32; xval.len()];
+            act::silu_grad_slice(xval, &mut df);
+            let gx = grad_buf(grads, nodes, x.0);
+            for ((o, &gv), &d) in gx.data_mut().iter_mut().zip(g.data()).zip(&df) {
+                *o += gv * d;
+            }
+        }
         Op::Tanh(x) => unary_bwd(nodes, grads, *x, g, act::tanh_grad),
         Op::LayerNorm { x, gamma, beta } => {
             let (rows, d) = nodes[x.0].value.as_2d();
