@@ -12,7 +12,6 @@
 //! Inputs are laid out `[BH, T, D]` (batch×heads fused, contiguous rows).
 
 use super::exp::exp_slice;
-use super::par_each_with;
 use super::softmax::{softmax_rows, OnlineSoftmax, RowScratch};
 use rayon::prelude::*;
 
@@ -122,11 +121,6 @@ pub fn attention_fwd(
         AttentionImpl::Flash => {
             let mut out = vec![0.0f32; bh * t * d];
             let mut lse = vec![0.0f32; bh * t];
-            let heads: Vec<_> = out
-                .chunks_mut(t * d)
-                .zip(lse.chunks_mut(t))
-                .enumerate()
-                .collect();
             let init = || {
                 (
                     KeyMajor::new(t, d),
@@ -134,19 +128,22 @@ pub fn attention_fwd(
                     RowScratch::default(),
                 )
             };
-            par_each_with(heads, init, |(kt, scores, row), (b, (ob, lb))| {
-                let qb = &q[b * t * d..(b + 1) * t * d];
-                let vb = &v[b * t * d..(b + 1) * t * d];
-                kt.fill(&k[b * t * d..(b + 1) * t * d]);
-                for (i, (acc, l)) in ob.chunks_mut(d).zip(lb.iter_mut()).enumerate() {
-                    let n = if causal { i + 1 } else { t };
-                    kt.dots(&qb[i * d..(i + 1) * d], n, scale, scores);
-                    let v = |j: usize| &vb[j * d..(j + 1) * d];
-                    let os = OnlineSoftmax::fold_row(&scores[..n], v, acc, row);
-                    os.finish(acc);
-                    *l = os.logsumexp();
-                }
-            });
+            let heads = out.par_chunks_mut(t * d).zip(lse.par_chunks_mut(t));
+            heads
+                .enumerate()
+                .for_each_init(init, |(kt, scores, row), (b, (ob, lb))| {
+                    let qb = &q[b * t * d..(b + 1) * t * d];
+                    let vb = &v[b * t * d..(b + 1) * t * d];
+                    kt.fill(&k[b * t * d..(b + 1) * t * d]);
+                    for (i, (acc, l)) in ob.chunks_mut(d).zip(lb.iter_mut()).enumerate() {
+                        let n = if causal { i + 1 } else { t };
+                        kt.dots(&qb[i * d..(i + 1) * d], n, scale, scores);
+                        let v = |j: usize| &vb[j * d..(j + 1) * d];
+                        let os = OnlineSoftmax::fold_row(&scores[..n], v, acc, row);
+                        os.finish(acc);
+                        *l = os.logsumexp();
+                    }
+                });
             (out, AttnSaved::Lse(lse))
         }
     }
@@ -241,12 +238,10 @@ pub fn attention_bwd(
     let scale = 1.0 / (d as f32).sqrt();
     // Parallel over the fused batch-head dimension: each chunk of dq/dk/dv
     // belongs to exactly one head, so the accumulation is race-free.
-    let heads: Vec<_> = dq
-        .chunks_mut(t * d)
-        .zip(dk.chunks_mut(t * d))
-        .zip(dv.chunks_mut(t * d))
-        .enumerate()
-        .collect();
+    let heads = dq
+        .par_chunks_mut(t * d)
+        .zip(dk.par_chunks_mut(t * d))
+        .zip(dv.par_chunks_mut(t * d));
     let init = || {
         let row = || vec![0.0f32; t.next_multiple_of(KEYS)];
         (
@@ -257,10 +252,9 @@ pub fn attention_bwd(
             row(),
         )
     };
-    par_each_with(
-        heads,
-        init,
-        |(kt, vt, drow, p, dp), (b, ((dqb, dkb), dvb))| {
+    heads
+        .enumerate()
+        .for_each_init(init, |(kt, vt, drow, p, dp), (b, ((dqb, dkb), dvb))| {
             let qb = &q[b * t * d..(b + 1) * t * d];
             let kb = &k[b * t * d..(b + 1) * t * d];
             let ob = &out[b * t * d..(b + 1) * t * d];
@@ -315,8 +309,7 @@ pub fn attention_bwd(
                     }
                 }
             }
-        },
-    );
+        });
 }
 
 #[cfg(test)]

@@ -9,28 +9,3 @@ pub mod matmul;
 pub mod norm;
 pub mod quant;
 pub mod softmax;
-
-/// Run `f` over `items` on the pool as one group per worker, contiguous
-/// in `items`' order, each group with one `init()` scratch that every
-/// item of the group reuses — scratch is allocated per call and worker,
-/// never per item. A caller orders `items` so contiguous groups cost
-/// about the same. One group runs inline on the calling thread.
-pub(crate) fn par_each_with<T: Send, S>(
-    items: Vec<T>,
-    init: impl Fn() -> S + Sync + Send,
-    f: impl Fn(&mut S, T) + Sync + Send,
-) {
-    use rayon::prelude::*;
-    let per = items.len().div_ceil(rayon::current_num_threads().max(1));
-    let mut groups: Vec<Vec<T>> = Vec::new();
-    let mut items = items.into_iter().peekable();
-    while items.peek().is_some() {
-        groups.push(items.by_ref().take(per).collect());
-    }
-    groups.into_par_iter().for_each(|group| {
-        let mut scratch = init();
-        for item in group {
-            f(&mut scratch, item);
-        }
-    });
-}

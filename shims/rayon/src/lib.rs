@@ -6,11 +6,11 @@
 //!
 //! Supported pipeline shapes: `par_chunks(_mut)`, `par_iter(_mut)`,
 //! `into_par_iter` on vectors/slices/ranges, then `zip` / `enumerate` /
-//! `map` / `for_each` / `collect` / numeric `sum`. Items are
-//! materialised eagerly (they are cheap references or indices in every
-//! call site), while `map`/`for_each` closures run on the pool, so the
-//! compute-heavy part genuinely executes in parallel. Nested parallel
-//! calls from inside a worker run inline, which keeps the pool
+//! `map` / `for_each` / `for_each_init` / `collect` / numeric `sum`.
+//! Items are materialised eagerly (they are cheap references or indices
+//! in every call site), while `map`/`for_each` closures run on the pool,
+//! so the compute-heavy part genuinely executes in parallel. Nested
+//! parallel calls from inside a worker run inline, which keeps the pool
 //! deadlock-free.
 
 mod pool;
@@ -173,6 +173,23 @@ pub trait ParallelIterator: IntoParallelIterator + Sized {
         run_parallel(items, &f);
     }
 
+    /// Apply `f` to every item in parallel, handing it a `&mut` value
+    /// that `init` makes: one per group of items, so scratch that `f`
+    /// reuses is allocated once per worker, not once per item.
+    fn for_each_init<S, I, F>(self, init: I, f: F)
+    where
+        I: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, Self::Item) + Sync + Send,
+    {
+        let groups = chunk_tasks(self.into_par_iter().items);
+        run_parallel(groups, &|group: Vec<Self::Item>| {
+            let mut scratch = init();
+            for item in group {
+                f(&mut scratch, item);
+            }
+        });
+    }
+
     /// Parallel map; results keep item order.
     fn map<U: Send, F: Fn(Self::Item) -> U + Sync + Send>(self, f: F) -> ParIter<U> {
         let items = self.into_par_iter().items;
@@ -281,6 +298,30 @@ mod tests {
             });
         assert_eq!(out, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
         assert_eq!(aux, vec![0, 0, -1, -1, -2, -2]);
+    }
+
+    #[test]
+    fn for_each_init_reuses_one_scratch_per_group() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let inits = AtomicUsize::new(0);
+        let mut out = vec![0usize; 100];
+        out.par_chunks_mut(1).enumerate().for_each_init(
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            },
+            |seen: &mut Vec<usize>, (i, o)| {
+                seen.push(i);
+                o[0] = i + seen.len();
+            },
+        );
+        let groups = inits.load(Ordering::Relaxed);
+        assert!((1..=crate::current_num_threads()).contains(&groups));
+        // items of a group arrive in order, so the scratch counts them
+        let per = 100usize.div_ceil(crate::current_num_threads());
+        for (i, &o) in out.iter().enumerate() {
+            assert_eq!(o, i + i % per + 1);
+        }
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //! host libm's `f32::exp`, bit for bit, on 2^24 bit patterns strided
 //! over all 2^32 and on the special inputs. The claim is that the
 //! repo's exp is glibc's FMA `expf`, so it is held only where the host
-//! libm is that: glibc on x86-64 with FMA. Elsewhere the test says so
-//! and checks nothing; `kernels::exp`'s own tests hold the function to
-//! an f64 oracle everywhere.
+//! libm runs that: glibc on x86-64, whose ifunc picks the FMA build only
+//! where both FMA and AVX2 are usable (a host with FMA but no AVX2 gets
+//! the SSE2 build, which rounds two inputs differently). Elsewhere the
+//! test says so and checks nothing; `kernels::exp`'s own tests hold the
+//! function to an f64 oracle everywhere.
 
 use matgpt_tensor::kernels::exp::{exp, exp_slice};
 
 fn host_libm_is_glibc_fma() -> bool {
     #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
-    return std::arch::is_x86_feature_detected!("fma");
+    return std::arch::is_x86_feature_detected!("fma")
+        && std::arch::is_x86_feature_detected!("avx2");
     #[allow(unreachable_code)]
     false
 }
@@ -18,7 +21,7 @@ fn host_libm_is_glibc_fma() -> bool {
 #[test]
 fn exp_equals_host_expf_on_strided_and_special_inputs() {
     if !host_libm_is_glibc_fma() {
-        eprintln!("skipped: the host libm is not glibc's x86-64 FMA build");
+        eprintln!("skipped: the host libm is not glibc's x86-64 FMA build (FMA + AVX2)");
         return;
     }
     let specials = [
