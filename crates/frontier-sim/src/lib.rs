@@ -29,7 +29,6 @@ pub mod kernels;
 pub mod machine;
 pub mod memory;
 pub mod parallel;
-pub mod planning;
 pub mod power;
 pub mod trace;
 
@@ -44,6 +43,5 @@ pub use kernels::{FlashVersion, KernelModel};
 pub use machine::MachineConfig;
 pub use memory::{fits, max_seq_len, peak_memory_gib, Partitioning};
 pub use parallel::{simulate_step, MsgRecord, StepReport, Strategy, TpMapping, TrainSetup};
-pub use planning::{best_plan, plan_training, Plan, PlanConstraints, PlanObjective};
 pub use power::{training_run, PowerModel, TrainingRun};
 pub use trace::{device_trace, step_timeline, DeviceSample, PhaseKind, TraceEvent};

@@ -15,8 +15,7 @@
 //!   heap traffic per record.
 //! * **Always on.** [`Span`](crate::Span) drops and
 //!   [`crate::flow`] emissions mirror themselves here regardless of
-//!   the recorder's enable switch; [`set_enabled`] is the kill switch
-//!   the `ext_obs_flight` overhead bench flips to measure the cost.
+//!   the recorder's enable switch.
 //! * **Crash-readable.** Rings are `Arc`-shared with a global
 //!   registry, so [`snapshot_all`] (and [`Postmortem::capture`]) can
 //!   read the buffer of a thread that has already died — exactly what
@@ -30,7 +29,6 @@
 use crate::trace::{FlowEvent, FlowPhase, Recorder, TraceEvent};
 use serde_json::Value;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The byte budget every thread's ring is built with: 64 KiB ≈ 750 events.
@@ -204,14 +202,12 @@ impl FlightRing {
 // ------------------------------------------------- global registry
 
 struct FlightGlobal {
-    enabled: AtomicBool,
     rings: Mutex<Vec<Arc<FlightRing>>>,
 }
 
 fn global() -> &'static FlightGlobal {
     static GLOBAL: OnceLock<FlightGlobal> = OnceLock::new();
     GLOBAL.get_or_init(|| FlightGlobal {
-        enabled: AtomicBool::new(true),
         rings: Mutex::new(Vec::new()),
     })
 }
@@ -263,23 +259,8 @@ fn with_ring<R>(f: impl FnOnce(&FlightRing) -> R) -> R {
     })
 }
 
-/// Whether flight recording is on (the default).
-pub fn is_enabled() -> bool {
-    global().enabled.load(Ordering::Relaxed)
-}
-
-/// Flip the always-on recorder off/on — the `ext_obs_flight` overhead
-/// bench uses this as its all-off baseline.
-pub fn set_enabled(on: bool) {
-    global().enabled.store(on, Ordering::Relaxed);
-}
-
-/// Record one event into the calling thread's ring (drops it while
-/// [`set_enabled`]`(false)`).
+/// Record one event into the calling thread's ring.
 pub fn record(ev: FlightEvent) {
-    if !is_enabled() {
-        return;
-    }
     with_ring(|ring| ring.push(ev));
 }
 

@@ -456,7 +456,7 @@ impl<'r> Span<'r> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if self.flight && crate::flight::is_enabled() {
+        if self.flight {
             let g = Recorder::global();
             let dur_us = self.start.elapsed().as_secs_f64() * 1e6;
             crate::flight::record(crate::flight::FlightEvent::span(

@@ -609,7 +609,7 @@ impl KvStorage for PagedKv {
     }
 }
 
-/// Keeps recently prefilled, block-aligned prompt prefixes alive (the
+/// Keeps recently admitted, block-aligned prompt prefixes alive (the
 /// cache holds a reference on their blocks) so later requests with the
 /// same system prompt fork the blocks instead of recomputing the
 /// prefill. Token-verified — a hit compares the actual token ids, so
@@ -628,6 +628,9 @@ struct PrefixEntry {
     /// Blocks covering `tokens` (one reference held by this cache).
     table: Vec<u32>,
     last_used: u64,
+    /// Registered from reserved rows the next forward has yet to write
+    /// ([`PrefixCache::settle`] decides its fate).
+    unwritten: bool,
 }
 
 impl PrefixCache {
@@ -686,15 +689,20 @@ impl PrefixCache {
         Some(PagedKv::fork_prefix(&self.pool, blocks, best_len, max_seq))
     }
 
-    /// Register the block-aligned prefix of `prompt` held by `kv`
-    /// (which must cache `prompt` from position 0 — the caller checks
-    /// it prefilled without window truncation). No-op when the aligned
-    /// prefix is empty or already registered. Evicts least-recently
-    /// used entries beyond the capacity bound.
+    /// Register the block-aligned prefix of `prompt` that `kv` holds
+    /// from position 0 — committed, or reserved for the next forward to
+    /// write (the caller checks `kv` is not window-truncated). No-op when
+    /// the aligned prefix is empty or already registered. Evicts
+    /// least-recently used entries beyond the capacity bound.
+    ///
+    /// A new entry counts as unwritten until [`Self::settle`]: a fork of
+    /// it shares blocks that forward fills, which is sound because the
+    /// forward writes a segment's K/V for a layer before that segment
+    /// attends, and forks ride after their source.
     pub fn register(&mut self, prompt: &[u32], kv: &PagedKv) {
         let bs = self.pool.block_size();
         debug_assert_eq!(kv.dropped, 0, "register of a window-truncated sequence");
-        let aligned = (prompt.len().min(kv.rows) / bs) * bs;
+        let aligned = (prompt.len().min(kv.capacity_rows()) / bs) * bs;
         if aligned == 0 {
             return;
         }
@@ -715,9 +723,23 @@ impl PrefixCache {
             tokens: prompt[..aligned].to_vec(),
             table,
             last_used: self.tick,
+            unwritten: true,
         });
         while self.entries.len() > self.cap {
             self.evict_one();
+        }
+    }
+
+    /// Settle the entries registered since the last call, once the
+    /// forward meant to write their blocks is over: they stay as
+    /// ordinary entries when it `wrote` them, and are withdrawn when it
+    /// failed, so no entry points at blocks nothing wrote.
+    pub fn settle(&mut self, wrote: bool) {
+        for e in &mut self.entries {
+            e.unwritten &= !wrote;
+        }
+        while let Some(i) = self.entries.iter().position(|e| e.unwritten) {
+            self.remove(i);
         }
     }
 
@@ -735,6 +757,11 @@ impl PrefixCache {
         else {
             return 0;
         };
+        self.remove(i)
+    }
+
+    /// Drop entry `i`, releasing its block references; returns how many.
+    fn remove(&mut self, i: usize) -> usize {
         let e = self.entries.swap_remove(i);
         for &b in &e.table {
             self.pool.release(b);

@@ -274,8 +274,8 @@ serve_series! {{
     /// `decode_forwards`, the mean decode batch.
     decode_rows: Counter as u64 = "serve_decode_rows_total",
         "decode rows (plain and speculative verify) the shared forwards carried";
-    /// Forwards that carried only prompt rows: contiguous admissions
-    /// while nothing was decoding, and each paged admission's prefill.
+    /// Forwards that carried only prompt rows: admissions while nothing
+    /// was decoding.
     prefill_forwards: Counter as u64 = "serve_prefill_forwards_total",
         "shared forwards that carried prompt rows only (one pass over the weights each)";
     /// Counted by kind, whichever counter the forward went to.

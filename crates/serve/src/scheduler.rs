@@ -1,18 +1,18 @@
 //! Continuous-batching scheduler.
 //!
-//! One scheduler thread owns the model and a [`Scheduler`]: the
-//! **parking lot** — one deque, ordered by request id, of every request
-//! outside the batch (`Parked`: newly submitted, or preempted
-//! mid-decode) — and the **batch** (`Active`). [`run`] drains new
-//! submissions onto the back of the lot and calls [`Scheduler::step`],
-//! one iteration, which (1) admits from the lot's head while the batch
-//! slot and KV budgets allow — strict head-of-line order, so admission
-//! is oldest-first — (2) runs **one shared forward**
-//! ([`shared_forward`]): one ragged [`GptModel::forward_batch`] carries
-//! each newcomer's uncached prompt window (a *prefill rider*) next to
-//! the token each decoding request just sampled, or the `k + 1` verify
-//! rows its draft proposed (a *decode rider*), so an iteration streams
-//! the weights once whatever arrived, and (3) retires requests that hit
+//! One scheduler thread owns the model and a `Scheduler`: the **parking
+//! lot** — one deque, ordered by request id, of every request outside
+//! the batch (`Parked`: newly submitted, or preempted mid-decode) — and
+//! the **batch** (`Active`). `run` drains new submissions onto the back
+//! of the lot and calls `Scheduler::step`, one iteration, which (1)
+//! admits from the lot's head while the batch slot and KV budgets allow
+//! — strict head-of-line order, so admission is oldest-first — (2) runs
+//! **one shared forward** (`shared_forward`): one ragged
+//! [`GptModel::forward_batch`] carries each newcomer's uncached prompt
+//! window (a *prefill rider*) next to the token each decoding request
+//! just sampled, or the `k + 1` verify rows its draft proposed (a
+//! *decode rider*), so an iteration streams the weights once whatever
+//! arrived, on either KV backend, and (3) retires requests that hit
 //! their stop token, length budget, deadline, or a client cancel,
 //! freeing their budget for the next iteration's admission. A request
 //! leaves the engine one way, wherever it is: `Parked::retire`. `step`
@@ -26,10 +26,10 @@
 //! loop carry on. The scope is per forward, not per request: a real
 //! fault in a newcomer's prefill also fails the decode riders next to
 //! it, and so does a panic in one request's draft forward (drafts
-//! propose inside the scope). Bad input never widens it: a prefill
-//! rider whose window [`GptModel::check_segment`] refuses fails before
-//! the forward, and `forward_batch` validates every segment again
-//! before it touches a cache.
+//! propose inside the scope). Bad input never widens it: a request whose
+//! window [`GptModel::check_segment`] refuses fails at admission, before
+//! it holds budget or blocks, and `forward_batch` validates every
+//! segment again before it touches a cache.
 //!
 //! ## KV backends
 //!
@@ -45,11 +45,13 @@
 //!   admission is **block-granular**: a request joins when the pool can
 //!   cover its prompt, not its worst case. Prompts that repeat a
 //!   recently served prefix fork its blocks copy-on-write from the
-//!   [`crate::kvpool::PrefixCache`] instead of recomputing the prefill
-//!   (paged admission forwards each request alone, so the next one can
-//!   share the blocks its prefill registered). When a decode step
+//!   [`crate::kvpool::PrefixCache`] instead of recomputing the prefill.
+//!   A newcomer registers its prompt prefix as soon as its blocks are
+//!   reserved, so a younger wave-mate forks blocks the iteration's
+//!   shared forward has yet to fill (SERVING.md §3 says why that is
+//!   sound; a forward that fails withdraws them). When a decode step
 //!   cannot get a block the scheduler evicts prefix-cache entries first
-//!   and then **preempts** the youngest active request — its blocks
+//!   and then **preempts** the youngest active request: its blocks
 //!   return to the pool and its decode progress (tokens, rng stream,
 //!   ttft) re-enters the lot *by id*. Ids follow submission order and
 //!   everything active left the lot's head earlier, so it sorts ahead
@@ -294,6 +296,16 @@ impl Parked {
         }
     }
 
+    /// Whether [`GptModel::check_segment`] refuses the window a prefill
+    /// of this request forwards on an empty cache: its trailing
+    /// `max_seq` tokens. A forked paged cache forwards a non-empty
+    /// suffix of that window, past tokens a registered prompt already
+    /// passed, so one check at admission covers both backends.
+    fn refused(&self, model: &GptModel) -> bool {
+        let start = first_uncached(self.tokens.len(), 0, model.cfg.max_seq);
+        model.check_segment(&self.tokens[start..]).is_err()
+    }
+
     /// The one way a request leaves the engine, whatever state it was
     /// in: close its traced lifecycle (`prefill` is when its last
     /// prefill began and ended; `None` when it retires without one
@@ -378,19 +390,6 @@ impl Active {
             done: None,
             prefill: None,
         }
-    }
-
-    /// Whether this request rides the shared forward: a prefill rider
-    /// unless [`GptModel::check_segment`] refuses its window (it fails
-    /// here, outside the forward), a decoding one unless
-    /// [`Active::begin_step`] finishes it.
-    fn board(&mut self, model: &GptModel, metrics: &MetricsInner) -> bool {
-        if self.prefill.is_some() {
-            return self.begin_step(metrics);
-        }
-        let refused = model.check_segment(&self.feed.tokens).is_err();
-        self.done = refused.then_some(FinishReason::Failed);
-        !refused
     }
 
     /// A decode rider's boarding: decide whether to finish; otherwise a
@@ -715,11 +714,13 @@ fn emit_lifecycle(sub: &Submission, generated: usize, prefill: Option<(Instant, 
 }
 
 /// One pass over the weights for `riders`, on the calling (scheduler)
-/// thread: each rider boards ([`Active::board`]), then **one**
-/// [`GptModel::forward_batch`] carries every rider that boarded —
-/// prefill windows, plain decode rows, the `k + 1` verify rows a
-/// drafting rider proposes ([`Active::propose`]) — and each takes its
-/// rows ([`Active::prefilled`], [`Active::finish_step`]).
+/// thread: each rider boards — every prefill rider (admission already
+/// checked its window), and each decode rider that
+/// [`Active::begin_step`] does not finish — then **one**
+/// [`GptModel::forward_batch`] carries every rider that boarded, in
+/// `riders` order — prefill windows, plain decode rows, the `k + 1`
+/// verify rows a drafting rider proposes ([`Active::propose`]) — and
+/// each takes its rows ([`Active::prefilled`], [`Active::finish_step`]).
 ///
 /// The proposes and the forward are the scheduler's one unwind scope. A
 /// panic inside it marks every rider that boarded [`FinishReason::Failed`]
@@ -738,7 +739,7 @@ fn shared_forward(
 ) {
     let mut boarded: Vec<&mut Active> = riders
         .iter_mut()
-        .filter_map(|a| a.board(model, metrics).then_some(a))
+        .filter_map(|a| (a.prefill.is_none() || a.begin_step(metrics)).then_some(a))
         .collect();
     if boarded.is_empty() {
         return;
@@ -838,8 +839,9 @@ impl Scheduler {
     }
 
     /// One iteration: sweep the lot, admit from its head, (paged) secure
-    /// every decode row a block, run the shared forward, record KV
-    /// occupancy, retire what finished.
+    /// every decode row a block, run the shared forward and settle the
+    /// prefixes its riders registered, record KV occupancy, retire what
+    /// finished.
     fn step(&mut self) {
         let iter_start = Instant::now();
         sweep_parked(&mut self.parked, iter_start, &self.metrics);
@@ -856,6 +858,12 @@ impl Scheduler {
         }
         let (model, weights, spec) = (&self.model, &*self.weights, self.spec.as_ref());
         shared_forward(model, weights, spec, &mut self.active, &self.metrics);
+        if let Some(ps) = &mut self.paged {
+            // every prefill rider boarded, so the forward wrote their
+            // prefixes unless it failed them all
+            let wrote = self.active.iter().all(|a| a.prefill.is_some());
+            ps.prefix.settle(wrote);
+        }
         self.record_kv();
         // update gauges before answering, so a client that snapshots
         // metrics right after its response sees them already settled
@@ -883,6 +891,10 @@ impl Scheduler {
             let Some(p) = self.parked.pop_front() else {
                 break;
             };
+            if p.refused(&self.model) {
+                p.retire(FinishReason::Failed, None, &self.metrics);
+                continue;
+            }
             self.used_budget += cost;
             let cache = ReqKv::Contig(self.model.new_cache());
             self.active.push(Active::admitted(p, cost, cache, max_seq));
@@ -890,22 +902,24 @@ impl Scheduler {
     }
 
     /// Paged admission: block-granular, from the head of the lot
-    /// (preempted requests first), each admitted request forwarded
-    /// alone and its prompt prefix registered before the next is
-    /// considered. Each admission reads what the previous prefill wrote
-    /// — a wave-mate forks the prefix it just registered, `register`'s
-    /// LRU cap frees blocks the next `reserve_rows` sees, `evict_until`
-    /// picks among them — so stacking the wave would change block
-    /// decisions.
+    /// (preempted requests first). A newcomer forks the longest
+    /// registered prefix of its sequence, reserves blocks for the rest
+    /// of its window while leaving every active request headroom, and
+    /// registers its prompt prefix at once, so a younger wave-mate forks
+    /// what this iteration's shared forward will write. What it admits
+    /// rides that forward as prefill riders, as contiguous newcomers do.
     fn admit_paged(&mut self) {
         let Some(ps) = &mut self.paged else { return };
         let (model, metrics) = (&self.model, &*self.metrics);
         let (parked, active) = (&mut self.parked, &mut self.active);
-        let _span = Span::enter(pids::SERVE, "serve", "prefill-paged");
         let max_seq = model.cfg.max_seq;
         let spec_rows = self.spec.as_ref().map_or(1, |rt| rt.k + 1);
         while active.len() < self.cfg.max_batch {
             let Some(p) = parked.pop_front() else { break };
+            if p.refused(model) {
+                p.retire(FinishReason::Failed, None, metrics);
+                continue;
+            }
             let seq: &[u32] = &p.tokens;
             // sequences that fit the window fork the longest cached
             // prefix; longer ones prefill a fresh truncated window
@@ -941,30 +955,22 @@ impl Scheduler {
                 parked.push_front(p);
                 break;
             }
-            let mut a = Active::admitted(p, 0, ReqKv::Paged(kv), max_seq);
-            let (weights, spec) = (&*self.weights, self.spec.as_ref());
-            shared_forward(model, weights, spec, std::slice::from_mut(&mut a), metrics);
-            if a.done.is_some() {
-                a.retire(&mut self.used_budget, metrics);
-                continue;
+            // the prompt prefix is shareable only when the cache holds
+            // it from position 0 (no window truncation)
+            if seq.len() <= max_seq {
+                ps.prefix.register(&seq[..p.sub.req.prompt.len()], &kv);
             }
-            // register the prompt prefix for sharing — valid only when
-            // the cache holds the prompt from position 0 (no window
-            // truncation)
-            if a.state.tokens.len() <= max_seq {
-                if let Some(pkv) = a.cache.paged() {
-                    let plen = a.state.sub.req.prompt.len();
-                    ps.prefix.register(&a.state.tokens[..plen], pkv);
-                }
-            }
-            active.push(a);
+            active.push(Active::admitted(p, 0, ReqKv::Paged(kv), max_seq));
         }
     }
 
     /// Paged (a no-op otherwise): secure every live request's decode
-    /// rows before the shared forward. Exhaustion evicts prefix-cache
-    /// entries and then preempts the youngest request: its blocks return
-    /// to the pool, its progress parks for re-admission by recompute.
+    /// rows before the shared forward. A prefill rider claims nothing
+    /// new: its window, reserved at admission, covers the one row asked
+    /// of it, and its first decode row is claimed next iteration.
+    /// Exhaustion evicts every prefix-cache entry and then preempts the
+    /// youngest request: its blocks return to the pool, its progress
+    /// parks for re-admission by recompute.
     fn reserve_decode_blocks(&mut self) {
         let Some(ps) = &mut self.paged else { return };
         let (metrics, parked, active) = (&*self.metrics, &mut self.parked, &mut self.active);
@@ -972,7 +978,8 @@ impl Scheduler {
         // rollback; plain requests commit exactly one
         let spec_rows = self.spec.as_ref().map_or(1, |rt| rt.k + 1);
         // oldest ids claim first, so the preemption victim (max id,
-        // last element) is always at or after the cursor
+        // last element) is always at or after the cursor; the shared
+        // forward then runs in this order too, a fork after its source
         active.sort_by_key(|a| a.state.sub.id);
         let mut i = 0;
         while i < active.len() {
@@ -1291,13 +1298,9 @@ mod tests {
             let snap = s.metrics.snapshot();
             let n = n as u64;
             assert_eq!(snap.generated_tokens, n * max_new as u64);
-            // paged admission forwards each newcomer alone, then the batch
-            // decodes in the same step; contiguous newcomers ride one
-            // forward and decode from the next step on
-            let (ran, prompt, decode, _) = steps[0];
-            let (want_ran, want_decode) = if paged { (n + 1, n) } else { (1, 0) };
-            assert_eq!((ran, prompt), (want_ran, prompt_rows), "{n}/{paged}/{k}");
-            assert!(decode == want_decode || (k > 0 && decode > want_decode));
+            // on either backend the newcomers ride one forward and
+            // decode from the next step on
+            assert_eq!(steps[0], (1, prompt_rows, 0, 0), "{n}/{paged}/{k}");
             if k > 0 {
                 // every later step is one verify forward shared by all
                 // that are left: k_eff + 1 rows a request
@@ -1309,8 +1312,7 @@ mod tests {
             } else {
                 // lockstep: n rows a step, then a step in which everyone
                 // emits its last token and nothing is forwarded
-                let decoding = max_new - 1 - usize::from(paged);
-                let want = [vec![(1, 0, n, n); decoding], vec![(0, 0, 0, n)]].concat();
+                let want = [vec![(1, 0, n, n); max_new - 1], vec![(0, 0, 0, n)]].concat();
                 assert_eq!(steps[1..], want, "{n}/{paged}");
                 assert_eq!(snap.decode_rows, n * (max_new as u64 - 1));
             }
@@ -1351,6 +1353,125 @@ mod tests {
                 "request {id}"
             );
         }
+    }
+
+    /// A paged scheduler over 4-row blocks, and two prompts that share
+    /// their first two blocks.
+    fn paged_pair() -> (Scheduler, Arc<CountedWeights>, [Vec<u32>; 2]) {
+        let cfg = SchedulerConfig {
+            kv_backend: KvBackend::Paged(KvBlockConfig {
+                block_size: 4,
+                num_blocks: 16,
+            }),
+            ..SchedulerConfig::default()
+        };
+        let (s, weights) = scheduler(cfg, 0);
+        let shared = [3, 1, 4, 1, 5, 9, 2, 6];
+        let prompts = [
+            [&shared[..], &[5, 3]].concat(),
+            [&shared[..], &[7]].concat(),
+        ];
+        (s, weights, prompts)
+    }
+
+    /// The prefix cache's entry count and the pool's free blocks.
+    fn prefix_and_free(s: &Scheduler) -> (usize, usize) {
+        let ps = s.paged.as_ref().expect("paged");
+        (ps.prefix.len(), ps.pool.free_blocks())
+    }
+
+    #[test]
+    fn a_wave_mate_forks_a_prefix_in_the_forward_that_writes_it() {
+        let (mut s, weights, prompts) = paged_pair();
+        let per_forward = 7 * s.model.cfg.layers + 1;
+        // nothing registered the shared prefix before this wave
+        let rxs: Vec<_> = (1..=2)
+            .map(|id| submit(&mut s, id, prompts[id as usize - 1].clone(), 6))
+            .collect();
+        let (matmuls, before) = (weights.matmuls(), s.metrics.snapshot());
+        s.step();
+        let after = s.metrics.snapshot();
+        assert_eq!(weights.matmuls() - matmuls, per_forward, "one forward");
+        assert_eq!(passes(&after) - passes(&before), 1);
+        // 2 forked 1's two prefix blocks and forwarded only its own token
+        assert_eq!(after.kv_block_shares - before.kv_block_shares, 2);
+        assert_eq!(after.prefill_rows - before.prefill_rows, 10 + 1);
+        drain(&mut s);
+        for (id, (rx, prompt)) in (1..).zip(rxs.iter().zip(&prompts)) {
+            let want = reference(&s, &weights, id, prompt, &greedy(6));
+            let r = rx.try_recv().expect("answered");
+            assert_eq!(r.tokens, want, "request {id}");
+        }
+    }
+
+    #[test]
+    fn an_unwritten_prefix_leaves_with_its_rider() {
+        // a forward that fails before any layer writes its K/V fails the
+        // source and the wave-mate that forked it alike
+        let (mut s, weights, prompts) = paged_pair();
+        let num_blocks = s.paged.as_ref().expect("paged").pool.num_blocks();
+        let rxs: Vec<_> = (1..=2)
+            .map(|id| submit(&mut s, id, prompts[id as usize - 1].clone(), 6))
+            .collect();
+        weights
+            .fault_at
+            .store(weights.matmuls() + 1, Ordering::Relaxed);
+        s.step();
+        for rx in &rxs {
+            let r = rx.try_recv().expect("answered");
+            assert_eq!((r.finish, r.generated), (FinishReason::Failed, 0));
+        }
+        assert_eq!(s.metrics.snapshot().kv_block_shares, 2);
+        assert_eq!(
+            prefix_and_free(&s),
+            (0, num_blocks),
+            "registration withdrawn"
+        );
+        // the next request with that prompt prefills from scratch
+        let rx = submit(&mut s, 3, prompts[1].clone(), 6);
+        s.step();
+        let snap = s.metrics.snapshot();
+        assert_eq!((snap.kv_block_shares, snap.prefill_rows), (2, 9));
+        drain(&mut s);
+        let want = reference(&s, &weights, 3, &prompts[1], &greedy(6));
+        assert_eq!(rx.try_recv().expect("answered").tokens, want);
+
+        // a source preempted before its forward: 0 decodes with its
+        // cache at a block edge, 1 registers its prefix, and then the
+        // pool has nothing left for 0's next row
+        let (mut s, weights, prompts) = paged_pair();
+        let rx0 = submit(&mut s, 0, vec![9, 8, 7, 6], 6);
+        s.step();
+        let _ = submit(&mut s, 1, prompts[0].clone(), 6);
+        let entries = prefix_and_free(&s).0;
+        s.admit_paged();
+        assert_eq!(
+            prefix_and_free(&s).0,
+            entries + 1,
+            "registered at admission"
+        );
+        let ps = s.paged.as_ref().expect("paged");
+        let mut hog = ps.pool.new_seq(64);
+        hog.reserve_rows(4 * ps.pool.free_blocks())
+            .expect("free blocks");
+        s.reserve_decode_blocks();
+        assert_eq!(s.metrics.snapshot().preemptions, 1);
+        let victim = s.parked.front().expect("preempted");
+        assert_eq!(victim.sub.id, 1, "the youngest");
+        assert_eq!(prefix_and_free(&s).0, 0, "no entry outlives its rider");
+        victim.sub.cancel.store(true, Ordering::Release);
+        drop(hog);
+        let rx = submit(&mut s, 2, prompts[1].clone(), 6);
+        let before = s.metrics.snapshot();
+        s.step();
+        let after = s.metrics.snapshot();
+        assert_eq!(after.kv_block_shares, before.kv_block_shares);
+        assert_eq!(after.prefill_rows - before.prefill_rows, 9, "from scratch");
+        drain(&mut s);
+        let want = reference(&s, &weights, 2, &prompts[1], &greedy(6));
+        assert_eq!(rx.try_recv().expect("answered").tokens, want);
+        let want = reference(&s, &weights, 0, &[9, 8, 7, 6], &greedy(6));
+        assert_eq!(rx0.try_recv().expect("answered").tokens, want);
     }
 
     #[test]

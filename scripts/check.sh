@@ -63,6 +63,11 @@ cargo fmt --check
 section "cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+section "rustdoc (workspace, warnings are errors)"
+# CI's `docs` job, run here too so a broken intra-doc link cannot stay
+# red unnoticed
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 section "tier-1: release build + root test suite"
 cargo build --release
 cargo test -q
