@@ -576,6 +576,9 @@ mod tests {
     use super::*;
     use matgpt_tensor::init;
 
+    const DIGEST_NEOX: u64 = 0x69ee_e76e_a3b7_41c9;
+    const DIGEST_LLAMA: u64 = 0x12b0_8580_d03b_9fbd;
+
     fn tiny(arch: ArchKind) -> (GptModel, ParamStore) {
         let mut store = ParamStore::new();
         let mut rng = init::rng(0);
@@ -655,6 +658,34 @@ mod tests {
             }
             let after = loss_at(&store);
             assert!(after < before, "{arch}: {before} -> {after}");
+        }
+    }
+
+    #[test]
+    fn loss_and_gradient_bits_are_pinned() {
+        // FNV-1a over the bits of the loss and every parameter gradient
+        // of a tiny NeoX (GELU, biases) and LLaMA (SiLU) step. The
+        // digests were recorded when the activations ran their scalar
+        // formulas one element at a time; the vectorized slice forms
+        // must not move a bit of them
+        for (arch, want) in [
+            (ArchKind::NeoX, DIGEST_NEOX),
+            (ArchKind::Llama, DIGEST_LLAMA),
+        ] {
+            let (model, mut store) = tiny(arch);
+            let tokens: Vec<u32> = (0..32).map(|i| (i * 7 % 50) as u32).collect();
+            let targets: Vec<u32> = (0..32).map(|i| ((i * 7 + 3) % 50) as u32).collect();
+            let mut tape = Tape::new();
+            let l = model.loss(&mut tape, &store, &tokens, &targets, 2, 16);
+            tape.backward(l);
+            tape.accumulate_param_grads(&mut store);
+            let mut bits = vec![tape.value(l).item().to_bits()];
+            store.for_each_param(|_, _, g| bits.extend(g.data().iter().map(|v| v.to_bits())));
+            let fnv = bits.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+            assert!(bits.len() > 1000);
+            assert_eq!(fnv, want, "{arch}: {fnv:#018x}");
         }
     }
 

@@ -392,9 +392,7 @@ impl GptModel {
             let mlp = match cfg.arch {
                 ArchKind::NeoX => {
                     let mut a = store.linear(&scratch, layer.id(W1), layer.get(B1), n, h, m);
-                    for v in a.iter_mut() {
-                        *v = act::gelu(*v);
-                    }
+                    act::gelu_in_place(&mut a);
                     store.linear(&a, layer.id(W2), layer.get(B2), n, m, h)
                 }
                 ArchKind::Llama => {

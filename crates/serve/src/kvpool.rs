@@ -339,39 +339,53 @@ impl PagedKv {
         if n == 0 {
             return Ok(());
         }
-        let bs = self.block_size();
         // COW: appends will land in the partial tail block; if a fork
         // still shares it, copy it first so writes never alias.
-        let tail_fill = self.rows % bs;
-        if tail_fill != 0 {
-            let tail_idx = self.rows / bs;
+        if let Some(tail_idx) = self.shared_tail() {
             let tail = self.table[tail_idx];
-            if self.pool.ref_of(tail) > 1 {
-                let fresh = self.pool.alloc().map_err(|e| self.exhausted(n, e))?;
-                {
-                    let src = self.pool.shared.blocks[tail as usize].read();
-                    let mut dst = self.pool.shared.blocks[fresh as usize].write();
-                    dst.copy_from_slice(&src);
-                }
-                self.pool.release(tail);
-                self.table[tail_idx] = fresh;
+            let fresh = self.pool.alloc().map_err(|e| self.exhausted(n, e))?;
+            {
+                let src = self.pool.shared.blocks[tail as usize].read();
+                let mut dst = self.pool.shared.blocks[fresh as usize].write();
+                dst.copy_from_slice(&src);
             }
+            self.pool.release(tail);
+            self.table[tail_idx] = fresh;
         }
-        while self.capacity_rows() < self.rows + n {
-            match self.pool.alloc() {
-                Ok(b) => self.table.push(b),
-                Err(e) => return Err(self.exhausted(n, e)),
-            }
+        for _ in 0..self.blocks_past_table(n) {
+            let b = self.pool.alloc().map_err(|e| self.exhausted(n, e))?;
+            self.table.push(b);
         }
         Ok(())
     }
 
-    fn exhausted(&self, n: usize, e: KvExhausted) -> KvExhausted {
+    /// Blocks [`Self::reserve_rows`]`(n)` would take from the pool: a
+    /// copy of a shared partial tail, and the blocks past the table.
+    pub(crate) fn blocks_to_reserve(&self, n: usize) -> usize {
+        if n == 0 {
+            return 0;
+        }
+        usize::from(self.shared_tail().is_some()) + self.blocks_past_table(n)
+    }
+
+    /// Table index of the partial tail block when a fork still shares
+    /// it, so the next append must copy it first.
+    fn shared_tail(&self) -> Option<usize> {
         let bs = self.block_size();
+        let idx = self.rows / bs;
+        (!self.rows.is_multiple_of(bs) && self.pool.ref_of(self.table[idx]) > 1).then_some(idx)
+    }
+
+    /// Blocks `n` more rows need beyond the current table.
+    fn blocks_past_table(&self, n: usize) -> usize {
+        (self.rows + n)
+            .div_ceil(self.block_size())
+            .saturating_sub(self.table.len())
+    }
+
+    fn exhausted(&self, n: usize, e: KvExhausted) -> KvExhausted {
         KvExhausted {
-            needed: (self.rows + n)
-                .div_ceil(bs)
-                .saturating_sub(self.table.len()),
+            needed: self.blocks_past_table(n),
             ..e
         }
     }
@@ -857,6 +871,32 @@ mod tests {
         drop(a);
         drop(b);
         assert_eq!(p.free_blocks(), 8);
+    }
+
+    #[test]
+    fn reserve_takes_exactly_the_counted_blocks() {
+        let p = pool(4, 16);
+        let mut a = p.new_seq(64);
+        push_rows(&mut a, 6, 0.0); // [full, half]
+        let (mut b, mut c) = (a.fork(), a.fork()); // the half tail is shared
+        let mut solo = p.new_seq(64);
+        push_rows(&mut solo, 6, 0.0); // [full, half], unshared
+                                      // (sequence, rows, blocks): a copy of the shared tail only; the
+                                      // copy plus two new blocks; nothing once the tail is c's alone;
+                                      // the new blocks of an unshared tail
+        let cases = [
+            (&mut a, 2, 1),
+            (&mut b, 7, 3),
+            (&mut c, 1, 0),
+            (&mut solo, 7, 2),
+        ];
+        for (kv, n, want) in cases {
+            let free = p.free_blocks();
+            assert_eq!(kv.blocks_to_reserve(n), want);
+            kv.reserve_rows(n).expect("reserve");
+            assert_eq!(free - p.free_blocks(), want, "n = {n}");
+        }
+        assert_eq!(a.blocks_to_reserve(0), 0);
     }
 
     #[test]

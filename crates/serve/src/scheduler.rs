@@ -938,10 +938,13 @@ impl Scheduler {
             // preemption ping-pong
             let headroom = active.len() * spec_rows.div_ceil(ps.pool.block_size());
             let (prefix, pool) = (&mut ps.prefix, &ps.pool);
-            let ok = evict_until(prefix, metrics, || kv.reserve_rows(rows).is_ok())
-                && evict_until(prefix, metrics, || pool.free_blocks() >= headroom);
+            // the window's blocks are counted before any is allocated, so
+            // an admission that cannot fit takes nothing from the pool
+            let ok = evict_until(prefix, metrics, || {
+                pool.free_blocks() >= kv.blocks_to_reserve(rows) + headroom
+            }) && kv.reserve_rows(rows).is_ok();
             if !ok {
-                drop(kv); // release whatever was reserved
+                drop(kv); // release the forked prefix
                 if active.is_empty() {
                     // nothing running will ever free blocks, so
                     // requeueing would spin: a lone request that cannot
@@ -1472,6 +1475,30 @@ mod tests {
         assert_eq!(rx.try_recv().expect("answered").tokens, want);
         let want = reference(&s, &weights, 0, &[9, 8, 7, 6], &greedy(6));
         assert_eq!(rx0.try_recv().expect("answered").tokens, want);
+    }
+
+    #[test]
+    fn a_failed_admission_takes_nothing_from_the_pool() {
+        let (mut s, _, prompts) = paged_pair();
+        let pool = s.paged.as_ref().expect("paged").pool.clone();
+        let _ = submit(&mut s, 0, prompts[0].clone(), 6);
+        s.step(); // 0 prefills and keeps its blocks
+                  // leave two free blocks: fewer than a 12-token window needs
+        let mut hog = pool.new_seq(64);
+        hog.reserve_rows(4 * (pool.free_blocks() - 2))
+            .expect("free blocks");
+        let _ = submit(&mut s, 1, (10..22).collect(), 6);
+        let (allocs, free) = (pool.stats().allocs_total, pool.free_blocks());
+        s.admit_paged();
+        assert_eq!(s.parked.front().map(|p| p.sub.id), Some(1), "parked");
+        assert_eq!(s.active.len(), 1);
+        assert_eq!(pool.stats().allocs_total, allocs, "nothing allocated");
+        assert_eq!(pool.free_blocks(), free);
+        // once blocks free up, it is admitted with exactly its window
+        drop(hog);
+        s.admit_paged();
+        assert_eq!(s.active.len(), 2);
+        assert_eq!(pool.stats().allocs_total - allocs, 3);
     }
 
     #[test]

@@ -2,22 +2,39 @@
 //!
 //! GELU (tanh approximation) is the GPT-NeoX MLP activation; SiLU is the
 //! gate activation inside LLaMA's SwiGLU block — exactly the two MLP
-//! parameterisations the paper contrasts in Fig. 2.
+//! parameterisations the paper contrasts in Fig. 2. Their
+//! transcendentals are the repo's own: SiLU's `e^-x` is
+//! [`exp`](super::exp), GELU's tanh is [`tanh`](super::tanh). The scalar
+//! forms are the reference; each slice form stages the transcendental's
+//! argument for one vectorized call and then combines in the scalar
+//! form's operation order, so the two agree bit for bit.
 
 use super::exp::{exp, exp_slice};
+pub use super::tanh::tanh;
+use super::tanh::tanh_slice;
 
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 const GELU_C: f32 = 0.044_715;
 
+/// `√(2/π)·(x + 0.044715·x³)`, the argument of GELU's tanh.
+#[inline(always)]
+fn gelu_arg(x: f32) -> f32 {
+    SQRT_2_OVER_PI * (x + GELU_C * x * x * x)
+}
+
 /// GELU, tanh approximation (as used by GPT-NeoX / Megatron).
 pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_C * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh(gelu_arg(x)))
 }
 
 /// Derivative of [`gelu`] with respect to its input.
 pub fn gelu_grad(x: f32) -> f32 {
-    let u = SQRT_2_OVER_PI * (x + GELU_C * x * x * x);
-    let t = u.tanh();
+    gelu_grad_from(x, tanh(gelu_arg(x)))
+}
+
+/// [`gelu_grad`] given `t = tanh(gelu_arg(x))`.
+#[inline(always)]
+fn gelu_grad_from(x: f32, t: f32) -> f32 {
     let sech2 = 1.0 - t * t;
     0.5 * (1.0 + t) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_C * x * x)
 }
@@ -38,7 +55,8 @@ pub fn silu_grad(x: f32) -> f32 {
     s * (1.0 + x * (1.0 - s))
 }
 
-/// Lanes [`silu_in_place`] stages its `e^-x` in.
+/// Lanes [`silu_in_place`] and [`gelu_in_place`] stage the argument of
+/// their transcendental in.
 const STAGE: usize = 64;
 
 /// [`silu`] of every element, in place, bit for bit: the `e^-x` of
@@ -71,15 +89,48 @@ pub fn silu_grad_slice(xs: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Hyperbolic tangent forward.
-pub fn tanh(x: f32) -> f32 {
-    x.tanh()
+/// [`gelu`] of every element, in place, bit for bit: the tanh argument
+/// of 64 elements at a time through one [`tanh_slice`] call.
+pub fn gelu_in_place(xs: &mut [f32]) {
+    let mut t = [0.0f32; STAGE];
+    for xc in xs.chunks_mut(STAGE) {
+        let t = &mut t[..xc.len()];
+        for (t, &x) in t.iter_mut().zip(xc.iter()) {
+            *t = gelu_arg(x);
+        }
+        tanh_slice(t);
+        for (x, &t) in xc.iter_mut().zip(t.iter()) {
+            *x = 0.5 * *x * (1.0 + t);
+        }
+    }
 }
 
-/// Derivative of tanh given the input.
+/// [`gelu_grad`] of every element of `xs` into `out`, bit for bit;
+/// `out` holds the tanh arguments for the one [`tanh_slice`] call first.
+pub fn gelu_grad_slice(xs: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(xs.len(), out.len());
+    for (u, &x) in out.iter_mut().zip(xs) {
+        *u = gelu_arg(x);
+    }
+    tanh_slice(out);
+    for (o, &x) in out.iter_mut().zip(xs) {
+        *o = gelu_grad_from(x, *o);
+    }
+}
+
+/// Derivative of [`tanh`] given the input.
 pub fn tanh_grad(x: f32) -> f32 {
-    let t = x.tanh();
+    let t = tanh(x);
     1.0 - t * t
+}
+
+/// [`tanh_grad`] of every element of `xs` into `out`, bit for bit.
+pub fn tanh_grad_slice(xs: &[f32], out: &mut [f32]) {
+    out.copy_from_slice(xs);
+    tanh_slice(out);
+    for t in out.iter_mut() {
+        *t = 1.0 - *t * *t;
+    }
 }
 
 #[cfg(test)]
@@ -140,17 +191,30 @@ mod tests {
                 f32::NEG_INFINITY,
             ])
             .collect();
-        let mut silu_got = xs.clone();
-        silu_in_place(&mut silu_got);
+        type Forms = (
+            fn(&mut [f32]),
+            fn(&[f32], &mut [f32]),
+            fn(f32) -> f32,
+            fn(f32) -> f32,
+        );
+        let forms: [(&str, Forms); 2] = [
+            ("silu", (silu_in_place, silu_grad_slice, silu, silu_grad)),
+            ("gelu", (gelu_in_place, gelu_grad_slice, gelu, gelu_grad)),
+        ];
+        for (name, (in_place, grad_slice, f, df)) in forms {
+            let mut got = xs.clone();
+            in_place(&mut got);
+            let mut grad_got = vec![0.0f32; xs.len()];
+            grad_slice(&xs, &mut grad_got);
+            for (i, &x) in xs.iter().enumerate() {
+                assert_eq!(got[i].to_bits(), f(x).to_bits(), "{name} {x}");
+                assert_eq!(grad_got[i].to_bits(), df(x).to_bits(), "{name}_grad {x}");
+            }
+        }
         let mut grad_got = vec![0.0f32; xs.len()];
-        silu_grad_slice(&xs, &mut grad_got);
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(silu_got[i].to_bits(), silu(x).to_bits(), "silu {x}");
-            assert_eq!(
-                grad_got[i].to_bits(),
-                silu_grad(x).to_bits(),
-                "silu_grad {x}"
-            );
+        tanh_grad_slice(&xs, &mut grad_got);
+        for (&x, g) in xs.iter().zip(&grad_got) {
+            assert_eq!(g.to_bits(), tanh_grad(x).to_bits(), "tanh_grad {x}");
         }
     }
 

@@ -1,7 +1,8 @@
-//! The one transcendental the hot kernels spend their time in, owned by
-//! the repo: `f32` exp, written out as glibc's `expf` (the algorithm of
-//! the ARM optimized-routines `expf`, glibc ≥ 2.28), so softmax,
-//! attention and SiLU bits do not depend on which libm a host links.
+//! One of the two transcendentals the hot kernels spend their time in
+//! (the other is GELU's [`tanh`](super::tanh)), owned by the repo: `f32`
+//! exp, written out as glibc's `expf` (the algorithm of the ARM
+//! optimized-routines `expf`, glibc ≥ 2.28), so softmax, attention and
+//! SiLU bits do not depend on which libm a host links.
 //!
 //! `x · 32/ln 2 = k + r` is reduced in f64 through the `0x1.8p52`
 //! shift, `2^(k/32)` comes from a 32-entry table by its low five bits

@@ -9,3 +9,4 @@ pub mod matmul;
 pub mod norm;
 pub mod quant;
 pub mod softmax;
+pub mod tanh;

@@ -1,0 +1,399 @@
+//! `f32` tanh, owned by the repo: glibc's `tanhf` written out — Sun's
+//! `s_tanhf.c` over its `s_expm1f.c`, every operation in f32 and none
+//! contracted into a fused multiply-add, as glibc builds them — so GELU
+//! bits do not depend on which libm a host links.
+//!
+//! For `1 ≤ |x| < 22`, `tanh |x| = 1 − 2 / (expm1(2|x|) + 2)`; below 1,
+//! `−t / (t + 2)` with `t = expm1(−2|x|)`; the sign goes back on last.
+//! `expm1` reduces its argument to `r = x − k·ln 2` in two parts, carrying
+//! the rounding error `c` of the reduction, approximates `e^r − 1` by a
+//! rational form in `r²/2` whose polynomial has degree 5, and applies
+//! `2^k` by adding `k` to the exponent field, on one of four formulas
+//! picked by `k`. `|x| < 2⁻⁵⁵` (±0 too), `|x| ≥ 22` and non-finite `x`
+//! take `tanhf`'s own branches.
+//!
+//! `tanh`'s arguments to `expm1` are `2|x| ∈ [2, 44)` or `−2|x| ∈ (−2, 0)`,
+//! so `expm1f`'s `k = 1` formula (`0.35 < x < 1.04`) and its branches
+//! for `|x| ≥ 27·ln 2` below zero, overflow and non-finite input never
+//! run, and are left out.
+//!
+//! [`tanh`] is the scalar form, the branches as glibc takes them;
+//! [`tanh_slice`] computes every branch's result in every lane and
+//! selects one, so its loop has no branch and vectorizes. Every `tanh`
+//! in `matgpt-tensor` and `matgpt-model` is one of the two.
+
+/// `ln 2`'s leading bits: `k · LN2_HI` is exact for the `k` here.
+const LN2_HI: f32 = f32::from_bits(0x3f317180);
+/// `ln 2 − LN2_HI`.
+const LN2_LO: f32 = f32::from_bits(0x3717f7d1);
+/// `1 / ln 2`.
+const INV_LN2: f32 = f32::from_bits(0x3fb8aa3b);
+/// `expm1f`'s rational-form polynomial in `r²/2`, lowest degree first.
+const Q1: f32 = f32::from_bits(0xbd088889);
+const Q2: f32 = f32::from_bits(0x3ad00d01);
+const Q3: f32 = f32::from_bits(0xb8a670cd);
+const Q4: f32 = f32::from_bits(0x36867e54);
+const Q5: f32 = f32::from_bits(0xb457edbb);
+
+/// `|x|` bits from here up: non-finite.
+const NON_FINITE: u32 = 0x7f80_0000;
+/// `|x| ≥ 22`: `tanh` is `±(1 − 1e-30)`, which rounds to `±1`.
+const SATURATED: u32 = 0x41b0_0000;
+/// `|x| ≥ 1`: `tanh` goes through `expm1(2|x|)`.
+const ONE: u32 = 0x3f80_0000;
+/// `|x| < 2⁻⁵⁵`: `tanh x = x · (1 + x)`.
+const TINY: u32 = 0x2400_0000;
+/// `expm1`: above `ln 2 / 2` the argument is reduced …
+const REDUCE: u32 = 0x3eb1_7218;
+/// … by one `ln 2` below `1.5 · ln 2`, by `k = ⌊x / ln 2⌉` from there;
+const ONE_STEP: u32 = 0x3f85_1592;
+/// … and below `2⁻²⁵` `expm1 x = x`.
+const EXPM1_TINY: u32 = 0x3300_0000;
+/// `1.5 · 2²³`: an integer below `2²²` added to it lands in the low
+/// mantissa bits.
+const ROUND: f32 = 12_582_912.0;
+
+/// `tanh x`, bit for bit glibc's `tanhf`.
+pub fn tanh(x: f32) -> f32 {
+    let ix = x.to_bits() & 0x7fff_ffff;
+    let neg = x.to_bits() >> 31 != 0;
+    if ix >= NON_FINITE {
+        return if neg { 1.0 / x - 1.0 } else { 1.0 / x + 1.0 };
+    }
+    let z = if ix >= SATURATED {
+        1.0
+    } else if ix == 0 {
+        return x;
+    } else if ix < TINY {
+        return x * (1.0 + x);
+    } else {
+        let a = f32::from_bits(ix);
+        if ix >= ONE {
+            1.0 - 2.0 / (expm1(a + a) + 2.0)
+        } else {
+            let t = expm1(-2.0 * a);
+            -t / (t + 2.0)
+        }
+    };
+    if neg {
+        -z
+    } else {
+        z
+    }
+}
+
+/// `e^x − 1` as glibc's `expm1f` computes it, for the arguments [`tanh`]
+/// passes: `x ∈ (−2, 0) ∪ [2, 44)`.
+fn expm1(x: f32) -> f32 {
+    let hx = x.to_bits() & 0x7fff_ffff;
+    let (x, c, k) = if hx > REDUCE {
+        let (hi, lo, k) = if hx < ONE_STEP {
+            (x + LN2_HI, -LN2_LO, -1)
+        } else {
+            let k = (INV_LN2 * x + 0.5f32.copysign(x)) as i32;
+            let t = k as f32;
+            (x - t * LN2_HI, t * LN2_LO, k)
+        };
+        let r = hi - lo;
+        (r, (hi - r) - lo, k)
+    } else if hx < EXPM1_TINY {
+        return x;
+    } else {
+        (x, 0.0, 0)
+    };
+    let e = rational(x);
+    let hxs = x * (0.5 * x);
+    if k == 0 {
+        return x - (x * e - hxs);
+    }
+    let e = (x * (e - c) - c) - hxs;
+    let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k as u32) << 23));
+    match k {
+        -1 => 0.5 * (x - e) - 0.5,
+        2..=22 => scale(f32::from_bits((0x3f80_0000 - (0x100_0000 >> k)) as u32) - (e - x)),
+        23..=56 => scale(x - (e + f32::from_bits(((0x7f - k) as u32) << 23)) + 1.0),
+        _ => scale(1.0 - (e - x)) - 1.0,
+    }
+}
+
+/// `expm1f`'s correction `e` for the reduced `x`, before the reduction
+/// error is folded in.
+#[inline(always)]
+fn rational(x: f32) -> f32 {
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t = 3.0 - r1 * hfx;
+    hxs * ((r1 - t) / (6.0 - x * t))
+}
+
+/// [`tanh`] of every element, in place, bit for bit: each lane computes
+/// every branch's result and keeps the one [`tanh`] would return, so the
+/// loop vectorizes and the tail runs the same operations one lane at a
+/// time.
+pub fn tanh_slice(xs: &mut [f32]) {
+    for x in xs {
+        *x = tanh_lane(*x);
+    }
+}
+
+/// [`tanh`] with every branch computed and one selected.
+#[inline(always)]
+fn tanh_lane(x: f32) -> f32 {
+    let ix = x.to_bits() & 0x7fff_ffff;
+    let neg = x.to_bits() >> 31 != 0;
+    let a = f32::from_bits(ix);
+    let big = ix >= ONE;
+    let t = expm1_lane(if big { a + a } else { -2.0 * a });
+    // `1 − 2 / (t + 2)` and `−t / (t + 2)` share their one division
+    let q = if big { 2.0 } else { -t } / (t + 2.0);
+    let z = if ix >= SATURATED {
+        1.0
+    } else if big {
+        1.0 - q
+    } else {
+        q
+    };
+    let z = if neg { -z } else { z };
+    // ±0 is its own `x · (1 + x)`
+    let z = if ix < TINY { x * (1.0 + x) } else { z };
+    // ±inf has saturated to `1/x ± 1 = ±1` already; NaN comes back
+    // quieted, as `1/x ± 1` returns it
+    if ix > NON_FINITE {
+        x + x
+    } else {
+        z
+    }
+}
+
+/// [`expm1`] with every branch computed and one selected; the shifts
+/// and adds wrap, since a lane's unused branches may see any `k`.
+#[inline(always)]
+fn expm1_lane(x: f32) -> f32 {
+    let hx = x.to_bits() & 0x7fff_ffff;
+    // `k` truncated, read back from the low mantissa bits after adding
+    // `1.5 · 2²³` (exact for an integer this small), since a saturating
+    // `as i32` would not vectorize
+    let t = (INV_LN2 * x + 0.5f32.copysign(x)).trunc();
+    let kn = ((t + ROUND).to_bits() as i32).wrapping_sub(ROUND.to_bits() as i32);
+    let one_step = hx < ONE_STEP;
+    let hi = if one_step { x + LN2_HI } else { x - t * LN2_HI };
+    let lo = if one_step { -LN2_LO } else { t * LN2_LO };
+    let reduced = hx > REDUCE;
+    let k = if !reduced {
+        0
+    } else if one_step {
+        -1
+    } else {
+        kn
+    };
+    let r = hi - lo;
+    let c = (hi - r) - lo;
+    let (x, c) = if reduced { (r, c) } else { (x, 0.0) };
+    let e = rational(x);
+    let hxs = x * (0.5 * x);
+    let zero = x - (x * e - hxs);
+    let e = (x * (e - c) - c) - hxs;
+    let minus_one = 0.5 * (x - e) - 0.5;
+    let kb = (k as u32).wrapping_shl(23);
+    let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add(kb));
+    let below_23 = f32::from_bits(0x3f80_0000 - 0x100_0000u32.wrapping_shr(k as u32));
+    let below_23 = scale(below_23 - (e - x));
+    let to_56 = f32::from_bits(0x7fu32.wrapping_sub(k as u32).wrapping_shl(23));
+    let to_56 = scale(x - (e + to_56) + 1.0);
+    let far = scale(1.0 - (e - x)) - 1.0;
+    let y = if k == 0 {
+        zero
+    } else if k == -1 {
+        minus_one
+    } else if (2..=22).contains(&k) {
+        below_23
+    } else if (23..=56).contains(&k) {
+        to_56
+    } else {
+        far
+    };
+    if hx < EXPM1_TINY {
+        x
+    } else {
+        y
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The glibc releases whose `tanhf` [`tanh`] has been checked against
+    /// on all 2³² inputs: a host comparison means something only there
+    /// (later releases took CORE-MATH's correctly rounded float functions).
+    const VERIFIED_GLIBC: &[&str] = &["2.36"];
+
+    /// The version of the glibc this process runs on, `None` off glibc.
+    fn glibc_version() -> Option<String> {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        {
+            extern "C" {
+                fn gnu_get_libc_version() -> *const std::ffi::c_char;
+            }
+            // SAFETY: glibc returns a pointer to a static NUL-terminated string
+            let v = unsafe { std::ffi::CStr::from_ptr(gnu_get_libc_version()) };
+            Some(v.to_string_lossy().into_owned())
+        }
+        #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+        None
+    }
+
+    /// Whether the host's `f32::tanh` is a `tanhf` that [`tanh`] was
+    /// checked against on all 2³² inputs (glibc 2.36); when it is not,
+    /// says so on stderr.
+    fn host_tanhf_is_verified() -> bool {
+        let version = glibc_version();
+        let ok = version
+            .as_deref()
+            .is_some_and(|v| VERIFIED_GLIBC.contains(&v));
+        if !ok {
+            eprintln!(
+                "skipped: host libm is {}, not a glibc whose tanhf was verified ({VERIFIED_GLIBC:?})",
+                version.map_or("not glibc".into(), |v| format!("glibc {v}"))
+            );
+        }
+        ok
+    }
+
+    fn ulp_distance(a: f32, b: f32) -> u32 {
+        let key = |v: f32| {
+            let b = v.to_bits() as i64;
+            if b < 0x8000_0000 {
+                b
+            } else {
+                0x8000_0000 - b
+            }
+        };
+        (key(a) - key(b)).unsigned_abs() as u32
+    }
+
+    /// The inputs at which [`tanh`] or `expm1` change branch, and their
+    /// neighbours.
+    fn edges() -> Vec<f32> {
+        let mut xs = vec![f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for bits in [SATURATED, ONE, TINY, 0, 1] {
+            for b in [bits.saturating_sub(1), bits, bits + 1] {
+                xs.push(f32::from_bits(b));
+                xs.push(-f32::from_bits(b));
+            }
+        }
+        // where expm1's argument ±2|x| crosses its reduction edges
+        for arg in [REDUCE, ONE_STEP, EXPM1_TINY] {
+            let half = f32::from_bits(arg) / 2.0;
+            for b in [half.to_bits() - 1, half.to_bits(), half.to_bits() + 1] {
+                xs.push(f32::from_bits(b));
+                xs.push(-f32::from_bits(b));
+            }
+        }
+        // k = 22, 23, 56, 57 at the positive argument 2|x|
+        for k in [22.5f32, 23.5, 56.5, 57.5] {
+            xs.push(k * std::f32::consts::LN_2 / 2.0);
+        }
+        xs
+    }
+
+    #[test]
+    fn within_two_ulp_of_an_f64_oracle() {
+        // a prime stride over all 2^32 patterns; the largest distance it
+        // meets is 2 ulp (Sun's tanhf is not correctly rounded)
+        let mut bits = 0u32;
+        let mut worst = 0;
+        for _ in 0..1 << 20 {
+            bits = bits.wrapping_add(4093);
+            let x = f32::from_bits(bits);
+            let got = tanh(x);
+            if x.is_nan() {
+                assert!(got.is_nan());
+                continue;
+            }
+            let want = f64::from(x).tanh() as f32;
+            let d = ulp_distance(got, want);
+            assert!(d <= 2, "{x:e}: {got:e} vs {want:e}");
+            worst = worst.max(d);
+        }
+        assert_eq!(worst, 2);
+    }
+
+    #[test]
+    fn edge_inputs_take_tanhfs_branches() {
+        assert_eq!(tanh(0.0).to_bits(), 0);
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(tanh(f32::INFINITY), 1.0);
+        assert_eq!(tanh(f32::NEG_INFINITY), -1.0);
+        assert!(tanh(f32::NAN).is_nan());
+        assert_eq!(tanh(22.0), 1.0);
+        assert_eq!(tanh(-22.0), -1.0);
+        let tiny = f32::from_bits(TINY - 1);
+        assert_eq!(tanh(tiny), tiny);
+        assert_eq!(tanh(f32::from_bits(1)), f32::from_bits(1));
+        for x in edges() {
+            if !x.is_nan() {
+                let want = f64::from(x).tanh() as f32;
+                assert!(ulp_distance(tanh(x), want) <= 2, "{x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn slice_equals_scalar_on_tails_and_mixed_chunks() {
+        let edges = edges();
+        for len in [0usize, 1, 15, 16, 17, 33, 100] {
+            for stride in [1usize, 3, 16, 1000] {
+                let xs: Vec<f32> = (0..len)
+                    .map(|i| {
+                        if i % stride == stride - 1 {
+                            edges[i % edges.len()]
+                        } else {
+                            (i as f32 * 0.37).sin() * 12.0
+                        }
+                    })
+                    .collect();
+                let mut got = xs.clone();
+                tanh_slice(&mut got);
+                for (x, g) in xs.iter().zip(&got) {
+                    assert_eq!(g.to_bits(), tanh(*x).to_bits(), "len {len} x {x:e}");
+                }
+            }
+        }
+        let mut got = edges.clone();
+        tanh_slice(&mut got);
+        for (x, g) in edges.iter().zip(&got) {
+            assert_eq!(g.to_bits(), tanh(*x).to_bits(), "{x:e}");
+        }
+    }
+
+    /// Every f32 against the host's `f32::tanh`: run with `--ignored` in
+    /// release. It holds where the host libm is a glibc in
+    /// [`VERIFIED_GLIBC`]; elsewhere it says so and checks nothing.
+    #[test]
+    #[ignore]
+    fn equals_host_tanhf_on_all_inputs() {
+        use rayon::prelude::*;
+        if !host_tanhf_is_verified() {
+            return;
+        }
+        let bad: u64 = (0..1usize << 16)
+            .into_par_iter()
+            .map(|hi| {
+                let mut xs: Vec<f32> = (0..1u32 << 16)
+                    .map(|lo| f32::from_bits((hi as u32) << 16 | lo))
+                    .collect();
+                let want: Vec<u32> = xs.iter().map(|x| x.tanh().to_bits()).collect();
+                let scalar: Vec<u32> = xs.iter().map(|&x| tanh(x).to_bits()).collect();
+                tanh_slice(&mut xs);
+                xs.iter()
+                    .zip(scalar)
+                    .zip(&want)
+                    .filter(|((g, s), &w)| g.to_bits() != w || *s != w)
+                    .count() as u64
+            })
+            .sum();
+        assert_eq!(bad, 0, "inputs where tanh differs from f32::tanh");
+    }
+}

@@ -15,6 +15,7 @@ use crate::kernels::infer::RotaryTable;
 use crate::kernels::matmul::{matmul, matmul_at_acc, matmul_bt_acc};
 use crate::kernels::norm;
 use crate::kernels::softmax::softmax_rows;
+use crate::kernels::tanh::tanh_slice;
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 
@@ -240,12 +241,12 @@ impl Tape {
     pub fn add_bias(&mut self, x: Var, b: Var) -> Var {
         let tx = self.value(x);
         let tb = self.value(b);
-        let (rows, d) = tx.as_2d();
+        let (_, d) = tx.as_2d();
         assert_eq!(tb.numel(), d, "bias length mismatch");
         let mut data = tx.data().to_vec();
-        for r in 0..rows {
-            for i in 0..d {
-                data[r * d + i] += tb.data()[i];
+        for row in data.chunks_exact_mut(d) {
+            for (v, &bv) in row.iter_mut().zip(tb.data()) {
+                *v += bv;
             }
         }
         let out = Tensor::from_vec(tx.shape(), data);
@@ -283,30 +284,28 @@ impl Tape {
 
     // ----------------------------------------------------------- activations
 
-    fn unary(&mut self, x: Var, f: fn(f32) -> f32, op: Op) -> Var {
+    /// `x` through an activation's in-place slice form.
+    fn activation(&mut self, x: Var, f: fn(&mut [f32]), op: Op) -> Var {
         let tx = self.value(x);
-        let data = tx.data().iter().map(|&v| f(v)).collect();
+        let mut data = tx.data().to_vec();
+        f(&mut data);
         let out = Tensor::from_vec(tx.shape(), data);
         self.push(op, out, Saved::None)
     }
 
     /// GELU activation (tanh approximation).
     pub fn gelu(&mut self, x: Var) -> Var {
-        self.unary(x, act::gelu, Op::Gelu(x))
+        self.activation(x, act::gelu_in_place, Op::Gelu(x))
     }
 
     /// SiLU activation.
     pub fn silu(&mut self, x: Var) -> Var {
-        let tx = self.value(x);
-        let mut data = tx.data().to_vec();
-        act::silu_in_place(&mut data);
-        let out = Tensor::from_vec(tx.shape(), data);
-        self.push(Op::Silu(x), out, Saved::None)
+        self.activation(x, act::silu_in_place, Op::Silu(x))
     }
 
     /// tanh activation.
     pub fn tanh(&mut self, x: Var) -> Var {
-        self.unary(x, act::tanh, Op::Tanh(x))
+        self.activation(x, tanh_slice, Op::Tanh(x))
     }
 
     // ----------------------------------------------------------------- norms
@@ -831,12 +830,11 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
         }
         Op::AddBias(x, b) => {
             grad_buf(grads, nodes, x.0).add_assign(g);
-            let (rows, d) = nodes[x.0].value.as_2d();
-            let gb = grad_buf(grads, nodes, b.0);
-            let gbd = gb.data_mut();
-            for r in 0..rows {
-                for (i, gv) in gbd.iter_mut().enumerate().take(d) {
-                    *gv += g.data()[r * d + i];
+            let (_, d) = nodes[x.0].value.as_2d();
+            let gb = grad_buf(grads, nodes, b.0).data_mut();
+            for row in g.data().chunks_exact(d) {
+                for (gv, &r) in gb.iter_mut().zip(row) {
+                    *gv += r;
                 }
             }
         }
@@ -852,17 +850,9 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             let gb = grad_buf(grads, nodes, b.0).data_mut();
             matmul_at_acc(aval, g.data(), gb, m, k, n);
         }
-        Op::Gelu(x) => unary_bwd(nodes, grads, *x, g, act::gelu_grad),
-        Op::Silu(x) => {
-            let xval = nodes[x.0].value.data();
-            let mut df = vec![0.0f32; xval.len()];
-            act::silu_grad_slice(xval, &mut df);
-            let gx = grad_buf(grads, nodes, x.0);
-            for ((o, &gv), &d) in gx.data_mut().iter_mut().zip(g.data()).zip(&df) {
-                *o += gv * d;
-            }
-        }
-        Op::Tanh(x) => unary_bwd(nodes, grads, *x, g, act::tanh_grad),
+        Op::Gelu(x) => activation_bwd(nodes, grads, *x, g, act::gelu_grad_slice),
+        Op::Silu(x) => activation_bwd(nodes, grads, *x, g, act::silu_grad_slice),
+        Op::Tanh(x) => activation_bwd(nodes, grads, *x, g, act::tanh_grad_slice),
         Op::LayerNorm { x, gamma, beta } => {
             let (rows, d) = nodes[x.0].value.as_2d();
             let Saved::Norm(means, rstds) = &nodes[id].saved else {
@@ -1130,11 +1120,21 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
     }
 }
 
-fn unary_bwd(nodes: &[Node], grads: &mut [Option<Tensor>], x: Var, g: &Tensor, df: fn(f32) -> f32) {
+/// `dx += g ⊙ f'(x)`, with `df` writing `f'` at every element of its
+/// first argument into its second.
+fn activation_bwd(
+    nodes: &[Node],
+    grads: &mut [Option<Tensor>],
+    x: Var,
+    g: &Tensor,
+    df: fn(&[f32], &mut [f32]),
+) {
     let xval = nodes[x.0].value.data();
+    let mut d = vec![0.0f32; xval.len()];
+    df(xval, &mut d);
     let gx = grad_buf(grads, nodes, x.0);
-    for ((o, &gv), &xv) in gx.data_mut().iter_mut().zip(g.data()).zip(xval) {
-        *o += gv * df(xv);
+    for ((o, &gv), &d) in gx.data_mut().iter_mut().zip(g.data()).zip(&d) {
+        *o += gv * d;
     }
 }
 

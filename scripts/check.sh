@@ -3,24 +3,17 @@
 # Run from the repo root: ./scripts/check.sh
 #
 # Tier-1 (`cargo build --release && cargo test -q`: the root package,
-# all 12 tests/*.rs) runs exactly once, in its own section; no later
+# all 13 tests/*.rs) runs exactly once, in its own section; no later
 # section re-runs one of its suites. Ceiling for `cargo test -q` on the
-# reference box (2 vCPU, dev-profile tests, binaries prebuilt): 5m30s
-# (330 s; PR 24). Measured there: 4m26s / 4m04s, against 6m49s / 5m46s
-# at its parent (PR 23, the same tree 63 s apart; PR 22: 6m35s / 7m11s)
-# — the GEMMs got 2–3× faster, the dev profile included — so the
-# reading left the old 7m50s ceiling's 30–36 s A/A band downward, and
-# the ceiling is the slower reading plus the widest same-tree spread
-# seen (63 s). `cargo test -q -p matgpt-core --lib` alone: 51.9 → 43 s.
-# PR 25 re-timed it at 4m30s / 5m03s, PR 26 at 4m51s / 4m26s: inside
-# the band, ceiling kept. Re-timed once the serve scheduler ran one
-# shared forward per iteration: 4m15s / 4m11s, ceiling kept. With the
-# repo's own exp, unoptimised test builds read about 7m30s (the exp and
-# the score-first scans run 4-5x slower than libm's expf at opt-level
-# 0), so the root Cargo.toml builds matgpt-tensor at opt-level 3 in the
-# dev profile too: 44.6 s / 42.4 s. Ceiling kept; it no longer binds.
-# A PR that pushes tier-1 past it says so in CHANGES.md and moves the
-# number here and in ROADMAP item 6.
+# reference box (2 vCPU, dev-profile tests, binaries prebuilt): 60 s.
+# Measured there: 31.4 s / 30.4 s
+# (71 tests; 43.4 s for the run that linked the test binaries), against
+# 44.6 s / 42.4 s when matgpt-tensor first built at opt-level 3 in the
+# dev profile too, and 4m11s-4m51s before that (the history is in
+# CHANGES.md). The ceiling is about twice the reading, wide enough for
+# the host's run-to-run noise, low enough that a suite which doubles
+# shows. A PR that pushes tier-1 past it says so in CHANGES.md and moves
+# the number here and in ROADMAP item 7.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
