@@ -57,12 +57,14 @@ pub struct Pretrained {
     pub config: PretrainConfig,
 }
 
-/// Train a tokenizer of the requested family on the documents.
+/// Train a tokenizer of the requested family on the documents, under a
+/// `setup-tokenizer` span on [`pids::TRAINER`].
 pub fn train_tokenizer(
     kind: TokenizerKind,
     vocab: usize,
     documents: &[String],
 ) -> Box<dyn Tokenizer> {
+    let _s = Span::enter(pids::TRAINER, "setup", "setup-tokenizer");
     match kind {
         TokenizerKind::Hf => Box::new(BpeTokenizer::train(documents, vocab)),
         TokenizerKind::Spm => Box::new(UnigramTokenizer::train(documents, vocab)),
@@ -256,7 +258,10 @@ pub(crate) struct RunSetup {
 
 impl RunSetup {
     /// Build the prologue, training a tokenizer on `documents` unless
-    /// the caller provides one.
+    /// the caller provides one. Each part runs under its own span on
+    /// [`pids::TRAINER`] (`setup-tokenizer` in [`train_tokenizer`],
+    /// `setup-model`, `setup-dataset`), so a trace splits a training
+    /// call into its prologue and its steps.
     pub(crate) fn new(
         documents: &[String],
         cfg: &PretrainConfig,
@@ -264,9 +269,16 @@ impl RunSetup {
     ) -> Self {
         let tokenizer =
             tokenizer.unwrap_or_else(|| train_tokenizer(cfg.tokenizer, cfg.vocab, documents));
-        let (model, store) = build_model(cfg, tokenizer.vocab_size());
-        let dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
-        let val_batches = dataset.val_batches(2, cfg.seq);
+        let (model, store) = {
+            let _s = Span::enter(pids::TRAINER, "setup", "setup-model");
+            build_model(cfg, tokenizer.vocab_size())
+        };
+        let (dataset, val_batches) = {
+            let _s = Span::enter(pids::TRAINER, "setup", "setup-dataset");
+            let dataset = TokenDataset::new(documents, tokenizer.as_ref(), 0.08, cfg.seed ^ 0xda7a);
+            let val_batches = dataset.val_batches(2, cfg.seq);
+            (dataset, val_batches)
+        };
         Self {
             tokenizer,
             model,
@@ -737,6 +749,37 @@ mod tests {
     use matgpt_corpus::{build_corpus, CorpusConfig};
     use matgpt_model::ArchKind;
 
+    #[test]
+    fn bpe_merges_on_the_benchmark_corpus_are_pinned() {
+        // FNV-1a over the merge list at vocab 512 on the corpus the repo
+        // benchmark's tokenizer and model `T` train on (`perf`'s
+        // `corpus_config`), recorded from the trainer that recounted
+        // every pair for every merge
+        for (seed, want) in [
+            (1, 0x0670_6f47_6c89_61acu64),
+            (23, 0x14eb_5aed_731b_9fcd),
+            (37, 0xe1d6_4372_e6ff_f211),
+        ] {
+            let docs = build_corpus(&CorpusConfig {
+                n_materials: 100,
+                total_docs: 96,
+                offtopic_fraction: 0.2,
+                seed,
+            })
+            .documents;
+            let tok = BpeTokenizer::train(&docs, 512);
+            assert_eq!(tok.num_merges(), 252, "seed {seed}");
+            let fnv = tok
+                .merges()
+                .iter()
+                .flat_map(|&(l, r)| [l, r])
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, id| {
+                    (h ^ u64::from(id)).wrapping_mul(0x100_0000_01b3)
+                });
+            assert_eq!(fnv, want, "seed {seed}: {fnv:#018x}");
+        }
+    }
+
     fn docs() -> Vec<String> {
         build_corpus(&CorpusConfig {
             n_materials: 50,
@@ -843,6 +886,9 @@ mod tests {
         let events = rec.snapshot();
         let mine: Vec<_> = events.iter().filter(|e| e.pid == pids::TRAINER).collect();
         for phase in [
+            "setup-tokenizer",
+            "setup-model",
+            "setup-dataset",
             "step",
             "data-load",
             "forward",

@@ -254,21 +254,8 @@ unsafe fn exp_chunk_avx512(c: &mut [f32; CHUNK]) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::host_libm::{is_glibc_fma_build, ulp_distance};
     use super::*;
-
-    /// `exp(x)` in f64 — within 1 ulp of `e^x` for every f32 `x`, far
-    /// inside the half-ulp of f32 the oracle test needs.
-    fn ulp_distance(a: f32, b: f32) -> u32 {
-        let key = |v: f32| {
-            let b = v.to_bits() as i64;
-            if b < 0x8000_0000 {
-                b
-            } else {
-                0x8000_0000 - b
-            }
-        };
-        (key(a) - key(b)).unsigned_abs() as u32
-    }
 
     /// `(hi + lo)^32` in double-double: five squarings, each product's
     /// rounding error recovered exactly by a fused multiply-add.
@@ -386,12 +373,7 @@ mod tests {
     #[ignore]
     fn equals_host_expf_on_all_inputs() {
         use rayon::prelude::*;
-        #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
-        let glibc_fma = is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2");
-        #[cfg(not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")))]
-        let glibc_fma = false;
-        if !glibc_fma {
-            eprintln!("skipped: the host libm is not glibc's x86-64 FMA build (FMA + AVX2)");
+        if !is_glibc_fma_build() {
             return;
         }
         let bad: u64 = (0..1usize << 16)

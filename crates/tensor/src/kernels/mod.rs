@@ -4,9 +4,12 @@
 pub mod activation;
 pub mod attention;
 pub mod exp;
+#[cfg(test)]
+pub(crate) mod host_libm;
 pub mod infer;
 pub mod matmul;
 pub mod norm;
+pub mod normal;
 pub mod quant;
 pub mod softmax;
 pub mod tanh;

@@ -222,56 +222,8 @@ fn expm1_lane(x: f32) -> f32 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::host_libm::{is_verified_glibc, ulp_distance};
     use super::*;
-
-    /// The glibc releases whose `tanhf` [`tanh`] has been checked against
-    /// on all 2³² inputs: a host comparison means something only there
-    /// (later releases took CORE-MATH's correctly rounded float functions).
-    const VERIFIED_GLIBC: &[&str] = &["2.36"];
-
-    /// The version of the glibc this process runs on, `None` off glibc.
-    fn glibc_version() -> Option<String> {
-        #[cfg(all(target_os = "linux", target_env = "gnu"))]
-        {
-            extern "C" {
-                fn gnu_get_libc_version() -> *const std::ffi::c_char;
-            }
-            // SAFETY: glibc returns a pointer to a static NUL-terminated string
-            let v = unsafe { std::ffi::CStr::from_ptr(gnu_get_libc_version()) };
-            Some(v.to_string_lossy().into_owned())
-        }
-        #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-        None
-    }
-
-    /// Whether the host's `f32::tanh` is a `tanhf` that [`tanh`] was
-    /// checked against on all 2³² inputs (glibc 2.36); when it is not,
-    /// says so on stderr.
-    fn host_tanhf_is_verified() -> bool {
-        let version = glibc_version();
-        let ok = version
-            .as_deref()
-            .is_some_and(|v| VERIFIED_GLIBC.contains(&v));
-        if !ok {
-            eprintln!(
-                "skipped: host libm is {}, not a glibc whose tanhf was verified ({VERIFIED_GLIBC:?})",
-                version.map_or("not glibc".into(), |v| format!("glibc {v}"))
-            );
-        }
-        ok
-    }
-
-    fn ulp_distance(a: f32, b: f32) -> u32 {
-        let key = |v: f32| {
-            let b = v.to_bits() as i64;
-            if b < 0x8000_0000 {
-                b
-            } else {
-                0x8000_0000 - b
-            }
-        };
-        (key(a) - key(b)).unsigned_abs() as u32
-    }
 
     /// The inputs at which [`tanh`] or `expm1` change branch, and their
     /// neighbours.
@@ -370,12 +322,12 @@ mod tests {
 
     /// Every f32 against the host's `f32::tanh`: run with `--ignored` in
     /// release. It holds where the host libm is a glibc in
-    /// [`VERIFIED_GLIBC`]; elsewhere it says so and checks nothing.
+    /// `VERIFIED_GLIBC`; elsewhere it says so and checks nothing.
     #[test]
     #[ignore]
     fn equals_host_tanhf_on_all_inputs() {
         use rayon::prelude::*;
-        if !host_tanhf_is_verified() {
+        if !is_verified_glibc() {
             return;
         }
         let bad: u64 = (0..1usize << 16)

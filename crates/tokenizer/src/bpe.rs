@@ -25,46 +25,20 @@ impl BpeTokenizer {
     /// Train on a corpus of documents to a target vocabulary size
     /// (including the 4 special ids and the 256 byte tokens; `vocab_size`
     /// must be at least `260`).
+    ///
+    /// The pair counts are built once; each merge then recounts only the
+    /// words that hold the merged pair, found through a pair → word
+    /// index, so a merge costs what those words cost rather than a pass
+    /// over the whole vocabulary of words.
     pub fn train(texts: &[String], vocab_size: usize) -> Self {
-        assert!(
-            vocab_size >= (NUM_SPECIAL as usize) + 256,
-            "vocab must cover specials + bytes"
-        );
-        // word -> count, words carry their leading space
-        let mut word_counts: HashMap<Vec<u32>, usize> = HashMap::new();
-        for text in texts {
-            for word in split_words(text) {
-                let ids: Vec<u32> = word.bytes().map(byte_id).collect();
-                *word_counts.entry(ids).or_insert(0) += 1;
-            }
-        }
-        let mut words: Vec<(Vec<u32>, usize)> = word_counts.into_iter().collect();
-        // Deterministic ordering regardless of hash map iteration.
-        words.sort();
-
-        let mut token_bytes: Vec<Vec<u8>> = Vec::with_capacity(vocab_size);
-        for id in 0..NUM_SPECIAL {
-            token_bytes.push(special::name(id).unwrap().as_bytes().to_vec());
-        }
-        for b in 0u16..256 {
-            token_bytes.push(vec![b as u8]);
-        }
-
+        let (mut words, mut token_bytes) = training_start(texts, vocab_size);
+        let mut pairs = PairIndex::new(&words);
         let mut merges = Vec::new();
         let n_merges = vocab_size - token_bytes.len();
         for _ in 0..n_merges {
-            // count all adjacent pairs
-            let mut pair_counts: HashMap<(u32, u32), usize> = HashMap::new();
-            for (w, c) in &words {
-                for pair in w.windows(2) {
-                    *pair_counts.entry((pair[0], pair[1])).or_insert(0) += c;
-                }
-            }
-            // deterministic argmax: highest count, ties by smallest pair
-            let best = pair_counts
-                .into_iter()
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)));
-            let Some(((l, r), count)) = best else { break };
+            let Some(((l, r), count)) = pairs.most_frequent() else {
+                break;
+            };
             if count < 2 {
                 break;
             }
@@ -73,10 +47,7 @@ impl BpeTokenizer {
             bytes.extend_from_slice(&token_bytes[r as usize]);
             token_bytes.push(bytes);
             merges.push((l, r));
-            // apply the merge to every word
-            for (w, _) in words.iter_mut() {
-                apply_merge(w, l, r, new_id);
-            }
+            pairs.merge(&mut words, (l, r), new_id);
         }
 
         let merge_map = merges
@@ -92,6 +63,12 @@ impl BpeTokenizer {
             merge_map,
             token_bytes,
         }
+    }
+
+    /// The merge rules in training order, each a `(left id, right id)`
+    /// pair; the `i`-th produces id `260 + i`.
+    pub fn merges(&self) -> &[(u32, u32)] {
+        &self.merges
     }
 
     /// Number of learned merges.
@@ -154,6 +131,114 @@ impl Tokenizer for BpeTokenizer {
     }
 }
 
+/// Distinct words with their counts, in a fixed order (words carry
+/// their leading space, ids are byte ids), and the token bytes of the
+/// specials and the 256 byte tokens: where training starts.
+fn training_start(texts: &[String], vocab_size: usize) -> (Vec<Word>, Vec<Vec<u8>>) {
+    assert!(
+        vocab_size >= (NUM_SPECIAL as usize) + 256,
+        "vocab must cover specials + bytes"
+    );
+    let mut word_counts: HashMap<Vec<u32>, usize> = HashMap::new();
+    for text in texts {
+        for word in split_words(text) {
+            let ids: Vec<u32> = word.bytes().map(byte_id).collect();
+            *word_counts.entry(ids).or_insert(0) += 1;
+        }
+    }
+    let mut words: Vec<Word> = word_counts.into_iter().collect();
+    // Deterministic ordering regardless of hash map iteration.
+    words.sort();
+
+    let mut token_bytes: Vec<Vec<u8>> = Vec::with_capacity(vocab_size);
+    for id in 0..NUM_SPECIAL {
+        token_bytes.push(special::name(id).unwrap().as_bytes().to_vec());
+    }
+    for b in 0u16..256 {
+        token_bytes.push(vec![b as u8]);
+    }
+    (words, token_bytes)
+}
+
+/// A distinct word's token ids and its count in the corpus.
+type Word = (Vec<u32>, usize);
+/// Two adjacent token ids.
+type Pair = (u32, u32);
+
+/// Every adjacent pair's count over the distinct words (each occurrence
+/// weighted by its word's count), and for each pair the indices of the
+/// words that hold it. A word's index is listed once per pair, when the
+/// pair first appears in it; a merge can only remove pairs from a word
+/// or add ones holding the new id, so the lists stay complete, and an
+/// entry whose word has since lost the pair is skipped.
+struct PairIndex {
+    counts: HashMap<Pair, usize>,
+    holders: HashMap<Pair, Vec<usize>>,
+}
+
+impl PairIndex {
+    fn new(words: &[Word]) -> Self {
+        let mut index = Self {
+            counts: HashMap::new(),
+            holders: HashMap::new(),
+        };
+        for (i, (word, count)) in words.iter().enumerate() {
+            index.add(i, word, *count, |_| true);
+        }
+        index
+    }
+
+    /// The pair to merge next: the highest count, ties to the smallest
+    /// pair.
+    fn most_frequent(&self) -> Option<(Pair, usize)> {
+        self.counts
+            .iter()
+            .map(|(&pair, &count)| (pair, count))
+            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+    }
+
+    /// Count word `i`'s pairs, listing it under those `new` picks.
+    fn add(&mut self, i: usize, word: &[u32], count: usize, new: impl Fn(Pair) -> bool) {
+        for p in word.windows(2) {
+            let pair = (p[0], p[1]);
+            *self.counts.entry(pair).or_insert(0) += count;
+            if new(pair) {
+                let list = self.holders.entry(pair).or_default();
+                if list.last() != Some(&i) {
+                    list.push(i);
+                }
+            }
+        }
+    }
+
+    /// Uncount a word's pairs; a pair whose count reaches zero leaves
+    /// the counts (its holder list stays, for the re-add that may follow).
+    fn remove(&mut self, word: &[u32], count: usize) {
+        for p in word.windows(2) {
+            let pair = (p[0], p[1]);
+            let c = self.counts.get_mut(&pair).expect("a counted pair");
+            *c -= count;
+            if *c == 0 {
+                self.counts.remove(&pair);
+            }
+        }
+    }
+
+    /// Merge `pair` into `new_id` in every word that holds it, and
+    /// recount those words.
+    fn merge(&mut self, words: &mut [Word], pair: Pair, new_id: u32) {
+        for i in self.holders.remove(&pair).unwrap_or_default() {
+            let (word, count) = &mut words[i];
+            if !word.windows(2).any(|p| (p[0], p[1]) == pair) {
+                continue;
+            }
+            self.remove(word, *count);
+            apply_merge(word, pair.0, pair.1, new_id);
+            self.add(i, word, *count, |p| p.0 == new_id || p.1 == new_id);
+        }
+    }
+}
+
 fn byte_id(b: u8) -> u32 {
     NUM_SPECIAL + b as u32
 }
@@ -192,6 +277,78 @@ fn apply_merge(word: &mut Vec<u32>, l: u32, r: u32, new_id: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The trainer's merge list as the loop before the pair index had it:
+    /// every merge recounts every pair of every word.
+    fn merges_by_full_recount(texts: &[String], vocab_size: usize) -> Vec<Pair> {
+        let (mut words, token_bytes) = training_start(texts, vocab_size);
+        let mut merges = Vec::new();
+        for new_id in token_bytes.len()..vocab_size {
+            let mut pair_counts: HashMap<Pair, usize> = HashMap::new();
+            for (w, c) in &words {
+                for pair in w.windows(2) {
+                    *pair_counts.entry((pair[0], pair[1])).or_insert(0) += c;
+                }
+            }
+            let best = pair_counts
+                .into_iter()
+                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)));
+            let Some(((l, r), count)) = best else { break };
+            if count < 2 {
+                break;
+            }
+            merges.push((l, r));
+            for (w, _) in words.iter_mut() {
+                apply_merge(w, l, r, new_id as u32);
+            }
+        }
+        merges
+    }
+
+    /// Texts over a three-letter alphabet with runs and repeats, so most
+    /// pair counts tie and the tie-break decides.
+    fn tie_heavy_texts(seed: u64) -> Vec<String> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        (0..12)
+            .map(|_| {
+                (0..40)
+                    .map(|_| {
+                        let len = 1 + next(6) as usize;
+                        let letter = |i: usize| b"abca"[(i + next(2) as usize) % 4] as char;
+                        (0..len).map(letter).collect::<String>()
+                    })
+                    .collect::<Vec<_>>()
+                    .join(if next(3) == 0 { "  " } else { " " })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn incremental_counts_merge_as_the_full_recount_does() {
+        let mut cases: Vec<(Vec<String>, usize)> = vec![
+            (corpus(), 280),
+            (corpus(), 330),
+            (vec!["aaaa aaaa aaaaaa".into(), "abababab ba".into()], 300),
+            (vec![String::new()], 270),
+        ];
+        for seed in 1..=8 {
+            cases.push((tie_heavy_texts(seed), 260 + 40 * (seed as usize % 4)));
+        }
+        for (texts, vocab) in &cases {
+            let tok = BpeTokenizer::train(texts, *vocab);
+            assert_eq!(
+                tok.merges(),
+                merges_by_full_recount(texts, *vocab),
+                "{texts:?}"
+            );
+        }
+    }
 
     fn corpus() -> Vec<String> {
         vec![

@@ -68,9 +68,12 @@ cargo test -q
 section "crate unit tests"
 # the #[cfg(test)] modules inside the four library crates the executed
 # paths live in (tp.rs, kernels/infer.rs, kvpool.rs, engine.rs,
-# executor.rs, ...) — clippy above only compiles them; the root suite
-# never runs them. ~15 s cold for the first three, ~45 s for core
-cargo test -q -p matgpt-tensor -p matgpt-model -p matgpt-serve -p matgpt-core
+# executor.rs, ...), the BPE trainer's and the two RNG shims' (the bulk
+# ChaCha fill every weight is drawn through) — clippy above only
+# compiles them; the root suite never runs them. ~15 s cold for the
+# first three, ~45 s for core, about a second for the last three
+cargo test -q -p matgpt-tensor -p matgpt-model -p matgpt-serve -p matgpt-core \
+  -p matgpt-tokenizer -p rand -p rand_chacha
 
 # fault-tolerance: checkpoint-restart + failure injection
 #   -> tier-1 (tests/fault_tolerance.rs); what is not in tier-1:

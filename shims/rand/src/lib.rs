@@ -53,6 +53,10 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        (**self).fill_bytes(dest)
+    }
 }
 
 /// Types that can be produced uniformly by [`Rng::gen`].
@@ -401,5 +405,34 @@ mod tests {
         let mut rng = Fixed(0);
         // words 1, 2 -> low = 1, high = 2
         assert_eq!(rng.next_u64(), (2u64 << 32) | 1);
+    }
+
+    #[test]
+    fn fill_bytes_through_a_reference_reaches_the_override() {
+        struct Bulk;
+        impl RngCore for Bulk {
+            fn next_u32(&mut self) -> u32 {
+                0
+            }
+            fn fill_bytes(&mut self, dest: &mut [u8]) {
+                dest.fill(7);
+            }
+        }
+        fn fill_by_value<R: RngCore>(mut rng: R, dest: &mut [u8]) {
+            rng.fill_bytes(dest);
+        }
+        let mut bytes = [0u8; 5];
+        fill_by_value(&mut Bulk, &mut bytes);
+        assert_eq!(bytes, [7; 5]);
+        // the default lays whole words out little-endian
+        let (mut bulk, mut words) = (Lcg(1), Lcg(1));
+        let mut got = [0u8; 7];
+        bulk.fill_bytes(&mut got);
+        let want = [
+            words.next_u32().to_le_bytes(),
+            words.next_u32().to_le_bytes(),
+        ]
+        .concat();
+        assert_eq!(got[..], want[..7]);
     }
 }
