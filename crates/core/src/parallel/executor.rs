@@ -530,6 +530,8 @@ fn grid_worker(seat: Seat, pool: Pool<'_>) -> Option<WorkerReturn> {
         }
         let dp_before = dp_ring.sent_bytes;
         let wait_before = wait_ms(&tp_comm, &dp_ring, &norm_ring, &prev, &next);
+        #[cfg(test)]
+        let ptrs_before = tests::value_ptrs(&store);
         let t0 = Instant::now();
 
         let step_body = (|| -> Result<f32, CollectiveError> {
@@ -697,6 +699,10 @@ fn grid_worker(seat: Seat, pool: Pool<'_>) -> Option<WorkerReturn> {
             Ok(loss_acc)
         })();
 
+        #[cfg(test)]
+        if tests::value_ptrs(&store) != ptrs_before {
+            tests::COPYING_STEPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
         let loss = match step_body {
             Ok(loss) => loss,
             Err(err) => {
@@ -1563,6 +1569,50 @@ mod tests {
     use matgpt_corpus::{build_corpus, CorpusConfig};
     use matgpt_model::ArchKind;
     use matgpt_tokenizer::TokenizerKind;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Worker steps, across every grid this test binary runs, that left
+    /// a weight at a new address: a write found a tape still sharing it
+    /// and copied it.
+    pub(super) static COPYING_STEPS: AtomicUsize = AtomicUsize::new(0);
+
+    pub(super) fn value_ptrs(store: &ParamStore) -> Vec<*const f32> {
+        store
+            .ids()
+            .map(|id| store.value(id).data().as_ptr())
+            .collect()
+    }
+
+    /// Every tape of the 1F1B loop is swept, and so shares no weight, by
+    /// the time the precision restore, the optimizer and ZeRO-1's weight
+    /// gather write the shard: all three write in place.
+    #[test]
+    fn a_grid_step_writes_its_weights_in_place() {
+        let documents = build_corpus(&CorpusConfig {
+            n_materials: 8,
+            total_docs: 24,
+            offtopic_fraction: 0.2,
+            seed: 5,
+        })
+        .documents;
+        let cfg = PretrainConfig {
+            steps: 1,
+            batch_seqs: 2,
+            seq: 16,
+            precision: Precision::Bf16,
+            ..PretrainConfig::scaled(
+                ArchKind::Llama,
+                TokenizerKind::Hf,
+                300,
+                OptChoice::Adam,
+                SizeRole::Base,
+            )
+        };
+        for topo in [Topology::new(2, 1, 1), Topology::new(1, 1, 2)] {
+            run_grid(&documents, &cfg, topo, RunSpec::plain(false)).expect("grid step");
+        }
+        assert_eq!(COPYING_STEPS.load(Ordering::Relaxed), 0);
+    }
 
     #[test]
     fn norm_fold_counts_replicated_once_and_shards_across_ranks() {

@@ -748,6 +748,7 @@ mod tests {
     use super::*;
     use matgpt_corpus::{build_corpus, CorpusConfig};
     use matgpt_model::ArchKind;
+    use matgpt_tensor::Precision;
 
     #[test]
     fn bpe_merges_on_the_benchmark_corpus_are_pinned() {
@@ -825,6 +826,36 @@ mod tests {
                     "{arch} {opt} did not improve"
                 );
             }
+        }
+    }
+
+    /// The step's tape lives through the precision restore and the
+    /// optimizer; its sweep gave the staged weights back, so both write
+    /// in place. A tape still sharing them would make every write copy
+    /// its tensor: the store's data pointers would move.
+    #[test]
+    fn a_step_writes_its_weights_in_place() {
+        let documents = docs();
+        for precision in [Precision::F32, Precision::Bf16] {
+            let cfg = PretrainConfig {
+                steps: 2,
+                precision,
+                ..quick(ArchKind::Llama, OptChoice::Adam)
+            };
+            let mut trainer = Trainer::new(&documents, &cfg);
+            let ptrs = |store: &ParamStore| -> Vec<*const f32> {
+                store
+                    .ids()
+                    .map(|id| store.value(id).data().as_ptr())
+                    .collect()
+            };
+            let before = ptrs(&trainer.store);
+            trainer.run_to_end();
+            assert_eq!(
+                ptrs(&trainer.store),
+                before,
+                "{precision:?}: a weight was copied"
+            );
         }
     }
 

@@ -5,8 +5,18 @@
 //! forward/backward, and copies the gradients back with
 //! [`crate::tape::Tape::accumulate_param_grads`]. Optimizers then walk the
 //! store's `(value, grad)` pairs.
+//!
+//! Values are shared, copy on write: each is an `Arc<Tensor>`, and
+//! [`crate::tape::Tape::param`] stages a parameter by cloning the `Arc`,
+//! not the weights. Every mutable path ([`ParamStore::value_mut`],
+//! [`ParamStore::for_each_param`], [`ParamStore::load_flat_values`]) goes
+//! through [`Arc::make_mut`], so a write while a tape still holds the
+//! value copies it first — correct, but a full copy of the tensor. The
+//! backward sweep drops the tape's shares, so only an unswept tape (a
+//! forward-only pass) must be dropped before the store is written.
 
 use crate::tensor::Tensor;
+use std::sync::Arc;
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -14,7 +24,7 @@ pub struct ParamId(pub(crate) usize);
 
 struct Entry {
     name: String,
-    value: Tensor,
+    value: Arc<Tensor>,
     grad: Tensor,
 }
 
@@ -35,7 +45,7 @@ impl ParamStore {
         let grad = Tensor::zeros(value.shape());
         self.entries.push(Entry {
             name: name.into(),
-            value,
+            value: Arc::new(value),
             grad,
         });
         ParamId(self.entries.len() - 1)
@@ -61,9 +71,15 @@ impl ParamStore {
         &self.entries[id.0].value
     }
 
-    /// Mutable value tensor of `id`.
+    /// The shared value of `id`, for staging onto a tape without a copy.
+    pub(crate) fn shared_value(&self, id: ParamId) -> Arc<Tensor> {
+        Arc::clone(&self.entries[id.0].value)
+    }
+
+    /// Mutable value tensor of `id` (copied first if a tape still
+    /// shares it).
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.entries[id.0].value
+        Arc::make_mut(&mut self.entries[id.0].value)
     }
 
     /// The gradient tensor of `id`.
@@ -93,11 +109,11 @@ impl ParamStore {
         }
     }
 
-    /// Visit `(name, value, grad)` triples mutably — the optimizer entry
-    /// point.
+    /// Visit `(index, value, grad)` triples mutably — the optimizer
+    /// entry point. Values a tape still shares are copied first.
     pub fn for_each_param(&mut self, mut f: impl FnMut(usize, &mut Tensor, &Tensor)) {
         for (i, e) in self.entries.iter_mut().enumerate() {
-            f(i, &mut e.value, &e.grad);
+            f(i, Arc::make_mut(&mut e.value), &e.grad);
         }
     }
 
@@ -170,7 +186,9 @@ impl ParamStore {
         let mut off = 0;
         for e in self.entries.iter_mut() {
             let n = e.value.numel();
-            e.value.data_mut().copy_from_slice(&flat[off..off + n]);
+            Arc::make_mut(&mut e.value)
+                .data_mut()
+                .copy_from_slice(&flat[off..off + n]);
             off += n;
         }
     }

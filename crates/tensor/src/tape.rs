@@ -7,6 +7,25 @@
 //!
 //! Values live in the nodes; gradients live in a parallel vector so the
 //! backward sweep can borrow node data immutably while mutating gradients.
+//! A parameter's value is staged by reference: its node shares the
+//! store's `Arc<Tensor>` ([`Tape::param`]), so a forward copies no weight.
+//!
+//! **Release.** Backward recycles as it goes. Once a node's own backward
+//! has run, nothing later in the sweep can read it (its consumers have
+//! higher ids and ran first), so an interior node's value, gradient and
+//! saved state go onto a free list the tape owns, keyed by length, and
+//! the sweep draws its gradient buffers and per-op scratch from that list
+//! before allocating. A parameter's node drops its share of the store's
+//! value, so a swept tape holds no weight and the store's next write
+//! happens in place however long the tape lives. After
+//! [`Tape::backward_from`]`(out, ·)` the leaves keep their gradients,
+//! inputs ([`Tape::input`]) their values and `out` its value; every other
+//! value and gradient is released, and [`Tape::value`] or [`Tape::grad`]
+//! on it panics, naming the node, as does a second sweep. The free list
+//! lives and dies with its tape.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::collective::{ring_chunks, ring_fold, CommHook};
 use crate::kernels::activation as act;
@@ -140,17 +159,112 @@ enum Op {
     },
 }
 
+impl Op {
+    /// Leaves keep their value and gradient through a sweep.
+    fn is_leaf(&self) -> bool {
+        matches!(self, Op::Input | Op::Param(_))
+    }
+}
+
+/// A node's forward value.
+enum Value {
+    /// Computed by the node's op; the tape owns it.
+    Owned(Tensor),
+    /// A parameter, shared with its [`ParamStore`].
+    Shared(Arc<Tensor>),
+    /// Recycled by the reverse sweep.
+    Released,
+}
+
 struct Node {
     op: Op,
-    value: Tensor,
+    value: Value,
     saved: Saved,
+}
+
+impl Node {
+    /// The value, unless the sweep released it.
+    fn value(&self) -> Option<&Tensor> {
+        match &self.value {
+            Value::Owned(t) => Some(t),
+            Value::Shared(t) => Some(t),
+            Value::Released => None,
+        }
+    }
+
+    /// Move the node's value and saved state onto `free`; a parameter
+    /// drops its share of the store's value. Inputs keep theirs.
+    fn release(&mut self, free: &mut FreeList) {
+        if matches!(self.op, Op::Input) {
+            return;
+        }
+        if let Value::Owned(t) = std::mem::replace(&mut self.value, Value::Released) {
+            free.put(t.into_vec());
+        }
+        match std::mem::replace(&mut self.saved, Saved::None) {
+            Saved::None => {}
+            Saved::Norm(a, b) => {
+                free.put(a);
+                free.put(b);
+            }
+            Saved::Rrms(v) | Saved::Probs(v) => free.put(v),
+            Saved::Attn(AttnSaved::Probs(v) | AttnSaved::Lse(v)) => free.put(v),
+        }
+    }
+}
+
+/// Buffers the reverse sweep has released, by length, for it to draw its
+/// gradients and scratch from before it allocates.
+#[derive(Default)]
+struct FreeList(HashMap<usize, Vec<Vec<f32>>>);
+
+impl FreeList {
+    fn put(&mut self, buf: Vec<f32>) {
+        self.0.entry(buf.len()).or_default().push(buf);
+    }
+
+    /// A zeroed buffer of `len` floats.
+    fn zeros(&mut self, len: usize) -> Vec<f32> {
+        match self.0.get_mut(&len).and_then(Vec::pop) {
+            Some(mut buf) => {
+                buf.fill(0.0);
+                buf
+            }
+            None => vec![0.0; len],
+        }
+    }
+
+    /// A copy of `src` in a recycled buffer where one fits.
+    fn copy_of(&mut self, src: &[f32]) -> Vec<f32> {
+        let mut buf = self.zeros(src.len());
+        buf.copy_from_slice(src);
+        buf
+    }
+}
+
+/// The gradient slots and the free list the sweep draws them from.
+#[derive(Default)]
+struct Grads {
+    slots: Vec<Option<Tensor>>,
+    free: FreeList,
+}
+
+impl Grads {
+    /// Hand an op's scratch back once it is folded in.
+    fn recycle<const N: usize>(&mut self, bufs: [Vec<f32>; N]) {
+        for buf in bufs {
+            self.free.put(buf);
+        }
+    }
 }
 
 /// The autograd tape.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    grads: Vec<Option<Tensor>>,
+    grads: Grads,
+    /// Set by the sweep: interior nodes are released from then on.
+    swept: bool,
     /// Which attention kernel newly created attention nodes use.
     pub attention_impl: Option<AttentionImpl>,
 }
@@ -159,9 +273,8 @@ impl Tape {
     /// An empty tape using flash attention by default.
     pub fn new() -> Self {
         Self {
-            nodes: Vec::new(),
-            grads: Vec::new(),
             attention_impl: Some(AttentionImpl::Flash),
+            ..Self::default()
         }
     }
 
@@ -176,19 +289,44 @@ impl Tape {
     }
 
     fn push(&mut self, op: Op, value: Tensor, saved: Saved) -> Var {
+        self.push_value(op, Value::Owned(value), saved)
+    }
+
+    fn push_value(&mut self, op: Op, value: Value, saved: Saved) -> Var {
         self.nodes.push(Node { op, value, saved });
-        self.grads.push(None);
+        self.grads.slots.push(None);
         Var(self.nodes.len() - 1)
     }
 
     /// The forward value of `v`.
+    ///
+    /// # Panics
+    /// If a sweep released `v`: after [`Tape::backward_from`]`(out, ·)`
+    /// only inputs and `out` keep their values.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        self.nodes[v.0].value().unwrap_or_else(|| self.released(v))
     }
 
     /// The gradient of `v` if `backward` has produced one.
+    ///
+    /// # Panics
+    /// If a sweep released `v`: after a sweep only the leaves keep their
+    /// gradients.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
-        self.grads[v.0].as_ref()
+        if self.swept && !self.nodes[v.0].op.is_leaf() {
+            self.released(v);
+        }
+        self.grads.slots[v.0].as_ref()
+    }
+
+    /// Name `v` in a panic: its index and its op's kind.
+    fn released(&self, v: Var) -> ! {
+        let op = format!("{:?}", self.nodes[v.0].op);
+        let kind = op.split([' ', '(', '{']).next().unwrap_or_default();
+        panic!(
+            "tape node {} ({kind}) was released by the backward sweep",
+            v.0
+        )
     }
 
     // ---------------------------------------------------------------- leaves
@@ -199,10 +337,12 @@ impl Tape {
         self.push(Op::Input, t, Saved::None)
     }
 
-    /// Stage a parameter from `store` onto the tape.
+    /// Stage a parameter from `store` onto the tape. The node shares the
+    /// store's value (no copy) until the sweep releases it; a store write
+    /// before then, or while an unswept tape is alive, copies the tensor.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let value = store.value(id).clone();
-        self.push(Op::Param(id), value, Saved::None)
+        let value = Value::Shared(store.shared_value(id));
+        self.push_value(Op::Param(id), value, Saved::None)
     }
 
     // ----------------------------------------------------------- elementwise
@@ -736,14 +876,12 @@ impl Tape {
 
     // -------------------------------------------------------------- backward
 
-    /// Run the reverse sweep seeding `d loss = 1`.
+    /// Run the reverse sweep seeding `d loss = 1` (see
+    /// [`Tape::backward_from`]).
     pub fn backward(&mut self, loss: Var) {
-        assert_eq!(
-            self.nodes[loss.0].value.numel(),
-            1,
-            "backward seed must be scalar"
-        );
-        let seed = Tensor::from_vec(self.nodes[loss.0].value.shape(), vec![1.0]);
+        let value = self.value(loss);
+        assert_eq!(value.numel(), 1, "backward seed must be scalar");
+        let seed = Tensor::from_vec(value.shape(), vec![1.0]);
         self.backward_from(loss, seed);
     }
 
@@ -751,24 +889,42 @@ impl Tape {
     /// upstream gradient — the pipeline-parallel entry point, where the
     /// seed is the activation gradient received back from the next
     /// stage.
+    ///
+    /// The sweep releases as it goes (see the module docs): afterwards
+    /// the leaves keep their gradients, inputs their values and `out` its
+    /// value; the tape no longer shares any parameter with its store.
+    ///
+    /// # Panics
+    /// On a tape that was already swept.
     pub fn backward_from(&mut self, out: Var, seed: Tensor) {
+        assert!(
+            !self.swept,
+            "backward_from(node {}): the tape was already swept and its interior nodes released",
+            out.0
+        );
         assert_eq!(
             seed.shape(),
-            self.nodes[out.0].value.shape(),
+            self.value(out).shape(),
             "backward_from seed shape mismatch"
         );
-        match &mut self.grads[out.0] {
+        match &mut self.grads.slots[out.0] {
             Some(g) => g.add_assign(&seed),
             slot => *slot = Some(seed),
         }
+        self.swept = true;
         let Tape { nodes, grads, .. } = self;
         for id in (0..nodes.len()).rev() {
-            let g = match grads[id].take() {
-                Some(g) => g,
-                None => continue,
-            };
-            backward_op(nodes, grads, id, &g);
-            grads[id] = Some(g);
+            if let Some(g) = grads.slots[id].take() {
+                backward_op(nodes, grads, id, &g);
+                if nodes[id].op.is_leaf() {
+                    grads.slots[id] = Some(g);
+                } else {
+                    grads.free.put(g.into_vec());
+                }
+            }
+            if id != out.0 {
+                nodes[id].release(&mut grads.free);
+            }
         }
     }
 
@@ -778,7 +934,7 @@ impl Tape {
     pub fn accumulate_param_grads(&self, store: &mut ParamStore) {
         for (id, node) in self.nodes.iter().enumerate() {
             if let Op::Param(pid) = node.op {
-                if let Some(g) = &self.grads[id] {
+                if let Some(g) = &self.grads.slots[id] {
                     store.grad_mut(pid).add_assign(g);
                 }
             }
@@ -797,15 +953,22 @@ fn rotary_apply(data: &mut [f32], t: usize, d: usize, base: f32, inverse: bool) 
 }
 
 /// Ensure a gradient buffer exists for `id` and return it.
-fn grad_buf<'a>(grads: &'a mut [Option<Tensor>], nodes: &[Node], id: usize) -> &'a mut Tensor {
-    if grads[id].is_none() {
-        grads[id] = Some(Tensor::zeros(nodes[id].value.shape()));
-    }
-    grads[id].as_mut().unwrap()
+fn grad_buf<'a>(grads: &'a mut Grads, nodes: &[Node], id: usize) -> &'a mut Tensor {
+    let Grads { slots, free } = grads;
+    slots[id].get_or_insert_with(|| {
+        let value = val(nodes, id);
+        Tensor::from_vec(value.shape(), free.zeros(value.numel()))
+    })
+}
+
+/// A value the sweep reads: one it has not released yet, since every
+/// reader of a node runs before the node's own backward.
+fn val(nodes: &[Node], id: usize) -> &Tensor {
+    nodes[id].value().expect("the sweep reads only live nodes")
 }
 
 #[allow(clippy::too_many_lines)]
-fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tensor) {
+fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
     match &nodes[id].op {
         Op::Input | Op::Param(_) => {}
         Op::Add(a, b) => {
@@ -815,7 +978,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
         Op::Mul(a, b) => {
             for (x, other) in [(a, b), (b, a)] {
                 let gx = grad_buf(grads, nodes, x.0);
-                let oval = nodes[other.0].value.data();
+                let oval = val(nodes, other.0).data();
                 for ((o, &gv), &ov) in gx.data_mut().iter_mut().zip(g.data()).zip(oval) {
                     *o += gv * ov;
                 }
@@ -830,7 +993,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
         }
         Op::AddBias(x, b) => {
             grad_buf(grads, nodes, x.0).add_assign(g);
-            let (_, d) = nodes[x.0].value.as_2d();
+            let (_, d) = val(nodes, x.0).as_2d();
             let gb = grad_buf(grads, nodes, b.0).data_mut();
             for row in g.data().chunks_exact(d) {
                 for (gv, &r) in gb.iter_mut().zip(row) {
@@ -839,9 +1002,9 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::MatMul(a, b) => {
-            let (aval, bval) = (nodes[a.0].value.data(), nodes[b.0].value.data());
-            let (m, k) = nodes[a.0].value.as_2d();
-            let n = nodes[b.0].value.dim(1);
+            let (aval, bval) = (val(nodes, a.0).data(), val(nodes, b.0).data());
+            let (m, k) = val(nodes, a.0).as_2d();
+            let n = val(nodes, b.0).dim(1);
             // dA[m,k] += dC[m,n] @ B^T: the bt kernel's inner dimension is
             // n and its transposed operand, stored [k,n], is B as it lies
             let ga = grad_buf(grads, nodes, a.0).data_mut();
@@ -854,16 +1017,16 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
         Op::Silu(x) => activation_bwd(nodes, grads, *x, g, act::silu_grad_slice),
         Op::Tanh(x) => activation_bwd(nodes, grads, *x, g, act::tanh_grad_slice),
         Op::LayerNorm { x, gamma, beta } => {
-            let (rows, d) = nodes[x.0].value.as_2d();
+            let (rows, d) = val(nodes, x.0).as_2d();
             let Saved::Norm(means, rstds) = &nodes[id].saved else {
                 unreachable!("layernorm saved state")
             };
-            let mut dx = vec![0.0f32; rows * d];
-            let mut dgamma = vec![0.0f32; d];
-            let mut dbeta = vec![0.0f32; d];
+            let mut dx = grads.free.zeros(rows * d);
+            let mut dgamma = grads.free.zeros(d);
+            let mut dbeta = grads.free.zeros(d);
             norm::layernorm_bwd(
-                nodes[x.0].value.data(),
-                nodes[gamma.0].value.data(),
+                val(nodes, x.0).data(),
+                val(nodes, gamma.0).data(),
                 g.data(),
                 means,
                 rstds,
@@ -876,25 +1039,27 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             add_into(grad_buf(grads, nodes, x.0), &dx);
             add_into(grad_buf(grads, nodes, gamma.0), &dgamma);
             add_into(grad_buf(grads, nodes, beta.0), &dbeta);
+            grads.recycle([dx, dgamma, dbeta]);
         }
         Op::RmsNorm { x, gamma } => {
-            let (rows, d) = nodes[x.0].value.as_2d();
+            let (rows, d) = val(nodes, x.0).as_2d();
             let Saved::Rrms(rrms) = &nodes[id].saved else {
                 unreachable!("rmsnorm saved state")
             };
-            let (xval, gval) = (nodes[x.0].value.data(), nodes[gamma.0].value.data());
-            let mut dx = vec![0.0f32; rows * d];
-            let mut dgamma = vec![0.0f32; d];
+            let (xval, gval) = (val(nodes, x.0).data(), val(nodes, gamma.0).data());
+            let mut dx = grads.free.zeros(rows * d);
+            let mut dgamma = grads.free.zeros(d);
             norm::rmsnorm_bwd(xval, gval, g.data(), rrms, &mut dx, &mut dgamma, rows, d);
             add_into(grad_buf(grads, nodes, x.0), &dx);
             add_into(grad_buf(grads, nodes, gamma.0), &dgamma);
+            grads.recycle([dx, dgamma]);
         }
         Op::CrossEntropy {
             logits,
             targets,
             n_valid,
         } => {
-            let (_, v) = nodes[logits.0].value.as_2d();
+            let (_, v) = val(nodes, logits.0).as_2d();
             let Saved::Probs(probs) = &nodes[id].saved else {
                 unreachable!("cross entropy saved state")
             };
@@ -915,7 +1080,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::Mse { pred, target } => {
-            let pval = nodes[pred.0].value.data();
+            let pval = val(nodes, pred.0).data();
             let seed = g.item() * 2.0 / pval.len() as f32;
             let gp = grad_buf(grads, nodes, pred.0);
             for ((o, &p), &t) in gp.data_mut().iter_mut().zip(pval).zip(target.data()) {
@@ -930,7 +1095,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::Mean(x) => {
-            let n = nodes[x.0].value.numel() as f32;
+            let n = val(nodes, x.0).numel() as f32;
             let seed = g.item() / n;
             let gx = grad_buf(grads, nodes, x.0);
             for o in gx.data_mut().iter_mut() {
@@ -938,7 +1103,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::Embedding { table, ids } => {
-            let d = nodes[table.0].value.dim(1);
+            let d = val(nodes, table.0).dim(1);
             let gt = grad_buf(grads, nodes, table.0);
             let gtd = gt.data_mut();
             for (r, &idx) in ids.iter().enumerate() {
@@ -952,9 +1117,10 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             // Rotation is orthogonal: the gradient transforms by the inverse
             // rotation.
             let (x, t, d, base) = (*x, *t, *d, *base);
-            let mut dg = g.data().to_vec();
+            let mut dg = grads.free.copy_of(g.data());
             rotary_apply(&mut dg, t, d, base, true);
             add_into(grad_buf(grads, nodes, x.0), &dg);
+            grads.recycle([dg]);
         }
         Op::Attention {
             q,
@@ -969,18 +1135,18 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
                 unreachable!("attention saved state")
             };
             let (qv, kv, vv) = (
-                nodes[q.0].value.data(),
-                nodes[k.0].value.data(),
-                nodes[v.0].value.data(),
+                val(nodes, q.0).data(),
+                val(nodes, k.0).data(),
+                val(nodes, v.0).data(),
             );
-            let mut dq = vec![0.0f32; qv.len()];
-            let mut dk = vec![0.0f32; kv.len()];
-            let mut dv = vec![0.0f32; vv.len()];
+            let mut dq = grads.free.zeros(qv.len());
+            let mut dk = grads.free.zeros(kv.len());
+            let mut dv = grads.free.zeros(vv.len());
             attention_bwd(
                 qv,
                 kv,
                 vv,
-                nodes[id].value.data(),
+                val(nodes, id).data(),
                 g.data(),
                 saved,
                 &mut dq,
@@ -994,6 +1160,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             add_into(grad_buf(grads, nodes, q.0), &dq);
             add_into(grad_buf(grads, nodes, k.0), &dk);
             add_into(grad_buf(grads, nodes, v.0), &dv);
+            grads.recycle([dq, dk, dv]);
         }
         Op::Reshape(x) => {
             let x = *x;
@@ -1034,8 +1201,8 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
         }
         Op::Concat(a, b) => {
             let (a, b) = (*a, *b);
-            let (ra, da) = nodes[a.0].value.as_2d();
-            let (_, db) = nodes[b.0].value.as_2d();
+            let (ra, da) = val(nodes, a.0).as_2d();
+            let (_, db) = val(nodes, b.0).as_2d();
             {
                 let ga = grad_buf(grads, nodes, a.0);
                 let gad = ga.data_mut();
@@ -1056,7 +1223,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::IndexSelect { x, idx } => {
-            let (_, d) = nodes[x.0].value.as_2d();
+            let (_, d) = val(nodes, x.0).as_2d();
             let gx = grad_buf(grads, nodes, x.0);
             let gxd = gx.data_mut();
             for (r, &i) in idx.iter().enumerate() {
@@ -1067,7 +1234,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             }
         }
         Op::SegmentSum { x, seg } => {
-            let (_, d) = nodes[x.0].value.as_2d();
+            let (_, d) = val(nodes, x.0).as_2d();
             let gx = grad_buf(grads, nodes, x.0);
             let gxd = gx.data_mut();
             for (r, &s) in seg.iter().enumerate() {
@@ -1079,7 +1246,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
         }
         Op::GroupMeanRows { x, group } => {
             let (x, group) = (*x, *group);
-            let (rows, d) = nodes[x.0].value.as_2d();
+            let (rows, d) = val(nodes, x.0).as_2d();
             let inv = 1.0 / group as f32;
             let gx = grad_buf(grads, nodes, x.0);
             let gxd = gx.data_mut();
@@ -1094,9 +1261,10 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             grad_buf(grads, nodes, x.0).add_assign(g);
         }
         Op::SyncGrad { x, comm } => {
-            let mut buf = g.data().to_vec();
+            let mut buf = grads.free.copy_of(g.data());
             comm.0.allreduce(&mut buf);
             add_into(grad_buf(grads, nodes, x.0), &buf);
+            grads.recycle([buf]);
         }
         Op::RingSum { parts } => {
             for p in parts {
@@ -1108,7 +1276,7 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
             let n = parts.len() + 1;
             let mut vecs: Vec<Vec<f32>> = Vec::with_capacity(n);
             for p in parts {
-                match &grads[p.0] {
+                match &grads.slots[p.0] {
                     Some(gp) => vecs.push(gp.data().to_vec()),
                     None => vecs.push(vec![0.0; g.numel()]),
                 }
@@ -1124,23 +1292,131 @@ fn backward_op(nodes: &[Node], grads: &mut [Option<Tensor>], id: usize, g: &Tens
 /// first argument into its second.
 fn activation_bwd(
     nodes: &[Node],
-    grads: &mut [Option<Tensor>],
+    grads: &mut Grads,
     x: Var,
     g: &Tensor,
     df: fn(&[f32], &mut [f32]),
 ) {
-    let xval = nodes[x.0].value.data();
-    let mut d = vec![0.0f32; xval.len()];
+    let xval = val(nodes, x.0).data();
+    let mut d = grads.free.zeros(xval.len());
     df(xval, &mut d);
     let gx = grad_buf(grads, nodes, x.0);
     for ((o, &gv), &d) in gx.data_mut().iter_mut().zip(g.data()).zip(&d) {
         *o += gv * d;
     }
+    grads.recycle([d]);
 }
 
 fn add_into(dst: &mut Tensor, src: &[f32]) {
     debug_assert_eq!(dst.numel(), src.len());
     for (o, &s) in dst.data_mut().iter_mut().zip(src.iter()) {
         *o += s;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::init;
+
+    /// `loss = sum(tanh(x @ w))`, with `x` an input and `w` a parameter.
+    fn swept() -> (Tape, ParamStore, [Var; 4]) {
+        let mut store = ParamStore::new();
+        let w = store.add("w", init::randn(&[3, 2], 0.5, &mut init::rng(1)));
+        let mut tape = Tape::new();
+        let x = tape.input(Tensor::from_vec(
+            &[2, 3],
+            vec![1.0, -2.0, 0.5, 3.0, 0.0, -1.0],
+        ));
+        let wv = tape.param(&store, w);
+        let y = tape.matmul(x, wv);
+        let h = tape.tanh(y);
+        let loss = tape.sum(h);
+        tape.backward(loss);
+        (tape, store, [x, wv, h, loss])
+    }
+
+    #[test]
+    fn leaves_keep_gradients_and_inputs_and_out_keep_values() {
+        let (tape, mut store, [x, wv, _, loss]) = swept();
+        assert_eq!(tape.value(x).shape(), &[2, 3]);
+        assert_eq!(tape.grad(x).expect("input grad").shape(), &[2, 3]);
+        assert_eq!(tape.grad(wv).expect("param grad").shape(), &[3, 2]);
+        assert!(tape.value(loss).item().is_finite());
+        tape.accumulate_param_grads(&mut store);
+        let w = store.ids().next().unwrap();
+        assert_eq!(store.grad(w).data(), tape.grad(wv).unwrap().data());
+    }
+
+    /// Staging shares the store's value; the sweep gives it back, so a
+    /// write with the tape still alive happens in place.
+    #[test]
+    fn a_parameter_is_shared_until_the_sweep() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::from_vec(&[2], vec![0.5, -1.5]));
+        let at = store.value(w).data().as_ptr();
+        let mut tape = Tape::new();
+        let wv = tape.param(&store, w);
+        assert_eq!(tape.value(wv).data().as_ptr(), at);
+        let loss = tape.sum(wv);
+        tape.backward(loss);
+        store.value_mut(w).data_mut()[0] = 2.0;
+        assert_eq!(store.value(w).data().as_ptr(), at);
+        assert_eq!(tape.grad(wv).expect("param grad").data(), &[1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 1 (Param) was released")]
+    fn reading_a_swept_parameter_value_panics() {
+        let (tape, _, [_, wv, _, _]) = swept();
+        let _ = tape.value(wv);
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 3 (Tanh) was released")]
+    fn reading_a_released_value_panics_naming_the_node() {
+        let (tape, _, [_, _, h, _]) = swept();
+        let _ = tape.value(h);
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 3 (Tanh) was released")]
+    fn reading_a_released_gradient_panics_naming_the_node() {
+        let (tape, _, [_, _, h, _]) = swept();
+        let _ = tape.grad(h);
+    }
+
+    #[test]
+    #[should_panic(expected = "already swept")]
+    fn a_second_sweep_panics() {
+        let (mut tape, _, [_, _, _, loss]) = swept();
+        tape.backward(loss);
+    }
+
+    /// `TpJoin` reads its branches' gradients before their own backward
+    /// releases them: `x` receives the ring fold of all three.
+    #[test]
+    fn tp_join_folds_every_branch_gradient() {
+        let mut tape = Tape::new();
+        let x = tape.input(Tensor::from_vec(&[5], vec![0.5, -1.0, 2.0, 0.25, 3.0]));
+        let branches = tape.tp_branches(x, 3);
+        let scales = [0.1f32, -0.7, 1.3];
+        let sums: Vec<Var> = branches
+            .iter()
+            .zip(scales)
+            .map(|(&b, s)| {
+                let y = tape.scale(b, s);
+                tape.sum(y)
+            })
+            .collect();
+        let partial = tape.add(sums[0], sums[1]);
+        let loss = tape.add(partial, sums[2]);
+        tape.backward(loss);
+        let want = ring_fold(&scales.map(|s| vec![s; 5]), &ring_chunks(5, 3));
+        let got = tape.grad(x).expect("x grad").data().to_vec();
+        assert_eq!(
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 }

@@ -9,6 +9,7 @@
 use crate::special::{self, NUM_SPECIAL};
 use crate::{Tokenizer, TokenizerKind};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A trained byte-level BPE tokenizer.
 #[derive(Clone, Debug)]
@@ -16,7 +17,7 @@ pub struct BpeTokenizer {
     /// Merge rules in training order: (left id, right id) -> new id.
     merges: Vec<(u32, u32)>,
     /// Lookup from pair to merge rank / produced id.
-    merge_map: HashMap<(u32, u32), (usize, u32)>,
+    merge_map: PairMap<(usize, u32)>,
     /// Byte sequence for every token id (specials map to empty).
     token_bytes: Vec<Vec<u8>>,
 }
@@ -164,6 +165,34 @@ fn training_start(texts: &[String], vocab_size: usize) -> (Vec<Word>, Vec<Vec<u8
 type Word = (Vec<u32>, usize);
 /// Two adjacent token ids.
 type Pair = (u32, u32);
+
+/// The merge table's map. Encoding looks a word's pairs up O(len²)
+/// times, and with SipHash that was three quarters of a dataset build.
+/// Its keys are the trained merges, fixed before any text is encoded,
+/// so no input can add colliding keys; the training maps, which text
+/// does fill, keep SipHash.
+type PairMap<V> = HashMap<Pair, V, BuildHasherDefault<PairHasher>>;
+
+/// The hasher behind [`PairMap`]: per id, rotate the state, xor the id
+/// in and multiply by an odd constant (rustc's `FxHasher` step).
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Every adjacent pair's count over the distinct words (each occurrence
 /// weighted by its word's count), and for each pair the indices of the

@@ -3,11 +3,12 @@
 # Run from the repo root: ./scripts/check.sh
 #
 # Tier-1 (`cargo build --release && cargo test -q`: the root package,
-# all 13 tests/*.rs) runs exactly once, in its own section; no later
+# all 14 tests/*.rs) runs exactly once, in its own section; no later
 # section re-runs one of its suites. Ceiling for `cargo test -q` on the
 # reference box (2 vCPU, dev-profile tests, binaries prebuilt): 60 s.
-# Measured there: 31.4 s / 30.4 s
-# (71 tests; 43.4 s for the run that linked the test binaries), against
+# Measured there: 24.9 s / 26.1 s (72 tests), and 31.4 s / 30.4 s
+# before tests/tape_memory.rs (71 tests; 43.4 s for the run that linked
+# the test binaries), against
 # 44.6 s / 42.4 s when matgpt-tensor first built at opt-level 3 in the
 # dev profile too, and 4m11s-4m51s before that (the history is in
 # CHANGES.md). The ceiling is about twice the reading, wide enough for
