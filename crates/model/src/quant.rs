@@ -159,9 +159,14 @@ impl QuantizedParamStore {
     /// linear versus the serving [`Self::quantize`] path, which for a
     /// draft only shows up as slightly lower acceptance — while the
     /// inner loop drops from a convert-multiply chain to one integer
-    /// dot instruction per 64 weights, leaving a draft step close to
-    /// memory-bound. Output correctness is unaffected either way: the
-    /// f32 verify pass re-derives every emitted token.
+    /// dot instruction per 64 weights, and [`matmul_q8a8`] streams the
+    /// codes once per call, whatever `m`. Traced on the benchmark's
+    /// `dram_spec` (`serve:spec-draft` ÷ `serve:spec-verify` per
+    /// macro-step), a draft step costs 0.27–0.28 of the f32 verify step
+    /// it shadows (0.79–0.81 when the kernel streamed the codes once per
+    /// row); the bytes alone would say 1/4. Output correctness is
+    /// unaffected either way: the f32 verify pass re-derives every
+    /// emitted token.
     pub fn for_draft(model: &GptModel, store: &ParamStore) -> Self {
         Self::build(model, store, |q| Codes::Packed(PackedQ8Matrix::pack(&q)))
     }

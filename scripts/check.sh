@@ -69,12 +69,14 @@ cargo test -q
 section "crate unit tests"
 # the #[cfg(test)] modules inside the four library crates the executed
 # paths live in (tp.rs, kernels/infer.rs, kvpool.rs, engine.rs,
-# executor.rs, ...), the BPE trainer's and the two RNG shims' (the bulk
-# ChaCha fill every weight is drawn through) — clippy above only
-# compiles them; the root suite never runs them. ~15 s cold for the
-# first three, ~45 s for core, about a second for the last three
+# executor.rs, ...), the BPE trainer's, the two RNG shims' (the bulk
+# ChaCha fill every weight is drawn through) and the other five shims'
+# (rayon's pool runs every parallel kernel and training step) — clippy
+# above only compiles them; the root suite never runs them. ~15 s cold
+# for the first three, ~45 s for core, a few seconds for the rest
 cargo test -q -p matgpt-tensor -p matgpt-model -p matgpt-serve -p matgpt-core \
-  -p matgpt-tokenizer -p rand -p rand_chacha
+  -p matgpt-tokenizer -p rand -p rand_chacha \
+  -p rayon -p crossbeam -p parking_lot -p proptest -p serde_json
 
 # fault-tolerance: checkpoint-restart + failure injection
 #   -> tier-1 (tests/fault_tolerance.rs); what is not in tier-1:

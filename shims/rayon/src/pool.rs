@@ -1,10 +1,11 @@
 //! A small persistent thread pool with scoped execution.
 //!
 //! Workers are spawned once (one per logical CPU) and pull boxed jobs
-//! from a shared injector queue. [`scope_run`] submits a batch of
-//! borrowed closures and blocks until all of them finish, which is what
-//! makes the lifetime erasure below sound: no job can outlive the call
-//! that borrowed its environment.
+//! from a shared injector queue. [`scope_run`] queues all but the first
+//! of a batch of borrowed closures, runs the first on the calling thread
+//! and blocks until every queued one finishes, which is what makes the
+//! lifetime erasure below sound: no job can outlive the call that
+//! borrowed its environment.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,8 +22,9 @@ struct Pool {
 static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
 
 thread_local! {
-    /// Set inside pool workers so nested parallel calls degrade to
-    /// sequential execution instead of deadlocking on a saturated pool.
+    /// Set inside pool workers, and on a caller while it runs its own
+    /// task of a batch, so nested parallel calls degrade to sequential
+    /// execution instead of deadlocking on a saturated pool.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -78,7 +80,9 @@ struct Latch {
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-/// Run a batch of scoped tasks on the pool and wait for all of them.
+/// Run a batch of scoped tasks and wait for all of them: the first on
+/// the calling thread, the rest on the pool, so a batch of two wakes one
+/// worker and the caller never sleeps while it has work of its own.
 ///
 /// Runs everything inline when called from a worker thread (nested
 /// parallelism) or when there is nothing to parallelise over.
@@ -89,8 +93,11 @@ pub(crate) fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
         }
         return;
     }
+    let mut tasks = tasks.into_iter();
+    let own = tasks.next().expect("a batch of two or more");
+    let queued = tasks.len();
     let latch = Arc::new(Latch {
-        remaining: AtomicUsize::new(tasks.len()),
+        remaining: AtomicUsize::new(queued),
         mutex: Mutex::new(()),
         done: Condvar::new(),
         panic: Mutex::new(None),
@@ -100,12 +107,12 @@ pub(crate) fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
         for task in tasks {
             // SAFETY: lifetime erasure to 'static. The borrowed
             // environment of `task` outlives this function call, and this
-            // function does not return until the latch records that every
-            // submitted job has run to completion, so no job can observe
-            // its environment after the borrow ends. Panics in jobs abort
-            // via the worker thread (no unwind crosses this boundary with
-            // the environment still borrowed: the latch is decremented in
-            // a drop guard below).
+            // function does not return (or unwind: a panic in the
+            // caller's own task is caught below) until the latch records
+            // that every queued job has run to completion, so no job can
+            // observe its environment after the borrow ends. A job's
+            // panic is caught on the worker and the latch is decremented
+            // in a drop guard below.
             let task: Box<dyn FnOnce() + Send + 'static> =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(task) };
             let latch = Arc::clone(&latch);
@@ -125,14 +132,25 @@ pub(crate) fn scope_run(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
                 }
             }));
         }
-        pool().available.notify_all();
+        if queued == 1 {
+            pool().available.notify_one();
+        } else {
+            pool().available.notify_all();
+        }
+    }
+    // The caller's own task, nested calls inline as on a worker.
+    let was_worker = IN_WORKER.with(|w| w.replace(true));
+    let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(own));
+    IN_WORKER.with(|w| w.set(was_worker));
+    if let Err(payload) = own {
+        latch.panic.lock().unwrap().get_or_insert(payload);
     }
     let mut lock = latch.mutex.lock().unwrap();
     while latch.remaining.load(Ordering::Acquire) > 0 {
         lock = latch.done.wait(lock).unwrap();
     }
     drop(lock);
-    // Re-raise the first panic from any job in the caller, as rayon does.
+    // Re-raise the first panic from any task in the caller, as rayon does.
     let payload = latch.panic.lock().unwrap().take();
     if let Some(payload) = payload {
         std::panic::resume_unwind(payload);
@@ -158,6 +176,65 @@ mod tests {
         for (i, v) in results.iter().enumerate() {
             assert_eq!(*v, (i as u64) * 3);
         }
+    }
+
+    fn batch<'a, T: Send>(
+        slots: &'a mut [T],
+        f: impl Fn(usize, &mut T) + Send + Sync + Copy + 'a,
+    ) -> Vec<Box<dyn FnOnce() + Send + 'a>> {
+        slots
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slot)| {
+                let task: Box<dyn FnOnce() + Send + 'a> = Box::new(move || f(i, slot));
+                task
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exactly_one_task_of_a_batch_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        for n in [2, 3, 8] {
+            let mut ran_on = vec![None; n];
+            scope_run(batch(&mut ran_on, |_, slot| {
+                *slot = Some(std::thread::current().id())
+            }));
+            let on_caller = ran_on.iter().filter(|&&t| t == Some(caller)).count();
+            let expected = if current_num_threads() > 1 { 1 } else { n };
+            assert_eq!(on_caller, expected, "batch of {n}: {ran_on:?}");
+            assert_eq!(ran_on[0], Some(caller), "the first task is the caller's");
+            assert!(!on_worker_thread(), "the caller is no worker afterwards");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_task_waits_for_the_queued_tasks() {
+        if current_num_threads() <= 1 {
+            // one worker: the batch runs inline and the panic ends it
+            return;
+        }
+        let mut done = vec![false; 4];
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scope_run(batch(&mut done, |i, slot| {
+                if i == 0 {
+                    panic!("the caller's own task");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                *slot = true;
+            }))
+        }));
+        let payload = outcome.expect_err("the panic is re-raised");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"the caller's own task")
+        );
+        assert_eq!(
+            done,
+            [false, true, true, true],
+            "every queued task finished first"
+        );
+        assert!(!on_worker_thread());
     }
 
     #[test]
