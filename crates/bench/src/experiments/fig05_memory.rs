@@ -7,7 +7,7 @@ use super::Ctx;
 use crate::{compare, print_table};
 use matgpt_frontier_sim::{max_seq_len, peak_memory_gib, FlashVersion, Partitioning};
 use matgpt_model::{ArchKind, GptConfig};
-use matgpt_tensor::kernels::attention::{attention_fwd, AttentionImpl};
+use matgpt_tensor::kernels::attention::{causal_attention_fwd, AttentionImpl};
 
 pub fn run(_ctx: &Ctx) -> Result<(), String> {
     let cfg = GptConfig::paper_1_7b(ArchKind::NeoX, 52_000);
@@ -70,8 +70,8 @@ pub fn run(_ctx: &Ctx) -> Result<(), String> {
     let mut rows = Vec::new();
     for t in [64usize, 128, 256, 512] {
         let q: Vec<f32> = (0..bh * t * d).map(|i| (i as f32 * 0.01).sin()).collect();
-        let (_, naive) = attention_fwd(&q, &q, &q, bh, t, d, AttentionImpl::Naive, true);
-        let (_, flash) = attention_fwd(&q, &q, &q, bh, t, d, AttentionImpl::Flash, true);
+        let (_, naive) = causal_attention_fwd(&q, &q, &q, bh, t, d, AttentionImpl::Naive);
+        let (_, flash) = causal_attention_fwd(&q, &q, &q, bh, t, d, AttentionImpl::Flash);
         rows.push(vec![
             t.to_string(),
             naive.aux_bytes().to_string(),

@@ -106,8 +106,6 @@ impl BertModel {
     ) -> Var {
         assert_eq!(tokens.len(), batch * seq);
         assert!(seq <= self.cfg.max_seq);
-        let h = self.cfg.hidden;
-        let heads = self.cfg.heads;
         let d = self.cfg.head_dim();
         let emb = tape.param(store, self.tok_emb);
         let tok = tape.embedding(emb, tokens);
@@ -140,12 +138,7 @@ impl BertModel {
                 let y = tape.matmul(n1, w);
                 tape.add_bias(y, bv)
             };
-            let q = tape.split_heads(q, batch, seq, heads, d);
-            let k = tape.split_heads(k, batch, seq, heads, d);
-            let v = tape.split_heads(v, batch, seq, heads, d);
-            let att = tape.bidirectional_attention(q, k, v, batch * heads, seq, d);
-            let att = tape.merge_heads(att, batch, seq, heads, d);
-            let att = tape.reshape(att, &[batch * seq, h]);
+            let att = tape.bidirectional_attention(q, k, v, seq, d);
             let att = {
                 let w = tape.param(store, layer.wo);
                 let bo = tape.param(store, layer.bo);

@@ -261,7 +261,7 @@ impl GptModel {
         assert!(seq <= self.cfg.max_seq, "sequence too long");
         let from = WalkFrom::Tokens(tokens);
         let views = &mut [self.view(store)];
-        walk(&self.cfg, tape, views, None, from, to, batch, seq)
+        walk(&self.cfg, tape, views, None, from, to, seq)
     }
 
     /// Forward to final hidden states: `[B*T, h]`.
@@ -426,7 +426,6 @@ pub(crate) enum WalkTo<'a> {
 /// ([`Tape::tp_branches`] / [`Tape::ring_sum`]). Every sync op is the
 /// identity for a group of one, so all callers build the same graph
 /// there, node for node.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn walk(
     cfg: &GptConfig,
     tape: &mut Tape,
@@ -434,13 +433,12 @@ pub(crate) fn walk(
     comm: Option<&CommHook>,
     from: WalkFrom<'_>,
     to: WalkTo<'_>,
-    batch: usize,
     seq: usize,
 ) -> Var {
     use Slot::*;
     assert!(comm.is_none() || views.len() == 1, "a hook syncs one rank");
     let tp = comm.map_or(views.len(), |c| c.0.group());
-    let (heads, kv_heads, d) = (cfg.heads / tp, cfg.kv_head_count() / tp, cfg.head_dim());
+    let d = cfg.head_dim();
     let fan_out = |tape: &mut Tape, x: Var| match comm {
         Some(c) => vec![tape.sync_grad(x, c)],
         None => tape.tp_branches(x, tp),
@@ -478,23 +476,9 @@ pub(crate) fn walk(
                 let q = view.proj(tape, n1, layer.id(Wq), layer.get(Bq));
                 let k = view.proj(tape, n1, layer.id(Wk), layer.get(Bk));
                 let v = view.proj(tape, n1, layer.id(Wv), layer.get(Bv));
-                let q = tape.split_heads(q, batch, seq, heads, d);
-                let k = tape.split_heads(k, batch, seq, kv_heads, d);
-                let v = tape.split_heads(v, batch, seq, kv_heads, d);
                 let q = tape.rotary(q, seq, d, cfg.rope_base);
                 let k = tape.rotary(k, seq, d, cfg.rope_base);
-                // grouped-query attention: share each kv head across its group
-                let (k, v) = if kv_heads < heads {
-                    (
-                        expand_kv_heads(tape, k, batch, seq, heads, kv_heads, d),
-                        expand_kv_heads(tape, v, batch, seq, heads, kv_heads, d),
-                    )
-                } else {
-                    (k, v)
-                };
-                let att = tape.causal_attention(q, k, v, batch * heads, seq, d);
-                let att = tape.merge_heads(att, batch, seq, heads, d);
-                let att = tape.reshape(att, &[batch * seq, heads * d]);
+                let att = tape.causal_attention(q, k, v, seq, d);
                 let wo = view.param(tape, layer.id(Wo));
                 tape.matmul(att, wo)
             })
@@ -544,33 +528,6 @@ pub(crate) fn walk(
     }
 }
 
-/// Repeat each of `kv_heads` key/value heads `heads / kv_heads` times so a
-/// `[B*Hkv, T, D]` tensor becomes `[B*H, T, D]` (gradient flows back as a
-/// sum over the group, which is exactly GQA's backward).
-fn expand_kv_heads(
-    tape: &mut Tape,
-    x: Var,
-    batch: usize,
-    seq: usize,
-    heads: usize,
-    kv_heads: usize,
-    d: usize,
-) -> Var {
-    let group = heads / kv_heads;
-    let x2d = tape.reshape(x, &[batch * kv_heads * seq, d]);
-    let mut idx = Vec::with_capacity(batch * heads * seq);
-    for b in 0..batch {
-        for hq in 0..heads {
-            let hkv = hq / group;
-            for t in 0..seq {
-                idx.push(((b * kv_heads + hkv) * seq + t) as u32);
-            }
-        }
-    }
-    let gathered = tape.index_select(x2d, &idx);
-    tape.reshape(gathered, &[batch * heads, seq, d])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,8 +535,13 @@ mod tests {
 
     const DIGEST_NEOX: u64 = 0x69ee_e76e_a3b7_41c9;
     const DIGEST_LLAMA: u64 = 0x12b0_8580_d03b_9fbd;
+    const DIGEST_GQA: u64 = 0xdd67_e94a_10da_5479;
 
     fn tiny(arch: ArchKind) -> (GptModel, ParamStore) {
+        tiny_kv(arch, None)
+    }
+
+    fn tiny_kv(arch: ArchKind, kv_heads: Option<usize>) -> (GptModel, ParamStore) {
         let mut store = ParamStore::new();
         let mut rng = init::rng(0);
         let cfg = GptConfig {
@@ -587,6 +549,7 @@ mod tests {
             hidden: 16,
             layers: 2,
             heads: 2,
+            kv_heads,
             max_seq: 16,
             ..GptConfig::tiny(arch, 50)
         };
@@ -664,15 +627,19 @@ mod tests {
     #[test]
     fn loss_and_gradient_bits_are_pinned() {
         // FNV-1a over the bits of the loss and every parameter gradient
-        // of a tiny NeoX (GELU, biases) and LLaMA (SiLU) step. The
-        // digests were recorded when the activations ran their scalar
-        // formulas one element at a time; the vectorized slice forms
-        // must not move a bit of them
-        for (arch, want) in [
-            (ArchKind::NeoX, DIGEST_NEOX),
-            (ArchKind::Llama, DIGEST_LLAMA),
+        // of a tiny NeoX (GELU, biases), LLaMA (SiLU) and LLaMA with
+        // one KV head for its two query heads (GQA) step. The NeoX and
+        // LLaMA digests were recorded when the activations ran their
+        // scalar formulas one element at a time, the GQA one when the
+        // tape attended over head-major copies and gathered the shared
+        // KV head; neither the vectorized slice forms nor the
+        // token-major attention may move a bit of them
+        for (arch, kv_heads, want) in [
+            (ArchKind::NeoX, None, DIGEST_NEOX),
+            (ArchKind::Llama, None, DIGEST_LLAMA),
+            (ArchKind::Llama, Some(1), DIGEST_GQA),
         ] {
-            let (model, mut store) = tiny(arch);
+            let (model, mut store) = tiny_kv(arch, kv_heads);
             let tokens: Vec<u32> = (0..32).map(|i| (i * 7 % 50) as u32).collect();
             let targets: Vec<u32> = (0..32).map(|i| ((i * 7 + 3) % 50) as u32).collect();
             let mut tape = Tape::new();
@@ -685,7 +652,7 @@ mod tests {
                 (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
             });
             assert!(bits.len() > 1000);
-            assert_eq!(fnv, want, "{arch}: {fnv:#018x}");
+            assert_eq!(fnv, want, "{arch} {kv_heads:?}: {fnv:#018x}");
         }
     }
 

@@ -515,6 +515,32 @@ mod tests {
         }
     }
 
+    /// One token attends to itself alone: its softmax is exactly 1
+    /// whatever order the score was summed in, so every other op of the
+    /// two forwards must agree to the bit.
+    #[test]
+    fn one_token_logits_equal_the_tape_bitwise() {
+        for (arch, kv) in [
+            (ArchKind::NeoX, None),
+            (ArchKind::Llama, None),
+            (ArchKind::Llama, Some(2)),
+        ] {
+            for seed in 0..20 {
+                let (model, store) = build(arch, kv, seed);
+                for tok in [0, 17, 39] {
+                    let mut cache = model.new_cache();
+                    let cached = model.forward_cached(&store, &[tok], &mut cache);
+                    let full = full_logits(&model, &store, &[tok]);
+                    assert_eq!(
+                        bits(&cached),
+                        bits(&full),
+                        "{arch:?}/{kv:?} seed {seed} tok {tok}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn incremental_decode_matches_full_forward() {
         let (model, store) = build(ArchKind::Llama, Some(2), 5);

@@ -365,16 +365,7 @@ impl ShardModel {
             (true, None) => WalkTo::Hidden,
         };
         let mut views = [self.view(store)];
-        let out = walk(
-            &self.cfg,
-            tape,
-            &mut views,
-            Some(comm),
-            from,
-            to,
-            batch,
-            seq,
-        );
+        let out = walk(&self.cfg, tape, &mut views, Some(comm), from, to, seq);
         let [view] = views;
         StageForward {
             out,
@@ -416,6 +407,7 @@ pub fn reference_loss(
     batch: usize,
     seq: usize,
 ) -> (Var, Vec<Vec<Vec<(ParamId, Var)>>>) {
+    assert_eq!(inputs.len(), batch * seq, "token layout");
     let cfg = &stages[0][0].0.cfg;
     let mut staged = Vec::with_capacity(stages.len());
     let mut x = None;
@@ -427,7 +419,7 @@ pub fn reference_loss(
         } else {
             WalkTo::Boundary
         };
-        x = Some(walk(cfg, tape, &mut views, None, from, to, batch, seq));
+        x = Some(walk(cfg, tape, &mut views, None, from, to, seq));
         staged.push(views.into_iter().map(|v| v.staged).collect());
     }
     (x.expect("at least one stage"), staged)

@@ -1,4 +1,4 @@
-//! Causal multi-head attention kernels.
+//! Causal and bidirectional multi-head attention kernels for training.
 //!
 //! Two functionally identical implementations, mirroring the contrast the
 //! paper measures on MI250X (Figs. 4 and 5):
@@ -9,7 +9,13 @@
 //!   O(T) auxiliary memory per row, saving only the per-row log-sum-exp and
 //!   recomputing probabilities tile-free in the backward pass.
 //!
-//! Inputs are laid out `[BH, T, D]` (batch×heads fused, contiguous rows).
+//! Inputs are token-major, as the projections write them and as the
+//! serving scan ([`super::infer`]) reads them: q and the output are
+//! `[B·T, H·D]`, k and v `[B·T, Hkv·D]`, head `h` of a token being its
+//! `h`-th `D`-wide slice. Query head `h` reads key/value head
+//! `h / (H / Hkv)`, so grouped-query attention needs no gathered copy.
+//! Every (sequence, query head) is one pool task, and its arithmetic is
+//! that of one contiguous `[T, D]` head: the layout moves no bit.
 
 use super::exp::exp_slice;
 use super::softmax::{softmax_rows, OnlineSoftmax, RowScratch};
@@ -24,12 +30,75 @@ pub enum AttentionImpl {
     Flash,
 }
 
-/// Tensors stashed by the forward pass for the backward pass.
+/// The shape of one attention call over token-major buffers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AttnShape {
+    /// Sequences in the batch.
+    pub batch: usize,
+    /// Tokens per sequence.
+    pub t: usize,
+    /// Query heads per token.
+    pub heads: usize,
+    /// Key/value heads per token; divides `heads`.
+    pub kv_heads: usize,
+    /// Head width.
+    pub d: usize,
+}
+
+impl AttnShape {
+    /// One head per sequence: `[bh, t, d]` is then the same buffer
+    /// token-major and head-major.
+    pub fn per_head(bh: usize, t: usize, d: usize) -> Self {
+        Self {
+            batch: bh,
+            t,
+            heads: 1,
+            kv_heads: 1,
+            d,
+        }
+    }
+
+    /// Query heads per key/value head.
+    fn group(&self) -> usize {
+        self.heads / self.kv_heads
+    }
+
+    /// Task `task`'s rows of a token-major buffer `width` heads wide
+    /// (`heads` or `kv_heads`): token `i`'s `d` values of the head that
+    /// query head `task % heads` reads there.
+    fn head<'a>(
+        &self,
+        x: &'a [f32],
+        width: usize,
+        task: usize,
+    ) -> impl Fn(usize) -> &'a [f32] + Copy {
+        let (b, h) = (task / self.heads, task % self.heads / (self.heads / width));
+        let (at, stride, d) = ((b * self.t * width + h) * self.d, width * self.d, self.d);
+        move |i| &x[at + i * stride..][..d]
+    }
+}
+
+/// Split a token-major buffer `[B·t, width·d]` into its `B·width`
+/// heads, sequence-major: part `b·width + h` holds the `t` rows of `d`
+/// that head `h` of sequence `b` owns.
+fn heads_mut(x: &mut [f32], t: usize, width: usize, d: usize) -> Vec<Vec<&mut [f32]>> {
+    let mut parts: Vec<Vec<&mut [f32]>> = (0..x.len() / (t * d))
+        .map(|_| Vec::with_capacity(t))
+        .collect();
+    for (c, row) in x.chunks_exact_mut(d).enumerate() {
+        let (token, h) = (c / width, c % width);
+        parts[token / t * width + h].push(row);
+    }
+    parts
+}
+
+/// Tensors stashed by the forward pass for the backward pass, one block
+/// per (sequence, query head) in task order.
 #[derive(Clone, Debug)]
 pub enum AttnSaved {
-    /// Full probabilities `[BH, T, T]` (naive).
+    /// Full probabilities `[B·H, T, T]` (naive).
     Probs(Vec<f32>),
-    /// Per-row log-sum-exp `[BH, T]` (flash).
+    /// Per-row log-sum-exp `[B·H, T]` (flash).
     Lse(Vec<f32>),
 }
 
@@ -44,8 +113,8 @@ impl AttnSaved {
     }
 }
 
-/// Forward causal attention. Returns `(out, saved)` where `out` is
-/// `[BH, T, D]`.
+/// Forward causal attention over `bh` independent `[t, d]` heads.
+/// Returns `(out, saved)` where `out` is `[bh, t, d]`.
 pub fn causal_attention_fwd(
     q: &[f32],
     k: &[f32],
@@ -55,45 +124,49 @@ pub fn causal_attention_fwd(
     d: usize,
     imp: AttentionImpl,
 ) -> (Vec<f32>, AttnSaved) {
-    attention_fwd(q, k, v, bh, t, d, imp, true)
+    attention_fwd(q, k, v, AttnShape::per_head(bh, t, d), imp, true)
 }
 
-/// Forward attention with a selectable mask: `causal = true` masks
-/// future positions, `false` is full bidirectional attention (BERT-style).
-#[allow(clippy::too_many_arguments)]
+/// Forward attention over token-major `q`, `k`, `v` (see the module
+/// docs) with a selectable mask: `causal = true` masks future positions,
+/// `false` is full bidirectional attention (BERT-style). Returns the
+/// token-major output `[B·T, H·D]` and the backward's stash.
 pub fn attention_fwd(
     q: &[f32],
     k: &[f32],
     v: &[f32],
-    bh: usize,
-    t: usize,
-    d: usize,
+    s: AttnShape,
     imp: AttentionImpl,
     causal: bool,
 ) -> (Vec<f32>, AttnSaved) {
-    debug_assert_eq!(q.len(), bh * t * d);
-    debug_assert_eq!(k.len(), bh * t * d);
-    debug_assert_eq!(v.len(), bh * t * d);
+    let AttnShape { t, heads, d, .. } = s;
+    let tasks = s.batch * heads;
+    debug_assert_eq!(q.len(), tasks * t * d);
+    debug_assert_eq!(k.len(), s.batch * t * s.kv_heads * d);
+    debug_assert_eq!(v.len(), k.len());
     let scale = 1.0 / (d as f32).sqrt();
+    let mut out = vec![0.0f32; tasks * t * d];
+    let parts = heads_mut(&mut out, t, heads, d);
+    let view = |task| {
+        let kv = |x| s.head(x, s.kv_heads, task);
+        (s.head(q, heads, task), kv(k), kv(v))
+    };
     match imp {
         AttentionImpl::Naive => {
-            let mut out = vec![0.0f32; bh * t * d];
-            let mut probs = vec![0.0f32; bh * t * t];
-            out.par_chunks_mut(t * d)
+            let mut probs = vec![0.0f32; tasks * t * t];
+            parts
+                .into_par_iter()
                 .zip(probs.par_chunks_mut(t * t))
                 .enumerate()
-                .for_each(|(b, (ob, pb))| {
-                    let qb = &q[b * t * d..(b + 1) * t * d];
-                    let kb = &k[b * t * d..(b + 1) * t * d];
-                    let vb = &v[b * t * d..(b + 1) * t * d];
+                .for_each(|(task, (ob, pb))| {
+                    let (qh, kh, vh) = view(task);
                     // scores with causal mask
                     for i in 0..t {
-                        let qi = &qb[i * d..(i + 1) * d];
+                        let qi = qh(i);
                         let hi = if causal { i } else { t - 1 };
                         for j in 0..t {
                             pb[i * t + j] = if j <= hi {
-                                let kj = &kb[j * d..(j + 1) * d];
-                                qi.iter().zip(kj).map(|(a, b)| a * b).sum::<f32>() * scale
+                                qi.iter().zip(kh(j)).map(|(a, b)| a * b).sum::<f32>() * scale
                             } else {
                                 f32::NEG_INFINITY
                             };
@@ -101,16 +174,14 @@ pub fn attention_fwd(
                     }
                     softmax_rows(pb, t, t);
                     // out = P @ V
-                    for i in 0..t {
-                        let oi = &mut ob[i * d..(i + 1) * d];
+                    for (i, oi) in ob.into_iter().enumerate() {
                         let hi = if causal { i } else { t - 1 };
                         for j in 0..=hi {
                             let p = pb[i * t + j];
                             if p == 0.0 {
                                 continue;
                             }
-                            let vj = &vb[j * d..(j + 1) * d];
-                            for (o, &vv) in oi.iter_mut().zip(vj) {
+                            for (o, &vv) in oi.iter_mut().zip(vh(j)) {
                                 *o += p * vv;
                             }
                         }
@@ -119,8 +190,7 @@ pub fn attention_fwd(
             (out, AttnSaved::Probs(probs))
         }
         AttentionImpl::Flash => {
-            let mut out = vec![0.0f32; bh * t * d];
-            let mut lse = vec![0.0f32; bh * t];
+            let mut lse = vec![0.0f32; tasks * t];
             let init = || {
                 (
                     KeyMajor::new(t, d),
@@ -128,18 +198,17 @@ pub fn attention_fwd(
                     RowScratch::default(),
                 )
             };
-            let heads = out.par_chunks_mut(t * d).zip(lse.par_chunks_mut(t));
-            heads
+            parts
+                .into_par_iter()
+                .zip(lse.par_chunks_mut(t))
                 .enumerate()
-                .for_each_init(init, |(kt, scores, row), (b, (ob, lb))| {
-                    let qb = &q[b * t * d..(b + 1) * t * d];
-                    let vb = &v[b * t * d..(b + 1) * t * d];
-                    kt.fill(&k[b * t * d..(b + 1) * t * d]);
-                    for (i, (acc, l)) in ob.chunks_mut(d).zip(lb.iter_mut()).enumerate() {
+                .for_each_init(init, |(kt, scores, row), (task, (ob, lb))| {
+                    let (qh, kh, vh) = view(task);
+                    kt.fill((0..t).map(kh));
+                    for (i, (acc, l)) in ob.into_iter().zip(lb.iter_mut()).enumerate() {
                         let n = if causal { i + 1 } else { t };
-                        kt.dots(&qb[i * d..(i + 1) * d], n, scale, scores);
-                        let v = |j: usize| &vb[j * d..(j + 1) * d];
-                        let os = OnlineSoftmax::fold_row(&scores[..n], v, acc, row);
+                        kt.dots(qh(i), n, scale, scores);
+                        let os = OnlineSoftmax::fold_row(&scores[..n], vh, acc, row);
                         os.finish(acc);
                         *l = os.logsumexp();
                     }
@@ -169,10 +238,9 @@ impl KeyMajor {
         }
     }
 
-    /// Lay out `x = [t, d]`, the shape this was made for.
-    fn fill(&mut self, x: &[f32]) {
-        let d = self.data.len() / self.t_pad;
-        for (j, row) in x.chunks_exact(d).enumerate() {
+    /// Lay out `rows`, at most the `t` this was made for.
+    fn fill<'a>(&mut self, rows: impl Iterator<Item = &'a [f32]>) {
+        for (j, row) in rows.enumerate() {
             for (c, &e) in row.iter().enumerate() {
                 self.data[c * self.t_pad + j] = e;
             }
@@ -198,7 +266,8 @@ impl KeyMajor {
     }
 }
 
-/// Backward causal attention. Accumulates into `dq`, `dk`, `dv`.
+/// Backward causal attention over `bh` independent `[t, d]` heads.
+/// Accumulates into `dq`, `dk`, `dv`.
 #[allow(clippy::too_many_arguments)]
 pub fn causal_attention_bwd(
     q: &[f32],
@@ -214,10 +283,17 @@ pub fn causal_attention_bwd(
     t: usize,
     d: usize,
 ) {
-    attention_bwd(q, k, v, out, dout, saved, dq, dk, dv, bh, t, d, true);
+    let s = AttnShape::per_head(bh, t, d);
+    attention_bwd(q, k, v, out, dout, saved, dq, dk, dv, s, true);
 }
 
-/// Backward attention with a selectable mask (see [`attention_fwd`]).
+/// Backward attention (see [`attention_fwd`]). Accumulates into the
+/// token-major `dq`, `dk`, `dv`.
+///
+/// Under grouped-query attention each query head's key and value
+/// gradients go to a zero-started buffer of its own, and those are
+/// added onto their KV head in head order: the sums a gather of the KV
+/// heads followed by per-head attention would make.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_bwd(
     q: &[f32],
@@ -229,19 +305,29 @@ pub fn attention_bwd(
     dq: &mut [f32],
     dk: &mut [f32],
     dv: &mut [f32],
-    bh: usize,
-    t: usize,
-    d: usize,
+    s: AttnShape,
     causal: bool,
 ) {
-    debug_assert_eq!(dq.len(), bh * t * d);
+    let AttnShape { t, heads, d, .. } = s;
+    debug_assert_eq!(dq.len(), s.batch * t * heads * d);
     let scale = 1.0 / (d as f32).sqrt();
-    // Parallel over the fused batch-head dimension: each chunk of dq/dk/dv
-    // belongs to exactly one head, so the accumulation is race-free.
-    let heads = dq
-        .par_chunks_mut(t * d)
-        .zip(dk.par_chunks_mut(t * d))
-        .zip(dv.par_chunks_mut(t * d));
+    let shared = s.group() > 1;
+    let (mut dk_own, mut dv_own) = if shared {
+        (vec![0.0f32; dq.len()], vec![0.0f32; dq.len()])
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    let (dks, dvs) = if shared {
+        (
+            heads_mut(&mut dk_own, t, 1, d),
+            heads_mut(&mut dv_own, t, 1, d),
+        )
+    } else {
+        (heads_mut(dk, t, heads, d), heads_mut(dv, t, heads, d))
+    };
+    // Each task owns its query head's dq rows and its own (or, without
+    // sharing, its KV head's) dk/dv rows, so the accumulation is race-free.
+    let parts = heads_mut(dq, t, heads, d).into_par_iter().zip(dks).zip(dvs);
     let init = || {
         let row = || vec![0.0f32; t.next_multiple_of(KEYS)];
         (
@@ -252,64 +338,69 @@ pub fn attention_bwd(
             row(),
         )
     };
-    heads
-        .enumerate()
-        .for_each_init(init, |(kt, vt, drow, p, dp), (b, ((dqb, dkb), dvb))| {
-            let qb = &q[b * t * d..(b + 1) * t * d];
-            let kb = &k[b * t * d..(b + 1) * t * d];
-            let ob = &out[b * t * d..(b + 1) * t * d];
-            let dob = &dout[b * t * d..(b + 1) * t * d];
+    parts.enumerate().for_each_init(
+        init,
+        |(kt, vt, drow, p, dp), (task, ((dqh, mut dkh), mut dvh))| {
+            let [qh, oh, doh] = [q, out, dout].map(|x| s.head(x, heads, task));
+            let [kh, vh] = [k, v].map(|x| s.head(x, s.kv_heads, task));
             // D_i = dO_i · O_i (both algorithms use it)
             for (i, dr) in drow.iter_mut().enumerate() {
-                *dr = dob[i * d..(i + 1) * d]
-                    .iter()
-                    .zip(&ob[i * d..(i + 1) * d])
-                    .map(|(a, b)| a * b)
-                    .sum();
+                *dr = doh(i).iter().zip(oh(i)).map(|(a, b)| a * b).sum();
             }
             if let AttnSaved::Lse(_) = saved {
-                kt.fill(kb);
+                kt.fill((0..t).map(kh));
             }
-            vt.fill(&v[b * t * d..(b + 1) * t * d]);
-            for i in 0..t {
-                let qi = &qb[i * d..(i + 1) * d];
-                let doi = &dob[i * d..(i + 1) * d];
+            vt.fill((0..t).map(vh));
+            for (i, dqi) in dqh.into_iter().enumerate() {
+                let (qi, doi) = (qh(i), doh(i));
                 let n = if causal { i + 1 } else { t };
                 // row i's probabilities, saved or recomputed from its lse
                 match saved {
                     AttnSaved::Probs(probs) => {
-                        p[..n].copy_from_slice(&probs[(b * t + i) * t..][..n])
+                        p[..n].copy_from_slice(&probs[(task * t + i) * t..][..n])
                     }
                     AttnSaved::Lse(l) => {
                         kt.dots(qi, n, scale, p);
                         for x in &mut p[..n] {
-                            *x -= l[b * t + i];
+                            *x -= l[task * t + i];
                         }
                         exp_slice(&mut p[..n]);
                     }
                 }
                 // dp_ij = dO_i · V_j (a scale of 1 is exact)
                 vt.dots(doi, n, 1.0, dp);
-                let dqi = &mut dqb[i * d..(i + 1) * d];
                 for (j, (&p, &dp)) in p[..n].iter().zip(&dp[..n]).enumerate() {
                     if p == 0.0 {
                         continue;
                     }
                     // ds_ij = p (dp - D_i)
                     let ds = p * (dp - drow[i]) * scale;
-                    let kj = &kb[j * d..(j + 1) * d];
-                    for (g, &kx) in dqi.iter_mut().zip(kj) {
+                    for (g, &kx) in dqi.iter_mut().zip(kh(j)) {
                         *g += ds * kx;
                     }
-                    for (g, &qx) in dkb[j * d..(j + 1) * d].iter_mut().zip(qi) {
+                    for (g, &qx) in dkh[j].iter_mut().zip(qi) {
                         *g += ds * qx;
                     }
-                    for (g, &dox) in dvb[j * d..(j + 1) * d].iter_mut().zip(doi) {
+                    for (g, &dox) in dvh[j].iter_mut().zip(doi) {
                         *g += p * dox;
                     }
                 }
             }
-        });
+        },
+    );
+    if shared {
+        for (dst, own) in [(dk, &dk_own), (dv, &dv_own)] {
+            let mut kv = heads_mut(dst, t, s.kv_heads, d);
+            for (task, part) in own.chunks_exact(t * d).enumerate() {
+                let hkv = task / heads * s.kv_heads + task % heads / s.group();
+                for (row, src) in kv[hkv].iter_mut().zip(part.chunks_exact(d)) {
+                    for (g, &x) in row.iter_mut().zip(src) {
+                        *g += x;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -412,44 +503,103 @@ mod tests {
         x.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Token-major `x` (`width` heads a row) copied head-major into
+    /// `[B·H, T, D]`, query head `h` taking head `h / (H / width)`: the
+    /// split and grouped-query gather the tape made before it attended
+    /// token-major.
+    fn to_head_major(x: &[f32], s: AttnShape, width: usize) -> Vec<f32> {
+        let AttnShape { t, heads, d, .. } = s;
+        let mut out = Vec::with_capacity(s.batch * heads * t * d);
+        for task in 0..s.batch * heads {
+            let (b, h) = (task / heads, task % heads / (heads / width));
+            for i in 0..t {
+                out.extend_from_slice(&x[((b * t + i) * width + h) * d..][..d]);
+            }
+        }
+        out
+    }
+
+    /// The inverse of [`to_head_major`] as the tape's backward ran it:
+    /// each head-major head added, in head order, onto its token-major
+    /// head of a zero-started `[B·T, width·D]` buffer.
+    fn add_token_major(x: &[f32], s: AttnShape, width: usize) -> Vec<f32> {
+        let AttnShape { t, heads, d, .. } = s;
+        let mut out = vec![0.0f32; s.batch * t * width * d];
+        for (task, part) in x.chunks_exact(t * d).enumerate() {
+            let (b, h) = (task / heads, task % heads / (heads / width));
+            for (i, row) in part.chunks_exact(d).enumerate() {
+                let at = ((b * t + i) * width + h) * d;
+                for (o, &e) in out[at..at + d].iter_mut().zip(row) {
+                    *o += e;
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn flash_fwd_and_bwd_equal_their_references_bitwise() {
-        // the training shape, odd shapes, d with and without a
-        // multiple of 16, and scores far enough apart that exp's
-        // special path and the rescale by 0 run
-        for (bh, t, d, spread) in [
-            (32, 32, 16, 1.0),
-            (3, 7, 5, 1.0),
-            (2, 17, 6, 1.0),
-            (2, 33, 32, 1.0),
-            (1, 1, 4, 1.0),
-            (4, 19, 16, 60.0),
+        // The references run one contiguous head at a time over
+        // head-major copies, as the tape did before it attended
+        // token-major. The training shape, odd shapes, d with and
+        // without a multiple of 16, several sequences, grouped-query
+        // heads, and scores far enough apart that exp's special path
+        // and the rescale by 0 run
+        for (batch, t, heads, kv_heads, d, spread) in [
+            (8, 32, 4, 4, 16, 1.0),
+            (3, 7, 1, 1, 5, 1.0),
+            (2, 17, 1, 1, 6, 1.0),
+            (1, 33, 2, 2, 32, 1.0),
+            (1, 1, 1, 1, 4, 1.0),
+            (2, 19, 2, 2, 16, 60.0),
+            (2, 9, 4, 2, 8, 1.0),
+            (3, 11, 4, 1, 6, 60.0),
         ] {
-            let q = rand_buf(bh * t * d, 21);
-            let k: Vec<f32> = rand_buf(bh * t * d, 22)
+            let s = AttnShape {
+                batch,
+                t,
+                heads,
+                kv_heads,
+                d,
+            };
+            let (n, kv) = (batch * t * heads * d, batch * t * kv_heads * d);
+            let q = rand_buf(n, 21);
+            let k: Vec<f32> = rand_buf(kv, 22)
                 .iter()
                 .enumerate()
                 .map(|(x, &e)| if (x / d) % 3 == 1 { e * spread } else { e })
                 .collect();
-            let v = rand_buf(bh * t * d, 23);
-            let dout = rand_buf(bh * t * d, 24);
+            let v = rand_buf(kv, 23);
+            let dout = rand_buf(n, 24);
+            let [qh, kh, vh, douth] = [(&q, heads), (&k, kv_heads), (&v, kv_heads), (&dout, heads)]
+                .map(|(x, width)| to_head_major(x, s, width));
+            let bh = batch * heads;
             for causal in [true, false] {
-                let (want, want_lse) = flash_fwd_reference(&q, &k, &v, bh, t, d, causal);
-                let (got, saved) =
-                    attention_fwd(&q, &k, &v, bh, t, d, AttentionImpl::Flash, causal);
+                let (want, want_lse) = flash_fwd_reference(&qh, &kh, &vh, bh, t, d, causal);
+                let (got, saved) = attention_fwd(&q, &k, &v, s, AttentionImpl::Flash, causal);
                 let AttnSaved::Lse(lse) = &saved else {
                     unreachable!()
                 };
-                let at = format!("bh {bh} t {t} d {d} spread {spread} causal {causal}");
-                assert_eq!(bits(&got), bits(&want), "fwd {at}");
+                let at = format!("{s:?} spread {spread} causal {causal}");
+                assert_eq!(
+                    bits(&to_head_major(&got, s, heads)),
+                    bits(&want),
+                    "fwd {at}"
+                );
                 assert_eq!(bits(lse), bits(&want_lse), "lse {at}");
-                let (naive, probs) =
-                    attention_fwd(&q, &k, &v, bh, t, d, AttentionImpl::Naive, causal);
+                let (naive, probs) = attention_fwd(&q, &k, &v, s, AttentionImpl::Naive, causal);
                 for (o, saved) in [(&got, &saved), (&naive, &probs)] {
-                    let want = bwd_reference(&q, &k, &v, o, &dout, saved, bh, t, d, causal);
-                    let mut got = [0; 3].map(|_| vec![0.0f32; bh * t * d]);
+                    let oh = to_head_major(o, s, heads);
+                    let want = bwd_reference(&qh, &kh, &vh, &oh, &douth, saved, bh, t, d, causal);
+                    let want = [
+                        (&want[0], heads),
+                        (&want[1], kv_heads),
+                        (&want[2], kv_heads),
+                    ]
+                    .map(|(x, width)| add_token_major(x, s, width));
+                    let mut got = [n, kv, kv].map(|len| vec![0.0f32; len]);
                     let [dq, dk, dv] = &mut got;
-                    attention_bwd(&q, &k, &v, o, &dout, saved, dq, dk, dv, bh, t, d, causal);
+                    attention_bwd(&q, &k, &v, o, &dout, saved, dq, dk, dv, s, causal);
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(bits(g), bits(w), "bwd {at}");
                     }

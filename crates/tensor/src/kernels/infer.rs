@@ -1,9 +1,9 @@
 //! Inference-only kernels: KV-cached causal attention and rotary
 //! embeddings at explicit absolute positions.
 //!
-//! The training path (tape.rs) lays attention inputs out head-major
-//! (`[BH, T, D]`) because the whole sequence is present at once. The
-//! inference path instead keeps everything **token-major**:
+//! Attention inputs are **token-major** here, as they are in the
+//! training kernels ([`super::attention`], whole sequences of
+//! `[B·T, H·D]` queries against `[B·T, Hkv·D]` keys and values):
 //!
 //! * queries for the new tokens: `[Tn, H*D]` — exactly the projection
 //!   output, no head split/merge copies;
@@ -11,8 +11,12 @@
 //!   a plain `extend_from_slice`, and windowed truncation is a front
 //!   drain.
 //!
-//! Grouped-query attention falls out of the indexing: query head `h`
-//! reads cache head `h / (H / Hkv)`.
+//! Grouped-query attention falls out of the indexing on both sides:
+//! query head `h` reads cache head `h / (H / Hkv)`. The one difference
+//! in arithmetic is the order a score is summed in: the training
+//! kernels add a dot product's products one after another (as
+//! `Iterator::sum` does), this scan in `dot8`'s eight lanes. ROADMAP
+//! item 8 holds what moving the scan onto the training order costs.
 
 use super::matmul::Avx512;
 use super::softmax::{OnlineSoftmax, RowScratch};
@@ -22,8 +26,8 @@ use std::collections::VecDeque;
 /// The rotary angles of a set of positions, evaluated once:
 /// `sin_cos(pos / base^(2i/d))` for every position and `i < d/2`
 /// (half-split convention). The one evaluation of the angle: the
-/// token-major rows below and the head-major training tape both rotate
-/// through here, so they agree bitwise, and a forward that rotates
+/// serving rows below and the training tape both rotate token-major
+/// rows through here, so they agree bitwise, and a forward that rotates
 /// queries and keys in every layer at the same positions builds one
 /// table for all of them.
 #[derive(Clone, Debug)]
@@ -327,7 +331,7 @@ pub fn paged_attention(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::attention::{causal_attention_fwd, AttentionImpl};
+    use crate::kernels::attention::{attention_fwd, AttentionImpl, AttnShape};
 
     fn rand_buf(n: usize, seed: u64) -> Vec<f32> {
         (0..n)
@@ -481,19 +485,6 @@ mod tests {
         }
     }
 
-    /// Reshape `[T, H*D]` token-major into `[H, T, D]` head-major.
-    fn to_head_major(x: &[f32], t: usize, h: usize, d: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; t * h * d];
-        for ti in 0..t {
-            for hi in 0..h {
-                let src = ti * h * d + hi * d;
-                let dst = (hi * t + ti) * d;
-                out[dst..dst + d].copy_from_slice(&x[src..src + d]);
-            }
-        }
-        out
-    }
-
     #[test]
     fn cached_matches_full_attention_for_whole_sequence() {
         let (t, h, d) = (9, 4, 6);
@@ -503,29 +494,17 @@ mod tests {
         // full pass: every token is "new"
         let mut out = vec![0.0f32; t * h * d];
         cached_attention(&q, &k, &v, &mut out, t, t, h, h, d);
-        // reference: head-major training kernel
-        let (ref_out, _) = causal_attention_fwd(
-            &to_head_major(&q, t, h, d),
-            &to_head_major(&k, t, h, d),
-            &to_head_major(&v, t, h, d),
-            h,
+        // reference: the training kernel, on the same token-major rows
+        let s = AttnShape {
+            batch: 1,
             t,
+            heads: h,
+            kv_heads: h,
             d,
-            AttentionImpl::Flash,
-        );
-        let ref_tm = {
-            // back to token-major
-            let mut buf = vec![0.0f32; t * h * d];
-            for hi in 0..h {
-                for ti in 0..t {
-                    let src = (hi * t + ti) * d;
-                    let dst = ti * h * d + hi * d;
-                    buf[dst..dst + d].copy_from_slice(&ref_out[src..src + d]);
-                }
-            }
-            buf
         };
-        for (a, b) in out.iter().zip(&ref_tm) {
+        let (want, _) = attention_fwd(&q, &k, &v, s, AttentionImpl::Flash, true);
+        // the two sum a score in different orders
+        for (a, b) in out.iter().zip(&want) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
     }
@@ -568,9 +547,7 @@ mod tests {
             );
             inc[lo..hi].copy_from_slice(&row);
         }
-        for (a, b) in full.iter().zip(&inc) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
+        assert_eq!(bits(&full), bits(&inc));
     }
 
     #[test]
@@ -595,36 +572,26 @@ mod tests {
         }
         let mut mha = vec![0.0f32; t * h * d];
         cached_attention(&q, &ke, &ve, &mut mha, t, t, h, h, d);
-        for (a, b) in gqa.iter().zip(&mha) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
+        assert_eq!(bits(&gqa), bits(&mha));
     }
 
     #[test]
     fn rotary_rows_matches_training_convention() {
-        // tape's rotary numbers positions 0..T inside a [BH, T, D] block;
-        // the table's rows at positions = 0..T must produce the same values.
-        let (t, h, d) = (5, 3, 8);
+        // the tape numbers the rows of each of a batch's sequences
+        // 0..T; the table's rows at positions 0..T must rotate each
+        // sequence to the same bits
+        let (b, t, h, d) = (2, 5, 3, 8);
         let base = 10_000.0;
-        let x = rand_buf(t * h * d, 21);
-        let mut tm = x.clone();
-        let positions: Vec<usize> = (0..t).collect();
-        RotaryTable::new(&positions, d, base).rotate_rows(&mut tm, h);
-        // reference via the tape on head-major layout
+        let x = rand_buf(b * t * h * d, 21);
         let mut tape = crate::tape::Tape::new();
-        let hm = to_head_major(&x, t, h, d);
-        let v = tape.input(crate::tensor::Tensor::from_vec(&[h, t, d], hm));
-        let r = tape.rotary(v, t, d, base);
-        let ref_hm = tape.value(r).data().to_vec();
-        for ti in 0..t {
-            for hi in 0..h {
-                for di in 0..d {
-                    let a = tm[ti * h * d + hi * d + di];
-                    let b = ref_hm[(hi * t + ti) * d + di];
-                    assert_eq!(a.to_bits(), b.to_bits(), "t={ti} h={hi} d={di}: {a} vs {b}");
-                }
-            }
+        let xv = tape.input(crate::tensor::Tensor::from_vec(&[b * t, h * d], x.clone()));
+        let r = tape.rotary(xv, t, d, base);
+        let mut want = x;
+        let positions: Vec<usize> = (0..t).collect();
+        for seq in want.chunks_mut(t * h * d) {
+            RotaryTable::new(&positions, d, base).rotate_rows(seq, h);
         }
+        assert_eq!(bits(tape.value(r).data()), bits(&want));
     }
 
     /// Scatter a contiguous `[t, kv_dim]` token-major buffer into

@@ -29,7 +29,9 @@ use std::sync::Arc;
 
 use crate::collective::{ring_chunks, ring_fold, CommHook};
 use crate::kernels::activation as act;
-use crate::kernels::attention::{attention_bwd, attention_fwd, AttentionImpl, AttnSaved};
+use crate::kernels::attention::{
+    attention_bwd, attention_fwd, AttentionImpl, AttnSaved, AttnShape,
+};
 use crate::kernels::infer::RotaryTable;
 use crate::kernels::matmul::{matmul, matmul_at_acc, matmul_bt_acc};
 use crate::kernels::norm;
@@ -93,6 +95,7 @@ enum Op {
     Rotary {
         x: Var,
         t: usize,
+        heads: usize,
         d: usize,
         base: f32,
     },
@@ -100,25 +103,8 @@ enum Op {
         q: Var,
         k: Var,
         v: Var,
-        bh: usize,
-        t: usize,
-        d: usize,
+        shape: AttnShape,
         causal: bool,
-    },
-    Reshape(Var),
-    SplitHeads {
-        x: Var,
-        b: usize,
-        t: usize,
-        h: usize,
-        d: usize,
-    },
-    MergeHeads {
-        x: Var,
-        b: usize,
-        t: usize,
-        h: usize,
-        d: usize,
     },
     Concat(Var, Var),
     IndexSelect {
@@ -201,6 +187,11 @@ impl Node {
         if let Value::Owned(t) = std::mem::replace(&mut self.value, Value::Released) {
             free.put(t.into_vec());
         }
+        self.release_saved(free);
+    }
+
+    /// Move the node's saved state onto `free`.
+    fn release_saved(&mut self, free: &mut FreeList) {
         match std::mem::replace(&mut self.saved, Saved::None) {
             Saved::None => {}
             Saved::Norm(a, b) => {
@@ -668,125 +659,81 @@ impl Tape {
 
     // ----------------------------------------------------- attention related
 
-    /// Apply rotary position embeddings to `x` laid out `[BH, T, D]`.
-    /// Positions run `0..T` within each `[T, D]` block (half-split style).
+    /// Apply rotary position embeddings to token-major `x`
+    /// `[B·T, H·D]`: every `D`-wide head of row `r` sits at position
+    /// `r % T` (half-split style), as [`RotaryTable::rotate_rows`] places
+    /// a sequence's rows when serving.
     pub fn rotary(&mut self, x: Var, t: usize, d: usize, base: f32) -> Var {
         let tx = self.value(x);
-        assert_eq!(tx.numel() % (t * d), 0, "rotary layout mismatch");
+        let (rows, width) = tx.as_2d();
+        assert!(rows % t == 0 && width % d == 0, "rotary layout mismatch");
+        let heads = width / d;
         let mut data = tx.data().to_vec();
-        rotary_apply(&mut data, t, d, base, false);
+        rotary_apply(&mut data, t, heads, d, base, false);
         let out = Tensor::from_vec(tx.shape(), data);
-        self.push(Op::Rotary { x, t, d, base }, out, Saved::None)
+        let op = Op::Rotary {
+            x,
+            t,
+            heads,
+            d,
+            base,
+        };
+        self.push(op, out, Saved::None)
     }
 
-    /// Fused causal multi-head attention over `[BH, T, D]` inputs.
-    /// The kernel used is controlled by [`Tape::attention_impl`].
-    pub fn causal_attention(
-        &mut self,
-        q: Var,
-        k: Var,
-        v: Var,
-        bh: usize,
-        t: usize,
-        d: usize,
-    ) -> Var {
-        self.attention(q, k, v, bh, t, d, true)
+    /// Fused causal multi-head attention over token-major `q`
+    /// `[B·T, H·D]` and `k`, `v` `[B·T, Hkv·D]`, `T = t` tokens a
+    /// sequence: query head `h` reads key/value head `h / (H / Hkv)`.
+    /// Returns `[B·T, H·D]`. The kernel used is controlled by
+    /// [`Tape::attention_impl`].
+    pub fn causal_attention(&mut self, q: Var, k: Var, v: Var, t: usize, d: usize) -> Var {
+        self.attention(q, k, v, t, d, true)
     }
 
-    /// Fused bidirectional (BERT-style) attention over `[BH, T, D]` inputs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn bidirectional_attention(
-        &mut self,
-        q: Var,
-        k: Var,
-        v: Var,
-        bh: usize,
-        t: usize,
-        d: usize,
-    ) -> Var {
-        self.attention(q, k, v, bh, t, d, false)
+    /// Fused bidirectional (BERT-style) attention, laid out as
+    /// [`Tape::causal_attention`].
+    pub fn bidirectional_attention(&mut self, q: Var, k: Var, v: Var, t: usize, d: usize) -> Var {
+        self.attention(q, k, v, t, d, false)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn attention(
-        &mut self,
-        q: Var,
-        k: Var,
-        v: Var,
-        bh: usize,
-        t: usize,
-        d: usize,
-        causal: bool,
-    ) -> Var {
+    fn attention(&mut self, q: Var, k: Var, v: Var, t: usize, d: usize, causal: bool) -> Var {
+        let (rows, width) = self.value(q).as_2d();
+        let (kv_rows, kv_width) = self.value(k).as_2d();
+        assert_eq!(self.value(v).shape(), self.value(k).shape(), "k / v shape");
+        assert!(
+            kv_rows == rows && rows % t == 0 && width % d == 0 && kv_width % d == 0,
+            "attention layout: q [{rows}, {width}], k [{kv_rows}, {kv_width}], t {t}, d {d}"
+        );
+        let shape = AttnShape {
+            batch: rows / t,
+            t,
+            heads: width / d,
+            kv_heads: kv_width / d,
+            d,
+        };
+        assert_eq!(
+            shape.heads % shape.kv_heads,
+            0,
+            "kv heads must divide heads"
+        );
         let imp = self.attention_impl.unwrap_or(AttentionImpl::Flash);
         let (out, saved) = attention_fwd(
             self.value(q).data(),
             self.value(k).data(),
             self.value(v).data(),
-            bh,
-            t,
-            d,
+            shape,
             imp,
             causal,
         );
-        let out = Tensor::from_vec(&[bh, t, d], out);
-        self.push(
-            Op::Attention {
-                q,
-                k,
-                v,
-                bh,
-                t,
-                d,
-                causal,
-            },
-            out,
-            Saved::Attn(saved),
-        )
-    }
-
-    /// Reinterpret with a new shape (same element count).
-    pub fn reshape(&mut self, x: Var, shape: &[usize]) -> Var {
-        let out = self.value(x).clone().reshaped(shape);
-        self.push(Op::Reshape(x), out, Saved::None)
-    }
-
-    /// `[B, T, H*D] -> [B*H, T, D]` head split (permutation copy).
-    pub fn split_heads(&mut self, x: Var, b: usize, t: usize, h: usize, d: usize) -> Var {
-        let tx = self.value(x);
-        assert_eq!(tx.numel(), b * t * h * d, "split_heads numel");
-        let src = tx.data();
-        let mut data = vec![0.0f32; b * h * t * d];
-        for bi in 0..b {
-            for ti in 0..t {
-                for hi in 0..h {
-                    let s = ((bi * t + ti) * h + hi) * d;
-                    let dst = ((bi * h + hi) * t + ti) * d;
-                    data[dst..dst + d].copy_from_slice(&src[s..s + d]);
-                }
-            }
-        }
-        let out = Tensor::from_vec(&[b * h, t, d], data);
-        self.push(Op::SplitHeads { x, b, t, h, d }, out, Saved::None)
-    }
-
-    /// `[B*H, T, D] -> [B, T, H*D]` head merge (inverse of `split_heads`).
-    pub fn merge_heads(&mut self, x: Var, b: usize, t: usize, h: usize, d: usize) -> Var {
-        let tx = self.value(x);
-        assert_eq!(tx.numel(), b * t * h * d, "merge_heads numel");
-        let src = tx.data();
-        let mut data = vec![0.0f32; b * t * h * d];
-        for bi in 0..b {
-            for hi in 0..h {
-                for ti in 0..t {
-                    let s = ((bi * h + hi) * t + ti) * d;
-                    let dst = ((bi * t + ti) * h + hi) * d;
-                    data[dst..dst + d].copy_from_slice(&src[s..s + d]);
-                }
-            }
-        }
-        let out = Tensor::from_vec(&[b, t, h * d], data);
-        self.push(Op::MergeHeads { x, b, t, h, d }, out, Saved::None)
+        let out = Tensor::from_vec(&[rows, width], out);
+        let op = Op::Attention {
+            q,
+            k,
+            v,
+            shape,
+            causal,
+        };
+        self.push(op, out, Saved::Attn(saved))
     }
 
     // ------------------------------------------------------ structure / misc
@@ -922,7 +869,12 @@ impl Tape {
                     grads.free.put(g.into_vec());
                 }
             }
-            if id != out.0 {
+            if id == out.0 {
+                // the root keeps its value, but nothing reads its saved
+                // state again: the loss's probabilities feed the first
+                // parameter gradient
+                nodes[id].release_saved(&mut grads.free);
+            } else {
                 nodes[id].release(&mut grads.free);
             }
         }
@@ -946,10 +898,11 @@ impl Tape {
 pub const IGNORE_INDEX: u32 = u32::MAX;
 
 /// Apply (or, with `inverse`, un-apply) rotary embeddings in place over
-/// `[*, T, D]` blocks: row `j` sits at position `j % t`.
-fn rotary_apply(data: &mut [f32], t: usize, d: usize, base: f32, inverse: bool) {
+/// token-major rows `heads` heads of `d` wide: head `j` belongs to row
+/// `j / heads`, which sits at position `j / heads % t`.
+fn rotary_apply(data: &mut [f32], t: usize, heads: usize, d: usize, base: f32, inverse: bool) {
     let positions: Vec<usize> = (0..t).collect();
-    RotaryTable::new(&positions, d, base).rotate(data, |j| j % t, inverse);
+    RotaryTable::new(&positions, d, base).rotate(data, |j| j / heads % t, inverse);
 }
 
 /// Ensure a gradient buffer exists for `id` and return it.
@@ -1113,12 +1066,18 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
                 }
             }
         }
-        Op::Rotary { x, t, d, base } => {
+        Op::Rotary {
+            x,
+            t,
+            heads,
+            d,
+            base,
+        } => {
             // Rotation is orthogonal: the gradient transforms by the inverse
             // rotation.
-            let (x, t, d, base) = (*x, *t, *d, *base);
+            let x = *x;
             let mut dg = grads.free.copy_of(g.data());
-            rotary_apply(&mut dg, t, d, base, true);
+            rotary_apply(&mut dg, *t, *heads, *d, *base, true);
             add_into(grad_buf(grads, nodes, x.0), &dg);
             grads.recycle([dg]);
         }
@@ -1126,9 +1085,7 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
             q,
             k,
             v,
-            bh,
-            t,
-            d,
+            shape,
             causal,
         } => {
             let Saved::Attn(saved) = &nodes[id].saved else {
@@ -1152,52 +1109,13 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
                 &mut dq,
                 &mut dk,
                 &mut dv,
-                *bh,
-                *t,
-                *d,
+                *shape,
                 *causal,
             );
             add_into(grad_buf(grads, nodes, q.0), &dq);
             add_into(grad_buf(grads, nodes, k.0), &dk);
             add_into(grad_buf(grads, nodes, v.0), &dv);
             grads.recycle([dq, dk, dv]);
-        }
-        Op::Reshape(x) => {
-            let x = *x;
-            let gx = grad_buf(grads, nodes, x.0);
-            add_into(gx, g.data());
-        }
-        Op::SplitHeads { x, b, t, h, d } => {
-            let (x, b, t, h, d) = (*x, *b, *t, *h, *d);
-            let gx = grad_buf(grads, nodes, x.0);
-            let gxd = gx.data_mut();
-            for bi in 0..b {
-                for ti in 0..t {
-                    for hi in 0..h {
-                        let dst = ((bi * t + ti) * h + hi) * d;
-                        let s = ((bi * h + hi) * t + ti) * d;
-                        for i in 0..d {
-                            gxd[dst + i] += g.data()[s + i];
-                        }
-                    }
-                }
-            }
-        }
-        Op::MergeHeads { x, b, t, h, d } => {
-            let (x, b, t, h, d) = (*x, *b, *t, *h, *d);
-            let gx = grad_buf(grads, nodes, x.0);
-            let gxd = gx.data_mut();
-            for bi in 0..b {
-                for hi in 0..h {
-                    for ti in 0..t {
-                        let dst = ((bi * h + hi) * t + ti) * d;
-                        let s = ((bi * t + ti) * h + hi) * d;
-                        for i in 0..d {
-                            gxd[dst + i] += g.data()[s + i];
-                        }
-                    }
-                }
-            }
         }
         Op::Concat(a, b) => {
             let (a, b) = (*a, *b);

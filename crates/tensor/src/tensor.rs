@@ -104,20 +104,6 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Reinterpret with a new shape of equal element count (no copy).
-    pub fn reshaped(mut self, shape: &[usize]) -> Self {
-        let numel: usize = shape.iter().product();
-        assert_eq!(
-            numel,
-            self.data.len(),
-            "reshape {:?} -> {:?}",
-            self.shape,
-            shape
-        );
-        self.shape = shape.to_vec();
-        self
-    }
-
     /// Interpret an N-D tensor as 2-D `[rows, cols]` where `cols` is the
     /// last dimension. Scalars and vectors are `[1, n]`.
     pub fn as_2d(&self) -> (usize, usize) {
@@ -205,21 +191,6 @@ mod tests {
         assert_eq!(s.rank(), 0);
         assert_eq!(s.item(), 7.5);
         assert_eq!(s.as_2d(), (1, 1));
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(&[2, 3], vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        let r = t.clone().reshaped(&[3, 2]);
-        assert_eq!(r.shape(), &[3, 2]);
-        assert_eq!(r.data(), t.data());
-    }
-
-    #[test]
-    #[should_panic]
-    fn reshape_wrong_numel_panics() {
-        let t = Tensor::zeros(&[2, 3]);
-        let _ = t.reshaped(&[4, 2]);
     }
 
     #[test]

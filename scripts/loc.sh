@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The one way this repo counts code: non-test Rust lines are the lines
-# of a *.rs file above its first `#[cfg(test)]` (the whole file when it
-# has none). Comments and blank lines count — deleting them is not a
+# of a *.rs file above the `#[cfg(test)]` that opens its test module
+# (`mod … {`, after any further attributes), the whole file when it has
+# none. A `#[cfg(test)]` on any other item or statement does not stop
+# the count. Comments and blank lines count — deleting them is not a
 # reduction — and so does every file, so moving code does not hide it.
 #
 #   scripts/loc.sh              per-crate table over crates/*/src, then
@@ -20,15 +22,27 @@ table() {
   local by=$1
   shift
   find "$@" -type f -name '*.rs' | sort | xargs awk -v by="$by" '
-    FNR == 1 { counting = 1; files++ }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
-    counting {
+    function count(k,   key) {
       key = FILENAME
       if (by == "package") sub(/\/src\/.*/, "", key)
       if (!(key in lines)) order[++n] = key
-      lines[key]++
-      total++
+      lines[key] += k
+      total += k
     }
+    FNR == 1 { counting = 1; held = 0; files++ }
+    # held: a `#[cfg(test)]` and the attributes after it, counted once
+    # the item they annotate turns out not to be the test module
+    counting && held {
+      if (/^[[:space:]]*#\[/) { held++; next }
+      if (/^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*\{/) {
+        counting = 0
+        next
+      }
+      count(held)
+      held = 0
+    }
+    counting && /^[[:space:]]*#\[cfg\(test\)\]/ { held = 1; next }
+    counting { count(1) }
     END {
       for (i = 1; i <= n; i++) printf "%7d  %s\n", lines[order[i]], order[i]
       if (by == "package") printf "%7d  total (%d packages, %d files)\n", total, n, files

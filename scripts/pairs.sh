@@ -13,7 +13,9 @@
 # side is built by its own `perf/run.sh` into its own CARGO_TARGET_DIR,
 # then the two are run `pairs` times, alternating which side goes first. Only
 # the last stdout line of `run.sh` is read (the result the driver reads);
-# every line is kept in target/pairs/<workload>.{parent,change}.jsonl.
+# every line is kept in target/pairs/<workload>.seed<N>.{parent,change}.jsonl,
+# N being the `--seed` passed to run.sh (1, its default, when none is),
+# so runs at two seeds keep their own records.
 #
 # Per end-to-end metric of BENCHMARK.json it prints each side's median
 # and quartiles, the change's wins / ties over the pairs, whether the
@@ -39,6 +41,12 @@ if [[ $# -gt 0 && "$1" != "--" ]]; then
     shift
 fi
 if [[ $# -gt 0 && "$1" == "--" ]]; then shift; fi
+seed=1
+args=("$@")
+for ((i = 0; i + 1 < ${#args[@]}; i++)); do
+    if [[ "${args[i]}" == "--seed" ]]; then seed="${args[i + 1]}"; fi
+done
+records="$workload.seed$seed"
 
 out="$root/target/pairs"
 rm -rf "$out/parent" "$out/change"
@@ -60,18 +68,18 @@ run_side() {
 echo "pairs: building both sides (a 1 s smoke run each)" >&2
 for side in parent change; do
     run_side "$side" --smoke >/dev/null
-    : >"$out/$workload.$side.jsonl"
+    : >"$out/$records.$side.jsonl"
 done
 
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then order=(parent change); else order=(change parent); fi
     for side in "${order[@]}"; do
         echo "pairs: $workload pair $i/$pairs: $side" >&2
-        run_side "$side" "$@" >>"$out/$workload.$side.jsonl"
+        run_side "$side" "$@" >>"$out/$records.$side.jsonl"
     done
 done
 
-python3 - "$root/BENCHMARK.json" "$out/$workload.parent.jsonl" "$out/$workload.change.jsonl" <<'PY'
+python3 - "$root/BENCHMARK.json" "$out/$records.parent.jsonl" "$out/$records.change.jsonl" <<'PY'
 import json, statistics, sys
 
 bench, parent_path, change_path = sys.argv[1:4]

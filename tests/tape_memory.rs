@@ -9,10 +9,13 @@
 //! * the reverse sweep recycles: once a node's backward has run, its
 //!   value and gradient feed the gradients and scratch still to come, so
 //!   backward's peak live heap stays within 1.25 × what forward left
-//!   live. At the benchmark's batch (4 × 32) it reads 1.22 × (LLaMA:
-//!   7.61 MiB live after forward, 9.31 MiB peak) and 1.19 × (NeoX: 9.20,
-//!   10.91); when the tape copied every weight and kept every node and
-//!   gradient it read 1.97 × (11.13, 21.97) and 1.97 × (12.73, 25.13).
+//!   live. At the benchmark's batch (4 × 32) it reads 1.23 × (LLaMA:
+//!   6.36 MiB live after forward, 7.81 MiB peak) and 1.18 × (NeoX: 7.95,
+//!   9.41). While the tape copied q/k/v into heads and back and kept the
+//!   loss's probabilities through the sweep it read 1.22 × (7.61, 9.31)
+//!   and 1.19 × (9.20, 10.91); when it copied every weight and kept
+//!   every node and gradient, 1.97 × (11.13, 21.97) and 1.97 × (12.73,
+//!   25.13).
 //!
 //! There is one `#[test]`, so no other test thread allocates while it
 //! counts.
