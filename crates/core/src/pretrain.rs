@@ -16,6 +16,7 @@ use matgpt_model::{GptConfig, GptModel};
 use matgpt_obs::{pids, Counter, Gauge, Registry, Span};
 use matgpt_optim::{Adam, AdamConfig, CosineSchedule, Lamb, LrSchedule, Optimizer, OptimizerState};
 use matgpt_tensor::checkpoint::{self, CheckpointError};
+use matgpt_tensor::kernels::softmax::cross_entropy;
 use matgpt_tensor::{init, ParamStore, Tape};
 use matgpt_tokenizer::{BpeTokenizer, Tokenizer, TokenizerKind, UnigramTokenizer};
 use std::time::Instant;
@@ -729,6 +730,11 @@ pub fn validation_loss(
 /// data-parallel executor evaluates on worker replicas that have no
 /// dataset of their own, so the batches travel to them precomputed —
 /// evaluating here keeps the result bit-identical to [`validation_loss`].
+///
+/// Each batch is one tape-free [`GptModel::forward_batch`], its `B`
+/// rows each on a fresh cache, and the loss the tape's
+/// [`cross_entropy`] arithmetic: the served logits equal the tape's bit
+/// for bit, so the value is the one [`GptModel::loss`] computes.
 pub fn validation_loss_on(model: &GptModel, store: &ParamStore, batches: &[Batch]) -> f32 {
     let take = batches.len().min(8);
     if take == 0 {
@@ -736,9 +742,10 @@ pub fn validation_loss_on(model: &GptModel, store: &ParamStore, batches: &[Batch
     }
     let mut total = 0.0f32;
     for b in batches.iter().take(take) {
-        let mut tape = Tape::new();
-        let loss = model.loss(&mut tape, store, &b.inputs, &b.targets, b.batch, b.seq);
-        total += tape.value(loss).item();
+        let mut caches: Vec<_> = (0..b.batch).map(|_| model.new_cache()).collect();
+        let mut segs: Vec<_> = b.inputs.chunks_exact(b.seq).zip(&mut caches).collect();
+        let mut logits = model.forward_batch(store, &mut segs);
+        total += cross_entropy(&mut logits, &b.targets, model.cfg.vocab_size).0;
     }
     total / take as f32
 }
@@ -796,6 +803,40 @@ mod tests {
             steps: 30,
             batch_seqs: if opt == OptChoice::Lamb { 8 } else { 2 },
             ..PretrainConfig::scaled(arch, TokenizerKind::Hf, 400, opt, SizeRole::Base)
+        }
+    }
+
+    /// Validation records no tape, yet reads the tape's loss to the
+    /// bit: the served forward's logits are the tape's, and both losses
+    /// are one kernel.
+    #[test]
+    fn validation_loss_equals_the_tape_loss_bitwise() {
+        let vocab = 60;
+        for (arch, kv_heads) in [
+            (ArchKind::NeoX, None),
+            (ArchKind::Llama, None),
+            (ArchKind::Llama, Some(2)),
+        ] {
+            let cfg = GptConfig {
+                kv_heads,
+                ..GptConfig::tiny(arch, vocab)
+            };
+            let mut store = ParamStore::new();
+            let model = GptModel::new(cfg, &mut store, &mut init::rng(7));
+            let (batch, seq) = (3, 21);
+            let inputs: Vec<u32> = (0..batch * seq).map(|i| (i * 13 % vocab) as u32).collect();
+            let targets = inputs.iter().map(|t| (t + 1) % vocab as u32).collect();
+            let b = Batch {
+                inputs,
+                targets,
+                batch,
+                seq,
+            };
+            let mut tape = Tape::new();
+            let want = model.loss(&mut tape, &store, &b.inputs, &b.targets, batch, seq);
+            let want = tape.value(want).item();
+            let got = validation_loss_on(&model, &store, &[b]);
+            assert_eq!(got.to_bits(), want.to_bits(), "{arch:?}/{kv_heads:?}");
         }
     }
 

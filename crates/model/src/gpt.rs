@@ -305,19 +305,19 @@ impl GptModel {
     /// Total log-probability of `tokens[pos]` given the prefix, summed over
     /// `pos ∈ [start, tokens.len())`. The scoring primitive behind the
     /// zero/few-shot harness (length-normalise externally if desired).
+    /// One tape-free [`GptModel::forward_cached`] on a fresh cache, whose
+    /// logits are [`GptModel::logits`]' bit for bit.
     pub fn score_span(&self, store: &ParamStore, tokens: &[u32], start: usize) -> f64 {
         assert!(start >= 1 && start <= tokens.len(), "span start");
         let seq = tokens.len() - 1;
         if seq == 0 {
             return 0.0;
         }
-        let mut tape = Tape::new();
-        let logits = self.logits(&mut tape, store, &tokens[..seq], 1, seq);
-        let lv = tape.value(logits);
+        let logits = self.forward_cached(store, &tokens[..seq], &mut self.new_cache());
         let v = self.cfg.vocab_size;
         let mut total = 0.0f64;
         for pos in start.max(1)..tokens.len() {
-            let row = &lv.data()[(pos - 1) * v..pos * v];
+            let row = &logits[(pos - 1) * v..pos * v];
             let lse = matgpt_tensor::kernels::softmax::logsumexp(row) as f64;
             total += row[tokens[pos] as usize] as f64 - lse;
         }
@@ -664,7 +664,7 @@ mod tests {
         let b = [1u32, 5, 9, 12, 40];
         let sa = model.score_span(&store, &a[..4], 1);
         let sb = model.score_span(&store, &b[..4], 1);
-        assert!((sa - sb).abs() < 1e-9);
+        assert_eq!(sa.to_bits(), sb.to_bits());
     }
 
     #[test]

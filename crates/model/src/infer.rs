@@ -17,8 +17,9 @@
 //! * positions are **absolute**: token `n` is rotated at angle `n`
 //!   regardless of window truncation. While the sequence fits in
 //!   `max_seq` this is bit-for-bit the training convention (positions
-//!   `0..T`), and [`GptModel::forward_cached`] matches
-//!   [`GptModel::logits`] to float tolerance — see the parity tests.
+//!   `0..T`), and every logit [`GptModel::forward_batch`] returns equals
+//!   [`GptModel::logits`]' bit for bit on either KV backend, so
+//!   forward-only evaluation (validation, `score_span`) runs here.
 //! * when the sequence outgrows `max_seq`, the cache drops its oldest
 //!   rows (sliding window). The tape path instead re-encodes the window
 //!   from position 0, so outputs diverge past `max_seq` — the cached
@@ -29,7 +30,8 @@ use crate::config::ArchKind;
 use crate::gpt::{GptModel, Slot::*};
 use crate::quant::ForwardParams;
 use matgpt_tensor::kernels::activation as act;
-use matgpt_tensor::kernels::infer::{cached_attention, RotaryTable};
+use matgpt_tensor::kernels::attention::{KeyMajor, KEYS};
+use matgpt_tensor::kernels::infer::{key_major_attention, KvPieces, RotaryTable};
 use matgpt_tensor::kernels::norm;
 use matgpt_tensor::ParamId;
 
@@ -45,13 +47,14 @@ use matgpt_tensor::ParamId;
 /// apply window truncation).
 ///
 /// Two backends implement this: the contiguous per-request [`KvCache`]
-/// (one flat buffer per layer) and the block-paged
+/// (16-key tiles per layer) and the block-paged
 /// `matgpt_serve::kvpool::PagedKv` (fixed-size blocks from a shared
-/// slab, refcounted copy-on-write prefix sharing). The contract both
-/// uphold: for bitwise-equal inputs, [`KvStorage::attend`] visits the
-/// same rows in the same order with the same float operations, so the
-/// logits out of `forward_cached` are **bit-identical** across
-/// backends (property-tested in `tests/paged_kv.rs`).
+/// slab, refcounted copy-on-write prefix sharing). Both keep keys
+/// key-major, and [`KvStorage::attend`] runs the one scan,
+/// `kernels::infer::key_major_attention`, whose arithmetic no piece
+/// width moves: the logits out of `forward_cached` are
+/// **bit-identical** across backends (`tests/paged_kv.rs`) and equal
+/// to the tape's.
 pub trait KvStorage {
     /// Number of transformer layers this storage is shaped for.
     fn layers(&self) -> usize;
@@ -105,11 +108,12 @@ pub trait KvStorage {
     fn rollback(&mut self, n: usize);
 }
 
-/// One layer's cached keys and values, token-major `[T, Hkv*D]` so an
-/// append is a plain extend and a truncation a front drain.
-#[derive(Clone, Debug, Default)]
+/// One layer's cached keys, key-major in 16-key tiles (the layout the
+/// scan scores), and values, token-major `[T, Hkv*D]`. A window
+/// truncation drops whole tiles' rows from the front of both.
+#[derive(Clone, Debug)]
 struct LayerKv {
-    k: Vec<f32>,
+    k: KeyMajor,
     v: Vec<f32>,
 }
 
@@ -128,23 +132,33 @@ pub struct KvCache {
     max_seq: usize,
     /// Absolute position the next appended token will occupy.
     next_pos: usize,
+    /// Front rows of every layer outside the window, `< KEYS`.
+    skip: usize,
 }
 
 impl KvCache {
     /// An empty cache shaped for `model`.
     pub fn new(model: &GptModel) -> Self {
         let cfg = &model.cfg;
+        let kv_dim = cfg.kv_head_count() * cfg.head_dim();
+        let layer = LayerKv {
+            k: KeyMajor::new(kv_dim),
+            v: Vec::new(),
+        };
         Self {
-            layers: vec![LayerKv::default(); cfg.layers],
-            kv_dim: cfg.kv_head_count() * cfg.head_dim(),
+            layers: vec![layer; cfg.layers],
+            kv_dim,
             max_seq: cfg.max_seq,
             next_pos: 0,
+            skip: 0,
         }
     }
 
     /// Number of positions currently cached (≤ `max_seq`).
     pub fn len(&self) -> usize {
-        self.layers.first().map_or(0, |l| l.k.len() / self.kv_dim)
+        self.layers
+            .first()
+            .map_or(0, |l| l.v.len() / self.kv_dim - self.skip)
     }
 
     /// True when nothing has been cached yet.
@@ -152,16 +166,17 @@ impl KvCache {
         self.next_pos == 0
     }
 
-    /// Drop rows from the front of every layer until at most `max_seq`
-    /// positions remain.
+    /// Skip front rows until at most `max_seq` positions remain visible,
+    /// and drop the whole tiles skipped.
     fn truncate_to_window(&mut self) {
-        let len = self.len();
-        if len > self.max_seq {
-            let drop_rows = (len - self.max_seq) * self.kv_dim;
+        self.skip += self.len().saturating_sub(self.max_seq);
+        let tiles = self.skip / KEYS;
+        if tiles > 0 {
             for layer in &mut self.layers {
-                layer.k.drain(..drop_rows);
-                layer.v.drain(..drop_rows);
+                layer.k.drop_front(tiles);
+                layer.v.drain(..tiles * KEYS * self.kv_dim);
             }
+            self.skip -= tiles * KEYS;
         }
     }
 }
@@ -180,10 +195,7 @@ impl KvStorage for KvCache {
     }
 
     fn kv_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| (l.k.len() + l.v.len()) * std::mem::size_of::<f32>())
-            .sum()
+        2 * self.layers.len() * self.len() * self.kv_dim * std::mem::size_of::<f32>()
     }
 
     fn begin(&mut self, n: usize) -> usize {
@@ -194,7 +206,7 @@ impl KvStorage for KvCache {
 
     fn write(&mut self, layer: usize, k: &[f32], v: &[f32]) {
         let l = &mut self.layers[layer];
-        l.k.extend_from_slice(k);
+        l.k.extend(k.chunks_exact(self.kv_dim));
         l.v.extend_from_slice(v);
     }
 
@@ -209,8 +221,16 @@ impl KvStorage for KvCache {
         d: usize,
     ) {
         let l = &self.layers[layer];
-        let t_total = l.k.len() / self.kv_dim;
-        cached_attention(q, &l.k, &l.v, out, n_new, t_total, heads, kv_heads, d);
+        let k = l.k.tiles();
+        let v: Vec<&[f32]> = l.v.chunks(KEYS * self.kv_dim).collect();
+        let kv = KvPieces {
+            k: &k,
+            v: &v,
+            w: KEYS,
+            skip: self.skip,
+        };
+        let t_total = l.v.len() / self.kv_dim - self.skip;
+        key_major_attention(q, kv, out, n_new, t_total, heads, kv_heads, d);
     }
 
     fn commit(&mut self) {
@@ -227,10 +247,9 @@ impl KvStorage for KvCache {
             "rollback across window truncation is unsupported"
         );
         assert!(n <= len, "rollback of {n} rows but only {len} cached");
-        let keep = (len - n) * self.kv_dim;
         for layer in &mut self.layers {
-            layer.k.truncate(keep);
-            layer.v.truncate(keep);
+            layer.k.truncate(len - n);
+            layer.v.truncate((len - n) * self.kv_dim);
         }
         self.next_pos -= n;
     }
@@ -471,7 +490,7 @@ impl GptModel {
 mod tests {
     use super::*;
     use crate::config::GptConfig;
-    use matgpt_tensor::{init, ParamStore, Tape};
+    use matgpt_tensor::{init, ParamStore};
     use proptest::prelude::*;
 
     fn build(arch: ArchKind, kv_heads: Option<usize>, seed: u64) -> (GptModel, ParamStore) {
@@ -488,77 +507,6 @@ mod tests {
         };
         let model = GptModel::new(cfg, &mut store, &mut rng);
         (model, store)
-    }
-
-    fn full_logits(model: &GptModel, store: &ParamStore, tokens: &[u32]) -> Vec<f32> {
-        let mut tape = Tape::new();
-        let l = model.logits(&mut tape, store, tokens, 1, tokens.len());
-        tape.value(l).data().to_vec()
-    }
-
-    #[test]
-    fn prefill_matches_tape_forward() {
-        for (arch, kv) in [
-            (ArchKind::NeoX, None),
-            (ArchKind::Llama, None),
-            (ArchKind::Llama, Some(2)),
-        ] {
-            let (model, store) = build(arch, kv, 3);
-            let tokens: Vec<u32> = (0..10).map(|i| (i * 7) % 40).collect();
-            let mut cache = model.new_cache();
-            let cached = model.forward_cached(&store, &tokens, &mut cache);
-            let full = full_logits(&model, &store, &tokens);
-            assert_eq!(cached.len(), full.len());
-            for (a, b) in cached.iter().zip(&full) {
-                assert!((a - b).abs() < 1e-4, "{arch:?}/{kv:?}: {a} vs {b}");
-            }
-        }
-    }
-
-    /// One token attends to itself alone: its softmax is exactly 1
-    /// whatever order the score was summed in, so every other op of the
-    /// two forwards must agree to the bit.
-    #[test]
-    fn one_token_logits_equal_the_tape_bitwise() {
-        for (arch, kv) in [
-            (ArchKind::NeoX, None),
-            (ArchKind::Llama, None),
-            (ArchKind::Llama, Some(2)),
-        ] {
-            for seed in 0..20 {
-                let (model, store) = build(arch, kv, seed);
-                for tok in [0, 17, 39] {
-                    let mut cache = model.new_cache();
-                    let cached = model.forward_cached(&store, &[tok], &mut cache);
-                    let full = full_logits(&model, &store, &[tok]);
-                    assert_eq!(
-                        bits(&cached),
-                        bits(&full),
-                        "{arch:?}/{kv:?} seed {seed} tok {tok}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_decode_matches_full_forward() {
-        let (model, store) = build(ArchKind::Llama, Some(2), 5);
-        let tokens: Vec<u32> = (0..12).map(|i| (i * 11 + 3) % 40).collect();
-        let mut cache = model.new_cache();
-        // prefill the first 6, then one token at a time
-        let mut last = model.forward_cached(&store, &tokens[..6], &mut cache);
-        for &t in &tokens[6..] {
-            last = model.decode_step(&store, t, &mut cache);
-        }
-        let full = full_logits(&model, &store, &tokens);
-        let v = model.cfg.vocab_size;
-        let full_last = &full[(tokens.len() - 1) * v..];
-        for (a, b) in last.iter().zip(full_last) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-        assert_eq!(cache.len(), tokens.len());
-        assert_eq!(cache.positions_seen(), tokens.len());
     }
 
     #[test]
@@ -687,8 +635,13 @@ mod tests {
         for (i, ((_, a), (_, b))) in stacked.iter().zip(&solo).enumerate() {
             assert_eq!(a.next_pos, b.next_pos, "segment {i} position");
             assert_eq!(a.len(), b.len(), "segment {i} window");
+            assert_eq!(a.skip, b.skip, "segment {i} skip");
             for (la, lb) in a.layers.iter().zip(&b.layers) {
-                assert_eq!(bits(&la.k), bits(&lb.k), "segment {i} keys");
+                assert_eq!(
+                    bits(&la.k.tiles().concat()),
+                    bits(&lb.k.tiles().concat()),
+                    "segment {i} keys"
+                );
                 assert_eq!(bits(&la.v), bits(&lb.v), "segment {i} values");
             }
         }

@@ -16,8 +16,9 @@
 //!   [`matgpt_model::KvStorage`]: a block table maps logical token
 //!   positions to physical blocks, so `forward_cached` runs unmodified
 //!   and produces **bit-identical** logits to the contiguous backend
-//!   (the paged attention kernel replays the same float ops in the same
-//!   order; property-tested in `tests/paged_kv.rs`).
+//!   (a block's keys are key-major, `[kv_dim, block_size]`, and the one
+//!   attention scan sums every score in the same order whatever the
+//!   block size; property-tested in `tests/paged_kv.rs`).
 //! * **COW prefix sharing** — [`PagedKv::fork`] shares every block with
 //!   the parent by incrementing refcounts; a later append into a shared
 //!   partial tail block copies it first ([`PagedKv::reserve_rows`]), so
@@ -32,7 +33,7 @@
 //! blocks, recomputing it later — see `scheduler`).
 
 use matgpt_model::KvStorage;
-use matgpt_tensor::kernels::infer::paged_attention;
+use matgpt_tensor::kernels::infer::{key_major_attention, KvPieces};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -118,7 +119,10 @@ struct PoolShared {
     kv_dim: usize,
     /// Floats per block: `2 * layers * block_size * kv_dim` (keys and
     /// values for every layer). Within a block, section
-    /// `(layer, k|v)` starts at `((layer * 2 + kv) * block_size) * kv_dim`.
+    /// `(layer, k|v)` starts at `((layer * 2 + kv) * block_size) * kv_dim`;
+    /// a key section is key-major `[kv_dim, block_size]` (the layout the
+    /// attention scan scores), a value section token-major
+    /// `[block_size, kv_dim]`.
     stride: usize,
     /// The slab. Block data is lazily sized on first allocation and
     /// kept across free/realloc cycles. The per-block `RwLock` is a
@@ -441,27 +445,6 @@ impl PagedKv {
             max_seq,
         }
     }
-
-    /// The cached K row at visible position `pos` of `layer` (test and
-    /// debugging aid; the hot path reads blocks directly).
-    pub fn k_row(&self, layer: usize, pos: usize) -> Vec<f32> {
-        self.row(layer, pos, false)
-    }
-
-    /// The cached V row at visible position `pos` of `layer`.
-    pub fn v_row(&self, layer: usize, pos: usize) -> Vec<f32> {
-        self.row(layer, pos, true)
-    }
-
-    fn row(&self, layer: usize, pos: usize, v: bool) -> Vec<f32> {
-        let bs = self.block_size();
-        let kv_dim = self.kv_dim();
-        let p = self.dropped + pos;
-        assert!(p < self.rows + self.pending, "row {pos} not cached");
-        let data = self.pool.shared.blocks[self.table[p / bs] as usize].read();
-        let off = self.section(layer, v) + (p % bs) * kv_dim;
-        data[off..off + kv_dim].to_vec()
-    }
 }
 
 impl Drop for PagedKv {
@@ -526,8 +509,16 @@ impl KvStorage for PagedKv {
             // rows for this block: until the block or the batch ends
             let run = (bs - slot).min(self.pending - r);
             let mut data = self.pool.shared.blocks[block as usize].write();
-            data[k_off + slot * kv_dim..k_off + (slot + run) * kv_dim]
-                .copy_from_slice(&k[r * kv_dim..(r + run) * kv_dim]);
+            let keys = &mut data[k_off..k_off + bs * kv_dim];
+            for (i, key) in k[r * kv_dim..(r + run) * kv_dim]
+                .chunks_exact(kv_dim)
+                .enumerate()
+            {
+                let column = keys[slot + i..].iter_mut().step_by(bs);
+                for (x, &e) in column.zip(key) {
+                    *x = e;
+                }
+            }
             data[v_off + slot * kv_dim..v_off + (slot + run) * kv_dim]
                 .copy_from_slice(&v[r * kv_dim..(r + run) * kv_dim]);
             r += run;
@@ -562,19 +553,13 @@ impl KvStorage for PagedKv {
             .iter()
             .map(|g| &g[v_off..v_off + bs * kv_dim])
             .collect();
-        paged_attention(
-            q,
-            &k_blocks,
-            &v_blocks,
-            bs,
-            self.dropped,
-            out,
-            n_new,
-            t_total,
-            heads,
-            kv_heads,
-            d,
-        );
+        let kv = KvPieces {
+            k: &k_blocks,
+            v: &v_blocks,
+            w: bs,
+            skip: self.dropped,
+        };
+        key_major_attention(q, kv, out, n_new, t_total, heads, kv_heads, d);
     }
 
     fn commit(&mut self) {
@@ -798,6 +783,8 @@ impl Drop for PrefixCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matgpt_model::{ArchKind, GptConfig, GptModel, KvCache};
+    use matgpt_tensor::{init, ParamStore, Tape};
 
     fn pool(bs: usize, n: usize) -> BlockPool {
         // 2 layers, kv_dim 4
@@ -809,6 +796,21 @@ mod tests {
             2,
             4,
         )
+    }
+
+    /// The cached key (or, with `v`, value) row at visible position
+    /// `pos` of `layer`.
+    fn cached_row(kv: &PagedKv, layer: usize, pos: usize, v: bool) -> Vec<f32> {
+        let (bs, kv_dim) = (kv.block_size(), kv.kv_dim());
+        let p = kv.dropped + pos;
+        assert!(p < kv.rows + kv.pending, "row {pos} not cached");
+        let data = kv.pool.shared.blocks[kv.table[p / bs] as usize].read();
+        let section = &data[kv.section(layer, v)..][..bs * kv_dim];
+        if v {
+            section[p % bs * kv_dim..][..kv_dim].to_vec()
+        } else {
+            (0..kv_dim).map(|c| section[c * bs + p % bs]).collect()
+        }
     }
 
     /// Drive a fake forward of `n` rows with recognisable values.
@@ -826,6 +828,89 @@ mod tests {
             kv.write(layer, &k, &v);
         }
         kv.commit();
+    }
+
+    /// `tokens` forwarded through `cache` in chunks of `schedule` (a
+    /// prefill, decode steps, a verify), the logits of every position
+    /// stacked; `reserve` readies the storage for a chunk.
+    fn served<S: KvStorage>(
+        model: &GptModel,
+        store: &ParamStore,
+        tokens: &[u32],
+        schedule: &[usize],
+        cache: &mut S,
+        reserve: impl Fn(&mut S, usize),
+    ) -> Vec<f32> {
+        let mut at = 0;
+        let mut logits = Vec::new();
+        for &n in schedule {
+            reserve(cache, n);
+            logits.extend(model.forward_cached(store, &tokens[at..at + n], cache));
+            at += n;
+        }
+        assert_eq!(at, tokens.len(), "schedule covers the tokens");
+        logits
+    }
+
+    /// The theorem the one score order buys: while a sequence fits
+    /// `max_seq`, every logit the serving forward produces is the
+    /// tape's `GptModel::logits` row to the bit — on NeoX, LLaMA and
+    /// LLaMA with GQA, for one token, a prefill, an incremental decode
+    /// and a multi-row verify on a non-empty cache, on the contiguous
+    /// cache and on paged blocks of 3, 4 and 16 rows.
+    #[test]
+    fn served_logits_equal_the_tape_bitwise() {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (arch, kv_heads) in [
+            (ArchKind::NeoX, None),
+            (ArchKind::Llama, None),
+            (ArchKind::Llama, Some(2)),
+        ] {
+            for seed in 0..4 {
+                let cfg = GptConfig {
+                    vocab_size: 40,
+                    hidden: 32,
+                    layers: 2,
+                    heads: 4,
+                    kv_heads,
+                    max_seq: 24,
+                    ..GptConfig::tiny(arch, 40)
+                };
+                let mut store = ParamStore::new();
+                let model = GptModel::new(cfg, &mut store, &mut init::rng(seed));
+                let long: Vec<u32> = (0..20)
+                    .map(|i| (i * 7 + seed as u32 * 5 + 3) % 40)
+                    .collect();
+                let inputs: [(&[u32], &[usize]); 4] = [
+                    (&[0], &[1]),
+                    (&[17], &[1]),
+                    (&[39], &[1]),
+                    (&long, &[10, 1, 1, 1, 1, 6]),
+                ];
+                for (tokens, schedule) in inputs {
+                    let mut tape = Tape::new();
+                    let l = model.logits(&mut tape, &store, tokens, 1, tokens.len());
+                    let want = bits(tape.value(l).data());
+                    let at = format!("{arch:?}/{kv_heads:?} seed {seed} {schedule:?}");
+                    let mut cache = KvCache::new(&model);
+                    let got = served(&model, &store, tokens, schedule, &mut cache, |_, _| ());
+                    assert_eq!(bits(&got), want, "contiguous, {at}");
+                    for bs in [3, 4, 16] {
+                        let pool = BlockPool::for_model(
+                            KvBlockConfig {
+                                block_size: bs,
+                                num_blocks: 16,
+                            },
+                            &model,
+                        );
+                        let mut kv = pool.new_seq(model.cfg.max_seq);
+                        let reserve = |kv: &mut PagedKv, n| kv.reserve_rows(n).expect("pool sized");
+                        let got = served(&model, &store, tokens, schedule, &mut kv, reserve);
+                        assert_eq!(bits(&got), want, "paged {bs}, {at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -863,10 +948,14 @@ mod tests {
             "one COW copy, full block still shared"
         );
         // row 6 differs between the forks; rows 0..6 stay identical
-        assert_ne!(a.k_row(0, 6), b.k_row(0, 6));
+        assert_ne!(cached_row(&a, 0, 6, false), cached_row(&b, 0, 6, false));
         for pos in 0..6 {
-            assert_eq!(a.k_row(0, pos), b.k_row(0, pos), "prefix row {pos} aliased");
-            assert_eq!(a.v_row(1, pos), b.v_row(1, pos));
+            assert_eq!(
+                cached_row(&a, 0, pos, false),
+                cached_row(&b, 0, pos, false),
+                "prefix row {pos} aliased"
+            );
+            assert_eq!(cached_row(&a, 1, pos, true), cached_row(&b, 1, pos, true));
         }
         drop(a);
         drop(b);
@@ -919,7 +1008,7 @@ mod tests {
         let p = pool(4, 8);
         let mut kv = p.new_seq(64);
         push_rows(&mut kv, 5, 0.0); // blocks: [full, 1-row tail]
-        let snapshot: Vec<_> = (0..5).map(|pos| kv.k_row(0, pos)).collect();
+        let snapshot: Vec<_> = (0..5).map(|pos| cached_row(&kv, 0, pos, false)).collect();
         // speculative burst: 5 more rows (crosses into a third block)
         push_rows(&mut kv, 5, 500.0);
         assert_eq!(p.stats().allocated, 3);
@@ -929,10 +1018,13 @@ mod tests {
         assert_eq!(p.stats().allocated, 2, "speculative tail block released");
         // committed rows untouched; re-append overwrites stale slots
         for (pos, row) in snapshot.iter().enumerate() {
-            assert_eq!(&kv.k_row(0, pos), row);
+            assert_eq!(&cached_row(&kv, 0, pos, false), row);
         }
         push_rows(&mut kv, 2, 900.0);
-        assert_eq!(kv.k_row(0, 5), vec![905.0, 905.1, 905.2, 905.3]);
+        assert_eq!(
+            cached_row(&kv, 0, 5, false),
+            vec![905.0, 905.1, 905.2, 905.3]
+        );
         drop(kv);
         assert_eq!(p.free_blocks(), 8);
     }
@@ -950,8 +1042,14 @@ mod tests {
         assert_eq!(parent.len(), 6);
         // the child's view of every shared row is untouched
         for pos in 0..6 {
-            assert_eq!(parent.k_row(0, pos), child.k_row(0, pos));
-            assert_eq!(parent.v_row(1, pos), child.v_row(1, pos));
+            assert_eq!(
+                cached_row(&parent, 0, pos, false),
+                cached_row(&child, 0, pos, false)
+            );
+            assert_eq!(
+                cached_row(&parent, 1, pos, true),
+                cached_row(&child, 1, pos, true)
+            );
         }
         drop(parent);
         drop(child);
@@ -983,7 +1081,10 @@ mod tests {
         let forked = cache.fork_longest(&prompt, 64).expect("prefix hit");
         assert_eq!(forked.len(), 8);
         assert_eq!(forked.positions_seen(), 8);
-        assert_eq!(forked.k_row(1, 3), kv.k_row(1, 3));
+        assert_eq!(
+            cached_row(&forked, 1, 3, false),
+            cached_row(&kv, 1, 3, false)
+        );
 
         // diverging tokens after position 4: only one block shared
         let mut other = prompt.clone();

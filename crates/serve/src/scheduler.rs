@@ -1322,6 +1322,56 @@ mod tests {
         }
     }
 
+    /// Admission under pressure, with no clock: eight requests of 8
+    /// prompt + 16 new tokens, `max_batch` 2 and a 64-token budget (room
+    /// for two). They are admitted in id order, in pairs, and a pair
+    /// only once both ids of the pair before it have retired.
+    #[test]
+    fn admission_pressure_admits_fifo_pairs() {
+        let cfg = SchedulerConfig {
+            max_batch: 2,
+            token_budget: 64,
+            ..SchedulerConfig::default()
+        };
+        let (mut s, _) = scheduler(cfg, 0);
+        let rxs: Vec<_> = (0..8u32)
+            .map(|id| {
+                submit(
+                    &mut s,
+                    id.into(),
+                    (0..8).map(|t| (t + id) % 30).collect(),
+                    16,
+                )
+            })
+            .collect();
+        let (mut admitted, mut retired) = (Vec::new(), vec![false; rxs.len()]);
+        while !s.idle() {
+            s.step();
+            for (id, rx) in rxs.iter().enumerate() {
+                if let Ok(r) = rx.try_recv() {
+                    assert_eq!((r.finish, r.generated), (FinishReason::Length, 16));
+                    retired[id] = true;
+                }
+            }
+            for a in &s.active {
+                let id = a.state.sub.id as usize;
+                if !admitted.contains(&id) {
+                    let wave = id / 2 * 2;
+                    assert!(
+                        wave == 0 || retired[wave - 2] && retired[wave - 1],
+                        "{id} admitted before ids {} and {} retired",
+                        wave - 2,
+                        wave - 1
+                    );
+                    admitted.push(id);
+                }
+            }
+            assert!(s.active.len() <= 2, "budget holds two");
+        }
+        assert_eq!(admitted, (0..8).collect::<Vec<_>>(), "FIFO");
+        assert!(retired.iter().all(|&r| r), "every request answered");
+    }
+
     #[test]
     fn a_newcomer_rides_the_decode_forward() {
         let (mut s, weights) = scheduler(SchedulerConfig::default(), 0);

@@ -9,11 +9,13 @@
 //!   O(T) auxiliary memory per row, saving only the per-row log-sum-exp and
 //!   recomputing probabilities tile-free in the backward pass.
 //!
-//! Inputs are token-major, as the projections write them and as the
-//! serving scan ([`super::infer`]) reads them: q and the output are
-//! `[B·T, H·D]`, k and v `[B·T, Hkv·D]`, head `h` of a token being its
-//! `h`-th `D`-wide slice. Query head `h` reads key/value head
-//! `h / (H / Hkv)`, so grouped-query attention needs no gathered copy.
+//! Inputs are token-major, as the projections write them: q and the
+//! output are `[B·T, H·D]`, k and v `[B·T, Hkv·D]`, head `h` of a token
+//! being its `h`-th `D`-wide slice. The flash kernel lays each head's
+//! keys out [`KeyMajor`], as the serving scan ([`super::infer`]) keeps
+//! its cache, and both score through [`dots`]. Query head `h` reads
+//! key/value head `h / (H / Hkv)`, so grouped-query attention needs no
+//! gathered copy.
 //! Every (sequence, query head) is one pool task, and its arithmetic is
 //! that of one contiguous `[T, D]` head: the layout moves no bit.
 
@@ -193,7 +195,7 @@ pub fn attention_fwd(
             let mut lse = vec![0.0f32; tasks * t];
             let init = || {
                 (
-                    KeyMajor::new(t, d),
+                    KeyMajor::new(d),
                     vec![0.0f32; t.next_multiple_of(KEYS)],
                     RowScratch::default(),
                 )
@@ -204,10 +206,12 @@ pub fn attention_fwd(
                 .enumerate()
                 .for_each_init(init, |(kt, scores, row), (task, (ob, lb))| {
                     let (qh, kh, vh) = view(task);
-                    kt.fill((0..t).map(kh));
+                    kt.truncate(0);
+                    kt.extend((0..t).map(kh));
+                    let tiles = kt.tiles();
                     for (i, (acc, l)) in ob.into_iter().zip(lb.iter_mut()).enumerate() {
                         let n = if causal { i + 1 } else { t };
-                        kt.dots(qh(i), n, scale, scores);
+                        dots(&tiles, KEYS, 0, qh(i), n, scale, scores);
                         let os = OnlineSoftmax::fold_row(&scores[..n], vh, acc, row);
                         os.finish(acc);
                         *l = os.logsumexp();
@@ -218,50 +222,147 @@ pub fn attention_fwd(
     }
 }
 
-/// Keys scored per vector by [`KeyMajor::dots`].
-const KEYS: usize = 16;
+/// Keys a key-major tile holds: one 512-bit vector of scores.
+pub const KEYS: usize = 16;
 
-/// One head's `[t, d]` keys (or values) laid out key-major,
-/// `[d, t_pad]` with `t_pad` a multiple of [`KEYS`]: component `c` of
-/// keys `j..j+16` is one contiguous vector.
-struct KeyMajor {
+/// Keys laid out key-major in tiles of [`KEYS`]: tile `p` holds keys
+/// `16p..16p+16` as `[width, 16]`, component `c` of its keys one vector.
+/// The tape's per-head keys and values (`width` = `d`) and the serving
+/// cache's keys (`width` = `kv_heads·d`) are held so. Slots past the
+/// last key are scored with the rest and never read.
+#[derive(Clone, Debug)]
+pub struct KeyMajor {
     data: Vec<f32>,
-    t_pad: usize,
+    width: usize,
+    len: usize,
 }
 
 impl KeyMajor {
-    fn new(t: usize, d: usize) -> Self {
-        let t_pad = t.next_multiple_of(KEYS);
+    /// No keys, each `width` components wide.
+    pub fn new(width: usize) -> Self {
         Self {
-            data: vec![0.0f32; d * t_pad],
-            t_pad,
+            data: Vec::new(),
+            width,
+            len: 0,
         }
     }
 
-    /// Lay out `rows`, at most the `t` this was made for.
-    fn fill<'a>(&mut self, rows: impl Iterator<Item = &'a [f32]>) {
-        for (j, row) in rows.enumerate() {
-            for (c, &e) in row.iter().enumerate() {
-                self.data[c * self.t_pad + j] = e;
+    /// Floats one tile holds.
+    fn tile(&self) -> usize {
+        self.width * KEYS
+    }
+
+    /// Append `keys` (`width` components each) after the last.
+    pub fn extend<'a>(&mut self, keys: impl IntoIterator<Item = &'a [f32]>) {
+        let size = self.tile();
+        for key in keys {
+            debug_assert_eq!(key.len(), self.width, "key width");
+            let (p, slot) = (self.len / KEYS, self.len % KEYS);
+            if slot == 0 {
+                self.data.resize((p + 1) * size, 0.0);
             }
+            let column = self.data[p * size + slot..].iter_mut().step_by(KEYS);
+            for (x, &e) in column.zip(key) {
+                *x = e;
+            }
+            self.len += 1;
         }
     }
 
-    /// `out[j] = q · row j · scale` for `j < n` (and up to `n` rounded up
-    /// to [`KEYS`]), 16 rows per step, each dot the tape's: unfused
-    /// products summed in order from `-0.0`, as `Iterator::sum` does.
-    fn dots(&self, q: &[f32], n: usize, scale: f32, out: &mut [f32]) {
-        for (g, out) in (0..n).step_by(KEYS).zip(out.chunks_exact_mut(KEYS)) {
-            let mut sum = [-0.0f32; KEYS];
+    /// Keep the first `n` keys (and the tiles they need).
+    pub fn truncate(&mut self, n: usize) {
+        self.len = self.len.min(n);
+        self.data.truncate(self.len.div_ceil(KEYS) * self.tile());
+    }
+
+    /// Drop the first `tiles` tiles, `16·tiles` keys.
+    pub fn drop_front(&mut self, tiles: usize) {
+        self.data.drain(..tiles * self.tile());
+        self.len -= tiles * KEYS;
+    }
+
+    /// The tiles, in key order: [`dots`]'s pieces with `w` = [`KEYS`].
+    pub fn tiles(&self) -> Vec<&[f32]> {
+        self.data.chunks_exact(self.tile()).collect()
+    }
+}
+
+/// `out[j] = (q · key j) · scale` for every key `j` of the pieces that
+/// cover keys `0..n` (the last one whole). Piece `p` holds keys
+/// `pw..pw+w` key-major, `[width, w]`; key `j`'s components are rows
+/// `at..at + q.len()` of its piece, one head of a wider key.
+///
+/// Each key's products are summed in order from `-0.0`, unfused, as
+/// `Iterator::sum` does, and only then scaled: the one score arithmetic
+/// of the tape's and the serving scans, whatever the piece width and
+/// however many keys a vector carries. Tiles of [`KEYS`] go four at a
+/// time, so that no tile's sums wait on the one before it.
+pub fn dots(
+    pieces: &[&[f32]],
+    w: usize,
+    at: usize,
+    q: &[f32],
+    n: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let pieces = &pieces[..n.div_ceil(w)];
+    let out = &mut out[..pieces.len() * w];
+    if w != KEYS {
+        for (piece, out) in pieces.iter().zip(out.chunks_exact_mut(w)) {
+            out.fill(-0.0);
             for (c, &qc) in q.iter().enumerate() {
-                let col = &self.data[c * self.t_pad + g..][..KEYS];
-                for (x, &e) in sum.iter_mut().zip(col) {
+                for (x, &e) in out.iter_mut().zip(&piece[(at + c) * w..][..w]) {
                     *x += qc * e;
                 }
             }
-            for (o, &x) in out.iter_mut().zip(&sum) {
-                *o = x * scale;
+            for x in out {
+                *x *= scale;
             }
+        }
+        return;
+    }
+    let mut groups = pieces.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4 * KEYS);
+    for (group, out) in (&mut groups).zip(&mut outs) {
+        let mut sum = [[-0.0f32; KEYS]; 4];
+        for (c, &qc) in q.iter().enumerate() {
+            let row = (at + c) * KEYS;
+            let [s0, s1, s2, s3] = &mut sum;
+            add_products(s0, qc, &group[0][row..]);
+            add_products(s1, qc, &group[1][row..]);
+            add_products(s2, qc, &group[2][row..]);
+            add_products(s3, qc, &group[3][row..]);
+        }
+        scale_into(&sum, scale, out);
+    }
+    let rest = outs.into_remainder().chunks_exact_mut(KEYS);
+    for (tile, out) in groups.remainder().iter().zip(rest) {
+        let mut sum = [[-0.0f32; KEYS]];
+        for (c, &qc) in q.iter().enumerate() {
+            add_products(&mut sum[0], qc, &tile[(at + c) * KEYS..]);
+        }
+        scale_into(&sum, scale, out);
+    }
+}
+
+/// `sum[l] += qc · col[l]` for the sixteen keys of one tile row.
+#[inline(always)]
+fn add_products(sum: &mut [f32; KEYS], qc: f32, col: &[f32]) {
+    let col: &[f32; KEYS] = col[..KEYS].try_into().expect("a whole tile row");
+    for (x, &e) in sum.iter_mut().zip(col) {
+        *x += qc * e;
+    }
+}
+
+/// `out = sum · scale`, tile after tile. Taking `sum` whole keeps it
+/// an array, so [`add_products`] compiles to vector adds; a scaling
+/// loop written out in [`dots`] let it be split into 64 scalars.
+#[inline(always)]
+fn scale_into(sum: &[[f32; KEYS]], scale: f32, out: &mut [f32]) {
+    for (out, s) in out.chunks_exact_mut(KEYS).zip(sum) {
+        for (o, &x) in out.iter_mut().zip(s) {
+            *o = x * scale;
         }
     }
 }
@@ -331,8 +432,8 @@ pub fn attention_bwd(
     let init = || {
         let row = || vec![0.0f32; t.next_multiple_of(KEYS)];
         (
-            KeyMajor::new(t, d),
-            KeyMajor::new(t, d),
+            KeyMajor::new(d),
+            KeyMajor::new(d),
             vec![0.0f32; t],
             row(),
             row(),
@@ -347,10 +448,13 @@ pub fn attention_bwd(
             for (i, dr) in drow.iter_mut().enumerate() {
                 *dr = doh(i).iter().zip(oh(i)).map(|(a, b)| a * b).sum();
             }
+            kt.truncate(0);
             if let AttnSaved::Lse(_) = saved {
-                kt.fill((0..t).map(kh));
+                kt.extend((0..t).map(kh));
             }
-            vt.fill((0..t).map(vh));
+            vt.truncate(0);
+            vt.extend((0..t).map(vh));
+            let (ktiles, vtiles) = (kt.tiles(), vt.tiles());
             for (i, dqi) in dqh.into_iter().enumerate() {
                 let (qi, doi) = (qh(i), doh(i));
                 let n = if causal { i + 1 } else { t };
@@ -360,7 +464,7 @@ pub fn attention_bwd(
                         p[..n].copy_from_slice(&probs[(task * t + i) * t..][..n])
                     }
                     AttnSaved::Lse(l) => {
-                        kt.dots(qi, n, scale, p);
+                        dots(&ktiles, KEYS, 0, qi, n, scale, p);
                         for x in &mut p[..n] {
                             *x -= l[task * t + i];
                         }
@@ -368,7 +472,7 @@ pub fn attention_bwd(
                     }
                 }
                 // dp_ij = dO_i · V_j (a scale of 1 is exact)
-                vt.dots(doi, n, 1.0, dp);
+                dots(&vtiles, KEYS, 0, doi, n, 1.0, dp);
                 for (j, (&p, &dp)) in p[..n].iter().zip(&dp[..n]).enumerate() {
                     if p == 0.0 {
                         continue;

@@ -1,24 +1,23 @@
 //! Inference-only kernels: KV-cached causal attention and rotary
 //! embeddings at explicit absolute positions.
 //!
-//! Attention inputs are **token-major** here, as they are in the
-//! training kernels ([`super::attention`], whole sequences of
-//! `[B·T, H·D]` queries against `[B·T, Hkv·D]` keys and values):
-//!
-//! * queries for the new tokens: `[Tn, H*D]` — exactly the projection
-//!   output, no head split/merge copies;
-//! * key/value caches: `[Ttot, Hkv*D]` — appending one decoded token is
-//!   a plain `extend_from_slice`, and windowed truncation is a front
-//!   drain.
+//! Queries, values and the outputs are **token-major** here, as they
+//! are in the training kernels ([`super::attention`], whole sequences
+//! of `[B·T, H·D]` queries against `[B·T, Hkv·D]` keys and values):
+//! queries for the new tokens are `[Tn, H*D]`, exactly the projection
+//! output, and a cache's values `[Ttot, Hkv*D]` rows. Cached **keys**
+//! are key-major, in pieces of `w` positions laid out `[Hkv*D, w]`
+//! (a [`super::attention::KeyMajor`]'s tiles of 16, or a paged block's
+//! `w` slots), so that a score is the training tape's: [`dots`] sums
+//! each key's products in order, unfused, and the two scans round
+//! every score, weight and output alike. A served forward's logits
+//! therefore equal the tape's bit for bit while the sequence fits the
+//! window.
 //!
 //! Grouped-query attention falls out of the indexing on both sides:
-//! query head `h` reads cache head `h / (H / Hkv)`. The one difference
-//! in arithmetic is the order a score is summed in: the training
-//! kernels add a dot product's products one after another (as
-//! `Iterator::sum` does), this scan in `dot8`'s eight lanes. ROADMAP
-//! item 8 holds what moving the scan onto the training order costs.
+//! query head `h` reads cache head `h / (H / Hkv)`.
 
-use super::matmul::Avx512;
+use super::attention::dots;
 use super::softmax::{OnlineSoftmax, RowScratch};
 use rayon::prelude::*;
 use std::collections::VecDeque;
@@ -85,168 +84,81 @@ impl RotaryTable {
     }
 }
 
-/// Dot product with a fixed eight-lane accumulation shape: lanes gather
-/// strided partial sums, are combined in a fixed pairwise order, then
-/// the `len % 8` tail is added sequentially. The shape depends only on
-/// the slice length — never on which kernel or batch the call came from
-/// — so contiguous/paged attention and single/batched decode all score
-/// identical inputs bitwise identically. [`dot8_rows`] is the same shape
-/// over many keys at once.
-#[inline]
-fn dot8(a: &[f32], b: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            *lane = xa[l].mul_add(xb[l], *lane);
-        }
-    }
-    let mut tail = 0.0f32;
-    for (xa, xb) in ca.remainder().iter().zip(cb.remainder()) {
-        tail = xa.mul_add(*xb, tail);
-    }
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-        + tail
+/// A sequence's cached keys and values as the scan reads them, in
+/// pieces of `w` positions: piece `p` holds positions `pw..pw+w`, its
+/// keys key-major `[kv_heads·d, w]` (the layout [`dots`] scores) and its
+/// values token-major `[w, kv_heads·d]`. The first `skip` positions lie
+/// outside the attention window and are never read: visible position
+/// `j` is position `skip + j`.
+#[derive(Clone, Copy, Debug)]
+pub struct KvPieces<'a> {
+    /// Key pieces, `[kv_heads·d, w]` each.
+    pub k: &'a [&'a [f32]],
+    /// Value pieces, `[w, kv_heads·d]` each (a last one may be shorter).
+    pub v: &'a [&'a [f32]],
+    /// Positions per piece.
+    pub w: usize,
+    /// Front positions outside the window.
+    pub skip: usize,
 }
 
-/// `out[j] = dot8(q, key j) · scale` for every row of `rows`, key `j`
-/// being `rows[j].0[at..at + q.len()]`: four keys at a time through the
-/// AVX-512 host's vector units where `avx512` says it has them, one
-/// [`dot8`] call a key elsewhere — the same operations either way. On an
-/// AVX-512 Xeon at `target-cpu=native` the four-key body cuts a scan's
-/// time by 15-22 % against one autovectorized `dot8` a key.
-fn dot8_rows(
-    avx512: Option<Avx512>,
-    q: &[f32],
-    rows: &[(&[f32], &[f32])],
-    at: usize,
-    scale: f32,
-    out: &mut [f32],
-) {
-    let d = q.len();
-    let key = |j: usize| &rows[j].0[at..at + d];
-    let out = &mut out[..rows.len()];
-    // how many keys the vector body scored: all but the last `len % 4`
-    let done = match avx512 {
-        #[cfg(target_arch = "x86_64")]
-        Some(_) => {
-            for (j, four) in out.chunks_exact_mut(4).enumerate() {
-                let keys = [0, 1, 2, 3].map(|i| key(4 * j + i));
-                // SAFETY: an `Avx512` exists only where avx512f was detected
-                let s = unsafe { dot8_x4(q, keys) };
-                for (o, s) in four.iter_mut().zip(s) {
-                    *o = s * scale;
-                }
-            }
-            rows.len() - rows.len() % 4
-        }
-        _ => 0,
-    };
-    for (j, o) in out.iter_mut().enumerate().skip(done) {
-        *o = dot8(q, key(j)) * scale;
-    }
-}
-
-/// [`dot8`] of `q` with four keys: each key's eight lanes are one `ymm`
-/// of `fmadd`s, and two rounds of `hadd` then a high-plus-low add
-/// combine the four keys' lanes pairwise in `dot8`'s order — `hadd`
-/// adds a lane to its neighbour — before each key's tail is added.
+/// KV-cached causal attention over key-major cached keys: the one scan
+/// behind every KV layout. Query `i` of `q` (`[n_new, heads*d]`,
+/// rotated; visible position `t_total - n_new + i`) attends to visible
+/// positions `0..=t_total - n_new + i` of `kv`, which include the new
+/// tokens' own rows; `out` is `[n_new, heads*d]`.
 ///
-/// # Safety
-/// `avx512f` (which brings `avx2` and `fma`) must have been detected.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dot8_x4(q: &[f32], keys: [&[f32]; 4]) -> [f32; 4] {
-    use std::arch::x86_64::*;
-    let d = q.len();
-    let full = d - d % 8;
-    let mut tails = [0.0f32; 4];
-    for (t, k) in tails.iter_mut().zip(keys) {
-        assert_eq!(k.len(), d, "key width");
-        for (x, y) in q[full..].iter().zip(&k[full..]) {
-            *t = x.mul_add(*y, *t);
-        }
-    }
-    // SAFETY: every load reads 8 floats from offset `c ≤ full - 8` of a
-    // slice of `d ≥ full` floats (the assert above for the keys)
-    unsafe {
-        let mut acc = [_mm256_setzero_ps(); 4];
-        for c in (0..full).step_by(8) {
-            let qv = _mm256_loadu_ps(q.as_ptr().add(c));
-            for (a, k) in acc.iter_mut().zip(keys) {
-                *a = _mm256_fmadd_ps(qv, _mm256_loadu_ps(k.as_ptr().add(c)), *a);
-            }
-        }
-        let h = _mm256_hadd_ps(
-            _mm256_hadd_ps(acc[0], acc[1]),
-            _mm256_hadd_ps(acc[2], acc[3]),
-        );
-        let lanes = _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps::<1>(h));
-        let mut out = [0.0f32; 4];
-        _mm_storeu_ps(
-            out.as_mut_ptr(),
-            _mm_add_ps(lanes, _mm_loadu_ps(tails.as_ptr())),
-        );
-        out
-    }
-}
-
-/// The one causal attention scan behind both KV layouts: query `i` (of
-/// the trailing `n_new` of the `rows.len()` visible rows) attends to
-/// visible rows `0..=rows.len() - n_new + i`. `rows[j]` is visible row
-/// `j`'s `[kv_heads*d]` key and value rows — the only thing the layouts
-/// differ in — so for bitwise-equal rows every layout performs the
-/// identical float operations in the identical order.
-///
-/// Per query row and head it scores every visible key with [`dot8`]'s
-/// shape ([`dot8_rows`], many keys per instruction), then folds the
-/// scores with [`OnlineSoftmax::fold_row`]: the streaming softmax's
-/// exact recurrence, its exps in one vectorized call. Scratch is
-/// allocated per call and worker. Row `i` costs `first + i` keys, so the
-/// rows go to the pool cheapest and dearest alternately: the pool's
-/// contiguous per-worker groups then cost about the same.
+/// Per query row and head it scores the visible keys with [`dots`] and
+/// folds the scores with `OnlineSoftmax::fold_row`, the streaming
+/// softmax's exact recurrence, exactly as the tape's flash kernel
+/// does row by row: the piece width and the skip move no bit. Row `i`
+/// costs `first + i` keys, so the rows go to the pool cheapest and
+/// dearest alternately: the pool's contiguous per-worker groups then
+/// cost about the same.
 #[allow(clippy::too_many_arguments)]
-fn attention_scan(
+pub fn key_major_attention(
     q: &[f32],
-    rows: &[(&[f32], &[f32])],
+    kv: KvPieces<'_>,
     out: &mut [f32],
     n_new: usize,
+    t_total: usize,
     heads: usize,
     kv_heads: usize,
     d: usize,
 ) {
-    let t_total = rows.len();
     debug_assert_eq!(q.len(), n_new * heads * d, "q layout");
     debug_assert!(n_new <= t_total, "more new tokens than visible rows");
+    let KvPieces { k, v, w, skip } = kv;
+    let width = kv_heads * d;
     let group = heads / kv_heads;
     let scale = 1.0 / (d as f32).sqrt();
     let first = t_total - n_new;
-    let avx512 = Avx512::detect();
+    let rows = v.iter().flat_map(|piece| piece.chunks_exact(width));
+    let rows: Vec<&[f32]> = rows.skip(skip).take(t_total).collect();
     let mut left: VecDeque<(usize, &mut [f32])> = out.chunks_mut(heads * d).enumerate().collect();
     let mut items = Vec::with_capacity(n_new);
     while let Some(cheap) = left.pop_front() {
         items.push(cheap);
         items.extend(left.pop_back());
     }
-    let init = || (vec![0.0f32; t_total], RowScratch::default());
+    let scored = (skip + t_total).next_multiple_of(w);
+    let init = || (vec![0.0f32; scored], RowScratch::default());
     items
         .into_par_iter()
         .for_each_init(init, |(scores, scratch), (i, orow)| {
             let n = first + i + 1;
             for (h, acc) in orow.chunks_mut(d).enumerate() {
-                let hkv = h / group;
+                let at = h / group * d;
                 let qh = &q[(i * heads + h) * d..][..d];
-                let head = hkv * d..(hkv + 1) * d;
-                dot8_rows(avx512, qh, &rows[..n], hkv * d, scale, scores);
-                let v = |j: usize| &rows[j].1[head.clone()];
-                OnlineSoftmax::fold_row(&scores[..n], v, acc, scratch).finish(acc);
+                dots(k, w, at, qh, skip + n, scale, scores);
+                let v = |j: usize| &rows[j][at..at + d];
+                OnlineSoftmax::fold_row(&scores[skip..skip + n], v, acc, scratch).finish(acc);
             }
         });
 }
 
-/// KV-cached causal attention over token-major buffers.
+/// KV-cached causal attention over token-major buffers: the paged
+/// kernel over one block of `t_total` rows.
 ///
 /// * `q`: `[n_new, heads*d]` rotated queries for the trailing `n_new`
 ///   tokens of the cached sequence;
@@ -268,32 +180,19 @@ pub fn cached_attention(
     kv_heads: usize,
     d: usize,
 ) {
-    let w = kv_heads * d;
-    debug_assert_eq!(k_cache.len(), t_total * w, "k cache layout");
-    debug_assert_eq!(v_cache.len(), t_total * w, "v cache layout");
-    let rows: Vec<(&[f32], &[f32])> = k_cache
-        .chunks_exact(w)
-        .zip(v_cache.chunks_exact(w))
-        .take(t_total)
-        .collect();
-    assert_eq!(rows.len(), t_total, "k / v cache shorter than t_total rows");
-    attention_scan(q, &rows, out, n_new, heads, kv_heads, d);
+    // a block of at least one row, so an empty cache is one empty block
+    let (k, v, rows) = (&[k_cache][..], &[v_cache][..], t_total.max(1));
+    paged_attention(q, k, v, rows, 0, out, n_new, t_total, heads, kv_heads, d);
 }
 
-/// [`cached_attention`] over a **block-paged** KV layout.
-///
-/// Instead of one contiguous `[t_total, kv_heads*d]` buffer per layer,
-/// keys and values live in fixed-size blocks of `block_rows` tokens
-/// each (`k_blocks[b]` / `v_blocks[b]` are `[block_rows, kv_heads*d]`
-/// slices, in logical order). Physical row `p` sits in block
-/// `p / block_rows` at slot `p % block_rows`; the first `skip` physical
-/// rows are outside the attention window (front-dropped) and are never
-/// read, so visible row `j` maps to physical row `skip + j`.
-///
-/// Both layouts run the same private scan and differ only in this row
-/// lookup, so for bitwise-equal inputs the outputs are **bitwise
-/// equal** — the property the paged KV backend's parity guarantee
-/// rests on.
+/// [`cached_attention`] over a **block-paged** token-major KV layout:
+/// `k_blocks[b]` / `v_blocks[b]` are `[block_rows, kv_heads*d]` blocks
+/// in logical order, physical row `p` sitting in block `p / block_rows`
+/// at slot `p % block_rows`. The first `skip` physical rows are outside
+/// the attention window, so visible row `j` is physical row `skip + j`.
+/// Each key block is laid out key-major for the call, a pass the
+/// engine's storages (which keep their keys key-major) never run, and
+/// the blocks go to [`key_major_attention`] as its pieces.
 #[allow(clippy::too_many_arguments)]
 pub fn paged_attention(
     q: &[f32],
@@ -308,24 +207,23 @@ pub fn paged_attention(
     kv_heads: usize,
     d: usize,
 ) {
-    debug_assert_eq!(k_blocks.len(), v_blocks.len(), "block table layout");
-    debug_assert!(
-        k_blocks.len() * block_rows >= skip + t_total,
-        "block table too short: {} blocks of {} rows for skip {} + {} visible",
-        k_blocks.len(),
-        block_rows,
-        skip,
-        t_total
-    );
     let w = kv_heads * d;
-    let rows: Vec<(&[f32], &[f32])> = (skip..skip + t_total)
-        .map(|p| {
-            let (b, slot) = (p / block_rows, p % block_rows);
-            let at = slot * w..(slot + 1) * w;
-            (&k_blocks[b][at.clone()], &v_blocks[b][at])
-        })
-        .collect();
-    attention_scan(q, &rows, out, n_new, heads, kv_heads, d);
+    let mut key_major = vec![0.0f32; k_blocks.len() * block_rows * w];
+    for (km, block) in key_major.chunks_exact_mut(block_rows * w).zip(k_blocks) {
+        for (slot, key) in block.chunks_exact(w).enumerate() {
+            for (x, &e) in km[slot..].iter_mut().step_by(block_rows).zip(key) {
+                *x = e;
+            }
+        }
+    }
+    let k: Vec<&[f32]> = key_major.chunks_exact(block_rows * w).collect();
+    let kv = KvPieces {
+        k: &k,
+        v: v_blocks,
+        w: block_rows,
+        skip,
+    };
+    key_major_attention(q, kv, out, n_new, t_total, heads, kv_heads, d);
 }
 
 #[cfg(test)]
@@ -344,9 +242,9 @@ mod tests {
             .collect()
     }
 
-    /// The scan as it was before it scored first: one key at a time,
-    /// [`dot8`] then [`OnlineSoftmax::push`], `kv_row(j)` fetching visible
-    /// row `j`'s key and value rows.
+    /// The scan one key at a time: the tape's in-order score, then
+    /// [`OnlineSoftmax::push`], `kv_row(j)` fetching visible row `j`'s
+    /// key and value rows.
     #[allow(clippy::too_many_arguments)]
     fn scan_reference<'a>(
         q: &[f32],
@@ -368,7 +266,9 @@ mod tests {
                 let mut os = OnlineSoftmax::default();
                 for j in 0..=t_total - n_new + i {
                     let (krow, vrow) = kv_row(j);
-                    let s = dot8(&qrow[h * d..(h + 1) * d], &krow[hkv * d..(hkv + 1) * d]) * scale;
+                    let qh = &qrow[h * d..(h + 1) * d];
+                    let kh = &krow[hkv * d..(hkv + 1) * d];
+                    let s = qh.iter().zip(kh).map(|(a, b)| a * b).sum::<f32>() * scale;
                     os.push(s, &vrow[hkv * d..(hkv + 1) * d], acc);
                 }
                 os.finish(acc);
@@ -391,10 +291,34 @@ mod tests {
             .collect()
     }
 
+    /// Token-major `[t, width]` keys and values cut into pieces of `w`
+    /// positions, keys key-major `[width, w]` and values token-major,
+    /// the last of each zero-padded: a paged block table's layout.
+    fn to_pieces(k: &[f32], v: &[f32], width: usize, w: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+        let t = k.len() / width;
+        let mut kp = vec![vec![0.0f32; width * w]; t.div_ceil(w)];
+        for (p, row) in k.chunks_exact(width).enumerate() {
+            for (c, &e) in row.iter().enumerate() {
+                kp[p / w][c * w + p % w] = e;
+            }
+        }
+        let vp = v
+            .chunks(w * width)
+            .map(|c| {
+                let mut b = c.to_vec();
+                b.resize(w * width, 0.0);
+                b
+            })
+            .collect();
+        (kp, vp)
+    }
+
     #[test]
     fn scan_equals_the_one_key_reference_bitwise() {
-        // decode, verify and prefill row counts, visible lengths off multiples of 16, dot8's tail, GQA, and
-        // scores far enough apart that exp's special path runs
+        // decode, verify and prefill row counts, visible lengths off
+        // multiples of 16 (a padded last tile), heads off multiples of 16
+        // wide, GQA, and scores far enough apart that exp's special path
+        // runs
         for (n_new, t_total) in [
             (1, 1),
             (1, 37),
@@ -416,12 +340,61 @@ mod tests {
                     let v = rand_buf(t_total * w, 63);
                     let kv_row = |j: usize| (&k[j * w..(j + 1) * w], &v[j * w..(j + 1) * w]);
                     let want = scan_reference(&q, kv_row, n_new, t_total, heads, kv_heads, d);
+                    let at = format!("n {n_new} t {t_total} d {d} h {heads}/{kv_heads}");
+                    // one piece of t_total keys, and 16-key tiles
                     let mut got = vec![0.0f32; n_new * heads * d];
                     cached_attention(&q, &k, &v, &mut got, n_new, t_total, heads, kv_heads, d);
+                    assert_eq!(bits(&got), bits(&want), "{at}");
+                    let (kp, vp) = to_pieces(&k, &v, w, 16);
+                    let kr: Vec<&[f32]> = kp.iter().map(Vec::as_slice).collect();
+                    let vr: Vec<&[f32]> = vp.iter().map(Vec::as_slice).collect();
+                    let kv = KvPieces {
+                        k: &kr,
+                        v: &vr,
+                        w: 16,
+                        skip: 0,
+                    };
+                    key_major_attention(&q, kv, &mut got, n_new, t_total, heads, kv_heads, d);
+                    assert_eq!(bits(&got), bits(&want), "tiles, {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_major_pieces_of_any_width_and_skip_equal_the_reference_bitwise() {
+        // piece widths 2, 3, 4 and 16 (the general body and the tiles,
+        // one to four in flight), a padded last piece, front skips
+        // inside and past the first piece, and GQA
+        for w in [2, 3, 4, 16] {
+            for skip in [0, 1, 5, 17] {
+                for (n_new, t_vis) in [(1, 1), (1, 50), (3, 21), (9, 70)] {
+                    let (heads, kv_heads, d) = (4, 2, 8);
+                    let width = kv_heads * d;
+                    let t_phys = skip + t_vis;
+                    let q = rand_buf(n_new * heads * d, 91);
+                    let k = spread_keys(t_phys, width, 92, 70.0);
+                    let v = rand_buf(t_phys * width, 93);
+                    let kv_row = |j: usize| {
+                        let p = (skip + j) * width;
+                        (&k[p..p + width], &v[p..p + width])
+                    };
+                    let want = scan_reference(&q, kv_row, n_new, t_vis, heads, kv_heads, d);
+                    let (kp, vp) = to_pieces(&k, &v, width, w);
+                    let kr: Vec<&[f32]> = kp.iter().map(Vec::as_slice).collect();
+                    let vr: Vec<&[f32]> = vp.iter().map(Vec::as_slice).collect();
+                    let kv = KvPieces {
+                        k: &kr,
+                        v: &vr,
+                        w,
+                        skip,
+                    };
+                    let mut got = vec![0.0f32; n_new * heads * d];
+                    key_major_attention(&q, kv, &mut got, n_new, t_vis, heads, kv_heads, d);
                     assert_eq!(
                         bits(&got),
                         bits(&want),
-                        "n {n_new} t {t_total} d {d} h {heads}/{kv_heads}"
+                        "w {w} skip {skip} n {n_new} t {t_vis}"
                     );
                 }
             }
@@ -486,6 +459,11 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_cache_attends_to_nothing() {
+        cached_attention(&[], &[], &[], &mut [], 0, 0, 2, 1, 4);
+    }
+
+    #[test]
     fn cached_matches_full_attention_for_whole_sequence() {
         let (t, h, d) = (9, 4, 6);
         let q = rand_buf(t * h * d, 1);
@@ -503,10 +481,8 @@ mod tests {
             d,
         };
         let (want, _) = attention_fwd(&q, &k, &v, s, AttentionImpl::Flash, true);
-        // the two sum a score in different orders
-        for (a, b) in out.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
+        // one score order, one fold: the same bits
+        assert_eq!(bits(&out), bits(&want));
     }
 
     #[test]

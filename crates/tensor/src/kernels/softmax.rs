@@ -46,28 +46,6 @@ impl Default for OnlineSoftmax {
 }
 
 impl OnlineSoftmax {
-    /// Ingest one score `s` whose weighted value row is `v`; `acc` holds the
-    /// running weighted sum of values and is rescaled when the max moves.
-    pub fn push(&mut self, s: f32, v: &[f32], acc: &mut [f32]) {
-        if s > self.m {
-            let scale = if self.m.is_finite() {
-                exp(self.m - s)
-            } else {
-                0.0
-            };
-            self.l *= scale;
-            for a in acc.iter_mut() {
-                *a *= scale;
-            }
-            self.m = s;
-        }
-        let w = exp(s - self.m);
-        self.l += w;
-        for (a, &vv) in acc.iter_mut().zip(v.iter()) {
-            *a = w.mul_add(vv, *a);
-        }
-    }
-
     /// Finalise: divide the accumulator by the normaliser.
     pub fn finish(&self, acc: &mut [f32]) {
         let inv = 1.0 / self.l;
@@ -102,13 +80,14 @@ pub(crate) struct RowScratch {
 }
 
 impl OnlineSoftmax {
-    /// [`OnlineSoftmax::push`] of a whole row of scores, `v(j)` being
+    /// The streaming recurrence over a whole row of scores, `v(j)` being
     /// score `j`'s value row: the same float operations on `l` and on
     /// every element of `acc`, in the same order, done in phases. A
     /// prefix-max pass finds the rescale points and the exp arguments,
     /// one [`exp_slice`] call evaluates all of them, and the recurrence
     /// walks the keys with a slab of `acc` in registers. Returns the
-    /// final state; `acc` is left unnormalised, as `push` leaves it.
+    /// final state; `acc` is left unnormalised. The tests' one-score
+    /// `push` is the recurrence's reference.
     pub(crate) fn fold_row<'v>(
         scores: &[f32],
         v: impl Fn(usize) -> &'v [f32],
@@ -219,6 +198,32 @@ fn fold_slab<'v, const W: usize, const L: bool>(
     W
 }
 
+/// Target value that [`cross_entropy`] skips.
+pub const IGNORE_INDEX: u32 = u32::MAX;
+
+/// Mean cross-entropy of `logits` (`[n, vocab]`) against integer
+/// `targets`, entries equal to [`IGNORE_INDEX`] skipped. The rows are
+/// softmaxed in place into the probabilities the backward reads.
+/// Returns the loss and the number of targets it averaged over (at
+/// least 1). [`crate::Tape::cross_entropy`] and validation both run it.
+pub fn cross_entropy(logits: &mut [f32], targets: &[u32], vocab: usize) -> (f32, usize) {
+    let n = targets.len();
+    assert_eq!(logits.len(), n * vocab, "targets length mismatch");
+    softmax_rows(logits, n, vocab);
+    let mut loss = 0.0f64;
+    let mut n_valid = 0usize;
+    for (r, &t) in targets.iter().enumerate() {
+        if t == IGNORE_INDEX {
+            continue;
+        }
+        let p = logits[r * vocab + t as usize].max(1e-12);
+        loss -= (p as f64).ln();
+        n_valid += 1;
+    }
+    let n_valid = n_valid.max(1);
+    ((loss / n_valid as f64) as f32, n_valid)
+}
+
 /// Row-wise log-sum-exp (stable).
 pub fn logsumexp(row: &[f32]) -> f32 {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -231,6 +236,31 @@ pub fn logsumexp(row: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OnlineSoftmax {
+        /// Ingest one score `s` whose weighted value row is `v`; `acc` holds the
+        /// running weighted sum of values and is rescaled when the max moves:
+        /// the recurrence [`OnlineSoftmax::fold_row`] runs a row at a time.
+        pub(crate) fn push(&mut self, s: f32, v: &[f32], acc: &mut [f32]) {
+            if s > self.m {
+                let scale = if self.m.is_finite() {
+                    exp(self.m - s)
+                } else {
+                    0.0
+                };
+                self.l *= scale;
+                for a in acc.iter_mut() {
+                    *a *= scale;
+                }
+                self.m = s;
+            }
+            let w = exp(s - self.m);
+            self.l += w;
+            for (a, &vv) in acc.iter_mut().zip(v.iter()) {
+                *a = w.mul_add(vv, *a);
+            }
+        }
+    }
 
     #[test]
     fn softmax_rows_sum_to_one_and_order_preserved() {

@@ -43,7 +43,8 @@ pub mod tensor;
 pub use collective::{ring_chunks, ring_fold, CommHook, TapeComm};
 pub use kernels::attention::AttentionImpl;
 pub use kernels::quant::{PackedQ8Matrix, QuantizedMatrix};
+pub use kernels::softmax::IGNORE_INDEX;
 pub use param::{ParamId, ParamStore};
 pub use precision::Precision;
-pub use tape::{Tape, Var, IGNORE_INDEX};
+pub use tape::{Tape, Var};
 pub use tensor::Tensor;

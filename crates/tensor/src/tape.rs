@@ -35,7 +35,7 @@ use crate::kernels::attention::{
 use crate::kernels::infer::RotaryTable;
 use crate::kernels::matmul::{matmul, matmul_at_acc, matmul_bt_acc};
 use crate::kernels::norm;
-use crate::kernels::softmax::softmax_rows;
+use crate::kernels::softmax::{self, IGNORE_INDEX};
 use crate::kernels::tanh::tanh_slice;
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -479,29 +479,15 @@ impl Tape {
     /// targets. Entries equal to `IGNORE_INDEX` are skipped.
     pub fn cross_entropy(&mut self, logits: Var, targets: &[u32]) -> Var {
         let tl = self.value(logits);
-        let (n, v) = tl.as_2d();
-        assert_eq!(n, targets.len(), "targets length mismatch");
         let mut probs = tl.data().to_vec();
-        softmax_rows(&mut probs, n, v);
-        let mut loss = 0.0f64;
-        let mut n_valid = 0usize;
-        for (r, &t) in targets.iter().enumerate() {
-            if t == IGNORE_INDEX {
-                continue;
-            }
-            let p = probs[r * v + t as usize].max(1e-12);
-            loss -= (p as f64).ln();
-            n_valid += 1;
-        }
-        let n_valid = n_valid.max(1);
-        let out = Tensor::scalar((loss / n_valid as f64) as f32);
+        let (loss, n_valid) = softmax::cross_entropy(&mut probs, targets, tl.as_2d().1);
         self.push(
             Op::CrossEntropy {
                 logits,
                 targets: targets.to_vec(),
                 n_valid,
             },
-            out,
+            Tensor::scalar(loss),
             Saved::Probs(probs),
         )
     }
@@ -893,9 +879,6 @@ impl Tape {
         }
     }
 }
-
-/// Target value that [`Tape::cross_entropy`] skips.
-pub const IGNORE_INDEX: u32 = u32::MAX;
 
 /// Apply (or, with `inverse`, un-apply) rotary embeddings in place over
 /// token-major rows `heads` heads of `d` wide: head `j` belongs to row

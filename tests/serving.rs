@@ -88,9 +88,10 @@ fn tiny_cfg() -> GptConfig {
 }
 
 /// More requests than the admission budget can hold at once: everything
-/// still completes (liveness) and head-of-line FIFO order is respected
-/// (requests admitted in earlier waves see their first token strictly
-/// before later waves).
+/// still completes (liveness). The order they are admitted in is held
+/// without a clock by `scheduler::tests::admission_pressure_admits_fifo_pairs`:
+/// each `ttft` here is measured from its own submission on this thread,
+/// so a descheduled submitter could invert the waves' order.
 #[test]
 fn scheduler_is_fair_and_live_under_admission_pressure() {
     let (model, store) = build(tiny_cfg(), 3);
@@ -118,31 +119,10 @@ fn scheduler_is_fair_and_live_under_admission_pressure() {
             engine.submit(&prompt, opts).expect("admitted")
         })
         .collect();
-    let mut responses = Vec::new();
     for h in handles {
         let r = h.wait().expect("scheduler answers every request");
         assert_eq!(r.finish, FinishReason::Length);
         assert_eq!(r.generated, 16);
-        responses.push(r);
-    }
-    // submission order == id order; with equal-cost greedy requests the
-    // batch admits pairs FIFO, so each wave's first token lands strictly
-    // after every earlier wave's.
-    for w in 1..n as usize / 2 {
-        let prev_max = responses[2 * w - 2..2 * w]
-            .iter()
-            .map(|r| r.ttft)
-            .max()
-            .unwrap();
-        let this_min = responses[2 * w..2 * w + 2]
-            .iter()
-            .map(|r| r.ttft)
-            .min()
-            .unwrap();
-        assert!(
-            this_min > prev_max,
-            "wave {w} ttft {this_min:?} not after previous wave {prev_max:?}"
-        );
     }
     let m = engine.metrics();
     assert_eq!(m.completed, n as u64);
