@@ -2,13 +2,16 @@
 //!
 //! The training path records every op on an autograd tape and re-runs
 //! the whole window for each generated token — O(T²) work per token.
-//! This module evaluates the same network directly on flat buffers with
-//! a per-layer [`KvCache`], so decoding one token costs one pass over
-//! the weights plus one O(T) streaming-attention scan.
+//! This module evaluates the same network directly on flat buffers,
+//! keeping each sequence's keys and values in a [`PagedKv`] (see
+//! [`crate::kv`]), so decoding one token costs one pass over the weights
+//! plus one O(T) streaming-attention scan.
 //!
 //! [`GptModel::forward_batch`] is the one forward body: prefill, decode,
 //! speculative verify and a whole scheduler iteration's ragged batch of
-//! them are the same call, over any [`ForwardParams`] × [`KvStorage`];
+//! them are the same call, over any [`ForwardParams`], each segment on
+//! its own [`PagedKv`] — a [`GptModel::new_cache`] on a private pool, or
+//! a sequence of the serving engine's shared pool;
 //! [`GptModel::forward_cached`] and [`GptModel::decode_step`] are its
 //! one-segment spellings (DECODING.md tabulates who dispatches on what).
 //!
@@ -18,7 +21,7 @@
 //!   regardless of window truncation. While the sequence fits in
 //!   `max_seq` this is bit-for-bit the training convention (positions
 //!   `0..T`), and every logit [`GptModel::forward_batch`] returns equals
-//!   [`GptModel::logits`]' bit for bit on either KV backend, so
+//!   [`GptModel::logits`]' bit for bit at any block size, so
 //!   forward-only evaluation (validation, `score_span`) runs here.
 //! * when the sequence outgrows `max_seq`, the cache drops its oldest
 //!   rows (sliding window). The tape path instead re-encodes the window
@@ -28,232 +31,12 @@
 
 use crate::config::ArchKind;
 use crate::gpt::{GptModel, Slot::*};
+use crate::kv::PagedKv;
 use crate::quant::ForwardParams;
 use matgpt_tensor::kernels::activation as act;
-use matgpt_tensor::kernels::attention::{KeyMajor, KEYS};
-use matgpt_tensor::kernels::infer::{key_major_attention, KvPieces, RotaryTable};
+use matgpt_tensor::kernels::infer::RotaryTable;
 use matgpt_tensor::kernels::norm;
 use matgpt_tensor::ParamId;
-
-/// Storage backend for the per-request KV state the cached decode path
-/// attends through.
-///
-/// [`GptModel::forward_batch`] drives one segment's forward of `n`
-/// new tokens as: [`KvStorage::begin`] (claim the next `n` absolute
-/// positions), then per layer [`KvStorage::write`] (store the rotated
-/// K/V rows) and [`KvStorage::attend`] (causal attention of the new
-/// queries over everything cached in that layer, *including* the rows
-/// just written), then [`KvStorage::commit`] (advance counters and
-/// apply window truncation).
-///
-/// Two backends implement this: the contiguous per-request [`KvCache`]
-/// (16-key tiles per layer) and the block-paged
-/// `matgpt_serve::kvpool::PagedKv` (fixed-size blocks from a shared
-/// slab, refcounted copy-on-write prefix sharing). Both keep keys
-/// key-major, and [`KvStorage::attend`] runs the one scan,
-/// `kernels::infer::key_major_attention`, whose arithmetic no piece
-/// width moves: the logits out of `forward_cached` are
-/// **bit-identical** across backends (`tests/paged_kv.rs`) and equal
-/// to the tape's.
-pub trait KvStorage {
-    /// Number of transformer layers this storage is shaped for.
-    fn layers(&self) -> usize;
-    /// Positions currently visible to attention (committed, ≤ window).
-    fn len(&self) -> usize;
-    /// True when nothing has been cached yet.
-    fn is_empty(&self) -> bool {
-        self.positions_seen() == 0
-    }
-    /// Total tokens ever fed through this storage (monotone, unaffected
-    /// by window truncation).
-    fn positions_seen(&self) -> usize;
-    /// Heap bytes held for cached keys and values.
-    fn kv_bytes(&self) -> usize;
-    /// Claim the next `n` absolute positions for an in-flight forward;
-    /// returns the absolute position of the first new token. Paged
-    /// backends require capacity for `n` rows to have been reserved.
-    fn begin(&mut self, n: usize) -> usize;
-    /// Store the rotated K/V rows (`[n, kv_heads*head_dim]` each) for
-    /// `layer` of the in-flight forward.
-    fn write(&mut self, layer: usize, k: &[f32], v: &[f32]);
-    /// Causal attention of `q` (`[n_new, heads*d]`, rotated) over every
-    /// row cached in `layer` — committed rows plus the in-flight rows
-    /// already written — into `out` (`[n_new, heads*d]`).
-    #[allow(clippy::too_many_arguments)]
-    fn attend(
-        &self,
-        layer: usize,
-        q: &[f32],
-        out: &mut [f32],
-        n_new: usize,
-        heads: usize,
-        kv_heads: usize,
-        d: usize,
-    );
-    /// Finish the in-flight forward: commit the written rows and apply
-    /// window truncation.
-    fn commit(&mut self);
-    /// Drop the last `n` committed rows and rewind the position counter,
-    /// as if the tokens that produced them were never forwarded.
-    ///
-    /// Speculative decoding commits `k + 1` verify rows optimistically
-    /// and rolls the rejected tail back through this. The state after
-    /// `rollback(n)` must be bitwise indistinguishable from never having
-    /// forwarded those `n` tokens, which is only possible while the
-    /// cache still holds every row it has ever seen — implementations
-    /// panic if rows were already lost to window truncation (the
-    /// speculative driver falls back to plain decode before the window
-    /// fills, so it never rolls back across a truncation). No forward
-    /// may be in flight.
-    fn rollback(&mut self, n: usize);
-}
-
-/// One layer's cached keys, key-major in 16-key tiles (the layout the
-/// scan scores), and values, token-major `[T, Hkv*D]`. A window
-/// truncation drops whole tiles' rows from the front of both.
-#[derive(Clone, Debug)]
-struct LayerKv {
-    k: KeyMajor,
-    v: Vec<f32>,
-}
-
-/// Per-layer key/value cache for one sequence.
-///
-/// Grows by [`GptModel::forward_cached`]; holds at most `max_seq`
-/// positions per layer, discarding the oldest beyond that (windowed
-/// truncation). Tracks the absolute position of the next token so
-/// rotary angles stay consistent across truncation.
-#[derive(Clone, Debug)]
-pub struct KvCache {
-    layers: Vec<LayerKv>,
-    /// Row width of each layer buffer: `kv_heads * head_dim`.
-    kv_dim: usize,
-    /// Window capacity in tokens.
-    max_seq: usize,
-    /// Absolute position the next appended token will occupy.
-    next_pos: usize,
-    /// Front rows of every layer outside the window, `< KEYS`.
-    skip: usize,
-}
-
-impl KvCache {
-    /// An empty cache shaped for `model`.
-    pub fn new(model: &GptModel) -> Self {
-        let cfg = &model.cfg;
-        let kv_dim = cfg.kv_head_count() * cfg.head_dim();
-        let layer = LayerKv {
-            k: KeyMajor::new(kv_dim),
-            v: Vec::new(),
-        };
-        Self {
-            layers: vec![layer; cfg.layers],
-            kv_dim,
-            max_seq: cfg.max_seq,
-            next_pos: 0,
-            skip: 0,
-        }
-    }
-
-    /// Number of positions currently cached (≤ `max_seq`).
-    pub fn len(&self) -> usize {
-        self.layers
-            .first()
-            .map_or(0, |l| l.v.len() / self.kv_dim - self.skip)
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.next_pos == 0
-    }
-
-    /// Skip front rows until at most `max_seq` positions remain visible,
-    /// and drop the whole tiles skipped.
-    fn truncate_to_window(&mut self) {
-        self.skip += self.len().saturating_sub(self.max_seq);
-        let tiles = self.skip / KEYS;
-        if tiles > 0 {
-            for layer in &mut self.layers {
-                layer.k.drop_front(tiles);
-                layer.v.drain(..tiles * KEYS * self.kv_dim);
-            }
-            self.skip -= tiles * KEYS;
-        }
-    }
-}
-
-impl KvStorage for KvCache {
-    fn layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    fn len(&self) -> usize {
-        KvCache::len(self)
-    }
-
-    fn positions_seen(&self) -> usize {
-        self.next_pos
-    }
-
-    fn kv_bytes(&self) -> usize {
-        2 * self.layers.len() * self.len() * self.kv_dim * std::mem::size_of::<f32>()
-    }
-
-    fn begin(&mut self, n: usize) -> usize {
-        let start = self.next_pos;
-        self.next_pos += n;
-        start
-    }
-
-    fn write(&mut self, layer: usize, k: &[f32], v: &[f32]) {
-        let l = &mut self.layers[layer];
-        l.k.extend(k.chunks_exact(self.kv_dim));
-        l.v.extend_from_slice(v);
-    }
-
-    fn attend(
-        &self,
-        layer: usize,
-        q: &[f32],
-        out: &mut [f32],
-        n_new: usize,
-        heads: usize,
-        kv_heads: usize,
-        d: usize,
-    ) {
-        let l = &self.layers[layer];
-        let k = l.k.tiles();
-        let v: Vec<&[f32]> = l.v.chunks(KEYS * self.kv_dim).collect();
-        let kv = KvPieces {
-            k: &k,
-            v: &v,
-            w: KEYS,
-            skip: self.skip,
-        };
-        let t_total = l.v.len() / self.kv_dim - self.skip;
-        key_major_attention(q, kv, out, n_new, t_total, heads, kv_heads, d);
-    }
-
-    fn commit(&mut self) {
-        self.truncate_to_window();
-    }
-
-    fn rollback(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        let len = self.len();
-        assert_eq!(
-            self.next_pos, len,
-            "rollback across window truncation is unsupported"
-        );
-        assert!(n <= len, "rollback of {n} rows but only {len} cached");
-        for layer in &mut self.layers {
-            layer.k.truncate(len - n);
-            layer.v.truncate((len - n) * self.kv_dim);
-        }
-        self.next_pos -= n;
-    }
-}
 
 /// Why [`GptModel::check_segment`] refuses a segment's tokens; its
 /// `Display` is the message [`GptModel::forward_batch`] panics with.
@@ -288,11 +71,6 @@ impl std::fmt::Display for SegmentError {
 impl std::error::Error for SegmentError {}
 
 impl GptModel {
-    /// An empty KV cache shaped for this model.
-    pub fn new_cache(&self) -> KvCache {
-        KvCache::new(self)
-    }
-
     /// Whether `tokens` can be one segment of [`GptModel::forward_batch`]:
     /// non-empty, at most `max_seq` long, every id inside the vocabulary.
     /// The forward refuses exactly what this refuses, so a caller that
@@ -333,18 +111,18 @@ impl GptModel {
     ///
     /// `P` supplies dense reads and the matmul kernel (the f32
     /// [`matgpt_tensor::ParamStore`] or the int8
-    /// [`crate::quant::QuantizedParamStore`]), `S` the KV layout the
-    /// pass attends through (contiguous [`KvCache`] or a block-paged
-    /// view, bit-identical logits across the two); either may be `dyn`.
+    /// [`crate::quant::QuantizedParamStore`]); it may be `dyn`. Each
+    /// segment's `begin` takes the rows it needs from its own pool,
+    /// unless its caller reserved them ([`PagedKv::reserve_rows`]).
     ///
     /// Every segment is checked ([`GptModel::check_segment`], and its
     /// cache's shape) before the first `begin`, so a bad one panics with
     /// no cache touched — never with a neighbour's between `begin` and
     /// `commit`.
-    pub fn forward_batch<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
+    pub fn forward_batch<P: ForwardParams + ?Sized>(
         &self,
         store: &P,
-        segs: &mut [(&[u32], &mut S)],
+        segs: &mut [(&[u32], &mut PagedKv)],
     ) -> Vec<f32> {
         let cfg = &self.cfg;
         for (tokens, cache) in segs.iter() {
@@ -442,22 +220,22 @@ impl GptModel {
     /// `cache`, returning the logits `[tokens.len(), vocab]` — a prefill
     /// (or a speculative verify) when there are several tokens, a decode
     /// step when there is one.
-    pub fn forward_cached<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
+    pub fn forward_cached<P: ForwardParams + ?Sized>(
         &self,
         store: &P,
         tokens: &[u32],
-        cache: &mut S,
+        cache: &mut PagedKv,
     ) -> Vec<f32> {
         self.forward_batch(store, &mut [(tokens, cache)])
     }
 
     /// Decode one token on top of `cache`, returning its `[vocab]`
     /// logits row.
-    pub fn decode_step<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
+    pub fn decode_step<P: ForwardParams + ?Sized>(
         &self,
         store: &P,
         token: u32,
-        cache: &mut S,
+        cache: &mut PagedKv,
     ) -> Vec<f32> {
         self.forward_cached(store, &[token], cache)
     }
@@ -564,19 +342,21 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "window truncation")]
-    fn rollback_past_truncation_panics() {
-        let (model, store) = build(ArchKind::NeoX, None, 2);
-        let mut cache = model.new_cache();
-        for i in 0..(model.cfg.max_seq + 2) as u32 {
-            model.decode_step(&store, i % 40, &mut cache);
-        }
-        cache.rollback(1);
-    }
-
     fn bits(xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every visible key and value row of every layer, as bits.
+    fn contents(model: &GptModel, kv: &PagedKv) -> Vec<u32> {
+        let mut all = Vec::new();
+        for layer in 0..model.cfg.layers {
+            for pos in 0..kv.len() {
+                for v in [false, true] {
+                    all.extend(bits(&crate::kv::tests::cached_row(kv, layer, pos, v)));
+                }
+            }
+        }
+        all
     }
 
     /// Segment shapes the serving engine produces: a solo decode, a
@@ -608,42 +388,42 @@ mod tests {
                 .map(|i| ((i * 7 + salt * 13 + seed) % vocab) as u32)
                 .collect()
         };
-        let mut solo = Vec::new();
-        for (i, &len) in lens.iter().enumerate() {
-            let ctx = if i == edge % lens.len() {
-                max
-            } else {
-                (seed as usize * (i + 3) + i) % (max - len)
-            };
-            let mut cache = model.new_cache();
-            if ctx > 0 {
-                model.forward_cached(store, &toks(ctx, i as u64), &mut cache);
+        let segments = || {
+            let mut segs = Vec::new();
+            for (i, &len) in lens.iter().enumerate() {
+                let ctx = if i == edge % lens.len() {
+                    max
+                } else {
+                    (seed as usize * (i + 3) + i) % (max - len)
+                };
+                let mut cache = model.new_cache();
+                if ctx > 0 {
+                    model.forward_cached(store, &toks(ctx, i as u64), &mut cache);
+                }
+                segs.push((toks(len, 100 + i as u64), cache));
             }
-            solo.push((toks(len, 100 + i as u64), cache));
-        }
-        let mut stacked = solo.clone();
+            segs
+        };
+        let (mut solo, mut stacked) = (segments(), segments());
 
         let mut solo_rows = Vec::new();
         for (tokens, cache) in solo.iter_mut() {
             solo_rows.extend(model.forward_cached(store, tokens, cache));
         }
-        let mut segs: Vec<(&[u32], &mut KvCache)> =
+        let mut segs: Vec<(&[u32], &mut PagedKv)> =
             stacked.iter_mut().map(|(t, c)| (&t[..], c)).collect();
         let rows = model.forward_batch(store, &mut segs);
 
         assert_eq!(bits(&rows), bits(&solo_rows), "logits rows, lens {lens:?}");
         for (i, ((_, a), (_, b))) in stacked.iter().zip(&solo).enumerate() {
-            assert_eq!(a.next_pos, b.next_pos, "segment {i} position");
+            assert_eq!(
+                a.positions_seen(),
+                b.positions_seen(),
+                "segment {i} position"
+            );
             assert_eq!(a.len(), b.len(), "segment {i} window");
-            assert_eq!(a.skip, b.skip, "segment {i} skip");
-            for (la, lb) in a.layers.iter().zip(&b.layers) {
-                assert_eq!(
-                    bits(&la.k.tiles().concat()),
-                    bits(&lb.k.tiles().concat()),
-                    "segment {i} keys"
-                );
-                assert_eq!(bits(&la.v), bits(&lb.v), "segment {i} values");
-            }
+            assert_eq!(a.blocks_held(), b.blocks_held(), "segment {i} blocks");
+            assert_eq!(contents(model, a), contents(model, b), "segment {i} rows");
         }
         assert_eq!(stacked[edge % lens.len()].1.len(), max, "edge truncated");
     }
@@ -676,9 +456,12 @@ mod tests {
     #[test]
     fn bad_segment_panics_before_any_cache_is_touched() {
         let (model, store) = build(ArchKind::Llama, Some(2), 4);
-        let mut good = model.new_cache();
-        model.forward_cached(&store, &[1, 2, 3], &mut good);
-        let untouched = good.clone();
+        let fresh = || {
+            let mut cache = model.new_cache();
+            model.forward_cached(&store, &[1, 2, 3], &mut cache);
+            cache
+        };
+        let (mut good, mut untouched) = (fresh(), fresh());
         let long = vec![0u32; model.cfg.max_seq + 1];
         for bad in [&[9_999u32][..], &[], &long] {
             let mut other = model.new_cache();
@@ -693,7 +476,7 @@ mod tests {
             assert!(other.is_empty());
         }
         let after = model.decode_step(&store, 5, &mut good);
-        let reference = model.decode_step(&store, 5, &mut untouched.clone());
+        let reference = model.decode_step(&store, 5, &mut untouched);
         assert_eq!(bits(&after), bits(&reference));
     }
 

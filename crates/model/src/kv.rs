@@ -1,24 +1,21 @@
-//! Block-paged KV storage: a fixed-size-block slab with a free-list
-//! allocator, per-request block tables, and reference-counted
+//! The one KV storage: a fixed-size-block slab with a free-list
+//! allocator, per-sequence block tables, and reference-counted
 //! copy-on-write prefix sharing.
-//!
-//! The contiguous [`matgpt_model::KvCache`] gives every request its own
-//! `max_seq`-bounded buffer per layer, so peak KV memory scales with
-//! `requests x worst_case_length` even when most requests share a long
-//! system prompt and most are far from their length budget. This module
-//! is the vLLM-style fix:
 //!
 //! * [`BlockPool`] — one slab of fixed-size KV blocks (each holding
 //!   `block_size` token positions for **all** layers, keys and values),
 //!   handed out through a free list and returned by reference count.
 //!   Memory is claimed at block granularity as sequences actually grow.
-//! * [`PagedKv`] — a per-request handle implementing
-//!   [`matgpt_model::KvStorage`]: a block table maps logical token
-//!   positions to physical blocks, so `forward_cached` runs unmodified
-//!   and produces **bit-identical** logits to the contiguous backend
-//!   (a block's keys are key-major, `[kv_dim, block_size]`, and the one
-//!   attention scan sums every score in the same order whatever the
-//!   block size; property-tested in `tests/paged_kv.rs`).
+//! * [`PagedKv`] — a sequence's block table over a pool, mapping logical
+//!   token positions to physical blocks; every tape-free forward
+//!   ([`GptModel::forward_batch`]) attends through one. A block's keys
+//!   are key-major, `[kv_dim, block_size]`, and the one attention scan
+//!   sums every score in the same order whatever the block size, so the
+//!   logits are the tape's bit for bit at any block size (tested below).
+//!   [`GptModel::new_cache`] is a sequence on a private pool of
+//!   [`KEYS`]-row blocks that no segment the forward accepts can
+//!   exhaust; the serving engine's paged backend puts every request on
+//!   one shared pool instead.
 //! * **COW prefix sharing** — [`PagedKv::fork`] shares every block with
 //!   the parent by incrementing refcounts; a later append into a shared
 //!   partial tail block copies it first ([`PagedKv::reserve_rows`]), so
@@ -27,12 +24,15 @@
 //!   collisions) so a wave of requests with a common system prompt
 //!   shares one set of prefill blocks and skips recomputing them.
 //!
-//! Allocation failures are typed ([`KvExhausted`]), never panics: the
-//! scheduler reacts by evicting prefix-cache entries and, if that is
-//! not enough, preempting the lowest-priority request (freeing its
-//! blocks, recomputing it later — see `scheduler`).
+//! Allocation failures are typed ([`KvExhausted`]): on a shared pool the
+//! serving scheduler reserves a forward's rows first and reacts to a
+//! failure by evicting prefix-cache entries and, if that is not enough,
+//! preempting the lowest-priority request (freeing its blocks,
+//! recomputing it later). A forward that finds its rows unreserved takes
+//! them itself, and panics only when the pool cannot supply them.
 
-use matgpt_model::KvStorage;
+use crate::gpt::GptModel;
+use matgpt_tensor::kernels::attention::KEYS;
 use matgpt_tensor::kernels::infer::{key_major_attention, KvPieces};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +61,8 @@ impl Default for KvBlockConfig {
 }
 
 /// Typed allocation failure: the free list is empty (or too short for
-/// the request). Recoverable by freeing blocks — never a panic.
+/// the request). Recoverable by freeing blocks; only a forward whose
+/// rows nobody reserved turns it into a panic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KvExhausted {
     /// Blocks the failed reservation needed.
@@ -173,7 +174,7 @@ impl BlockPool {
 
     /// A pool shaped for `model` (layers and KV row width read from its
     /// config).
-    pub fn for_model(cfg: KvBlockConfig, model: &matgpt_model::GptModel) -> Self {
+    pub fn for_model(cfg: KvBlockConfig, model: &GptModel) -> Self {
         let kv_dim = model.cfg.kv_head_count() * model.cfg.head_dim();
         Self::new(cfg, model.cfg.layers, kv_dim)
     }
@@ -283,15 +284,19 @@ impl BlockPool {
     }
 }
 
-/// A per-request paged KV sequence: a block table over a [`BlockPool`]
-/// implementing [`KvStorage`], so [`matgpt_model::GptModel`]'s cached
-/// forward runs against it unchanged.
+/// A sequence's KV state: a block table over a [`BlockPool`], the
+/// storage [`GptModel::forward_batch`] attends through.
 ///
-/// Window semantics match the contiguous [`matgpt_model::KvCache`]
-/// bit-for-bit: positions are absolute, and once the visible length
-/// exceeds `max_seq` the oldest rows drop from the front at **row**
-/// granularity (a `dropped` offset inside the front block); whole
-/// blocks return to the pool as the offset passes them.
+/// A forward of `n` new tokens runs `begin` (claim the next `n` absolute
+/// positions, reserving their rows), then per layer `write` (store the
+/// rotated K/V rows) and `attend` (causal attention of the new queries
+/// over every row of that layer, the ones just written included), then
+/// `commit` (advance the counters and apply the window).
+///
+/// Positions are absolute, and once the visible length exceeds
+/// `max_seq` the oldest rows drop from the front at **row** granularity
+/// (a `dropped` offset inside the front block); whole blocks return to
+/// the pool as the offset passes them.
 pub struct PagedKv {
     pool: BlockPool,
     /// Physical block ids, in logical order.
@@ -334,10 +339,10 @@ impl PagedKv {
 
     /// Ensure capacity for `n` more appended rows, allocating blocks
     /// from the pool as needed and **copy-on-write**-copying a shared
-    /// partial tail block before it would be appended into. Call before
-    /// a forward of `n` tokens; [`KvStorage::begin`] asserts this
-    /// happened. Typed error (nothing allocated stays leaked) when the
-    /// pool cannot supply the blocks.
+    /// partial tail block before it would be appended into. A forward of
+    /// `n` tokens does this itself; a caller on a shared pool does it
+    /// first, so exhaustion is this typed error (nothing allocated stays
+    /// leaked) rather than the forward's panic.
     pub fn reserve_rows(&mut self, n: usize) -> Result<(), KvExhausted> {
         debug_assert_eq!(self.pending, 0, "reserve during an in-flight forward");
         if n == 0 {
@@ -365,7 +370,7 @@ impl PagedKv {
 
     /// Blocks [`Self::reserve_rows`]`(n)` would take from the pool: a
     /// copy of a shared partial tail, and the blocks past the table.
-    pub(crate) fn blocks_to_reserve(&self, n: usize) -> usize {
+    pub fn blocks_to_reserve(&self, n: usize) -> usize {
         if n == 0 {
             return 0;
         }
@@ -445,49 +450,43 @@ impl PagedKv {
             max_seq,
         }
     }
-}
 
-impl Drop for PagedKv {
-    fn drop(&mut self) {
-        // every exit path — retire, cancel, failure, preemption —
-        // returns this sequence's block references to the pool
-        for &b in &self.table {
-            self.pool.release(b);
-        }
-    }
-}
-
-impl KvStorage for PagedKv {
-    fn layers(&self) -> usize {
+    /// Number of transformer layers the pool is shaped for.
+    pub(crate) fn layers(&self) -> usize {
         self.pool.shared.layers
     }
 
-    fn len(&self) -> usize {
+    /// Positions currently visible to attention (committed, ≤ window).
+    pub fn len(&self) -> usize {
         self.rows - self.dropped
     }
 
-    fn positions_seen(&self) -> usize {
+    /// True when nothing has been cached yet.
+    pub fn is_empty(&self) -> bool {
+        self.next_pos == 0
+    }
+
+    /// Total tokens ever fed through this sequence (monotone, unaffected
+    /// by window truncation).
+    pub fn positions_seen(&self) -> usize {
         self.next_pos
     }
 
-    fn kv_bytes(&self) -> usize {
-        self.table.len() * self.pool.block_bytes()
+    /// Bytes of the keys and values visible to attention: visible rows ×
+    /// the bytes one row takes across layers. Blocks' spare rows are not
+    /// counted; a pool's own footprint is [`BlockPool::stats`].
+    pub fn kv_bytes(&self) -> usize {
+        self.len() * 2 * self.layers() * self.kv_dim() * std::mem::size_of::<f32>()
     }
 
-    fn begin(&mut self, n: usize) -> usize {
+    /// Claim the next `n` absolute positions for an in-flight forward,
+    /// reserving their rows ([`Self::reserve_rows`]) unless the caller
+    /// already did; returns the absolute position of the first new
+    /// token. Panics when the pool cannot supply the rows.
+    pub(crate) fn begin(&mut self, n: usize) -> usize {
         assert_eq!(self.pending, 0, "begin with a forward already in flight");
-        assert!(
-            self.capacity_rows() >= self.rows + n,
-            "paged forward of {n} rows without reserve_rows ({} rows in {} blocks)",
-            self.rows,
-            self.table.len()
-        );
-        if !self.rows.is_multiple_of(self.block_size()) {
-            debug_assert_eq!(
-                self.pool.ref_of(self.table[self.rows / self.block_size()]),
-                1,
-                "appending into a shared tail block (missed COW)"
-            );
+        if let Err(e) = self.reserve_rows(n) {
+            panic!("forward of {n} rows: {e}");
         }
         self.pending = n;
         let start = self.next_pos;
@@ -495,7 +494,9 @@ impl KvStorage for PagedKv {
         start
     }
 
-    fn write(&mut self, layer: usize, k: &[f32], v: &[f32]) {
+    /// Store the rotated K/V rows (`[n, kv_dim]` each) for `layer` of
+    /// the in-flight forward.
+    pub(crate) fn write(&mut self, layer: usize, k: &[f32], v: &[f32]) {
         let bs = self.block_size();
         let kv_dim = self.kv_dim();
         debug_assert_eq!(k.len(), self.pending * kv_dim, "k rows mismatch");
@@ -525,7 +526,11 @@ impl KvStorage for PagedKv {
         }
     }
 
-    fn attend(
+    /// Causal attention of `q` (`[n_new, heads*d]`, rotated) over every
+    /// row cached in `layer` — committed rows plus the in-flight rows
+    /// already written — into `out` (`[n_new, heads*d]`).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn attend(
         &self,
         layer: usize,
         q: &[f32],
@@ -562,7 +567,9 @@ impl KvStorage for PagedKv {
         key_major_attention(q, kv, out, n_new, t_total, heads, kv_heads, d);
     }
 
-    fn commit(&mut self) {
+    /// Finish the in-flight forward: commit the written rows and apply
+    /// the window.
+    pub(crate) fn commit(&mut self) {
         self.rows += self.pending;
         self.pending = 0;
         let visible = self.rows - self.dropped;
@@ -578,7 +585,19 @@ impl KvStorage for PagedKv {
         }
     }
 
-    fn rollback(&mut self, n: usize) {
+    /// Drop the last `n` committed rows and rewind the position counter,
+    /// as if the tokens that produced them were never forwarded.
+    ///
+    /// Speculative decoding commits `k + 1` verify rows optimistically
+    /// and rolls the rejected tail back through this. The state after
+    /// `rollback(n)` is bitwise indistinguishable from never having
+    /// forwarded those `n` tokens, which is only possible while the
+    /// sequence still holds every row it has ever seen: this panics if
+    /// rows were already lost to window truncation (the speculative
+    /// decode falls back to plain decode before the window fills, so it
+    /// never rolls back across a truncation). No forward may be in
+    /// flight.
+    pub fn rollback(&mut self, n: usize) {
         if n == 0 {
             return;
         }
@@ -605,6 +624,34 @@ impl KvStorage for PagedKv {
             let b = self.table.pop().expect("table shorter than keep");
             self.pool.release(b);
         }
+    }
+}
+
+impl Drop for PagedKv {
+    fn drop(&mut self) {
+        // every exit path — retire, cancel, failure, preemption —
+        // returns this sequence's block references to the pool
+        for &b in &self.table {
+            self.pool.release(b);
+        }
+    }
+}
+
+impl GptModel {
+    /// An empty KV cache shaped for this model: a [`PagedKv`] on a pool
+    /// of its own, of [`KEYS`]-row blocks. Before a forward the sequence
+    /// holds at most `max_seq` visible rows plus a dropped front part of
+    /// under one block, and a segment adds at most `max_seq` rows, so
+    /// `(2·max_seq + KEYS − 1) / KEYS` blocks, rounded up, hold any
+    /// segment [`GptModel::forward_batch`] accepts: the pool never runs
+    /// dry. A block's data is allocated when it is first taken.
+    pub fn new_cache(&self) -> PagedKv {
+        let max_seq = self.cfg.max_seq;
+        let cfg = KvBlockConfig {
+            block_size: KEYS,
+            num_blocks: (2 * max_seq + KEYS - 1).div_ceil(KEYS),
+        };
+        BlockPool::for_model(cfg, self).new_seq(max_seq)
     }
 }
 
@@ -781,9 +828,9 @@ impl Drop for PrefixCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use matgpt_model::{ArchKind, GptConfig, GptModel, KvCache};
+    use crate::{ArchKind, GptConfig};
     use matgpt_tensor::{init, ParamStore, Tape};
 
     fn pool(bs: usize, n: usize) -> BlockPool {
@@ -800,7 +847,7 @@ mod tests {
 
     /// The cached key (or, with `v`, value) row at visible position
     /// `pos` of `layer`.
-    fn cached_row(kv: &PagedKv, layer: usize, pos: usize, v: bool) -> Vec<f32> {
+    pub(crate) fn cached_row(kv: &PagedKv, layer: usize, pos: usize, v: bool) -> Vec<f32> {
         let (bs, kv_dim) = (kv.block_size(), kv.kv_dim());
         let p = kv.dropped + pos;
         assert!(p < kv.rows + kv.pending, "row {pos} not cached");
@@ -815,7 +862,6 @@ mod tests {
 
     /// Drive a fake forward of `n` rows with recognisable values.
     fn push_rows(kv: &mut PagedKv, n: usize, tag: f32) {
-        kv.reserve_rows(n).expect("reserve");
         let start = kv.begin(n);
         for layer in 0..2 {
             let mut k = Vec::new();
@@ -832,19 +878,17 @@ mod tests {
 
     /// `tokens` forwarded through `cache` in chunks of `schedule` (a
     /// prefill, decode steps, a verify), the logits of every position
-    /// stacked; `reserve` readies the storage for a chunk.
-    fn served<S: KvStorage>(
+    /// stacked.
+    fn served(
         model: &GptModel,
         store: &ParamStore,
         tokens: &[u32],
         schedule: &[usize],
-        cache: &mut S,
-        reserve: impl Fn(&mut S, usize),
+        cache: &mut PagedKv,
     ) -> Vec<f32> {
         let mut at = 0;
         let mut logits = Vec::new();
         for &n in schedule {
-            reserve(cache, n);
             logits.extend(model.forward_cached(store, &tokens[at..at + n], cache));
             at += n;
         }
@@ -856,8 +900,9 @@ mod tests {
     /// `max_seq`, every logit the serving forward produces is the
     /// tape's `GptModel::logits` row to the bit — on NeoX, LLaMA and
     /// LLaMA with GQA, for one token, a prefill, an incremental decode
-    /// and a multi-row verify on a non-empty cache, on the contiguous
-    /// cache and on paged blocks of 3, 4 and 16 rows.
+    /// and a multi-row verify on a non-empty cache, on
+    /// `GptModel::new_cache`'s private pool and on shared pools of 3-,
+    /// 4- and 16-row blocks.
     #[test]
     fn served_logits_equal_the_tape_bitwise() {
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -892,9 +937,8 @@ mod tests {
                     let l = model.logits(&mut tape, &store, tokens, 1, tokens.len());
                     let want = bits(tape.value(l).data());
                     let at = format!("{arch:?}/{kv_heads:?} seed {seed} {schedule:?}");
-                    let mut cache = KvCache::new(&model);
-                    let got = served(&model, &store, tokens, schedule, &mut cache, |_, _| ());
-                    assert_eq!(bits(&got), want, "contiguous, {at}");
+                    let got = served(&model, &store, tokens, schedule, &mut model.new_cache());
+                    assert_eq!(bits(&got), want, "new_cache, {at}");
                     for bs in [3, 4, 16] {
                         let pool = BlockPool::for_model(
                             KvBlockConfig {
@@ -904,11 +948,54 @@ mod tests {
                             &model,
                         );
                         let mut kv = pool.new_seq(model.cfg.max_seq);
-                        let reserve = |kv: &mut PagedKv, n| kv.reserve_rows(n).expect("pool sized");
-                        let got = served(&model, &store, tokens, schedule, &mut kv, reserve);
+                        let got = served(&model, &store, tokens, schedule, &mut kv);
                         assert_eq!(bits(&got), want, "paged {bs}, {at}");
                     }
                 }
+            }
+        }
+    }
+
+    /// `GptModel::new_cache`'s private pool holds whatever the forward
+    /// accepts: decodes past the window, `max_seq`-row segments on a
+    /// full window at every front offset, and a `k + 1` verify rolled
+    /// back, without ever running dry — and the segments fill it, so it
+    /// is no larger than they need.
+    #[test]
+    fn a_private_pool_never_runs_dry() {
+        for max_seq in [16, 24, 37] {
+            let cfg = GptConfig {
+                vocab_size: 40,
+                hidden: 16,
+                layers: 2,
+                heads: 2,
+                max_seq,
+                ..GptConfig::tiny(ArchKind::Llama, 40)
+            };
+            let mut store = ParamStore::new();
+            let model = GptModel::new(cfg, &mut store, &mut init::rng(3));
+            let toks = |n: usize| (0..n as u32).map(|i| i * 7 % 40).collect::<Vec<_>>();
+            let k = 4;
+            for ctx in [0, 1, max_seq / 2, max_seq - k - 1] {
+                let mut kv = model.new_cache();
+                if ctx > 0 {
+                    model.forward_cached(&store, &toks(ctx), &mut kv);
+                }
+                // a verify of k + 1 rows, all but one rolled back
+                model.forward_cached(&store, &toks(k + 1), &mut kv);
+                kv.rollback(k);
+                assert_eq!(kv.len(), ctx + 1);
+                // past the window one row at a time, then whole windows
+                // at every front offset a decode leaves
+                for step in 0..2 * max_seq {
+                    model.decode_step(&store, step as u32 % 40, &mut kv);
+                    if step % 5 == 0 {
+                        model.forward_cached(&store, &toks(max_seq), &mut kv);
+                    }
+                }
+                assert_eq!(kv.len(), max_seq);
+                let st = kv.pool.stats();
+                assert_eq!(st.peak_allocated, kv.pool.num_blocks(), "max_seq {max_seq}");
             }
         }
     }

@@ -17,6 +17,9 @@
 //! * [`mod@generate`] — autoregressive sampling;
 //! * [`infer`] — the tape-free KV-cached inference path that
 //!   `matgpt-serve` builds its continuous-batching engine on;
+//! * [`kv`] — the one KV storage that path attends through: block-paged
+//!   sequences ([`kv::PagedKv`]) over a refcounted block pool, with
+//!   copy-on-write prefix sharing;
 //! * [`quant`] — post-training per-channel int8 weight quantization
 //!   ([`quant::QuantizedParamStore`]) and the [`quant::ForwardParams`]
 //!   abstraction that lets the cached decode path run on either
@@ -32,6 +35,7 @@ pub mod count;
 pub mod generate;
 pub mod gpt;
 pub mod infer;
+pub mod kv;
 pub mod quant;
 pub mod speculative;
 pub mod tp;
@@ -40,7 +44,8 @@ pub use bert::{mask_tokens, BertModel};
 pub use config::{ArchKind, BertConfig, GptConfig};
 pub use generate::{generate, sample_logits, SampleOptions};
 pub use gpt::GptModel;
-pub use infer::{KvCache, KvStorage, SegmentError};
+pub use infer::SegmentError;
+pub use kv::PagedKv;
 pub use quant::{ForwardParams, QuantizedParamStore, WeightPrecision};
 pub use speculative::{
     generate_speculative, speculative_step, DraftState, Proposal, SpecOutcome, SpecStats,

@@ -35,7 +35,7 @@
 //! 3. accepts draft tokens while `argmax(row_{i-1}) == d_i`, emits the
 //!    accepted prefix, keeps the row after the last emitted token as the
 //!    new `last_row`, and **rolls back** the rejected cache rows through
-//!    [`KvStorage::rollback`].
+//!    [`PagedKv::rollback`].
 //!
 //! The first rejected position's correct token is `argmax` of the new
 //! `last_row`, so it is emitted as the *next* step's `t_1` for free. The
@@ -55,23 +55,22 @@
 use crate::config::GptConfig;
 use crate::generate::{argmax, SampleOptions};
 use crate::gpt::GptModel;
-use crate::infer::KvStorage;
+use crate::kv::PagedKv;
 use crate::quant::{ForwardParams, QuantizedParamStore};
 use matgpt_tensor::ParamStore;
 use std::time::{Duration, Instant};
 
-/// The draft model's private decode state: its own (contiguous) KV
-/// cache plus the tokens the target has committed but the draft has not
-/// yet seen.
+/// The draft model's private decode state: its own KV cache (a
+/// [`GptModel::new_cache`]) plus the tokens the target has committed but
+/// the draft has not yet seen.
 ///
 /// The lag buffer is what makes the draft *restartable*: a freshly
 /// created `DraftState` over the current token window is always valid
 /// (the first macro-step simply runs a catch-up prefill), so a
 /// preempted request can resume with a new draft state without
 /// affecting output — only acceptance warms back up.
-#[derive(Clone, Debug)]
 pub struct DraftState {
-    cache: crate::infer::KvCache,
+    cache: PagedKv,
     /// Tokens committed to the target cache that the draft has not been
     /// fed yet; drained by the next catch-up forward.
     lag: Vec<u32>,
@@ -169,12 +168,7 @@ impl SpecStats {
 /// of `max_seq` — rollback across window truncation is unsupported, so
 /// speculation stops just short of the window and plain decode (which
 /// truncates identically to non-speculative serving) takes over.
-fn draft_budget<S: KvStorage + ?Sized>(
-    cfg: &GptConfig,
-    cache: &S,
-    k: usize,
-    remaining: usize,
-) -> usize {
+fn draft_budget(cfg: &GptConfig, cache: &PagedKv, k: usize, remaining: usize) -> usize {
     if cache.len() != cache.positions_seen() {
         return 0; // already truncated: never roll back past this point
     }
@@ -208,12 +202,12 @@ impl DraftState {
     /// proposal is `[t_1]` alone: a plain one-token decode, identical to
     /// non-speculative serving (including its window truncation), with
     /// the draft just accruing lag in case a later step drafts again.
-    pub fn propose<S: KvStorage + ?Sized>(
+    pub fn propose(
         &mut self,
         model: &GptModel,
         draft: &QuantizedParamStore,
         k: usize,
-        cache: &S,
+        cache: &PagedKv,
         last_row: &[f32],
         remaining: usize,
     ) -> Proposal {
@@ -247,12 +241,12 @@ impl DraftState {
     /// f32 argmax agrees, rolls the rejected rows back out of both
     /// caches and replaces `last_row` with the row predicting the token
     /// after the last one emitted.
-    pub fn settle<S: KvStorage + ?Sized>(
+    pub fn settle(
         &mut self,
         proposal: Proposal,
         rows: &[f32],
         verify_time: Duration,
-        cache: &mut S,
+        cache: &mut PagedKv,
         last_row: &mut Vec<f32>,
     ) -> SpecOutcome {
         let Proposal {
@@ -313,12 +307,12 @@ impl DraftState {
 /// decode regardless of the draft's quality — see the module docs for
 /// the invariant.
 #[allow(clippy::too_many_arguments)]
-pub fn speculative_step<P: ForwardParams + ?Sized, S: KvStorage + ?Sized>(
+pub fn speculative_step<P: ForwardParams + ?Sized>(
     model: &GptModel,
     store: &P,
     draft: &QuantizedParamStore,
     k: usize,
-    cache: &mut S,
+    cache: &mut PagedKv,
     draft_state: &mut DraftState,
     last_row: &mut Vec<f32>,
     remaining: usize,

@@ -170,7 +170,9 @@ impl Engine {
             return Err(EngineError::EmptyPrompt);
         }
         if let Some(bc) = self.cfg.kv_backend.paged() {
-            let (block_size, pool_blocks, max_seq) = (bc.block_size, bc.num_blocks, self.max_seq);
+            let (block_size, max_seq) = (bc.block_size, self.max_seq);
+            // blocks of no rows hold nothing, as no blocks do
+            let pool_blocks = if block_size == 0 { 0 } else { bc.num_blocks };
             // worst-case concurrent block usage of this request alone:
             // the visible window never exceeds max_seq, plus up to one
             // partially dropped front block, plus one block of reserve-
@@ -178,7 +180,7 @@ impl Engine {
             // run — reject now instead of livelocking the scheduler.
             let worst_rows =
                 (req.prompt.len().min(max_seq) + req.opts.max_new_tokens).min(max_seq + block_size);
-            let needed_blocks = worst_rows.div_ceil(block_size) + 1;
+            let needed_blocks = worst_rows.div_ceil(block_size.max(1)) + 1;
             if needed_blocks > pool_blocks {
                 return Err(EngineError::KvExhausted {
                     needed_blocks,
@@ -729,6 +731,34 @@ mod tests {
         // however they overlapped: a plain request rides every iteration
         // but the one that emits its last token
         assert_eq!(engine.metrics().decode_rows, 12 * 15);
+    }
+
+    #[test]
+    fn a_pool_of_no_blocks_or_no_rows_rejects_every_submit() {
+        for (block_size, num_blocks) in [(4, 0), (0, 10)] {
+            let engine = tiny_engine(EngineConfig {
+                kv_backend: crate::KvBackend::Paged(crate::KvBlockConfig {
+                    block_size,
+                    num_blocks,
+                }),
+                ..EngineConfig::default()
+            });
+            // the scheduler thread dies building the pool: before and
+            // after shutdown joins it, every submit is the typed error
+            // on this thread, never a panic
+            for shut in [false, true] {
+                if shut {
+                    engine.shutdown();
+                }
+                for prompt_len in [1, 40] {
+                    match engine.submit(&vec![1; prompt_len], SampleOptions::default()) {
+                        Err(EngineError::KvExhausted { pool_blocks: 0, .. }) => {}
+                        Err(other) => panic!("{block_size}x{num_blocks}: got {other:?}"),
+                        Ok(_) => panic!("{block_size}x{num_blocks}: admitted"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

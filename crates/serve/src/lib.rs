@@ -42,13 +42,14 @@
 //! ```
 
 pub mod engine;
-pub mod kvpool;
 pub mod metrics;
 pub mod request;
 pub mod scheduler;
 
 pub use engine::{Engine, EngineConfig, EngineError};
-pub use kvpool::{BlockPool, KvBlockConfig, KvExhausted, PagedKv, PoolStats, PrefixCache};
+pub use matgpt_model::kv::{
+    BlockPool, KvBlockConfig, KvExhausted, PagedKv, PoolStats, PrefixCache,
+};
 pub use matgpt_model::WeightPrecision;
 pub use metrics::{MetricsSnapshot, Percentiles};
 pub use request::{FinishReason, GenRequest, Response, ResponseHandle};

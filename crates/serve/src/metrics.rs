@@ -297,7 +297,8 @@ serve_series! {{
     /// The quantized footprint under `Int8`, the f32 footprint otherwise.
     weight_bytes: Gauge as u64 = "serve_quant_weight_bytes" by precision,
         "heap bytes of the weight store the scheduler decodes against";
-    /// Paged: allocated blocks × block bytes; contiguous: summed buffers.
+    /// Paged: allocated blocks × block bytes; contiguous: the requests' visible
+    /// rows × the bytes of a row across layers (`PagedKv::kv_bytes`).
     kv_bytes: Gauge as u64 = "serve_kv_bytes",
         "KV-cache bytes currently held across active requests";
     /// The engine's true KV memory requirement, independent of when the

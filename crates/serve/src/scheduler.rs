@@ -31,22 +31,25 @@
 //! it holds budget or blocks, and `forward_batch` validates every
 //! segment again before it touches a cache.
 //!
-//! ## KV backends
+//! ## KV admission policies
 //!
-//! [`SchedulerConfig::kv_backend`] picks the KV storage strategy; a
-//! request's storage reaches the model forward as one `&mut dyn
-//! KvStorage` (DECODING.md tabulates the whole decode path):
+//! Every request's KV state is one [`PagedKv`], which reaches the model
+//! forward as it is (DECODING.md tabulates the whole decode path).
+//! [`SchedulerConfig::kv_backend`] picks where its blocks come from and
+//! how requests are admitted:
 //!
-//! * [`KvBackend::Contiguous`] (default) — one private
-//!   [`KvCache`] buffer per request; admission is governed by the
-//!   worst-case `token_budget`.
-//! * [`KvBackend::Paged`] — requests draw fixed-size blocks from a
-//!   shared [`crate::kvpool::BlockPool`] as they actually grow, so
-//!   admission is **block-granular**: a request joins when the pool can
-//!   cover its prompt, not its worst case. Prompts that repeat a
-//!   recently served prefix fork its blocks copy-on-write from the
-//!   [`crate::kvpool::PrefixCache`] instead of recomputing the prefill.
-//!   A newcomer registers its prompt prefix as soon as its blocks are
+//! * [`KvBackend::Contiguous`] (default) — each request gets a private
+//!   pool ([`GptModel::new_cache`]) that its forwards can never exhaust;
+//!   admission is governed by the worst-case `token_budget`.
+//! * [`KvBackend::Paged`] — requests draw fixed-size blocks from one
+//!   shared [`BlockPool`] as they actually grow, so admission is
+//!   **block-granular**: a request joins when the pool can cover its
+//!   prompt, not its worst case. The scheduler reserves every forward's
+//!   rows before it runs, so exhaustion is a typed
+//!   [`crate::KvExhausted`] it handles, never the forward's panic.
+//!   Prompts that repeat a recently served prefix fork its blocks
+//!   copy-on-write from the [`PrefixCache`] instead of recomputing the
+//!   prefill. A newcomer registers its prompt prefix as soon as its blocks are
 //!   reserved, so a younger wave-mate forks blocks the iteration's
 //!   shared forward has yet to fill (SERVING.md §3 says why that is
 //!   sound; a forward that fails withdraws them). When a decode step
@@ -58,7 +61,7 @@
 //!   of everything still queued and is re-admitted first, via a
 //!   recompute prefill that reproduces its pre-eviction logits
 //!   bit-for-bit while its tokens fit the window (past it, the
-//!   recompute re-encodes the window from position 0). Both backends
+//!   recompute re-encodes the window from position 0). Both policies
 //!   produce bit-identical logits for identical request streams (see
 //!   `tests/paged_kv.rs`).
 //!
@@ -71,11 +74,10 @@
 //! emitted from the captured `Instant`s when the request retires — from
 //! the batch or, as a single `queued` slice, from the lot.
 
-use crate::kvpool::{BlockPool, KvBlockConfig, KvExhausted, PagedKv, PrefixCache};
 use crate::metrics::MetricsInner;
 use crate::request::{FinishReason, Response, Submission};
 use crossbeam::channel::Receiver;
-use matgpt_model::infer::{KvCache, KvStorage};
+use matgpt_model::kv::{BlockPool, KvBlockConfig, PagedKv, PrefixCache};
 use matgpt_model::speculative::{DraftState, Proposal, SpecOutcome};
 use matgpt_model::{
     generate::sample_logits, ForwardParams, GptModel, QuantizedParamStore, WeightPrecision,
@@ -99,20 +101,21 @@ pub(crate) const REQ_TRACK_BASE: u64 = 1 << 32;
 /// prompts across request waves, not to memoise every prompt seen.
 const PREFIX_CACHE_CAP: usize = 32;
 
-/// Which KV-cache storage the scheduler runs requests on.
+/// Where the scheduler takes each request's KV blocks from, and so how
+/// it admits requests. Every request is a [`PagedKv`] either way.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KvBackend {
-    /// One private, contiguously grown [`KvCache`] per request.
-    /// Simplest and fastest for small batches; peak KV memory is the
-    /// sum of worst cases, so admission must reserve `token_budget`
+    /// One private pool per request ([`GptModel::new_cache`]), sized so
+    /// that the request's forwards never exhaust it. Peak KV memory is
+    /// the sum of worst cases, so admission reserves `token_budget`
     /// headroom a request may never use.
     #[default]
     Contiguous,
-    /// Block-paged KV over a shared [`crate::kvpool::BlockPool`]:
-    /// memory is claimed block-by-block as sequences grow, identical
-    /// prompt prefixes share blocks copy-on-write, and pool exhaustion
-    /// preempts (rather than crashes) the youngest request. Use for
-    /// high request counts with common system prompts — see
+    /// One shared [`BlockPool`] of this geometry: memory is claimed
+    /// block-by-block as sequences grow, admission is block-granular,
+    /// identical prompt prefixes share blocks copy-on-write, and pool
+    /// exhaustion preempts (rather than crashes) the youngest request.
+    /// Use for high request counts with common system prompts — see
     /// `ext_paged_bench` for the gated peak-memory numbers.
     Paged(KvBlockConfig),
 }
@@ -191,13 +194,14 @@ pub struct SchedulerConfig {
     /// so its speed record is ROADMAP item 2's off-benchmark kernel
     /// table.
     pub precision: WeightPrecision,
-    /// KV-cache storage backend. [`KvBackend::Contiguous`] (the
-    /// default) gives each request a private buffer and admits against
-    /// `token_budget`; [`KvBackend::Paged`] draws fixed-size blocks
-    /// from a shared pool with copy-on-write prefix sharing, admits at
-    /// block granularity, and preempts under memory pressure. The two
-    /// backends are bit-identical in output — the knob trades peak KV
-    /// memory against per-block bookkeeping overhead.
+    /// KV admission policy. [`KvBackend::Contiguous`] (the default)
+    /// gives each request a private pool and admits against
+    /// `token_budget`; [`KvBackend::Paged`] draws fixed-size blocks from
+    /// one shared pool with copy-on-write prefix sharing, admits at
+    /// block granularity, and preempts under memory pressure. Both keep
+    /// each request's KV in the same [`PagedKv`], so their output is
+    /// bit-identical — the knob trades peak KV memory against admission
+    /// and preemption bookkeeping.
     pub kv_backend: KvBackend,
     /// Decode strategy. [`DecodeMode::Plain`] (default) advances each
     /// request one token per iteration; [`DecodeMode::Speculative`]
@@ -231,45 +235,6 @@ struct SpecRuntime {
 /// The weights every forward of an engine runs against, behind the one
 /// dispatch [`run`] makes from [`SchedulerConfig::precision`].
 type Weights = dyn ForwardParams + Send + Sync;
-
-/// The KV storage a request decodes against — one enum so `Active` is
-/// backend-agnostic; the model forward reaches it through [`ReqKv::kv`].
-enum ReqKv {
-    /// Private contiguous buffer.
-    Contig(KvCache),
-    /// Block table over the shared pool.
-    Paged(PagedKv),
-}
-
-impl ReqKv {
-    /// The storage as the forward sees it: the one place the backend is
-    /// dispatched (two dynamic calls per layer per forward, next to
-    /// matmuls that each stream ≥ 64 KiB).
-    fn kv(&mut self) -> &mut dyn KvStorage {
-        match self {
-            ReqKv::Contig(c) => c,
-            ReqKv::Paged(p) => p,
-        }
-    }
-
-    /// Ensure the next decode step's `rows` rows have blocks to land in
-    /// (1 for plain decode, `k + 1` for a speculative macro-step).
-    /// Contiguous storage grows inline, so only the paged arm can fail.
-    fn reserve_decode(&mut self, rows: usize) -> Result<(), KvExhausted> {
-        match self {
-            ReqKv::Contig(_) => Ok(()),
-            ReqKv::Paged(p) => p.reserve_rows(rows),
-        }
-    }
-
-    /// The paged storage, when this is the paged backend.
-    fn paged(&self) -> Option<&PagedKv> {
-        match self {
-            ReqKv::Contig(_) => None,
-            ReqKv::Paged(p) => Some(p),
-        }
-    }
-}
 
 /// A request and the progress it carries wherever it is: waiting in
 /// the parking lot for its first admission (`generated == 0`, `tokens`
@@ -345,7 +310,7 @@ impl Parked {
 struct Active {
     /// What the request takes with it when it is preempted or retires.
     state: Parked,
-    cache: ReqKv,
+    cache: PagedKv,
     /// Logits row the next token will be sampled from.
     last_row: Vec<f32>,
     last_token_at: Instant,
@@ -374,8 +339,8 @@ impl Active {
     /// `max_seq` window, or the suffix past a forked shared prefix; a
     /// preempted request recomputes over prompt + generated and resumes
     /// its rng stream where it stood.
-    fn admitted(state: Parked, reserved: usize, mut cache: ReqKv, max_seq: usize) -> Self {
-        let start = first_uncached(state.tokens.len(), cache.kv().len(), max_seq);
+    fn admitted(state: Parked, reserved: usize, cache: PagedKv, max_seq: usize) -> Self {
+        let start = first_uncached(state.tokens.len(), cache.len(), max_seq);
         Self {
             feed: Proposal {
                 tokens: state.tokens[start..].to_vec(),
@@ -430,7 +395,7 @@ impl Active {
         if let (Some(rt), Some(draft)) = (spec, self.draft.as_mut()) {
             let Parked { sub, generated, .. } = &self.state;
             let remaining = sub.req.opts.max_new_tokens - generated;
-            let (cache, row) = (self.cache.kv(), &self.last_row);
+            let (cache, row) = (&self.cache, &self.last_row);
             self.feed = draft.propose(model, &rt.draft, rt.k, cache, row, remaining);
         }
     }
@@ -470,7 +435,7 @@ impl Active {
         };
         let settle_at = Instant::now();
         let feed = std::mem::take(&mut self.feed);
-        let out = draft.settle(feed, rows, at.1 - at.0, self.cache.kv(), &mut self.last_row);
+        let out = draft.settle(feed, rows, at.1 - at.0, &mut self.cache, &mut self.last_row);
         let done_at = Instant::now();
         if out.drafted > 0 {
             metrics.record_spec(
@@ -751,10 +716,10 @@ fn shared_forward(
     let mut span = Span::enter(pids::SERVE, "serve", name);
     let mut draft_at = Instant::now();
     let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut segs: Vec<(&[u32], &mut dyn KvStorage)> = Vec::with_capacity(boarded.len());
+        let mut segs: Vec<(&[u32], &mut PagedKv)> = Vec::with_capacity(boarded.len());
         for a in boarded.iter_mut() {
             a.propose(model, spec);
-            segs.push((&a.feed.tokens, a.cache.kv()));
+            segs.push((&a.feed.tokens, &mut a.cache));
         }
         let start = Instant::now();
         let logits = model.forward_batch(weights, &mut segs);
@@ -896,7 +861,7 @@ impl Scheduler {
                 continue;
             }
             self.used_budget += cost;
-            let cache = ReqKv::Contig(self.model.new_cache());
+            let cache = self.model.new_cache();
             self.active.push(Active::admitted(p, cost, cache, max_seq));
         }
     }
@@ -963,7 +928,7 @@ impl Scheduler {
             if seq.len() <= max_seq {
                 ps.prefix.register(&seq[..p.sub.req.prompt.len()], &kv);
             }
-            active.push(Active::admitted(p, 0, ReqKv::Paged(kv), max_seq));
+            active.push(Active::admitted(p, 0, kv, max_seq));
         }
     }
 
@@ -988,9 +953,7 @@ impl Scheduler {
         while i < active.len() {
             let rows = active[i].draft.as_ref().map_or(1, |_| spec_rows);
             let cache = &mut active[i].cache;
-            if evict_until(&mut ps.prefix, metrics, || {
-                cache.reserve_decode(rows).is_ok()
-            }) {
+            if evict_until(&mut ps.prefix, metrics, || cache.reserve_rows(rows).is_ok()) {
                 i += 1;
                 continue;
             }
@@ -1005,9 +968,7 @@ impl Scheduler {
             }
             let a = active.remove(active.len() - 1);
             metrics.preemptions.inc();
-            metrics
-                .kv_blocks_evicted
-                .add(a.cache.paged().map_or(0, |p| p.blocks_held()) as u64);
+            metrics.kv_blocks_evicted.add(a.cache.blocks_held() as u64);
             // its cache drops with `a` — the blocks return to the pool —
             // while its progress re-enters the lot by id, so
             // re-admission stays oldest-first
@@ -1034,11 +995,7 @@ impl Scheduler {
                 shares.add(st.shares_total - shares.get());
             }
             None => {
-                let bytes = self
-                    .active
-                    .iter_mut()
-                    .map(|a| a.cache.kv().kv_bytes())
-                    .sum();
+                let bytes = self.active.iter().map(|a| a.cache.kv_bytes()).sum();
                 metrics.record_kv_usage(bytes, 0, 0);
             }
         }
@@ -1527,6 +1484,48 @@ mod tests {
         assert_eq!(rx0.try_recv().expect("answered").tokens, want);
     }
 
+    /// On the shared pool rows are reserved before the forward, by
+    /// admission and `reserve_decode_blocks`: the shared forward, whose
+    /// `begin`s would otherwise take them, takes no block — prefill,
+    /// plain decode and `k + 1` verify rows alike.
+    #[test]
+    fn the_shared_forward_takes_no_block_of_the_shared_pool() {
+        for k in [0, 2] {
+            let cfg = SchedulerConfig {
+                max_batch: 3,
+                kv_backend: KvBackend::Paged(KvBlockConfig {
+                    block_size: 4,
+                    num_blocks: 64,
+                }),
+                ..SchedulerConfig::default()
+            };
+            let (mut s, _) = scheduler(cfg, k);
+            let pool = s.paged.as_ref().expect("paged").pool.clone();
+            let shared = [3, 1, 4, 1, 5, 9, 2, 6, 5];
+            let prompts = [
+                shared.to_vec(),
+                [&shared[..], &[7, 7]].concat(),
+                vec![8, 2],
+                (0..40).map(|i| i % 30).collect(),
+            ];
+            for (id, prompt) in prompts.iter().enumerate() {
+                let _ = submit(&mut s, id as u64, prompt.clone(), 9);
+            }
+            let mut forwards = 0;
+            while !s.idle() {
+                // the step's own admission and reservation find nothing
+                // left to take
+                s.admit_paged();
+                s.reserve_decode_blocks();
+                let (allocs, before) = (pool.stats().allocs_total, passes(&s.metrics.snapshot()));
+                s.step();
+                forwards += passes(&s.metrics.snapshot()) - before;
+                assert_eq!(pool.stats().allocs_total, allocs, "k = {k}");
+            }
+            assert!(forwards > 9, "k = {k}: {forwards} forwards");
+        }
+    }
+
     #[test]
     fn a_failed_admission_takes_nothing_from_the_pool() {
         let (mut s, _, prompts) = paged_pair();
@@ -1701,9 +1700,9 @@ mod tests {
                     bits(&logits[logits.len() - v..]),
                     "{n}/{id}"
                 );
-                assert_eq!(a.cache.kv().kv_bytes(), solo.kv_bytes(), "{n}/{id}");
+                assert_eq!(a.cache.kv_bytes(), solo.kv_bytes(), "{n}/{id}");
                 // the cached rows themselves: the next step reads them all
-                let next = model.decode_step(store, 3, a.cache.kv());
+                let next = model.decode_step(store, 3, &mut a.cache);
                 let want = model.decode_step(store, 3, &mut solo);
                 assert_eq!(bits(&next), bits(&want), "{n}/{id} cache");
             }

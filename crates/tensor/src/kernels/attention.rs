@@ -227,10 +227,10 @@ pub const KEYS: usize = 16;
 
 /// Keys laid out key-major in tiles of [`KEYS`]: tile `p` holds keys
 /// `16p..16p+16` as `[width, 16]`, component `c` of its keys one vector.
-/// The tape's per-head keys and values (`width` = `d`) and the serving
-/// cache's keys (`width` = `kv_heads·d`) are held so. Slots past the
-/// last key are scored with the rest and never read.
-#[derive(Clone, Debug)]
+/// The tape's per-head keys and values (`width` = `d`) are held so, as
+/// a serving KV block of 16 rows holds its keys (`width` = `kv_heads·d`).
+/// Slots past the last key are scored with the rest and never read.
+#[derive(Debug)]
 pub struct KeyMajor {
     data: Vec<f32>,
     width: usize,
@@ -273,12 +273,6 @@ impl KeyMajor {
     pub fn truncate(&mut self, n: usize) {
         self.len = self.len.min(n);
         self.data.truncate(self.len.div_ceil(KEYS) * self.tile());
-    }
-
-    /// Drop the first `tiles` tiles, `16·tiles` keys.
-    pub fn drop_front(&mut self, tiles: usize) {
-        self.data.drain(..tiles * self.tile());
-        self.len -= tiles * KEYS;
     }
 
     /// The tiles, in key order: [`dots`]'s pieces with `w` = [`KEYS`].

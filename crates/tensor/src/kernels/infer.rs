@@ -7,12 +7,12 @@
 //! queries for the new tokens are `[Tn, H*D]`, exactly the projection
 //! output, and a cache's values `[Ttot, Hkv*D]` rows. Cached **keys**
 //! are key-major, in pieces of `w` positions laid out `[Hkv*D, w]`
-//! (a [`super::attention::KeyMajor`]'s tiles of 16, or a paged block's
-//! `w` slots), so that a score is the training tape's: [`dots`] sums
-//! each key's products in order, unfused, and the two scans round
-//! every score, weight and output alike. A served forward's logits
-//! therefore equal the tape's bit for bit while the sequence fits the
-//! window.
+//! (a KV block's `w` slots, as the tape's [`super::attention::KeyMajor`]
+//! holds a head in tiles of 16), so that a score is the training
+//! tape's: [`dots`] sums each key's products in order, unfused, and the
+//! two scans round every score, weight and output alike. A served
+//! forward's logits therefore equal the tape's bit for bit while the
+//! sequence fits the window.
 //!
 //! Grouped-query attention falls out of the indexing on both sides:
 //! query head `h` reads cache head `h / (H / Hkv)`.
@@ -191,7 +191,7 @@ pub fn cached_attention(
 /// at slot `p % block_rows`. The first `skip` physical rows are outside
 /// the attention window, so visible row `j` is physical row `skip + j`.
 /// Each key block is laid out key-major for the call, a pass the
-/// engine's storages (which keep their keys key-major) never run, and
+/// model's KV storage (which keeps its keys key-major) never runs, and
 /// the blocks go to [`key_major_attention`] as its pieces.
 #[allow(clippy::too_many_arguments)]
 pub fn paged_attention(

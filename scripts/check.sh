@@ -68,7 +68,7 @@ cargo test -q
 
 section "crate unit tests"
 # the #[cfg(test)] modules inside the four library crates the executed
-# paths live in (tp.rs, kernels/infer.rs, kvpool.rs, engine.rs,
+# paths live in (tp.rs, kernels/infer.rs, kv.rs, engine.rs,
 # executor.rs, ...), the BPE trainer's, the two RNG shims' (the bulk
 # ChaCha fill every weight is drawn through) and the other five shims'
 # (rayon's pool runs every parallel kernel and training step) — clippy

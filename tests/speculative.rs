@@ -9,7 +9,7 @@
 use matgpt::model::generate::argmax;
 use matgpt::model::{
     generate, generate_speculative, speculative_step, ArchKind, DraftState, GptConfig, GptModel,
-    KvStorage, QuantizedParamStore, SampleOptions, SpecStats,
+    QuantizedParamStore, SampleOptions, SpecStats,
 };
 use matgpt::serve::{
     BlockPool, DecodeMode, Engine, EngineConfig, FinishReason, KvBackend, KvBlockConfig,

@@ -8,14 +8,16 @@
 //!   size;
 //! * the reverse sweep recycles: once a node's backward has run, its
 //!   value and gradient feed the gradients and scratch still to come, so
-//!   backward's peak live heap stays within 1.25 × what forward left
-//!   live. At the benchmark's batch (4 × 32) it reads 1.23 × (LLaMA:
-//!   6.36 MiB live after forward, 7.81 MiB peak) and 1.18 × (NeoX: 7.95,
-//!   9.41). While the tape copied q/k/v into heads and back and kept the
-//!   loss's probabilities through the sweep it read 1.22 × (7.61, 9.31)
-//!   and 1.19 × (9.20, 10.91); when it copied every weight and kept
-//!   every node and gradient, 1.97 × (11.13, 21.97) and 1.97 × (12.73,
-//!   25.13).
+//!   backward adds at most 1.59 MiB to the heap forward left live. At
+//!   the benchmark's batch (4 × 32) it adds 1.45 MiB for LLaMA (6.36 MiB
+//!   live after forward, 7.81 MiB peak) and 1.46 MiB for NeoX (7.95,
+//!   9.41). The bound is what 1.25 × the forward's live heap allowed
+//!   LLaMA, the smaller of the two, and it stays put when the forward
+//!   gets leaner, where a ratio would tighten. While the tape copied
+//!   q/k/v into heads and back and kept the loss's probabilities through
+//!   the sweep it added 1.70 MiB (7.61, 9.31) and 1.71 MiB (9.20,
+//!   10.91); when it copied every weight and kept every node and
+//!   gradient, 10.84 MiB (11.13, 21.97) and 12.40 MiB (12.73, 25.13).
 //!
 //! There is one `#[test]`, so no other test thread allocates while it
 //! counts.
@@ -129,17 +131,17 @@ fn a_t_step_copies_no_weight_and_backward_peaks_near_forward() {
             "{arch}: the forward allocated {hits} parameter-sized buffers"
         );
 
-        // The benchmark's batch for the ratio.
+        // The benchmark's batch for what backward adds.
         let (fwd, peak, _) = step_footprint(arch, 4, 32);
-        let ratio = peak as f64 / fwd as f64;
+        let added = (peak - fwd) as f64 / MIB;
         eprintln!(
-            "{arch} T step: forward leaves {:.2} MiB live, backward peaks at {:.2} MiB ({ratio:.2}x)",
+            "{arch} T step: forward leaves {:.2} MiB live, backward peaks at {:.2} MiB (+{added:.2} MiB)",
             fwd as f64 / MIB,
             peak as f64 / MIB,
         );
         assert!(
-            ratio <= 1.25,
-            "{arch}: backward peaked at {ratio:.2} x the forward's live heap"
+            added <= 1.59,
+            "{arch}: backward added {added:.2} MiB to the forward's live heap"
         );
     }
 }
