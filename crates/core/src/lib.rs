@@ -9,8 +9,8 @@
 //!
 //! Downstream crates provide the substrates (`matgpt-tensor`,
 //! `matgpt-model`, `matgpt-tokenizer`, `matgpt-corpus`, `matgpt-optim`,
-//! `matgpt-frontier-sim`, `matgpt-eval`, `matgpt-gnn`); this crate provides
-//! the orchestration the examples and the bench harness drive.
+//! `matgpt-frontier-sim`); this crate provides the orchestration the
+//! examples and the bench harness drive.
 
 pub mod parallel;
 pub mod pipeline;

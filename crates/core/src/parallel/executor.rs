@@ -19,7 +19,7 @@
 
 use super::collective::{
     ring_allgather_rank_bytes, ring_allreduce_rank_bytes, ring_reduce_scatter_rank_bytes,
-    CollectiveError, PipeDir, PipeLink, Ring, RingComm,
+    CollectiveError, PipeDir, PipeLink, Ring, RingComm, DEFAULT_RING_TIMEOUT,
 };
 use super::resilience::{
     FailureCause, FaultKind, FaultPlan, Heartbeats, RecoveryEvent, RecoveryPolicy,
@@ -81,7 +81,10 @@ impl RunSpec<'static> {
             image_every: None,
             resume: None,
             val_each_eval,
-            res: ResilienceConfig::default(),
+            res: ResilienceConfig {
+                collective_timeout_ms: DEFAULT_RING_TIMEOUT.as_millis() as u64,
+                ..ResilienceConfig::default()
+            },
             recover: false,
         }
     }
@@ -844,7 +847,8 @@ impl Coordinator<'_> {
         let column = pp * tp;
         let grace = Duration::from_millis(res.grace_ms.max(1));
         let stale = Duration::from_millis(res.heartbeat_stale_ms.max(1));
-        let step_budget = topo.timeout + stale + Duration::from_secs(1);
+        let timeout = Duration::from_millis(res.collective_timeout_ms.max(1));
+        let step_budget = timeout + stale + Duration::from_secs(1);
 
         // Every replica is carved from the same store, so all start
         // from identical bits; the first one also fixes the fold layout
@@ -866,13 +870,13 @@ impl Coordinator<'_> {
 
         // Wires: a tp ring per (d, s), a dp ring per (s, r), a grad-norm
         // ring per d, a link per interior stage boundary of each (d, r).
-        let mut tp_rings = deal_rings(world, tp, topo.timeout, |g, k| g * tp + k);
-        let mut dp_rings = deal_rings(world, dp, topo.timeout, |g, k| k * column + g);
-        let mut norm_rings = deal_rings(world, column, topo.timeout, |g, k| g * column + k);
+        let mut tp_rings = deal_rings(world, tp, timeout, |g, k| g * tp + k);
+        let mut dp_rings = deal_rings(world, dp, timeout, |g, k| k * column + g);
+        let mut norm_rings = deal_rings(world, column, timeout, |g, k| g * column + k);
         let mut links: Vec<(Option<PipeLink>, Option<PipeLink>)> =
             (0..world).map(|_| (None, None)).collect();
         for seat in (0..world).filter(|&seat| topo.coords(seat).1 + 1 < pp) {
-            let (earlier, later) = PipeLink::pair(topo.timeout);
+            let (earlier, later) = PipeLink::pair(timeout);
             links[seat].1 = Some(earlier);
             links[seat + tp].0 = Some(later);
         }
@@ -1275,7 +1279,7 @@ pub(crate) fn run_grid(
             let (seat, err) = match (failure.dead.first(), failure.cause) {
                 (Some(&rank), FailureCause::RankLost) => (rank, CollectiveError::RankLost { rank }),
                 (Some(&rank), FailureCause::Stalled) => {
-                    let waited_ms = topo.timeout.as_millis() as u64;
+                    let waited_ms = co.spec.res.collective_timeout_ms.max(1);
                     (rank, CollectiveError::Timeout { rank, waited_ms })
                 }
                 (None, _) => failure.reports[0],
@@ -1679,13 +1683,8 @@ mod tests {
             (Topology::new(1, 2, 1), 0),
             (Topology::new(1, 1, 1), 0),
         ] {
-            let spec = RunSpec {
-                res: ResilienceConfig {
-                    faults: FaultPlan::kill(victim, 1),
-                    ..ResilienceConfig::default()
-                },
-                ..RunSpec::plain(false)
-            };
+            let mut spec = RunSpec::plain(false);
+            spec.res.faults = FaultPlan::kill(victim, 1);
             let (d, stage, tp_rank) = topo.coords(victim);
             match run_grid(&documents, &cfg, topo, spec) {
                 Err(TopologyError::Step {

@@ -74,7 +74,6 @@ use executor::{reference_grid, run_grid, GridRun, RunSpec};
 use matgpt_corpus::Batch;
 use resilience::{ResilienceConfig, ResilientOutcome};
 use std::ops::Range;
-use std::time::Duration;
 
 pub use collective::{
     ring_allgather_rank_bytes, ring_allreduce_rank_bytes, ring_allreduce_sum,
@@ -469,10 +468,6 @@ impl DataParallel {
         cfg: &PretrainConfig,
         res: ResilienceConfig,
     ) -> ResilientOutcome {
-        let topo = Topology {
-            timeout: Duration::from_millis(res.collective_timeout_ms.max(1)),
-            ..self.topo
-        };
         let spec = RunSpec {
             image_every: Some(res.snapshot_every.max(1)),
             resume: None,
@@ -480,7 +475,7 @@ impl DataParallel {
             res,
             recover: true,
         };
-        let mut run = run_grid(documents, cfg, topo, spec).unwrap_or_else(|e| panic!("{e}"));
+        let mut run = run_grid(documents, cfg, self.topo, spec).unwrap_or_else(|e| panic!("{e}"));
         let resilience = std::mem::take(&mut run.resilience);
         ResilientOutcome {
             outcome: outcome(run, cfg),

@@ -252,10 +252,8 @@ pub struct ResilienceConfig {
     pub policy: RecoveryPolicy,
     /// Ring and pipeline-link receive bound, ms: how long a worker
     /// waits on a silent peer before reporting
-    /// [`CollectiveError::Timeout`](super::CollectiveError::Timeout). A
-    /// resilient run uses this in place of
-    /// [`Topology::timeout`](super::Topology::timeout) — the two name
-    /// the same deadline.
+    /// [`CollectiveError::Timeout`](super::CollectiveError::Timeout).
+    /// A fault-free run waits 120 s.
     pub collective_timeout_ms: u64,
     /// Heartbeat age, ms, beyond which a non-responding rank is
     /// declared dead rather than slow.

@@ -37,7 +37,7 @@
 //! per-collective message-size histogram for comparison against the
 //! simulator's Fig. 11 model.
 
-use super::collective::{CollectiveError, DEFAULT_RING_TIMEOUT};
+use super::collective::CollectiveError;
 use super::executor::{reference_grid, run_grid, GridRun, RunSpec};
 use crate::pretrain::ResumeError;
 use crate::recipes::PretrainConfig;
@@ -45,7 +45,6 @@ use matgpt_frontier_sim::collectives::{wire_bytes, Collective as CollKind};
 use matgpt_model::tp::TpPlanError;
 use matgpt_model::GptModel;
 use matgpt_tensor::ParamStore;
-use std::time::Duration;
 
 /// A `dp × tp × pp` device grid, the micro-batch chunk count of its
 /// 1F1B pipeline schedule, and how its dp axis keeps optimizer state.
@@ -65,17 +64,13 @@ pub struct Topology {
     /// `pp`; more chunks shrink the pipeline bubble
     /// `(pp−1)/(pp−1+chunks)`.
     pub chunks: usize,
-    /// Deadline on every ring/link receive — a lost or wedged worker
-    /// surfaces as a typed [`CollectiveError`], never a hang.
-    pub timeout: Duration,
     /// ZeRO-1: shard optimizer state across the dp ring instead of
     /// replicating it, at any `{tp, pp}`.
     pub zero1: bool,
 }
 
 impl Topology {
-    /// A grid with `chunks = pp`, a replicated optimizer and the
-    /// default receive deadline.
+    /// A grid with `chunks = pp` and a replicated optimizer.
     pub fn new(dp: usize, tp: usize, pp: usize) -> Self {
         assert!(
             dp >= 1 && tp >= 1 && pp >= 1,
@@ -86,7 +81,6 @@ impl Topology {
             tp,
             pp,
             chunks: pp,
-            timeout: DEFAULT_RING_TIMEOUT,
             zero1: false,
         }
     }

@@ -41,8 +41,6 @@ pub struct GptConfig {
     pub rope_base: f32,
     /// Norm epsilon.
     pub norm_eps: f32,
-    /// Dropout probability during training.
-    pub dropout: f32,
 }
 
 impl GptConfig {
@@ -102,7 +100,6 @@ impl GptConfig {
             max_seq: 2048,
             rope_base: 10_000.0,
             norm_eps: 1e-5,
-            dropout: 0.0,
         }
     }
 
@@ -118,7 +115,6 @@ impl GptConfig {
             max_seq: 2048,
             rope_base: 10_000.0,
             norm_eps: 1e-5,
-            dropout: 0.0,
         }
     }
 
@@ -135,7 +131,6 @@ impl GptConfig {
             max_seq: 64,
             rope_base: 10_000.0,
             norm_eps: 1e-5,
-            dropout: 0.0,
         }
     }
 
@@ -152,7 +147,6 @@ impl GptConfig {
             max_seq: 64,
             rope_base: 10_000.0,
             norm_eps: 1e-5,
-            dropout: 0.0,
         }
     }
 }

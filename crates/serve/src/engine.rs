@@ -11,6 +11,7 @@ use crate::metrics::{MetricsInner, MetricsSnapshot};
 use crate::request::{GenRequest, ResponseHandle, Submission};
 use crate::scheduler::{self, SchedulerConfig};
 use crossbeam::channel::{self, Sender};
+use matgpt_model::kv::KvBlockConfig;
 use matgpt_model::{GptModel, SampleOptions};
 use matgpt_tensor::ParamStore;
 use parking_lot::Mutex;
@@ -90,23 +91,39 @@ pub struct Engine {
     next_id: AtomicU64,
 }
 
+/// Blocks a paged pool of geometry `bc` holds: none when its blocks
+/// hold no rows, as when it has no blocks. The scheduler's
+/// [`BlockPool`](matgpt_model::kv::BlockPool) refuses such a pool.
+fn pool_blocks(bc: KvBlockConfig) -> usize {
+    if bc.block_size == 0 {
+        0
+    } else {
+        bc.num_blocks
+    }
+}
+
 impl Engine {
-    /// Spawn the scheduler thread over `model` + `store`.
+    /// Spawn the scheduler thread over `model` + `store`. A paged pool
+    /// that holds no block admits nothing: that engine rejects every
+    /// submit and starts no scheduler.
     pub fn new(model: GptModel, store: ParamStore, cfg: EngineConfig) -> Self {
         let max_seq = model.cfg.max_seq;
+        let admits = cfg.kv_backend.paged().is_none_or(|bc| pool_blocks(bc) > 0);
         let (tx, rx) = channel::unbounded();
         let metrics = Arc::new(MetricsInner::new(cfg.precision));
         let metrics_for_worker = Arc::clone(&metrics);
-        let worker = std::thread::Builder::new()
-            .name("matgpt-serve-scheduler".into())
-            .spawn(move || scheduler::run(model, store, cfg, rx, metrics_for_worker))
-            // construction-time invariant, not a submit/wait/shutdown
-            // path: if the OS cannot spawn one thread, there is no
-            // engine to return
-            .expect("spawn scheduler thread");
+        let worker = admits.then(|| {
+            std::thread::Builder::new()
+                .name("matgpt-serve-scheduler".into())
+                .spawn(move || scheduler::run(model, store, cfg, rx, metrics_for_worker))
+                // construction-time invariant, not a submit/wait/shutdown
+                // path: if the OS cannot spawn one thread, there is no
+                // engine to return
+                .expect("spawn scheduler thread")
+        });
         Self {
-            tx: Mutex::new(Some(tx)),
-            worker: Mutex::new(Some(worker)),
+            tx: Mutex::new(admits.then_some(tx)),
+            worker: Mutex::new(worker),
             metrics,
             cfg,
             max_seq,
@@ -171,8 +188,7 @@ impl Engine {
         }
         if let Some(bc) = self.cfg.kv_backend.paged() {
             let (block_size, max_seq) = (bc.block_size, self.max_seq);
-            // blocks of no rows hold nothing, as no blocks do
-            let pool_blocks = if block_size == 0 { 0 } else { bc.num_blocks };
+            let pool_blocks = pool_blocks(bc);
             // worst-case concurrent block usage of this request alone:
             // the visible window never exceeds max_seq, plus up to one
             // partially dropped front block, plus one block of reserve-
@@ -743,12 +759,18 @@ mod tests {
                 }),
                 ..EngineConfig::default()
             });
-            // the scheduler thread dies building the pool: before and
-            // after shutdown joins it, every submit is the typed error
-            // on this thread, never a panic
+            // before and after shutdown, every submit is the typed
+            // error on this thread, and no scheduler thread panicked
             for shut in [false, true] {
                 if shut {
-                    engine.shutdown();
+                    drop(engine.tx.lock().take());
+                    if let Some(worker) = engine.worker.lock().take() {
+                        let joined = worker.join();
+                        assert!(
+                            joined.is_ok(),
+                            "{block_size}x{num_blocks}: scheduler panicked"
+                        );
+                    }
                 }
                 for prompt_len in [1, 40] {
                     match engine.submit(&vec![1; prompt_len], SampleOptions::default()) {

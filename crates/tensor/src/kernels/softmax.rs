@@ -1,28 +1,7 @@
-//! Numerically stable row softmax and the streaming ("online") softmax
-//! accumulator that powers the flash-style attention kernel.
+//! The streaming ("online") softmax accumulator every attention folds
+//! with, and the cross-entropy loss's stable row softmax.
 
 use super::exp::{exp, exp_slice};
-
-/// In-place stable softmax over each row of a `[rows, d]` buffer.
-pub fn softmax_rows(x: &mut [f32], rows: usize, d: usize) {
-    debug_assert_eq!(x.len(), rows * d);
-    for r in 0..rows {
-        let row = &mut x[r * d..(r + 1) * d];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        for v in row.iter_mut() {
-            *v -= max;
-        }
-        exp_slice(row);
-        let mut sum = 0.0f32;
-        for &v in row.iter() {
-            sum += v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    }
-}
 
 /// Streaming softmax state for one output row: the running max `m`, the
 /// running normaliser `l`, and an externally owned accumulator. Feeding
@@ -209,7 +188,21 @@ pub const IGNORE_INDEX: u32 = u32::MAX;
 pub fn cross_entropy(logits: &mut [f32], targets: &[u32], vocab: usize) -> (f32, usize) {
     let n = targets.len();
     assert_eq!(logits.len(), n * vocab, "targets length mismatch");
-    softmax_rows(logits, n, vocab);
+    for row in logits.chunks_exact_mut(vocab) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for v in row.iter_mut() {
+            *v -= max;
+        }
+        exp_slice(row);
+        let mut sum = 0.0f32;
+        for &v in row.iter() {
+            sum += v;
+        }
+        let inv = 1.0 / sum;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+    }
     let mut loss = 0.0f64;
     let mut n_valid = 0usize;
     for (r, &t) in targets.iter().enumerate() {
@@ -262,10 +255,16 @@ mod tests {
         }
     }
 
+    /// `x`'s rows of `vocab` softmaxed in place, as [`cross_entropy`]
+    /// leaves them.
+    fn softmax(x: &mut [f32], vocab: usize) {
+        cross_entropy(x, &vec![IGNORE_INDEX; x.len() / vocab], vocab);
+    }
+
     #[test]
     fn softmax_rows_sum_to_one_and_order_preserved() {
         let mut x = vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0];
-        softmax_rows(&mut x, 2, 3);
+        softmax(&mut x, 3);
         for r in 0..2 {
             let s: f32 = x[r * 3..(r + 1) * 3].iter().sum();
             assert!((s - 1.0).abs() < 1e-6);
@@ -276,7 +275,7 @@ mod tests {
     #[test]
     fn softmax_is_stable_for_large_inputs() {
         let mut x = vec![1000.0, 1001.0, 999.0];
-        softmax_rows(&mut x, 1, 3);
+        softmax(&mut x, 3);
         assert!(x.iter().all(|v| v.is_finite()));
         assert!((x.iter().sum::<f32>() - 1.0).abs() < 1e-6);
     }
@@ -331,7 +330,7 @@ mod tests {
             .collect();
         // batch result
         let mut p = scores.to_vec();
-        softmax_rows(&mut p, 1, 5);
+        softmax(&mut p, 5);
         let mut expect = [0.0f32; 2];
         for (pi, v) in p.iter().zip(values.iter()) {
             expect[0] += pi * v[0];

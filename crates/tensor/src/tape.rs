@@ -256,17 +256,12 @@ pub struct Tape {
     grads: Grads,
     /// Set by the sweep: interior nodes are released from then on.
     swept: bool,
-    /// Which attention kernel newly created attention nodes use.
-    pub attention_impl: Option<AttentionImpl>,
 }
 
 impl Tape {
-    /// An empty tape using flash attention by default.
+    /// An empty tape.
     pub fn new() -> Self {
-        Self {
-            attention_impl: Some(AttentionImpl::Flash),
-            ..Self::default()
-        }
+        Self::default()
     }
 
     /// Number of recorded nodes.
@@ -670,8 +665,9 @@ impl Tape {
     /// Fused causal multi-head attention over token-major `q`
     /// `[B·T, H·D]` and `k`, `v` `[B·T, Hkv·D]`, `T = t` tokens a
     /// sequence: query head `h` reads key/value head `h / (H / Hkv)`.
-    /// Returns `[B·T, H·D]`. The kernel used is controlled by
-    /// [`Tape::attention_impl`].
+    /// Returns `[B·T, H·D]`. The forward stashes each row's log-sum-exp
+    /// and the backward recomputes the probabilities from it
+    /// ([`AttentionImpl::Flash`]).
     pub fn causal_attention(&mut self, q: Var, k: Var, v: Var, t: usize, d: usize) -> Var {
         self.attention(q, k, v, t, d, true)
     }
@@ -702,13 +698,12 @@ impl Tape {
             0,
             "kv heads must divide heads"
         );
-        let imp = self.attention_impl.unwrap_or(AttentionImpl::Flash);
         let (out, saved) = attention_fwd(
             self.value(q).data(),
             self.value(k).data(),
             self.value(v).data(),
             shape,
-            imp,
+            AttentionImpl::Flash,
             causal,
         );
         let out = Tensor::from_vec(&[rows, width], out);

@@ -146,38 +146,32 @@ fn embedding_cross_entropy() {
 }
 
 #[test]
-fn attention_through_tape_both_impls() {
+fn attention_through_tape() {
     // two query heads of dim 2 over two KV heads (MHA) and over one (GQA)
     for kv_heads in [2usize, 1] {
-        for imp in [
-            matgpt_tensor::AttentionImpl::Naive,
-            matgpt_tensor::AttentionImpl::Flash,
-        ] {
-            let mut rng = init::rng(5);
-            let mut store = ParamStore::new();
-            let wq = store.add("wq", init::randn(&[4, 4], 0.5, &mut rng));
-            let wk = store.add("wk", init::randn(&[4, 2 * kv_heads], 0.5, &mut rng));
-            let wv = store.add("wv", init::randn(&[4, 2 * kv_heads], 0.5, &mut rng));
-            let x = init::randn(&[6, 4], 1.0, &mut rng); // B=1, T=6, h=4
-            grad_check(
-                &mut store,
-                &move |tape, store| {
-                    tape.attention_impl = Some(imp);
-                    let xv = tape.input(x.clone());
-                    let wqv = tape.param(store, wq);
-                    let wkv = tape.param(store, wk);
-                    let wvv = tape.param(store, wv);
-                    let q = tape.matmul(xv, wqv);
-                    let k = tape.matmul(xv, wkv);
-                    let v = tape.matmul(xv, wvv);
-                    let q = tape.rotary(q, 6, 2, 10_000.0);
-                    let k = tape.rotary(k, 6, 2, 10_000.0);
-                    let o = tape.causal_attention(q, k, v, 6, 2);
-                    tape.mean(o)
-                },
-                3e-2,
-            );
-        }
+        let mut rng = init::rng(5);
+        let mut store = ParamStore::new();
+        let wq = store.add("wq", init::randn(&[4, 4], 0.5, &mut rng));
+        let wk = store.add("wk", init::randn(&[4, 2 * kv_heads], 0.5, &mut rng));
+        let wv = store.add("wv", init::randn(&[4, 2 * kv_heads], 0.5, &mut rng));
+        let x = init::randn(&[6, 4], 1.0, &mut rng); // B=1, T=6, h=4
+        grad_check(
+            &mut store,
+            &move |tape, store| {
+                let xv = tape.input(x.clone());
+                let wqv = tape.param(store, wq);
+                let wkv = tape.param(store, wk);
+                let wvv = tape.param(store, wv);
+                let q = tape.matmul(xv, wqv);
+                let k = tape.matmul(xv, wkv);
+                let v = tape.matmul(xv, wvv);
+                let q = tape.rotary(q, 6, 2, 10_000.0);
+                let k = tape.rotary(k, 6, 2, 10_000.0);
+                let o = tape.causal_attention(q, k, v, 6, 2);
+                tape.mean(o)
+            },
+            3e-2,
+        );
     }
 }
 

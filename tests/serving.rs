@@ -32,7 +32,6 @@ fn arb_cfg() -> impl Strategy<Value = GptConfig> {
             max_seq: 16,
             rope_base: 10_000.0,
             norm_eps: 1e-5,
-            dropout: 0.0,
         })
 }
 
