@@ -17,7 +17,7 @@ use matgpt_obs::{pids, Counter, Gauge, Registry, Span};
 use matgpt_optim::{Adam, AdamConfig, CosineSchedule, Lamb, LrSchedule, Optimizer, OptimizerState};
 use matgpt_tensor::checkpoint::{self, CheckpointError};
 use matgpt_tensor::kernels::softmax::cross_entropy;
-use matgpt_tensor::{init, ParamStore, Tape};
+use matgpt_tensor::{init, ParamStore, Tape, TapeBuffers};
 use matgpt_tokenizer::{BpeTokenizer, Tokenizer, TokenizerKind, UnigramTokenizer};
 use std::time::Instant;
 
@@ -478,6 +478,9 @@ pub struct Trainer {
     train_curve: Vec<(usize, f32)>,
     val_curve: Vec<(usize, f32)>,
     telemetry: StepTelemetry,
+    /// The last step's tape buffers, which the next step's tape draws
+    /// from; not training state, so a checkpoint leaves them out.
+    buffers: TapeBuffers,
 }
 
 impl Trainer {
@@ -514,6 +517,7 @@ impl Trainer {
             train_curve: Vec::new(),
             val_curve: Vec::new(),
             telemetry: StepTelemetry::new(),
+            buffers: TapeBuffers::default(),
         }
     }
 
@@ -531,6 +535,14 @@ impl Trainer {
     /// under a trace span on [`pids::TRAINER`] and the step's headline
     /// numbers land in the global metrics registry — both free while
     /// the global recorder is disabled.
+    ///
+    /// The step's tape starts on the buffers the previous step's tape
+    /// left ([`Tape::with_buffers`]) and hands its own back once the
+    /// gradients are in the store ([`Tape::into_buffers`]), so a step
+    /// of the same shapes as the last allocates no activation,
+    /// gradient or scratch buffer. The first step after
+    /// [`Trainer::new`] or [`Trainer::resume`] starts on none; which
+    /// buffers a tape draws moves no bit.
     pub fn step_once(&mut self) {
         if self.is_done() {
             return;
@@ -556,7 +568,7 @@ impl Trainer {
         } else {
             None
         };
-        let mut tape = Tape::new();
+        let mut tape = Tape::with_buffers(std::mem::take(&mut self.buffers));
         let loss = {
             let _s = Span::enter(pids::TRAINER, "train", "forward");
             self.model.loss(
@@ -573,6 +585,7 @@ impl Trainer {
             let _s = Span::enter(pids::TRAINER, "train", "backward");
             tape.backward(loss);
             tape.accumulate_param_grads(&mut self.store);
+            self.buffers = tape.into_buffers();
         }
         if let Some(snap) = masters {
             matgpt_tensor::precision::restore_values(&mut self.store, &snap);
@@ -870,10 +883,11 @@ mod tests {
         }
     }
 
-    /// The step's tape lives through the precision restore and the
-    /// optimizer; its sweep gave the staged weights back, so both write
-    /// in place. A tape still sharing them would make every write copy
-    /// its tensor: the store's data pointers would move.
+    /// The step's tape is ended before the precision restore and the
+    /// optimizer; its sweep gave the staged weights back and the buffers
+    /// it leaves hold no share of one, so both write in place. A share
+    /// still held would make every write copy its tensor: the store's
+    /// data pointers would move.
     #[test]
     fn a_step_writes_its_weights_in_place() {
         let documents = docs();
@@ -896,6 +910,73 @@ mod tests {
                 ptrs(&trainer.store),
                 before,
                 "{precision:?}: a weight was copied"
+            );
+        }
+    }
+
+    /// Which buffers a step's tape draws moves no bit: three steps that
+    /// carry their tape's buffers to the next against three on fresh
+    /// tapes, at model `T` for LLaMA, NeoX and a grouped-query LLaMA.
+    /// Every loss, validation loss and final weight is `to_bits`-equal.
+    #[test]
+    fn carried_tape_buffers_move_no_bit() {
+        let documents = docs();
+        for (arch, kv_heads) in [
+            (ArchKind::Llama, None),
+            (ArchKind::NeoX, None),
+            (ArchKind::Llama, Some(2)),
+        ] {
+            // three steps, each recording its losses
+            let cfg = PretrainConfig {
+                steps: 3,
+                batch_seqs: 4,
+                seq: 32,
+                ..PretrainConfig::scaled(
+                    arch,
+                    TokenizerKind::Hf,
+                    512,
+                    OptChoice::Adam,
+                    SizeRole::Large,
+                )
+            };
+            let run = |fresh: bool| {
+                let mut t = Trainer::new(&documents, &cfg);
+                if kv_heads.is_some() {
+                    let model_cfg = GptConfig {
+                        kv_heads,
+                        ..t.model.cfg.clone()
+                    };
+                    t.store = ParamStore::new();
+                    t.model = GptModel::new(model_cfg, &mut t.store, &mut init::rng(cfg.seed));
+                }
+                while !t.is_done() {
+                    if fresh {
+                        t.buffers = TapeBuffers::default();
+                    }
+                    t.step_once();
+                }
+                let bits = |curve: &[(usize, f32)]| -> Vec<u32> {
+                    curve.iter().map(|(_, l)| l.to_bits()).collect()
+                };
+                let weights: Vec<u32> = (t.store.ids())
+                    .flat_map(|id| t.store.value(id).data().iter().map(|v| v.to_bits()))
+                    .collect();
+                (bits(&t.train_curve), bits(&t.val_curve), weights)
+            };
+            let (carried, fresh) = (run(false), run(true));
+            assert_eq!(carried.0.len(), 3, "{arch}: a loss a step");
+            // a NaN read before its write poisons both runs alike, and
+            // softmax turns it into a finite loss far from this one
+            let first = f32::from_bits(carried.0[0]);
+            assert!(
+                (first - (cfg.vocab as f32).ln()).abs() < 0.5,
+                "{arch}/{kv_heads:?}: first loss {first}, not near uniform"
+            );
+            assert_eq!(carried.0, fresh.0, "{arch}/{kv_heads:?}: training losses");
+            assert_eq!(carried.1, fresh.1, "{arch}/{kv_heads:?}: validation losses");
+            assert!(
+                carried.2 == fresh.2,
+                "{arch}/{kv_heads:?}: the weights after three steps"
             );
         }
     }

@@ -23,6 +23,11 @@
 //! gathered copy.
 //! Every (sequence, query head) is one pool task, and its arithmetic is
 //! that of one contiguous `[T, D]` head: the layout moves no bit.
+//!
+//! [`attention_fwd_into`] and [`attention_bwd_scratch`] take their
+//! output, stash and GQA scratch from the caller (the tape draws them
+//! from its free list); [`attention_fwd`] and [`attention_bwd`]
+//! allocate them and call those.
 
 use super::exp::exp_slice;
 use super::softmax::{OnlineSoftmax, RowScratch};
@@ -62,6 +67,17 @@ impl AttnShape {
             heads: 1,
             kv_heads: 1,
             d,
+        }
+    }
+
+    /// Floats in each of [`attention_bwd_scratch`]'s two per-query-head
+    /// key and value gradient buffers: `B·T·H·D` under grouped-query
+    /// attention, none without it.
+    pub fn own_len(&self) -> usize {
+        if self.group() > 1 {
+            self.batch * self.t * self.heads * self.d
+        } else {
+            0
         }
     }
 
@@ -146,19 +162,46 @@ pub fn attention_fwd(
     imp: AttentionImpl,
     causal: bool,
 ) -> (Vec<f32>, AttnSaved) {
+    let rows = s.batch * s.heads * s.t;
+    let mut out = vec![0.0f32; rows * s.d];
+    let mut saved = match imp {
+        AttentionImpl::Naive => AttnSaved::Probs(vec![0.0; rows * s.t]),
+        AttentionImpl::Flash => AttnSaved::Lse(vec![0.0; rows]),
+    };
+    attention_fwd_into(q, k, v, s, causal, &mut out, &mut saved);
+    (out, saved)
+}
+
+/// [`attention_fwd`] into caller-owned buffers: `out` `[B·T, H·D]`, and
+/// `saved`, whose variant picks the stash and whose buffer holds
+/// `B·H·T` floats (`Lse`) or `B·H·T·T` (`Probs`). The fold accumulates
+/// into `out` and masked probabilities keep their 0, so `out` and a
+/// `Probs` buffer must hold zeros; an `Lse` buffer is overwritten.
+pub fn attention_fwd_into(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    s: AttnShape,
+    causal: bool,
+    out: &mut [f32],
+    saved: &mut AttnSaved,
+) {
     let AttnShape { t, heads, d, .. } = s;
     let tasks = s.batch * heads;
     debug_assert_eq!(q.len(), tasks * t * d);
     debug_assert_eq!(k.len(), s.batch * t * s.kv_heads * d);
     debug_assert_eq!(v.len(), k.len());
     let scale = 1.0 / (d as f32).sqrt();
-    let mut out = vec![0.0f32; tasks * t * d];
-    let mut lse = vec![0.0f32; tasks * t];
-    let naive = imp == AttentionImpl::Naive;
-    let mut probs = vec![0.0f32; if naive { tasks * t * t } else { 0 }];
-    // each task's block of the probabilities, none without them
-    let mut blocks = probs.chunks_exact_mut(t * t);
-    let blocks: Vec<_> = (0..tasks).map(|_| blocks.next()).collect();
+    debug_assert!(out.iter().all(|&x| x == 0.0), "out must start at zero");
+    let (stash, naive) = match saved {
+        AttnSaved::Lse(l) => (l, false),
+        AttnSaved::Probs(p) => {
+            debug_assert!(p.iter().all(|&x| x == 0.0), "probs must start at zero");
+            (p, true)
+        }
+    };
+    let per_task = if naive { t * t } else { t };
+    assert_eq!(stash.len(), tasks * per_task, "attention stash length");
     let init = || {
         (
             KeyMajor::new(d),
@@ -166,38 +209,35 @@ pub fn attention_fwd(
             RowScratch::default(),
         )
     };
-    heads_mut(&mut out, t, heads, d)
+    heads_mut(out, t, heads, d)
         .into_par_iter()
-        .zip(lse.par_chunks_mut(t))
-        .zip(blocks)
+        .zip(stash.par_chunks_mut(per_task))
         .enumerate()
-        .for_each_init(init, |(kt, scores, row), (task, ((ob, lb), mut pb))| {
+        .for_each_init(init, |(kt, scores, row), (task, (ob, sb))| {
             let qh = s.head(q, heads, task);
             let [kh, vh] = [k, v].map(|x| s.head(x, s.kv_heads, task));
             kt.truncate(0);
             kt.extend((0..t).map(kh));
             let tiles = kt.tiles();
-            for (i, (acc, l)) in ob.into_iter().zip(lb.iter_mut()).enumerate() {
+            for (i, acc) in ob.into_iter().enumerate() {
                 let n = if causal { i + 1 } else { t };
                 dots(&tiles, KEYS, 0, qh(i), n, scale, scores);
                 let os = OnlineSoftmax::fold_row(&scores[..n], vh, acc, row);
                 os.finish(acc);
-                *l = os.logsumexp();
-                // the row the backward recomputes from `l`; masked keys
-                // keep their 0
-                if let Some(pb) = &mut pb {
-                    let p = &mut pb[i * t..][..n];
+                let l = os.logsumexp();
+                if naive {
+                    // the row the backward recomputes from `l`; masked
+                    // keys keep their 0
+                    let p = &mut sb[i * t..][..n];
                     for (p, &x) in p.iter_mut().zip(&scores[..n]) {
-                        *p = x - *l;
+                        *p = x - l;
                     }
                     exp_slice(p);
+                } else {
+                    sb[i] = l;
                 }
             }
         });
-    match imp {
-        AttentionImpl::Naive => (out, AttnSaved::Probs(probs)),
-        AttentionImpl::Flash => (out, AttnSaved::Lse(lse)),
-    }
 }
 
 /// Keys a key-major tile holds: one 512-bit vector of scores.
@@ -381,20 +421,43 @@ pub fn attention_bwd(
     s: AttnShape,
     causal: bool,
 ) {
+    let [mut dk_own, mut dv_own] = [(); 2].map(|_| vec![0.0f32; s.own_len()]);
+    let own = [&mut dk_own[..], &mut dv_own[..]];
+    attention_bwd_scratch(q, k, v, out, dout, saved, dq, dk, dv, own, s, causal);
+}
+
+/// [`attention_bwd`] with its grouped-query scratch passed in: the
+/// per-query-head key and value gradients, [`AttnShape::own_len`]
+/// floats each, which must hold zeros.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_bwd_scratch(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    out: &[f32],
+    dout: &[f32],
+    saved: &AttnSaved,
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+    [dk_own, dv_own]: [&mut [f32]; 2],
+    s: AttnShape,
+    causal: bool,
+) {
     let AttnShape { t, heads, d, .. } = s;
     debug_assert_eq!(dq.len(), s.batch * t * heads * d);
     let scale = 1.0 / (d as f32).sqrt();
     let shared = s.group() > 1;
-    let (mut dk_own, mut dv_own) = if shared {
-        (vec![0.0f32; dq.len()], vec![0.0f32; dq.len()])
-    } else {
-        (Vec::new(), Vec::new())
-    };
+    assert!(
+        dk_own.len() == s.own_len() && dv_own.len() == s.own_len(),
+        "attention scratch length"
+    );
     let (dks, dvs) = if shared {
-        (
-            heads_mut(&mut dk_own, t, 1, d),
-            heads_mut(&mut dv_own, t, 1, d),
-        )
+        debug_assert!(
+            dk_own.iter().chain(&*dv_own).all(|&x| x == 0.0),
+            "attention scratch must start at zero"
+        );
+        (heads_mut(dk_own, t, 1, d), heads_mut(dv_own, t, 1, d))
     } else {
         (heads_mut(dk, t, heads, d), heads_mut(dv, t, heads, d))
     };
@@ -465,7 +528,7 @@ pub fn attention_bwd(
         },
     );
     if shared {
-        for (dst, own) in [(dk, &dk_own), (dv, &dv_own)] {
+        for (dst, own) in [(dk, &*dk_own), (dv, &*dv_own)] {
             let mut kv = heads_mut(dst, t, s.kv_heads, d);
             for (task, part) in own.chunks_exact(t * d).enumerate() {
                 let hkv = task / heads * s.kv_heads + task % heads / s.group();

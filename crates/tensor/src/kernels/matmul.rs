@@ -16,7 +16,7 @@
 //! |---|---|---|---|
 //! | [`matmul`], `m = 1` | — (`row_axpy`, coefficients `a[p]`) | none | fused, zero-skip, from `+0` |
 //! | [`matmul`], `m ≥ 2` | `m × k`, `(k, 1)` | none | fused, zero-skip, from `+0` |
-//! | [`matmul_bt_acc`] | `m × k`, `(k, 1)` | `b^T` packed once to `[k, n]`; one zeroed `[m, n]` temp, `c += temp` | unfused, no skip, from `+0` |
+//! | [`matmul_bt_acc`] | `m × k`, `(k, 1)` | `b^T` packed once to `[k, n]`; one zeroed `[m, n]` temp, `c += temp` (both the caller's in [`matmul_bt_acc_scratch`]) | unfused, no skip, from `+0` |
 //! | [`matmul_at_acc`] | `k × m`, `(1, k)` (down a column of `a`, no pack) | none | unfused, zero-skip, from `c` |
 //! | [`super::quant::matmul_q8`], every `m` | `m × k`, `(k, 1)` | none: `b` is the `[k, n]` int8 codes, widened in registers | fused, zero-skip, from `+0`, then `× scale[j]` |
 //!
@@ -478,6 +478,24 @@ pub fn matmul_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n:
     entry_with(Entry::BtAcc, Avx512::detect(), a, b, c, m, k, n)
 }
 
+/// [`matmul_bt_acc`], bit for bit, on the caller's scratch rather than
+/// fresh buffers: `bt` is cleared and receives the packed `b^T` (`k·n`
+/// floats, so a buffer of that capacity serves without an allocation),
+/// and `acc` is the `m·n` temp, which must hold zeros.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_bt_acc_scratch(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    bt: &mut Vec<f32>,
+    acc: &mut [f32],
+) {
+    bt_acc(Avx512::detect(), a, b, c, m, k, n, bt, acc)
+}
+
 /// `c[k,n] += a[m,k]^T @ b[m,n]` — `dB = A^T @ dC` — without
 /// materialising the transpose: output row `p` takes its coefficients
 /// down column `p` of `a`, one per row of `b`; unfused, zero-skipping,
@@ -521,23 +539,46 @@ fn entry_with(
             nest::<true, true>(avx512, a, (k, 1), b, c, m, k, n);
         }
         Entry::BtAcc => {
-            assert_eq!(b.len(), n * k);
-            assert_eq!(c.len(), m * n);
-            let mut bt: Vec<f32> = Vec::with_capacity(k * n);
-            for p in 0..k {
-                bt.extend(b.iter().skip(p).step_by(k));
-            }
-            let mut acc = vec![0.0f32; m * n];
-            nest::<false, false>(avx512, a, (k, 1), &bt, &mut acc, m, k, n);
-            for (cv, av) in c.iter_mut().zip(acc) {
-                *cv += av;
-            }
+            let mut bt = Vec::with_capacity(k * n);
+            let mut acc = vec![0.0; m * n];
+            bt_acc(avx512, a, b, c, m, k, n, &mut bt, &mut acc);
         }
         Entry::AtAcc => {
             assert_eq!(b.len(), m * n);
             assert_eq!(c.len(), k * n);
             nest::<false, true>(avx512, a, (1, k), b, c, k, m, n);
         }
+    }
+}
+
+/// [`matmul_bt_acc`] on caller-owned scratch: `b^T` is packed into
+/// `bt` (cleared, then `[k, n]`), the nest runs into `acc` (`[m, n]`,
+/// zeros on entry), and `acc` is added into `c`.
+#[allow(clippy::too_many_arguments)]
+fn bt_acc(
+    avx512: Option<Avx512>,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    bt: &mut Vec<f32>,
+    acc: &mut [f32],
+) {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), n * k);
+    assert_eq!(c.len(), m * n);
+    assert_eq!(acc.len(), m * n);
+    debug_assert!(acc.iter().all(|&x| x == 0.0), "acc must start at zero");
+    bt.clear();
+    bt.reserve(k * n);
+    for p in 0..k {
+        bt.extend(b.iter().skip(p).step_by(k));
+    }
+    nest::<false, false>(avx512, a, (k, 1), bt, acc, m, k, n);
+    for (cv, &av) in c.iter_mut().zip(acc.iter()) {
+        *cv += av;
     }
 }
 
@@ -767,6 +808,25 @@ mod tests {
                     let mut want = c0.clone();
                     bt_dot_reference(&a, &b, &mut want, k, n);
                     assert_eq!(run(Entry::BtAcc, &b, &c0), bits(&want), "bt {what}");
+                    // the scratch entry, packing into a buffer that held
+                    // NaN and then the other body's leftovers
+                    let mut bt = vec![f32::NAN; k * n];
+                    for body in bodies {
+                        let mut c = c0.clone();
+                        bt_acc(
+                            body,
+                            &a,
+                            &b,
+                            &mut c,
+                            m,
+                            k,
+                            n,
+                            &mut bt,
+                            &mut vec![0.0; m * n],
+                        );
+                        assert_eq!(bt.len(), k * n);
+                        assert_eq!(bits(&c), bits(&want), "bt scratch {what}");
+                    }
 
                     let (d, c0) = (gen(m * n, 41, 17), gen(k * n, 29, 31));
                     let mut want = c0.clone();

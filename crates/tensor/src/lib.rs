@@ -46,5 +46,5 @@ pub use kernels::quant::{PackedQ8Matrix, QuantizedMatrix};
 pub use kernels::softmax::IGNORE_INDEX;
 pub use param::{ParamId, ParamStore};
 pub use precision::Precision;
-pub use tape::{Tape, Var};
+pub use tape::{Tape, TapeBuffers, Var};
 pub use tensor::Tensor;

@@ -1,7 +1,7 @@
 //! Persistent parameter storage shared across training steps.
 //!
 //! Models register their weights in a [`ParamStore`] once; every training
-//! step stages them onto a fresh [`crate::tape::Tape`], runs
+//! step stages them onto its [`crate::tape::Tape`], runs
 //! forward/backward, and copies the gradients back with
 //! [`crate::tape::Tape::accumulate_param_grads`]. Optimizers then walk the
 //! store's `(value, grad)` pairs.
@@ -14,9 +14,13 @@
 //! value copies it first — correct, but a full copy of the tensor. The
 //! backward sweep drops the tape's shares, so only an unswept tape (a
 //! forward-only pass) must be dropped before the store is written.
+//!
+//! A gradient is allocated, as zeros, at its first read or write, so a
+//! store that never trains (a serving model's, or a run's before its
+//! first step) holds no gradient memory.
 
 use crate::tensor::Tensor;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -25,7 +29,23 @@ pub struct ParamId(pub(crate) usize);
 struct Entry {
     name: String,
     value: Arc<Tensor>,
-    grad: Tensor,
+    grad: OnceLock<Tensor>,
+}
+
+impl Entry {
+    fn grad(&self) -> &Tensor {
+        grad_of(&self.grad, &self.value)
+    }
+
+    fn grad_mut(&mut self) -> &mut Tensor {
+        self.grad();
+        self.grad.get_mut().expect("initialised above")
+    }
+}
+
+/// `grad`, allocated as zeros of `value`'s shape at its first use.
+fn grad_of<'a>(grad: &'a OnceLock<Tensor>, value: &Tensor) -> &'a Tensor {
+    grad.get_or_init(|| Tensor::zeros(value.shape()))
 }
 
 /// A named collection of trainable tensors and their gradients.
@@ -42,11 +62,10 @@ impl ParamStore {
 
     /// Register a parameter, returning its handle.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
-        let grad = Tensor::zeros(value.shape());
         self.entries.push(Entry {
             name: name.into(),
             value: Arc::new(value),
-            grad,
+            grad: OnceLock::new(),
         });
         ParamId(self.entries.len() - 1)
     }
@@ -84,12 +103,12 @@ impl ParamStore {
 
     /// The gradient tensor of `id`.
     pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.entries[id.0].grad
+        self.entries[id.0].grad()
     }
 
     /// Mutable gradient tensor of `id`.
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.entries[id.0].grad
+        self.entries[id.0].grad_mut()
     }
 
     /// The registered name of `id`.
@@ -102,10 +121,11 @@ impl ParamStore {
         (0..self.entries.len()).map(ParamId)
     }
 
-    /// Zero every gradient (call between optimizer steps).
+    /// Zero every gradient (call between optimizer steps); one not yet
+    /// allocated is zero already.
     pub fn zero_grads(&mut self) {
-        for e in self.entries.iter_mut() {
-            e.grad.data_mut().fill(0.0);
+        for grad in self.entries.iter_mut().filter_map(|e| e.grad.get_mut()) {
+            grad.data_mut().fill(0.0);
         }
     }
 
@@ -113,7 +133,8 @@ impl ParamStore {
     /// entry point. Values a tape still shares are copied first.
     pub fn for_each_param(&mut self, mut f: impl FnMut(usize, &mut Tensor, &Tensor)) {
         for (i, e) in self.entries.iter_mut().enumerate() {
-            f(i, Arc::make_mut(&mut e.value), &e.grad);
+            let grad = grad_of(&e.grad, &e.value);
+            f(i, Arc::make_mut(&mut e.value), grad);
         }
     }
 
@@ -121,7 +142,7 @@ impl ParamStore {
     pub fn grad_norm(&self) -> f32 {
         self.entries
             .iter()
-            .map(|e| e.grad.sq_norm())
+            .map(|e| e.grad().sq_norm())
             .sum::<f32>()
             .sqrt()
     }
@@ -133,7 +154,7 @@ impl ParamStore {
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
             for e in self.entries.iter_mut() {
-                e.grad.scale_assign(s);
+                e.grad_mut().scale_assign(s);
             }
         }
         norm
@@ -152,7 +173,7 @@ impl ParamStore {
     pub fn flat_grads(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_scalars());
         for e in &self.entries {
-            out.extend_from_slice(e.grad.data());
+            out.extend_from_slice(e.grad().data());
         }
         out
     }
@@ -163,8 +184,8 @@ impl ParamStore {
         assert_eq!(flat.len(), self.num_scalars(), "flat gradient length");
         let mut off = 0;
         for e in self.entries.iter_mut() {
-            let n = e.grad.numel();
-            e.grad.data_mut().copy_from_slice(&flat[off..off + n]);
+            let n = e.value.numel();
+            e.grad_mut().data_mut().copy_from_slice(&flat[off..off + n]);
             off += n;
         }
     }
@@ -207,6 +228,18 @@ mod tests {
         assert_eq!(s.num_scalars(), 9);
         assert_eq!(s.name(a), "w");
         assert_eq!(s.value(b).shape(), &[3]);
+    }
+
+    /// A gradient exists from its first use on, as zeros: registering
+    /// allocates none, and zeroing does not allocate one.
+    #[test]
+    fn gradients_are_allocated_at_first_use() {
+        let mut s = ParamStore::new();
+        let a = s.add("a", Tensor::from_vec(&[2], vec![1.0, 2.0]));
+        s.zero_grads();
+        assert!(s.entries[0].grad.get().is_none());
+        assert_eq!(s.grad(a).data(), &[0.0, 0.0]);
+        assert!(s.entries[0].grad.get().is_some());
     }
 
     #[test]

@@ -13,27 +13,36 @@
 //! **Release.** Backward recycles as it goes. Once a node's own backward
 //! has run, nothing later in the sweep can read it (its consumers have
 //! higher ids and ran first), so an interior node's value, gradient and
-//! saved state go onto a free list the tape owns, keyed by length, and
-//! the sweep draws its gradient buffers and per-op scratch from that list
-//! before allocating. A parameter's node drops its share of the store's
-//! value, so a swept tape holds no weight and the store's next write
-//! happens in place however long the tape lives. After
+//! saved state go onto a free list the tape owns, keyed by length. Every
+//! op draws its output, saved state, gradient buffers and scratch from
+//! that list before allocating. A parameter's node drops its share of the
+//! store's value, so a swept tape holds no weight and the store's next
+//! write happens in place however long the tape lives. After
 //! [`Tape::backward_from`]`(out, ·)` the leaves keep their gradients,
 //! inputs ([`Tape::input`]) their values and `out` its value; every other
 //! value and gradient is released, and [`Tape::value`] or [`Tape::grad`]
-//! on it panics, naming the node, as does a second sweep. The free list
-//! lives and dies with its tape.
+//! on it panics, naming the node, as does a second sweep.
+//!
+//! **Between steps.** The free list outlives a tape only when its caller
+//! keeps it: [`Tape::into_buffers`] ends a tape and moves every buffer it
+//! still holds (values, saved state, leaf gradients) onto the list, and
+//! [`Tape::with_buffers`] starts the next tape on it. The caller owns the
+//! [`TapeBuffers`] in between; no `Var` survives, since the old tape is
+//! gone. A tape carries forward only what it released: a buffer it was
+//! started with and never drew is dropped at `into_buffers`, so the set
+//! kept never exceeds one tape's own buffers, whatever shapes the caller
+//! varies. A step of the shapes before it draws every buffer from the
+//! list and allocates none. Draws whose contents the op overwrites are
+//! filled with NaN in debug builds, so a read before the write shows.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::collective::{ring_chunks, ring_fold, CommHook};
 use crate::kernels::activation as act;
-use crate::kernels::attention::{
-    attention_bwd, attention_fwd, AttentionImpl, AttnSaved, AttnShape,
-};
+use crate::kernels::attention::{attention_bwd_scratch, attention_fwd_into, AttnSaved, AttnShape};
 use crate::kernels::infer::RotaryTable;
-use crate::kernels::matmul::{matmul, matmul_at_acc, matmul_bt_acc};
+use crate::kernels::matmul::{matmul, matmul_at_acc, matmul_bt_acc_scratch};
 use crate::kernels::norm;
 use crate::kernels::softmax::{self, IGNORE_INDEX};
 use crate::kernels::tanh::tanh_slice;
@@ -179,11 +188,8 @@ impl Node {
     }
 
     /// Move the node's value and saved state onto `free`; a parameter
-    /// drops its share of the store's value. Inputs keep theirs.
+    /// drops its share of the store's value.
     fn release(&mut self, free: &mut FreeList) {
-        if matches!(self.op, Op::Input) {
-            return;
-        }
         if let Value::Owned(t) = std::mem::replace(&mut self.value, Value::Released) {
             free.put(t.into_vec());
         }
@@ -204,19 +210,35 @@ impl Node {
     }
 }
 
-/// Buffers the reverse sweep has released, by length, for it to draw its
-/// gradients and scratch from before it allocates.
+/// Free buffers of one length: `bufs[..carried]` came in with the tape
+/// and no draw has taken them since; the rest the tape released.
 #[derive(Default)]
-struct FreeList(HashMap<usize, Vec<Vec<f32>>>);
+struct Stack {
+    bufs: Vec<Vec<f32>>,
+    carried: usize,
+}
+
+/// Released buffers, by length, for every op to draw from before it
+/// allocates. A draw takes the buffer released last, so a buffer that
+/// came in with the tape is drawn only when none the tape released fits.
+#[derive(Default)]
+struct FreeList(HashMap<usize, Stack>);
 
 impl FreeList {
     fn put(&mut self, buf: Vec<f32>) {
-        self.0.entry(buf.len()).or_default().push(buf);
+        self.0.entry(buf.len()).or_default().bufs.push(buf);
+    }
+
+    fn pop(&mut self, len: usize) -> Option<Vec<f32>> {
+        let stack = self.0.get_mut(&len)?;
+        let buf = stack.bufs.pop()?;
+        stack.carried = stack.carried.min(stack.bufs.len());
+        Some(buf)
     }
 
     /// A zeroed buffer of `len` floats.
     fn zeros(&mut self, len: usize) -> Vec<f32> {
-        match self.0.get_mut(&len).and_then(Vec::pop) {
+        match self.pop(len) {
             Some(mut buf) => {
                 buf.fill(0.0);
                 buf
@@ -225,11 +247,34 @@ impl FreeList {
         }
     }
 
+    /// A buffer of `len` floats for the caller to overwrite: NaN in
+    /// debug builds, so a read before the write shows.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.pop(len).unwrap_or_else(|| vec![0.0; len]);
+        if cfg!(debug_assertions) {
+            buf.fill(f32::NAN);
+        }
+        buf
+    }
+
     /// A copy of `src` in a recycled buffer where one fits.
     fn copy_of(&mut self, src: &[f32]) -> Vec<f32> {
-        let mut buf = self.zeros(src.len());
-        buf.copy_from_slice(src);
-        buf
+        match self.pop(src.len()) {
+            Some(mut buf) => {
+                buf.copy_from_slice(src);
+                buf
+            }
+            None => src.to_vec(),
+        }
+    }
+
+    /// End a tape's use of the list: drop the buffers it came in with
+    /// and never drew, and mark the rest carried into the next.
+    fn carry(&mut self) {
+        for stack in self.0.values_mut() {
+            stack.bufs.drain(..stack.carried);
+            stack.carried = stack.bufs.len();
+        }
     }
 }
 
@@ -249,6 +294,16 @@ impl Grads {
     }
 }
 
+/// What a finished tape leaves for the next one: its buffers by length,
+/// and its node and gradient lists, emptied with their capacity kept.
+/// See [`Tape::into_buffers`]; the default holds nothing.
+#[derive(Default)]
+pub struct TapeBuffers {
+    free: FreeList,
+    nodes: Vec<Node>,
+    slots: Vec<Option<Tensor>>,
+}
+
 /// The autograd tape.
 #[derive(Default)]
 pub struct Tape {
@@ -262,6 +317,40 @@ impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty tape that draws from the buffers a finished tape left
+    /// (see the module docs).
+    pub fn with_buffers(buffers: TapeBuffers) -> Self {
+        let TapeBuffers { free, nodes, slots } = buffers;
+        Self {
+            nodes,
+            grads: Grads { slots, free },
+            swept: false,
+        }
+    }
+
+    /// End the tape, keeping every buffer it holds for
+    /// [`Tape::with_buffers`]: owned values, saved state and gradients
+    /// (the leaves' included) go onto its free list, and the buffers it
+    /// was started with and never drew are dropped.
+    pub fn into_buffers(self) -> TapeBuffers {
+        let Tape {
+            mut nodes,
+            grads: Grads {
+                mut slots,
+                mut free,
+            },
+            ..
+        } = self;
+        for mut node in nodes.drain(..) {
+            node.release(&mut free);
+        }
+        for g in slots.drain(..).flatten() {
+            free.put(g.into_vec());
+        }
+        free.carry();
+        TapeBuffers { free, nodes, slots }
     }
 
     /// Number of recorded nodes.
@@ -290,7 +379,18 @@ impl Tape {
     /// If a sweep released `v`: after [`Tape::backward_from`]`(out, ·)`
     /// only inputs and `out` keep their values.
     pub fn value(&self, v: Var) -> &Tensor {
-        self.nodes[v.0].value().unwrap_or_else(|| self.released(v))
+        self.nodes[v.0]
+            .value()
+            .unwrap_or_else(|| released(&self.nodes, v))
+    }
+
+    /// The values of `vars` beside the free list, so an op reads its
+    /// operands while it draws its output.
+    fn operands<const N: usize>(&mut self, vars: [Var; N]) -> ([&Tensor; N], &mut FreeList) {
+        let Tape { nodes, grads, .. } = self;
+        let nodes = &*nodes;
+        let values = vars.map(|v| nodes[v.0].value().unwrap_or_else(|| released(nodes, v)));
+        (values, &mut grads.free)
     }
 
     /// The gradient of `v` if `backward` has produced one.
@@ -300,19 +400,9 @@ impl Tape {
     /// gradients.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         if self.swept && !self.nodes[v.0].op.is_leaf() {
-            self.released(v);
+            released(&self.nodes, v);
         }
         self.grads.slots[v.0].as_ref()
-    }
-
-    /// Name `v` in a panic: its index and its op's kind.
-    fn released(&self, v: Var) -> ! {
-        let op = format!("{:?}", self.nodes[v.0].op);
-        let kind = op.split([' ', '(', '{']).next().unwrap_or_default();
-        panic!(
-            "tape node {} ({kind}) was released by the backward sweep",
-            v.0
-        )
     }
 
     // ---------------------------------------------------------------- leaves
@@ -335,41 +425,43 @@ impl Tape {
 
     /// Elementwise addition of same-shape tensors.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(ta.shape(), tb.shape(), "add shape mismatch");
-        let mut out = ta.clone();
-        out.add_assign(tb);
-        self.push(Op::Add(a, b), out, Saved::None)
+        self.zip_with(a, b, Op::Add(a, b), "add", |x, y| x + y)
     }
 
     /// Elementwise (Hadamard) product of same-shape tensors.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(ta.shape(), tb.shape(), "mul shape mismatch");
-        let data = ta
-            .data()
-            .iter()
-            .zip(tb.data())
-            .map(|(x, y)| x * y)
-            .collect();
+        self.zip_with(a, b, Op::Mul(a, b), "mul", |x, y| x * y)
+    }
+
+    /// `f` over same-shape `a` and `b`, element by element.
+    fn zip_with(&mut self, a: Var, b: Var, op: Op, name: &str, f: fn(f32, f32) -> f32) -> Var {
+        let ([ta, tb], free) = self.operands([a, b]);
+        assert_eq!(ta.shape(), tb.shape(), "{name} shape mismatch");
+        let mut data = free.take(ta.numel());
+        for (o, (&x, &y)) in data.iter_mut().zip(ta.data().iter().zip(tb.data())) {
+            *o = f(x, y);
+        }
         let out = Tensor::from_vec(ta.shape(), data);
-        self.push(Op::Mul(a, b), out, Saved::None)
+        self.push(op, out, Saved::None)
     }
 
     /// Multiply by a compile-time constant.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let mut out = self.value(a).clone();
-        out.scale_assign(s);
+        let ([ta], free) = self.operands([a]);
+        let mut data = free.copy_of(ta.data());
+        for v in &mut data {
+            *v *= s;
+        }
+        let out = Tensor::from_vec(ta.shape(), data);
         self.push(Op::Scale(a, s), out, Saved::None)
     }
 
     /// Broadcast-add a bias vector over the last dimension: `x + b`.
     pub fn add_bias(&mut self, x: Var, b: Var) -> Var {
-        let tx = self.value(x);
-        let tb = self.value(b);
+        let ([tx, tb], free) = self.operands([x, b]);
         let (_, d) = tx.as_2d();
         assert_eq!(tb.numel(), d, "bias length mismatch");
-        let mut data = tx.data().to_vec();
+        let mut data = free.copy_of(tx.data());
         for row in data.chunks_exact_mut(d) {
             for (v, &bv) in row.iter_mut().zip(tb.data()) {
                 *v += bv;
@@ -385,13 +477,12 @@ impl Tape {
     /// dimension (`[…, k] -> [rows, k]`); the right must be `[k, n]`.
     /// Output shape is the left shape with `k` replaced by `n`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let ta = self.value(a);
-        let tb = self.value(b);
+        let ([ta, tb], free) = self.operands([a, b]);
         let (m, k) = ta.as_2d();
         assert_eq!(tb.rank(), 2, "matmul rhs must be 2-D");
         assert_eq!(tb.dim(0), k, "matmul inner dims {} vs {}", k, tb.dim(0));
         let n = tb.dim(1);
-        let mut out = vec![0.0f32; m * n];
+        let mut out = free.take(m * n);
         matmul(ta.data(), tb.data(), &mut out, m, k, n);
         let mut shape = ta.shape().to_vec();
         if shape.is_empty() {
@@ -412,8 +503,8 @@ impl Tape {
 
     /// `x` through an activation's in-place slice form.
     fn activation(&mut self, x: Var, f: fn(&mut [f32]), op: Op) -> Var {
-        let tx = self.value(x);
-        let mut data = tx.data().to_vec();
+        let ([tx], free) = self.operands([x]);
+        let mut data = free.copy_of(tx.data());
         f(&mut data);
         let out = Tensor::from_vec(tx.shape(), data);
         self.push(op, out, Saved::None)
@@ -438,18 +529,11 @@ impl Tape {
 
     /// LayerNorm over the last dimension with affine parameters.
     pub fn layernorm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let tx = self.value(x);
+        let ([tx, tg, tb], free) = self.operands([x, gamma, beta]);
         let (rows, d) = tx.as_2d();
-        let mut y = vec![0.0f32; rows * d];
-        let (means, rstds) = norm::layernorm_fwd(
-            tx.data(),
-            self.value(gamma).data(),
-            self.value(beta).data(),
-            &mut y,
-            rows,
-            d,
-            eps,
-        );
+        let mut y = free.take(rows * d);
+        let (means, rstds) =
+            norm::layernorm_fwd(tx.data(), tg.data(), tb.data(), &mut y, rows, d, eps);
         let out = Tensor::from_vec(tx.shape(), y);
         self.push(
             Op::LayerNorm { x, gamma, beta },
@@ -460,10 +544,10 @@ impl Tape {
 
     /// RMSNorm over the last dimension with a gain parameter.
     pub fn rmsnorm(&mut self, x: Var, gamma: Var, eps: f32) -> Var {
-        let tx = self.value(x);
+        let ([tx, tg], free) = self.operands([x, gamma]);
         let (rows, d) = tx.as_2d();
-        let mut y = vec![0.0f32; rows * d];
-        let rrms = norm::rmsnorm_fwd(tx.data(), self.value(gamma).data(), &mut y, rows, d, eps);
+        let mut y = free.take(rows * d);
+        let rrms = norm::rmsnorm_fwd(tx.data(), tg.data(), &mut y, rows, d, eps);
         let out = Tensor::from_vec(tx.shape(), y);
         self.push(Op::RmsNorm { x, gamma }, out, Saved::Rrms(rrms))
     }
@@ -473,8 +557,8 @@ impl Tape {
     /// Mean cross-entropy between `logits` (`[n, vocab]`) and integer
     /// targets. Entries equal to `IGNORE_INDEX` are skipped.
     pub fn cross_entropy(&mut self, logits: Var, targets: &[u32]) -> Var {
-        let tl = self.value(logits);
-        let mut probs = tl.data().to_vec();
+        let ([tl], free) = self.operands([logits]);
+        let mut probs = free.copy_of(tl.data());
         let (loss, n_valid) = softmax::cross_entropy(&mut probs, targets, tl.as_2d().1);
         self.push(
             Op::CrossEntropy {
@@ -533,8 +617,10 @@ impl Tape {
         if comm.0.group() == 1 {
             return x;
         }
-        let mut out = self.value(x).clone();
-        comm.0.allreduce(out.data_mut());
+        let ([tx], free) = self.operands([x]);
+        let mut data = free.copy_of(tx.data());
+        comm.0.allreduce(&mut data);
+        let out = Tensor::from_vec(tx.shape(), data);
         self.push(Op::SyncSum { x }, out, Saved::None)
     }
 
@@ -546,7 +632,8 @@ impl Tape {
         if comm.0.group() == 1 {
             return x;
         }
-        let out = self.value(x).clone();
+        let ([tx], free) = self.operands([x]);
+        let out = Tensor::from_vec(tx.shape(), free.copy_of(tx.data()));
         self.push(
             Op::SyncGrad {
                 x,
@@ -617,15 +704,15 @@ impl Tape {
 
     /// Row-gather from an embedding table `[vocab, d]` by token ids.
     pub fn embedding(&mut self, table: Var, ids: &[u32]) -> Var {
-        let tt = self.value(table);
+        let ([tt], free) = self.operands([table]);
         assert_eq!(tt.rank(), 2, "embedding table must be 2-D");
         let d = tt.dim(1);
         let vocab = tt.dim(0);
-        let mut data = Vec::with_capacity(ids.len() * d);
-        for &id in ids {
+        let mut data = free.take(ids.len() * d);
+        for (r, &id) in ids.iter().enumerate() {
             let id = id as usize;
             assert!(id < vocab, "token id {id} out of vocab {vocab}");
-            data.extend_from_slice(&tt.data()[id * d..(id + 1) * d]);
+            data[r * d..][..d].copy_from_slice(&tt.data()[id * d..][..d]);
         }
         let out = Tensor::from_vec(&[ids.len(), d], data);
         self.push(
@@ -645,11 +732,11 @@ impl Tape {
     /// `r % T` (half-split style), as [`RotaryTable::rotate_rows`] places
     /// a sequence's rows when serving.
     pub fn rotary(&mut self, x: Var, t: usize, d: usize, base: f32) -> Var {
-        let tx = self.value(x);
+        let ([tx], free) = self.operands([x]);
         let (rows, width) = tx.as_2d();
         assert!(rows % t == 0 && width % d == 0, "rotary layout mismatch");
         let heads = width / d;
-        let mut data = tx.data().to_vec();
+        let mut data = free.copy_of(tx.data());
         rotary_apply(&mut data, t, heads, d, base, false);
         let out = Tensor::from_vec(tx.shape(), data);
         let op = Op::Rotary {
@@ -667,7 +754,7 @@ impl Tape {
     /// sequence: query head `h` reads key/value head `h / (H / Hkv)`.
     /// Returns `[B·T, H·D]`. The forward stashes each row's log-sum-exp
     /// and the backward recomputes the probabilities from it
-    /// ([`AttentionImpl::Flash`]).
+    /// ([`AttentionImpl::Flash`](crate::AttentionImpl::Flash)).
     pub fn causal_attention(&mut self, q: Var, k: Var, v: Var, t: usize, d: usize) -> Var {
         self.attention(q, k, v, t, d, true)
     }
@@ -679,9 +766,10 @@ impl Tape {
     }
 
     fn attention(&mut self, q: Var, k: Var, v: Var, t: usize, d: usize, causal: bool) -> Var {
-        let (rows, width) = self.value(q).as_2d();
-        let (kv_rows, kv_width) = self.value(k).as_2d();
-        assert_eq!(self.value(v).shape(), self.value(k).shape(), "k / v shape");
+        let ([tq, tk, tv], free) = self.operands([q, k, v]);
+        let (rows, width) = tq.as_2d();
+        let (kv_rows, kv_width) = tk.as_2d();
+        assert_eq!(tv.shape(), tk.shape(), "k / v shape");
         assert!(
             kv_rows == rows && rows % t == 0 && width % d == 0 && kv_width % d == 0,
             "attention layout: q [{rows}, {width}], k [{kv_rows}, {kv_width}], t {t}, d {d}"
@@ -698,14 +786,10 @@ impl Tape {
             0,
             "kv heads must divide heads"
         );
-        let (out, saved) = attention_fwd(
-            self.value(q).data(),
-            self.value(k).data(),
-            self.value(v).data(),
-            shape,
-            AttentionImpl::Flash,
-            causal,
-        );
+        let mut out = free.zeros(tq.numel());
+        let mut saved = AttnSaved::Lse(free.take(rows * shape.heads));
+        let (qd, kd, vd) = (tq.data(), tk.data(), tv.data());
+        attention_fwd_into(qd, kd, vd, shape, causal, &mut out, &mut saved);
         let out = Tensor::from_vec(&[rows, width], out);
         let op = Op::Attention {
             q,
@@ -855,7 +939,7 @@ impl Tape {
                 // state again: the loss's probabilities feed the first
                 // parameter gradient
                 nodes[id].release_saved(&mut grads.free);
-            } else {
+            } else if !matches!(nodes[id].op, Op::Input) {
                 nodes[id].release(&mut grads.free);
             }
         }
@@ -873,6 +957,16 @@ impl Tape {
             }
         }
     }
+}
+
+/// Name `v` in a panic: its index and its op's kind.
+fn released(nodes: &[Node], v: Var) -> ! {
+    let op = format!("{:?}", nodes[v.0].op);
+    let kind = op.split([' ', '(', '{']).next().unwrap_or_default();
+    panic!(
+        "tape node {} ({kind}) was released by the backward sweep",
+        v.0
+    )
 }
 
 /// Apply (or, with `inverse`, un-apply) rotary embeddings in place over
@@ -937,9 +1031,12 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
             let (m, k) = val(nodes, a.0).as_2d();
             let n = val(nodes, b.0).dim(1);
             // dA[m,k] += dC[m,n] @ B^T: the bt kernel's inner dimension is
-            // n and its transposed operand, stored [k,n], is B as it lies
+            // n and its transposed operand, stored [k,n], is B as it lies;
+            // its scratch is B^T [n,k] and a temporary like dA
+            let (mut bt, mut acc) = (grads.free.take(n * k), grads.free.zeros(m * k));
             let ga = grad_buf(grads, nodes, a.0).data_mut();
-            matmul_bt_acc(g.data(), bval, ga, m, n, k);
+            matmul_bt_acc_scratch(g.data(), bval, ga, m, n, k, &mut bt, &mut acc);
+            grads.recycle([bt, acc]);
             // dB[k,n] += A^T @ dC
             let gb = grad_buf(grads, nodes, b.0).data_mut();
             matmul_at_acc(aval, g.data(), gb, m, k, n);
@@ -1077,7 +1174,9 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
             let mut dq = grads.free.zeros(qv.len());
             let mut dk = grads.free.zeros(kv.len());
             let mut dv = grads.free.zeros(vv.len());
-            attention_bwd(
+            let mut own = [(); 2].map(|_| grads.free.zeros(shape.own_len()));
+            let [dk_own, dv_own] = &mut own;
+            attention_bwd_scratch(
                 qv,
                 kv,
                 vv,
@@ -1087,6 +1186,7 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
                 &mut dq,
                 &mut dk,
                 &mut dv,
+                [dk_own, dv_own],
                 *shape,
                 *causal,
             );
@@ -1094,6 +1194,7 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
             add_into(grad_buf(grads, nodes, k.0), &dk);
             add_into(grad_buf(grads, nodes, v.0), &dv);
             grads.recycle([dq, dk, dv]);
+            grads.recycle(own);
         }
         Op::Concat(a, b) => {
             let (a, b) = (*a, *b);
@@ -1287,6 +1388,42 @@ mod tests {
     fn a_second_sweep_panics() {
         let (mut tape, _, [_, _, _, loss]) = swept();
         tape.backward(loss);
+    }
+
+    /// A finished tape's buffers, as (count, floats).
+    fn held(buffers: &TapeBuffers) -> (usize, usize) {
+        let bufs = buffers.free.0.values().flat_map(|s| &s.bufs);
+        bufs.fold((0, 0), |(n, f), b| (n + 1, f + b.len()))
+    }
+
+    /// One swept `sum(tanh(x @ w))` over `rows` input rows on `buffers`.
+    fn step_on(buffers: TapeBuffers, rows: usize) -> TapeBuffers {
+        let mut store = ParamStore::new();
+        let w = store.add("w", init::randn(&[3, 2], 0.5, &mut init::rng(1)));
+        let mut tape = Tape::with_buffers(buffers);
+        let x = tape.input(init::randn(&[rows, 3], 1.0, &mut init::rng(2)));
+        let wv = tape.param(&store, w);
+        let y = tape.matmul(x, wv);
+        let h = tape.tanh(y);
+        let loss = tape.sum(h);
+        tape.backward(loss);
+        tape.into_buffers()
+    }
+
+    /// A tape keeps every buffer it held, the leaves' gradients and the
+    /// inputs' values included, and carries forward only what it
+    /// released: a step of other shapes leaves what a fresh one would.
+    #[test]
+    fn a_tape_carries_forward_only_what_it_released() {
+        let first = step_on(TapeBuffers::default(), 2);
+        let kept = held(&first);
+        // the x, y, tanh and loss values (w's is the store's), five
+        // gradients and matmul's two scratch buffers
+        assert_eq!(kept.0, 11);
+        let again = step_on(first, 2);
+        assert_eq!(held(&again), kept, "the same shapes draw the same set");
+        let other = step_on(again, 5);
+        assert_eq!(held(&other), held(&step_on(TapeBuffers::default(), 5)));
     }
 
     /// `TpJoin` reads its branches' gradients before their own backward
