@@ -2,13 +2,24 @@
 //! one core's FMA peak and stream rate — at the shapes of the benchmark's
 //! training model `T` (one resident matrix) and serving model `D` (a fresh
 //! matrix per call from a pool larger than the caches; `at_acc`'s big
-//! operand is its output, which stays). Measured, not asserted.
+//! operand is its output, which stays), and `matmul` walking a whole
+//! weight set the size of the benchmark's L2-resident serving model `S`
+//! as `[h, h]` matrices, as its `tensor.matmul_m1_gbs` probe does.
+//!
+//! A cell's time is the lower quartile of its samples, each as many calls
+//! as last [`SAMPLE_SECS`], and the samples are taken in rounds over every
+//! cell: a microsecond-long `T` call timed alone is timer noise, and a
+//! slow spell of a shared host lands on every cell alike instead of on the
+//! few it overlaps. Measured, not asserted.
 
 use super::Ctx;
 use crate::print_table;
 use matgpt_model::{ArchKind, GptConfig};
 use matgpt_tensor::kernels::matmul::{matmul, matmul_at_acc, matmul_bt_acc};
 use std::{hint::black_box, time::Instant};
+
+/// The least a timed sample of a GEMM cell lasts.
+const SAMPLE_SECS: f64 = 5e-3;
 
 /// Lower-quartile seconds of `reps` runs of `f(rep)`.
 fn secs<R>(reps: usize, mut f: impl FnMut(usize) -> R) -> f64 {
@@ -61,16 +72,70 @@ fn stream_gbs(buf: &[f32]) -> f64 {
 
 type Entry = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
+/// One table cell: `gemm` at `(m, k, n)`, its `i`-th call on
+/// `mats[i % mats.len()]` into the first `out` floats of its row's buffer.
+struct Cell<'a> {
+    row: usize,
+    gemm: Entry,
+    mkn: (usize, usize, usize),
+    mats: Vec<&'a [f32]>,
+    out: usize,
+    /// Calls a sample, and calls made so far.
+    calls: usize,
+    made: usize,
+    samples: Vec<f64>,
+}
+
+impl<'a> Cell<'a> {
+    fn new(
+        row: usize,
+        gemm: Entry,
+        mkn: (usize, usize, usize),
+        mats: Vec<&'a [f32]>,
+        out: usize,
+    ) -> Self {
+        let (calls, made, samples) = (1, 0, Vec::new());
+        Cell {
+            row,
+            gemm,
+            mkn,
+            mats,
+            out,
+            calls,
+            made,
+            samples,
+        }
+    }
+
+    /// Seconds of the next `calls` calls.
+    fn sample(&mut self, pool: &[f32], out: &mut [f32], calls: usize) -> f64 {
+        let ((m, k, n), a) = (self.mkn, &pool[..self.mkn.0 * self.mkn.1]);
+        let c = &mut out[..self.out];
+        let t = Instant::now();
+        for i in self.made..self.made + calls {
+            (self.gemm)(a, self.mats[i % self.mats.len()], c, m, k, n);
+        }
+        black_box(c);
+        self.made += calls;
+        t.elapsed().as_secs_f64()
+    }
+}
+
 pub fn run(ctx: &Ctx) -> Result<(), String> {
-    let [d_hidden, mib, max_reps] = [[1024, 352, 24], [256, 16, 4]][ctx.smoke as usize];
+    let [d_hidden, mib, reps] = [[1024, 352, 12], [256, 16, 4]][ctx.smoke as usize];
     let pool: Vec<f32> = (0..mib << 18).map(|i| (i % 23) as f32 - 11.5).collect();
     let (peak, dram) = (fma_peak_gflops(), stream_gbs(&pool));
     let l2 = stream_gbs(&pool[..1 << 18]);
     println!("one core: FMA peak {peak:.1} GFLOP/s; stream {dram:.1} GB/s over {mib} MiB, {l2:.1} over 1 MiB");
-    let fns = [matmul as Entry, matmul_bt_acc, matmul_at_acc];
+    let entries = [
+        ("matmul", matmul as Entry),
+        ("bt_acc", matmul_bt_acc),
+        ("at_acc", matmul_at_acc),
+    ];
     let ms = [1usize, 4, 8, 32, 128];
-    let giga = |x: usize, t: f64| x as f64 / t / 1e9;
-    let mut rows = Vec::new();
+    // (model, hidden, vocab): `T` and `D` at four shapes and every entry
+    let mut rows: Vec<(Vec<String>, Vec<f32>)> = Vec::new();
+    let mut cells = Vec::new();
     for (model, h, v) in [("T", 128, 512), ("D", d_hidden, 2048)] {
         let mut cfg = GptConfig::tiny(ArchKind::Llama, v);
         cfg.hidden = h;
@@ -78,23 +143,53 @@ pub fn run(ctx: &Ctx) -> Result<(), String> {
         for (k, n) in [(h, h), (h, f), (f, h), (h, v)] {
             let fresh = if model == "T" { 1 } else { usize::MAX }; // `D` walks the pool
             let mats: Vec<&[f32]> = pool.chunks_exact(k * n).take(fresh).collect();
-            let reps = mats.len().clamp(4, max_reps);
-            for (entry, gemm) in ["matmul", "bt_acc", "at_acc"].into_iter().zip(fns) {
-                let mut row = vec![model.to_string(), entry.to_string(), format!("{k}x{n}")];
-                for m in ms {
-                    let (a, d, at) = (&pool[..m * k], &pool[m * k..][..m * n], entry == "at_acc");
-                    let mut c = vec![0.0f32; if at { k * n } else { m * n }];
-                    let b = |i: usize| if at { d } else { mats[i % mats.len()] };
-                    let t = secs(reps, |i| gemm(a, b(i), &mut c, m, k, n));
-                    let (flop, bytes) = (2 * m * k * n, 4 * (m * k + k * n + m * n));
-                    row.push(format!("{:.1} / {:.1}", giga(flop, t), giga(bytes, t)));
-                }
-                rows.push(row);
+            for (entry, gemm) in entries {
+                // `at_acc`'s `b` is the `[m, n]` after `a`; its output stays
+                let at = entry == "at_acc";
+                let out = |m: usize| if at { k * n } else { m * n };
+                let label = [model, entry, &format!("{k}x{n}")].map(String::from);
+                rows.push((label.to_vec(), vec![0.0; out(ms[ms.len() - 1])]));
+                cells.extend(ms.map(|m| {
+                    let b = if at {
+                        vec![&pool[m * k..][..m * n]]
+                    } else {
+                        mats.clone()
+                    };
+                    Cell::new(rows.len() - 1, gemm, (m, k, n), b, out(m))
+                }));
             }
         }
     }
+    // `S`'s whole weight set, `[h, h]` at a time, through `matmul`
+    let (mut s_cfg, h) = (GptConfig::tiny(ArchKind::Llama, 256), 128);
+    s_cfg.hidden = h;
+    let weights = &pool[..matgpt_model::count::total_params(&s_cfg)];
+    let mats: Vec<&[f32]> = weights.chunks_exact(h * h).collect();
+    let label = ["S", "matmul", &format!("{} x {h}x{h}", mats.len())].map(String::from);
+    rows.push((label.to_vec(), vec![0.0; ms[ms.len() - 1] * h]));
+    cells.extend(ms.map(|m| Cell::new(rows.len() - 1, matmul, (m, h, h), mats.clone(), m * h)));
+
+    // one warm call a cell sizes its samples, then `reps` rounds
+    for cell in cells.iter_mut() {
+        let once = cell.sample(&pool, &mut rows[cell.row].1, 1);
+        cell.calls = ((SAMPLE_SECS / once.max(1e-9)).ceil() as usize).max(1);
+    }
+    for _ in 0..reps {
+        for cell in cells.iter_mut() {
+            let t = cell.sample(&pool, &mut rows[cell.row].1, cell.calls);
+            cell.samples.push(t / cell.calls as f64);
+        }
+    }
+    let giga = |x: usize, t: f64| x as f64 / t / 1e9;
+    let mut table: Vec<Vec<String>> = rows.into_iter().map(|(label, _)| label).collect();
+    for mut cell in cells {
+        cell.samples.sort_by(f64::total_cmp);
+        let (t, (m, k, n)) = (cell.samples[reps / 4], cell.mkn);
+        let (flop, bytes) = (2 * m * k * n, 4 * (m * k + k * n + m * n));
+        table[cell.row].push(format!("{:.1} / {:.1}", giga(flop, t), giga(bytes, t)));
+    }
     let mut head = vec!["model".to_string(), "entry".into(), "k x n".into()];
     head.extend(ms.map(|m| format!("m={m}: GFLOP/s / GB/s")));
-    print_table("GEMM entries against the measured roofline", &head, &rows);
+    print_table("GEMM entries against the measured roofline", &head, &table);
     Ok(())
 }

@@ -158,9 +158,12 @@ impl GptModel {
         }
 
         let mut scratch = vec![0.0f32; n * h];
+        // the norms' per-row statistics, which no backward reads
+        let mut stats = vec![0.0f32; 2 * n];
         for (li, layer) in self.layers.iter().enumerate() {
             // --- attention block
-            self.norm_rows(store, &x, &mut scratch, n, layer.id(Ln1G), layer.get(Ln1B));
+            let (g, b) = (layer.id(Ln1G), layer.get(Ln1B));
+            self.norm_rows(store, &x, &mut scratch, &mut stats, g, b);
             let mut q = store.linear(&scratch, layer.id(Wq), layer.get(Bq), n, h, h);
             let mut k = store.linear(&scratch, layer.id(Wk), layer.get(Bk), n, h, kv_dim);
             let v = store.linear(&scratch, layer.id(Wv), layer.get(Bv), n, h, kv_dim);
@@ -184,7 +187,8 @@ impl GptModel {
                 *o += p;
             }
             // --- mlp block
-            self.norm_rows(store, &x, &mut scratch, n, layer.id(Ln2G), layer.get(Ln2B));
+            let (g, b) = (layer.id(Ln2G), layer.get(Ln2B));
+            self.norm_rows(store, &x, &mut scratch, &mut stats, g, b);
             let m = cfg.mlp_hidden();
             let mlp = match cfg.arch {
                 ArchKind::NeoX => {
@@ -210,7 +214,7 @@ impl GptModel {
             cache.commit();
         }
 
-        self.norm_rows(store, &x, &mut scratch, n, self.lnf_g, self.lnf_b);
+        self.norm_rows(store, &x, &mut scratch, &mut stats, self.lnf_g, self.lnf_b);
         let mut logits = vec![0.0f32; n * cfg.vocab_size];
         store.matmul(&scratch, self.lm_head, &mut logits, n, h, cfg.vocab_size);
         logits
@@ -241,24 +245,25 @@ impl GptModel {
     }
 
     /// Architecture-appropriate normalisation of `[n, hidden]` rows into
-    /// `out`.
+    /// `out`; `stats` (`2 · n` floats) takes the per-row statistics.
     fn norm_rows<P: ForwardParams + ?Sized>(
         &self,
         store: &P,
         x: &[f32],
         out: &mut [f32],
-        n: usize,
+        stats: &mut [f32],
         g: ParamId,
         b: Option<ParamId>,
     ) {
-        let h = self.cfg.hidden;
+        let (h, eps) = (self.cfg.hidden, self.cfg.norm_eps);
+        let n = x.len() / h;
         match self.cfg.arch {
             ArchKind::NeoX => {
                 let beta = store.dense(b.expect("NeoX LayerNorm beta"));
-                norm::layernorm_fwd(x, store.dense(g), beta, out, n, h, self.cfg.norm_eps);
+                norm::layernorm_fwd(x, store.dense(g), beta, out, stats, n, h, eps);
             }
             ArchKind::Llama => {
-                norm::rmsnorm_fwd(x, store.dense(g), out, n, h, self.cfg.norm_eps);
+                norm::rmsnorm_fwd(x, store.dense(g), out, &mut stats[..n], n, h, eps)
             }
         }
     }

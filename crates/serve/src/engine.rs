@@ -531,13 +531,19 @@ mod tests {
     fn request_cancelled_while_preempted_keeps_its_tokens_and_its_trace() {
         let rec = matgpt_obs::Recorder::global();
         rec.enable();
-        // one request's worst case fills the 10-block pool, so of two
-        // growing side by side the younger is preempted and cannot
-        // return while the older runs
+        // Two requests must grow side by side however late the second
+        // submit reaches the scheduler, so the pool is sized for it: 12
+        // blocks of 4 rows. A full 32-row window sliding a row a step
+        // holds 8 or 9 blocks (9 once its next row is reserved), which
+        // leaves the younger's 6-token prompt (2 blocks) and the 1 block
+        // of headroom admission keeps per running request. Two growing
+        // windows do not fit, so the younger is preempted, and its
+        // recompute window then needs more blocks than the older ever
+        // leaves free: it cannot return while the older runs
         let engine = tiny_engine(EngineConfig {
             kv_backend: crate::KvBackend::Paged(crate::KvBlockConfig {
                 block_size: 4,
-                num_blocks: 10,
+                num_blocks: 12,
             }),
             ..EngineConfig::default()
         });

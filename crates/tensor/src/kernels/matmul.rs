@@ -1,21 +1,21 @@
 //! Rayon-parallel dense matrix multiplication kernels.
 //!
-//! One blocked loop nest, `nest`, under every float matmul in the repo
-//! but the f32 single row: `c[r][j] ⊕= coef(r, s) · b[s][j]`, `s`
-//! ascending, walked as step blocks of `KC` → column strips of ≤
-//! `NV_MAX` × `LANES` columns → row tiles of ≤ `MR` rows. A tile's
+//! One blocked loop nest, `nest`, under every float matmul in the repo:
+//! `c[r][j] ⊕= coef(r, s) · b[s][j]`, `s` ascending, walked as step
+//! blocks of `KC` → column strips of ≤ `NV_MAX` × `LANES` columns (a
+//! one-row call: `NV_ROW` × `LANES`) → row tiles of ≤ `MR` rows. A tile's
 //! accumulators stay in registers for its whole block; the strip of `b`
-//! it read is re-used from L1 by every later row tile, and the first row
-//! tile of a strip prefetches the same strip of the next block, so `b`
-//! crosses DRAM once per call whatever `m`. `b` is f32, or int8 codes
-//! the tile widens to f32 in registers (exactly: every `i8` is an f32).
+//! it read is re-used from L1 by every later row tile, and in a call of
+//! more than one row the first row tile of a strip prefetches the same
+//! strip of the next block, so `b` crosses DRAM once per call whatever
+//! `m`. `b` is f32, or int8 codes the tile widens to f32 in registers
+//! (exactly: every `i8` is an f32).
 //! An entry is an addressing of the coefficient
 //! `coef(r, s) = a[r·rs + s·ss]`, a packing, and a chain:
 //!
 //! | entry | rows × steps, `(rs, ss)` | packing | chain per element |
 //! |---|---|---|---|
-//! | [`matmul`], `m = 1` | — (`row_axpy`, coefficients `a[p]`) | none | fused, zero-skip, from `+0` |
-//! | [`matmul`], `m ≥ 2` | `m × k`, `(k, 1)` | none | fused, zero-skip, from `+0` |
+//! | [`matmul`] | `m × k`, `(k, 1)` | none | fused, zero-skip, from `+0` |
 //! | [`matmul_bt_acc`] | `m × k`, `(k, 1)` | `b^T` packed once to `[k, n]`; one zeroed `[m, n]` temp, `c += temp` (both the caller's in [`matmul_bt_acc_scratch`]) | unfused, no skip, from `+0` |
 //! | [`matmul_at_acc`] | `k × m`, `(1, k)` (down a column of `a`, no pack) | none | unfused, zero-skip, from `c` |
 //! | [`super::quant::matmul_q8`], every `m` | `m × k`, `(k, 1)` | none: `b` is the `[k, n]` int8 codes, widened in registers | fused, zero-skip, from `+0`, then `× scale[j]` |
@@ -58,6 +58,14 @@ const KC: usize = 32;
 const LANES: usize = 16;
 /// Vectors per column strip.
 const NV_MAX: usize = 3;
+/// Vectors per column strip of a one-row call, whose tiles issue no
+/// prefetch. Measured, not an option: at `m = 1` over L2-resident
+/// `[128, 344]` and `[128, 512]` weights (one AVX-512 core, `repro
+/// ext_gemm_roofline`) 8 independent chains without prefetch ran 21–26
+/// GFLOP/s, 8 with it 18–19, 3 without it 17–18; at `n = 128` and on
+/// DRAM-streamed weights the three tie. A `rows > 1` tile already has
+/// `MR · NV_MAX` chains and keeps `NV_MAX` and the prefetch.
+const NV_ROW: usize = 8;
 /// Rows per tile: `MR · NV_MAX` accumulators, `NV_MAX` vectors of `b`
 /// and one broadcast coefficient fill 28 of the 32 vector registers.
 const MR: usize = 8;
@@ -318,10 +326,11 @@ fn tile<const FUSED: bool, const SKIP: bool>(
     t.check(rows, c.len());
     let nv = t.w.div_ceil(LANES);
     macro_rules! body {
-        ($($r:literal)+) => {
+        ($($r:literal)+; $($wide:literal)+) => {
             match (rows, nv) {
                 $(($r, 1) => body!(@ $r, 1), ($r, 2) => body!(@ $r, 2), ($r, 3) => body!(@ $r, 3),)+
-                _ => unreachable!("a tile is 1..={MR} rows of 1..={NV_MAX} vectors"),
+                $((1, $wide) => body!(@ 1, $wide),)+
+                _ => unreachable!("a tile is 1..={MR} rows of 1..={NV_MAX} vectors, or a row of ≤ {NV_ROW}"),
             }
         };
         (@ $r:literal, $nv:literal) => {
@@ -338,7 +347,7 @@ fn tile<const FUSED: bool, const SKIP: bool>(
             }
         };
     }
-    body!(1 2 3 4 5 6 7 8)
+    body!(1 2 3 4 5 6 7 8; 4 5 6 7 8)
 }
 
 /// True when any coefficient of an `r`-row, `kc`-step slab from `a0` is
@@ -385,16 +394,27 @@ pub(crate) fn nest<const FUSED: bool, const SKIP: bool>(
         1
     };
     let run = tiles.div_ceil(workers) * MR;
+    let one_row = rows == 1;
+    let strip = if one_row { NV_ROW } else { NV_MAX } * LANES;
     let walk = |g: usize, cg: &mut [f32]| {
         let rows = cg.len() / n;
-        let mut has_zero = vec![false; if SKIP { rows.div_ceil(MR) } else { 0 }];
+        // one flag per row tile; a one-tile walk keeps its flag on the stack
+        let (mut one, mut many) = ([false], Vec::new());
+        let has_zero: &mut [bool] = match rows.div_ceil(MR) {
+            _ if !SKIP => &mut [],
+            1 => &mut one,
+            tiles => {
+                many.resize(tiles, false);
+                &mut many
+            }
+        };
         for s0 in (0..steps).step_by(KC) {
             let kc = KC.min(steps - s0);
             for (i, z) in has_zero.iter_mut().enumerate() {
                 let a0 = (g * run + i * MR) * rs + s0 * ss;
                 *z = slab_has_zero(a, a0, (rs, ss), MR.min(rows - i * MR), kc);
             }
-            for j0 in (0..n).step_by(NV_MAX * LANES) {
+            for j0 in (0..n).step_by(strip) {
                 for r0 in (0..rows).step_by(MR) {
                     let t = Tile {
                         a,
@@ -406,8 +426,8 @@ pub(crate) fn nest<const FUSED: bool, const SKIP: bool>(
                         c0: r0 * n + j0,
                         n,
                         kc,
-                        w: (NV_MAX * LANES).min(n - j0),
-                        prefetch: r0 == 0 && s0 + KC < steps,
+                        w: strip.min(n - j0),
+                        prefetch: !one_row && r0 == 0 && s0 + KC < steps,
                     };
                     let r = MR.min(rows - r0);
                     if SKIP && has_zero[r0 / MR] {
@@ -442,30 +462,13 @@ impl Avx512 {
     }
 }
 
-/// The single-row nest `matmul` keeps for `m = 1`: `out[j] = fma(coef(p),
-/// b[p][j], out[j])`, `p` ascending over the rows of `b[·, out.len()]`,
-/// zero coefficients passed over without touching their `b` row — the
-/// chain of `nest::<true, true>`, one row at a time, auto-vectorised.
-#[inline(always)]
-fn row_axpy(out: &mut [f32], coef: &[f32], b: &[f32]) {
-    let n = out.len();
-    for (p, &ap) in coef.iter().enumerate() {
-        if ap == 0.0 {
-            continue;
-        }
-        for (o, &bv) in out.iter_mut().zip(&b[p * n..(p + 1) * n]) {
-            *o = ap.mul_add(bv, *o);
-        }
-    }
-}
-
 /// `c[m,n] = a[m,k] @ b[k,n]`.
 ///
-/// Accumulation is fused (one rounding per step): a single row and a
-/// tile of the nest apply the identical per-element FMA chain, so
-/// outputs are bitwise reproducible across batch shapes. `m = 1` stays
-/// on the per-row loop: an L2-resident decode step is faster there
-/// (ROADMAP item 2 holds the one-row tile's numbers).
+/// Accumulation is fused (one rounding per step), and every `m` runs the
+/// nest: each output element gets one `p`-ascending FMA chain from `+0`
+/// that skips zero coefficients, whichever tile it fell in, so outputs
+/// are bitwise reproducible across batch shapes. A single row (a decode
+/// step) takes the nest's one-row strips.
 pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     entry_with(Entry::Matmul, Avx512::detect(), a, b, c, m, k, n)
 }
@@ -533,9 +536,6 @@ fn entry_with(
             assert_eq!(b.len(), k * n);
             assert_eq!(c.len(), m * n);
             c.fill(0.0);
-            if m == 1 {
-                return row_axpy(c, a, b);
-            }
             nest::<true, true>(avx512, a, (k, 1), b, c, m, k, n);
         }
         Entry::BtAcc => {
@@ -650,6 +650,22 @@ mod tests {
             .collect()
     }
 
+    /// `matmul`'s chain for one row, spelled out: per output element a
+    /// `p`-ascending FMA chain from `+0` that passes over zero
+    /// coefficients without touching their row of `b`.
+    fn row_chain(a: &[f32], b: &[f32], n: usize) -> Vec<f32> {
+        let mut c = vec![0.0f32; n];
+        for (p, &ap) in a.iter().enumerate() {
+            if ap == 0.0 {
+                continue;
+            }
+            for (cv, &bv) in c.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *cv = ap.mul_add(bv, *cv);
+            }
+        }
+        c
+    }
+
     type Operand = fn(usize, usize, usize) -> Vec<f32>;
     /// Zero-laden (every skip fires) and zero-free (none does).
     const OPERANDS: [(&str, Operand); 2] = [("zeros", operand), ("dense", dense_operand)];
@@ -734,15 +750,24 @@ mod tests {
     /// whole row groups.
     const TRAIN_KNS: [(usize, usize); 2] = [(128, 344), (344, 128)];
     const TRAIN_MS: [usize; 2] = [32, 64];
+    /// One-row calls across [`NV_ROW`]-vector strips: `n = 344` is two
+    /// whole strips and a 6-vector one ending in 8 lanes, `n = 300` two
+    /// and a 3-vector one ending in 12, `n = 128` exactly one.
+    const ROW_SHAPES: [(usize, usize, usize); 3] = [(1, 128, 344), (1, 344, 128), (1, 37, 300)];
 
-    /// `MS × KNS` and `TRAIN_MS × TRAIN_KNS` as `(m, k, n)`.
+    /// `MS × KNS`, `TRAIN_MS × TRAIN_KNS` and [`ROW_SHAPES`] as `(m, k, n)`.
     fn shapes() -> Vec<(usize, usize, usize)> {
         let grid = |ms: &[usize], kns: &[(usize, usize)]| {
             ms.iter()
                 .flat_map(|&m| kns.iter().map(move |&(k, n)| (m, k, n)))
                 .collect::<Vec<_>>()
         };
-        [grid(&MS, &KNS), grid(&TRAIN_MS, &TRAIN_KNS)].concat()
+        [
+            grid(&MS, &KNS),
+            grid(&TRAIN_MS, &TRAIN_KNS),
+            ROW_SHAPES.to_vec(),
+        ]
+        .concat()
     }
 
     #[test]
@@ -779,8 +804,7 @@ mod tests {
         // every entry, with the skips firing and not.
         let matmul_reference = |a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize| {
             for (ci, ai) in c.chunks_mut(n).zip(a.chunks(k)) {
-                ci.fill(0.0);
-                row_axpy(ci, ai, b);
+                ci.copy_from_slice(&row_chain(ai, b, n));
             }
         };
         let bodies = [None, Avx512::detect()];
@@ -848,7 +872,7 @@ mod tests {
         });
         // the skip itself, in both bodies: one step whose coefficients are
         // ±0.0 for every row, over a poisoned row of the other operand
-        for (m, k, n) in [(9, 37, 113), (32, 128, 344)] {
+        for (m, k, n) in [(9, 37, 113), (32, 128, 344)].into_iter().chain(ROW_SHAPES) {
             for (entry, steps, rows) in [(Entry::Matmul, k, m), (Entry::AtAcc, m, k)] {
                 let (s0, mut a) = (steps / 2, dense_operand(m * k, 37, 19));
                 for i in 0..m {
@@ -1026,33 +1050,21 @@ mod tests {
 
     #[test]
     fn single_row_bitwise_matches_the_per_row_chain() {
-        // One row through `matmul` (the per-row loop a solo decode step
-        // takes) and through the nest's one-row tile (what it would take
-        // if m = 1 were blocked too: ROADMAP item 2) is the same chain: per
+        // One row through `matmul` (the nest's one-row strips, what a solo
+        // decode step takes), in both tile bodies, is `row_chain`: per
         // output element one p-ascending FMA chain that skips zero
         // coefficients. The skip is observable: a skipped coefficient
         // never meets its weight row, so a non-finite weight under a zero
         // stays out of the sum. Shapes put zeros inside an 8-group, in
-        // the k % 8 tail, both, and nowhere; k < 8 is all tail.
-        type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-        let chain = |a: &[f32], b: &[f32], n: usize| {
-            let mut c = vec![0.0f32; n];
-            for (p, &ap) in a.iter().enumerate() {
-                if ap == 0.0 {
-                    continue;
-                }
-                for (cv, &bv) in c.iter_mut().zip(&b[p * n..(p + 1) * n]) {
-                    *cv = ap.mul_add(bv, *cv);
-                }
-            }
-            c
-        };
+        // the k % 8 tail, both, and nowhere; k < 8 is all tail; n = 300
+        // crosses two whole one-row strips into a partial vector.
         for (k, n, zeros) in [
             (37, 113, vec![3, 35]),
             (16, 9, vec![9]),
             (21, 64, vec![20]),
             (5, 7, vec![0, 4]),
             (24, 33, vec![]),
+            (40, 300, vec![1, 33]),
         ] {
             let mut a: Vec<f32> = (0..k).map(|i| ((i * 37 % 19) as f32 - 9.5) * 0.1).collect();
             let mut b: Vec<f32> = (0..k * n)
@@ -1062,20 +1074,13 @@ mod tests {
                 a[p] = 0.0;
                 b[p * n + p % n] = f32::INFINITY;
             }
-            let want: Vec<u32> = chain(&a, &b, n).iter().map(|v| v.to_bits()).collect();
-            let one_row_tile: Kernel = |a, b, c, m, k, n| {
-                c.fill(0.0);
-                nest::<true, true>(Avx512::detect(), a, (k, 1), b, c, m, k, n)
-            };
-            for (name, f) in [("matmul", matmul as Kernel), ("one_row_tile", one_row_tile)] {
+            let want = bits(&row_chain(&a, &b, n));
+            for body in [None, Avx512::detect()] {
                 let mut c = vec![f32::NAN; n];
-                f(&a, &b, &mut c, 1, k, n);
+                entry_with(Entry::Matmul, body, &a, &b, &mut c, 1, k, n);
+                let name = if body.is_some() { "avx512" } else { "portable" };
                 assert!(c.iter().all(|v| v.is_finite()), "{name} k={k}: zero met");
-                assert_eq!(
-                    c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want,
-                    "{name} k={k} n={n} zeros at {zeros:?}"
-                );
+                assert_eq!(bits(&c), want, "{name} k={k} n={n} zeros at {zeros:?}");
             }
         }
     }

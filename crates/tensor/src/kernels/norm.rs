@@ -1,25 +1,29 @@
 //! Row-wise normalisation kernels: LayerNorm (GPT-NeoX) and RMSNorm (LLaMA).
 //!
 //! Each operates over the last dimension of a `[rows, d]` view. Forward
-//! passes return the per-row statistics needed by the backward pass so the
-//! tape does not have to recompute them.
+//! passes write the per-row statistics the backward pass needs into
+//! slices the caller owns, so the tape keeps them without recomputing
+//! them and a forward that has no backward reuses one buffer.
 
 /// LayerNorm forward. `y = (x - mean) / sqrt(var + eps) * gamma + beta`.
-/// Returns `(mean, rstd)` per row for the backward pass.
+/// Writes each row's mean to `stats[..rows]` and rstd to `stats[rows..]`
+/// (`2 · rows` floats) for the backward pass.
+#[allow(clippy::too_many_arguments)]
 pub fn layernorm_fwd(
     x: &[f32],
     gamma: &[f32],
     beta: &[f32],
     y: &mut [f32],
+    stats: &mut [f32],
     rows: usize,
     d: usize,
     eps: f32,
-) -> (Vec<f32>, Vec<f32>) {
+) {
     debug_assert_eq!(x.len(), rows * d);
     debug_assert_eq!(gamma.len(), d);
     debug_assert_eq!(beta.len(), d);
-    let mut means = vec![0.0f32; rows];
-    let mut rstds = vec![0.0f32; rows];
+    let (means, rstds) = stats.split_at_mut(rows);
+    assert_eq!(rstds.len(), rows);
     for r in 0..rows {
         let xr = &x[r * d..(r + 1) * d];
         let mean = xr.iter().sum::<f32>() / d as f32;
@@ -32,7 +36,6 @@ pub fn layernorm_fwd(
             yr[i] = (xr[i] - mean) * rstd * gamma[i] + beta[i];
         }
     }
-    (means, rstds)
 }
 
 /// LayerNorm backward. Accumulates into `dx`, `dgamma`, `dbeta`.
@@ -76,18 +79,20 @@ pub fn layernorm_bwd(
 }
 
 /// RMSNorm forward. `y = x / rms(x) * gamma` with
-/// `rms = sqrt(mean(x^2) + eps)`. Returns the per-row reciprocal rms.
+/// `rms = sqrt(mean(x^2) + eps)`. Writes the per-row reciprocal rms into
+/// `rrms` (`rows` of them).
 pub fn rmsnorm_fwd(
     x: &[f32],
     gamma: &[f32],
     y: &mut [f32],
+    rrms: &mut [f32],
     rows: usize,
     d: usize,
     eps: f32,
-) -> Vec<f32> {
+) {
     debug_assert_eq!(x.len(), rows * d);
     debug_assert_eq!(gamma.len(), d);
-    let mut rrms = vec![0.0f32; rows];
+    assert_eq!(rrms.len(), rows);
     for r in 0..rows {
         let xr = &x[r * d..(r + 1) * d];
         let ms = xr.iter().map(|v| v * v).sum::<f32>() / d as f32;
@@ -98,7 +103,6 @@ pub fn rmsnorm_fwd(
             yr[i] = xr[i] * rr * gamma[i];
         }
     }
-    rrms
 }
 
 /// RMSNorm backward. Accumulates into `dx` and `dgamma`.
@@ -141,7 +145,7 @@ mod tests {
         let gamma = vec![1.0; d];
         let beta = vec![0.0; d];
         let mut y = vec![0.0; d];
-        layernorm_fwd(&x, &gamma, &beta, &mut y, 1, d, 1e-5);
+        layernorm_fwd(&x, &gamma, &beta, &mut y, &mut [0.0; 2], 1, d, 1e-5);
         let mean: f32 = y.iter().sum::<f32>() / d as f32;
         let var: f32 = y.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
         assert!(mean.abs() < 1e-5);
@@ -154,7 +158,7 @@ mod tests {
         let x: Vec<f32> = (0..d).map(|i| (i as f32 - 4.0) * 0.7).collect();
         let gamma = vec![1.0; d];
         let mut y = vec![0.0; d];
-        rmsnorm_fwd(&x, &gamma, &mut y, 1, d, 1e-6);
+        rmsnorm_fwd(&x, &gamma, &mut y, &mut [0.0], 1, d, 1e-6);
         let ms: f32 = y.iter().map(|v| v * v).sum::<f32>() / d as f32;
         assert!((ms - 1.0).abs() < 1e-3, "rms {ms}");
     }
@@ -173,24 +177,26 @@ mod tests {
             .collect();
 
         let f_ln = |x: &[f32]| {
-            let mut y = vec![0.0; rows * d];
-            layernorm_fwd(x, &gamma, &beta, &mut y, rows, d, 1e-5);
+            let (mut y, mut stats) = (vec![0.0; rows * d], vec![0.0; 2 * rows]);
+            layernorm_fwd(x, &gamma, &beta, &mut y, &mut stats, rows, d, 1e-5);
             y.iter().zip(w.iter()).map(|(a, b)| a * b).sum::<f32>()
         };
         let f_rms = |x: &[f32]| {
             let mut y = vec![0.0; rows * d];
-            rmsnorm_fwd(x, &gamma, &mut y, rows, d, 1e-5);
+            rmsnorm_fwd(x, &gamma, &mut y, &mut vec![0.0; rows], rows, d, 1e-5);
             y.iter().zip(w.iter()).map(|(a, b)| a * b).sum::<f32>()
         };
 
         // analytic
         let mut y = vec![0.0; rows * d];
-        let (means, rstds) = layernorm_fwd(&x0, &gamma, &beta, &mut y, rows, d, 1e-5);
+        let mut stats = vec![0.0; 2 * rows];
+        layernorm_fwd(&x0, &gamma, &beta, &mut y, &mut stats, rows, d, 1e-5);
+        let (means, rstds) = stats.split_at(rows);
         let mut dx = vec![0.0; rows * d];
         let mut dg = vec![0.0; d];
         let mut db = vec![0.0; d];
         layernorm_bwd(
-            &x0, &gamma, &w, &means, &rstds, &mut dx, &mut dg, &mut db, rows, d,
+            &x0, &gamma, &w, means, rstds, &mut dx, &mut dg, &mut db, rows, d,
         );
         for i in 0..rows * d {
             let mut xp = x0.clone();
@@ -201,7 +207,8 @@ mod tests {
             assert!((num - dx[i]).abs() < 2e-2, "ln dx[{i}]: {num} vs {}", dx[i]);
         }
 
-        let rrms = rmsnorm_fwd(&x0, &gamma, &mut y, rows, d, 1e-5);
+        let mut rrms = vec![0.0; rows];
+        rmsnorm_fwd(&x0, &gamma, &mut y, &mut rrms, rows, d, 1e-5);
         let mut dx = vec![0.0; rows * d];
         let mut dg = vec![0.0; d];
         rmsnorm_bwd(&x0, &gamma, &w, &rrms, &mut dx, &mut dg, rows, d);

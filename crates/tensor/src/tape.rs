@@ -57,10 +57,9 @@ pub struct Var(pub(crate) usize);
 #[derive(Clone, Debug)]
 enum Saved {
     None,
-    /// LayerNorm per-row (mean, rstd).
-    Norm(Vec<f32>, Vec<f32>),
-    /// RMSNorm per-row reciprocal rms.
-    Rrms(Vec<f32>),
+    /// A norm's per-row statistics: LayerNorm's means then rstds,
+    /// RMSNorm's reciprocal rms.
+    Norm(Vec<f32>),
     /// Cross-entropy probabilities.
     Probs(Vec<f32>),
     /// Attention forward stash.
@@ -200,11 +199,7 @@ impl Node {
     fn release_saved(&mut self, free: &mut FreeList) {
         match std::mem::replace(&mut self.saved, Saved::None) {
             Saved::None => {}
-            Saved::Norm(a, b) => {
-                free.put(a);
-                free.put(b);
-            }
-            Saved::Rrms(v) | Saved::Probs(v) => free.put(v),
+            Saved::Norm(v) | Saved::Probs(v) => free.put(v),
             Saved::Attn(AttnSaved::Probs(v) | AttnSaved::Lse(v)) => free.put(v),
         }
     }
@@ -531,25 +526,21 @@ impl Tape {
     pub fn layernorm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         let ([tx, tg, tb], free) = self.operands([x, gamma, beta]);
         let (rows, d) = tx.as_2d();
-        let mut y = free.take(rows * d);
-        let (means, rstds) =
-            norm::layernorm_fwd(tx.data(), tg.data(), tb.data(), &mut y, rows, d, eps);
+        let (mut y, mut stats) = (free.take(rows * d), free.take(2 * rows));
+        let [xs, gs, bs] = [tx, tg, tb].map(Tensor::data);
+        norm::layernorm_fwd(xs, gs, bs, &mut y, &mut stats, rows, d, eps);
         let out = Tensor::from_vec(tx.shape(), y);
-        self.push(
-            Op::LayerNorm { x, gamma, beta },
-            out,
-            Saved::Norm(means, rstds),
-        )
+        self.push(Op::LayerNorm { x, gamma, beta }, out, Saved::Norm(stats))
     }
 
     /// RMSNorm over the last dimension with a gain parameter.
     pub fn rmsnorm(&mut self, x: Var, gamma: Var, eps: f32) -> Var {
         let ([tx, tg], free) = self.operands([x, gamma]);
         let (rows, d) = tx.as_2d();
-        let mut y = free.take(rows * d);
-        let rrms = norm::rmsnorm_fwd(tx.data(), tg.data(), &mut y, rows, d, eps);
+        let (mut y, mut rrms) = (free.take(rows * d), free.take(rows));
+        norm::rmsnorm_fwd(tx.data(), tg.data(), &mut y, &mut rrms, rows, d, eps);
         let out = Tensor::from_vec(tx.shape(), y);
-        self.push(Op::RmsNorm { x, gamma }, out, Saved::Rrms(rrms))
+        self.push(Op::RmsNorm { x, gamma }, out, Saved::Norm(rrms))
     }
 
     // ---------------------------------------------------------------- losses
@@ -1046,9 +1037,10 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
         Op::Tanh(x) => activation_bwd(nodes, grads, *x, g, act::tanh_grad_slice),
         Op::LayerNorm { x, gamma, beta } => {
             let (rows, d) = val(nodes, x.0).as_2d();
-            let Saved::Norm(means, rstds) = &nodes[id].saved else {
+            let Saved::Norm(stats) = &nodes[id].saved else {
                 unreachable!("layernorm saved state")
             };
+            let (means, rstds) = stats.split_at(rows);
             let mut dx = grads.free.zeros(rows * d);
             let mut dgamma = grads.free.zeros(d);
             let mut dbeta = grads.free.zeros(d);
@@ -1071,7 +1063,7 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
         }
         Op::RmsNorm { x, gamma } => {
             let (rows, d) = val(nodes, x.0).as_2d();
-            let Saved::Rrms(rrms) = &nodes[id].saved else {
+            let Saved::Norm(rrms) = &nodes[id].saved else {
                 unreachable!("rmsnorm saved state")
             };
             let (xval, gval) = (val(nodes, x.0).data(), val(nodes, gamma.0).data());
