@@ -42,6 +42,7 @@ use matgpt_model::tp::{
 use matgpt_model::GptModel;
 use matgpt_obs::{flight, pids, Histogram, Registry, Span};
 use matgpt_optim::{LrSchedule, OptimizerState};
+use matgpt_tensor::param;
 use matgpt_tensor::precision::{restore_values, round_store, snapshot_values};
 use matgpt_tensor::{
     ring_chunks, ring_fold, CommHook, ParamStore, Precision, Tape, TapeComm, Tensor, Var,
@@ -189,16 +190,16 @@ impl NormLayout {
 }
 
 /// Squared gradient norms of the tensors in `tensors`, read from a flat
-/// buffer laid out by `offsets` — each entry computed exactly like
-/// `Tensor::sq_norm`, so the clip matches `ParamStore::clip_grad_norm`
-/// bitwise. Entries outside `tensors` are left untouched.
+/// buffer laid out by `offsets` — through `param::sq_norms`, the sums
+/// `ParamStore::grad_norm` takes, so the clip matches
+/// `ParamStore::clip_grad_norm` bitwise. Entries outside `tensors` are
+/// left untouched.
 fn sq_norms(flat: &[f32], offsets: &[usize], tensors: Range<usize>, out: &mut [f32]) {
-    for t in tensors {
-        out[t] = flat[offsets[t]..offsets[t + 1]]
-            .iter()
-            .map(|v| v * v)
-            .sum::<f32>();
-    }
+    let slices: Vec<&[f32]> = tensors
+        .clone()
+        .map(|t| &flat[offsets[t]..offsets[t + 1]])
+        .collect();
+    param::sq_norms(&slices, &mut out[tensors]);
 }
 
 /// Scale a gradient slice in place when the global norm exceeds the

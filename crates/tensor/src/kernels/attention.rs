@@ -24,10 +24,18 @@
 //! Every (sequence, query head) is one pool task, and its arithmetic is
 //! that of one contiguous `[T, D]` head: the layout moves no bit.
 //!
+//! The backward takes each task's query rows in blocks of 16: it scores
+//! every row's P and dP as the forward scores, holds the block's dS,
+//! and accumulates four `dq` rows at a time over the keys, and four
+//! keys' `dk` and `dv` rows at a time over the block's rows, in
+//! registers. Each element's chain is the one a loop over (query, key)
+//! pairs makes, query outer, skipping `P = 0`; `bwd_reference` in the
+//! tests is that loop.
+//!
 //! [`attention_fwd_into`] and [`attention_bwd_scratch`] take their
-//! output, stash and GQA scratch from the caller (the tape draws them
-//! from its free list); [`attention_fwd`] and [`attention_bwd`]
-//! allocate them and call those.
+//! output, stash, GQA scratch and row-block scratch from the caller (the
+//! tape draws them from its free list); [`attention_fwd`] and
+//! [`attention_bwd`] allocate them and call those.
 
 use super::exp::exp_slice;
 use super::softmax::{OnlineSoftmax, RowScratch};
@@ -81,6 +89,20 @@ impl AttnShape {
         }
     }
 
+    /// Floats of [`attention_bwd_scratch`]'s block scratch: one share
+    /// per pool worker (as many as there are tasks, at most), each two
+    /// `[16, T]` blocks of rows and their transposes, `T` rounded up to
+    /// whole key tiles.
+    pub fn block_len(&self) -> usize {
+        let tasks = (self.batch * self.heads).max(1);
+        rayon::current_num_threads().clamp(1, tasks) * self.block_share()
+    }
+
+    /// Floats of one worker's share of the block scratch.
+    fn block_share(&self) -> usize {
+        4 * BLOCK * self.t.next_multiple_of(KEYS)
+    }
+
     /// Query heads per key/value head.
     fn group(&self) -> usize {
         self.heads / self.kv_heads
@@ -95,9 +117,15 @@ impl AttnShape {
         width: usize,
         task: usize,
     ) -> impl Fn(usize) -> &'a [f32] + Copy {
+        let ((x, stride), d) = (self.head_rows(x, width, task), self.d);
+        move |i| &x[i * stride..][..d]
+    }
+
+    /// [`Self::head`]'s rows as a buffer and a stride: row `i` starts at
+    /// `i · stride` of the buffer.
+    fn head_rows<'a>(&self, x: &'a [f32], width: usize, task: usize) -> (&'a [f32], usize) {
         let (b, h) = (task / self.heads, task % self.heads / (self.heads / width));
-        let (at, stride, d) = ((b * self.t * width + h) * self.d, width * self.d, self.d);
-        move |i| &x[at + i * stride..][..d]
+        (&x[(b * self.t * width + h) * self.d..], width * self.d)
     }
 }
 
@@ -423,12 +451,127 @@ pub fn attention_bwd(
 ) {
     let [mut dk_own, mut dv_own] = [(); 2].map(|_| vec![0.0f32; s.own_len()]);
     let own = [&mut dk_own[..], &mut dv_own[..]];
-    attention_bwd_scratch(q, k, v, out, dout, saved, dq, dk, dv, own, s, causal);
+    let mut blocks = vec![0.0f32; s.block_len()];
+    attention_bwd_scratch(
+        q,
+        k,
+        v,
+        out,
+        dout,
+        saved,
+        dq,
+        dk,
+        dv,
+        own,
+        &mut blocks,
+        s,
+        causal,
+    );
 }
 
-/// [`attention_bwd`] with its grouped-query scratch passed in: the
-/// per-query-head key and value gradients, [`AttnShape::own_len`]
-/// floats each, which must hold zeros.
+/// Query rows the backward takes at a time: it holds their probabilities
+/// and score gradients, then accumulates each row's `dq` and each key's
+/// `dk` and `dv` over them.
+const BLOCK: usize = 16;
+
+/// Rows of `dq`, and keys of `dk`/`dv`, the backward accumulates at once.
+const GROUP: usize = 4;
+
+/// The terms `s = 0..n` of [`add_terms`]'s sums. Term `s` reads row `s`
+/// of each source, at `s · stride`, and for output `r` the coefficient
+/// at `s · cstride + r` of each coefficient buffer and the probability
+/// at `s · cstride + r` of `p`, which drops the term where it is 0.
+struct Terms<'a, const S: usize> {
+    n: usize,
+    src: [&'a [f32]; S],
+    stride: usize,
+    coef: [&'a [f32]; S],
+    p: &'a [f32],
+    cstride: usize,
+}
+
+/// `outs[r][k][x] += coef_k(s, r) · src_k(s)[x]` for each term `s` of
+/// `terms` in order that output `r` keeps: the chain a loop of `+=` per
+/// kept term makes in each element. The outputs are held in registers
+/// sixteen columns at a time (the last columns as slices) across all
+/// the terms.
+#[inline(always)]
+fn add_terms<const R: usize, const S: usize>(mut outs: [[&mut [f32]; S]; R], terms: &Terms<S>) {
+    let Terms {
+        n,
+        src,
+        stride,
+        coef,
+        p,
+        cstride,
+    } = *terms;
+    let width = outs[0][0].len();
+    if n == 0 {
+        return;
+    }
+    // every index below falls inside these
+    let coefs = (n - 1) * cstride + R;
+    assert!(src.iter().all(|x| x.len() >= (n - 1) * stride + width));
+    assert!(coef.iter().all(|x| x.len() >= coefs) && p.len() >= coefs);
+    let mut at = 0;
+    while at + KEYS <= width {
+        let mut acc: [[[f32; KEYS]; S]; R] = std::array::from_fn(|r| {
+            std::array::from_fn(|k| outs[r][k][at..at + KEYS].try_into().expect("a chunk"))
+        });
+        for s in 0..n {
+            let p: &[f32; R] = p[s * cstride..][..R].try_into().expect("R");
+            for k in 0..S {
+                let x: &[f32; KEYS] = src[k][s * stride + at..][..KEYS]
+                    .try_into()
+                    .expect("a chunk");
+                let c: &[f32; R] = coef[k][s * cstride..][..R].try_into().expect("R");
+                for r in 0..R {
+                    if p[r] != 0.0 {
+                        for (a, &x) in acc[r][k].iter_mut().zip(x) {
+                            *a += c[r] * x;
+                        }
+                    }
+                }
+            }
+        }
+        for (out, acc) in outs.iter_mut().zip(&acc) {
+            for (out, acc) in out.iter_mut().zip(acc) {
+                out[at..at + KEYS].copy_from_slice(acc);
+            }
+        }
+        at += KEYS;
+    }
+    if at < width {
+        for s in 0..n {
+            for k in 0..S {
+                let x = &src[k][s * stride + at..s * stride + width];
+                for (r, out) in outs.iter_mut().enumerate() {
+                    let at_c = s * cstride + r;
+                    if p[at_c] != 0.0 {
+                        for (a, &x) in out[k][at..].iter_mut().zip(x) {
+                            *a += coef[k][at_c] * x;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`attention_bwd`] with its scratch passed in: the per-query-head key
+/// and value gradients, [`AttnShape::own_len`] floats each, which must
+/// hold zeros; and `blocks`, [`AttnShape::block_len`] floats of any
+/// value, one share per pool worker for the rows of a block.
+///
+/// Each task's query rows go in blocks of [`BLOCK`]: every row's
+/// probabilities (read from the stash or recomputed from its lse) and
+/// `dP = dO·Vᵀ` are scored through [`dots`] as the forward scores, and
+/// turned into `dS = P ∘ (dP − D)·scale` in the block's scratch. Then
+/// each row's `dq` adds `dS_ij·k_j` over `j` ascending, and each key's
+/// `dk` and `dv` add `dS_ij·q_i` and `P_ij·dO_i` over the block's `i`
+/// ascending, each held in registers across its terms. Every element
+/// gets the chain of a loop over `(i, j)` pairs, `i` outer, that skips
+/// `P_ij = 0`, so blocking moves no bit.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_bwd_scratch(
     q: &[f32],
@@ -441,6 +584,7 @@ pub fn attention_bwd_scratch(
     dk: &mut [f32],
     dv: &mut [f32],
     [dk_own, dv_own]: [&mut [f32]; 2],
+    blocks: &mut [f32],
     s: AttnShape,
     causal: bool,
 ) {
@@ -452,6 +596,11 @@ pub fn attention_bwd_scratch(
         dk_own.len() == s.own_len() && dv_own.len() == s.own_len(),
         "attention scratch length"
     );
+    let (tp, share) = (t.next_multiple_of(KEYS), s.block_share());
+    assert!(
+        !blocks.is_empty() && blocks.len().is_multiple_of(share),
+        "attention block scratch length"
+    );
     let (dks, dvs) = if shared {
         debug_assert!(
             dk_own.iter().chain(&*dv_own).all(|&x| x == 0.0),
@@ -462,71 +611,135 @@ pub fn attention_bwd_scratch(
         (heads_mut(dk, t, heads, d), heads_mut(dv, t, heads, d))
     };
     // Each task owns its query head's dq rows and its own (or, without
-    // sharing, its KV head's) dk/dv rows, so the accumulation is race-free.
-    let parts = heads_mut(dq, t, heads, d).into_par_iter().zip(dks).zip(dvs);
-    let init = || {
-        let row = || vec![0.0f32; t.next_multiple_of(KEYS)];
-        (
-            KeyMajor::new(d),
-            KeyMajor::new(d),
-            vec![0.0f32; t],
-            row(),
-            row(),
-        )
-    };
-    parts.enumerate().for_each_init(
-        init,
-        |(kt, vt, drow, p, dp), (task, ((dqh, mut dkh), mut dvh))| {
-            let [qh, oh, doh] = [q, out, dout].map(|x| s.head(x, heads, task));
-            let [kh, vh] = [k, v].map(|x| s.head(x, s.kv_heads, task));
-            // D_i = dO_i · O_i (both algorithms use it)
-            for (i, dr) in drow.iter_mut().enumerate() {
-                *dr = doh(i).iter().zip(oh(i)).map(|(a, b)| a * b).sum();
-            }
-            kt.truncate(0);
-            if let AttnSaved::Lse(_) = saved {
-                kt.extend((0..t).map(kh));
-            }
-            vt.truncate(0);
-            vt.extend((0..t).map(vh));
-            let (ktiles, vtiles) = (kt.tiles(), vt.tiles());
-            for (i, dqi) in dqh.into_iter().enumerate() {
-                let (qi, doi) = (qh(i), doh(i));
-                let n = if causal { i + 1 } else { t };
-                // row i's probabilities, saved or recomputed from its lse
-                match saved {
-                    AttnSaved::Probs(probs) => {
-                        p[..n].copy_from_slice(&probs[(task * t + i) * t..][..n])
-                    }
-                    AttnSaved::Lse(l) => {
-                        dots(&ktiles, KEYS, 0, qi, n, scale, p);
-                        for x in &mut p[..n] {
-                            *x -= l[task * t + i];
+    // sharing, its KV head's) dk/dv rows, so the accumulation is
+    // race-free. The tasks go in one contiguous group per block share.
+    let tasks = heads_mut(dq, t, heads, d).into_iter().zip(dks).zip(dvs);
+    let per = (s.batch * heads).div_ceil(blocks.len() / share);
+    let mut tasks = tasks.enumerate();
+    let groups: Vec<Vec<_>> = std::iter::from_fn(|| {
+        let group: Vec<_> = tasks.by_ref().take(per).collect();
+        (!group.is_empty()).then_some(group)
+    })
+    .collect();
+    let len = |i: usize| if causal { i + 1 } else { t };
+    groups
+        .into_par_iter()
+        .zip(blocks.par_chunks_mut(share))
+        .for_each(|(group, block)| {
+            let (mut kt, mut vt) = (KeyMajor::new(d), KeyMajor::new(d));
+            let mut drow = vec![0.0f32; t];
+            // the block's P and dS, row-major [BLOCK, tp] and transposed
+            // [tp, BLOCK]
+            let mut quarters = block.chunks_exact_mut(BLOCK * tp);
+            let [pb, db, pt, dst] =
+                std::array::from_fn(|_| quarters.next().expect("four quarters"));
+            for (task, ((mut dqh, mut dkh), mut dvh)) in group {
+                let [qh, oh, doh] = [q, out, dout].map(|x| s.head(x, heads, task));
+                let [kh, vh] = [k, v].map(|x| s.head(x, s.kv_heads, task));
+                // D_i = dO_i · O_i (both algorithms use it)
+                for (i, dr) in drow.iter_mut().enumerate() {
+                    *dr = doh(i).iter().zip(oh(i)).map(|(a, b)| a * b).sum();
+                }
+                kt.truncate(0);
+                if let AttnSaved::Lse(_) = saved {
+                    kt.extend((0..t).map(kh));
+                }
+                vt.truncate(0);
+                vt.extend((0..t).map(vh));
+                let (ktiles, vtiles) = (kt.tiles(), vt.tiles());
+                let mut dqh = dqh.iter_mut();
+                for i0 in (0..t).step_by(BLOCK) {
+                    let rows = i0..t.min(i0 + BLOCK);
+                    // the keys any row of the block sees
+                    let keys = len(rows.end - 1);
+                    let pds = pb.chunks_exact_mut(tp).zip(db.chunks_exact_mut(tp));
+                    for (i, (p, ds)) in rows.clone().zip(pds) {
+                        let n = len(i);
+                        // row i's probabilities, saved or recomputed from
+                        // its lse
+                        match saved {
+                            AttnSaved::Probs(probs) => {
+                                p[..n].copy_from_slice(&probs[(task * t + i) * t..][..n])
+                            }
+                            AttnSaved::Lse(l) => {
+                                dots(&ktiles, KEYS, 0, qh(i), n, scale, p);
+                                for x in &mut p[..n] {
+                                    *x -= l[task * t + i];
+                                }
+                                exp_slice(&mut p[..n]);
+                            }
                         }
-                        exp_slice(&mut p[..n]);
+                        // masked keys get P = 0, which the sums skip
+                        p[n..keys].fill(0.0);
+                        // dp_ij = dO_i · V_j (a scale of 1 is exact), and
+                        // ds_ij = p (dp - D_i), scaled
+                        dots(&vtiles, KEYS, 0, doh(i), n, 1.0, ds);
+                        for (ds, &p) in ds[..n].iter_mut().zip(&p[..n]) {
+                            *ds = p * (*ds - drow[i]) * scale;
+                        }
                     }
-                }
-                // dp_ij = dO_i · V_j (a scale of 1 is exact)
-                dots(&vtiles, KEYS, 0, doi, n, 1.0, dp);
-                for (j, (&p, &dp)) in p[..n].iter().zip(&dp[..n]).enumerate() {
-                    if p == 0.0 {
-                        continue;
+                    for (r, (p, ds)) in pb.chunks_exact(tp).zip(db.chunks_exact(tp)).enumerate() {
+                        if r == rows.len() {
+                            break;
+                        }
+                        for (j, (&p, &ds)) in p[..keys].iter().zip(&ds[..keys]).enumerate() {
+                            pt[j * BLOCK + r] = p;
+                            dst[j * BLOCK + r] = ds;
+                        }
                     }
-                    // ds_ij = p (dp - D_i)
-                    let ds = p * (dp - drow[i]) * scale;
-                    for (g, &kx) in dqi.iter_mut().zip(kh(j)) {
-                        *g += ds * kx;
+                    let (pb, db, pt, dst) = (&*pb, &*db, &*pt, &*dst);
+                    // rows of dq, GROUP at a time, over the keys j
+                    let (kb, kstride) = s.head_rows(k, s.kv_heads, task);
+                    let mut r = 0;
+                    while r < rows.len() {
+                        let group = if rows.len() - r >= GROUP { GROUP } else { 1 };
+                        let terms = Terms {
+                            n: len(i0 + r + group - 1),
+                            src: [kb],
+                            stride: kstride,
+                            coef: [&dst[r..]],
+                            p: &pt[r..],
+                            cstride: BLOCK,
+                        };
+                        let mut dq = || [&mut **dqh.next().expect("a dq row")];
+                        if group == GROUP {
+                            add_terms::<GROUP, 1>(std::array::from_fn(|_| dq()), &terms);
+                        } else {
+                            add_terms([dq()], &terms);
+                        }
+                        r += group;
                     }
-                    for (g, &qx) in dkh[j].iter_mut().zip(qi) {
-                        *g += ds * qx;
-                    }
-                    for (g, &dox) in dvh[j].iter_mut().zip(doi) {
-                        *g += p * dox;
+                    // keys of dk and dv, GROUP at a time, over the block's
+                    // rows i (from the first key's row, causal)
+                    let [(qb, qstride), (dob, _)] = [q, dout].map(|x| s.head_rows(x, heads, task));
+                    let mut kvs = dkh.iter_mut().zip(dvh.iter_mut());
+                    let mut j = 0;
+                    while j < keys {
+                        let group = if keys - j >= GROUP { GROUP } else { 1 };
+                        let from = if causal { j.max(i0) } else { i0 };
+                        let at = (from - i0) * tp + j;
+                        let terms = Terms {
+                            n: rows.end - from,
+                            src: [&qb[from * qstride..], &dob[from * qstride..]],
+                            stride: qstride,
+                            coef: [&db[at..], &pb[at..]],
+                            p: &pb[at..],
+                            cstride: tp,
+                        };
+                        let mut kv = || {
+                            let (dk, dv) = kvs.next().expect("dk and dv rows");
+                            [&mut **dk, &mut **dv]
+                        };
+                        if group == GROUP {
+                            add_terms::<GROUP, 2>(std::array::from_fn(|_| kv()), &terms);
+                        } else {
+                            add_terms([kv()], &terms);
+                        }
+                        j += group;
                     }
                 }
             }
-        },
-    );
+        });
     if shared {
         for (dst, own) in [(dk, &*dk_own), (dv, &*dv_own)] {
             let mut kv = heads_mut(dst, t, s.kv_heads, d);
@@ -680,46 +893,27 @@ mod tests {
     fn flash_fwd_and_bwd_equal_their_references_bitwise() {
         // The references run one contiguous head at a time over
         // head-major copies, as the tape did before it attended
-        // token-major. The training shape, odd shapes, d with and
-        // without a multiple of 16, several sequences, grouped-query
-        // heads, and scores far enough apart that exp's special path
-        // and the rescale by 0 run
-        for (batch, t, heads, kv_heads, d, spread) in [
-            (8, 32, 4, 4, 16, 1.0),
-            (3, 7, 1, 1, 5, 1.0),
-            (2, 17, 1, 1, 6, 1.0),
-            (1, 33, 2, 2, 32, 1.0),
-            (1, 1, 1, 1, 4, 1.0),
-            (2, 19, 2, 2, 16, 60.0),
-            (2, 9, 4, 2, 8, 1.0),
-            (3, 11, 4, 1, 6, 60.0),
-        ] {
-            let s = AttnShape {
-                batch,
+        // token-major. See `SHAPES` for what the shapes cover
+        for shape in SHAPES {
+            let (s, [q, k, v, dout]) = case(shape);
+            let AttnShape {
                 t,
                 heads,
                 kv_heads,
                 d,
-            };
-            let (n, kv) = (batch * t * heads * d, batch * t * kv_heads * d);
-            let q = rand_buf(n, 21);
-            let k: Vec<f32> = rand_buf(kv, 22)
-                .iter()
-                .enumerate()
-                .map(|(x, &e)| if (x / d) % 3 == 1 { e * spread } else { e })
-                .collect();
-            let v = rand_buf(kv, 23);
-            let dout = rand_buf(n, 24);
+                ..
+            } = s;
+            let (n, kv) = (q.len(), k.len());
             let [qh, kh, vh, douth] = [(&q, heads), (&k, kv_heads), (&v, kv_heads), (&dout, heads)]
                 .map(|(x, width)| to_head_major(x, s, width));
-            let bh = batch * heads;
+            let bh = s.batch * heads;
             for causal in [true, false] {
                 let (want, want_lse) = flash_fwd_reference(&qh, &kh, &vh, bh, t, d, causal);
                 let (got, saved) = attention_fwd(&q, &k, &v, s, AttentionImpl::Flash, causal);
                 let AttnSaved::Lse(lse) = &saved else {
                     unreachable!()
                 };
-                let at = format!("{s:?} spread {spread} causal {causal}");
+                let at = format!("{shape:?} causal {causal}");
                 assert_eq!(
                     bits(&to_head_major(&got, s, heads)),
                     bits(&want),
@@ -748,8 +942,14 @@ mod tests {
     }
 
     /// `(batch, t, heads, kv_heads, d, spread)`: the shapes of
-    /// [`flash_fwd_and_bwd_equal_their_references_bitwise`].
-    const SHAPES: [(usize, usize, usize, usize, usize, f32); 8] = [
+    /// [`flash_fwd_and_bwd_equal_their_references_bitwise`]. The
+    /// training shape; odd shapes; `d` with and without a multiple of 16;
+    /// several sequences; grouped-query heads; `t` across several
+    /// backward row blocks and into a partial one (70 = 4 · 16 + 6); and
+    /// scores far enough apart (spread 60) that exp's special path and
+    /// the rescale by 0 run, and probabilities underflow to the 0 the
+    /// backward skips.
+    const SHAPES: [(usize, usize, usize, usize, usize, f32); 11] = [
         (8, 32, 4, 4, 16, 1.0),
         (3, 7, 1, 1, 5, 1.0),
         (2, 17, 1, 1, 6, 1.0),
@@ -758,6 +958,9 @@ mod tests {
         (2, 19, 2, 2, 16, 60.0),
         (2, 9, 4, 2, 8, 1.0),
         (3, 11, 4, 1, 6, 60.0),
+        (2, 70, 4, 2, 24, 1.0),
+        (1, 70, 2, 2, 40, 60.0),
+        (1, 48, 3, 1, 40, 1.0),
     ];
 
     /// One shape's call and its token-major `[q, k, v, dout]`, drawn as
@@ -786,6 +989,7 @@ mod tests {
         // Naive runs Flash's fold and stashes the rows Flash's backward
         // recomputes from the lse: the same output, and the same
         // gradients from either stash
+        let mut underflowed = 0;
         for shape in SHAPES {
             let (s, [q, k, v, dout]) = case(shape);
             let t = s.t;
@@ -800,6 +1004,7 @@ mod tests {
                 for (r, row) in p.chunks_exact(t).enumerate() {
                     let n = if causal { r % t + 1 } else { t };
                     assert!(row[n..].iter().all(|&x| x == 0.0), "masked {at}");
+                    underflowed += row[..n].iter().filter(|&&x| x == 0.0).count();
                 }
                 let [want, got] = [(&flash, &lse), (&naive, &probs)].map(|(o, saved)| {
                     let mut g = [&q, &k, &v].map(|x| vec![0.0f32; x.len()]);
@@ -812,6 +1017,8 @@ mod tests {
                 }
             }
         }
+        // spread-60 shapes reach the backward's skip of P = 0
+        assert!(underflowed > 0, "no probability underflowed to 0");
     }
 
     /// softmax(q·kᵀ/√d)·v and each row's log-sum-exp in f64, query head
@@ -857,7 +1064,7 @@ mod tests {
         // Budgets in f32 epsilons: the output's error against max|v|,
         // the lse's against max(|lse|, 1). Measured maxima over these
         // cases: output 15.8 ε (at spread 60, where score rounding is
-        // amplified; ≤ 6 ε at spread 1), lse 1.9 ε. Naive's output is
+        // amplified; ≤ 6 ε at spread 1), lse 2.2 ε. Naive's output is
         // Flash's (above), so this holds both.
         const OUT_EPS: f64 = 24.0;
         const LSE_EPS: f64 = 3.0;

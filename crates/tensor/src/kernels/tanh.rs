@@ -19,8 +19,17 @@
 //!
 //! [`tanh`] is the scalar form, the branches as glibc takes them;
 //! [`tanh_slice`] computes every branch's result in every lane and
-//! selects one, so its loop has no branch and vectorizes. Every `tanh`
-//! in `matgpt-tensor` and `matgpt-model` is one of the two.
+//! selects one, so its loop has no branch. It runs an AVX-512 body where
+//! the host has it — two 16-lane vectors a step, interleaved, since one
+//! vector's chain of dependent operations (two divisions among them)
+//! would leave the core waiting — and a portable lane loop elsewhere,
+//! which the compiler vectorizes. The two are the same f32 operations
+//! lane by lane: adds, multiplies, subtractions and divisions, none
+//! fused; `roundscale` for `trunc`, integer ops on the bits for the
+//! exponent tricks, and masks for the selects. Every `tanh` in
+//! `matgpt-tensor` and `matgpt-model` is one of the two forms.
+
+use super::matmul::Avx512;
 
 /// `ln 2`'s leading bits: `k · LN2_HI` is exact for the `k` here.
 const LN2_HI: f32 = f32::from_bits(0x3f317180);
@@ -128,10 +137,27 @@ fn rational(x: f32) -> f32 {
 }
 
 /// [`tanh`] of every element, in place, bit for bit: each lane computes
-/// every branch's result and keeps the one [`tanh`] would return, so the
-/// loop vectorizes and the tail runs the same operations one lane at a
-/// time.
+/// every branch's result and keeps the one [`tanh`] would return. The
+/// AVX-512 body takes 32 lanes a step and the tail as one zero-padded
+/// step, and skips a branch's formula where no lane of a vector takes
+/// it; the portable body is a lane loop the compiler vectorizes. On
+/// 44 032 GELU arguments, one pinned core of a 2-vCPU AVX-512 Xeon, the
+/// AVX-512 body took 1.5–1.9 ns per element against the portable one's
+/// 5.0–5.3.
 pub fn tanh_slice(xs: &mut [f32]) {
+    tanh_slice_on(Avx512::detect(), xs);
+}
+
+/// [`tanh_slice`] through the body `avx512` names (`None`: the portable
+/// one), so a test can run the portable body on a host that would never
+/// dispatch it.
+pub(crate) fn tanh_slice_on(avx512: Option<Avx512>, xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512.is_some() {
+        // SAFETY: an `Avx512` exists only where avx512f was detected
+        return unsafe { tanh_slice_avx512(xs) };
+    }
+    let _ = avx512;
     for x in xs {
         *x = tanh_lane(*x);
     }
@@ -220,6 +246,170 @@ fn expm1_lane(x: f32) -> f32 {
     }
 }
 
+/// Lanes one step of [`tanh_slice_avx512`] takes: two vectors.
+#[cfg(target_arch = "x86_64")]
+const CHUNK: usize = 32;
+
+/// # Safety
+/// `avx512f` must have been detected.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tanh_slice_avx512(xs: &mut [f32]) {
+    let mut chunks = xs.chunks_exact_mut(CHUNK);
+    for c in &mut chunks {
+        tanh_chunk_avx512(c.try_into().expect("chunks_exact"));
+    }
+    let rem = chunks.into_remainder();
+    if !rem.is_empty() {
+        let mut buf = [0.0f32; CHUNK];
+        buf[..rem.len()].copy_from_slice(rem);
+        tanh_chunk_avx512(&mut buf);
+        rem.copy_from_slice(&buf[..rem.len()]);
+    }
+}
+
+/// [`tanh_lane`] on the two vectors of a chunk: one inlined
+/// [`tanh_avx512`] each, independent work the core runs side by side.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn tanh_chunk_avx512(c: &mut [f32; CHUNK]) {
+    use std::arch::x86_64::*;
+    let p = c.as_mut_ptr();
+    // SAFETY: `c` holds 32 f32; the loads and stores cover 0..16 and
+    // 16..32
+    unsafe {
+        let [x0, x1] = [p, p.add(16)].map(|p| _mm512_loadu_ps(p));
+        let (y0, y1) = (tanh_avx512(x0), tanh_avx512(x1));
+        _mm512_storeu_ps(p, y0);
+        _mm512_storeu_ps(p.add(16), y1);
+    }
+}
+
+/// [`tanh_lane`] on sixteen lanes, its operations in its order.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn tanh_avx512(x: std::arch::x86_64::__m512) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    let f = _mm512_set1_ps;
+    let u = |c: u32| _mm512_set1_epi32(c as i32);
+    let xi = _mm512_castps_si512(x);
+    let ix = _mm512_and_si512(xi, u(0x7fff_ffff));
+    let sign = _mm512_and_si512(xi, u(0x8000_0000));
+    let a = _mm512_castsi512_ps(ix);
+    let big = _mm512_cmpge_epu32_mask(ix, u(ONE));
+    let arg = _mm512_mask_blend_ps(big, _mm512_mul_ps(f(-2.0), a), _mm512_add_ps(a, a));
+    let t = expm1_avx512(arg);
+    let minus_t = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(t), u(0x8000_0000)));
+    let q = _mm512_div_ps(
+        _mm512_mask_blend_ps(big, minus_t, f(2.0)),
+        _mm512_add_ps(t, f(2.0)),
+    );
+    let z = _mm512_mask_blend_ps(big, q, _mm512_sub_ps(f(1.0), q));
+    let z = _mm512_mask_blend_ps(_mm512_cmpge_epu32_mask(ix, u(SATURATED)), z, f(1.0));
+    let z = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(z), sign));
+    let tiny = _mm512_mul_ps(x, _mm512_add_ps(f(1.0), x));
+    let z = _mm512_mask_blend_ps(_mm512_cmplt_epu32_mask(ix, u(TINY)), z, tiny);
+    let nan = _mm512_cmpgt_epu32_mask(ix, u(NON_FINITE));
+    _mm512_mask_blend_ps(nan, z, _mm512_add_ps(x, x))
+}
+
+/// [`expm1_lane`] on sixteen lanes, its operations in its order. Shifts
+/// by a lane's `k` differ from `wrapping_shr` only where `k` is outside
+/// `2..=22`, in lanes whose result is not selected.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn expm1_avx512(x: std::arch::x86_64::__m512) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    let f = _mm512_set1_ps;
+    let u = |c: u32| _mm512_set1_epi32(c as i32);
+    let (ps, si) = (_mm512_castsi512_ps, _mm512_castps_si512);
+    let xi = si(x);
+    let hx = _mm512_and_si512(xi, u(0x7fff_ffff));
+    let one_step = _mm512_cmplt_epu32_mask(hx, u(ONE_STEP));
+    let reduced = _mm512_cmpgt_epu32_mask(hx, u(REDUCE));
+    let (mut hi, mut lo) = (_mm512_add_ps(x, f(LN2_HI)), f(-LN2_LO));
+    let mut k = _mm512_maskz_mov_epi32(reduced, u(u32::MAX));
+    if one_step != 0xffff {
+        let half = ps(_mm512_or_si512(
+            u(0.5f32.to_bits()),
+            _mm512_and_si512(xi, u(0x8000_0000)),
+        ));
+        let t = _mm512_add_ps(_mm512_mul_ps(f(INV_LN2), x), half);
+        let t = _mm512_roundscale_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(t);
+        let kn = _mm512_sub_epi32(si(_mm512_add_ps(t, f(ROUND))), u(ROUND.to_bits()));
+        let far = !one_step;
+        hi = _mm512_mask_mov_ps(hi, far, _mm512_sub_ps(x, _mm512_mul_ps(t, f(LN2_HI))));
+        lo = _mm512_mask_mov_ps(lo, far, _mm512_mul_ps(t, f(LN2_LO)));
+        k = _mm512_mask_mov_epi32(k, reduced & far, kn);
+    }
+    let r = _mm512_sub_ps(hi, lo);
+    let c = _mm512_sub_ps(_mm512_sub_ps(hi, r), lo);
+    let x = _mm512_mask_blend_ps(reduced, x, r);
+    let c = _mm512_maskz_mov_ps(reduced, c);
+    let e = rational_avx512(x);
+    let hxs = _mm512_mul_ps(x, _mm512_mul_ps(f(0.5), x));
+    // each branch's formula, where some lane takes it
+    let mut y = x;
+    let zero = _mm512_cmpeq_epi32_mask(k, u(0));
+    if zero != 0 {
+        let v = _mm512_sub_ps(x, _mm512_sub_ps(_mm512_mul_ps(x, e), hxs));
+        y = _mm512_mask_mov_ps(y, zero, v);
+    }
+    let e = _mm512_sub_ps(_mm512_sub_ps(_mm512_mul_ps(x, _mm512_sub_ps(e, c)), c), hxs);
+    let minus_one = _mm512_cmpeq_epi32_mask(k, u(u32::MAX));
+    if minus_one != 0 {
+        let v = _mm512_sub_ps(_mm512_mul_ps(f(0.5), _mm512_sub_ps(x, e)), f(0.5));
+        y = _mm512_mask_mov_ps(y, minus_one, v);
+    }
+    let kb = _mm512_slli_epi32::<23>(k);
+    let scale = |y: __m512| ps(_mm512_add_epi32(si(y), kb));
+    // `k` in `lo..=hi`, as one unsigned compare of `k − lo`
+    let within = |lo: u32, hi: u32| _mm512_cmple_epu32_mask(_mm512_sub_epi32(k, u(lo)), u(hi - lo));
+    let below_23 = within(2, 22);
+    if below_23 != 0 {
+        let v = _mm512_sub_epi32(u(0x3f80_0000), _mm512_srlv_epi32(u(0x100_0000), k));
+        let v = scale(_mm512_sub_ps(ps(v), _mm512_sub_ps(e, x)));
+        y = _mm512_mask_mov_ps(y, below_23, v);
+    }
+    let to_56 = within(23, 56);
+    if to_56 != 0 {
+        let v = ps(_mm512_slli_epi32::<23>(_mm512_sub_epi32(u(0x7f), k)));
+        let v = scale(_mm512_add_ps(_mm512_sub_ps(x, _mm512_add_ps(e, v)), f(1.0)));
+        y = _mm512_mask_mov_ps(y, to_56, v);
+    }
+    let far = !(zero | minus_one | below_23 | to_56);
+    if far != 0 {
+        let v = _mm512_sub_ps(scale(_mm512_sub_ps(f(1.0), _mm512_sub_ps(e, x))), f(1.0));
+        y = _mm512_mask_mov_ps(y, far, v);
+    }
+    _mm512_mask_blend_ps(_mm512_cmplt_epu32_mask(hx, u(EXPM1_TINY)), y, x)
+}
+
+/// [`rational`] on sixteen lanes, its operations in its order.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn rational_avx512(x: std::arch::x86_64::__m512) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    let f = _mm512_set1_ps;
+    let (add, mul) = (_mm512_add_ps, _mm512_mul_ps);
+    let hfx = mul(f(0.5), x);
+    let hxs = mul(x, hfx);
+    let p = add(f(Q4), mul(hxs, f(Q5)));
+    let p = add(f(Q3), mul(hxs, p));
+    let p = add(f(Q2), mul(hxs, p));
+    let p = add(f(Q1), mul(hxs, p));
+    let r1 = add(f(1.0), mul(hxs, p));
+    let t = _mm512_sub_ps(f(3.0), mul(r1, hfx));
+    mul(
+        hxs,
+        _mm512_div_ps(_mm512_sub_ps(r1, t), _mm512_sub_ps(f(6.0), mul(x, t))),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::host_libm::{is_verified_glibc, ulp_distance};
@@ -294,8 +484,10 @@ mod tests {
 
     #[test]
     fn slice_equals_scalar_on_tails_and_mixed_chunks() {
+        // the portable body, and the AVX-512 one where the host has it
+        let bodies = [None, Avx512::detect()];
         let edges = edges();
-        for len in [0usize, 1, 15, 16, 17, 33, 100] {
+        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 47, 64, 100] {
             for stride in [1usize, 3, 16, 1000] {
                 let xs: Vec<f32> = (0..len)
                     .map(|i| {
@@ -306,23 +498,28 @@ mod tests {
                         }
                     })
                     .collect();
-                let mut got = xs.clone();
-                tanh_slice(&mut got);
-                for (x, g) in xs.iter().zip(&got) {
-                    assert_eq!(g.to_bits(), tanh(*x).to_bits(), "len {len} x {x:e}");
+                for body in bodies {
+                    let mut got = xs.clone();
+                    tanh_slice_on(body, &mut got);
+                    for (x, g) in xs.iter().zip(&got) {
+                        assert_eq!(g.to_bits(), tanh(*x).to_bits(), "len {len} x {x:e}");
+                    }
                 }
             }
         }
-        let mut got = edges.clone();
-        tanh_slice(&mut got);
-        for (x, g) in edges.iter().zip(&got) {
-            assert_eq!(g.to_bits(), tanh(*x).to_bits(), "{x:e}");
+        for body in bodies {
+            let mut got = edges.clone();
+            tanh_slice_on(body, &mut got);
+            for (x, g) in edges.iter().zip(&got) {
+                assert_eq!(g.to_bits(), tanh(*x).to_bits(), "{x:e}");
+            }
         }
     }
 
-    /// Every f32 against the host's `f32::tanh`: run with `--ignored` in
-    /// release. It holds where the host libm is a glibc in
-    /// `VERIFIED_GLIBC`; elsewhere it says so and checks nothing.
+    /// Every f32 against the host's `f32::tanh`, through the scalar form
+    /// and both slice bodies (the AVX-512 one where the host has it): run
+    /// with `--ignored` in release. It holds where the host libm is a
+    /// glibc in `VERIFIED_GLIBC`; elsewhere it says so and checks nothing.
     #[test]
     #[ignore]
     fn equals_host_tanhf_on_all_inputs() {
@@ -338,11 +535,14 @@ mod tests {
                     .collect();
                 let want: Vec<u32> = xs.iter().map(|x| x.tanh().to_bits()).collect();
                 let scalar: Vec<u32> = xs.iter().map(|&x| tanh(x).to_bits()).collect();
+                let mut portable = xs.clone();
+                tanh_slice_on(None, &mut portable);
                 tanh_slice(&mut xs);
-                xs.iter()
+                let slices = xs.iter().zip(&portable);
+                slices
                     .zip(scalar)
                     .zip(&want)
-                    .filter(|((g, s), &w)| g.to_bits() != w || *s != w)
+                    .filter(|(((g, p), s), &w)| g.to_bits() != w || p.to_bits() != w || *s != w)
                     .count() as u64
             })
             .sum();

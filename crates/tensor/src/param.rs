@@ -18,9 +18,71 @@
 //! A gradient is allocated, as zeros, at its first read or write, so a
 //! store that never trains (a serving model's, or a run's before its
 //! first step) holds no gradient memory.
+//!
+//! The clip's squared norms go through [`sq_norms`], which keeps every
+//! tensor's `Iterator::sum` chain but advances eight of them side by
+//! side; the data-parallel executor folds its flat gradients through
+//! the same function, so both clips see the same bits.
 
 use crate::tensor::Tensor;
 use std::sync::{Arc, OnceLock};
+
+/// Chains [`sq_norms`] advances side by side.
+const CHAINS: usize = 8;
+
+/// `out[i] = Σ xs[i][j]²`, each as [`Tensor::sq_norm`] sums it: one
+/// `Iterator::sum` chain from its identity, `x · x` added in index
+/// order. One such chain waits on its own adds, so the slices go
+/// longest first in groups of [`CHAINS`], whose chains advance side by
+/// side, each lane dropping out where its slice ends. Every chain is
+/// the one a slice summed alone makes, bit for bit.
+pub fn sq_norms(xs: &[&[f32]], out: &mut [f32]) {
+    assert_eq!(xs.len(), out.len(), "one sum per slice");
+    let mut order: Vec<usize> = (0..xs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(xs[i].len()));
+    for group in order.chunks(CHAINS) {
+        let mut acc = [std::iter::empty::<f32>().sum::<f32>(); CHAINS];
+        let mut at = 0;
+        // lanes `0..active` (the longest) all run to the end of lane
+        // `active - 1`
+        for active in (1..=group.len()).rev() {
+            let end = xs[group[active - 1]].len();
+            match active {
+                8 => advance::<8>(xs, group, &mut acc, at..end),
+                7 => advance::<7>(xs, group, &mut acc, at..end),
+                6 => advance::<6>(xs, group, &mut acc, at..end),
+                5 => advance::<5>(xs, group, &mut acc, at..end),
+                4 => advance::<4>(xs, group, &mut acc, at..end),
+                3 => advance::<3>(xs, group, &mut acc, at..end),
+                2 => advance::<2>(xs, group, &mut acc, at..end),
+                _ => advance::<1>(xs, group, &mut acc, at..end),
+            }
+            at = end;
+        }
+        for (&i, &a) in group.iter().zip(&acc) {
+            out[i] = a;
+        }
+    }
+}
+
+/// The first `N` chains of a [`sq_norms`] group over `span` of their
+/// slices.
+#[inline(always)]
+fn advance<const N: usize>(
+    xs: &[&[f32]],
+    group: &[usize],
+    acc: &mut [f32; CHAINS],
+    span: std::ops::Range<usize>,
+) {
+    let lanes: [&[f32]; N] = std::array::from_fn(|l| &xs[group[l]][span.clone()]);
+    let mut sum: [f32; N] = std::array::from_fn(|l| acc[l]);
+    for j in 0..span.len() {
+        for (s, lane) in sum.iter_mut().zip(&lanes) {
+            *s += lane[j] * lane[j];
+        }
+    }
+    acc[..N].copy_from_slice(&sum);
+}
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -138,13 +200,14 @@ impl ParamStore {
         }
     }
 
-    /// Global L2 norm of all gradients.
+    /// Global L2 norm of all gradients: each tensor's
+    /// [`Tensor::sq_norm`] (through [`sq_norms`]), summed in registration
+    /// order.
     pub fn grad_norm(&self) -> f32 {
-        self.entries
-            .iter()
-            .map(|e| e.grad().sq_norm())
-            .sum::<f32>()
-            .sqrt()
+        let grads: Vec<&[f32]> = self.entries.iter().map(|e| e.grad().data()).collect();
+        let mut sq = vec![0.0; grads.len()];
+        sq_norms(&grads, &mut sq);
+        sq.iter().sum::<f32>().sqrt()
     }
 
     /// Scale all gradients so the global norm is at most `max_norm`.
@@ -218,6 +281,39 @@ impl ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sq_norms_equal_each_slices_own_sum_bitwise() {
+        // uneven lengths (more slices than one group, ties, an empty
+        // one), and -0.0, NaN and ±∞ among the values
+        let lens = [5usize, 0, 300, 17, 300, 1, 64, 9, 1000, 2, 33, 300, 7];
+        let xs: Vec<Vec<f32>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                (0..n)
+                    .map(|j| match (i + j) % 97 {
+                        0 => -0.0,
+                        _ => ((i * 31 + j) as f32 * 0.61).sin() * 3.0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut special = xs.clone();
+        special[3][4] = f32::NAN;
+        special[8][999] = f32::INFINITY;
+        special[6][0] = f32::NEG_INFINITY;
+        special[9] = vec![-0.0, -0.0];
+        for xs in [&xs, &special] {
+            let slices: Vec<&[f32]> = xs.iter().map(|x| &x[..]).collect();
+            let mut got = vec![0.0f32; slices.len()];
+            sq_norms(&slices, &mut got);
+            for (x, g) in slices.iter().zip(&got) {
+                let want: f32 = x.iter().map(|v| v * v).sum();
+                assert_eq!(g.to_bits(), want.to_bits(), "len {}", x.len());
+            }
+        }
+    }
 
     #[test]
     fn add_and_query() {

@@ -1168,6 +1168,7 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
             let mut dv = grads.free.zeros(vv.len());
             let mut own = [(); 2].map(|_| grads.free.zeros(shape.own_len()));
             let [dk_own, dv_own] = &mut own;
+            let mut blocks = grads.free.take(shape.block_len());
             attention_bwd_scratch(
                 qv,
                 kv,
@@ -1179,13 +1180,14 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
                 &mut dk,
                 &mut dv,
                 [dk_own, dv_own],
+                &mut blocks,
                 *shape,
                 *causal,
             );
             add_into(grad_buf(grads, nodes, q.0), &dq);
             add_into(grad_buf(grads, nodes, k.0), &dk);
             add_into(grad_buf(grads, nodes, v.0), &dv);
-            grads.recycle([dq, dk, dv]);
+            grads.recycle([dq, dk, dv, blocks]);
             grads.recycle(own);
         }
         Op::Concat(a, b) => {
