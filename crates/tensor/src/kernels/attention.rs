@@ -40,6 +40,7 @@
 use super::exp::exp_slice;
 use super::softmax::{OnlineSoftmax, RowScratch};
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// What the forward stashes for the backward; the arithmetic is one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,16 +90,17 @@ impl AttnShape {
         }
     }
 
-    /// Floats of [`attention_bwd_scratch`]'s block scratch: one share
-    /// per pool worker (as many as there are tasks, at most), each two
-    /// `[16, T]` blocks of rows and their transposes, `T` rounded up to
-    /// whole key tiles.
+    /// Floats of [`attention_bwd_scratch`]'s row-block scratch: one
+    /// share per group of tasks the pool runs (one group per worker, at
+    /// most one per task).
     pub fn block_len(&self) -> usize {
         let tasks = (self.batch * self.heads).max(1);
         rayon::current_num_threads().clamp(1, tasks) * self.block_share()
     }
 
-    /// Floats of one worker's share of the block scratch.
+    /// Floats of one worker's share of the block scratch: a block's
+    /// probabilities and score gradients, as `[16, T]` rows and
+    /// transposed, `T` rounded up to whole key tiles.
     fn block_share(&self) -> usize {
         4 * BLOCK * self.t.next_multiple_of(KEYS)
     }
@@ -561,9 +563,9 @@ fn add_terms<const R: usize, const S: usize>(mut outs: [[&mut [f32]; S]; R], ter
 /// [`attention_bwd`] with its scratch passed in: the per-query-head key
 /// and value gradients, [`AttnShape::own_len`] floats each, which must
 /// hold zeros; and `blocks`, [`AttnShape::block_len`] floats of any
-/// value, one share per pool worker for the rows of a block.
+/// value, which each worker's group of tasks takes one share of.
 ///
-/// Each task's query rows go in blocks of [`BLOCK`]: every row's
+/// Each task's query rows go in blocks of 16: every row's
 /// probabilities (read from the stash or recomputed from its lse) and
 /// `dP = dO·Vᵀ` are scored through [`dots`] as the forward scores, and
 /// turned into `dS = P ∘ (dP − D)·scale` in the block's scratch. Then
@@ -596,11 +598,12 @@ pub fn attention_bwd_scratch(
         dk_own.len() == s.own_len() && dv_own.len() == s.own_len(),
         "attention scratch length"
     );
-    let (tp, share) = (t.next_multiple_of(KEYS), s.block_share());
-    assert!(
-        !blocks.is_empty() && blocks.len().is_multiple_of(share),
+    assert_eq!(
+        blocks.len(),
+        s.block_len(),
         "attention block scratch length"
     );
+    let tp = t.next_multiple_of(KEYS);
     let (dks, dvs) = if shared {
         debug_assert!(
             dk_own.iter().chain(&*dv_own).all(|&x| x == 0.0),
@@ -611,135 +614,138 @@ pub fn attention_bwd_scratch(
         (heads_mut(dk, t, heads, d), heads_mut(dv, t, heads, d))
     };
     // Each task owns its query head's dq rows and its own (or, without
-    // sharing, its KV head's) dk/dv rows, so the accumulation is
-    // race-free. The tasks go in one contiguous group per block share.
-    let tasks = heads_mut(dq, t, heads, d).into_iter().zip(dks).zip(dvs);
-    let per = (s.batch * heads).div_ceil(blocks.len() / share);
-    let mut tasks = tasks.enumerate();
-    let groups: Vec<Vec<_>> = std::iter::from_fn(|| {
-        let group: Vec<_> = tasks.by_ref().take(per).collect();
-        (!group.is_empty()).then_some(group)
-    })
-    .collect();
+    // sharing, its KV head's) dk/dv rows, so the accumulation is race-free.
+    let parts = heads_mut(dq, t, heads, d).into_par_iter().zip(dks).zip(dvs);
     let len = |i: usize| if causal { i + 1 } else { t };
-    groups
-        .into_par_iter()
-        .zip(blocks.par_chunks_mut(share))
-        .for_each(|(group, block)| {
-            let (mut kt, mut vt) = (KeyMajor::new(d), KeyMajor::new(d));
-            let mut drow = vec![0.0f32; t];
-            // the block's P and dS, row-major [BLOCK, tp] and transposed
-            // [tp, BLOCK]
+    // `for_each_init` calls `init` once per group, and there are at most
+    // as many groups as `block_len` has shares
+    let shares = Mutex::new(blocks.chunks_exact_mut(s.block_share()));
+    let init = || {
+        (
+            KeyMajor::new(d),
+            KeyMajor::new(d),
+            vec![0.0f32; t],
+            shares
+                .lock()
+                .expect("block shares")
+                .next()
+                .expect("a block share"),
+        )
+    };
+    parts.enumerate().for_each_init(
+        init,
+        |(kt, vt, drow, block), (task, ((mut dqh, mut dkh), mut dvh))| {
+            // the block's P and dS, row-major [BLOCK, tp], then both
+            // transposed [tp, BLOCK]
             let mut quarters = block.chunks_exact_mut(BLOCK * tp);
             let [pb, db, pt, dst] =
                 std::array::from_fn(|_| quarters.next().expect("four quarters"));
-            for (task, ((mut dqh, mut dkh), mut dvh)) in group {
-                let [qh, oh, doh] = [q, out, dout].map(|x| s.head(x, heads, task));
-                let [kh, vh] = [k, v].map(|x| s.head(x, s.kv_heads, task));
-                // D_i = dO_i · O_i (both algorithms use it)
-                for (i, dr) in drow.iter_mut().enumerate() {
-                    *dr = doh(i).iter().zip(oh(i)).map(|(a, b)| a * b).sum();
-                }
-                kt.truncate(0);
-                if let AttnSaved::Lse(_) = saved {
-                    kt.extend((0..t).map(kh));
-                }
-                vt.truncate(0);
-                vt.extend((0..t).map(vh));
-                let (ktiles, vtiles) = (kt.tiles(), vt.tiles());
-                let mut dqh = dqh.iter_mut();
-                for i0 in (0..t).step_by(BLOCK) {
-                    let rows = i0..t.min(i0 + BLOCK);
-                    // the keys any row of the block sees
-                    let keys = len(rows.end - 1);
-                    let pds = pb.chunks_exact_mut(tp).zip(db.chunks_exact_mut(tp));
-                    for (i, (p, ds)) in rows.clone().zip(pds) {
-                        let n = len(i);
-                        // row i's probabilities, saved or recomputed from
-                        // its lse
-                        match saved {
-                            AttnSaved::Probs(probs) => {
-                                p[..n].copy_from_slice(&probs[(task * t + i) * t..][..n])
+            let [qh, oh, doh] = [q, out, dout].map(|x| s.head(x, heads, task));
+            let [kh, vh] = [k, v].map(|x| s.head(x, s.kv_heads, task));
+            // D_i = dO_i · O_i (both algorithms use it)
+            for (i, dr) in drow.iter_mut().enumerate() {
+                *dr = doh(i).iter().zip(oh(i)).map(|(a, b)| a * b).sum();
+            }
+            kt.truncate(0);
+            if let AttnSaved::Lse(_) = saved {
+                kt.extend((0..t).map(kh));
+            }
+            vt.truncate(0);
+            vt.extend((0..t).map(vh));
+            let (ktiles, vtiles) = (kt.tiles(), vt.tiles());
+            let mut dqh = dqh.iter_mut();
+            for i0 in (0..t).step_by(BLOCK) {
+                let rows = i0..t.min(i0 + BLOCK);
+                // the keys any row of the block sees
+                let keys = len(rows.end - 1);
+                let pds = pb.chunks_exact_mut(tp).zip(db.chunks_exact_mut(tp));
+                for (i, (p, ds)) in rows.clone().zip(pds) {
+                    let n = len(i);
+                    // row i's probabilities, saved or recomputed from
+                    // its lse
+                    match saved {
+                        AttnSaved::Probs(probs) => {
+                            p[..n].copy_from_slice(&probs[(task * t + i) * t..][..n])
+                        }
+                        AttnSaved::Lse(l) => {
+                            dots(&ktiles, KEYS, 0, qh(i), n, scale, p);
+                            for x in &mut p[..n] {
+                                *x -= l[task * t + i];
                             }
-                            AttnSaved::Lse(l) => {
-                                dots(&ktiles, KEYS, 0, qh(i), n, scale, p);
-                                for x in &mut p[..n] {
-                                    *x -= l[task * t + i];
-                                }
-                                exp_slice(&mut p[..n]);
-                            }
-                        }
-                        // masked keys get P = 0, which the sums skip
-                        p[n..keys].fill(0.0);
-                        // dp_ij = dO_i · V_j (a scale of 1 is exact), and
-                        // ds_ij = p (dp - D_i), scaled
-                        dots(&vtiles, KEYS, 0, doh(i), n, 1.0, ds);
-                        for (ds, &p) in ds[..n].iter_mut().zip(&p[..n]) {
-                            *ds = p * (*ds - drow[i]) * scale;
+                            exp_slice(&mut p[..n]);
                         }
                     }
-                    for (r, (p, ds)) in pb.chunks_exact(tp).zip(db.chunks_exact(tp)).enumerate() {
-                        if r == rows.len() {
-                            break;
-                        }
-                        for (j, (&p, &ds)) in p[..keys].iter().zip(&ds[..keys]).enumerate() {
-                            pt[j * BLOCK + r] = p;
-                            dst[j * BLOCK + r] = ds;
-                        }
+                    // masked keys get P = 0, which the sums skip
+                    p[n..keys].fill(0.0);
+                    // dp_ij = dO_i · V_j (a scale of 1 is exact), and
+                    // ds_ij = p (dp - D_i), scaled
+                    dots(&vtiles, KEYS, 0, doh(i), n, 1.0, ds);
+                    for (ds, &p) in ds[..n].iter_mut().zip(&p[..n]) {
+                        *ds = p * (*ds - drow[i]) * scale;
                     }
-                    let (pb, db, pt, dst) = (&*pb, &*db, &*pt, &*dst);
-                    // rows of dq, GROUP at a time, over the keys j
-                    let (kb, kstride) = s.head_rows(k, s.kv_heads, task);
-                    let mut r = 0;
-                    while r < rows.len() {
-                        let group = if rows.len() - r >= GROUP { GROUP } else { 1 };
-                        let terms = Terms {
-                            n: len(i0 + r + group - 1),
-                            src: [kb],
-                            stride: kstride,
-                            coef: [&dst[r..]],
-                            p: &pt[r..],
-                            cstride: BLOCK,
-                        };
-                        let mut dq = || [&mut **dqh.next().expect("a dq row")];
-                        if group == GROUP {
-                            add_terms::<GROUP, 1>(std::array::from_fn(|_| dq()), &terms);
-                        } else {
-                            add_terms([dq()], &terms);
-                        }
-                        r += group;
+                }
+                for (r, (p, ds)) in pb.chunks_exact(tp).zip(db.chunks_exact(tp)).enumerate() {
+                    if r == rows.len() {
+                        break;
                     }
-                    // keys of dk and dv, GROUP at a time, over the block's
-                    // rows i (from the first key's row, causal)
-                    let [(qb, qstride), (dob, _)] = [q, dout].map(|x| s.head_rows(x, heads, task));
-                    let mut kvs = dkh.iter_mut().zip(dvh.iter_mut());
-                    let mut j = 0;
-                    while j < keys {
-                        let group = if keys - j >= GROUP { GROUP } else { 1 };
-                        let from = if causal { j.max(i0) } else { i0 };
-                        let at = (from - i0) * tp + j;
-                        let terms = Terms {
-                            n: rows.end - from,
-                            src: [&qb[from * qstride..], &dob[from * qstride..]],
-                            stride: qstride,
-                            coef: [&db[at..], &pb[at..]],
-                            p: &pb[at..],
-                            cstride: tp,
-                        };
-                        let mut kv = || {
-                            let (dk, dv) = kvs.next().expect("dk and dv rows");
-                            [&mut **dk, &mut **dv]
-                        };
-                        if group == GROUP {
-                            add_terms::<GROUP, 2>(std::array::from_fn(|_| kv()), &terms);
-                        } else {
-                            add_terms([kv()], &terms);
-                        }
-                        j += group;
+                    for (j, (&p, &ds)) in p[..keys].iter().zip(&ds[..keys]).enumerate() {
+                        pt[j * BLOCK + r] = p;
+                        dst[j * BLOCK + r] = ds;
                     }
+                }
+                let (pb, db, pt, dst) = (&*pb, &*db, &*pt, &*dst);
+                // rows of dq, GROUP at a time, over the keys j
+                let (kb, kstride) = s.head_rows(k, s.kv_heads, task);
+                let mut r = 0;
+                while r < rows.len() {
+                    let group = if rows.len() - r >= GROUP { GROUP } else { 1 };
+                    let terms = Terms {
+                        n: len(i0 + r + group - 1),
+                        src: [kb],
+                        stride: kstride,
+                        coef: [&dst[r..]],
+                        p: &pt[r..],
+                        cstride: BLOCK,
+                    };
+                    let mut dq = || [&mut **dqh.next().expect("a dq row")];
+                    if group == GROUP {
+                        add_terms::<GROUP, 1>(std::array::from_fn(|_| dq()), &terms);
+                    } else {
+                        add_terms([dq()], &terms);
+                    }
+                    r += group;
+                }
+                // keys of dk and dv, GROUP at a time, over the block's
+                // rows i (from the first key's row, causal)
+                let [(qb, qstride), (dob, _)] = [q, dout].map(|x| s.head_rows(x, heads, task));
+                let mut kvs = dkh.iter_mut().zip(dvh.iter_mut());
+                let mut j = 0;
+                while j < keys {
+                    let group = if keys - j >= GROUP { GROUP } else { 1 };
+                    let from = if causal { j.max(i0) } else { i0 };
+                    let at = (from - i0) * tp + j;
+                    let terms = Terms {
+                        n: rows.end - from,
+                        src: [&qb[from * qstride..], &dob[from * qstride..]],
+                        stride: qstride,
+                        coef: [&db[at..], &pb[at..]],
+                        p: &pb[at..],
+                        cstride: tp,
+                    };
+                    let mut kv = || {
+                        let (dk, dv) = kvs.next().expect("dk and dv rows");
+                        [&mut **dk, &mut **dv]
+                    };
+                    if group == GROUP {
+                        add_terms::<GROUP, 2>(std::array::from_fn(|_| kv()), &terms);
+                    } else {
+                        add_terms([kv()], &terms);
+                    }
+                    j += group;
                 }
             }
-        });
+        },
+    );
     if shared {
         for (dst, own) in [(dk, &*dk_own), (dv, &*dv_own)] {
             let mut kv = heads_mut(dst, t, s.kv_heads, d);

@@ -36,11 +36,9 @@
 //! The tile has two bodies that produce the same bits: AVX-512
 //! intrinsics behind runtime detection, and a safe lane-array twin that
 //! is the only body elsewhere. `unsafe` is confined to the first and its
-//! dispatch, and to the same pair for `matmul_bt_acc`'s pack of `b^T`
-//! (16 × 16 blocks transposed in registers on an AVX-512 host, one
-//! strided pass per row of `b^T` elsewhere); the entries' shape asserts
-//! are what the raw reads and writes rest on, so they are checked in
-//! release builds too.
+//! dispatch; the entries' shape asserts are what its raw reads rest on,
+//! so they are checked in release builds too. `matmul_bt_acc` packs
+//! `b^T` in 16 × 16 blocks, so each block's rows of `b` stay in L1.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -555,7 +553,7 @@ fn entry_with(
 }
 
 /// [`matmul_bt_acc`] on caller-owned scratch: `b^T` is packed into
-/// `bt` (cleared, then `[k, n]`), the nest runs into `acc` (`[m, n]`,
+/// `bt` (resized to `[k, n]`), the nest runs into `acc` (`[m, n]`,
 /// zeros on entry), and `acc` is added into `c`.
 #[allow(clippy::too_many_arguments)]
 fn bt_acc(
@@ -574,107 +572,50 @@ fn bt_acc(
     assert_eq!(c.len(), m * n);
     assert_eq!(acc.len(), m * n);
     debug_assert!(acc.iter().all(|&x| x == 0.0), "acc must start at zero");
-    pack_transposed(avx512, b, n, k, bt);
+    pack_transposed(b, n, k, bt);
     nest::<false, false>(avx512, a, (k, 1), bt, acc, m, k, n);
     for (cv, &av) in c.iter_mut().zip(acc.iter()) {
         *cv += av;
     }
 }
 
-/// Sides of the square blocks the AVX-512 body of [`pack_transposed`]
-/// transposes in registers: sixteen rows of one vector each.
+/// Sides of the square blocks [`pack_transposed`] copies: sixteen rows
+/// of `b`, one cache line each, read sixteen floats apiece.
 const PACK: usize = 16;
 
-/// `bt` (cleared, then `[k, n]`) = `b^T` for `b` `[n, k]`. On an
-/// AVX-512 host whole `PACK × PACK` blocks go through registers — sixteen
-/// row loads of `b`, a transpose, sixteen row stores into `bt`'s spare
-/// capacity — and the edge blocks element by element; elsewhere each row
-/// of `bt` is one strided pass over `b`. Either copies the same floats.
-fn pack_transposed(avx512: Option<Avx512>, b: &[f32], n: usize, k: usize, bt: &mut Vec<f32>) {
+/// `bt` (resized to `[k, n]`) = `b^T` for `b` `[n, k]`, one `PACK × PACK`
+/// block at a time: each row of a block of `bt` gathers one column of
+/// sixteen rows of `b` that the block keeps in L1, where a whole row of
+/// `bt` would stride through all of `b`. Every element of `bt` is
+/// written, so its old contents do not matter.
+fn pack_transposed(b: &[f32], n: usize, k: usize, bt: &mut Vec<f32>) {
     assert_eq!(b.len(), n * k);
-    bt.clear();
-    bt.reserve(k * n);
-    #[cfg(target_arch = "x86_64")]
-    if avx512.is_some() {
-        // SAFETY: an `Avx512` exists only where avx512f was detected
-        unsafe { pack_transposed_avx512(b, n, k, bt) };
-        return;
-    }
-    let _ = avx512;
-    for p in 0..k {
-        bt.extend(b.iter().skip(p).step_by(k));
-    }
-}
-
-/// [`pack_transposed`]'s AVX-512 body, into `bt` (empty, with capacity
-/// for `k · n`).
-///
-/// # Safety
-/// `avx512f` must have been detected.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn pack_transposed_avx512(b: &[f32], n: usize, k: usize, bt: &mut Vec<f32>) {
-    use std::arch::x86_64::*;
-    let out = &mut bt.spare_capacity_mut()[..k * n];
+    bt.resize(k * n, 0.0);
     for p0 in (0..k).step_by(PACK) {
         for j0 in (0..n).step_by(PACK) {
             if p0 + PACK > k || j0 + PACK > n {
                 for j in j0..n.min(j0 + PACK) {
-                    for (p, &x) in b[j * k + p0..][..PACK.min(k - p0)].iter().enumerate() {
-                        out[(p0 + p) * n + j].write(x);
+                    for (p, &x) in (p0..k).zip(&b[j * k + p0..][..PACK.min(k - p0)]) {
+                        bt[p * n + j] = x;
                     }
                 }
                 continue;
             }
-            let rows: [__m512; PACK] = std::array::from_fn(|j| {
-                let row = &b[(j0 + j) * k + p0..][..PACK];
-                // SAFETY: `row` holds 16 f32
-                unsafe { _mm512_loadu_ps(row.as_ptr()) }
+            let rows: [&[f32; PACK]; PACK] = std::array::from_fn(|j| {
+                b[(j0 + j) * k + p0..][..PACK]
+                    .try_into()
+                    .expect("a block row")
             });
-            for (p, col) in transpose16(rows).into_iter().enumerate() {
-                let dst = &mut out[(p0 + p) * n + j0..][..PACK];
-                // SAFETY: `dst` holds 16 f32 slots
-                unsafe { _mm512_storeu_ps(dst.as_mut_ptr().cast(), col) };
+            for p in 0..PACK {
+                let dst: &mut [f32; PACK] = (&mut bt[(p0 + p) * n + j0..][..PACK])
+                    .try_into()
+                    .expect("a block row");
+                for (d, row) in dst.iter_mut().zip(&rows) {
+                    *d = row[p];
+                }
             }
         }
     }
-    // SAFETY: the blocks cover every `(p, j)` of `[k, n]`, so the loops
-    // wrote each of the first `k · n` elements
-    unsafe { bt.set_len(k * n) };
-}
-
-/// Sixteen vectors as the rows of a 16 × 16 matrix, returned as its
-/// columns: pairs of rows interleaved by 32-bit and then 64-bit lanes,
-/// then by 128-bit quarters twice.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx512f")]
-fn transpose16(rows: [std::arch::x86_64::__m512; PACK]) -> [std::arch::x86_64::__m512; PACK] {
-    use std::arch::x86_64::*;
-    let (pd, ps) = (_mm512_castps_pd, _mm512_castpd_ps);
-    let mut r = rows;
-    let mut t = r;
-    for i in (0..PACK).step_by(2) {
-        t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
-        t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
-    }
-    for i in (0..PACK).step_by(4) {
-        r[i] = ps(_mm512_unpacklo_pd(pd(t[i]), pd(t[i + 2])));
-        r[i + 1] = ps(_mm512_unpackhi_pd(pd(t[i]), pd(t[i + 2])));
-        r[i + 2] = ps(_mm512_unpacklo_pd(pd(t[i + 1]), pd(t[i + 3])));
-        r[i + 3] = ps(_mm512_unpackhi_pd(pd(t[i + 1]), pd(t[i + 3])));
-    }
-    for i in 0..4 {
-        t[i] = _mm512_shuffle_f32x4::<0x88>(r[i], r[i + 4]);
-        t[i + 4] = _mm512_shuffle_f32x4::<0xdd>(r[i], r[i + 4]);
-        t[i + 8] = _mm512_shuffle_f32x4::<0x88>(r[i + 8], r[i + 12]);
-        t[i + 12] = _mm512_shuffle_f32x4::<0xdd>(r[i + 8], r[i + 12]);
-    }
-    for i in 0..8 {
-        r[i] = _mm512_shuffle_f32x4::<0x88>(t[i], t[i + 8]);
-        r[i + 8] = _mm512_shuffle_f32x4::<0xdd>(t[i], t[i + 8]);
-    }
-    r
 }
 
 #[cfg(test)]

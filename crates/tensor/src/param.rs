@@ -33,7 +33,7 @@ const CHAINS: usize = 8;
 /// `out[i] = Σ xs[i][j]²`, each as [`Tensor::sq_norm`] sums it: one
 /// `Iterator::sum` chain from its identity, `x · x` added in index
 /// order. One such chain waits on its own adds, so the slices go
-/// longest first in groups of [`CHAINS`], whose chains advance side by
+/// longest first in groups of eight, whose chains advance side by
 /// side, each lane dropping out where its slice ends. Every chain is
 /// the one a slice summed alone makes, bit for bit.
 pub fn sq_norms(xs: &[&[f32]], out: &mut [f32]) {
