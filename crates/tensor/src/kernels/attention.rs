@@ -364,6 +364,12 @@ pub fn dots(
         }
         return;
     }
+    // The sums must stay whole `[f32; KEYS]` arrays, each stepped by its
+    // own `add_products` call: rewrites of this loop (a zip over the
+    // tiles, the scaling written out, eight query rows' sums in one
+    // array) compiled to scalar `vmulss`/`vaddss` and ran two to three
+    // times slower. `objdump -d` of a build shows `dots` as `vmulps` and
+    // `vaddps` on registers when it is right.
     let mut groups = pieces.chunks_exact(4);
     let mut outs = out.chunks_exact_mut(4 * KEYS);
     for (group, out) in (&mut groups).zip(&mut outs) {
@@ -951,11 +957,12 @@ mod tests {
     /// [`flash_fwd_and_bwd_equal_their_references_bitwise`]. The
     /// training shape; odd shapes; `d` with and without a multiple of 16;
     /// several sequences; grouped-query heads; `t` across several
-    /// backward row blocks and into a partial one (70 = 4 · 16 + 6); and
-    /// scores far enough apart (spread 60) that exp's special path and
-    /// the rescale by 0 run, and probabilities underflow to the 0 the
-    /// backward skips.
-    const SHAPES: [(usize, usize, usize, usize, usize, f32); 11] = [
+    /// backward row blocks and into a partial one (70 = 4 · 16 + 6, and
+    /// under grouped-query heads 33 = 2 · 16 + 1), or inside one
+    /// (15); and scores far enough apart (spread 60) that exp's special
+    /// path and the rescale by 0 run, and probabilities underflow to the
+    /// 0 the backward skips.
+    const SHAPES: [(usize, usize, usize, usize, usize, f32); 13] = [
         (8, 32, 4, 4, 16, 1.0),
         (3, 7, 1, 1, 5, 1.0),
         (2, 17, 1, 1, 6, 1.0),
@@ -967,6 +974,8 @@ mod tests {
         (2, 70, 4, 2, 24, 1.0),
         (1, 70, 2, 2, 40, 60.0),
         (1, 48, 3, 1, 40, 1.0),
+        (2, 33, 4, 2, 16, 60.0),
+        (1, 15, 2, 1, 16, 1.0),
     ];
 
     /// One shape's call and its token-major `[q, k, v, dout]`, drawn as

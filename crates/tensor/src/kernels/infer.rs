@@ -29,11 +29,17 @@ use std::collections::VecDeque;
 /// rows through here, so they agree bitwise, and a forward that rotates
 /// queries and keys in every layer at the same positions builds one
 /// table for all of them.
+///
+/// The sines and the cosines are two tables, `[positions, d/2]` each,
+/// so a row's rotation reads its position's two `d/2`-wide slices once
+/// and rotates every head of the row with them, a loop over `i < d/2`
+/// with no gather.
 #[derive(Clone, Debug)]
 pub struct RotaryTable {
     positions: usize,
     half: usize,
-    sincos: Vec<(f32, f32)>,
+    sin: Vec<f32>,
+    cos: Vec<f32>,
 }
 
 impl RotaryTable {
@@ -43,29 +49,46 @@ impl RotaryTable {
         let divisors: Vec<f32> = (0..half)
             .map(|i| base.powf(2.0 * i as f32 / d as f32))
             .collect();
-        let mut sincos = Vec::with_capacity(positions.len() * half);
+        let cap = positions.len() * half;
+        let (mut sin, mut cos) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
         for &pos in positions {
-            sincos.extend(divisors.iter().map(|&div| (pos as f32 / div).sin_cos()));
+            for &div in &divisors {
+                let (s, c) = (pos as f32 / div).sin_cos();
+                sin.push(s);
+                cos.push(c);
+            }
         }
         Self {
             positions: positions.len(),
             half,
-            sincos,
+            sin,
+            cos,
         }
     }
 
-    /// Rotate every `d`-wide head of `x` in place, head `j` sitting at
-    /// the `pos_of(j)`-th position of the table; `inverse` un-applies.
-    pub(crate) fn rotate(&self, x: &mut [f32], pos_of: impl Fn(usize) -> usize, inverse: bool) {
+    /// Rotate token-major rows of `x` (`heads` heads of `d` a row) in
+    /// place, row `i` at the `pos_of(i)`-th position of the table;
+    /// `inverse` un-applies.
+    pub(crate) fn rotate(
+        &self,
+        x: &mut [f32],
+        heads: usize,
+        pos_of: impl Fn(usize) -> usize,
+        inverse: bool,
+    ) {
         let half = self.half;
-        for (j, head) in x.chunks_mut(2 * half).enumerate() {
-            let at = pos_of(j) * half;
-            for (i, &(sin, cos)) in self.sincos[at..at + half].iter().enumerate() {
-                let sin = if inverse { -sin } else { sin };
-                let x1 = head[i];
-                let x2 = head[i + half];
-                head[i] = x1 * cos - x2 * sin;
-                head[i + half] = x2 * cos + x1 * sin;
+        for (i, row) in x.chunks_mut(heads * 2 * half).enumerate() {
+            let at = pos_of(i) * half;
+            let (sin, cos) = (&self.sin[at..at + half], &self.cos[at..at + half]);
+            for head in row.chunks_exact_mut(2 * half) {
+                let (x1, x2) = head.split_at_mut(half);
+                let pairs = x1.iter_mut().zip(x2.iter_mut());
+                for ((x1, x2), (&sin, &cos)) in pairs.zip(sin.iter().zip(cos)) {
+                    let sin = if inverse { -sin } else { sin };
+                    let (a, b) = (*x1, *x2);
+                    *x1 = a * cos - b * sin;
+                    *x2 = b * cos + a * sin;
+                }
             }
         }
     }
@@ -80,7 +103,7 @@ impl RotaryTable {
             self.positions * heads * 2 * self.half,
             "rotate_rows layout"
         );
-        self.rotate(x, |j| j / heads, false);
+        self.rotate(x, heads, |i| i, false);
     }
 }
 
@@ -549,6 +572,68 @@ mod tests {
         let mut mha = vec![0.0f32; t * h * d];
         cached_attention(&q, &ke, &ve, &mut mha, t, t, h, h, d);
         assert_eq!(bits(&gqa), bits(&mha));
+    }
+
+    /// The rotation as it was before it went row by row: `(sin, cos)`
+    /// pairs built as [`RotaryTable::new`] builds them, and a loop over
+    /// heads, head `j` at position `pos_of(j)`.
+    fn rotate_reference(
+        x: &mut [f32],
+        positions: &[usize],
+        d: usize,
+        base: f32,
+        pos_of: impl Fn(usize) -> usize,
+        inverse: bool,
+    ) {
+        let half = d / 2;
+        let divisors: Vec<f32> = (0..half)
+            .map(|i| base.powf(2.0 * i as f32 / d as f32))
+            .collect();
+        let mut sincos = Vec::with_capacity(positions.len() * half);
+        for &pos in positions {
+            sincos.extend(divisors.iter().map(|&div| (pos as f32 / div).sin_cos()));
+        }
+        for (j, head) in x.chunks_mut(2 * half).enumerate() {
+            let at = pos_of(j) * half;
+            for (i, &(sin, cos)) in sincos[at..at + half].iter().enumerate() {
+                let sin = if inverse { -sin } else { sin };
+                let x1 = head[i];
+                let x2 = head[i + half];
+                head[i] = x1 * cos - x2 * sin;
+                head[i + half] = x2 * cos + x1 * sin;
+            }
+        }
+    }
+
+    #[test]
+    fn rotary_equals_its_per_head_loop_bitwise() {
+        let positions = [0, 3, 17, 40, 1000];
+        let base = 10_000.0;
+        let bits = crate::kernels::norm::tests::bits;
+        for rows in [1, 7, 8, 9, 130] {
+            for d in [2, 16, 24] {
+                for heads in [1, 4, 8] {
+                    let at = format!("rows {rows} d {d} heads {heads}");
+                    let x = crate::kernels::norm::tests::values(rows * heads * d, d + heads, true);
+                    let table = RotaryTable::new(&positions, d, base);
+                    for inverse in [false, true] {
+                        let (mut got, mut want) = (x.clone(), x.clone());
+                        let tape_pos = |i: usize| i % positions.len();
+                        table.rotate(&mut got, heads, tape_pos, inverse);
+                        let head_pos = |j: usize| j / heads % positions.len();
+                        rotate_reference(&mut want, &positions, d, base, head_pos, inverse);
+                        assert_eq!(bits(&got), bits(&want), "{at} inverse {inverse}");
+                    }
+                    // serving: row i at the table's i-th position
+                    let n = rows.min(positions.len());
+                    let (mut got, mut want) = (x.clone(), x.clone());
+                    let (got, want) = (&mut got[..n * heads * d], &mut want[..n * heads * d]);
+                    RotaryTable::new(&positions[..n], d, base).rotate_rows(got, heads);
+                    rotate_reference(want, &positions, d, base, |j| j / heads, false);
+                    assert_eq!(bits(got), bits(want), "rows {at}");
+                }
+            }
+        }
     }
 
     #[test]

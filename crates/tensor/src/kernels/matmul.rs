@@ -2,7 +2,7 @@
 //!
 //! One blocked loop nest, `nest`, under every float matmul in the repo:
 //! `c[r][j] ⊕= coef(r, s) · b[s][j]`, `s` ascending, walked as step
-//! blocks of `KC` → column strips of ≤ `NV_MAX` × `LANES` columns (a
+//! blocks → column strips of ≤ `NV_MAX` × `LANES` columns (a
 //! one-row call: `NV_ROW` × `LANES`) → row tiles of ≤ `MR` rows. A tile's
 //! accumulators stay in registers for its whole block; the strip of `b`
 //! it read is re-used from L1 by every later row tile, and in a call of
@@ -10,6 +10,17 @@
 //! strip of the next block, so `b` crosses DRAM once per call whatever
 //! `m`. `b` is f32, or int8 codes the tile widens to f32 in registers
 //! (exactly: every `i8` is an f32).
+//!
+//! A block is 128 steps where `b` is cache-resident (at most 512 KiB)
+//! and 32 where it streams from DRAM, decided from `b`'s bytes alone,
+//! with no knob. On resident `b` the longer block saves three of every
+//! four reloads of a tile's accumulators: at the training model's
+//! `m = 128` shapes, one AVX-512 core, `matmul` takes 8–25 % less time
+//! and `bt_acc` and `at_acc` 5–8 %. On streamed `b` it cost the
+//! small-`m` serving calls more than half their rate when it was
+//! measured (`m = 1`: 8.4–8.8 → 3.3–3.7 GFLOP/s), since the prefetch
+//! runs a whole block ahead. The block moves no bit: a chain is
+//! blocked, never reordered.
 //! An entry is an addressing of the coefficient
 //! `coef(r, s) = a[r·rs + s·ss]`, a packing, and a chain:
 //!
@@ -49,11 +60,19 @@ use rayon::prelude::*;
 /// multiply itself).
 const PAR_THRESHOLD: usize = 64 * 64;
 
-/// Steps per block of [`nest`]. Measured, not an option: on the
-/// DRAM-resident serving shapes 64 / 128 / 256 cost `m ≤ 4` 10–34 %
-/// (the prefetch runs a whole block ahead), and 32 already amortises a
-/// tile's load and store of `c` over 32 steps.
-const KC: usize = 32;
+/// Steps per block of [`nest`] where `b` is cache-resident: a tile loads
+/// and stores its accumulators once per 128 steps.
+const KC_RESIDENT: usize = 128;
+/// Steps per block where `b` streams from DRAM: there 64 / 128 / 256
+/// cost `m ≤ 4` 10–34 % (the prefetch runs a whole block ahead), and 32
+/// already amortises a tile's load and store of `c` over 32 steps.
+const KC_STREAMED: usize = 32;
+/// The most bytes of `b` that count as cache-resident, a quarter of a
+/// 2 MiB per-core L2. The benchmark's training and small serving
+/// weights (`T`, `S`) are ≤ 256 KiB a matrix and its DRAM-streamed
+/// serving ones (`D`) ≥ 1 MiB as int8 codes and ≥ 4 MiB as f32, so
+/// every shape it runs is a factor of two or more from the line.
+const RESIDENT_BYTES: usize = 512 << 10;
 /// Lanes per vector of a tile: one AVX-512 register of f32 (a cache line
 /// of f32 `b`, a quarter of one of int8 codes).
 const LANES: usize = 16;
@@ -148,7 +167,9 @@ struct Tile<'a, T> {
     n: usize,
     kc: usize,
     w: usize,
-    /// Prefetch the strip's rows `KC` steps on (the next block's).
+    /// Steps per block of the walk this tile-block is one of.
+    block: usize,
+    /// Prefetch the strip's rows `block` steps on (the next block's).
     prefetch: bool,
 }
 
@@ -228,7 +249,7 @@ fn tile_lanes<T: Elem, const R: usize, const FUSED: bool, const SKIP: bool>(
             column_lanes::<T, R, FUSED, SKIP>(t, (b, t.n), (c, t.n));
             continue;
         }
-        let (mut bs, mut cs) = ([[T::default(); LANES]; KC], [[0.0f32; LANES]; R]);
+        let (mut bs, mut cs) = ([[T::default(); LANES]; KC_RESIDENT], [[0.0f32; LANES]; R]);
         for (s, row) in bs[..t.kc].iter_mut().enumerate() {
             row[..w].copy_from_slice(&t.b[t.b0 + s * t.n + j..][..w]);
         }
@@ -286,7 +307,7 @@ unsafe fn tile_avx512<
             let mut bv = [_mm512_setzero_ps(); NV];
             for (v, x) in bv.iter_mut().enumerate() {
                 if t.prefetch {
-                    let next = brow.wrapping_add(KC * t.n + v * LANES);
+                    let next = brow.wrapping_add(t.block * t.n + v * LANES);
                     _mm_prefetch::<_MM_HINT_T0>(next.cast());
                 }
                 let whole = t.b0 + s * t.n + (v + 1) * LANES <= t.b.len();
@@ -365,17 +386,21 @@ fn slab_has_zero(a: &[f32], a0: usize, (rs, ss): (usize, usize), r: usize, kc: u
 
 /// The blocked nest: `c[rows, n] ⊕= coef · b[steps, n]` with
 /// `coef(r, s) = a[r·rs + s·ss]` and `⊕` the `FUSED` / `SKIP` chain of
-/// the tile bodies, `s` ascending per output element. Row tiles are
+/// the tile bodies, `s` ascending per output element. The steps go in
+/// blocks of [`KC_RESIDENT`] where `b` is at most [`RESIDENT_BYTES`],
+/// else of [`KC_STREAMED`]; `block` forces one (the tests run both).
+/// Blocking changes no chain, only how often a tile reloads it. Row tiles are
 /// dealt to the rayon pool in whole tiles, one contiguous run per
 /// worker, so `b` streams once per worker; which worker ran a tile
 /// changes no bit. Below [`PAR_THRESHOLD`] outputs the nest runs
 /// inline: one run, one stream of `b`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn nest<const FUSED: bool, const SKIP: bool>(
+pub(crate) fn nest<const FUSED: bool, const SKIP: bool, T: Elem>(
     avx512: Option<Avx512>,
+    block: Option<usize>,
     a: &[f32],
     (rs, ss): (usize, usize),
-    b: &[impl Elem],
+    b: &[T],
     c: &mut [f32],
     rows: usize,
     steps: usize,
@@ -395,6 +420,15 @@ pub(crate) fn nest<const FUSED: bool, const SKIP: bool>(
         1
     };
     let run = tiles.div_ceil(workers) * MR;
+    let kb = block.unwrap_or(if std::mem::size_of_val(b) <= RESIDENT_BYTES {
+        KC_RESIDENT
+    } else {
+        KC_STREAMED
+    });
+    assert!(
+        (1..=KC_RESIDENT).contains(&kb),
+        "a block of 1..={KC_RESIDENT} steps"
+    );
     let one_row = rows == 1;
     let strip = if one_row { NV_ROW } else { NV_MAX } * LANES;
     let walk = |g: usize, cg: &mut [f32]| {
@@ -409,8 +443,8 @@ pub(crate) fn nest<const FUSED: bool, const SKIP: bool>(
                 &mut many
             }
         };
-        for s0 in (0..steps).step_by(KC) {
-            let kc = KC.min(steps - s0);
+        for s0 in (0..steps).step_by(kb) {
+            let kc = kb.min(steps - s0);
             for (i, z) in has_zero.iter_mut().enumerate() {
                 let a0 = (g * run + i * MR) * rs + s0 * ss;
                 *z = slab_has_zero(a, a0, (rs, ss), MR.min(rows - i * MR), kc);
@@ -428,7 +462,8 @@ pub(crate) fn nest<const FUSED: bool, const SKIP: bool>(
                         n,
                         kc,
                         w: strip.min(n - j0),
-                        prefetch: !one_row && r0 == 0 && s0 + KC < steps,
+                        block: kb,
+                        prefetch: !one_row && r0 == 0 && s0 + kb < steps,
                     };
                     let r = MR.min(rows - r0);
                     if SKIP && has_zero[r0 / MR] {
@@ -471,7 +506,7 @@ impl Avx512 {
 /// are bitwise reproducible across batch shapes. A single row (a decode
 /// step) takes the nest's one-row strips.
 pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    entry_with(Entry::Matmul, Avx512::detect(), a, b, c, m, k, n)
+    entry_with(Entry::Matmul, Avx512::detect(), None, a, b, c, m, k, n)
 }
 
 /// `c[m,n] += a[m,k] @ b[n,k]^T` — `dA = dC @ B^T`, `b` being the
@@ -479,7 +514,7 @@ pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
 /// `[k,n]`, the nest runs into one zeroed `[m,n]` temp, and the temp is
 /// added into `c` once (the module docs say why not straight into `c`).
 pub fn matmul_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    entry_with(Entry::BtAcc, Avx512::detect(), a, b, c, m, k, n)
+    entry_with(Entry::BtAcc, Avx512::detect(), None, a, b, c, m, k, n)
 }
 
 /// [`matmul_bt_acc`], bit for bit, on the caller's scratch rather than
@@ -497,7 +532,7 @@ pub fn matmul_bt_acc_scratch(
     bt: &mut Vec<f32>,
     acc: &mut [f32],
 ) {
-    bt_acc(Avx512::detect(), a, b, c, m, k, n, bt, acc)
+    bt_acc(Avx512::detect(), None, a, b, c, m, k, n, bt, acc)
 }
 
 /// `c[k,n] += a[m,k]^T @ b[m,n]` — `dB = A^T @ dC` — without
@@ -505,7 +540,7 @@ pub fn matmul_bt_acc_scratch(
 /// down column `p` of `a`, one per row of `b`; unfused, zero-skipping,
 /// straight into `c`.
 pub fn matmul_at_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    entry_with(Entry::AtAcc, Avx512::detect(), a, b, c, m, k, n)
+    entry_with(Entry::AtAcc, Avx512::detect(), None, a, b, c, m, k, n)
 }
 
 /// The public entries, as [`entry_with`] names them.
@@ -518,12 +553,15 @@ enum Entry {
 
 /// An entry with the tile body chosen by the caller (`None`: the
 /// portable one), so a test can run the portable body on a host that
-/// would never dispatch it. The shape asserts are the bounds the tile's
-/// raw reads rest on: a mis-shaped call panics in release builds too.
+/// would never dispatch it, and with [`nest`]'s `block`, so a test can
+/// run either block size on any shape. The shape asserts are the bounds
+/// the tile's raw reads rest on: a mis-shaped call panics in release
+/// builds too.
 #[allow(clippy::too_many_arguments)]
 fn entry_with(
     entry: Entry,
     avx512: Option<Avx512>,
+    block: Option<usize>,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -537,17 +575,17 @@ fn entry_with(
             assert_eq!(b.len(), k * n);
             assert_eq!(c.len(), m * n);
             c.fill(0.0);
-            nest::<true, true>(avx512, a, (k, 1), b, c, m, k, n);
+            nest::<true, true, _>(avx512, block, a, (k, 1), b, c, m, k, n);
         }
         Entry::BtAcc => {
             let mut bt = Vec::with_capacity(k * n);
             let mut acc = vec![0.0; m * n];
-            bt_acc(avx512, a, b, c, m, k, n, &mut bt, &mut acc);
+            bt_acc(avx512, block, a, b, c, m, k, n, &mut bt, &mut acc);
         }
         Entry::AtAcc => {
             assert_eq!(b.len(), m * n);
             assert_eq!(c.len(), k * n);
-            nest::<false, true>(avx512, a, (1, k), b, c, k, m, n);
+            nest::<false, true, _>(avx512, block, a, (1, k), b, c, k, m, n);
         }
     }
 }
@@ -558,6 +596,7 @@ fn entry_with(
 #[allow(clippy::too_many_arguments)]
 fn bt_acc(
     avx512: Option<Avx512>,
+    block: Option<usize>,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -573,7 +612,7 @@ fn bt_acc(
     assert_eq!(acc.len(), m * n);
     debug_assert!(acc.iter().all(|&x| x == 0.0), "acc must start at zero");
     pack_transposed(b, n, k, bt);
-    nest::<false, false>(avx512, a, (k, 1), bt, acc, m, k, n);
+    nest::<false, false, _>(avx512, block, a, (k, 1), bt, acc, m, k, n);
     for (cv, &av) in c.iter_mut().zip(acc.iter()) {
         *cv += av;
     }
@@ -791,6 +830,11 @@ mod tests {
     /// and a 3-vector one ending in 12, `n = 128` exactly one.
     const ROW_SHAPES: [(usize, usize, usize); 3] = [(1, 128, 344), (1, 344, 128), (1, 37, 300)];
 
+    /// The two block sizes of the nest, forced: every shape above is
+    /// cache-resident, so the public entries alone would never run the
+    /// streamed one.
+    const BLOCKS: [Option<usize>; 2] = [Some(KC_STREAMED), Some(KC_RESIDENT)];
+
     /// `MS × KNS`, `TRAIN_MS × TRAIN_KNS` and [`ROW_SHAPES`] as `(m, k, n)`.
     fn shapes() -> Vec<(usize, usize, usize)> {
         let grid = |ms: &[usize], kns: &[(usize, usize)]| {
@@ -845,19 +889,19 @@ mod tests {
         };
         let bodies = [None, Avx512::detect()];
         on_both_pools(|| {
-            for (set, gen) in OPERANDS {
+            for ((set, gen), block) in OPERANDS.into_iter().flat_map(|o| BLOCKS.map(|b| (o, b))) {
                 for (m, k, n) in shapes() {
                     let a = gen(m * k, 37, 19);
+                    let what = format!("{set} m={m} k={k} n={n} block {block:?}");
                     let run = |entry: Entry, b: &[f32], c0: &[f32]| {
                         let [portable, detected] = bodies.map(|body| {
                             let mut c = c0.to_vec();
-                            entry_with(entry, body, &a, b, &mut c, m, k, n);
+                            entry_with(entry, body, block, &a, b, &mut c, m, k, n);
                             bits(&c)
                         });
-                        assert_eq!(portable, detected, "{entry:?} {set} m={m} k={k} n={n}");
+                        assert_eq!(portable, detected, "{entry:?} {what}");
                         portable
                     };
-                    let what = format!("{set} m={m} k={k} n={n}");
 
                     let b = gen(k * n, 53, 23);
                     let mut want = vec![f32::NAN; m * n];
@@ -875,6 +919,7 @@ mod tests {
                         let mut c = c0.clone();
                         bt_acc(
                             body,
+                            block,
                             &a,
                             &b,
                             &mut c,
@@ -898,7 +943,7 @@ mod tests {
                     q8_rows_reference(&a, &q, &mut want, k, n);
                     let [portable, detected] = bodies.map(|body| {
                         let mut c = vec![f32::NAN; m * n];
-                        matmul_q8_with(body, &a, &q, &mut c, m, k, n);
+                        matmul_q8_with(body, block, &a, &q, &mut c, m, k, n);
                         bits(&c)
                     });
                     assert_eq!(portable, detected, "q8 {what}");
@@ -908,7 +953,8 @@ mod tests {
         });
         // the skip itself, in both bodies: one step whose coefficients are
         // ±0.0 for every row, over a poisoned row of the other operand
-        for (m, k, n) in [(9, 37, 113), (32, 128, 344)].into_iter().chain(ROW_SHAPES) {
+        let skips = [(9, 37, 113), (32, 128, 344)].into_iter().chain(ROW_SHAPES);
+        for ((m, k, n), block) in skips.flat_map(|s| BLOCKS.map(|b| (s, b))) {
             for (entry, steps, rows) in [(Entry::Matmul, k, m), (Entry::AtAcc, m, k)] {
                 let (s0, mut a) = (steps / 2, dense_operand(m * k, 37, 19));
                 for i in 0..m {
@@ -923,11 +969,11 @@ mod tests {
                 b[s0 * n..(s0 + 1) * n].fill(f32::INFINITY);
                 let [portable, detected] = bodies.map(|body| {
                     let mut c = vec![-0.0f32; rows * n];
-                    entry_with(entry, body, &a, &b, &mut c, m, k, n);
+                    entry_with(entry, body, block, &a, &b, &mut c, m, k, n);
                     assert!(c.iter().all(|v| v.is_finite()), "{entry:?} m={m}: zero met");
                     bits(&c)
                 });
-                assert_eq!(portable, detected, "{entry:?} m={m} k={k} n={n}");
+                assert_eq!(portable, detected, "{entry:?} m={m} k={k} n={n} {block:?}");
             }
         }
     }
@@ -937,7 +983,10 @@ mod tests {
         // `matmul_q8` is `matmul` over the codes read as f32, then each
         // column times its scale, to the bit: the int8 entry and the f32
         // one share a chain. Half the zero coefficients are `-0.0`, which
-        // both skip like `+0.0`.
+        // both skip like `+0.0`. The public entries block by residency,
+        // and every shape here is resident, so each block size is also
+        // forced on both.
+        let avx512 = Avx512::detect();
         for (set, gen) in OPERANDS {
             for (m, k, n) in shapes() {
                 let q = quantized(gen, k, n);
@@ -945,16 +994,22 @@ mod tests {
                     .map(|(i, v)| if v == 0.0 && i % 2 == 1 { -0.0 } else { v })
                     .collect();
                 let codes: Vec<f32> = q.data().iter().map(|&c| f32::from(c)).collect();
-                let mut want = vec![f32::NAN; m * n];
-                matmul(&a, &codes, &mut want, m, k, n);
-                for row in want.chunks_mut(n) {
-                    for (v, &s) in row.iter_mut().zip(q.scales()) {
-                        *v *= s;
+                for block in [None].into_iter().chain(BLOCKS) {
+                    let mut want = vec![f32::NAN; m * n];
+                    entry_with(Entry::Matmul, avx512, block, &a, &codes, &mut want, m, k, n);
+                    for row in want.chunks_mut(n) {
+                        for (v, &s) in row.iter_mut().zip(q.scales()) {
+                            *v *= s;
+                        }
                     }
+                    let mut got = vec![f32::NAN; m * n];
+                    match block {
+                        None => matmul_q8(&a, &q, &mut got, m, k, n),
+                        _ => matmul_q8_with(avx512, block, &a, &q, &mut got, m, k, n),
+                    }
+                    let what = format!("{set} m={m} k={k} n={n} {block:?}");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
                 }
-                let mut got = vec![f32::NAN; m * n];
-                matmul_q8(&a, &q, &mut got, m, k, n);
-                assert_eq!(bits(&got), bits(&want), "{set} m={m} k={k} n={n}");
             }
         }
     }
@@ -1113,7 +1168,7 @@ mod tests {
             let want = bits(&row_chain(&a, &b, n));
             for body in [None, Avx512::detect()] {
                 let mut c = vec![f32::NAN; n];
-                entry_with(Entry::Matmul, body, &a, &b, &mut c, 1, k, n);
+                entry_with(Entry::Matmul, body, None, &a, &b, &mut c, 1, k, n);
                 let name = if body.is_some() { "avx512" } else { "portable" };
                 assert!(c.iter().all(|v| v.is_finite()), "{name} k={k}: zero met");
                 assert_eq!(bits(&c), want, "{name} k={k} n={n} zeros at {zeros:?}");

@@ -102,14 +102,17 @@ impl QuantizedMatrix {
 /// weights: the nest reads the codes and widens them in registers, and
 /// each output element is scaled once at the end.
 pub fn matmul_q8(a: &[f32], w: &QuantizedMatrix, c: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_q8_with(Avx512::detect(), a, w, c, m, k, n)
+    matmul_q8_with(Avx512::detect(), None, a, w, c, m, k, n)
 }
 
 /// [`matmul_q8`] with the tile body chosen by the caller (`None`: the
 /// portable one), so a test can run the portable body on a host that
-/// would never dispatch it.
+/// would never dispatch it, and with the nest's `block` (`None`: by
+/// `b`'s residency), so a test can force either block size.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_q8_with(
     avx512: Option<Avx512>,
+    block: Option<usize>,
     a: &[f32],
     w: &QuantizedMatrix,
     c: &mut [f32],
@@ -121,7 +124,7 @@ pub(crate) fn matmul_q8_with(
     assert_eq!(w.n, n, "output dim");
     assert_eq!(a.len(), m * k);
     c.fill(0.0);
-    nest::<true, true>(avx512, a, (k, 1), &w.data, c, m, k, n);
+    nest::<true, true, _>(avx512, block, a, (k, 1), &w.data, c, m, k, n);
     for ci in c.chunks_mut(n) {
         for (cv, &s) in ci.iter_mut().zip(&w.scales) {
             *cv *= s;

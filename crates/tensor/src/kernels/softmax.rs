@@ -2,6 +2,7 @@
 //! with, and the cross-entropy loss's stable row softmax.
 
 use super::exp::{exp, exp_slice};
+use super::norm::{row_folds, row_sums, ROWS};
 
 /// Streaming softmax state for one output row: the running max `m`, the
 /// running normaliser `l`, and an externally owned accumulator. Feeding
@@ -188,19 +189,25 @@ pub const IGNORE_INDEX: u32 = u32::MAX;
 pub fn cross_entropy(logits: &mut [f32], targets: &[u32], vocab: usize) -> (f32, usize) {
     let n = targets.len();
     assert_eq!(logits.len(), n * vocab, "targets length mismatch");
-    for row in logits.chunks_exact_mut(vocab) {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        for v in row.iter_mut() {
-            *v -= max;
+    // each block's row maxima and row sums side by side (see
+    // `norm::row_folds`)
+    for block in logits.chunks_mut(ROWS * vocab) {
+        let rows = block.len() / vocab;
+        let at = |r: usize, c: usize| block[r * vocab + c];
+        let max = row_folds(rows, vocab, f32::NEG_INFINITY, at, f32::max);
+        for (row, max) in block.chunks_exact_mut(vocab).zip(max) {
+            for v in row.iter_mut() {
+                *v -= max;
+            }
+            exp_slice(row);
         }
-        exp_slice(row);
-        let mut sum = 0.0f32;
-        for &v in row.iter() {
-            sum += v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
+        let at = |r: usize, c: usize| block[r * vocab + c];
+        let sum = row_sums(rows, vocab, 0.0, at);
+        for (row, sum) in block.chunks_exact_mut(vocab).zip(sum) {
+            let inv = 1.0 / sum;
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
         }
     }
     let mut loss = 0.0f64;
@@ -259,6 +266,89 @@ mod tests {
     /// leaves them.
     fn softmax(x: &mut [f32], vocab: usize) {
         cross_entropy(x, &vec![IGNORE_INDEX; x.len() / vocab], vocab);
+    }
+
+    /// [`cross_entropy`] as it was before it took rows side by side.
+    fn cross_entropy_reference(logits: &mut [f32], targets: &[u32], vocab: usize) -> (f32, usize) {
+        for row in logits.chunks_exact_mut(vocab) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            for v in row.iter_mut() {
+                *v -= max;
+            }
+            exp_slice(row);
+            let mut sum = 0.0f32;
+            for &v in row.iter() {
+                sum += v;
+            }
+            let inv = 1.0 / sum;
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
+        }
+        let mut loss = 0.0f64;
+        let mut n_valid = 0usize;
+        for (r, &t) in targets.iter().enumerate() {
+            if t == IGNORE_INDEX {
+                continue;
+            }
+            let p = logits[r * vocab + t as usize].max(1e-12);
+            loss -= (p as f64).ln();
+            n_valid += 1;
+        }
+        let n_valid = n_valid.max(1);
+        ((loss / n_valid as f64) as f32, n_valid)
+    }
+
+    #[test]
+    fn cross_entropy_and_its_gradient_equal_the_one_row_loops_bitwise() {
+        use crate::kernels::norm::tests::{bits, values};
+        use crate::{Tape, Tensor};
+        for rows in [1, 7, 8, 9, 130] {
+            for vocab in [2, 16, 24] {
+                for special in [false, true] {
+                    let at = format!("rows {rows} vocab {vocab} special {special}");
+                    let logits = values(rows * vocab, rows + vocab, special);
+                    let targets: Vec<u32> = (0..rows)
+                        .map(|r| match r % 5 {
+                            3 => IGNORE_INDEX,
+                            _ => (r * 7 % vocab) as u32,
+                        })
+                        .collect();
+                    let (mut got, mut want) = (logits.clone(), logits.clone());
+                    let (loss, n) = cross_entropy(&mut got, &targets, vocab);
+                    let (want_loss, want_n) = cross_entropy_reference(&mut want, &targets, vocab);
+                    assert_eq!(bits(&got), bits(&want), "probs {at}");
+                    assert_eq!(
+                        (bits(&[loss]), n),
+                        (bits(&[want_loss]), want_n),
+                        "loss {at}"
+                    );
+
+                    // the tape's gradient against the loop it ran before
+                    // the target got its own step
+                    let mut tape = Tape::new();
+                    let l = tape.input(Tensor::from_vec(&[rows, vocab], logits.clone()));
+                    let ce = tape.cross_entropy(l, &targets);
+                    tape.backward(ce);
+                    let seed = 1.0 / n as f32;
+                    let mut grad = vec![0.0f32; rows * vocab];
+                    for (r, &t) in targets.iter().enumerate() {
+                        if t == IGNORE_INDEX {
+                            continue;
+                        }
+                        for c in 0..vocab {
+                            let mut dv = want[r * vocab + c];
+                            if c == t as usize {
+                                dv -= 1.0;
+                            }
+                            grad[r * vocab + c] += seed * dv;
+                        }
+                    }
+                    let got = tape.grad(l).expect("a gradient");
+                    assert_eq!(bits(got.data()), bits(&grad), "grad {at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -429,7 +429,7 @@ impl Tape {
     }
 
     /// `f` over same-shape `a` and `b`, element by element.
-    fn zip_with(&mut self, a: Var, b: Var, op: Op, name: &str, f: fn(f32, f32) -> f32) -> Var {
+    fn zip_with(&mut self, a: Var, b: Var, op: Op, name: &str, f: impl Fn(f32, f32) -> f32) -> Var {
         let ([ta, tb], free) = self.operands([a, b]);
         assert_eq!(ta.shape(), tb.shape(), "{name} shape mismatch");
         let mut data = free.take(ta.numel());
@@ -456,10 +456,10 @@ impl Tape {
         let ([tx, tb], free) = self.operands([x, b]);
         let (_, d) = tx.as_2d();
         assert_eq!(tb.numel(), d, "bias length mismatch");
-        let mut data = free.copy_of(tx.data());
-        for row in data.chunks_exact_mut(d) {
-            for (v, &bv) in row.iter_mut().zip(tb.data()) {
-                *v += bv;
+        let mut data = free.take(tx.numel());
+        for (out, row) in data.chunks_exact_mut(d).zip(tx.data().chunks_exact(d)) {
+            for ((o, &xv), &bv) in out.iter_mut().zip(row).zip(tb.data()) {
+                *o = xv + bv;
             }
         }
         let out = Tensor::from_vec(tx.shape(), data);
@@ -961,11 +961,11 @@ fn released(nodes: &[Node], v: Var) -> ! {
 }
 
 /// Apply (or, with `inverse`, un-apply) rotary embeddings in place over
-/// token-major rows `heads` heads of `d` wide: head `j` belongs to row
-/// `j / heads`, which sits at position `j / heads % t`.
+/// token-major rows `heads` heads of `d` wide: row `i` sits at position
+/// `i % t`.
 fn rotary_apply(data: &mut [f32], t: usize, heads: usize, d: usize, base: f32, inverse: bool) {
     let positions: Vec<usize> = (0..t).collect();
-    RotaryTable::new(&positions, d, base).rotate(data, |j| j / heads % t, inverse);
+    RotaryTable::new(&positions, d, base).rotate(data, heads, |i| i % t, inverse);
 }
 
 /// Ensure a gradient buffer exists for `id` and return it.
@@ -1086,17 +1086,21 @@ fn backward_op(nodes: &[Node], grads: &mut Grads, id: usize, g: &Tensor) {
             let seed = g.item() / *n_valid as f32;
             let gl = grad_buf(grads, nodes, logits.0);
             let gld = gl.data_mut();
-            for (r, &t) in targets.iter().enumerate() {
+            let rows = gld.chunks_exact_mut(v).zip(probs.chunks_exact(v));
+            for ((o, p), &t) in rows.zip(targets) {
                 if t == IGNORE_INDEX {
                     continue;
                 }
-                for c in 0..v {
-                    let mut dv = probs[r * v + c];
-                    if c == t as usize {
-                        dv -= 1.0;
+                // the target's `p - 1` between two branch-free spans
+                let t = t as usize;
+                let span = |o: &mut [f32], p: &[f32]| {
+                    for (o, &p) in o.iter_mut().zip(p) {
+                        *o += seed * p;
                     }
-                    gld[r * v + c] += seed * dv;
-                }
+                };
+                span(&mut o[..t], &p[..t]);
+                o[t] += seed * (p[t] - 1.0);
+                span(&mut o[t + 1..], &p[t + 1..]);
             }
         }
         Op::Mse { pred, target } => {
